@@ -11,11 +11,13 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence, Union
 
 from . import codes, crypto, permission, rules, scheduler, utxo, vm
+from .lthash import LtHash
 from .model import (
     Call,
     Deploy,
@@ -127,76 +129,108 @@ class BatchHeader:
         )
 
 
-@dataclass
+def utxo_entry(op: Outpoint, out: Output) -> bytes:
+    return b"U" + op.serialize() + out.serialize()
+
+
 class LedgerState:
-    utxos: dict[Outpoint, Output] = field(default_factory=dict)
-    accounts: vm.Accounts = field(default_factory=vm.Accounts)
-    pool: utxo.PendingPool = field(default_factory=utxo.PendingPool)
-    issued: int = 0
-    expired: int = 0
-    utxo_total: int = 0
-    epoch: int = 0
-    batch_number: int = 0
-    prev_header_hash: bytes = ZERO_HASH
+    """The ledger's state. The UTXO set is a read-only view: every write
+    goes through put_utxo and spend_utxo, which keep utxo_total and an
+    LtHash over the UTXO entries up to date. Account writes go through
+    the write API of self.accounts."""
+
+    def __init__(self) -> None:
+        self._utxos: dict[Outpoint, Output] = {}
+        self.utxos: Mapping[Outpoint, Output] = MappingProxyType(self._utxos)
+        self.utxo_lthash = LtHash()
+        self.utxo_total = 0
+        self.accounts = vm.Accounts()
+        self.pool = utxo.PendingPool()
+        self.issued = 0
+        self.expired = 0
+        self.epoch = 0
+        self.batch_number = 0
+        self.prev_header_hash = ZERO_HASH
+
+    def put_utxo(self, op: Outpoint, out: Output) -> None:
+        self._utxos[op] = out
+        self.utxo_lthash.add(utxo_entry(op, out))
+        self.utxo_total += out.amount
+
+    def spend_utxo(self, op: Outpoint) -> Output:
+        out = self._utxos.pop(op)
+        self.utxo_lthash.remove(utxo_entry(op, out))
+        self.utxo_total -= out.amount
+        return out
 
     @property
     def account_total(self) -> int:
-        return self.accounts.total_balance()
+        return self.accounts.total
 
     def conservation_holds(self) -> bool:
         """issued = utxo_total + account_total + expired, exactly."""
         return self.issued == self.utxo_total + self.account_total + self.expired
 
     def copy(self) -> "LedgerState":
-        return LedgerState(
-            dict(self.utxos),
-            self.accounts.copy(),
-            utxo.PendingPool(dict(self.pool.by_outpoint)),
-            self.issued,
-            self.expired,
-            self.utxo_total,
-            self.epoch,
-            self.batch_number,
-            self.prev_header_hash,
-        )
+        other = LedgerState()
+        other._utxos.update(self._utxos)
+        other.utxo_lthash = self.utxo_lthash.copy()
+        other.utxo_total = self.utxo_total
+        other.accounts = self.accounts.copy()
+        other.pool = utxo.PendingPool(dict(self.pool.by_outpoint))
+        other.issued = self.issued
+        other.expired = self.expired
+        other.epoch = self.epoch
+        other.batch_number = self.batch_number
+        other.prev_header_hash = self.prev_header_hash
+        return other
+
+
+_DIGEST_TAG = b"tierledger/state/lthash16/v1"
+
+
+def _finish_digest(
+    utxo_acc: LtHash, account_acc: LtHash, state: LedgerState, utxo_total: int, account_total: int
+) -> bytes:
+    w = Writer()
+    w.raw(_DIGEST_TAG).raw(utxo_acc.digest()).raw(account_acc.digest())
+    w.u64(state.issued).u64(state.expired)
+    w.u64(utxo_total).u64(account_total)
+    w.u64(state.epoch)
+    return sha256(w.done())
 
 
 def state_digest(state: LedgerState) -> bytes:
-    """sha256 over the canonical serialization of the full economic state:
-    sorted UTXO entries, sorted balances, sorted contract storage, contract
-    code hashes, supply counters, and the epoch."""
-    entries = sorted(state.utxos.items(), key=lambda kv: kv[0].serialize())
-    parts = [len(entries).to_bytes(4, "little")]
-    for op, out in entries:
-        parts.append(op.serialize())
-        parts.append(out.serialize())
-    w = Writer()
-    balances = sorted((a, b) for a, b in state.accounts.balances.items() if b)
-    w.u32(len(balances))
-    for addr, bal in balances:
-        w.bytes_(addr)
-        w.u64(bal)
-    slots = sorted(
-        (addr, key, val)
-        for addr, kv in state.accounts.storage.items()
-        for key, val in kv.items()
-        if val
+    """Commitment to the economic state: sha256 over a tag, the LtHash of
+    the UTXO entries, the LtHash of the account entries (nonzero balances,
+    nonzero storage slots, contract code hashes), the supply counters and
+    the epoch. The accumulators are kept by the write API, so this costs
+    the same whatever the state's size. Nonces and the pending pool are not
+    committed."""
+    return _finish_digest(
+        state.utxo_lthash, state.accounts.lthash, state, state.utxo_total, state.account_total
     )
-    w.u32(len(slots))
-    for addr, key, val in slots:
-        w.bytes_(addr)
-        w.u64(key)
-        w.u64(val)
-    contracts = sorted(state.accounts.contracts.items())
-    w.u32(len(contracts))
-    for addr, acct in contracts:
-        w.bytes_(addr)
-        w.bytes_(acct.code_hash())
-    w.u64(state.issued).u64(state.expired)
-    w.u64(state.utxo_total).u64(state.account_total)
-    w.u64(state.epoch)
-    parts.append(w.done())
-    return sha256(b"".join(parts))
+
+
+def recompute_state_digest(state: LedgerState) -> bytes:
+    """state_digest rebuilt from scratch: both accumulators and both totals
+    are recomputed from the mappings. The test oracle for the incremental
+    bookkeeping."""
+    utxo_acc = LtHash()
+    for op, out in state.utxos.items():
+        utxo_acc.add(utxo_entry(op, out))
+    accounts = state.accounts
+    account_acc = LtHash()
+    for addr, bal in accounts.balances.items():
+        if bal:
+            account_acc.add(vm.balance_entry(addr, bal))
+    for (addr, key), val in accounts.storage.items():
+        if val:
+            account_acc.add(vm.slot_entry(addr, key, val))
+    for acct in accounts.contracts.values():
+        account_acc.add(vm.contract_entry(acct))
+    utxo_total = sum(out.amount for out in state.utxos.values())
+    return _finish_digest(utxo_acc, account_acc, state, utxo_total, sum(accounts.balances.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +271,15 @@ def apply_batch(
     state.epoch = epoch
 
     # 1. Expire outputs, before any validation.
-    state.utxos, expired_now = rules.apply_expiry(state.utxos, epoch, cfg)
-    state.expired += expired_now
-    state.utxo_total -= expired_now
+    for op in rules.apply_expiry(state.utxos, epoch, cfg):
+        state.expired += state.spend_utxo(op).amount
 
     # 2. Coinbase issuance to the operator.
     sub = rules.subsidy(epoch, cfg)
     if sub > 0:
         cb = _coinbase_outpoint(state.batch_number)
-        state.utxos[cb] = Output(sub, Lock.pay_to_pubkey(cfg.operator_pubkey))
+        state.put_utxo(cb, Output(sub, Lock.pay_to_pubkey(cfg.operator_pubkey)))
         state.issued += sub
-        state.utxo_total += sub
 
     # 3. Matured pending transactions run ahead of new submissions.
     drained = state.pool.drain(epoch)
@@ -263,6 +295,11 @@ def apply_batch(
     receipts: list[Optional[Receipt]] = [None] * len(work)
     batch_spent: set[Outpoint] = set()
     operator = cfg.operator_address
+    accounts = state.accounts
+
+    def credit_operator(fee: int) -> None:
+        if fee:
+            accounts.set_balance(operator, accounts.balance(operator) + fee)
 
     contract_buffer: list[tuple[int, Transaction, bytes]] = []
 
@@ -281,7 +318,7 @@ def apply_batch(
             emit(i, tx, tx_id, outcome.status, outcome.gas_used, Level.L3)
 
         _, telemetry = scheduler.schedule_batch(
-            state.accounts,
+            accounts,
             items,
             epoch,
             cfg,
@@ -363,15 +400,9 @@ def apply_batch(
             if not rej.ok:
                 emit(i, tx, tx_id, rej.code, 0, level)
                 continue
-            in_sum = sum(state.utxos[op].amount for op in k.inputs)
-            out_sum = in_sum - fee
             batch_spent.update(k.inputs)
-            utxo.apply_utxo_tx(state.utxos, tx, tx_id)
-            state.utxo_total += out_sum - in_sum
-            if fee:
-                state.accounts.balances[operator] = (
-                    state.accounts.balance(operator) + fee
-                )
+            utxo.apply_utxo_tx(state, tx, tx_id)
+            credit_operator(fee)
             emit(i, tx, tx_id, codes.OK, 0, level)
             continue
 
@@ -403,11 +434,9 @@ def apply_batch(
                 continue
             batch_spent.update(k.inputs)
             for op in k.inputs:
-                del state.utxos[op]
-            state.utxo_total -= total_in
-            state.accounts.balances[k.to] = state.accounts.balance(k.to) + k.amount
-            if fee:
-                state.accounts.balances[operator] = state.accounts.balance(operator) + fee
+                state.spend_utxo(op)
+            accounts.set_balance(k.to, accounts.balance(k.to) + k.amount)
+            credit_operator(fee)
             emit(i, tx, tx_id, codes.OK, 0, level)
             continue
 
@@ -415,11 +444,11 @@ def apply_batch(
             if not utxo.check_window(tx, epoch):
                 emit(i, tx, tx_id, utxo.OUTSIDE_VALIDITY_WINDOW, 0, level)
                 continue
-            if tx.nonce != state.accounts.nonces.get(k.source, 0):
+            if tx.nonce != accounts.nonces.get(k.source, 0):
                 emit(i, tx, tx_id, vm.STATUS_BAD_NONCE, 0, level)
                 continue
             out_sum = sum(o.amount for o in k.outputs)
-            if out_sum > k.amount or state.accounts.balance(k.source) < k.amount:
+            if out_sum > k.amount or accounts.balance(k.source) < k.amount:
                 emit(i, tx, tx_id, vm.STATUS_INSUFFICIENT_BALANCE, 0, level)
                 continue
             fee = k.amount - out_sum
@@ -430,15 +459,11 @@ def apply_batch(
             if al != rules.FEE_OK:
                 emit(i, tx, tx_id, al, 0, level)
                 continue
-            state.accounts.balances[k.source] = state.accounts.balance(k.source) - k.amount
-            if not state.accounts.balances[k.source]:
-                del state.accounts.balances[k.source]
+            accounts.set_balance(k.source, accounts.balance(k.source) - k.amount)
             for j, out in enumerate(k.outputs):
-                state.utxos[Outpoint(tx_id, j)] = out
-            state.utxo_total += out_sum
-            if fee:
-                state.accounts.balances[operator] = state.accounts.balance(operator) + fee
-            state.accounts.nonces[k.source] = tx.nonce + 1
+                state.put_utxo(Outpoint(tx_id, j), out)
+            credit_operator(fee)
+            accounts.set_nonce(k.source, tx.nonce + 1)
             emit(i, tx, tx_id, codes.OK, 0, level)
             continue
 

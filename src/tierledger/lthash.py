@@ -1,0 +1,64 @@
+"""LtHash16, a homomorphic multiset hash: Bellare and Micciancio, "A New
+Paradigm for Collision-free Hashing: Incrementality at Reduced Cost"
+(EUROCRYPT 1997), and Lewi et al., "Securing Update Propagation with
+Homomorphic Hashing" (IACR ePrint 2019/227).
+
+A multiset of byte strings hashes to 1024 lanes of 16 bits. Each element
+expands through SHAKE-128 to a vector of lanes, and the multiset's hash is
+the lane-wise sum of its elements' vectors mod 2^16. Adding or removing one
+element costs one expansion whatever the multiset's size, and the result
+does not depend on the order of the updates.
+
+The lanes are packed into two Python ints, the even lanes and the odd
+lanes, each lane in the low half of a 32-bit slot. A lane-wise add is then
+one big-int add and one mask: a slot's upper half takes the carry, so no
+lane spills into the next.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+LANES = 1024
+DIGEST_BYTES = 2 * LANES
+
+# 0xFFFF in the low half of every 32-bit slot, and 2^16 in every slot.
+_MASK = int.from_bytes(b"\xff\xff\x00\x00" * (LANES // 2), "little")
+_ONES = int.from_bytes(b"\x00\x00\x01\x00" * (LANES // 2), "little")
+
+
+def _expand(entry: bytes) -> tuple[int, int]:
+    """An element's lane vector, as (even lanes, odd lanes)."""
+    x = int.from_bytes(hashlib.shake_128(entry).digest(DIGEST_BYTES), "little")
+    return x & _MASK, (x >> 16) & _MASK
+
+
+class LtHash:
+    """Accumulator over a multiset of byte strings, starting empty."""
+
+    __slots__ = ("_even", "_odd")
+
+    def __init__(self) -> None:
+        self._even = 0
+        self._odd = 0
+
+    def add(self, entry: bytes) -> None:
+        even, odd = _expand(entry)
+        self._even = (self._even + even) & _MASK
+        self._odd = (self._odd + odd) & _MASK
+
+    def remove(self, entry: bytes) -> None:
+        # Adding 2^16 per slot first keeps every slot's difference
+        # non-negative, so no borrow crosses a slot boundary.
+        even, odd = _expand(entry)
+        self._even = (self._even + _ONES - even) & _MASK
+        self._odd = (self._odd + _ONES - odd) & _MASK
+
+    def digest(self) -> bytes:
+        """The lanes as 2048 bytes, lane i little-endian at bytes 2i, 2i+1."""
+        return (self._even | self._odd << 16).to_bytes(DIGEST_BYTES, "little")
+
+    def copy(self) -> "LtHash":
+        other = LtHash()
+        other._even, other._odd = self._even, self._odd
+        return other

@@ -305,8 +305,8 @@ class Outpoint:
         return Outpoint(r.bytes_(), r.u32())
 
     def serialize(self) -> bytes:
-        # Immutable, so cache: outpoints are serialized on every state
-        # digest and digests run once per receipt.
+        # Immutable, so cache: an outpoint is serialized into the state
+        # accumulator when its output is created and again when spent.
         cached = self.__dict__.get("_ser")
         if cached is None:
             w = Writer()
@@ -561,13 +561,15 @@ def canonical_serialize(tx: Transaction) -> bytes:
     w = Writer()
     k = tx.kind
     w.u8(_KIND_TAGS[type(k)])
+    # Outpoints and outputs go through their cached serializations, which
+    # the state accumulator reuses when they are spent and created.
     if isinstance(k, UtxoSpend):
         w.u32(len(k.inputs))
         for op in k.inputs:
-            op.write(w)
+            w.raw(op.serialize())
         w.u32(len(k.outputs))
         for out in k.outputs:
-            out.write(w)
+            w.raw(out.serialize())
     elif isinstance(k, Deploy):
         w.bytes_(k.code).u64(k.endowment).bytes_(k.payer)
         w.u64(k.gas_limit).u64(k.gas_price)
@@ -582,13 +584,13 @@ def canonical_serialize(tx: Transaction) -> bytes:
     elif isinstance(k, MoveToAccount):
         w.u32(len(k.inputs))
         for op in k.inputs:
-            op.write(w)
+            w.raw(op.serialize())
         w.bytes_(k.to).u64(k.amount)
     elif isinstance(k, MoveToUtxo):
         w.bytes_(k.source).u64(k.amount)
         w.u32(len(k.outputs))
         for out in k.outputs:
-            out.write(w)
+            w.raw(out.serialize())
     else:  # pragma: no cover - _KIND_TAGS lookup already failed
         raise ModelError(f"unknown transaction kind {type(k)!r}")
     w.opt_u64(tx.not_before)

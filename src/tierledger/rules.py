@@ -159,22 +159,13 @@ def check_allow_list(outputs: tuple[Output, ...], cfg: SystemConfig) -> int:
 
 
 def apply_expiry(
-    utxos: dict[Outpoint, Output], epoch: int, cfg: SystemConfig
-) -> tuple[dict[Outpoint, Output], int]:
-    """Remove every output with expiry <= epoch (inclusive bound).
+    utxos: Mapping[Outpoint, Output], epoch: int, cfg: SystemConfig
+) -> list[Outpoint]:
+    """Outpoints of every output with expiry <= epoch (inclusive bound).
 
-    Returns the surviving set and the total expired amount. Applied at
-    batch start, before any transaction validation.
+    The batch pipeline spends them at batch start, before any transaction
+    validation, and counts their amounts as expired.
     """
     if not cfg.expiry_enabled:
-        return utxos, 0
-    expired = 0
-    survivors: dict[Outpoint, Output] = {}
-    for op, out in utxos.items():
-        if out.expiry is not None and out.expiry <= epoch:
-            expired += out.amount
-        else:
-            survivors[op] = out
-    if expired == 0:
-        return utxos, 0
-    return survivors, expired
+        return []
+    return [op for op, out in utxos.items() if out.expiry is not None and out.expiry <= epoch]

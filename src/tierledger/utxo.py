@@ -5,7 +5,7 @@ plus the pending/replaceable pool for time-locked transactions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from . import crypto, rules, script
 from .model import (
@@ -20,6 +20,9 @@ from .model import (
     Witness,
     sha256,
 )
+
+if TYPE_CHECKING:
+    from .ledger import LedgerState
 
 # Rejection codes (status registry range 100-199; script lock failures are
 # reported as 200 + interpreter reason).
@@ -164,16 +167,15 @@ def validate_utxo_tx(
     return ACCEPT, fee
 
 
-def apply_utxo_tx(
-    utxos: dict[Outpoint, Output], tx: Transaction, tx_id: bytes
-) -> None:
-    """Remove inputs, insert outputs at (txid, 0..k). Caller must have
-    validated the transaction against this exact set."""
+def apply_utxo_tx(state: LedgerState, tx: Transaction, tx_id: bytes) -> None:
+    """Spend the inputs and create the outputs at (txid, 0..k) through the
+    state's write API. Caller must have validated the transaction against
+    this exact set."""
     assert isinstance(tx.kind, UtxoSpend)
     for op in tx.kind.inputs:
-        del utxos[op]
+        state.spend_utxo(op)
     for i, out in enumerate(tx.kind.outputs):
-        utxos[Outpoint(tx_id, i)] = out
+        state.put_utxo(Outpoint(tx_id, i), out)
 
 
 # ---------------------------------------------------------------------------

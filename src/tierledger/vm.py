@@ -10,8 +10,10 @@ CALLER/SELF opcodes. All arithmetic is checked; faults revert.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
+from .lthash import LtHash
 from .model import (
     AccessDecl,
     Call,
@@ -142,32 +144,87 @@ class ContractAccount:
         return sha256(self.code)
 
 
-@dataclass
+def balance_entry(addr: bytes, bal: int) -> bytes:
+    return b"B" + addr + bal.to_bytes(8, "little")
+
+
+def slot_entry(addr: bytes, key: int, val: int) -> bytes:
+    return b"S" + addr + key.to_bytes(8, "little") + val.to_bytes(8, "little")
+
+
+def contract_entry(acct: ContractAccount) -> bytes:
+    return b"C" + acct.address + acct.code_hash()
+
+
 class Accounts:
     """Account-model half of the ledger: balances (externally owned and
-    contract), contract code, per-contract storage, and nonces."""
+    contract), contract code, contract storage keyed by (address, key), and
+    nonces.
 
-    balances: dict[bytes, int] = field(default_factory=dict)
-    contracts: dict[bytes, ContractAccount] = field(default_factory=dict)
-    storage: dict[bytes, dict[int, int]] = field(default_factory=dict)
-    nonces: dict[bytes, int] = field(default_factory=dict)
+    The mappings are read-only views. Every write goes through set_balance,
+    set_slot, add_contract or set_nonce, which keep the running balance
+    total and an LtHash over the committed entries (nonzero balances,
+    nonzero slots, contracts) up to date. Nonces are not committed."""
+
+    def __init__(self) -> None:
+        self._balances: dict[bytes, int] = {}
+        self._contracts: dict[bytes, ContractAccount] = {}
+        self._storage: dict[tuple[bytes, int], int] = {}
+        self._nonces: dict[bytes, int] = {}
+        self.balances: Mapping[bytes, int] = MappingProxyType(self._balances)
+        self.contracts: Mapping[bytes, ContractAccount] = MappingProxyType(self._contracts)
+        self.storage: Mapping[tuple[bytes, int], int] = MappingProxyType(self._storage)
+        self.nonces: Mapping[bytes, int] = MappingProxyType(self._nonces)
+        self.lthash = LtHash()
+        self.total = 0
 
     def balance(self, addr: bytes) -> int:
-        return self.balances.get(addr, 0)
+        return self._balances.get(addr, 0)
 
     def storage_get(self, addr: bytes, key: int) -> int:
-        return self.storage.get(addr, {}).get(key, 0)
+        return self._storage.get((addr, key), 0)
 
-    def total_balance(self) -> int:
-        return sum(self.balances.values())
+    def set_balance(self, addr: bytes, bal: int) -> None:
+        old = self._balances.get(addr, 0)
+        if bal == old:
+            return
+        if old:
+            self.lthash.remove(balance_entry(addr, old))
+        if bal:
+            self.lthash.add(balance_entry(addr, bal))
+            self._balances[addr] = bal
+        else:
+            del self._balances[addr]
+        self.total += bal - old
+
+    def set_slot(self, addr: bytes, key: int, val: int) -> None:
+        old = self._storage.get((addr, key), 0)
+        if val == old:
+            return
+        if old:
+            self.lthash.remove(slot_entry(addr, key, old))
+        if val:
+            self.lthash.add(slot_entry(addr, key, val))
+            self._storage[(addr, key)] = val
+        else:
+            del self._storage[(addr, key)]
+
+    def add_contract(self, acct: ContractAccount) -> None:
+        self._contracts[acct.address] = acct
+        self.lthash.add(contract_entry(acct))
+
+    def set_nonce(self, addr: bytes, nonce: int) -> None:
+        self._nonces[addr] = nonce
 
     def copy(self) -> "Accounts":
-        return Accounts(
-            dict(self.balances),
-            dict(self.contracts),
-            {a: dict(s) for a, s in self.storage.items()},
-            dict(self.nonces),
-        )
+        other = Accounts()
+        other._balances.update(self._balances)
+        other._contracts.update(self._contracts)
+        other._storage.update(self._storage)
+        other._nonces.update(self._nonces)
+        other.lthash = self.lthash.copy()
+        other.total = self.total
+        return other
 
 
 @dataclass(frozen=True)
@@ -201,23 +258,16 @@ class StateDiff:
 
     def apply(self, accounts: Accounts, operator: bytes) -> None:
         for addr, bal in self.balance_new.items():
-            if bal:
-                accounts.balances[addr] = bal
-            else:
-                accounts.balances.pop(addr, None)
+            accounts.set_balance(addr, bal)
         for (addr, key), val in self.storage_new.items():
-            slot = accounts.storage.setdefault(addr, {})
-            if val:
-                slot[key] = val
-            else:
-                slot.pop(key, None)
+            accounts.set_slot(addr, key, val)
         if self.new_contract is not None:
-            accounts.contracts[self.new_contract.address] = self.new_contract
+            accounts.add_contract(self.new_contract)
         if self.nonce_new is not None:
-            accounts.nonces[self.nonce_new[0]] = self.nonce_new[1]
+            accounts.set_nonce(*self.nonce_new)
         if self.operator_delta:
-            accounts.balances[operator] = checked_add(
-                accounts.balance(operator), self.operator_delta
+            accounts.set_balance(
+                operator, checked_add(accounts.balance(operator), self.operator_delta)
             )
 
 

@@ -48,14 +48,13 @@ def seed_utxo(state: ledger.LedgerState, output: Output) -> Outpoint:
     global _seed_counter
     _seed_counter += 1
     op = Outpoint(sha256(b"test-seed" + _seed_counter.to_bytes(8, "little")), 0)
-    state.utxos[op] = output
+    state.put_utxo(op, output)
     state.issued += output.amount
-    state.utxo_total += output.amount
     return op
 
 
 def seed_balance(state: ledger.LedgerState, addr: bytes, amount: int) -> None:
-    state.accounts.balances[addr] = state.accounts.balance(addr) + amount
+    state.accounts.set_balance(addr, state.accounts.balance(addr) + amount)
     state.issued += amount
 
 
@@ -352,21 +351,25 @@ class RandomLedger:
                 txs.append(signed_spend(kp, [op], [p2pk(kp, out.amount)]))
         return txs
 
+    def _apply(self, txs: list[Transaction], epoch: int) -> list[ledger.Receipt]:
+        """Apply and log one batch, then check it against the oracles."""
+        receipts, header = ledger.apply_batch(self.state, txs, epoch, self.cfg, workers=1)
+        check_conservation(self.state)
+        if self.logdir is not None:
+            ledger.write_batch_files(self.logdir, header.batch_number, epoch, txs, header, receipts)
+        return receipts
+
     def run_batch(self, size: int = 40) -> list[ledger.Receipt]:
         epoch = self.state.epoch + 1
         txs = self.build_batch(size)
-        receipts, header = ledger.apply_batch(self.state, txs, epoch, self.cfg, workers=1)
-        if self.logdir is not None:
-            ledger.write_batch_files(self.logdir, header.batch_number, epoch, txs, header, receipts)
+        receipts = self._apply(txs, epoch)
         self.txs_applied += len(txs)
         return receipts
 
     def bootstrap(self) -> None:
         """First batches: coinbase to the operator, fan out coins to every
         key, seed account balances, deploy the counter contract."""
-        receipts, header = ledger.apply_batch(self.state, [], 1, self.cfg, workers=1)
-        if self.logdir is not None:
-            ledger.write_batch_files(self.logdir, header.batch_number, 1, [], header, receipts)
+        self._apply([], 1)
         cb = next(iter(self.state.utxos))
         total = self.state.utxos[cb].amount
         per_key = 5
@@ -381,19 +384,14 @@ class RandomLedger:
             storage_read=frozenset({(b"\x00" * 32, 0)}),
             storage_written=frozenset({(b"\x00" * 32, 0)}),
         )
-        txs = [fanout]
-        receipts, header = ledger.apply_batch(self.state, txs, 2, self.cfg, workers=1)
-        if self.logdir is not None:
-            ledger.write_batch_files(self.logdir, header.batch_number, 2, txs, header, receipts)
+        self._apply([fanout], 2)
         # Move one coin each into accounts, then deploy.
         txs = [make_move_to_account(kp, [self.coins_of(i)[0][0]], self.coins_of(i)[0][1].amount)
                for i, kp in enumerate(self.keys)]
         dep = make_deploy(deployer, counter_code(), nonce=0, gas_limit=31, gas_price=1, access=access)
         self.contract = txid(dep)
         txs.append(dep)
-        receipts, header = ledger.apply_batch(self.state, txs, 3, self.cfg, workers=1)
-        if self.logdir is not None:
-            ledger.write_batch_files(self.logdir, header.batch_number, 3, txs, header, receipts)
+        receipts = self._apply(txs, 3)
         assert receipts[-1].status == 0, receipts[-1]
         self.txs_applied += len(txs) + 1
 
@@ -472,8 +470,8 @@ def random_adversarial_program(rng: random.Random):
 
 
 def check_conservation(state: ledger.LedgerState) -> None:
-    """Recompute every counter from scratch; trusting the incremental
-    bookkeeping would make the invariant circular."""
+    """Recompute every counter and the state digest from scratch; trusting
+    the incremental bookkeeping would make the invariant circular."""
     utxo_total = sum(out.amount for out in state.utxos.values())
     account_total = sum(state.accounts.balances.values())
     assert state.utxo_total == utxo_total
@@ -483,3 +481,4 @@ def check_conservation(state: ledger.LedgerState) -> None:
         account_total,
         state.expired,
     )
+    assert ledger.state_digest(state) == ledger.recompute_state_digest(state)

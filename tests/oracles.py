@@ -196,3 +196,17 @@ def straight_line_eval(
     if not stack or not truthy(stack[-1]):
         return False, R_VERIFY
     return True, -1
+
+
+def lthash16_oracle(added: Sequence[bytes], removed: Sequence[bytes] = ()) -> bytes:
+    """LtHash16 lane by lane: each element's SHAKE-128 output, read as 1024
+    little-endian 16-bit lanes, is added (or, for removed elements,
+    subtracted) lane-wise mod 2^16; the result is the lanes in order."""
+    lanes = [0] * 1024
+    for sign, entries in ((1, added), (-1, removed)):
+        for entry in entries:
+            expanded = hashlib.shake_128(entry).digest(2048)
+            for i in range(1024):
+                lane = int.from_bytes(expanded[2 * i : 2 * i + 2], "little")
+                lanes[i] = (lanes[i] + sign * lane) % 65536
+    return b"".join(v.to_bytes(2, "little") for v in lanes)

@@ -300,6 +300,8 @@ def test_criterion_6_declared_equals_serial_with_real_concurrency():
             (r.tx_id, r.status, r.gas_used) for r in rb
         ], trial
         assert ledger.state_digest(sa) == ledger.state_digest(sb), trial
+        assert ledger.state_digest(sa) == ledger.recompute_state_digest(sa), trial
+        assert ledger.state_digest(sb) == ledger.recompute_state_digest(sb), trial
 
     concurrent = [t for t in telemetry if t.parallel_waves and t.max_concurrency() >= 2]
     assert concurrent, "no batch demonstrated >= 2 concurrent transactions"

@@ -196,23 +196,66 @@ def test_epoch_must_not_decrease():
 def test_state_digest_sensitivity():
     cfg = make_config(initial_subsidy=0)
     base = ledger.LedgerState()
-    seed_utxo(base, p2pk(ALICE, 10))
+    coin = seed_utxo(base, p2pk(ALICE, 10))
     seed_balance(base, A_ADDR, 5)
     d0 = ledger.state_digest(base)
     poked = base.copy()
-    poked.accounts.balances[A_ADDR] += 1
+    poked.accounts.set_balance(A_ADDR, poked.accounts.balance(A_ADDR) + 1)
     poked.issued += 1
     assert ledger.state_digest(poked) != d0
     moved = base.copy()
     moved.epoch += 1
     assert ledger.state_digest(moved) != d0
     slot = base.copy()
-    slot.accounts.storage[b"\x01" * 32] = {0: 7}
+    slot.accounts.set_slot(b"\x01" * 32, 0, 7)
     assert ledger.state_digest(slot) != d0
     # Nonces and the pending pool are execution bookkeeping, not economic state.
     nonced = base.copy()
-    nonced.accounts.nonces[A_ADDR] = 9
+    nonced.accounts.set_nonce(A_ADDR, 9)
     assert ledger.state_digest(nonced) == d0
+    pooled = base.copy()
+    pending = signed_spend(ALICE, [coin], [p2pk(BOB, 9)], not_before=5)
+    pooled.pool.submit(pending, txid(pending), 1)
+    assert pooled.pool.entries()
+    assert ledger.state_digest(pooled) == d0
+    # Copies carry their own accumulators: the pokes above left base alone.
+    assert ledger.state_digest(base) == d0
+
+
+def test_digest_work_does_not_grow_with_state(monkeypatch):
+    """One identical 6-transaction batch hashes as many accumulator
+    elements on a 1k-UTXO state as on a 20k-UTXO state."""
+    from tierledger import lthash
+
+    cfg = make_config()
+    coins = [Outpoint(sha256(b"scaling" + bytes([i])), 0) for i in range(4)]
+    txs = [
+        signed_spend(ALICE, [coins[0]], [p2pk(BOB, 60), p2pk(ALICE, 39)]),
+        signed_spend(ALICE, [coins[1]], [p2pk(BOB, 100)]),
+        make_move_to_account(ALICE, [coins[2]], 99),
+        make_move_to_account(ALICE, [coins[3]], 100, to=address_of_pubkey(BOB.pubkey)),
+        make_move_to_utxo(ALICE, 20, [p2pk(ALICE, 19)], nonce=0),
+        make_move_to_utxo(ALICE, 10, [p2pk(BOB, 10)], nonce=1),
+    ]
+    filler = p2pk(BOB, 1)
+    counts = []
+    for n_utxos in (1_000, 20_000):
+        state = ledger.LedgerState()
+        for op in coins:
+            state.put_utxo(op, p2pk(ALICE, 100))
+            state.issued += 100
+        for _ in range(n_utxos - len(coins)):
+            seed_utxo(state, filler)
+        seed_balance(state, A_ADDR, 50)
+        assert len(state.utxos) == n_utxos
+        expansions = []
+        expand = lthash._expand
+        monkeypatch.setattr(lthash, "_expand", lambda e: (expansions.append(e), expand(e))[1])
+        receipts, _ = ledger.apply_batch(state, txs, 1, cfg, workers=1)
+        monkeypatch.undo()
+        assert [r.status for r in receipts] == [codes.OK] * len(txs)
+        counts.append(len(expansions))
+    assert counts[0] == counts[1] > 0, counts
 
 
 def run_logged_ledger(tmp_path: Path, batches: int = 3):

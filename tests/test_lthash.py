@@ -1,0 +1,66 @@
+"""LtHash16 accumulator: order independence, add/remove as inverses, and
+the packed lanes against a lane-by-lane oracle."""
+
+from __future__ import annotations
+
+import random
+
+from oracles import lthash16_oracle
+from tierledger.lthash import DIGEST_BYTES, LtHash
+
+
+def random_entries(rng: random.Random, n: int) -> list[bytes]:
+    return [rng.randbytes(rng.randint(0, 80)) for _ in range(n)]
+
+
+def test_digest_does_not_depend_on_order():
+    rng = random.Random(7)
+    entries = random_entries(rng, 40)
+    digests = set()
+    for _ in range(5):
+        rng.shuffle(entries)
+        acc = LtHash()
+        for e in entries:
+            acc.add(e)
+        digests.add(acc.digest())
+    assert len(digests) == 1
+
+
+def test_add_then_remove_restores_the_accumulator():
+    rng = random.Random(8)
+    acc = LtHash()
+    assert acc.digest() == bytes(DIGEST_BYTES)
+    base = random_entries(rng, 10)
+    for e in base:
+        acc.add(e)
+    before = acc.digest()
+    extra = random_entries(rng, 10)
+    grown = acc.copy()
+    for e in extra:
+        grown.add(e)
+    assert grown.digest() != before
+    assert acc.digest() == before  # the copy is independent
+    for e in reversed(extra):
+        grown.remove(e)
+    assert grown.digest() == before
+    for e in base:
+        grown.remove(e)
+    assert grown.digest() == bytes(DIGEST_BYTES)
+
+
+def test_packed_lanes_match_lane_by_lane_oracle():
+    rng = random.Random(9)
+    for trial in range(6):
+        added = random_entries(rng, rng.randint(0, 6))
+        added += [added[0]] * 3 if added else []  # repeats drive lanes past 2^16
+        # Removing elements never added wraps lanes below zero.
+        removed = random_entries(rng, rng.randint(0, 6))
+        acc = LtHash()
+        updates = [(True, e) for e in added] + [(False, e) for e in removed]
+        rng.shuffle(updates)
+        for is_add, e in updates:
+            if is_add:
+                acc.add(e)
+            else:
+                acc.remove(e)
+        assert acc.digest() == lthash16_oracle(added, removed), trial

@@ -68,13 +68,12 @@ def test_apply_expiry_inclusive_bound_and_disable():
         Outpoint(sha256(b"c"), 0): p2pk(ALICE, 30),
     }
     live = make_config(expiry_enabled=True)
-    survivors, expired = rules.apply_expiry(dict(utxos), 5, live)
-    assert expired == 10
-    assert sum(o.amount for o in survivors.values()) == 50
-    survivors, expired = rules.apply_expiry(dict(utxos), 6, live)
-    assert expired == 30
-    _, expired = rules.apply_expiry(dict(utxos), 9, make_config())
-    assert expired == 0
+    expired = rules.apply_expiry(utxos, 5, live)
+    assert sum(utxos[op].amount for op in expired) == 10
+    assert sum(o.amount for op, o in utxos.items() if op not in expired) == 50
+    expired = rules.apply_expiry(utxos, 6, live)
+    assert sum(utxos[op].amount for op in expired) == 30
+    assert rules.apply_expiry(utxos, 9, make_config()) == []
 
 
 def test_config_json_round_trip_and_hash():

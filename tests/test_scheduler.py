@@ -35,7 +35,7 @@ def setup_contracts(n: int = 3, funded_keys=range(1, 9)):
     """Accounts with n independent counter contracts deployed by KEYS[1]."""
     acc = vm.Accounts()
     for ki in funded_keys:
-        acc.balances[address_of_pubkey(KEYS[ki].pubkey)] = 100_000
+        acc.set_balance(address_of_pubkey(KEYS[ki].pubkey), 100_000)
     contracts = []
     code = counter_code()
     for i in range(n):
@@ -107,7 +107,7 @@ def test_deploy_is_a_barrier():
 
 def test_operator_touching_tx_is_a_barrier():
     acc, contracts = setup_contracts(2)
-    acc.balances[address_of_pubkey(OPERATOR.pubkey)] = 100_000
+    acc.set_balance(address_of_pubkey(OPERATOR.pubkey), 100_000)
     txs = [
         make_call(KEYS[2], contracts[0], nonce=0, gas_limit=25, access=counter_access(contracts[0])),
         make_call(OPERATOR, contracts[1], nonce=0, gas_limit=25, access=counter_access(contracts[1])),

@@ -4,7 +4,7 @@ guard, and the replaceable pending pool."""
 from __future__ import annotations
 
 from helpers import KEYS, make_config, p2pk, signed_spend
-from tierledger import crypto, utxo
+from tierledger import crypto, ledger, utxo
 from tierledger.model import Lock, Outpoint, Output, Transaction, UtxoSpend, sha256, txid
 from tierledger.script import assemble
 
@@ -24,10 +24,13 @@ def test_valid_spend_and_fee():
     rej, fee = utxo.validate_utxo_tx(tx, txid(tx), utxos, 1, CFG)
     assert rej.ok
     assert fee == 10
-    utxo.apply_utxo_tx(utxos, tx, txid(tx))
-    assert op not in utxos
-    assert utxos[Outpoint(txid(tx), 0)].amount == 60
-    assert utxos[Outpoint(txid(tx), 1)].amount == 30
+    state = ledger.LedgerState()
+    state.put_utxo(op, utxos[op])
+    utxo.apply_utxo_tx(state, tx, txid(tx))
+    assert op not in state.utxos
+    assert state.utxos[Outpoint(txid(tx), 0)].amount == 60
+    assert state.utxos[Outpoint(txid(tx), 1)].amount == 30
+    assert state.utxo_total == 90
 
 
 def test_missing_input():

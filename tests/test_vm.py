@@ -17,8 +17,8 @@ OPERATOR = address_of_pubkey(KEYS[0].pubkey)
 
 def fresh_accounts(balance: int = 10_000) -> vm.Accounts:
     acc = vm.Accounts()
-    acc.balances[A_ADDR] = balance
-    acc.balances[B_ADDR] = balance
+    acc.set_balance(A_ADDR, balance)
+    acc.set_balance(B_ADDR, balance)
     return acc
 
 
