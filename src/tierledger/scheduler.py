@@ -14,18 +14,24 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import vm
-from .model import Call, Deploy, Transaction
+from .model import AccessDecl, Call, Deploy, Transaction
 from .rules import ACCESS_DECLARED, SystemConfig
 
-# Waves cheaper than this many gas units run inline; forking workers for
-# tiny batches would cost more than it saves.
-PARALLEL_MIN_GAS = 50_000
+# Waves cheaper than this many gas units run inline; forking workers costs
+# more than it saves below it. Measured on a shared 2-vCPU x86-64 host with
+# 2 workers only: a fork pool adds 17-30 ms per wave and the VM runs 2.9M
+# gas/s inline, so a wave of 8-16 burn calls broke even at 190k-250k gas
+# (pool 0.56x of inline speed at 96k, 1.23x at 384k, 1.66x at 768k). The
+# crossover for more workers is unmeasured.
+PARALLEL_MIN_GAS = 200_000
 
-DEFAULT_WORKERS = 4
+DEFAULT_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+)
 
 
 @dataclass
@@ -58,6 +64,20 @@ class _Item:
     index: int
     tx: Transaction
     tx_id: bytes
+    # vm.call_footprint of a declared call, against the pre-batch contracts.
+    footprint: Optional[AccessDecl] = None
+    # Every reachable callee existed before the batch, so no deploy in the
+    # batch can extend the footprint that execution checks against.
+    footprint_final: bool = False
+
+
+def _wrap(index: int, tx: Transaction, tx_id: bytes, accounts: vm.Accounts, declared: bool) -> _Item:
+    """A declared call's footprint for conflict analysis."""
+    k = tx.kind
+    if not declared or not isinstance(k, Call) or k.access is None:
+        return _Item(index, tx, tx_id)
+    fp = vm.call_footprint(k, accounts.contracts)
+    return _Item(index, tx, tx_id, fp, all(c in accounts.contracts for c in fp.callees))
 
 
 def _execute_one(
@@ -86,29 +106,33 @@ def _worker(index: int) -> tuple[int, vm.StateDiff, int, float, float]:
 
 
 def _footprint_sets(
-    item: _Item, accounts: vm.Accounts, operator: bytes
-) -> tuple[Optional[set], Optional[set], bool]:
-    """(reads, writes, barrier) for conflict analysis. Keys are tagged
-    tuples over balances and storage slots. A barrier transaction conflicts
-    with everything (deploys, and anything touching the operator, whose fee
-    income is otherwise exempt from conflict analysis)."""
+    item: _Item, operator: bytes
+) -> tuple[Optional[frozenset], Optional[frozenset], bool]:
+    """(reads, writes, barrier) for conflict analysis. Keys are balance
+    addresses (bytes) and storage slots ((address, key) tuples), which never
+    compare equal to each other. A barrier transaction conflicts with
+    everything: deploys; anything touching the operator, whose fee income
+    is otherwise exempt from conflict analysis; and calls that can reach a
+    contract missing before the batch, since a deploy earlier in the batch
+    can give it a footprint that execution checks but analysis did not see."""
     k = item.tx.kind
     if isinstance(k, Deploy):
         return None, None, True
     assert isinstance(k, Call)
-    if k.access is None:
+    fp = item.footprint
+    if fp is None:
         # Rejected before execution in declared mode: no footprint at all.
-        return set(), set(), False
-    fp = vm.effective_footprint(k.access, k.contract, accounts.contracts)
-    reads = {("bal", a) for a in fp.balances_read}
-    reads |= {("sto", a, key) for a, key in fp.storage_read}
-    writes = {("bal", a) for a in fp.balances_written}
-    writes |= {("sto", a, key) for a, key in fp.storage_written}
-    # Implicit per-transaction writes: caller (fees, attached value) and the
-    # callee's balance (attached value).
-    writes.add(("bal", k.caller))
-    writes.add(("bal", k.contract))
-    barrier = k.caller == operator or ("bal", operator) in (reads | writes)
+        return frozenset(), frozenset(), False
+    # vm.call_footprint already holds the implicit writes of the caller's
+    # and the callee's balances.
+    reads = fp.balances_read | fp.storage_read
+    writes = fp.balances_written | fp.storage_written
+    barrier = (
+        k.caller == operator
+        or not item.footprint_final
+        or operator in reads
+        or operator in writes
+    )
     return reads, writes, barrier
 
 
@@ -116,24 +140,36 @@ def _conflict_waves(
     items: Sequence[_Item], accounts: vm.Accounts, operator: bytes
 ) -> list[list[int]]:
     """Partition into waves: tx j lands one level past the deepest earlier
-    transaction it conflicts with, so each wave is pairwise conflict-free."""
-    n = len(items)
-    sets = [_footprint_sets(it, accounts, operator) for it in items]
-    level = [0] * n
-    for j in range(n):
-        rj, wj, bj = sets[j]
-        for i in range(j):
-            ri, wi, bi = sets[i]
-            if bi or bj:
-                conflict = True
-            else:
-                conflict = bool(wi & (rj | wj)) or bool(wj & (ri | wi))
-            if conflict:
-                level[j] = max(level[j], level[i] + 1)
-    waves: dict[int, list[int]] = {}
-    for j in range(n):
-        waves.setdefault(level[j], []).append(j)
-    return [waves[lv] for lv in sorted(waves)]
+    transaction it conflicts with, so each wave is pairwise conflict-free.
+
+    Two transactions conflict when either is a barrier or one writes a key
+    the other reads or writes. One pass over the footprints keeps, per key,
+    the deepest level that wrote it and the deepest that read it, plus the
+    deepest level overall and the deepest barrier, so the cost is linear in
+    the total footprint size."""
+    deepest_write: dict = {}
+    deepest_read: dict = {}
+    deepest = deepest_barrier = -1
+    waves: list[list[int]] = []
+    for j, item in enumerate(items):
+        reads, writes, barrier = _footprint_sets(item, operator)
+        if barrier:
+            level = deepest_barrier = deepest + 1
+        else:
+            level = deepest_barrier + 1
+            for key in reads:
+                level = max(level, deepest_write.get(key, -1) + 1)
+            for key in writes:
+                level = max(level, deepest_write.get(key, -1) + 1, deepest_read.get(key, -1) + 1)
+            for key in writes:
+                deepest_write[key] = level
+            for key in reads:
+                deepest_read[key] = max(deepest_read.get(key, -1), level)
+        deepest = max(deepest, level)
+        if level == len(waves):
+            waves.append([])
+        waves[level].append(j)
+    return waves
 
 
 def schedule_batch(
@@ -153,7 +189,7 @@ def schedule_batch(
     """
     operator = cfg.operator_address
     declared = cfg.access_mode == ACCESS_DECLARED
-    wrapped = [_Item(i, tx, tx_id) for i, (tx, tx_id) in enumerate(items)]
+    wrapped = [_wrap(i, tx, tx_id, accounts, declared) for i, (tx, tx_id) in enumerate(items)]
     outcomes: list[Optional[vm.ExecOutcome]] = [None] * len(wrapped)
     telemetry = Telemetry(mode=cfg.access_mode)
 

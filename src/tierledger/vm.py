@@ -9,7 +9,8 @@ CALLER/SELF opcodes. All arithmetic is checked; faults revert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -372,11 +373,9 @@ def effective_footprint(
 ) -> AccessDecl:
     """Transaction declaration expanded by the declared footprints of every
     reachable callee (fixed at deploy time), plus the top-level callee."""
-    br = set(access.balances_read)
-    bw = set(access.balances_written)
-    sr = set(access.storage_read)
-    sw = set(access.storage_written)
-    callees = set(access.callees) | {top_callee}
+    br, bw = access.balances_read, access.balances_written
+    sr, sw = access.storage_read, access.storage_written
+    callees = access.callees | {top_callee}
     seen: set[bytes] = set()
     frontier = list(callees)
     while frontier:
@@ -388,16 +387,25 @@ def effective_footprint(
         fp = acct.footprint if acct is not None else None
         if fp is None:
             continue
-        br |= fp.balances_read
-        bw |= fp.balances_written
-        sr |= fp.storage_read
-        sw |= fp.storage_written
-        for nxt in fp.callees:
-            callees.add(nxt)
-            frontier.append(nxt)
-    return AccessDecl(
-        frozenset(br), frozenset(bw), frozenset(sr), frozenset(sw), frozenset(callees)
-    )
+        # Rebinding unions (not in-place updates): the declaration's own
+        # sets are shared, never modified.
+        br = br | fp.balances_read
+        bw = bw | fp.balances_written
+        sr = sr | fp.storage_read
+        sw = sw | fp.storage_written
+        callees = callees | fp.callees
+        frontier.extend(fp.callees)
+    return AccessDecl(br, bw, sr, sw, callees)
+
+
+def call_footprint(k: Call, contracts: Mapping[bytes, ContractAccount]) -> AccessDecl:
+    """Effective footprint of a declared call, plus the balances every call
+    writes implicitly: the caller's (attached value and fees) and the
+    callee's (attached value)."""
+    assert k.access is not None
+    fp = effective_footprint(k.access, k.contract, contracts)
+    written = fp.balances_written | {k.caller, k.contract}
+    return AccessDecl(fp.balances_read, written, fp.storage_read, fp.storage_written, fp.callees)
 
 
 class AccessViolationError(Exception):
@@ -449,8 +457,37 @@ class _Checker:
             raise AccessViolationError(f"undeclared call to {addr.hex()[:16]}")
 
 
-TAG_INT = 0
-TAG_ADDR = 1
+# A 4 KiB program decodes to about 440 KiB, so 64 entries bound the cache
+# near 28 MiB; a miss costs about 0.5 us per instruction.
+@functools.lru_cache(maxsize=64)
+def decode(code: bytes) -> tuple[Optional[tuple[int, int, int, int]], ...]:
+    """Pre-decode validated code once per distinct code: for each
+    instruction start, (opcode, immediate, next pc, gas). The immediate is
+    the u64 of PUSHI, the table index of PUSHA, the target of JUMP/JUMPI and
+    0 otherwise. Offsets inside an operand hold None; validate_code keeps
+    jump targets off them."""
+    prog: list[Optional[tuple[int, int, int, int]]] = [None] * len(code)
+    pc = 0
+    while pc < len(code):
+        op = code[pc]
+        nxt = pc + 1 + _OPERAND_WIDTH.get(op, 0)
+        prog[pc] = (op, int.from_bytes(code[pc + 1 : nxt], "little"), nxt, _GAS_TABLE.get(op, 1))
+        pc = nxt
+    return tuple(prog)
+
+
+# Stack words are plain values: an int is an Int, bytes are an Addr.
+_ARITH = frozenset({OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_MOD, OP_LT, OP_GT})
+_EXPECTED_INT = "type error: expected Int"
+
+
+def _pop(stack: list, want_int: bool):
+    if not stack:
+        raise _Fault("stack underflow")
+    v = stack.pop()
+    if (v.__class__ is int) != want_int:
+        raise _Fault(_EXPECTED_INT if want_int else "type error: expected Addr")
+    return v
 
 
 class _Machine:
@@ -502,179 +539,176 @@ class _Machine:
         self.balances, self.storage, nevents = snap[0], snap[1], snap[2]
         del self.events[nevents:]
 
-    def charge(self, opcode: int) -> None:
-        self.gas -= _GAS_TABLE.get(opcode, 1)
-        if self.gas < 0:
-            raise _OutOfGas()
-
     # execution --------------------------------------------------------------
 
     def run_frame(self, self_addr: bytes, caller: bytes, arg: int, value: int, depth: int) -> Optional[int]:
         """Execute a contract frame; returns its RETURN value (None for
-        HALT). Raises _Fault to revert the frame."""
+        HALT). Raises _Fault to revert the frame.
+
+        One loop over the pre-decoded program with gas in a local: each step
+        charges gas before it executes, and the common stack and control-flow
+        opcodes come first. self.gas is exact whenever the frame exits or
+        calls another frame."""
         acct = self.base.contracts.get(self_addr)
         if acct is None:
             raise _Fault("no such contract")
         self.move_value(caller, self_addr, value)
-        code = acct.code
-        n = len(code)
-        stack: list[tuple[int, object]] = []
-
-        def pop_int() -> int:
-            if not stack:
-                raise _Fault("stack underflow")
-            tag, v = stack.pop()
-            if tag != TAG_INT:
-                raise _Fault("type error: expected Int")
-            return v  # type: ignore[return-value]
-
-        def pop_addr() -> bytes:
-            if not stack:
-                raise _Fault("stack underflow")
-            tag, v = stack.pop()
-            if tag != TAG_ADDR:
-                raise _Fault("type error: expected Addr")
-            return v  # type: ignore[return-value]
-
-        def push(tag: int, v: object) -> None:
-            if len(stack) >= MAX_FRAME_STACK:
-                raise _Fault("frame stack overflow")
-            stack.append((tag, v))
-
+        prog = decode(acct.code)
+        n = len(prog)
+        checker = self.checker
+        env = {OP_ARG: arg, OP_CALLER: caller, OP_SELF: self_addr, OP_VALUE: value, OP_EPOCH: self.epoch}
+        stack: list = []
+        push, pop = stack.append, stack.pop
+        gas = self.gas
         pc = 0
-        while pc < n:
-            op = code[pc]
-            self.charge(op)
-            pc += 1 + _OPERAND_WIDTH.get(op, 0)
-
-            if op == OP_HALT:
-                return None
-            if op == OP_PUSHI:
-                push(TAG_INT, int.from_bytes(code[pc - 8 : pc], "little"))
-            elif op == OP_PUSHA:
-                idx = code[pc - 1]
-                if idx >= len(self.consts):
-                    raise _Fault(f"address constant {idx} out of range")
-                push(TAG_ADDR, self.consts[idx])
-            elif op == OP_DUP:
-                if not stack:
-                    raise _Fault("stack underflow")
-                push(*stack[-1])
-            elif op == OP_DROP:
-                if not stack:
-                    raise _Fault("stack underflow")
-                stack.pop()
-            elif op == OP_SWAP:
-                if len(stack) < 2:
-                    raise _Fault("stack underflow")
-                stack[-1], stack[-2] = stack[-2], stack[-1]
-            elif op in (OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_MOD):
-                b = pop_int()
-                a = pop_int()
-                if op == OP_ADD:
-                    c = a + b
-                    if c > U64_MAX:
-                        raise _Fault("add overflow")
-                elif op == OP_SUB:
-                    if b > a:
-                        raise _Fault("sub underflow")
-                    c = a - b
-                elif op == OP_MUL:
-                    c = a * b
-                    if c > U64_MAX:
-                        raise _Fault("mul overflow")
-                elif op == OP_DIV:
-                    if b == 0:
-                        raise _Fault("division by zero")
-                    c = a // b
-                else:
-                    if b == 0:
-                        raise _Fault("modulo by zero")
-                    c = a % b
-                push(TAG_INT, c)
-            elif op in (OP_LT, OP_GT):
-                b = pop_int()
-                a = pop_int()
-                push(TAG_INT, int(a < b) if op == OP_LT else int(a > b))
-            elif op == OP_EQ:
-                if len(stack) < 2:
-                    raise _Fault("stack underflow")
-                tb, vb = stack.pop()
-                ta, va = stack.pop()
-                if ta != tb:
-                    raise _Fault("type error: EQ on mixed tags")
-                push(TAG_INT, int(va == vb))
-            elif op == OP_NOT:
-                push(TAG_INT, int(pop_int() == 0))
-            elif op == OP_JUMP:
-                pc = int.from_bytes(code[pc - 2 : pc], "little")
-            elif op == OP_JUMPI:
-                target = int.from_bytes(code[pc - 2 : pc], "little")
-                if pop_int() != 0:
-                    pc = target
-            elif op == OP_ARG:
-                push(TAG_INT, arg)
-            elif op == OP_CALLER:
-                push(TAG_ADDR, caller)
-            elif op == OP_SELF:
-                push(TAG_ADDR, self_addr)
-            elif op == OP_VALUE:
-                push(TAG_INT, value)
-            elif op == OP_EPOCH:
-                push(TAG_INT, self.epoch)
-            elif op == OP_BALANCE:
-                addr = pop_addr()
-                if self.checker is not None:
-                    self.checker.balance_read(addr)
-                push(TAG_INT, self.balance(addr))
-            elif op == OP_SLOAD:
-                key = pop_int()
-                if self.checker is not None:
-                    self.checker.storage_read(self_addr, key)
-                push(TAG_INT, self.sload(self_addr, key))
-            elif op == OP_SSTORE:
-                val = pop_int()
-                key = pop_int()
-                if self.checker is not None:
-                    self.checker.storage_write(self_addr, key)
-                self.storage[(self_addr, key)] = val
-            elif op == OP_TRANSFER:
-                dst = pop_addr()
-                amount = pop_int()
-                if self.checker is not None:
-                    self.checker.balance_write(self_addr)
-                    self.checker.balance_write(dst)
-                self.move_value(self_addr, dst, amount)
-            elif op == OP_EVENT:
-                val = pop_int()
-                topic = pop_int()
-                self.events.append((self_addr, topic, val))
-            elif op == OP_CALL:
-                callee = pop_addr()
-                call_arg = pop_int()
-                if self.checker is not None:
-                    self.checker.call(callee)
-                if depth + 1 > MAX_CALL_DEPTH or callee not in self.base.contracts:
-                    push(TAG_INT, 0)  # return value
-                    push(TAG_INT, 0)  # status
-                else:
-                    snap = self.snapshot()
-                    try:
-                        ret = self.run_frame(callee, self_addr, call_arg, 0, depth + 1)
-                    except _Fault:
-                        self.rollback(snap)
-                        push(TAG_INT, 0)
-                        push(TAG_INT, 0)
+        try:
+            while pc < n:
+                op, imm, pc, cost = prog[pc]
+                gas -= cost
+                if gas < 0:
+                    raise _OutOfGas()
+                if op == OP_PUSHI:
+                    if len(stack) >= MAX_FRAME_STACK:
+                        raise _Fault("frame stack overflow")
+                    push(imm)
+                elif op == OP_DUP:
+                    if not stack:
+                        raise _Fault("stack underflow")
+                    if len(stack) >= MAX_FRAME_STACK:
+                        raise _Fault("frame stack overflow")
+                    push(stack[-1])
+                elif op == OP_JUMPI:
+                    if not stack:
+                        raise _Fault("stack underflow")
+                    v = pop()
+                    if v.__class__ is not int:
+                        raise _Fault(_EXPECTED_INT)
+                    if v:
+                        pc = imm
+                elif op == OP_JUMP:
+                    pc = imm
+                elif op == OP_NOT:
+                    if not stack:
+                        raise _Fault("stack underflow")
+                    if stack[-1].__class__ is not int:
+                        raise _Fault(_EXPECTED_INT)
+                    stack[-1] = 0 if stack[-1] else 1
+                elif op in _ARITH:
+                    if not stack:
+                        raise _Fault("stack underflow")
+                    b = pop()
+                    if b.__class__ is not int:
+                        raise _Fault(_EXPECTED_INT)
+                    if not stack:
+                        raise _Fault("stack underflow")
+                    a = stack[-1]
+                    if a.__class__ is not int:
+                        raise _Fault(_EXPECTED_INT)
+                    if op == OP_SUB:
+                        if b > a:
+                            raise _Fault("sub underflow")
+                        a -= b
+                    elif op == OP_ADD:
+                        a += b
+                        if a > U64_MAX:
+                            raise _Fault("add overflow")
+                    elif op == OP_MUL:
+                        a *= b
+                        if a > U64_MAX:
+                            raise _Fault("mul overflow")
+                    elif op == OP_DIV:
+                        if b == 0:
+                            raise _Fault("division by zero")
+                        a //= b
+                    elif op == OP_MOD:
+                        if b == 0:
+                            raise _Fault("modulo by zero")
+                        a %= b
                     else:
-                        push(TAG_INT, ret if ret is not None else 0)
-                        push(TAG_INT, 1)
-            elif op == OP_RETURN:
-                return pop_int()
-            elif op == OP_REVERT:
-                raise _Fault("explicit revert")
-            else:  # pragma: no cover - validate_code rejects unknown opcodes
-                raise _Fault(f"unknown opcode 0x{op:02x}")
-        return None
+                        a = int(a < b) if op == OP_LT else int(a > b)
+                    stack[-1] = a
+                elif op == OP_HALT:
+                    return None
+                elif op in env:
+                    if len(stack) >= MAX_FRAME_STACK:
+                        raise _Fault("frame stack overflow")
+                    push(env[op])
+                elif op == OP_PUSHA:
+                    if imm >= len(self.consts):
+                        raise _Fault(f"address constant {imm} out of range")
+                    if len(stack) >= MAX_FRAME_STACK:
+                        raise _Fault("frame stack overflow")
+                    push(self.consts[imm])
+                elif op == OP_DROP:
+                    if not stack:
+                        raise _Fault("stack underflow")
+                    pop()
+                elif op == OP_SWAP:
+                    if len(stack) < 2:
+                        raise _Fault("stack underflow")
+                    stack[-1], stack[-2] = stack[-2], stack[-1]
+                elif op == OP_EQ:
+                    if len(stack) < 2:
+                        raise _Fault("stack underflow")
+                    b = pop()
+                    a = stack[-1]
+                    if (a.__class__ is int) != (b.__class__ is int):
+                        raise _Fault("type error: EQ on mixed tags")
+                    stack[-1] = int(a == b)
+                elif op == OP_BALANCE:
+                    addr = _pop(stack, False)
+                    if checker is not None:
+                        checker.balance_read(addr)
+                    push(self.balance(addr))
+                elif op == OP_SLOAD:
+                    key = _pop(stack, True)
+                    if checker is not None:
+                        checker.storage_read(self_addr, key)
+                    push(self.sload(self_addr, key))
+                elif op == OP_SSTORE:
+                    val = _pop(stack, True)
+                    key = _pop(stack, True)
+                    if checker is not None:
+                        checker.storage_write(self_addr, key)
+                    self.storage[(self_addr, key)] = val
+                elif op == OP_TRANSFER:
+                    dst = _pop(stack, False)
+                    amount = _pop(stack, True)
+                    if checker is not None:
+                        checker.balance_write(self_addr)
+                        checker.balance_write(dst)
+                    self.move_value(self_addr, dst, amount)
+                elif op == OP_EVENT:
+                    val = _pop(stack, True)
+                    topic = _pop(stack, True)
+                    self.events.append((self_addr, topic, val))
+                elif op == OP_CALL:
+                    callee = _pop(stack, False)
+                    call_arg = _pop(stack, True)
+                    if checker is not None:
+                        checker.call(callee)
+                    ret, ok = None, 0
+                    if depth + 1 <= MAX_CALL_DEPTH and callee in self.base.contracts:
+                        snap = self.snapshot()
+                        self.gas = gas
+                        try:
+                            ret = self.run_frame(callee, self_addr, call_arg, 0, depth + 1)
+                            ok = 1
+                        except _Fault:
+                            self.rollback(snap)
+                        finally:
+                            gas = self.gas
+                    push(ret or 0)  # return value
+                    push(ok)  # status
+                elif op == OP_RETURN:
+                    return _pop(stack, True)
+                elif op == OP_REVERT:
+                    raise _Fault("explicit revert")
+                else:  # pragma: no cover - validate_code rejects unknown opcodes
+                    raise _Fault(f"unknown opcode 0x{op:02x}")
+            return None
+        finally:
+            self.gas = gas
 
 
 def _finish(
@@ -736,15 +770,7 @@ def invoke(
 
     checker = None
     if declared_mode:
-        assert k.access is not None
-        fp = effective_footprint(k.access, k.contract, accounts.contracts)
-        # The caller's balance is implicitly written by every transaction
-        # (attached value and fees), so it is always in the footprint.
-        fp = replace(
-            fp,
-            balances_written=fp.balances_written | {caller, k.contract},
-        )
-        checker = _Checker(fp)
+        checker = _Checker(call_footprint(k, accounts.contracts))
 
     machine = _Machine(accounts, epoch, k.address_consts, k.gas_limit, checker)
     try:

@@ -3,17 +3,77 @@
 Deliberately written from the documented tables, not from the package
 internals: opcode bytes, limits, and failure reasons are restated as
 literals, signature verification goes straight to the cryptography
-library, and multisig matching is brute force instead of greedy.
+library, and multisig matching is brute force instead of greedy. The two
+exceptions are the contract VM and the conflict-wave builder: their
+oracles are the package's earlier, simpler implementations, which share
+the opcode table, gas table, state types and footprint derivation with
+the code under test and differ only in how they execute.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+
+from tierledger.model import U64_MAX, Call, Transaction, checked_add
+from tierledger.vm import (
+    MAX_CALL_DEPTH,
+    MAX_FRAME_STACK,
+    OP_ADD,
+    OP_ARG,
+    OP_BALANCE,
+    OP_CALL,
+    OP_CALLER,
+    OP_DIV,
+    OP_DROP,
+    OP_DUP,
+    OP_EPOCH,
+    OP_EQ,
+    OP_EVENT,
+    OP_GT,
+    OP_HALT,
+    OP_JUMP,
+    OP_JUMPI,
+    OP_LT,
+    OP_MOD,
+    OP_MUL,
+    OP_NOT,
+    OP_PUSHA,
+    OP_PUSHI,
+    OP_RETURN,
+    OP_REVERT,
+    OP_SELF,
+    OP_SLOAD,
+    OP_SSTORE,
+    OP_SUB,
+    OP_SWAP,
+    OP_TRANSFER,
+    OP_VALUE,
+    STATUS_ACCESS_VIOLATION,
+    STATUS_BAD_NONCE,
+    STATUS_COMMITTED,
+    STATUS_INSUFFICIENT_BALANCE,
+    STATUS_MISSING_ACCESS_DECL,
+    STATUS_NO_SUCH_CONTRACT,
+    STATUS_OUT_OF_GAS,
+    STATUS_REVERTED,
+    _GAS_TABLE,
+    _OPERAND_WIDTH,
+    AccessViolationError,
+    Accounts,
+    ExecOutcome,
+    StateDiff,
+    _Checker,
+    _Fault,
+    _finish,
+    _OutOfGas,
+    effective_footprint,
+)
 
 
 def verify_sig(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
@@ -210,3 +270,327 @@ def lthash16_oracle(added: Sequence[bytes], removed: Sequence[bytes] = ()) -> by
                 lane = int.from_bytes(expanded[2 * i : 2 * i + 2], "little")
                 lanes[i] = (lanes[i] + sign * lane) % 65536
     return b"".join(v.to_bytes(2, "little") for v in lanes)
+
+
+# ---------------------------------------------------------------------------
+# Contract VM: the tagged-tuple interpreter that preceded the pre-decoded
+# dispatch loop in tierledger.vm, kept unchanged apart from its names. Every
+# word is a (tag, value) tuple, every step re-decodes its operand and charges
+# gas through a method call. The differential tests require the package's
+# vm.invoke to match tagged_invoke exactly: outcome (status, gas, return
+# value, events, detail) and the committed StateDiff.
+
+TAG_INT = 0
+TAG_ADDR = 1
+
+
+class TaggedMachine:
+    """One transaction's execution: a journal of balance/storage writes over
+    an immutable pre-state, a global gas counter, and nested call frames."""
+
+    def __init__(
+        self,
+        accounts: Accounts,
+        epoch: int,
+        consts: tuple[bytes, ...],
+        gas_limit: int,
+        checker: Optional[_Checker],
+    ) -> None:
+        self.base = accounts
+        self.epoch = epoch
+        self.consts = consts
+        self.gas = gas_limit
+        self.checker = checker
+        self.balances: dict[bytes, int] = {}
+        self.storage: dict[tuple[bytes, int], int] = {}
+        self.events: list[tuple[bytes, int, int]] = []
+
+    # journaled state access ------------------------------------------------
+
+    def balance(self, addr: bytes) -> int:
+        if addr in self.balances:
+            return self.balances[addr]
+        return self.base.balance(addr)
+
+    def move_value(self, src: bytes, dst: bytes, amount: int) -> None:
+        if amount == 0:
+            return
+        have = self.balance(src)
+        if have < amount:
+            raise _Fault(f"insufficient balance: {have} < {amount}")
+        self.balances[src] = have - amount
+        self.balances[dst] = checked_add(self.balance(dst), amount)
+
+    def sload(self, addr: bytes, key: int) -> int:
+        if (addr, key) in self.storage:
+            return self.storage[(addr, key)]
+        return self.base.storage_get(addr, key)
+
+    def snapshot(self) -> tuple[dict, dict, int]:
+        return (dict(self.balances), dict(self.storage), len(self.events))
+
+    def rollback(self, snap: tuple[dict, dict, int]) -> None:
+        self.balances, self.storage, nevents = snap[0], snap[1], snap[2]
+        del self.events[nevents:]
+
+    def charge(self, opcode: int) -> None:
+        self.gas -= _GAS_TABLE.get(opcode, 1)
+        if self.gas < 0:
+            raise _OutOfGas()
+
+    # execution --------------------------------------------------------------
+
+    def run_frame(self, self_addr: bytes, caller: bytes, arg: int, value: int, depth: int) -> Optional[int]:
+        """Execute a contract frame; returns its RETURN value (None for
+        HALT). Raises _Fault to revert the frame."""
+        acct = self.base.contracts.get(self_addr)
+        if acct is None:
+            raise _Fault("no such contract")
+        self.move_value(caller, self_addr, value)
+        code = acct.code
+        n = len(code)
+        stack: list[tuple[int, object]] = []
+
+        def pop_int() -> int:
+            if not stack:
+                raise _Fault("stack underflow")
+            tag, v = stack.pop()
+            if tag != TAG_INT:
+                raise _Fault("type error: expected Int")
+            return v  # type: ignore[return-value]
+
+        def pop_addr() -> bytes:
+            if not stack:
+                raise _Fault("stack underflow")
+            tag, v = stack.pop()
+            if tag != TAG_ADDR:
+                raise _Fault("type error: expected Addr")
+            return v  # type: ignore[return-value]
+
+        def push(tag: int, v: object) -> None:
+            if len(stack) >= MAX_FRAME_STACK:
+                raise _Fault("frame stack overflow")
+            stack.append((tag, v))
+
+        pc = 0
+        while pc < n:
+            op = code[pc]
+            self.charge(op)
+            pc += 1 + _OPERAND_WIDTH.get(op, 0)
+
+            if op == OP_HALT:
+                return None
+            if op == OP_PUSHI:
+                push(TAG_INT, int.from_bytes(code[pc - 8 : pc], "little"))
+            elif op == OP_PUSHA:
+                idx = code[pc - 1]
+                if idx >= len(self.consts):
+                    raise _Fault(f"address constant {idx} out of range")
+                push(TAG_ADDR, self.consts[idx])
+            elif op == OP_DUP:
+                if not stack:
+                    raise _Fault("stack underflow")
+                push(*stack[-1])
+            elif op == OP_DROP:
+                if not stack:
+                    raise _Fault("stack underflow")
+                stack.pop()
+            elif op == OP_SWAP:
+                if len(stack) < 2:
+                    raise _Fault("stack underflow")
+                stack[-1], stack[-2] = stack[-2], stack[-1]
+            elif op in (OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_MOD):
+                b = pop_int()
+                a = pop_int()
+                if op == OP_ADD:
+                    c = a + b
+                    if c > U64_MAX:
+                        raise _Fault("add overflow")
+                elif op == OP_SUB:
+                    if b > a:
+                        raise _Fault("sub underflow")
+                    c = a - b
+                elif op == OP_MUL:
+                    c = a * b
+                    if c > U64_MAX:
+                        raise _Fault("mul overflow")
+                elif op == OP_DIV:
+                    if b == 0:
+                        raise _Fault("division by zero")
+                    c = a // b
+                else:
+                    if b == 0:
+                        raise _Fault("modulo by zero")
+                    c = a % b
+                push(TAG_INT, c)
+            elif op in (OP_LT, OP_GT):
+                b = pop_int()
+                a = pop_int()
+                push(TAG_INT, int(a < b) if op == OP_LT else int(a > b))
+            elif op == OP_EQ:
+                if len(stack) < 2:
+                    raise _Fault("stack underflow")
+                tb, vb = stack.pop()
+                ta, va = stack.pop()
+                if ta != tb:
+                    raise _Fault("type error: EQ on mixed tags")
+                push(TAG_INT, int(va == vb))
+            elif op == OP_NOT:
+                push(TAG_INT, int(pop_int() == 0))
+            elif op == OP_JUMP:
+                pc = int.from_bytes(code[pc - 2 : pc], "little")
+            elif op == OP_JUMPI:
+                target = int.from_bytes(code[pc - 2 : pc], "little")
+                if pop_int() != 0:
+                    pc = target
+            elif op == OP_ARG:
+                push(TAG_INT, arg)
+            elif op == OP_CALLER:
+                push(TAG_ADDR, caller)
+            elif op == OP_SELF:
+                push(TAG_ADDR, self_addr)
+            elif op == OP_VALUE:
+                push(TAG_INT, value)
+            elif op == OP_EPOCH:
+                push(TAG_INT, self.epoch)
+            elif op == OP_BALANCE:
+                addr = pop_addr()
+                if self.checker is not None:
+                    self.checker.balance_read(addr)
+                push(TAG_INT, self.balance(addr))
+            elif op == OP_SLOAD:
+                key = pop_int()
+                if self.checker is not None:
+                    self.checker.storage_read(self_addr, key)
+                push(TAG_INT, self.sload(self_addr, key))
+            elif op == OP_SSTORE:
+                val = pop_int()
+                key = pop_int()
+                if self.checker is not None:
+                    self.checker.storage_write(self_addr, key)
+                self.storage[(self_addr, key)] = val
+            elif op == OP_TRANSFER:
+                dst = pop_addr()
+                amount = pop_int()
+                if self.checker is not None:
+                    self.checker.balance_write(self_addr)
+                    self.checker.balance_write(dst)
+                self.move_value(self_addr, dst, amount)
+            elif op == OP_EVENT:
+                val = pop_int()
+                topic = pop_int()
+                self.events.append((self_addr, topic, val))
+            elif op == OP_CALL:
+                callee = pop_addr()
+                call_arg = pop_int()
+                if self.checker is not None:
+                    self.checker.call(callee)
+                if depth + 1 > MAX_CALL_DEPTH or callee not in self.base.contracts:
+                    push(TAG_INT, 0)  # return value
+                    push(TAG_INT, 0)  # status
+                else:
+                    snap = self.snapshot()
+                    try:
+                        ret = self.run_frame(callee, self_addr, call_arg, 0, depth + 1)
+                    except _Fault:
+                        self.rollback(snap)
+                        push(TAG_INT, 0)
+                        push(TAG_INT, 0)
+                    else:
+                        push(TAG_INT, ret if ret is not None else 0)
+                        push(TAG_INT, 1)
+            elif op == OP_RETURN:
+                return pop_int()
+            elif op == OP_REVERT:
+                raise _Fault("explicit revert")
+            else:  # pragma: no cover - validate_code rejects unknown opcodes
+                raise _Fault(f"unknown opcode 0x{op:02x}")
+        return None
+
+
+def tagged_invoke(
+    accounts: Accounts,
+    tx: Transaction,
+    tx_id: bytes,
+    epoch: int,
+    operator: bytes,
+    declared_mode: bool,
+) -> StateDiff:
+    """Execute a Call transaction against a fixed pre-state.
+
+    The returned diff is not yet applied; StateDiff.apply commits it.
+    Rejections (bad structure, missing callee, insufficient prepay) produce
+    a diff with no effects at all; executed transactions always advance the
+    nonce and pay the gas fee, whatever their status.
+    """
+    k = tx.kind
+    assert isinstance(k, Call)
+    caller = k.caller
+    if tx.nonce != accounts.nonces.get(caller, 0):
+        return StateDiff(ExecOutcome(STATUS_BAD_NONCE, detail=f"expected nonce {accounts.nonces.get(caller, 0)}"))
+    if k.contract not in accounts.contracts:
+        return StateDiff(ExecOutcome(STATUS_NO_SUCH_CONTRACT, detail="unknown contract"))
+    if declared_mode and k.access is None:
+        return StateDiff(ExecOutcome(STATUS_MISSING_ACCESS_DECL, detail="declared mode requires an access declaration"))
+    prepay = k.gas_limit * k.gas_price
+    if accounts.balance(caller) < checked_add(prepay, k.attached):
+        return StateDiff(ExecOutcome(STATUS_INSUFFICIENT_BALANCE, detail="cannot cover attached value plus gas prepay"))
+
+    checker = None
+    if declared_mode:
+        assert k.access is not None
+        fp = effective_footprint(k.access, k.contract, accounts.contracts)
+        # The caller's balance is implicitly written by every transaction
+        # (attached value and fees), so it is always in the footprint.
+        fp = replace(
+            fp,
+            balances_written=fp.balances_written | {caller, k.contract},
+        )
+        checker = _Checker(fp)
+
+    machine = TaggedMachine(accounts, epoch, k.address_consts, k.gas_limit, checker)
+    try:
+        ret = machine.run_frame(k.contract, caller, k.arg, k.attached, depth=0)
+    except _OutOfGas:
+        outcome = ExecOutcome(STATUS_OUT_OF_GAS, gas_used=k.gas_limit)
+        return _finish(None, accounts, caller, operator, k.gas_limit, k.gas_price, outcome)
+    except AccessViolationError as exc:
+        gas_used = k.gas_limit - max(machine.gas, 0)
+        outcome = ExecOutcome(STATUS_ACCESS_VIOLATION, gas_used=gas_used, detail=exc.detail)
+        return _finish(None, accounts, caller, operator, gas_used, k.gas_price, outcome)
+    except _Fault as exc:
+        gas_used = k.gas_limit - machine.gas
+        outcome = ExecOutcome(STATUS_REVERTED, gas_used=gas_used, detail=exc.detail)
+        return _finish(None, accounts, caller, operator, gas_used, k.gas_price, outcome)
+    gas_used = k.gas_limit - machine.gas
+    outcome = ExecOutcome(
+        STATUS_COMMITTED, gas_used=gas_used, ret=ret, events=tuple(machine.events)
+    )
+    return _finish(machine, accounts, caller, operator, gas_used, k.gas_price, outcome)
+
+
+# ---------------------------------------------------------------------------
+# Conflict waves: the pairwise builder that preceded the key index in
+# tierledger.scheduler. Input is one (reads, writes, barrier) triple per
+# transaction, as scheduler._footprint_sets derives them.
+
+
+def pairwise_waves(sets: Sequence[tuple]) -> list[list[int]]:
+    """Partition into waves: tx j lands one level past the deepest earlier
+    transaction it conflicts with, so each wave is pairwise conflict-free."""
+    n = len(sets)
+    level = [0] * n
+    for j in range(n):
+        rj, wj, bj = sets[j]
+        for i in range(j):
+            ri, wi, bi = sets[i]
+            if bi or bj:
+                conflict = True
+            else:
+                conflict = bool(wi & (rj | wj)) or bool(wj & (ri | wi))
+            if conflict:
+                level[j] = max(level[j], level[i] + 1)
+    waves: dict[int, list[int]] = {}
+    for j in range(n):
+        waves.setdefault(level[j], []).append(j)
+    return [waves[lv] for lv in sorted(waves)]

@@ -1,13 +1,17 @@
 """Contract VM: assembler, code validation, gas, atomicity, nonces, access
-checking, and cross-contract calls."""
+checking, cross-contract calls, and differential runs against the tagged
+interpreter kept in oracles.py."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import COUNTER_ASM, COUNTER_GAS, KEYS, counter_code, make_call, make_deploy
+from oracles import tagged_invoke
 from tierledger import vm
-from tierledger.model import AccessDecl, Call, ModelError, Transaction, address_of_pubkey, txid
+from tierledger.model import U64_MAX, AccessDecl, Call, Deploy, ModelError, Transaction, address_of_pubkey, txid
 
 ALICE, BOB = KEYS[1], KEYS[2]
 A_ADDR = address_of_pubkey(ALICE.pubkey)
@@ -277,3 +281,200 @@ def test_operator_fee_is_a_commuting_delta():
     diff = vm.invoke(acc, tx, txid(tx), 1, OPERATOR, False)
     assert diff.operator_delta == COUNTER_GAS
     assert OPERATOR not in diff.balance_new
+
+
+def test_decode_once_per_code_and_gas_matches_table():
+    """100 calls to one contract decode its code once; every decoded gas
+    charge equals vm.gas_cost."""
+    vm.decode.cache_clear()
+    acc = fresh_accounts()
+    c = deployed(acc, COUNTER_ASM)
+    for _ in range(100):
+        assert run_call(acc, c, gas_limit=COUNTER_GAS).outcome.status == vm.STATUS_COMMITTED
+    assert acc.storage_get(c, 0) == 100
+    assert vm.decode.cache_info().misses == 1
+    every_op = b"".join(bytes([op]) + bytes(vm._OPERAND_WIDTH.get(op, 0)) for op in vm.MNEMONICS)
+    decoded = [entry for entry in vm.decode(every_op) if entry is not None]
+    assert [entry[0] for entry in decoded] == list(vm.MNEMONICS)
+    for op, _, _, gas in decoded:
+        assert gas == vm.gas_cost(op), vm.MNEMONICS[op]
+
+
+# ---------------------------------------------------------------------------
+# Differential: vm.invoke against oracles.tagged_invoke
+
+MISSING = b"\x77" * 32
+_IMMEDIATES = [0, 1, 2, 3, 5, 7, 100, 2**32, 2**63, U64_MAX - 1, U64_MAX]
+I, A = "I", "A"
+# Stack effect of each opcode: the word kinds it pops (top first) and the
+# kinds it pushes. EQ pops two words of any one kind.
+_EFFECTS = {
+    vm.OP_HALT: ((), ()), vm.OP_PUSHI: ((), (I,)), vm.OP_PUSHA: ((), (A,)),
+    vm.OP_DUP: ((None,), ()), vm.OP_DROP: ((None,), ()), vm.OP_SWAP: ((None, None), ()),
+    vm.OP_ADD: ((I, I), (I,)), vm.OP_SUB: ((I, I), (I,)), vm.OP_MUL: ((I, I), (I,)),
+    vm.OP_DIV: ((I, I), (I,)), vm.OP_MOD: ((I, I), (I,)), vm.OP_LT: ((I, I), (I,)),
+    vm.OP_GT: ((I, I), (I,)), vm.OP_EQ: ((None, None), (I,)), vm.OP_NOT: ((I,), (I,)),
+    vm.OP_JUMP: ((), ()), vm.OP_JUMPI: ((I,), ()), vm.OP_ARG: ((), (I,)),
+    vm.OP_CALLER: ((), (A,)), vm.OP_SELF: ((), (A,)), vm.OP_VALUE: ((), (I,)),
+    vm.OP_EPOCH: ((), (I,)), vm.OP_BALANCE: ((A,), (I,)), vm.OP_SLOAD: ((I,), (I,)),
+    vm.OP_SSTORE: ((I, I), ()), vm.OP_TRANSFER: ((A, I), ()), vm.OP_EVENT: ((I, I), ()),
+    vm.OP_CALL: ((A, I), (I, I)), vm.OP_RETURN: ((I,), ()), vm.OP_REVERT: ((), ()),
+}
+assert set(_EFFECTS) == set(vm.MNEMONICS)
+
+
+def random_program(rng, max_len: int) -> bytes:
+    """Valid code of up to max_len instructions. Most steps pick an opcode
+    whose operands the straight-line stack holds, so programs get past
+    their first instructions; the rest pick any opcode, which exercises
+    underflow and type errors. Jumps go to any instruction start."""
+    ops, stack = [], []
+    for _ in range(rng.randint(1, max_len)):
+        fits = [op for op, (pops, _) in _EFFECTS.items()
+                if len(pops) <= len(stack) and all(k in (None, stack[-1 - i]) for i, k in enumerate(pops))]
+        pool = fits if rng.random() < 0.85 else list(_EFFECTS)
+        weights = [4 if op in (vm.OP_PUSHI, vm.OP_PUSHA) else 1 for op in pool]
+        op = rng.choices(pool, weights)[0]
+        ops.append(op)
+        pops, pushes = _EFFECTS[op]
+        if op == vm.OP_DUP and stack:
+            pushes = (stack[-1],)
+        elif op == vm.OP_SWAP and len(stack) >= 2:
+            pushes = (stack[-1], stack[-2])
+        del stack[max(0, len(stack) - len(pops)):]
+        stack.extend(reversed(pushes) if op == vm.OP_SWAP else pushes)
+    starts, pc = [], 0
+    for op in ops:
+        starts.append(pc)
+        pc += 1 + vm._OPERAND_WIDTH.get(op, 0)
+    out = bytearray()
+    for op in ops:
+        out.append(op)
+        if op == vm.OP_PUSHI:
+            out += rng.choice(_IMMEDIATES).to_bytes(8, "little")
+        elif op == vm.OP_PUSHA:
+            out.append(rng.randint(0, 6))  # 6 is past the 6-entry table
+        elif op in (vm.OP_JUMP, vm.OP_JUMPI):
+            out += rng.choice(starts).to_bytes(2, "little")
+    code = bytes(out)
+    assert vm.validate_code(code)
+    return code
+
+
+def programs(max_len: int = 24):
+    return st.builds(random_program, st.randoms(use_true_random=False), st.just(max_len))
+
+
+# Callee that writes storage, emits an event and moves value, then reverts.
+REVERTER_ASM = "PUSHI 1 PUSHI 5 SSTORE PUSHI 2 PUSHI 3 EVENT PUSHI 1 PUSHA 1 TRANSFER REVERT"
+# Recurses through CALL on address constant 2 (itself when deployed as the
+# top contract) and stores each frame's call status.
+RECURSE_ASM = "PUSHI 0 PUSHA 2 CALL PUSHI 1 SWAP SSTORE PUSHI 2 SWAP SSTORE HALT"
+
+
+def vm_world(top: bytes, callee: bytes):
+    """Accounts with ALICE and BOB funded and three endowed contracts: the
+    program under test, a second program it may call, and REVERTER. Address
+    constants are (ALICE, BOB, top, callee, reverter, missing)."""
+    acc = fresh_accounts(balance=1_000_000)
+    addrs = []
+    for nonce, code in enumerate((top, callee, vm.assemble(REVERTER_ASM))):
+        tx = Transaction(Deploy(code, 500, A_ADDR, 10_000, 0), nonce=nonce)
+        diff = vm.deploy(acc, tx, txid(tx), OPERATOR)
+        assert diff.outcome.status == vm.STATUS_COMMITTED, diff.outcome
+        diff.apply(acc, OPERATOR)
+        addrs.append(txid(tx))
+    return acc, (A_ADDR, B_ADDR, *addrs, MISSING)
+
+
+def declaration_pools(consts):
+    """(addresses, storage slots, callees) a call in vm_world may touch."""
+    return list(consts[:5]), [(c, k) for c in consts[2:5] for k in range(4)], list(consts[2:])
+
+
+def full_declaration(consts) -> AccessDecl:
+    addrs, slots, callees = (frozenset(p) for p in declaration_pools(consts))
+    return AccessDecl(addrs, addrs, slots, slots, callees)
+
+
+def declarations(consts):
+    addrs, slots, callees = declaration_pools(consts)
+    subset = lambda pool: st.frozensets(st.sampled_from(pool), max_size=len(pool))
+    return st.one_of(
+        st.none(),
+        st.just(full_declaration(consts)),
+        st.builds(AccessDecl, subset(addrs), subset(addrs), subset(slots), subset(slots), subset(callees)),
+    )
+
+
+def assert_same_execution(acc, consts, gas_limit, declared, access, arg=0, attached=0, gas_price=1):
+    tx = Transaction(Call(consts[2], arg, attached, A_ADDR, gas_limit, gas_price, access, consts),
+                     nonce=acc.nonces[A_ADDR])
+    tx_id = txid(tx)
+    new = vm.invoke(acc, tx, tx_id, 9, OPERATOR, declared)
+    old = tagged_invoke(acc, tx, tx_id, 9, OPERATOR, declared)
+    assert new.outcome == old.outcome
+    assert new == old
+    return new
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.data(),
+    programs(),
+    programs(max_len=12),
+    st.integers(0, 3_000),
+    st.booleans(),
+    st.sampled_from([0, 1, 7, 2**32, U64_MAX]),
+    st.integers(0, 50),
+)
+def test_random_programs_match_tagged_interpreter(data, top, callee, gas_limit, declared, arg, attached):
+    acc, consts = vm_world(top, callee)
+    access = data.draw(declarations(consts)) if declared else None
+    assert_same_execution(acc, consts, gas_limit, declared, access, arg, attached)
+
+
+@settings(max_examples=25, deadline=None)
+@given(programs(), programs(max_len=12), st.booleans())
+def test_random_programs_match_at_every_gas_limit(top, callee, declared):
+    acc, consts = vm_world(top, callee)
+    access = full_declaration(consts) if declared else None
+    full = assert_same_execution(acc, consts, 600, declared, access).outcome.gas_used
+    for gas_limit in range(full + 1):
+        assert_same_execution(acc, consts, gas_limit, declared, access)
+
+
+@pytest.mark.parametrize(
+    "asm, status",
+    [
+        # CALL past depth 8: the ninth frame is refused and the chain unwinds.
+        (RECURSE_ASM, vm.STATUS_COMMITTED),
+        # REVERT inside a callee rolls back its writes, event and transfer.
+        ("PUSHI 0 PUSHA 4 CALL PUSHI 0 SWAP SSTORE PUSHI 1 SWAP SSTORE HALT", vm.STATUS_COMMITTED),
+        # Arithmetic faults, and stack and type misuse.
+        (f"PUSHI {U64_MAX} PUSHI 1 ADD HALT", vm.STATUS_REVERTED),
+        ("PUSHI 1 PUSHI 2 SUB HALT", vm.STATUS_REVERTED),
+        (f"PUSHI {2**33} PUSHI {2**33} MUL HALT", vm.STATUS_REVERTED),
+        ("PUSHI 1 PUSHI 0 DIV HALT", vm.STATUS_REVERTED),
+        ("PUSHI 1 PUSHI 0 MOD HALT", vm.STATUS_REVERTED),
+        ("PUSHI 1 SWAP HALT", vm.STATUS_REVERTED),
+        ("CALLER NOT HALT", vm.STATUS_REVERTED),
+        ("PUSHI 3 PUSHA 0 EQ HALT", vm.STATUS_REVERTED),
+        ("PUSHI 3 PUSHI 0 TRANSFER HALT", vm.STATUS_REVERTED),
+        ("PUSHA 6 HALT", vm.STATUS_REVERTED),
+        ("loop: PUSHI 1 JUMP loop", vm.STATUS_REVERTED),  # frame stack overflow
+        ("PUSHI 1 loop: DUP JUMP loop", vm.STATUS_REVERTED),
+        # Value out of the contract: in declared mode BOB's balance is undeclared.
+        ("PUSHI 1 PUSHA 1 TRANSFER HALT", vm.STATUS_COMMITTED),
+    ],
+)
+def test_fixed_programs_match_at_every_gas_limit(asm, status):
+    acc, consts = vm_world(vm.assemble(asm), vm.assemble(COUNTER_ASM))
+    out = assert_same_execution(acc, consts, 30_000, False, None)
+    assert out.outcome.status == status, out.outcome
+    # Every limit; every k-th for the two stack-overflow loops (~2k gas).
+    for gas_limit in range(0, out.outcome.gas_used + 1, max(1, out.outcome.gas_used // 300)):
+        assert_same_execution(acc, consts, gas_limit, False, None)
+    # Declared mode with nothing declared: the first state access or call
+    # is a violation in both interpreters.
+    assert_same_execution(acc, consts, 30_000, True, AccessDecl())
