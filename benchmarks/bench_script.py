@@ -1,6 +1,9 @@
-"""Compare the two script execution kernels (pure Python vs compiled) on a
-mixed workload: signature checks, hash puzzles, branches, and loop-heavy
-adversarial programs.
+"""Script interpreter throughput: steps/s and microseconds per script on a
+fixed mixed workload of signature checks, hash puzzles, branches, and
+loop-heavy adversarial programs.
+
+Each case runs through script.execute with the same context, so every
+repetition executes identical work.
 
 Usage: python benchmarks/bench_script.py [iterations]
 """
@@ -8,64 +11,61 @@ Usage: python benchmarks/bench_script.py [iterations]
 from __future__ import annotations
 
 import random
-import statistics
 import sys
 import time
 
-from tierledger import crypto, script
+from tierledger import crypto
 from tierledger.script import ScriptContext, assemble, execute
 
 
-def build_workload(rng: random.Random):
+def build_workload(rng: random.Random) -> tuple[dict[str, list], bytes]:
+    """Named groups of (program, witness) cases and the signing message."""
     kp = crypto.keygen(b"\x09" * 32)
     msg = bytes(32)
     sig = crypto.sign(kp.seed, msg)
     pk = kp.pubkey.hex()
-    cases = [
-        (assemble(f"PUSH({pk}) CHECKSIG"), (sig,)),
-        (assemble(f"DUP SHA256 PUSH({pk}) SWAP DROP CHECKSIG"), (sig,)),
-        (assemble("TRUE IF TRUE ELSE FALSE ENDIF VERIFY TRUE"), ()),
-        (assemble("PUSH(ab) PUSH(ab) EQUALVERIFY TRUE"), ()),
-        (bytes([0x51, 0x75]) * 4000, ()),  # step-limit territory
-        (bytes([0x51]) * 300, ()),  # stack-limit territory
-    ]
-    for _ in range(40):
-        code = bytes(rng.choice([0x00, 0x51, 0x75, 0x76, 0x7C, 0x87, 0xA8]) for _ in range(30))
-        cases.append((code, (b"\x01", b"\x02")))
-    return cases, msg
+    groups = {
+        "checksig": [(assemble(f"PUSH({pk}) CHECKSIG"), (sig,))],
+        "hash+sig": [(assemble(f"DUP SHA256 PUSH({pk}) SWAP DROP CHECKSIG"), (sig,))],
+        "branch": [(assemble("TRUE IF TRUE ELSE FALSE ENDIF VERIFY TRUE"), ())],
+        "equal": [(assemble("PUSH(ab) PUSH(ab) EQUALVERIFY TRUE"), ())],
+        "steps": [(bytes([0x51, 0x75]) * 4000, ())],  # step-limit territory
+        "stack": [(bytes([0x51]) * 300, ())],  # stack-limit territory
+        "random": [
+            (bytes(rng.choice([0x00, 0x51, 0x75, 0x76, 0x7C, 0x87, 0xA8]) for _ in range(30)),
+             (b"\x01", b"\x02"))
+            for _ in range(40)
+        ],
+    }
+    return groups, msg
 
 
-def bench(kernel: str, cases, msg, iterations: int) -> float:
-    ctx = ScriptContext(signing_message=msg)
+def bench(cases: list, ctx: ScriptContext, iterations: int) -> tuple[float, int]:
+    """Best of three: (seconds for `iterations` passes over cases, steps per pass)."""
     best = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
         for _ in range(iterations):
             for code, witness in cases:
-                execute(code, witness, ctx, kernel=kernel)
+                execute(code, witness, ctx)
         best = min(best, time.perf_counter() - t0)
-    return best
+    steps = sum(execute(code, witness, ctx).steps for code, witness in cases)
+    return best, steps
 
 
 def main() -> int:
     iterations = int(sys.argv[1]) if len(sys.argv) > 1 else 20
-    cases, msg = build_workload(random.Random(1))
-    print(f"default kernel: {script.KERNEL}")
-    t_pure = bench("pure", cases, msg, iterations)
-    print(f"pure:     {t_pure:.3f}s ({iterations} x {len(cases)} scripts)")
-    if script.KERNEL != "compiled":
-        print("compiled kernel not built; skipping comparison")
-        return 0
-    t_comp = bench("compiled", cases, msg, iterations)
-    print(f"compiled: {t_comp:.3f}s ({iterations} x {len(cases)} scripts)")
-    print(f"speedup:  {t_pure / t_comp:.2f}x")
-    # Sanity: both kernels agree on every case.
+    groups, msg = build_workload(random.Random(1))
     ctx = ScriptContext(signing_message=msg)
-    for code, witness in cases:
-        a = execute(code, witness, ctx, kernel="pure")
-        b = execute(code, witness, ctx, kernel="compiled")
-        assert (a.success, a.reason, a.steps) == (b.success, b.reason, b.steps)
-    print("kernels agree on the whole workload")
+    groups["all"] = [case for cases in groups.values() for case in cases]
+    for name, cases in groups.items():
+        seconds, steps = bench(cases, ctx, iterations)
+        scripts = iterations * len(cases)
+        print(
+            f"{name:8s} {len(cases):3d} scripts {steps / len(cases):8.1f} steps/script  "
+            f"{1e6 * seconds / scripts:8.1f} us/script  "
+            f"{steps * iterations / seconds / 1e6:6.3f} Msteps/s"
+        )
     return 0
 
 

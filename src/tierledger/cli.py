@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Commands: init, run, replay, classify, digest. Exit codes: 0 success,
-1 assertion failure or detected divergence, 2 malformed input or unreadable
-log. Per-transaction rejections are receipts, never process errors.
+Commands: init, run, replay, classify, digest. digest verifies the log
+exactly as replay does, then prints the final state digest. Exit codes:
+0 success, 1 assertion failure or detected divergence, 2 malformed input or
+unreadable log. Per-transaction rejections are receipts, never process
+errors.
 """
 
 from __future__ import annotations
@@ -72,10 +74,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
-    report = ledger.replay_verify(args.logdir)
+def _emit_replay(args: argparse.Namespace, report: ledger.ReplayReport, human_ok: str) -> int:
     if report.ok:
-        _emit(args, "replay ok", report.to_json())
+        _emit(args, human_ok, report.to_json())
         return 0
     if report.kind == "unreadable":
         _emit(args, f"unreadable log at batch {report.batch}", report.to_json())
@@ -87,6 +88,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
         report.to_json(),
     )
     return 1
+
+
+def cmd_replay(args: argparse.Namespace) -> int:
+    return _emit_replay(args, ledger.replay_verify(args.logdir), "replay ok")
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -103,21 +108,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_digest(args: argparse.Namespace) -> int:
-    try:
-        cfg = ledger.load_genesis(args.logdir)
-        state = ledger.LedgerState()
-        for i in range(ledger.batch_count(args.logdir)):
-            obj = json.loads(
-                (Path(args.logdir) / f"batch_{i:06d}.json").read_text(encoding="utf-8")
-            )
-            txs = [tx_from_json(t) for t in obj["txs"]]
-            ledger.apply_batch(state, txs, obj["epoch"], cfg, workers=1)
-    except (OSError, ValueError, KeyError, ModelError, ledger.BatchError) as exc:
-        log.error("cannot replay log: %s", exc)
-        return 2
-    digest = ledger.state_digest(state).hex()
-    _emit(args, digest, {"digest": digest, "batches": state.batch_number, "epoch": state.epoch})
-    return 0
+    report = ledger.replay_verify(args.logdir)
+    return _emit_replay(args, report, report.digest)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("tx")
     sp.set_defaults(func=cmd_classify)
 
-    sp = sub.add_parser("digest", help="replay a log and print the final state digest")
+    sp = sub.add_parser("digest", help="verify a log like replay and print the final state digest")
     sp.add_argument("logdir")
     sp.set_defaults(func=cmd_digest)
     return p

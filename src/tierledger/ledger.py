@@ -370,30 +370,11 @@ def apply_batch(
         if isinstance(k, UtxoSpend):
             if not was_pending and tx.not_before is not None and tx.not_before > epoch:
                 # Pool admission: the transaction must be valid except for
-                # its not-yet-reached lower window bound.
-                if tx.not_after is not None and tx.not_after < tx.not_before:
-                    emit(i, tx, tx_id, utxo.OUTSIDE_VALIDITY_WINDOW, 0, level)
-                    continue
-                out_hashes = utxo.spend_script_hashes(k.outputs)
-                rej, total_in = utxo.check_inputs(
-                    tx_id, tx, k.inputs, tx.witnesses, state.utxos,
-                    epoch, cfg, out_hashes,
-                )
-                if not rej.ok:
-                    emit(i, tx, tx_id, rej.code, 0, level)
-                    continue
-                total_out = sum(o.amount for o in k.outputs)
-                if total_out > total_in:
-                    emit(i, tx, tx_id, rules.INSUFFICIENT_FEE, 0, level)
-                    continue
-                fee = total_in - total_out
-                code = rules.check_fee(tx, fee, cfg)
-                if code == rules.FEE_OK:
-                    code = rules.check_allow_list(k.outputs, cfg)
-                if code != rules.FEE_OK:
-                    emit(i, tx, tx_id, code, 0, level)
-                    continue
-                status, _ = state.pool.submit(tx, tx_id, fee)
+                # its not-yet-reached lower window bound. Its inputs are
+                # checked against the current set only, not batch_spent: an
+                # input spent earlier in this batch is simply missing.
+                rej, fee = utxo.validate_spend(tx, tx_id, state.utxos, epoch, cfg)
+                status = state.pool.submit(tx, tx_id, fee)[0] if rej.ok else rej.code
                 emit(i, tx, tx_id, status, 0, level)
                 continue
             rej, fee = utxo.validate_utxo_tx(tx, tx_id, state.utxos, epoch, cfg, batch_spent)
@@ -552,17 +533,24 @@ class ReplayReport:
     field: str = ""
     expected: str = ""
     found: str = ""
+    # Final state of a log that verified.
+    digest: str = ""
+    batches: int = 0
+    epoch: int = 0
 
     def to_json(self) -> dict:
         obj: dict = {"ok": self.ok, "kind": self.kind}
-        if not self.ok:
+        if self.ok:
+            obj.update(digest=self.digest, batches=self.batches, epoch=self.epoch)
+        else:
             obj.update(batch=self.batch, field=self.field, expected=self.expected, found=self.found)
         return obj
 
 
 def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
     """Re-execute the whole log from genesis and compare every header field
-    and every receipt; report the first mismatch."""
+    and every receipt; report the first mismatch, or the final state digest,
+    batch count and epoch of a log that verifies."""
     path = Path(logdir)
     try:
         raw_genesis = (path / "genesis.json").read_text(encoding="utf-8")
@@ -644,4 +632,6 @@ def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
                 False, "divergence", batch=i, field="encoding",
                 expected="canonical json", found="non-canonical bytes",
             )
-    return ReplayReport(True, "ok")
+    return ReplayReport(
+        True, "ok", digest=state_digest(state).hex(), batches=state.batch_number, epoch=state.epoch
+    )

@@ -1,15 +1,12 @@
-"""Level-2 script machine: assembler, disassembler, and interpreter.
-
-Execution dispatches to the compiled kernel when the extension built, and
-otherwise to the pure-Python kernel; both implement identical semantics.
-"""
+"""Level-2 script machine: assembler, disassembler, and interpreter."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .asm import ScriptSyntaxError, assemble, disassemble
+from .interpreter import execute_bytecode
 from .opcodes import (
     MAX_ELEMENT,
     MAX_SCRIPT_BYTES,
@@ -18,19 +15,8 @@ from .opcodes import (
     MAX_WITNESS_ITEMS,
     REASON_NAMES,
 )
-from . import interpreter as _pure
-
-try:
-    from . import _speedups as _compiled  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - depends on build environment
-    _compiled = None
-
-_kernel = _compiled.execute_bytecode if _compiled is not None else _pure.execute_bytecode
-
-KERNEL = "compiled" if _compiled is not None else "pure"
 
 __all__ = [
-    "KERNEL",
     "ScriptContext",
     "ScriptResult",
     "ScriptSyntaxError",
@@ -68,29 +54,10 @@ class ScriptResult:
         return "" if self.success else REASON_NAMES[self.reason]
 
 
-def execute(
-    program: bytes,
-    witness: Sequence[bytes],
-    ctx: ScriptContext,
-    kernel: Optional[str] = None,
-) -> ScriptResult:
-    """Execute a script program against a witness stack and context.
-
-    kernel forces "pure" or "compiled" (used by the differential tests and
-    the benchmark); by default the fastest available kernel runs.
-    """
-    if kernel is None:
-        fn = _kernel
-    elif kernel == "pure":
-        fn = _pure.execute_bytecode
-    elif kernel == "compiled":
-        if _compiled is None:
-            raise RuntimeError("compiled kernel not available")
-        fn = _compiled.execute_bytecode
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}")
+def execute(program: bytes, witness: Sequence[bytes], ctx: ScriptContext) -> ScriptResult:
+    """Execute a script program against a witness stack and context."""
     nb = -1 if ctx.not_before is None else ctx.not_before
-    success, reason, steps = fn(
+    success, reason, steps = execute_bytecode(
         bytes(program),
         tuple(witness),
         ctx.signing_message,

@@ -1,8 +1,8 @@
-"""Pure-Python script execution kernel.
+"""Script execution kernel: the one implementation behind script.execute.
 
-The compiled kernel in _speedups.pyx implements the same algorithm
-step-for-step; any change here must be mirrored there (the test suite
-cross-checks the two on random programs).
+The test suite checks it against an independent straight-line evaluator
+(tests/oracles.py) on random branch-free programs and fuzzes it with
+adversarial bytecode.
 """
 
 from __future__ import annotations

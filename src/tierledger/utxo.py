@@ -137,9 +137,25 @@ def validate_utxo_tx(
     spent_in_batch: Optional[set[Outpoint]] = None,
 ) -> tuple[Rejection, int]:
     """Full validation of a UtxoSpend. Returns (rejection, implicit fee)."""
-    assert isinstance(tx.kind, UtxoSpend)
     if not check_window(tx, epoch):
         return Rejection(OUTSIDE_VALIDITY_WINDOW), 0
+    return validate_spend(tx, tx_id, utxos, epoch, cfg, spent_in_batch)
+
+
+def validate_spend(
+    tx: Transaction,
+    tx_id: bytes,
+    utxos: Mapping[Outpoint, Output],
+    epoch: int,
+    cfg: rules.SystemConfig,
+    spent_in_batch: Optional[set[Outpoint]] = None,
+) -> tuple[Rejection, int]:
+    """Everything validate_utxo_tx checks except the validity window:
+    inputs, locks, fee and allow-list. Returns (rejection, implicit fee).
+
+    Pending-pool admission runs this alone, because the transaction's lower
+    window bound is still in the future."""
+    assert isinstance(tx.kind, UtxoSpend)
     out_hashes = spend_script_hashes(tx.kind.outputs)
     rej, total_in = check_inputs(
         tx_id,

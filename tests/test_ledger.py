@@ -138,6 +138,23 @@ def test_pending_admission_validates_locks_and_fee():
     assert state.pool.entries() == []
 
 
+def test_pending_admission_sees_input_spent_earlier_in_batch_as_missing():
+    # Admission checks inputs against the current UTXO set only, so a
+    # time-locked spend of an outpoint spent earlier in the same batch is
+    # MISSING_INPUT (100); an immediate spend of it is DOUBLE_SPEND_IN_BATCH.
+    cfg = make_config(initial_subsidy=0)
+    state = ledger.LedgerState()
+    a = seed_utxo(state, p2pk(ALICE, 100))
+    now = signed_spend(ALICE, [a], [p2pk(BOB, 99)])
+    locked = signed_spend(ALICE, [a], [p2pk(BOB, 98)], not_before=5)
+    again = signed_spend(ALICE, [a], [p2pk(BOB, 97)])
+    receipts, _ = ledger.apply_batch(state, [now, locked, again], 1, cfg, workers=1)
+    assert [r.status for r in receipts] == [codes.OK, 100, utxo.DOUBLE_SPEND_IN_BATCH]
+    assert utxo.MISSING_INPUT == 100
+    assert state.pool.entries() == []
+    check_conservation(state)
+
+
 def test_move_to_utxo_nonce_and_balance():
     cfg = make_config(initial_subsidy=0)
     state = ledger.LedgerState()

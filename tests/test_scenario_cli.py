@@ -112,15 +112,25 @@ def test_cli_run_then_replay_and_digest(tmp_path, capsys):
     digest = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert digest["digest"] == report["final_digest"]
     assert digest["batches"] == 3
-    # A flipped byte in a batch file turns replay into exit 1, garbage into 2.
+    # replay --json reports the same final state as digest --json.
+    assert cli.main(["--json", "replay", str(logdir)]) == 0
+    replayed = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert replayed["ok"] is True
+    assert {k: replayed[k] for k in ("digest", "batches", "epoch")} == {
+        k: digest[k] for k in ("digest", "batches", "epoch")
+    }
+    # A flipped byte in a batch file turns replay and digest into exit 1,
+    # garbage into 2.
     bpath = logdir / "batch_000001.json"
     raw = bpath.read_text()
     m = re.search(r'"[0-9a-f]{64,}"', raw)  # some hash or signature field
     idx = m.start() + 1
     bpath.write_text(raw[:idx] + ("f" if raw[idx] != "f" else "0") + raw[idx + 1 :])
     assert cli.main(["--quiet", "replay", str(logdir)]) == 1
+    assert cli.main(["--quiet", "digest", str(logdir)]) == 1
     bpath.write_text("garbage")
     assert cli.main(["--quiet", "replay", str(logdir)]) == 2
+    assert cli.main(["--quiet", "digest", str(logdir)]) == 2
 
 
 def test_cli_classify(tmp_path, capsys):
