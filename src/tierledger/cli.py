@@ -79,7 +79,8 @@ def _emit_replay(args: argparse.Namespace, report: ledger.ReplayReport, human_ok
         _emit(args, human_ok, report.to_json())
         return 0
     if report.kind == "unreadable":
-        _emit(args, f"unreadable log at batch {report.batch}", report.to_json())
+        where = f" ({report.field})" if report.field else ""
+        _emit(args, f"unreadable log at batch {report.batch}{where}", report.to_json())
         return 2
     _emit(
         args,

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Union
+from typing import AbstractSet, Mapping, Optional, Sequence, Union
 
 from . import codes, crypto, permission, rules, scheduler, utxo, vm
 from .lthash import LtHash
@@ -135,13 +135,23 @@ def utxo_entry(op: Outpoint, out: Output) -> bytes:
 
 class LedgerState:
     """The ledger's state. The UTXO set is a read-only view: every write
-    goes through put_utxo and spend_utxo, which keep utxo_total and an
-    LtHash over the UTXO entries up to date. Account writes go through
-    the write API of self.accounts."""
+    goes through put_utxo and spend_utxo, which keep utxo_total, an LtHash
+    over the UTXO entries and the expiry index up to date. Account writes
+    go through the write API of self.accounts.
+
+    The expiry index (read-only view: expiring) maps each expiry epoch to
+    the outpoints whose output carries it; an epoch's entry is removed with
+    its last outpoint. It is kept whether or not the config enables expiry,
+    so the batch pipeline finds due outputs without scanning the set. The
+    view guards only the mapping: its per-epoch sets are the index's own
+    and must not be mutated, and spend_utxo changes them, so a caller that
+    spends what it reads must copy it out first."""
 
     def __init__(self) -> None:
         self._utxos: dict[Outpoint, Output] = {}
         self.utxos: Mapping[Outpoint, Output] = MappingProxyType(self._utxos)
+        self._expiring: dict[int, set[Outpoint]] = {}
+        self.expiring: Mapping[int, AbstractSet[Outpoint]] = MappingProxyType(self._expiring)
         self.utxo_lthash = LtHash()
         self.utxo_total = 0
         self.accounts = vm.Accounts()
@@ -156,11 +166,18 @@ class LedgerState:
         self._utxos[op] = out
         self.utxo_lthash.add(utxo_entry(op, out))
         self.utxo_total += out.amount
+        if out.expiry is not None:
+            self._expiring.setdefault(out.expiry, set()).add(op)
 
     def spend_utxo(self, op: Outpoint) -> Output:
         out = self._utxos.pop(op)
         self.utxo_lthash.remove(utxo_entry(op, out))
         self.utxo_total -= out.amount
+        if out.expiry is not None:
+            due = self._expiring[out.expiry]
+            due.remove(op)
+            if not due:
+                del self._expiring[out.expiry]
         return out
 
     @property
@@ -174,6 +191,7 @@ class LedgerState:
     def copy(self) -> "LedgerState":
         other = LedgerState()
         other._utxos.update(self._utxos)
+        other._expiring.update((e, set(ops)) for e, ops in self._expiring.items())
         other.utxo_lthash = self.utxo_lthash.copy()
         other.utxo_total = self.utxo_total
         other.accounts = self.accounts.copy()
@@ -271,7 +289,7 @@ def apply_batch(
     state.epoch = epoch
 
     # 1. Expire outputs, before any validation.
-    for op in rules.apply_expiry(state.utxos, epoch, cfg):
+    for op in rules.apply_expiry(state.expiring, epoch, cfg):
         state.expired += state.spend_utxo(op).amount
 
     # 2. Coinbase issuance to the operator.
@@ -511,14 +529,22 @@ def write_batch_files(
     )
 
 
-def batch_count(logdir: Union[str, Path]) -> int:
-    pat = re.compile(r"batch_(\d{6})\.json$")
-    numbers = sorted(
-        int(m.group(1))
-        for name in os.listdir(logdir)
-        if (m := pat.match(name)) is not None
-    )
-    return len(numbers)
+def log_extent(logdir: Union[str, Path]) -> tuple[int, str]:
+    """(n, missing): batch_NNNNNN.json and header_NNNNNN.json must cover the
+    same contiguous range 0..n-1. Where they do, missing is "". Otherwise n
+    is the first number with a file absent and missing names that file, so
+    an orphan header or a stray batch after a gap is not silently ignored."""
+    pat = re.compile(r"(batch|header)_(\d{6})\.json$")
+    present: dict[str, set[int]] = {"batch": set(), "header": set()}
+    for name in os.listdir(logdir):
+        if (m := pat.match(name)) is not None:
+            present[m.group(1)].add(int(m.group(2)))
+    top = max(present["batch"] | present["header"], default=-1) + 1
+    for i in range(top):
+        for kind in ("batch", "header"):
+            if i not in present[kind]:
+                return i, f"{kind}_{i:06d}.json"
+    return top, ""
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +589,7 @@ def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
             expected="canonical json", found="non-canonical bytes",
         )
     state = LedgerState()
-    n = batch_count(path)
+    n, missing = log_extent(path)
     canonical = lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"))
     for i in range(n):
         try:
@@ -632,6 +658,8 @@ def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
                 False, "divergence", batch=i, field="encoding",
                 expected="canonical json", found="non-canonical bytes",
             )
+    if missing:
+        return ReplayReport(False, "unreadable", batch=n, field=missing)
     return ReplayReport(
         True, "ok", digest=state_digest(state).hex(), batches=state.batch_number, epoch=state.epoch
     )

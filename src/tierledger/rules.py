@@ -8,7 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import AbstractSet, Mapping, Optional
 
 from .model import (
     Call,
@@ -159,13 +159,19 @@ def check_allow_list(outputs: tuple[Output, ...], cfg: SystemConfig) -> int:
 
 
 def apply_expiry(
-    utxos: Mapping[Outpoint, Output], epoch: int, cfg: SystemConfig
+    expiring: Mapping[int, AbstractSet[Outpoint]], epoch: int, cfg: SystemConfig
 ) -> list[Outpoint]:
-    """Outpoints of every output with expiry <= epoch (inclusive bound).
+    """Outpoints of every output with expiry <= epoch (inclusive bound),
+    read from the state's expiry index (expiry epoch -> outpoints), sorted.
 
     The batch pipeline spends them at batch start, before any transaction
-    validation, and counts their amounts as expired.
+    validation, and counts their amounts as expired. Spending them empties
+    their epochs' entries, which the index then drops, so it holds only
+    future epochs (and outputs created already expired, due next batch):
+    the cost is O(pending expiry epochs + outputs expiring), not O(UTXO set).
     """
     if not cfg.expiry_enabled:
         return []
-    return [op for op, out in utxos.items() if out.expiry is not None and out.expiry <= epoch]
+    # A list, not a generator: the caller spends these outpoints, which
+    # mutates the index's sets while they would still be iterated.
+    return sorted(op for e, ops in expiring.items() if e <= epoch for op in ops)

@@ -470,9 +470,15 @@ def random_adversarial_program(rng: random.Random):
 
 
 def check_conservation(state: ledger.LedgerState) -> None:
-    """Recompute every counter and the state digest from scratch; trusting
-    the incremental bookkeeping would make the invariant circular."""
-    utxo_total = sum(out.amount for out in state.utxos.values())
+    """Recompute every counter, the state digest and the expiry index from
+    scratch; trusting the incremental bookkeeping would make the invariant
+    circular."""
+    utxo_total = 0
+    expiring: dict[int, set[Outpoint]] = {}
+    for op, out in state.utxos.items():
+        utxo_total += out.amount
+        if out.expiry is not None:
+            expiring.setdefault(out.expiry, set()).add(op)
     account_total = sum(state.accounts.balances.values())
     assert state.utxo_total == utxo_total
     assert state.issued == utxo_total + account_total + state.expired, (
@@ -482,3 +488,6 @@ def check_conservation(state: ledger.LedgerState) -> None:
         state.expired,
     )
     assert ledger.state_digest(state) == ledger.recompute_state_digest(state)
+    # Every output with an expiry under its epoch, nothing else, and no
+    # empty sets (the rebuilt index has none).
+    assert dict(state.expiring) == expiring

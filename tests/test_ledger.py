@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -275,6 +276,114 @@ def test_digest_work_does_not_grow_with_state(monkeypatch):
     assert counts[0] == counts[1] > 0, counts
 
 
+def test_expiry_work_does_not_grow_with_state():
+    """One identical batch with due outputs expires the same outpoints on a
+    1k-UTXO state as on a 20k-UTXO state, and apply_batch never iterates
+    the UTXO set to find them."""
+
+    class CountingDict(dict):
+        scans = 0
+
+        def __iter__(self):
+            CountingDict.scans += 1
+            return super().__iter__()
+
+        def keys(self):
+            CountingDict.scans += 1
+            return super().keys()
+
+        def values(self):
+            CountingDict.scans += 1
+            return super().values()
+
+        def items(self):
+            CountingDict.scans += 1
+            return super().items()
+
+    cfg = make_config(expiry_enabled=True)
+    coins = [Outpoint(sha256(b"expiry-scaling" + bytes([i])), 0) for i in range(4)]
+    due = [Outpoint(sha256(b"expiry-due" + bytes([i])), 0) for i in range(3)]
+    later = Outpoint(sha256(b"expiry-later"), 0)
+    txs = [
+        signed_spend(ALICE, [coins[0]], [p2pk(BOB, 60, expiry=2), p2pk(ALICE, 39)]),
+        signed_spend(ALICE, [coins[1]], [p2pk(BOB, 100)]),
+        make_move_to_account(ALICE, [coins[2]], 99),
+        make_move_to_account(ALICE, [coins[3]], 100, to=address_of_pubkey(BOB.pubkey)),
+        make_move_to_utxo(ALICE, 20, [p2pk(ALICE, 19, expiry=1)], nonce=0),
+        make_move_to_utxo(ALICE, 10, [p2pk(BOB, 10)], nonce=1),
+    ]
+    filler = p2pk(BOB, 1)
+    results = []
+    for n_utxos in (1_000, 20_000):
+        state = ledger.LedgerState()
+        for op in coins:
+            state.put_utxo(op, p2pk(ALICE, 100))
+        for i, op in enumerate(due):
+            state.put_utxo(op, p2pk(BOB, 10 + i, expiry=1))
+        state.put_utxo(later, p2pk(BOB, 7, expiry=3))
+        state.issued += state.utxo_total
+        for _ in range(n_utxos - len(coins) - len(due) - 1):
+            seed_utxo(state, filler)
+        seed_balance(state, A_ADDR, 50)
+        assert len(state.utxos) == n_utxos
+        state._utxos = CountingDict(state._utxos)
+        state.utxos = MappingProxyType(state._utxos)
+        swept = []
+        apply_expiry = rules.apply_expiry
+
+        def recording(expiring, epoch, cfg):
+            swept.append(apply_expiry(expiring, epoch, cfg))
+            return swept[-1]
+
+        CountingDict.scans = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rules, "apply_expiry", recording)
+            receipts, _ = ledger.apply_batch(state, txs, 1, cfg, workers=1)
+        assert CountingDict.scans == 0
+        assert [r.status for r in receipts] == [codes.OK] * len(txs)
+        check_conservation(state)
+        results.append((swept, state.expired))
+    assert results[0] == results[1] == ([sorted(due)], 33), results
+
+
+def test_output_created_expired_fails_in_batch_and_is_swept_next():
+    """An output created at epoch e with expiry <= e cannot be spent later
+    in the same batch (EXPIRED_INPUT, 102); the next batch expires it."""
+    cfg = make_config(expiry_enabled=True, initial_subsidy=0)
+    state = ledger.LedgerState()
+    a = seed_utxo(state, p2pk(ALICE, 100))
+    make = signed_spend(ALICE, [a], [p2pk(BOB, 90, expiry=1)])
+    fresh = Outpoint(txid(make), 0)
+    spend = signed_spend(BOB, [fresh], [p2pk(ALICE, 90)])
+    receipts, _ = ledger.apply_batch(state, [make, spend], 1, cfg, workers=1)
+    assert [r.status for r in receipts] == [codes.OK, utxo.EXPIRED_INPUT]
+    assert utxo.EXPIRED_INPUT == 102
+    assert fresh in state.utxos and state.expired == 0
+    check_conservation(state)
+    ledger.apply_batch(state, [], 2, cfg, workers=1)
+    assert fresh not in state.utxos and state.expired == 90
+    check_conservation(state)
+
+
+def test_expiry_in_a_copy_leaves_the_base_state_alone():
+    cfg = make_config(expiry_enabled=True, initial_subsidy=0)
+    base = ledger.LedgerState()
+    seed_utxo(base, p2pk(ALICE, 100))
+    dying = [seed_utxo(base, p2pk(BOB, 10 * (i + 1), expiry=2)) for i in range(3)]
+    d0 = ledger.state_digest(base)
+    before = dict(base.utxos)
+    fork = base.copy()
+    _, fork_header = ledger.apply_batch(fork, [], 2, cfg, workers=1)
+    assert fork.expired == 60 and not any(op in fork.utxos for op in dying)
+    assert ledger.state_digest(base) == d0
+    assert dict(base.utxos) == before and base.expired == 0
+    check_conservation(base)
+    # The base still expires the same outputs itself.
+    _, base_header = ledger.apply_batch(base, [], 2, cfg, workers=1)
+    assert base.expired == 60 and base_header == fork_header
+    check_conservation(base)
+
+
 def run_logged_ledger(tmp_path: Path, batches: int = 3):
     from helpers import RandomLedger
 
@@ -357,6 +466,29 @@ def test_replay_detects_truncated_log(tmp_path):
     (logdir / "batch_000003.json").write_text("{not json")
     report = ledger.replay_verify(logdir)
     assert not report.ok and report.kind == "unreadable" and report.batch == 3
+
+
+def test_replay_reports_orphan_header(tmp_path, capsys):
+    from tierledger import cli
+
+    logdir = run_logged_ledger(tmp_path)
+    last = len(list(logdir.glob("header_*.json"))) - 1
+    (logdir / f"batch_{last:06d}.json").unlink()  # its header stays
+    report = ledger.replay_verify(logdir)
+    assert not report.ok and report.kind == "unreadable", report
+    assert report.batch == last and report.field == f"batch_{last:06d}.json"
+    assert cli.main(["replay", str(logdir)]) == 2
+    assert f"batch {last} (batch_{last:06d}.json)" in capsys.readouterr().out
+
+
+def test_replay_reports_gap_before_stray_batch(tmp_path):
+    logdir = run_logged_ledger(tmp_path)
+    n = len(list(logdir.glob("header_*.json")))
+    assert n < 9
+    (logdir / "batch_000009.json").write_text((logdir / "batch_000000.json").read_text())
+    report = ledger.replay_verify(logdir)
+    assert not report.ok and report.kind == "unreadable", report
+    assert report.batch == n and report.field == f"batch_{n:06d}.json"
 
 
 def test_contract_fees_settle_into_operator_account(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import KEYS, make_config, p2pk, signed_spend
-from tierledger import rules
+from tierledger import ledger, rules
 from tierledger.model import Level, Lock, ModelError, Outpoint, Output, sha256
 from tierledger.permission import PermissionPolicy
 
@@ -62,18 +62,18 @@ def test_allow_list_checks_every_output():
 
 
 def test_apply_expiry_inclusive_bound_and_disable():
-    utxos = {
-        Outpoint(sha256(b"a"), 0): p2pk(ALICE, 10, expiry=5),
-        Outpoint(sha256(b"b"), 0): p2pk(ALICE, 20, expiry=6),
-        Outpoint(sha256(b"c"), 0): p2pk(ALICE, 30),
-    }
+    state = ledger.LedgerState()
+    state.put_utxo(Outpoint(sha256(b"a"), 0), p2pk(ALICE, 10, expiry=5))
+    state.put_utxo(Outpoint(sha256(b"b"), 0), p2pk(ALICE, 20, expiry=6))
+    state.put_utxo(Outpoint(sha256(b"c"), 0), p2pk(ALICE, 30))
+    utxos = state.utxos
     live = make_config(expiry_enabled=True)
-    expired = rules.apply_expiry(utxos, 5, live)
+    expired = rules.apply_expiry(state.expiring, 5, live)
     assert sum(utxos[op].amount for op in expired) == 10
     assert sum(o.amount for op, o in utxos.items() if op not in expired) == 50
-    expired = rules.apply_expiry(utxos, 6, live)
+    expired = rules.apply_expiry(state.expiring, 6, live)
     assert sum(utxos[op].amount for op in expired) == 30
-    assert rules.apply_expiry(utxos, 9, make_config()) == []
+    assert rules.apply_expiry(state.expiring, 9, make_config()) == []
 
 
 def test_config_json_round_trip_and_hash():
