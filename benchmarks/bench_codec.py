@@ -1,0 +1,165 @@
+"""Codec cost: µs per canonical encode by transaction kind, the decode,
+JSON re-encode and txid of one 1000-output fan-out transaction, put_utxo
+of 10k outputs, and the tracked objects and resident memory that 10k
+UTXOs add to a ledger state.
+
+Each encode is timed on a fresh Transaction instance (a copy made before
+the clock starts), so a cached encoding is never what is measured. The
+fan-out is decoded from its canonical JSON, as replay and the benchmark's
+set-up decode it; its txid is timed on a freshly decoded instance. The
+10k outputs for put_utxo and for the memory figures are that fan-out's
+outputs, decoded ten times. Times are medians over the repetitions; raw
+wall clock, not scaled by a host reference.
+
+Usage: python benchmarks/bench_codec.py [repetitions]
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import os
+import statistics
+import sys
+import time
+from typing import Callable, Optional
+
+from tierledger import crypto, ledger
+from tierledger.model import (
+    AccessDecl,
+    Call,
+    Deploy,
+    Lock,
+    MoveToAccount,
+    MoveToUtxo,
+    Outpoint,
+    Output,
+    Transaction,
+    UtxoSpend,
+    address_of_pubkey,
+    canonical_serialize,
+    sha256,
+    tx_from_json_str,
+    tx_to_json_str,
+    txid,
+)
+
+FANOUT = 1_000
+UTXOS = 10_000
+COPIES = 2_000  # fresh instances per kind and repetition
+KEYS = [crypto.keygen(bytes([i]) * 32) for i in range(1, 4)]
+ADDRS = [address_of_pubkey(kp.pubkey) for kp in KEYS]
+OPS = [Outpoint(sha256(b"in" + bytes([i])), i) for i in range(2)]
+
+
+def pay(i: int, amount: int, expiry: Optional[int] = None) -> Output:
+    return Output(amount, Lock.pay_to_pubkey(KEYS[i % 3].pubkey), expiry)
+
+
+def sample_kinds() -> dict[str, Transaction]:
+    access = AccessDecl(
+        balances_read=frozenset(ADDRS[:2]),
+        balances_written=frozenset(ADDRS[1:]),
+        storage_read=frozenset((ADDRS[0], k) for k in range(3)),
+        storage_written=frozenset((ADDRS[0], k) for k in range(2)),
+        callees=frozenset(ADDRS[2:]),
+    )
+    multisig = Lock.multisig(2, [kp.pubkey for kp in KEYS])
+    sigs = ((b"\x01" * 64,), (b"\x02" * 64,))
+    return {
+        "utxo_spend/p2pk": Transaction(UtxoSpend(tuple(OPS), (pay(0, 60), pay(1, 39)))),
+        "utxo_spend/multisig": Transaction(UtxoSpend(tuple(OPS), (Output(99, multisig, 40),))),
+        "utxo_spend/script": Transaction(
+            UtxoSpend((OPS[0],), (Output(50, Lock.pay_to_script(b"\x51" * 40)),)), not_before=3
+        ),
+        "deploy": Transaction(Deploy(b"\x00" * 200, 5, ADDRS[0], 10_000, 1, access), nonce=1),
+        "call": Transaction(Call(ADDRS[2], 7, 0, ADDRS[0], 5_000, 1, access, (ADDRS[1],)), nonce=2),
+        "move_to_account": Transaction(MoveToAccount(tuple(OPS), ADDRS[1], 90)).with_witnesses(sigs),
+        "move_to_utxo": Transaction(MoveToUtxo(ADDRS[0], 30, (pay(1, 29),)), nonce=3),
+    }
+
+
+def median_of(reps: int, run: Callable[[], float]) -> float:
+    return statistics.median(run() for _ in range(reps))
+
+
+def encode_us(tx: Transaction, reps: int) -> float:
+    def once() -> float:
+        fresh = [dataclasses.replace(tx) for _ in range(COPIES)]
+        t0 = time.perf_counter()
+        for copy in fresh:
+            canonical_serialize(copy)
+        return (time.perf_counter() - t0) / COPIES * 1e6
+
+    return median_of(reps, once)
+
+
+def timed(fn: Callable[[], object]) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def rss_bytes() -> Optional[int]:
+    try:
+        with open("/proc/self/statm", encoding="ascii") as f:
+            return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def main() -> int:
+    reps = int(sys.argv[1]) if len(sys.argv) > 1 else 9
+    print("canonical encode, fresh instance:")
+    for name, tx in sample_kinds().items():
+        print(f"  {name:22s} {encode_us(tx, reps):7.2f} µs  ({len(canonical_serialize(tx))} B)")
+
+    fanout = Transaction(
+        UtxoSpend((OPS[0],), tuple(pay(i, 1 + i, 100 + i % 7 if i % 5 == 0 else None)
+                                   for i in range(FANOUT)))
+    )
+    text = tx_to_json_str(fanout)
+    decode_ms = 1e3 * median_of(reps, lambda: timed(lambda: tx_from_json_str(text)))
+    decoded = tx_from_json_str(text)
+    reencode_ms = 1e3 * median_of(reps, lambda: timed(lambda: tx_to_json_str(decoded)))
+
+    def txid_once() -> float:
+        fresh = tx_from_json_str(text)
+        return timed(lambda: txid(fresh))
+
+    txid_ms = 1e3 * median_of(reps, txid_once)
+    print(f"fan-out of {FANOUT} outputs ({len(text)} B of JSON):")
+    print(f"  decode {decode_ms:7.2f} ms   re-encode {reencode_ms:7.2f} ms   txid {txid_ms:7.2f} ms")
+
+    def outputs() -> list[tuple[Outpoint, Output]]:
+        items = []
+        for round_ in range(UTXOS // FANOUT):
+            tx = tx_from_json_str(text)
+            tx_id = sha256(round_.to_bytes(4, "little"))
+            items += [(Outpoint(tx_id, i), out) for i, out in enumerate(tx.kind.outputs)]
+        return items
+
+    def put_once() -> float:
+        state, items = ledger.LedgerState(), outputs()
+        t0 = time.perf_counter()
+        for op, out in items:
+            state.put_utxo(op, out)
+        return time.perf_counter() - t0
+
+    put_ms = 1e3 * median_of(reps, put_once)
+    print(f"put_utxo of {UTXOS} outputs: {put_ms:7.2f} ms ({put_ms * 1e3 / UTXOS:.2f} µs each)")
+
+    gc.collect()
+    objects, rss = len(gc.get_objects()), rss_bytes()
+    state = ledger.LedgerState()
+    for op, out in outputs():
+        state.put_utxo(op, out)
+    gc.collect()
+    objects = len(gc.get_objects()) - objects
+    rss_mb = "n/a" if rss is None else f"{(rss_bytes() - rss) / 2**20:.2f} MB"
+    print(f"per {len(state.utxos)} UTXOs: {objects} tracked objects, RSS +{rss_mb}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -30,10 +31,10 @@ from .model import (
     Output,
     Transaction,
     UtxoSpend,
-    Writer,
     address_of_pubkey,
     classify_level,
     full_serialize,
+    require_u64,
     sha256,
     tx_from_json,
     tx_to_json,
@@ -41,6 +42,12 @@ from .model import (
 )
 
 ZERO_HASH = b"\x00" * 32
+
+# Hashed layouts. Every byte field is a 32-byte hash, written with its u32
+# length prefix; integers are little-endian.
+_RECEIPT = struct.Struct("<I32sHQBI32s")
+_HEADER = struct.Struct("<QQI32sI32sI32sI32sI32s")
+_DIGEST_COUNTERS = struct.Struct("<5Q")
 
 
 @dataclass(frozen=True)
@@ -52,10 +59,9 @@ class Receipt:
     post_state_digest: bytes
 
     def hash(self) -> bytes:
-        w = Writer()
-        w.bytes_(self.tx_id).u16(self.status).u64(self.gas_used)
-        w.u8(self.level.value).bytes_(self.post_state_digest)
-        return sha256(w.done())
+        return sha256(_RECEIPT.pack(
+            32, self.tx_id, self.status, self.gas_used, self.level.value, 32, self.post_state_digest
+        ))
 
     def to_json(self) -> dict:
         return {
@@ -71,8 +77,8 @@ class Receipt:
     def from_json(obj: dict) -> "Receipt":
         return Receipt(
             bytes.fromhex(obj["txid"]),
-            obj["status"],
-            obj["gas_used"],
+            require_u64(obj["status"], "status"),
+            require_u64(obj["gas_used"], "gas_used"),
             Level.from_label(obj["level"]),
             bytes.fromhex(obj["post_state_digest"]),
         )
@@ -99,11 +105,10 @@ class BatchHeader:
     )
 
     def hash(self) -> bytes:
-        w = Writer()
-        w.u64(self.batch_number).u64(self.epoch)
-        w.bytes_(self.prev_hash).bytes_(self.txs_hash).bytes_(self.receipts_hash)
-        w.bytes_(self.post_state_digest).bytes_(self.config_hash)
-        return sha256(w.done())
+        return sha256(_HEADER.pack(
+            self.batch_number, self.epoch, 32, self.prev_hash, 32, self.txs_hash,
+            32, self.receipts_hash, 32, self.post_state_digest, 32, self.config_hash,
+        ))
 
     def to_json(self) -> dict:
         return {
@@ -210,12 +215,10 @@ _DIGEST_TAG = b"tierledger/state/lthash16/v1"
 def _finish_digest(
     utxo_acc: LtHash, account_acc: LtHash, state: LedgerState, utxo_total: int, account_total: int
 ) -> bytes:
-    w = Writer()
-    w.raw(_DIGEST_TAG).raw(utxo_acc.digest()).raw(account_acc.digest())
-    w.u64(state.issued).u64(state.expired)
-    w.u64(utxo_total).u64(account_total)
-    w.u64(state.epoch)
-    return sha256(w.done())
+    counters = _DIGEST_COUNTERS.pack(
+        state.issued, state.expired, utxo_total, account_total, state.epoch
+    )
+    return sha256(b"".join((_DIGEST_TAG, utxo_acc.digest(), account_acc.digest(), counters)))
 
 
 def state_digest(state: LedgerState) -> bytes:
@@ -417,7 +420,6 @@ def apply_batch(
                 state.utxos,
                 epoch,
                 cfg,
-                out_hashes=(),
                 spent_in_batch=batch_spent,
                 allow_script_locks=False,
             )
@@ -597,30 +599,43 @@ def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
             raw_header = (path / f"header_{i:06d}.json").read_text(encoding="utf-8")
             batch_obj = json.loads(raw_batch)
             stored_obj = json.loads(raw_header)
+            # Check the containers' shape before indexing into them.
+            if not (isinstance(batch_obj, dict) and isinstance(batch_obj.get("txs"), list)):
+                raise ModelError("batch file needs a txs list")
+            # Integers, not bools (JSON true equals 1 and re-encodes as
+            # true); the epoch is committed as a u64 in every state digest.
+            require_u64(batch_obj.get("batch"), "batch")
+            epoch = require_u64(batch_obj.get("epoch"), "epoch")
+            if not (
+                isinstance(stored_obj, dict)
+                and isinstance(stored_obj.get("header"), dict)
+                and isinstance(stored_obj.get("receipts"), list)
+                and all(isinstance(r, dict) for r in stored_obj["receipts"])
+            ):
+                raise ModelError("header file needs a header object and a list of receipt objects")
             txs = [tx_from_json(t) for t in batch_obj["txs"]]
             stored_header = BatchHeader.from_json(stored_obj["header"])
             stored_receipts = [Receipt.from_json(r) for r in stored_obj["receipts"]]
-            epoch = batch_obj["epoch"]
-            if not isinstance(epoch, int) or not isinstance(batch_obj.get("batch"), int):
-                raise ModelError("batch and epoch must be integers")
-        except (OSError, ValueError, KeyError, ModelError):
+        # TypeError: a value of the wrong JSON type inside a transaction,
+        # header or receipt, such as a number where hex is expected.
+        except (OSError, ValueError, KeyError, TypeError, ModelError):
             return ReplayReport(False, "unreadable", batch=i)
         # The log is written in one canonical encoding. Re-serializing the
         # decoded transactions must reproduce the file byte for byte;
         # anything else is tampering, even when it parses to equal values
         # (hex case flips, stray keys, number formatting).
         rebuilt = canonical(
-            {"batch": batch_obj.get("batch"), "epoch": epoch, "txs": [tx_to_json(t) for t in txs]}
+            {"batch": batch_obj["batch"], "epoch": epoch, "txs": [tx_to_json(t) for t in txs]}
         )
         if rebuilt != raw_batch:
             return ReplayReport(
                 False, "divergence", batch=i, field="encoding",
                 expected="canonical json", found="non-canonical bytes",
             )
-        if batch_obj.get("batch") != i:
+        if batch_obj["batch"] != i:
             return ReplayReport(
                 False, "divergence", batch=i, field="batch",
-                expected=str(i), found=str(batch_obj.get("batch")),
+                expected=str(i), found=str(batch_obj["batch"]),
             )
         try:
             receipts, header = apply_batch(state, txs, epoch, cfg, workers=1)

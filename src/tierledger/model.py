@@ -5,12 +5,22 @@ Canonical byte format: fields in declared order, integers little-endian
 fixed-width, byte arrays length-prefixed (u32), lists count-prefixed (u32).
 Witnesses and endorsements are excluded so that signatures can cover a
 stable transaction id.
+
+The encoder packs precompiled struct layouts. Outpoint, Output and Lock are
+slotted frozen values that encode themselves once, at construction, and
+keep the bytes in a slot outside equality, hashing and ordering. A
+Transaction encodes its canonical body, and hashes its txid, on first use
+and keeps both; a copy made with with_witnesses, with_auth or
+dataclasses.replace is a new instance and encodes afresh. Nothing in the
+program decodes these bytes (the log is JSON): the decoder lives in the
+tests as the oracle that checks the encoding is injective.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Union
@@ -90,87 +100,25 @@ class Level(Enum):
 
 
 # ---------------------------------------------------------------------------
-# Canonical byte encoding
+# Canonical byte encoding: precompiled little-endian layouts. Every field is
+# range-checked when its value is constructed, so packing cannot fail.
+
+_U32 = struct.Struct("<I").pack
+_U64 = struct.Struct("<Q").pack
+_U64X2 = struct.Struct("<QQ").pack
+_TAG_COUNT = struct.Struct("<BI").pack  # a u8 tag, then a u32 count or length
+_SOME_U64 = struct.Struct("<BQ").pack
+_MULTISIG_HEAD = struct.Struct("<BBI").pack  # kind, m, key count
+_OUTPOINT = struct.Struct("<I32sI").pack  # length-prefixed 32-byte txid, index
+_NONE = b"\x00"
 
 
-class Writer:
-    def __init__(self) -> None:
-        self._parts: list[bytes] = []
-
-    def u8(self, v: int) -> "Writer":
-        if not 0 <= v <= 0xFF:
-            raise ModelError(f"u8 out of range: {v}")
-        self._parts.append(v.to_bytes(1, "little"))
-        return self
-
-    def u16(self, v: int) -> "Writer":
-        if not 0 <= v <= 0xFFFF:
-            raise ModelError(f"u16 out of range: {v}")
-        self._parts.append(v.to_bytes(2, "little"))
-        return self
-
-    def u32(self, v: int) -> "Writer":
-        require_u32(v)
-        self._parts.append(v.to_bytes(4, "little"))
-        return self
-
-    def u64(self, v: int) -> "Writer":
-        require_u64(v)
-        self._parts.append(v.to_bytes(8, "little"))
-        return self
-
-    def bytes_(self, b: bytes) -> "Writer":
-        self.u32(len(b))
-        self._parts.append(bytes(b))
-        return self
-
-    def raw(self, b: bytes) -> "Writer":
-        """Append pre-serialized bytes without a length prefix."""
-        self._parts.append(b)
-        return self
-
-    def opt_u64(self, v: Optional[int]) -> "Writer":
-        if v is None:
-            return self.u8(0)
-        return self.u8(1).u64(v)
-
-    def done(self) -> bytes:
-        return b"".join(self._parts)
+def _blob(b: bytes) -> bytes:
+    return _U32(len(b)) + b
 
 
-class Reader:
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise ModelError("truncated canonical encoding")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u16(self) -> int:
-        return int.from_bytes(self._take(2), "little")
-
-    def u32(self) -> int:
-        return int.from_bytes(self._take(4), "little")
-
-    def u64(self) -> int:
-        return int.from_bytes(self._take(8), "little")
-
-    def bytes_(self) -> bytes:
-        return self._take(self.u32())
-
-    def opt_u64(self) -> Optional[int]:
-        return self.u64() if self.u8() else None
-
-    def finish(self) -> None:
-        if self._pos != len(self._data):
-            raise ModelError("trailing bytes in canonical encoding")
+def _opt_u64(v: Optional[int]) -> bytes:
+    return _NONE if v is None else _SOME_U64(1, v)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +130,7 @@ LOCK_MULTISIG = 1
 LOCK_SCRIPT = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lock:
     """Spending condition attached to an output."""
 
@@ -191,6 +139,19 @@ class Lock:
     m: int = 0
     pubkeys: tuple[bytes, ...] = ()
     script: bytes = b""
+    _ser: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.kind == LOCK_PUBKEY:
+            ser = _TAG_COUNT(LOCK_PUBKEY, len(self.pubkey)) + self.pubkey
+        elif self.kind == LOCK_MULTISIG:
+            head = _MULTISIG_HEAD(LOCK_MULTISIG, self.m, len(self.pubkeys))
+            ser = b"".join([head, *map(_blob, self.pubkeys)])
+        elif self.kind == LOCK_SCRIPT:
+            ser = _TAG_COUNT(LOCK_SCRIPT, len(self.script)) + self.script
+        else:
+            raise ModelError(f"unknown lock kind {self.kind}")
+        object.__setattr__(self, "_ser", ser)
 
     @staticmethod
     def pay_to_pubkey(pk: bytes) -> "Lock":
@@ -201,6 +162,7 @@ class Lock:
     @staticmethod
     def multisig(m: int, pubkeys: Iterable[bytes]) -> "Lock":
         pks = tuple(pubkeys)
+        require_u32(m, "multisig m")  # also refuses a bool, which JSON would keep as true
         if not 1 <= m <= len(pks) <= MAX_MULTISIG_KEYS:
             raise ModelError(f"multisig requires 1 <= m <= n <= {MAX_MULTISIG_KEYS}")
         if any(len(pk) != 32 for pk in pks):
@@ -213,50 +175,23 @@ class Lock:
             raise ModelError(f"script exceeds {MAX_SCRIPT_BYTES} bytes")
         return Lock(LOCK_SCRIPT, script=bytes(bytecode))
 
-    def write(self, w: Writer) -> None:
-        w.u8(self.kind)
-        if self.kind == LOCK_PUBKEY:
-            w.bytes_(self.pubkey)
-        elif self.kind == LOCK_MULTISIG:
-            w.u8(self.m).u32(len(self.pubkeys))
-            for pk in self.pubkeys:
-                w.bytes_(pk)
-        elif self.kind == LOCK_SCRIPT:
-            w.bytes_(self.script)
-        else:
-            raise ModelError(f"unknown lock kind {self.kind}")
-
-    @staticmethod
-    def read(r: Reader) -> "Lock":
-        kind = r.u8()
-        if kind == LOCK_PUBKEY:
-            return Lock.pay_to_pubkey(r.bytes_())
-        if kind == LOCK_MULTISIG:
-            m = r.u8()
-            n = r.u32()
-            return Lock.multisig(m, tuple(r.bytes_() for _ in range(n)))
-        if kind == LOCK_SCRIPT:
-            return Lock.pay_to_script(r.bytes_())
-        raise ModelError(f"unknown lock kind {kind}")
-
     def serialize(self) -> bytes:
-        w = Writer()
-        self.write(w)
-        return w.done()
+        return self._ser
 
     def address(self) -> bytes:
         """Address a lock pays to: sha256(pk) for single-key locks, else
         sha256 of the canonical lock bytes."""
         if self.kind == LOCK_PUBKEY:
             return address_of_pubkey(self.pubkey)
-        return sha256(self.serialize())
+        return sha256(self._ser)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Output:
     amount: int
     lock: Lock
     expiry: Optional[int] = None
+    _ser: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require_u64(self.amount, "output amount")
@@ -264,56 +199,28 @@ class Output:
             raise ModelError("output amount must be positive")
         if self.expiry is not None:
             require_u64(self.expiry, "output expiry")
-
-    def write(self, w: Writer) -> None:
-        w.u64(self.amount)
-        self.lock.write(w)
-        w.opt_u64(self.expiry)
-
-    @staticmethod
-    def read(r: Reader) -> "Output":
-        amount = r.u64()
-        lock = Lock.read(r)
-        return Output(amount, lock, r.opt_u64())
+        object.__setattr__(self, "_ser", _U64(self.amount) + self.lock._ser + _opt_u64(self.expiry))
 
     def serialize(self) -> bytes:
-        cached = self.__dict__.get("_ser")
-        if cached is None:
-            w = Writer()
-            self.write(w)
-            cached = w.done()
-            object.__setattr__(self, "_ser", cached)
-        return cached
+        return self._ser
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Outpoint:
     txid: bytes
     index: int
+    _ser: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.txid) != 32:
             raise ModelError("outpoint txid must be 32 bytes")
         require_u32(self.index, "outpoint index")
-
-    def write(self, w: Writer) -> None:
-        w.bytes_(self.txid)
-        w.u32(self.index)
-
-    @staticmethod
-    def read(r: Reader) -> "Outpoint":
-        return Outpoint(r.bytes_(), r.u32())
+        # An outpoint is encoded into the state accumulator when its output
+        # is created and again when it is spent.
+        object.__setattr__(self, "_ser", _OUTPOINT(32, self.txid, self.index))
 
     def serialize(self) -> bytes:
-        # Immutable, so cache: an outpoint is serialized into the state
-        # accumulator when its output is created and again when spent.
-        cached = self.__dict__.get("_ser")
-        if cached is None:
-            w = Writer()
-            self.write(w)
-            cached = w.done()
-            object.__setattr__(self, "_ser", cached)
-        return cached
+        return self._ser
 
 
 # ---------------------------------------------------------------------------
@@ -330,28 +237,10 @@ class AccessDecl:
     storage_written: frozenset[tuple[bytes, int]] = frozenset()
     callees: frozenset[bytes] = frozenset()
 
-    def write(self, w: Writer) -> None:
-        for addrs in (self.balances_read, self.balances_written):
-            w.u32(len(addrs))
-            for a in sorted(addrs):
-                w.bytes_(a)
+    def __post_init__(self) -> None:
         for slots in (self.storage_read, self.storage_written):
-            w.u32(len(slots))
-            for a, k in sorted(slots):
-                w.bytes_(a)
-                w.u64(k)
-        w.u32(len(self.callees))
-        for a in sorted(self.callees):
-            w.bytes_(a)
-
-    @staticmethod
-    def read(r: Reader) -> "AccessDecl":
-        br = frozenset(r.bytes_() for _ in range(r.u32()))
-        bw = frozenset(r.bytes_() for _ in range(r.u32()))
-        sr = frozenset((r.bytes_(), r.u64()) for _ in range(r.u32()))
-        sw = frozenset((r.bytes_(), r.u64()) for _ in range(r.u32()))
-        cs = frozenset(r.bytes_() for _ in range(r.u32()))
-        return AccessDecl(br, bw, sr, sw, cs)
+            for _, key in slots:
+                require_u64(key, "storage key")
 
     def substitute_self(self, addr: bytes) -> "AccessDecl":
         """Replace the all-zero placeholder address with a concrete one.
@@ -466,13 +355,6 @@ class MoveToUtxo:
 
 TxKind = Union[UtxoSpend, Deploy, Call, MoveToAccount, MoveToUtxo]
 
-_KIND_TAGS: dict[type, int] = {
-    UtxoSpend: 0,
-    Deploy: 1,
-    Call: 2,
-    MoveToAccount: 3,
-    MoveToUtxo: 4,
-}
 _KIND_NAMES: dict[type, str] = {
     UtxoSpend: "utxo_spend",
     Deploy: "deploy",
@@ -499,6 +381,7 @@ class EndorsementData:
     def __post_init__(self) -> None:
         if self.granularity not in ("per_transaction", "per_user"):
             raise ModelError(f"unknown endorsement granularity {self.granularity!r}")
+        require_u64(self.expiry, "endorsement expiry")
 
 
 @dataclass(frozen=True)
@@ -544,107 +427,72 @@ class Transaction:
         return replace(self, auth=AccountAuth(pubkey, signature))
 
 
-def _write_opt_access(w: Writer, access: Optional[AccessDecl]) -> None:
+def _access_bytes(access: Optional[AccessDecl]) -> bytes:
     if access is None:
-        w.u8(0)
+        return _NONE
+    parts = [b"\x01"]
+    for addrs in (access.balances_read, access.balances_written):
+        parts.append(_U32(len(addrs)))
+        parts += map(_blob, sorted(addrs))
+    for slots in (access.storage_read, access.storage_written):
+        parts.append(_U32(len(slots)))
+        parts += [_blob(a) + _U64(k) for a, k in sorted(slots)]
+    parts.append(_U32(len(access.callees)))
+    parts += map(_blob, sorted(access.callees))
+    return b"".join(parts)
+
+
+def _encode_body(tx: Transaction) -> bytes:
+    k = tx.kind
+    t = type(k)
+    # Outpoints and outputs carry their encodings, which the state
+    # accumulator reuses when they are spent and created.
+    if t is UtxoSpend:
+        parts = [_TAG_COUNT(0, len(k.inputs)), *[op._ser for op in k.inputs], _U32(len(k.outputs))]
+        parts += [out._ser for out in k.outputs]
+    elif t is Deploy:
+        parts = [
+            _TAG_COUNT(1, len(k.code)), k.code, _U64(k.endowment), _blob(k.payer),
+            _U64X2(k.gas_limit, k.gas_price), _access_bytes(k.access),
+        ]
+    elif t is Call:
+        parts = [
+            _TAG_COUNT(2, len(k.contract)), k.contract, _U64X2(k.arg, k.attached), _blob(k.caller),
+            _U64X2(k.gas_limit, k.gas_price), _access_bytes(k.access),
+            _U32(len(k.address_consts)), *map(_blob, k.address_consts),
+        ]
+    elif t is MoveToAccount:
+        parts = [_TAG_COUNT(3, len(k.inputs)), *[op._ser for op in k.inputs]]
+        parts += [_blob(k.to), _U64(k.amount)]
+    elif t is MoveToUtxo:
+        parts = [_TAG_COUNT(4, len(k.source)), k.source, _U64(k.amount), _U32(len(k.outputs))]
+        parts += [out._ser for out in k.outputs]
     else:
-        w.u8(1)
-        access.write(w)
+        raise ModelError(f"unknown transaction kind {t!r}")
+    parts += [_opt_u64(tx.not_before), _opt_u64(tx.not_after), _U64(tx.nonce)]
+    return b"".join(parts)
 
 
-def _read_opt_access(r: Reader) -> Optional[AccessDecl]:
-    return AccessDecl.read(r) if r.u8() else None
+# Both are cached in the transaction's instance __dict__ on first use. The
+# fields they cover are frozen, and every changed copy is a new instance.
 
 
 def canonical_serialize(tx: Transaction) -> bytes:
     """Deterministic witness-free byte encoding of a transaction."""
-    w = Writer()
-    k = tx.kind
-    w.u8(_KIND_TAGS[type(k)])
-    # Outpoints and outputs go through their cached serializations, which
-    # the state accumulator reuses when they are spent and created.
-    if isinstance(k, UtxoSpend):
-        w.u32(len(k.inputs))
-        for op in k.inputs:
-            w.raw(op.serialize())
-        w.u32(len(k.outputs))
-        for out in k.outputs:
-            w.raw(out.serialize())
-    elif isinstance(k, Deploy):
-        w.bytes_(k.code).u64(k.endowment).bytes_(k.payer)
-        w.u64(k.gas_limit).u64(k.gas_price)
-        _write_opt_access(w, k.access)
-    elif isinstance(k, Call):
-        w.bytes_(k.contract).u64(k.arg).u64(k.attached).bytes_(k.caller)
-        w.u64(k.gas_limit).u64(k.gas_price)
-        _write_opt_access(w, k.access)
-        w.u32(len(k.address_consts))
-        for a in k.address_consts:
-            w.bytes_(a)
-    elif isinstance(k, MoveToAccount):
-        w.u32(len(k.inputs))
-        for op in k.inputs:
-            w.raw(op.serialize())
-        w.bytes_(k.to).u64(k.amount)
-    elif isinstance(k, MoveToUtxo):
-        w.bytes_(k.source).u64(k.amount)
-        w.u32(len(k.outputs))
-        for out in k.outputs:
-            w.raw(out.serialize())
-    else:  # pragma: no cover - _KIND_TAGS lookup already failed
-        raise ModelError(f"unknown transaction kind {type(k)!r}")
-    w.opt_u64(tx.not_before)
-    w.opt_u64(tx.not_after)
-    w.u64(tx.nonce)
-    return w.done()
-
-
-def canonical_deserialize(data: bytes) -> Transaction:
-    """Inverse of canonical_serialize (witness-free)."""
-    r = Reader(data)
-    tag = r.u8()
-    kind: TxKind
-    if tag == 0:
-        inputs = tuple(Outpoint.read(r) for _ in range(r.u32()))
-        outputs = tuple(Output.read(r) for _ in range(r.u32()))
-        kind = UtxoSpend(inputs, outputs)
-    elif tag == 1:
-        code = r.bytes_()
-        endowment = r.u64()
-        payer = r.bytes_()
-        gas_limit = r.u64()
-        gas_price = r.u64()
-        kind = Deploy(code, endowment, payer, gas_limit, gas_price, _read_opt_access(r))
-    elif tag == 2:
-        contract = r.bytes_()
-        arg = r.u64()
-        attached = r.u64()
-        caller = r.bytes_()
-        gas_limit = r.u64()
-        gas_price = r.u64()
-        access = _read_opt_access(r)
-        consts = tuple(r.bytes_() for _ in range(r.u32()))
-        kind = Call(contract, arg, attached, caller, gas_limit, gas_price, access, consts)
-    elif tag == 3:
-        inputs = tuple(Outpoint.read(r) for _ in range(r.u32()))
-        kind = MoveToAccount(inputs, r.bytes_(), r.u64())
-    elif tag == 4:
-        source = r.bytes_()
-        amount = r.u64()
-        outputs = tuple(Output.read(r) for _ in range(r.u32()))
-        kind = MoveToUtxo(source, amount, outputs)
-    else:
-        raise ModelError(f"unknown transaction kind tag {tag}")
-    not_before = r.opt_u64()
-    not_after = r.opt_u64()
-    nonce = r.u64()
-    r.finish()
-    return Transaction(kind, nonce=nonce, not_before=not_before, not_after=not_after)
+    cache = tx.__dict__
+    body = cache.get("_body")
+    if body is None:
+        body = cache["_body"] = _encode_body(tx)
+    return body
 
 
 def txid(tx: Transaction) -> bytes:
     """Transaction id: sha256 of the canonical (witness-free) bytes."""
-    return sha256(canonical_serialize(tx))
+    cache = tx.__dict__
+    tx_id = cache.get("_txid")
+    if tx_id is None:
+        tx_id = cache["_txid"] = sha256(canonical_serialize(tx))
+    return tx_id
 
 
 def full_serialize(tx: Transaction) -> bytes:
@@ -653,26 +501,24 @@ def full_serialize(tx: Transaction) -> bytes:
     Used only for tamper-evidence hashing of persisted logs; not an input
     to the txid.
     """
-    w = Writer()
     body = canonical_serialize(tx)
-    w.bytes_(body)
-    w.u32(len(tx.witnesses))
+    parts = [_U32(len(body)), body, _U32(len(tx.witnesses))]
     for wit in tx.witnesses:
-        w.u32(len(wit))
-        for item in wit:
-            w.bytes_(item)
+        parts.append(_U32(len(wit)))
+        parts += map(_blob, wit)
     if tx.auth is None:
-        w.u8(0)
+        parts.append(_NONE)
     else:
-        w.u8(1).bytes_(tx.auth.pubkey).bytes_(tx.auth.signature)
+        parts += [b"\x01", _blob(tx.auth.pubkey), _blob(tx.auth.signature)]
     e = tx.endorsement
     if e is None:
-        w.u8(0)
+        parts.append(_NONE)
     else:
-        w.u8(1).u8(0 if e.granularity == "per_transaction" else 1)
-        w.bytes_(e.intermediary_pubkey).bytes_(e.signature)
-        w.bytes_(e.user_pubkey).u64(e.expiry)
-    return w.done()
+        parts += [
+            b"\x01", b"\x00" if e.granularity == "per_transaction" else b"\x01",
+            _blob(e.intermediary_pubkey), _blob(e.signature), _blob(e.user_pubkey), _U64(e.expiry),
+        ]
+    return b"".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +573,8 @@ def lock_to_json(lock: Lock) -> dict:
 
 
 def lock_from_json(obj: dict) -> Lock:
+    if not isinstance(obj, dict):
+        raise ModelError("lock JSON must be an object")
     kind = obj.get("kind")
     if kind == "pubkey":
         return Lock.pay_to_pubkey(_unhex(obj["pubkey"], "pubkey"))
@@ -767,6 +615,8 @@ def access_to_json(a: AccessDecl) -> dict:
 
 
 def access_from_json(obj: dict) -> AccessDecl:
+    if not isinstance(obj, dict):
+        raise ModelError("access JSON must be an object")
     return AccessDecl(
         frozenset(_unhex(x, "address") for x in obj.get("balances_read", [])),
         frozenset(_unhex(x, "address") for x in obj.get("balances_written", [])),

@@ -56,7 +56,9 @@ ACCEPT = Rejection(OK)
 
 def spend_script_hashes(outputs: Sequence[Output]) -> tuple[bytes, ...]:
     """Hashes of the spending transaction's output locks, as seen by the
-    COVENANT opcode."""
+    COVENANT opcode. check_inputs computes them on demand, when the first
+    script lock among the inputs runs, so a spend of signature locks alone
+    hashes nothing."""
     return tuple(sha256(out.lock.serialize()) for out in outputs)
 
 
@@ -76,19 +78,21 @@ def check_inputs(
     utxos: Mapping[Outpoint, Output],
     epoch: int,
     cfg: rules.SystemConfig,
-    out_hashes: tuple[bytes, ...],
     spent_in_batch: Optional[set[Outpoint]] = None,
     allow_script_locks: bool = True,
 ) -> tuple[Rejection, int]:
     """Existence, expiry, and lock checks for a list of inputs.
 
     Returns (rejection, total input value). spent_in_batch tracks outpoints
-    consumed earlier in the same batch validation.
+    consumed earlier in the same batch validation. A script lock's
+    covenant context, spend_script_hashes of tx's outputs, is computed
+    when the first script lock runs.
     """
     if len(witnesses) != len(inputs):
         return Rejection(WITNESS_COUNT_MISMATCH, "one witness per input required"), 0
     seen: set[Outpoint] = set()
     total_in = 0
+    out_hashes: Optional[tuple[bytes, ...]] = None
     for i, op in enumerate(inputs):
         if op in seen or (spent_in_batch is not None and op in spent_in_batch):
             return Rejection(DOUBLE_SPEND_IN_BATCH, f"input {i}"), 0
@@ -111,6 +115,8 @@ def check_inputs(
         elif lock.kind == LOCK_SCRIPT:
             if not allow_script_locks:
                 return Rejection(LOCK_FAILED, f"input {i}: script locks cannot move to account"), 0
+            if out_hashes is None:
+                out_hashes = spend_script_hashes(tx.kind.outputs)
             ctx = script.ScriptContext(
                 signing_message=msg,
                 not_before=tx.not_before,
@@ -156,7 +162,6 @@ def validate_spend(
     Pending-pool admission runs this alone, because the transaction's lower
     window bound is still in the future."""
     assert isinstance(tx.kind, UtxoSpend)
-    out_hashes = spend_script_hashes(tx.kind.outputs)
     rej, total_in = check_inputs(
         tx_id,
         tx,
@@ -165,7 +170,6 @@ def validate_spend(
         utxos,
         epoch,
         cfg,
-        out_hashes,
         spent_in_batch,
     )
     if not rej.ok:

@@ -3,11 +3,12 @@
 Deliberately written from the documented tables, not from the package
 internals: opcode bytes, limits, and failure reasons are restated as
 literals, signature verification goes straight to the cryptography
-library, and multisig matching is brute force instead of greedy. The two
-exceptions are the contract VM and the conflict-wave builder: their
-oracles are the package's earlier, simpler implementations, which share
-the opcode table, gas table, state types and footprint derivation with
-the code under test and differ only in how they execute.
+library, and multisig matching is brute force instead of greedy. The three
+exceptions are the canonical codec, the contract VM and the conflict-wave
+builder: their oracles are the package's earlier, simpler implementations,
+which share the value types (and, for the VM and the waves, the opcode
+table, gas table, state types and footprint derivation) with the code
+under test and differ only in how they encode or execute.
 """
 
 from __future__ import annotations
@@ -20,7 +21,27 @@ from typing import Optional, Sequence
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
-from tierledger.model import U64_MAX, Call, Transaction, checked_add
+from tierledger.model import (
+    LOCK_MULTISIG,
+    LOCK_PUBKEY,
+    LOCK_SCRIPT,
+    U64_MAX,
+    AccessDecl,
+    Call,
+    Deploy,
+    Lock,
+    ModelError,
+    MoveToAccount,
+    MoveToUtxo,
+    Outpoint,
+    Output,
+    Transaction,
+    TxKind,
+    UtxoSpend,
+    checked_add,
+    require_u32,
+    require_u64,
+)
 from tierledger.vm import (
     MAX_CALL_DEPTH,
     MAX_FRAME_STACK,
@@ -270,6 +291,325 @@ def lthash16_oracle(added: Sequence[bytes], removed: Sequence[bytes] = ()) -> by
                 lane = int.from_bytes(expanded[2 * i : 2 * i + 2], "little")
                 lanes[i] = (lanes[i] + sign * lane) % 65536
     return b"".join(v.to_bytes(2, "little") for v in lanes)
+
+
+# ---------------------------------------------------------------------------
+# Canonical codec: the package's earlier per-field Writer encoder, kept as
+# the reference the struct-packing encoder must match byte for byte, and
+# the binary decoder, which nothing in the package needs (its log is JSON)
+# and which checks here that the encoding is injective.
+
+
+class Writer:
+    def __init__(self) -> None:
+        self._parts: list[bytes] = []
+
+    def u8(self, v: int) -> "Writer":
+        if not 0 <= v <= 0xFF:
+            raise ModelError(f"u8 out of range: {v}")
+        self._parts.append(v.to_bytes(1, "little"))
+        return self
+
+    def u16(self, v: int) -> "Writer":
+        if not 0 <= v <= 0xFFFF:
+            raise ModelError(f"u16 out of range: {v}")
+        self._parts.append(v.to_bytes(2, "little"))
+        return self
+
+    def u32(self, v: int) -> "Writer":
+        require_u32(v)
+        self._parts.append(v.to_bytes(4, "little"))
+        return self
+
+    def u64(self, v: int) -> "Writer":
+        require_u64(v)
+        self._parts.append(v.to_bytes(8, "little"))
+        return self
+
+    def bytes_(self, b: bytes) -> "Writer":
+        self.u32(len(b))
+        self._parts.append(bytes(b))
+        return self
+
+    def raw(self, b: bytes) -> "Writer":
+        """Append pre-serialized bytes without a length prefix."""
+        self._parts.append(b)
+        return self
+
+    def opt_u64(self, v: Optional[int]) -> "Writer":
+        if v is None:
+            return self.u8(0)
+        return self.u8(1).u64(v)
+
+    def done(self) -> bytes:
+        return b"".join(self._parts)
+
+
+class Reader:
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+        self._pos = 0
+
+    def _take(self, n: int) -> bytes:
+        if self._pos + n > len(self._data):
+            raise ModelError("truncated canonical encoding")
+        out = self._data[self._pos : self._pos + n]
+        self._pos += n
+        return out
+
+    def u8(self) -> int:
+        return self._take(1)[0]
+
+    def u16(self) -> int:
+        return int.from_bytes(self._take(2), "little")
+
+    def u32(self) -> int:
+        return int.from_bytes(self._take(4), "little")
+
+    def u64(self) -> int:
+        return int.from_bytes(self._take(8), "little")
+
+    def bytes_(self) -> bytes:
+        return self._take(self.u32())
+
+    def opt_u64(self) -> Optional[int]:
+        return self.u64() if self.u8() else None
+
+    def finish(self) -> None:
+        if self._pos != len(self._data):
+            raise ModelError("trailing bytes in canonical encoding")
+
+
+def write_lock(w: Writer, lock: Lock) -> None:
+    w.u8(lock.kind)
+    if lock.kind == LOCK_PUBKEY:
+        w.bytes_(lock.pubkey)
+    elif lock.kind == LOCK_MULTISIG:
+        w.u8(lock.m).u32(len(lock.pubkeys))
+        for pk in lock.pubkeys:
+            w.bytes_(pk)
+    elif lock.kind == LOCK_SCRIPT:
+        w.bytes_(lock.script)
+    else:
+        raise ModelError(f"unknown lock kind {lock.kind}")
+
+
+def write_output(w: Writer, out: Output) -> None:
+    w.u64(out.amount)
+    write_lock(w, out.lock)
+    w.opt_u64(out.expiry)
+
+
+def write_outpoint(w: Writer, op: Outpoint) -> None:
+    w.bytes_(op.txid)
+    w.u32(op.index)
+
+
+def write_access(w: Writer, a: AccessDecl) -> None:
+    for addrs in (a.balances_read, a.balances_written):
+        w.u32(len(addrs))
+        for x in sorted(addrs):
+            w.bytes_(x)
+    for slots in (a.storage_read, a.storage_written):
+        w.u32(len(slots))
+        for x, k in sorted(slots):
+            w.bytes_(x)
+            w.u64(k)
+    w.u32(len(a.callees))
+    for x in sorted(a.callees):
+        w.bytes_(x)
+
+
+def _write_opt_access(w: Writer, access: Optional[AccessDecl]) -> None:
+    if access is None:
+        w.u8(0)
+    else:
+        w.u8(1)
+        write_access(w, access)
+
+
+def encode(write, value) -> bytes:
+    """Bytes of one value through one of the write_* functions above."""
+    w = Writer()
+    write(w, value)
+    return w.done()
+
+
+def ref_canonical_serialize(tx: Transaction) -> bytes:
+    w = Writer()
+    k = tx.kind
+    if isinstance(k, UtxoSpend):
+        w.u8(0).u32(len(k.inputs))
+        for op in k.inputs:
+            write_outpoint(w, op)
+        w.u32(len(k.outputs))
+        for out in k.outputs:
+            write_output(w, out)
+    elif isinstance(k, Deploy):
+        w.u8(1).bytes_(k.code).u64(k.endowment).bytes_(k.payer)
+        w.u64(k.gas_limit).u64(k.gas_price)
+        _write_opt_access(w, k.access)
+    elif isinstance(k, Call):
+        w.u8(2).bytes_(k.contract).u64(k.arg).u64(k.attached).bytes_(k.caller)
+        w.u64(k.gas_limit).u64(k.gas_price)
+        _write_opt_access(w, k.access)
+        w.u32(len(k.address_consts))
+        for a in k.address_consts:
+            w.bytes_(a)
+    elif isinstance(k, MoveToAccount):
+        w.u8(3).u32(len(k.inputs))
+        for op in k.inputs:
+            write_outpoint(w, op)
+        w.bytes_(k.to).u64(k.amount)
+    elif isinstance(k, MoveToUtxo):
+        w.u8(4).bytes_(k.source).u64(k.amount)
+        w.u32(len(k.outputs))
+        for out in k.outputs:
+            write_output(w, out)
+    else:
+        raise ModelError(f"unknown transaction kind {type(k)!r}")
+    w.opt_u64(tx.not_before)
+    w.opt_u64(tx.not_after)
+    w.u64(tx.nonce)
+    return w.done()
+
+
+def ref_txid(tx: Transaction) -> bytes:
+    return hashlib.sha256(ref_canonical_serialize(tx)).digest()
+
+
+def ref_full_serialize(tx: Transaction) -> bytes:
+    w = Writer()
+    w.bytes_(ref_canonical_serialize(tx))
+    w.u32(len(tx.witnesses))
+    for wit in tx.witnesses:
+        w.u32(len(wit))
+        for item in wit:
+            w.bytes_(item)
+    if tx.auth is None:
+        w.u8(0)
+    else:
+        w.u8(1).bytes_(tx.auth.pubkey).bytes_(tx.auth.signature)
+    e = tx.endorsement
+    if e is None:
+        w.u8(0)
+    else:
+        w.u8(1).u8(0 if e.granularity == "per_transaction" else 1)
+        w.bytes_(e.intermediary_pubkey).bytes_(e.signature)
+        w.bytes_(e.user_pubkey).u64(e.expiry)
+    return w.done()
+
+
+def ref_receipt_hash(tx_id: bytes, status: int, gas_used: int, level: int, digest: bytes) -> bytes:
+    w = Writer()
+    w.bytes_(tx_id).u16(status).u64(gas_used).u8(level).bytes_(digest)
+    return hashlib.sha256(w.done()).digest()
+
+
+def ref_header_hash(
+    batch_number: int, epoch: int, prev_hash: bytes, txs_hash: bytes, receipts_hash: bytes,
+    post_state_digest: bytes, config_hash: bytes,
+) -> bytes:
+    w = Writer()
+    w.u64(batch_number).u64(epoch)
+    w.bytes_(prev_hash).bytes_(txs_hash).bytes_(receipts_hash)
+    w.bytes_(post_state_digest).bytes_(config_hash)
+    return hashlib.sha256(w.done()).digest()
+
+
+def ref_state_digest(
+    utxos: dict, account_entries: Sequence[bytes], issued: int, expired: int, account_total: int,
+    epoch: int,
+) -> bytes:
+    """The documented state digest from the UTXO mapping, the account
+    entries and the counters, with each UTXO entry encoded by the
+    reference encoder and both accumulators summed lane by lane."""
+    utxo_acc = lthash16_oracle([
+        b"U" + encode(write_outpoint, op) + encode(write_output, out) for op, out in utxos.items()
+    ])
+    w = Writer().raw(b"tierledger/state/lthash16/v1").raw(utxo_acc)
+    w.raw(lthash16_oracle(account_entries)).u64(issued).u64(expired)
+    w.u64(sum(out.amount for out in utxos.values())).u64(account_total).u64(epoch)
+    return hashlib.sha256(w.done()).digest()
+
+
+def read_lock(r: Reader) -> Lock:
+    kind = r.u8()
+    if kind == LOCK_PUBKEY:
+        return Lock.pay_to_pubkey(r.bytes_())
+    if kind == LOCK_MULTISIG:
+        m = r.u8()
+        n = r.u32()
+        return Lock.multisig(m, tuple(r.bytes_() for _ in range(n)))
+    if kind == LOCK_SCRIPT:
+        return Lock.pay_to_script(r.bytes_())
+    raise ModelError(f"unknown lock kind {kind}")
+
+
+def read_output(r: Reader) -> Output:
+    amount = r.u64()
+    lock = read_lock(r)
+    return Output(amount, lock, r.opt_u64())
+
+
+def read_outpoint(r: Reader) -> Outpoint:
+    return Outpoint(r.bytes_(), r.u32())
+
+
+def read_access(r: Reader) -> AccessDecl:
+    br = frozenset(r.bytes_() for _ in range(r.u32()))
+    bw = frozenset(r.bytes_() for _ in range(r.u32()))
+    sr = frozenset((r.bytes_(), r.u64()) for _ in range(r.u32()))
+    sw = frozenset((r.bytes_(), r.u64()) for _ in range(r.u32()))
+    cs = frozenset(r.bytes_() for _ in range(r.u32()))
+    return AccessDecl(br, bw, sr, sw, cs)
+
+
+def _read_opt_access(r: Reader) -> Optional[AccessDecl]:
+    return read_access(r) if r.u8() else None
+
+
+def canonical_deserialize(data: bytes) -> Transaction:
+    """Inverse of canonical_serialize (witness-free)."""
+    r = Reader(data)
+    tag = r.u8()
+    kind: TxKind
+    if tag == 0:
+        inputs = tuple(read_outpoint(r) for _ in range(r.u32()))
+        outputs = tuple(read_output(r) for _ in range(r.u32()))
+        kind = UtxoSpend(inputs, outputs)
+    elif tag == 1:
+        code = r.bytes_()
+        endowment = r.u64()
+        payer = r.bytes_()
+        gas_limit = r.u64()
+        gas_price = r.u64()
+        kind = Deploy(code, endowment, payer, gas_limit, gas_price, _read_opt_access(r))
+    elif tag == 2:
+        contract = r.bytes_()
+        arg = r.u64()
+        attached = r.u64()
+        caller = r.bytes_()
+        gas_limit = r.u64()
+        gas_price = r.u64()
+        access = _read_opt_access(r)
+        consts = tuple(r.bytes_() for _ in range(r.u32()))
+        kind = Call(contract, arg, attached, caller, gas_limit, gas_price, access, consts)
+    elif tag == 3:
+        inputs = tuple(read_outpoint(r) for _ in range(r.u32()))
+        kind = MoveToAccount(inputs, r.bytes_(), r.u64())
+    elif tag == 4:
+        source = r.bytes_()
+        amount = r.u64()
+        outputs = tuple(read_output(r) for _ in range(r.u32()))
+        kind = MoveToUtxo(source, amount, outputs)
+    else:
+        raise ModelError(f"unknown transaction kind tag {tag}")
+    not_before = r.opt_u64()
+    not_after = r.opt_u64()
+    nonce = r.u64()
+    r.finish()
+    return Transaction(kind, nonce=nonce, not_before=not_before, not_after=not_after)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 import re
 import subprocess
@@ -331,9 +332,10 @@ def test_criterion_6_declared_equals_serial_with_real_concurrency():
     # Tolerance clause: never slower than serial by more than 10%.
     assert t_par <= 1.10 * t_ser, f"parallel {t_par:.3f}s vs serial {t_ser:.3f}s"
     assert speedup >= 1.3, (
-        f"speedup {speedup:.2f}x (parallel {t_par:.3f}s, serial {t_ser:.3f}s); "
-        f"this host exposes a single hardware thread, so fork-based workers "
-        f"cannot beat serial execution"
+        f"speedup {speedup:.2f}x (parallel {t_par:.3f}s, serial {t_ser:.3f}s) with "
+        f"{len(os.sched_getaffinity(0))} CPUs available to this process; this clause "
+        f"is sensitive to host load: other work on the same CPUs slows the fork pool's "
+        f"workers, and with a single CPU fork-based workers cannot beat serial execution"
     )
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     KEYS,
@@ -24,16 +26,23 @@ from helpers import (
     seed_utxo,
     signed_spend,
 )
-from tierledger import codes, ledger, rules, utxo, vm
+from oracles import ref_header_hash, ref_receipt_hash, ref_state_digest
+from tierledger import codes, crypto, ledger, model, rules, utxo, vm
 from tierledger.model import (
+    U64_MAX,
     Level,
+    Lock,
     Outpoint,
+    Output,
     Transaction,
     UtxoSpend,
     address_of_pubkey,
     sha256,
+    tx_from_json,
+    tx_to_json,
     txid,
 )
+from tierledger.script import assemble
 
 ALICE, BOB = KEYS[1], KEYS[2]
 A_ADDR = address_of_pubkey(ALICE.pubkey)
@@ -491,6 +500,45 @@ def test_replay_reports_gap_before_stray_batch(tmp_path):
     assert report.batch == n and report.field == f"batch_{n:06d}.json"
 
 
+MALFORMED_SHAPES = {
+    "batch_txs_not_a_list": ("batch", lambda obj: {**obj, "txs": 5}),
+    "batch_file_is_a_list": ("batch", lambda obj: [obj]),
+    "epoch_beyond_u64": ("batch", lambda obj: {**obj, "epoch": 2**64}),
+    "batch_number_is_true": ("batch", lambda obj: {**obj, "batch": True}),
+    "header_file_is_a_list": ("header", lambda obj: []),
+    "receipts_not_a_list": ("header", lambda obj: {**obj, "receipts": 3}),
+    "header_not_an_object": ("header", lambda obj: {**obj, "header": "x"}),
+    "receipt_txid_not_hex": (
+        "header", lambda obj: {**obj, "receipts": [{**obj["receipts"][0], "txid": 5}]}
+    ),
+    "receipt_status_is_a_list": (
+        "header", lambda obj: {**obj, "receipts": [{**obj["receipts"][0], "status": [1]}]}
+    ),
+    "output_lock_is_a_list": ("batch", lambda obj: _edit_first_output(obj, "lock", [])),
+}
+
+
+def _edit_first_output(batch_obj: dict, key: str, value) -> dict:
+    tx = next(t for t in batch_obj["txs"] if "outputs" in t)
+    tx["outputs"][0][key] = value
+    return batch_obj
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SHAPES))
+def test_replay_reports_malformed_shape_unreadable(tmp_path, case):
+    from tierledger import cli
+
+    logdir = run_logged_ledger(tmp_path, batches=2)
+    kind, edit = MALFORMED_SHAPES[case]
+    path = logdir / f"{kind}_000001.json"
+    edited = edit(json.loads(path.read_text()))
+    path.write_text(json.dumps(edited, sort_keys=True, separators=(",", ":")))
+    report = ledger.replay_verify(logdir)
+    assert not report.ok and report.kind == "unreadable" and report.batch == 1, report
+    assert cli.main(["--quiet", "replay", str(logdir)]) == 2
+    assert cli.main(["--quiet", "digest", str(logdir)]) == 2
+
+
 def test_contract_fees_settle_into_operator_account(tmp_path):
     cfg = make_config(initial_subsidy=0)
     state = ledger.LedgerState()
@@ -503,3 +551,113 @@ def test_contract_fees_settle_into_operator_account(tmp_path):
     assert receipts[1].gas_used == 20
     assert state.accounts.balance(OP_ADDR) == 31 * 2 + 20
     check_conservation(state)
+
+
+# ---------------------------------------------------------------------------
+# Hashed layouts against the reference encoder, and how often a batch
+# encodes and hashes
+
+_hash32 = st.binary(min_size=32, max_size=32)
+_u64 = st.integers(min_value=0, max_value=U64_MAX)
+
+
+@given(_hash32, st.integers(min_value=0, max_value=0xFFFF), _u64, st.sampled_from(list(Level)), _hash32)
+@settings(max_examples=100)
+def test_receipt_hash_matches_reference(tx_id, status, gas_used, level, digest):
+    receipt = ledger.Receipt(tx_id, status, gas_used, level, digest)
+    assert receipt.hash() == ref_receipt_hash(tx_id, status, gas_used, level.value, digest)
+
+
+@given(_u64, _u64, st.lists(_hash32, min_size=5, max_size=5))
+@settings(max_examples=100)
+def test_batch_header_hash_matches_reference(batch_number, epoch, hashes):
+    header = ledger.BatchHeader(batch_number, epoch, *hashes)
+    assert header.hash() == ref_header_hash(batch_number, epoch, *hashes)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=10**12),
+            st.sampled_from([Lock.pay_to_pubkey(ALICE.pubkey), Lock.multisig(1, [BOB.pubkey]),
+                             Lock.pay_to_script(b"\x51")]),
+            st.none() | st.integers(min_value=0, max_value=9),
+            st.booleans(),
+        ),
+        max_size=5,
+    ),
+    st.lists(st.tuples(_hash32, st.integers(min_value=0, max_value=10**12)), max_size=3),
+    st.integers(min_value=0, max_value=50),
+)
+@settings(max_examples=25, deadline=None)
+def test_state_digest_matches_reference(outputs, balances, epoch):
+    state = ledger.LedgerState()
+    for i, (amount, lock, expiry, spent) in enumerate(outputs):
+        op = Outpoint(sha256(i.to_bytes(4, "little")), i)
+        state.put_utxo(op, Output(amount, lock, expiry))
+        state.issued += amount
+        if spent:
+            state.expired += state.spend_utxo(op).amount
+    for addr, bal in balances:
+        state.accounts.set_balance(addr, bal)
+        state.issued += bal
+    state.epoch = epoch
+    accounts = state.accounts
+    entries = [vm.balance_entry(a, b) for a, b in accounts.balances.items() if b]
+    want = ref_state_digest(
+        dict(state.utxos), entries, state.issued, state.expired, state.account_total, epoch
+    )
+    assert ledger.state_digest(state) == want
+
+
+def _mixed_batch(state: ledger.LedgerState, script_input: bool) -> list[Transaction]:
+    """Fresh, never-encoded transactions of every kind the pipeline
+    validates: a spend, a pool admission, a move each way, a deploy and a
+    call. The spend creates a script-locked output; with script_input it
+    also spends one."""
+    script_lock = Lock.pay_to_script(assemble("TRUE"))
+    coins = [seed_utxo(state, p2pk(ALICE, 100)) for _ in range(3)]
+    seed_balance(state, A_ADDR, 1000)
+    spend = signed_spend(ALICE, [coins[0]], [Output(90, script_lock)])
+    if script_input:
+        locked = seed_utxo(state, Output(50, script_lock))
+        spend = Transaction(UtxoSpend((coins[0], locked), (Output(140, script_lock),)))
+        sig = crypto.sign(ALICE.seed, crypto.utxo_signing_message(txid(spend), 0))
+        spend = spend.with_witnesses(((sig,), ()))
+    dep = make_deploy(ALICE, counter_code(), nonce=1)
+    txs = [
+        spend,
+        signed_spend(ALICE, [coins[1]], [p2pk(BOB, 90)], not_before=5),
+        make_move_to_account(ALICE, [coins[2]], 90),
+        make_move_to_utxo(ALICE, 20, [p2pk(BOB, 10)], nonce=0),
+        dep,
+        make_call(ALICE, txid(dep), nonce=2),
+    ]
+    # Decoded from JSON, as replay and the benchmark see them: no instance
+    # has encoded its body yet.
+    return [tx_from_json(tx_to_json(tx)) for tx in txs]
+
+
+def test_apply_batch_encodes_each_body_once(monkeypatch):
+    state = ledger.LedgerState()
+    txs = _mixed_batch(state, script_input=False)
+    encoded: list[int] = []
+    encode_body = model._encode_body
+    monkeypatch.setattr(model, "_encode_body", lambda tx: encoded.append(id(tx)) or encode_body(tx))
+    receipts, _ = ledger.apply_batch(state, txs, 1, make_config(initial_subsidy=0), workers=1)
+    assert [r.status for r in receipts] == [
+        codes.OK, utxo.PENDING_ACCEPTED, codes.OK, codes.OK, codes.OK, codes.OK
+    ]
+    assert sorted(encoded) == sorted(id(tx) for tx in txs)
+
+
+@pytest.mark.parametrize("script_input", [False, True])
+def test_covenant_hashes_only_for_script_lock_inputs(monkeypatch, script_input):
+    state = ledger.LedgerState()
+    txs = _mixed_batch(state, script_input)
+    calls: list[int] = []
+    hashes = utxo.spend_script_hashes
+    monkeypatch.setattr(utxo, "spend_script_hashes", lambda outs: calls.append(1) or hashes(outs))
+    receipts, _ = ledger.apply_batch(state, txs, 1, make_config(initial_subsidy=0), workers=1)
+    assert receipts[0].status == codes.OK and receipts[1].status == utxo.PENDING_ACCEPTED
+    assert len(calls) == (1 if script_input else 0)

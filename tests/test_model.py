@@ -3,15 +3,34 @@ classification."""
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import KEYS, p2pk
+from oracles import (
+    Reader,
+    Writer,
+    canonical_deserialize,
+    encode,
+    read_lock,
+    read_output,
+    ref_canonical_serialize,
+    ref_full_serialize,
+    ref_txid,
+    write_lock,
+    write_outpoint,
+    write_output,
+)
 from tierledger.model import (
     AccessDecl,
+    AccountAuth,
     Call,
     Deploy,
+    EndorsementData,
     Level,
     Lock,
     ModelError,
@@ -19,12 +38,9 @@ from tierledger.model import (
     MoveToUtxo,
     Outpoint,
     Output,
-    Reader,
     Transaction,
     UtxoSpend,
-    Writer,
     address_of_pubkey,
-    canonical_deserialize,
     canonical_serialize,
     checked_add,
     checked_sub,
@@ -107,7 +123,7 @@ def test_lock_round_trip_and_addresses():
     ]
     for lock in locks:
         r = Reader(lock.serialize())
-        assert Lock.read(r) == lock
+        assert read_lock(r) == lock
         r.finish()
         assert len(lock.address()) == 32
     assert Lock.pay_to_pubkey(A.pubkey).address() == address_of_pubkey(A.pubkey)
@@ -130,7 +146,7 @@ def test_output_guards():
         Output(0, Lock.pay_to_pubkey(A.pubkey))
     out = Output(5, Lock.pay_to_pubkey(A.pubkey), expiry=12)
     r = Reader(out.serialize())
-    assert Output.read(r) == out
+    assert read_output(r) == out
 
 
 def test_canonical_round_trip_all_kinds():
@@ -200,8 +216,6 @@ def test_json_round_trip_all_kinds():
 
 
 def test_json_round_trip_with_attachments():
-    from tierledger.model import EndorsementData
-
     tx = sample_txs()[3]
     tx = tx.with_auth(B.pubkey, b"\x01" * 64)
     tx = Transaction(
@@ -216,6 +230,25 @@ def test_json_rejects_bad_hex_and_kind():
         tx_from_json_str('{"kind":"utxo_spend","inputs":[{"txid":"zz","index":0}],"outputs":[]}')
     with pytest.raises(ModelError):
         tx_from_json_str('{"kind":"no_such_kind"}')
+    op = '{"txid":"' + "11" * 32 + '","index":0}'
+    with pytest.raises(ModelError):
+        tx_from_json_str('{"kind":"utxo_spend","inputs":[' + op + '],"outputs":[{"amount":1,"lock":[]}]}')
+    with pytest.raises(ModelError):
+        tx_from_json_str(tx_to_json_str(sample_txs()[3])[:-1] + ',"access":"x"}')
+
+
+def test_values_the_encoder_packs_are_range_checked_at_construction():
+    # Before, these failed only when the transaction was first hashed.
+    with pytest.raises(ModelError):
+        AccessDecl(storage_read=frozenset({(b"\x03" * 32, -1)}))
+    with pytest.raises(ModelError):
+        AccessDecl(storage_written=frozenset({(b"\x03" * 32, U64_MAX + 1)}))
+    with pytest.raises(ModelError):
+        EndorsementData("per_user", A.pubkey, b"\x02" * 64, B.pubkey, expiry=-1)
+    # JSON true would decode to a lock equal to m=1 and re-encode as true,
+    # so a log edited from 1 to true would still verify.
+    with pytest.raises(ModelError):
+        Lock.multisig(True, [A.pubkey])
 
 
 @given(st.binary(min_size=1, max_size=32), st.integers(min_value=0, max_value=200))
@@ -226,3 +259,130 @@ def test_outpoint_rejects_bad_txid_length(blob, idx):
     else:
         with pytest.raises(ModelError):
             Outpoint(blob, idx)
+
+
+# ---------------------------------------------------------------------------
+# The struct-packing encoder against the reference Writer encoder
+
+_addr = st.binary(min_size=32, max_size=32)
+_blob = st.binary(max_size=40)
+_u32 = st.integers(min_value=0, max_value=2**32 - 1)
+_u64 = st.integers(min_value=0, max_value=U64_MAX)
+_opt_u64 = st.none() | _u64
+
+
+@st.composite
+def _multisig(draw):
+    pks = draw(st.lists(_addr, min_size=1, max_size=16))
+    return Lock.multisig(draw(st.integers(min_value=1, max_value=len(pks))), pks)
+
+
+_locks = st.one_of(
+    st.builds(Lock.pay_to_pubkey, _addr),
+    _multisig(),
+    st.builds(Lock.pay_to_script, st.binary(max_size=80)),
+)
+_outputs = st.builds(Output, st.integers(min_value=1, max_value=U64_MAX), _locks, _opt_u64)
+_outpoints = st.builds(Outpoint, _addr, _u32)
+_access = st.none() | st.builds(
+    AccessDecl,
+    st.frozensets(_blob, max_size=3),
+    st.frozensets(_blob, max_size=3),
+    st.frozensets(st.tuples(_blob, _u64), max_size=3),
+    st.frozensets(st.tuples(_blob, _u64), max_size=3),
+    st.frozensets(_blob, max_size=3),
+)
+_kinds = st.one_of(
+    st.builds(
+        UtxoSpend,
+        st.lists(_outpoints, min_size=1, max_size=4).map(tuple),
+        st.lists(_outputs, min_size=1, max_size=4).map(tuple),
+    ),
+    st.builds(Deploy, st.binary(max_size=80), _u64, _addr, _u64, _u64, _access),
+    st.builds(
+        Call, _addr, _u64, _u64, _addr, _u64, _u64, _access,
+        st.lists(_addr, max_size=3).map(tuple),
+    ),
+    st.builds(MoveToAccount, st.lists(_outpoints, min_size=1, max_size=4).map(tuple), _addr, _u64),
+    st.builds(MoveToUtxo, _addr, _u64, st.lists(_outputs, min_size=1, max_size=4).map(tuple)),
+)
+_endorsements = st.none() | st.builds(
+    EndorsementData,
+    st.sampled_from(["per_transaction", "per_user"]),
+    _blob,
+    _blob,
+    _blob,
+    _u64,
+)
+
+
+@st.composite
+def random_txs(draw):
+    window = sorted(draw(st.lists(_u64, min_size=2, max_size=2)))
+    not_before = draw(st.none() | st.just(window[0]))
+    not_after = draw(st.none() | st.just(window[1]))
+    return Transaction(
+        draw(_kinds),
+        nonce=draw(_u64),
+        not_before=not_before,
+        not_after=not_after,
+        witnesses=draw(st.lists(st.lists(_blob, max_size=3).map(tuple), max_size=3).map(tuple)),
+        auth=draw(st.none() | st.builds(AccountAuth, _blob, _blob)),
+        endorsement=draw(_endorsements),
+    )
+
+
+@given(random_txs())
+@settings(max_examples=300, deadline=None)
+def test_encoder_matches_reference_encoder(tx):
+    body = canonical_serialize(tx)
+    assert body == ref_canonical_serialize(tx)
+    assert txid(tx) == ref_txid(tx)
+    assert full_serialize(tx) == ref_full_serialize(tx)
+    assert canonical_serialize(canonical_deserialize(body)) == body
+    k = tx.kind
+    for op in getattr(k, "inputs", ()):
+        assert op.serialize() == encode(write_outpoint, op)
+    for out in getattr(k, "outputs", ()):
+        assert out.serialize() == encode(write_output, out)
+        assert out.lock.serialize() == encode(write_lock, out.lock)
+
+
+def test_changed_copies_never_carry_stale_bytes():
+    out = Output(5, Lock.pay_to_pubkey(A.pubkey), expiry=3)
+    script = Lock.pay_to_script(b"\x51")
+    for changed in (replace(out, amount=7), replace(out, expiry=None), replace(out, lock=script)):
+        assert changed.serialize() == encode(write_output, changed) != out.serialize()
+    moved = replace(OP1, index=9)
+    assert moved.serialize() == encode(write_outpoint, moved) != OP1.serialize()
+    for tx in sample_txs():
+        body, tx_id = canonical_serialize(tx), txid(tx)
+        bumped = replace(tx, nonce=tx.nonce + 1)
+        assert canonical_serialize(bumped) == ref_canonical_serialize(bumped) != body
+        assert txid(bumped) == ref_txid(bumped) != tx_id
+        signed = tx.with_witnesses([(b"\x07" * 64,)]).with_auth(A.pubkey, b"\x08" * 64)
+        assert txid(signed) == tx_id
+        assert full_serialize(signed) == ref_full_serialize(signed) != full_serialize(tx)
+
+
+def test_slotted_values_pickle_compare_hash_and_order_as_before():
+    lock = Lock.multisig(2, [A.pubkey, B.pubkey])
+    out = Output(9, lock, expiry=4)
+    for value in (OP1, out, lock, Lock.pay_to_script(b"\x51"), Lock.pay_to_pubkey(A.pubkey)):
+        assert not hasattr(value, "__dict__")
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and hash(back) == hash(value)
+        assert back.serialize() == value.serialize()
+    # Equality and hashing cover the declared fields only, never the bytes.
+    assert hash(OP1) == hash((OP1.txid, OP1.index))
+    assert hash(out) == hash((out.amount, out.lock, out.expiry))
+    assert Output(9, Lock.multisig(2, [A.pubkey, B.pubkey]), 4) == out
+    assert Output(9, lock) != out
+    # Outpoints order by (txid, index), as apply_expiry's sort needs.
+    ops = [Outpoint(bytes([b]) * 32, i) for b in (3, 1, 2) for i in (2, 0, 1)]
+    assert sorted(ops) == sorted(ops, key=lambda op: (op.txid, op.index))
+    assert Outpoint(b"\x01" * 32, 5) < Outpoint(b"\x02" * 32, 0) < Outpoint(b"\x02" * 32, 1)
+    tx = sample_txs()[0]
+    txid(tx)
+    back = pickle.loads(pickle.dumps(tx))
+    assert back == tx and txid(back) == ref_txid(tx)

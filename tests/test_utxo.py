@@ -126,8 +126,7 @@ def test_script_locks_refused_when_disallowed():
     op, utxos = funded(10, lock=lock)
     tx = Transaction(UtxoSpend((op,), (p2pk(BOB, 10),))).with_witnesses(((),))
     rej, _ = utxo.check_inputs(
-        txid(tx), tx, tx.kind.inputs, tx.witnesses, utxos, 1, CFG,
-        out_hashes=(), allow_script_locks=False,
+        txid(tx), tx, tx.kind.inputs, tx.witnesses, utxos, 1, CFG, allow_script_locks=False,
     )
     assert rej.code == utxo.LOCK_FAILED
 
