@@ -14,13 +14,11 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .model import sha256
+from .model import MAX_MULTISIG_KEYS, sha256
 
 SEED_BYTES = 32
 PUBKEY_BYTES = 32
 SIG_BYTES = 64
-
-MAX_MULTISIG_KEYS = 16
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ from .model import (
     Outpoint,
     Output,
     Transaction,
+    TxKind,
+    U64_MAX,
     UtxoSpend,
     address_of_pubkey,
     classify_level,
@@ -266,6 +268,18 @@ def _coinbase_outpoint(batch_number: int) -> Outpoint:
     return Outpoint(sha256(b"coinbase" + batch_number.to_bytes(8, "little")), 0)
 
 
+def _actor(k: TxKind) -> Optional[bytes]:
+    """The account that signs an account-based kind; None for the kinds
+    whose inputs are UTXOs, which the input witnesses authorize."""
+    if isinstance(k, Deploy):
+        return k.payer
+    if isinstance(k, Call):
+        return k.caller
+    if isinstance(k, MoveToUtxo):
+        return k.source
+    return None
+
+
 def _check_account_auth(tx: Transaction, tx_id: bytes, expected_addr: bytes) -> bool:
     if tx.auth is None:
         return False
@@ -274,6 +288,75 @@ def _check_account_auth(tx: Transaction, tx_id: bytes, expected_addr: bytes) -> 
     return crypto.verify(
         tx.auth.pubkey, crypto.account_signing_message(tx_id), tx.auth.signature
     )
+
+
+def _contract_gate(tx: Transaction, tx_id: bytes, epoch: int, cfg: rules.SystemConfig) -> int:
+    """Admission of a Deploy or Call: validity window, permission policy and
+    gas-price floor. OK means the call is buffered for the scheduler;
+    anything else is its receipt status, with nothing charged."""
+    if not utxo.check_window(tx, epoch):
+        return utxo.OUTSIDE_VALIDITY_WINDOW
+    policy = cfg.deploy_policy if isinstance(tx.kind, Deploy) else cfg.call_policy
+    code = permission.authorize(
+        tx_id, tx.auth.pubkey, tx.endorsement, policy, cfg.registry_pubkeys, epoch
+    )
+    if code != permission.AUTH_OK:
+        return code
+    return rules.check_fee(tx, None, cfg)
+
+
+def _transfer(
+    state: LedgerState,
+    tx: Transaction,
+    tx_id: bytes,
+    was_pending: bool,
+    epoch: int,
+    cfg: rules.SystemConfig,
+    batch_spent: set[Outpoint],
+) -> int:
+    """The one routine for UtxoSpend, MoveToAccount and MoveToUtxo: pending-
+    pool admission, the validity window, the kind's checks, then the state
+    writes and the operator fee. Returns the receipt status; a rejection
+    writes nothing."""
+    k = tx.kind
+    accounts = state.accounts
+    if isinstance(k, UtxoSpend) and not was_pending and tx.not_before is not None and tx.not_before > epoch:
+        # Pool admission: the transaction must be valid except for its
+        # not-yet-reached lower window bound. Its inputs are checked
+        # against the current set only, not batch_spent: an input spent
+        # earlier in this batch is simply missing.
+        rej, fee = utxo.validate_spend(tx, tx_id, state.utxos, epoch, cfg)
+        return state.pool.submit(tx, tx_id, fee)[0] if rej.ok else rej.code
+    if not utxo.check_window(tx, epoch):
+        return utxo.OUTSIDE_VALIDITY_WINDOW
+    if isinstance(k, MoveToUtxo):
+        if tx.nonce != accounts.nonces.get(k.source, 0):
+            return vm.STATUS_BAD_NONCE
+        out_sum = sum(o.amount for o in k.outputs)
+        if out_sum > k.amount or accounts.balance(k.source) < k.amount:
+            return vm.STATUS_INSUFFICIENT_BALANCE
+        fee = k.amount - out_sum
+        code = rules.check_fee(tx, fee, cfg) or rules.check_allow_list(k.outputs, cfg)
+        if code != rules.FEE_OK:
+            return code
+        accounts.set_balance(k.source, accounts.balance(k.source) - k.amount)
+        accounts.set_nonce(k.source, tx.nonce + 1)
+    else:
+        rej, fee = utxo.validate_spend(tx, tx_id, state.utxos, epoch, cfg, batch_spent)
+        if not rej.ok:
+            return rej.code
+        batch_spent.update(k.inputs)
+        for op in k.inputs:
+            state.spend_utxo(op)
+    if isinstance(k, MoveToAccount):
+        accounts.set_balance(k.to, accounts.balance(k.to) + k.amount)
+    else:
+        for j, out in enumerate(k.outputs):
+            state.put_utxo(Outpoint(tx_id, j), out)
+    if fee:
+        operator = cfg.operator_address
+        accounts.set_balance(operator, accounts.balance(operator) + fee)
+    return codes.OK
 
 
 def apply_batch(
@@ -286,7 +369,14 @@ def apply_batch(
     collect_telemetry: Optional[list] = None,
 ) -> tuple[list[Receipt], BatchHeader]:
     """Apply one batch in submission order; per-transaction failures become
-    receipts, never batch failures. Mutates state."""
+    receipts, never batch failures. Mutates state.
+
+    Each transaction takes one path: the level gate, account auth for the
+    account-based kinds, then either the contract gate, which buffers a
+    Deploy or Call for the scheduler, or the transfer routine. The buffer
+    is flushed before each transfer, so transfer checks see every contract
+    effect queued ahead of them; rejections at the gates are emitted at
+    once, before the flush."""
     if epoch < state.epoch:
         raise BatchError(f"batch epoch {epoch} below ledger epoch {state.epoch}")
     state.epoch = epoch
@@ -295,52 +385,35 @@ def apply_batch(
     for op in rules.apply_expiry(state.expiring, epoch, cfg):
         state.expired += state.spend_utxo(op).amount
 
-    # 2. Coinbase issuance to the operator.
-    sub = rules.subsidy(epoch, cfg)
+    # 2. Coinbase issuance to the operator. Capped so that issued, and with
+    # it every supply counter and balance, stays within u64.
+    sub = min(rules.subsidy(epoch, cfg), U64_MAX - state.issued)
     if sub > 0:
         cb = _coinbase_outpoint(state.batch_number)
         state.put_utxo(cb, Output(sub, Lock.pay_to_pubkey(cfg.operator_pubkey)))
         state.issued += sub
 
     # 3. Matured pending transactions run ahead of new submissions.
-    drained = state.pool.drain(epoch)
     work: list[tuple[Transaction, bytes, bool]] = [
-        (e.tx, e.tx_id, True) for e in drained
+        (e.tx, e.tx_id, True) for e in state.pool.drain(epoch)
     ]
-    submitted_ids = []
-    for tx in txs:
-        tx_id = compute_txid(tx)
-        submitted_ids.append(tx_id)
-        work.append((tx, tx_id, False))
+    work += [(tx, compute_txid(tx), False) for tx in txs]
 
     receipts: list[Optional[Receipt]] = [None] * len(work)
     batch_spent: set[Outpoint] = set()
-    operator = cfg.operator_address
-    accounts = state.accounts
-
-    def credit_operator(fee: int) -> None:
-        if fee:
-            accounts.set_balance(operator, accounts.balance(operator) + fee)
-
     contract_buffer: list[tuple[int, Transaction, bytes]] = []
-
-    def emit(i: int, tx: Transaction, tx_id: bytes, status: int, gas_used: int, level: Level) -> None:
-        receipts[i] = Receipt(tx_id, status, gas_used, level, state_digest(state))
 
     def flush_contracts() -> None:
         if not contract_buffer:
             return
-        items = [(tx, tx_id) for _, tx, tx_id in contract_buffer]
-        slots = [i for i, _, _ in contract_buffer]
 
         def on_commit(idx: int, outcome: vm.ExecOutcome) -> None:
-            i = slots[idx]
-            _, tx, tx_id = contract_buffer[idx]
-            emit(i, tx, tx_id, outcome.status, outcome.gas_used, Level.L3)
+            i, _, tx_id = contract_buffer[idx]
+            receipts[i] = Receipt(tx_id, outcome.status, outcome.gas_used, Level.L3, state_digest(state))
 
         _, telemetry = scheduler.schedule_batch(
-            accounts,
-            items,
+            state.accounts,
+            [(tx, tx_id) for _, tx, tx_id in contract_buffer],
             epoch,
             cfg,
             on_commit=on_commit,
@@ -353,122 +426,20 @@ def apply_batch(
 
     for i, (tx, tx_id, was_pending) in enumerate(work):
         level = classify_level(tx, state.utxos)
+        actor = _actor(tx.kind)
         if cfg.max_level < level:
-            emit(i, tx, tx_id, codes.LEVEL_EXCEEDS_CONFIG, 0, level)
-            continue
-
-        k = tx.kind
-
-        # Authentication and permissioning for account-based kinds.
-        if isinstance(k, (Deploy, Call, MoveToUtxo)):
-            actor = (
-                k.payer
-                if isinstance(k, Deploy)
-                else k.caller if isinstance(k, Call) else k.source
-            )
-            if not _check_account_auth(tx, tx_id, actor):
-                emit(i, tx, tx_id, codes.BAD_AUTH, 0, level)
+            status = codes.LEVEL_EXCEEDS_CONFIG
+        elif actor is not None and not _check_account_auth(tx, tx_id, actor):
+            status = codes.BAD_AUTH
+        elif isinstance(tx.kind, (Deploy, Call)):
+            status = _contract_gate(tx, tx_id, epoch, cfg)
+            if status == codes.OK:
+                contract_buffer.append((i, tx, tx_id))
                 continue
-        if isinstance(k, (Deploy, Call)):
-            policy = cfg.deploy_policy if isinstance(k, Deploy) else cfg.call_policy
-            auth_code = permission.authorize(
-                tx_id, tx.auth.pubkey, tx.endorsement, policy, cfg.registry_pubkeys, epoch
-            )
-            if auth_code != permission.AUTH_OK:
-                emit(i, tx, tx_id, auth_code, 0, level)
-                continue
-            fee_code = rules.check_fee(tx, None, cfg)
-            if fee_code != rules.FEE_OK:
-                emit(i, tx, tx_id, fee_code, 0, level)
-                continue
-            contract_buffer.append((i, tx, tx_id))
-            continue
-
-        # Everything below mutates UTXO state sequentially; contract effects
-        # queued so far must land first.
-        flush_contracts()
-
-        if isinstance(k, UtxoSpend):
-            if not was_pending and tx.not_before is not None and tx.not_before > epoch:
-                # Pool admission: the transaction must be valid except for
-                # its not-yet-reached lower window bound. Its inputs are
-                # checked against the current set only, not batch_spent: an
-                # input spent earlier in this batch is simply missing.
-                rej, fee = utxo.validate_spend(tx, tx_id, state.utxos, epoch, cfg)
-                status = state.pool.submit(tx, tx_id, fee)[0] if rej.ok else rej.code
-                emit(i, tx, tx_id, status, 0, level)
-                continue
-            rej, fee = utxo.validate_utxo_tx(tx, tx_id, state.utxos, epoch, cfg, batch_spent)
-            if not rej.ok:
-                emit(i, tx, tx_id, rej.code, 0, level)
-                continue
-            batch_spent.update(k.inputs)
-            utxo.apply_utxo_tx(state, tx, tx_id)
-            credit_operator(fee)
-            emit(i, tx, tx_id, codes.OK, 0, level)
-            continue
-
-        if isinstance(k, MoveToAccount):
-            if not utxo.check_window(tx, epoch):
-                emit(i, tx, tx_id, utxo.OUTSIDE_VALIDITY_WINDOW, 0, level)
-                continue
-            rej, total_in = utxo.check_inputs(
-                tx_id,
-                tx,
-                k.inputs,
-                tx.witnesses,
-                state.utxos,
-                epoch,
-                cfg,
-                spent_in_batch=batch_spent,
-                allow_script_locks=False,
-            )
-            if not rej.ok:
-                emit(i, tx, tx_id, rej.code, 0, level)
-                continue
-            if k.amount > total_in:
-                emit(i, tx, tx_id, rules.INSUFFICIENT_FEE, 0, level)
-                continue
-            fee = total_in - k.amount
-            if fee < cfg.min_fee:
-                emit(i, tx, tx_id, rules.INSUFFICIENT_FEE, 0, level)
-                continue
-            batch_spent.update(k.inputs)
-            for op in k.inputs:
-                state.spend_utxo(op)
-            accounts.set_balance(k.to, accounts.balance(k.to) + k.amount)
-            credit_operator(fee)
-            emit(i, tx, tx_id, codes.OK, 0, level)
-            continue
-
-        if isinstance(k, MoveToUtxo):
-            if not utxo.check_window(tx, epoch):
-                emit(i, tx, tx_id, utxo.OUTSIDE_VALIDITY_WINDOW, 0, level)
-                continue
-            if tx.nonce != accounts.nonces.get(k.source, 0):
-                emit(i, tx, tx_id, vm.STATUS_BAD_NONCE, 0, level)
-                continue
-            out_sum = sum(o.amount for o in k.outputs)
-            if out_sum > k.amount or accounts.balance(k.source) < k.amount:
-                emit(i, tx, tx_id, vm.STATUS_INSUFFICIENT_BALANCE, 0, level)
-                continue
-            fee = k.amount - out_sum
-            if fee < cfg.min_fee:
-                emit(i, tx, tx_id, rules.INSUFFICIENT_FEE, 0, level)
-                continue
-            al = rules.check_allow_list(k.outputs, cfg)
-            if al != rules.FEE_OK:
-                emit(i, tx, tx_id, al, 0, level)
-                continue
-            accounts.set_balance(k.source, accounts.balance(k.source) - k.amount)
-            for j, out in enumerate(k.outputs):
-                state.put_utxo(Outpoint(tx_id, j), out)
-            credit_operator(fee)
-            accounts.set_nonce(k.source, tx.nonce + 1)
-            emit(i, tx, tx_id, codes.OK, 0, level)
-            continue
-
-        emit(i, tx, tx_id, codes.MALFORMED_TX, 0, level)  # pragma: no cover
+        else:
+            flush_contracts()
+            status = _transfer(state, tx, tx_id, was_pending, epoch, cfg, batch_spent)
+        receipts[i] = Receipt(tx_id, status, 0, level, state_digest(state))
 
     flush_contracts()
 
@@ -498,11 +469,6 @@ def init_log(logdir: Union[str, Path], cfg: rules.SystemConfig) -> None:
     path = Path(logdir)
     path.mkdir(parents=True, exist_ok=True)
     (path / "genesis.json").write_text(cfg.to_json_str(), encoding="utf-8")
-
-
-def load_genesis(logdir: Union[str, Path]) -> rules.SystemConfig:
-    raw = (Path(logdir) / "genesis.json").read_text(encoding="utf-8")
-    return rules.SystemConfig.from_json(json.loads(raw))
 
 
 def write_batch_files(

@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ..model import MAX_SCRIPT_BYTES
 from .asm import ScriptSyntaxError, assemble, disassemble
 from .interpreter import execute_bytecode
 from .opcodes import (
     MAX_ELEMENT,
-    MAX_SCRIPT_BYTES,
     MAX_STACK,
     MAX_STEPS,
     MAX_WITNESS_ITEMS,

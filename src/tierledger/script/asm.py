@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from ..model import MAX_SCRIPT_BYTES
 from .opcodes import (
     MAX_PUSH,
-    MAX_SCRIPT_BYTES,
     MNEMONICS,
     OP_COVENANT,
     OP_ELSE,

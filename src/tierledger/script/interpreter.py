@@ -11,6 +11,7 @@ import hashlib
 from typing import Sequence
 
 from ..crypto import check_multisig, verify
+from ..model import MAX_MULTISIG_KEYS
 from .opcodes import (
     MAX_ELEMENT,
     MAX_PUSH,
@@ -176,7 +177,7 @@ def execute_bytecode(
             if not stack:
                 return (False, R_STACK_UNDERFLOW, steps)
             nkeys = _as_small_int(stack.pop())
-            if not 1 <= nkeys <= 16:
+            if not 1 <= nkeys <= MAX_MULTISIG_KEYS:
                 return (False, R_TYPE_ERROR, steps)
             if len(stack) < nkeys:
                 return (False, R_STACK_UNDERFLOW, steps)

@@ -55,7 +55,6 @@ MAX_STEPS = 10_000
 MAX_STACK = 256
 MAX_ELEMENT = 256
 MAX_WITNESS_ITEMS = 32
-MAX_SCRIPT_BYTES = 1024
 
 # Failure reasons (stable small integers; receipts report 200 + reason).
 R_EMPTY_SCRIPT = 0
@@ -80,7 +79,3 @@ REASON_NAMES: dict[int, str] = {
     R_TYPE_ERROR: "TypeError",
 }
 
-
-def is_truthy(item: bytes) -> bool:
-    """Nonempty and not all-zero bytes."""
-    return any(item)

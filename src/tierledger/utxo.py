@@ -1,28 +1,25 @@
-"""Validation and application of UTXO transactions (Levels 1/1.5/2),
-plus the pending/replaceable pool for time-locked transactions.
+"""Validation of the UTXO-input transactions (UtxoSpend at Levels 1/1.5/2,
+and MoveToAccount), plus the pending/replaceable pool for time-locked
+transactions. The ledger applies what passes, through its state write API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import crypto, rules, script
 from .model import (
     LOCK_MULTISIG,
     LOCK_PUBKEY,
     LOCK_SCRIPT,
-    ModelError,
+    MoveToAccount,
     Outpoint,
     Output,
     Transaction,
     UtxoSpend,
-    Witness,
     sha256,
 )
-
-if TYPE_CHECKING:
-    from .ledger import LedgerState
 
 # Rejection codes (status registry range 100-199; script lock failures are
 # reported as 200 + interpreter reason).
@@ -73,21 +70,22 @@ def check_window(tx: Transaction, epoch: int) -> bool:
 def check_inputs(
     tx_id: bytes,
     tx: Transaction,
-    inputs: Sequence[Outpoint],
-    witnesses: Sequence[Witness],
     utxos: Mapping[Outpoint, Output],
     epoch: int,
     cfg: rules.SystemConfig,
     spent_in_batch: Optional[set[Outpoint]] = None,
-    allow_script_locks: bool = True,
 ) -> tuple[Rejection, int]:
-    """Existence, expiry, and lock checks for a list of inputs.
+    """Existence, expiry, and lock checks for the inputs of a UtxoSpend or
+    MoveToAccount, one witness per input.
 
     Returns (rejection, total input value). spent_in_batch tracks outpoints
-    consumed earlier in the same batch validation. A script lock's
-    covenant context, spend_script_hashes of tx's outputs, is computed
-    when the first script lock runs.
+    consumed earlier in the same batch validation. A script lock cannot move
+    value into an account, so a MoveToAccount input under one fails its
+    lock. For a UtxoSpend, a script lock's covenant context,
+    spend_script_hashes of tx's outputs, is computed when the first script
+    lock runs.
     """
+    inputs, witnesses = tx.kind.inputs, tx.witnesses
     if len(witnesses) != len(inputs):
         return Rejection(WITNESS_COUNT_MISMATCH, "one witness per input required"), 0
     seen: set[Outpoint] = set()
@@ -113,7 +111,7 @@ def check_inputs(
             if not crypto.check_multisig(lock.m, lock.pubkeys, list(wit), msg):
                 return Rejection(LOCK_FAILED, f"input {i}"), 0
         elif lock.kind == LOCK_SCRIPT:
-            if not allow_script_locks:
+            if isinstance(tx.kind, MoveToAccount):
                 return Rejection(LOCK_FAILED, f"input {i}: script locks cannot move to account"), 0
             if out_hashes is None:
                 out_hashes = spend_script_hashes(tx.kind.outputs)
@@ -134,20 +132,6 @@ def check_inputs(
     return ACCEPT, total_in
 
 
-def validate_utxo_tx(
-    tx: Transaction,
-    tx_id: bytes,
-    utxos: Mapping[Outpoint, Output],
-    epoch: int,
-    cfg: rules.SystemConfig,
-    spent_in_batch: Optional[set[Outpoint]] = None,
-) -> tuple[Rejection, int]:
-    """Full validation of a UtxoSpend. Returns (rejection, implicit fee)."""
-    if not check_window(tx, epoch):
-        return Rejection(OUTSIDE_VALIDITY_WINDOW), 0
-    return validate_spend(tx, tx_id, utxos, epoch, cfg, spent_in_batch)
-
-
 def validate_spend(
     tx: Transaction,
     tx_id: bytes,
@@ -156,46 +140,28 @@ def validate_spend(
     cfg: rules.SystemConfig,
     spent_in_batch: Optional[set[Outpoint]] = None,
 ) -> tuple[Rejection, int]:
-    """Everything validate_utxo_tx checks except the validity window:
-    inputs, locks, fee and allow-list. Returns (rejection, implicit fee).
+    """The validation of both UTXO-input kinds, UtxoSpend and MoveToAccount,
+    apart from the validity window: inputs and locks, value out against
+    value in, the fee floor and the allow-list. Returns (rejection, implicit
+    fee). A MoveToAccount pays out its amount and creates no outputs.
 
     Pending-pool admission runs this alone, because the transaction's lower
     window bound is still in the future."""
-    assert isinstance(tx.kind, UtxoSpend)
-    rej, total_in = check_inputs(
-        tx_id,
-        tx,
-        tx.kind.inputs,
-        tx.witnesses,
-        utxos,
-        epoch,
-        cfg,
-        spent_in_batch,
-    )
+    k = tx.kind
+    rej, total_in = check_inputs(tx_id, tx, utxos, epoch, cfg, spent_in_batch)
     if not rej.ok:
         return rej, 0
-    total_out = sum(out.amount for out in tx.kind.outputs)
+    if isinstance(k, MoveToAccount):
+        outputs, total_out = (), k.amount
+    else:
+        outputs, total_out = k.outputs, sum(out.amount for out in k.outputs)
     if total_out > total_in:
         return Rejection(INSUFFICIENT_FEE, "outputs exceed inputs"), 0
     fee = total_in - total_out
-    code = rules.check_fee(tx, fee, cfg)
-    if code != rules.FEE_OK:
-        return Rejection(code), 0
-    code = rules.check_allow_list(tx.kind.outputs, cfg)
+    code = rules.check_fee(tx, fee, cfg) or rules.check_allow_list(outputs, cfg)
     if code != rules.FEE_OK:
         return Rejection(code), 0
     return ACCEPT, fee
-
-
-def apply_utxo_tx(state: LedgerState, tx: Transaction, tx_id: bytes) -> None:
-    """Spend the inputs and create the outputs at (txid, 0..k) through the
-    state's write API. Caller must have validated the transaction against
-    this exact set."""
-    assert isinstance(tx.kind, UtxoSpend)
-    for op in tx.kind.inputs:
-        state.spend_utxo(op)
-    for i, out in enumerate(tx.kind.outputs):
-        state.put_utxo(Outpoint(tx_id, i), out)
 
 
 # ---------------------------------------------------------------------------

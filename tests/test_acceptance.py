@@ -225,7 +225,7 @@ def test_criterion_5_covenant_spends_never_escape_allowed_set():
                     op = utxo.Outpoint(sha256(b"cov" + bytes([k, n_out]) + bytes(combo)), 0)
                     utxos = {op: Output(10 * n_out, cov_lock)}
                     tx = Transaction(UtxoSpend((op,), outs)).with_witnesses((wit,))
-                    rej, _ = utxo.validate_utxo_tx(tx, txid(tx), utxos, 1, cfg)
+                    rej, _ = utxo.validate_spend(tx, txid(tx), utxos, 1, cfg)
                     checked += 1
                     if rej.ok:
                         accepted += 1

@@ -5,7 +5,17 @@ from __future__ import annotations
 
 from helpers import KEYS, make_config, p2pk, signed_spend
 from tierledger import crypto, ledger, utxo
-from tierledger.model import Lock, Outpoint, Output, Transaction, UtxoSpend, sha256, txid
+from tierledger.model import (
+    Lock,
+    MoveToAccount,
+    Outpoint,
+    Output,
+    Transaction,
+    UtxoSpend,
+    address_of_pubkey,
+    sha256,
+    txid,
+)
 from tierledger.script import assemble
 
 ALICE, BOB, CAROL = KEYS[1], KEYS[2], KEYS[3]
@@ -21,33 +31,35 @@ def funded(amount: int = 100, lock: Lock | None = None, expiry=None, tag: bytes 
 def test_valid_spend_and_fee():
     op, utxos = funded(100)
     tx = signed_spend(ALICE, [op], [p2pk(BOB, 60), p2pk(ALICE, 30)])
-    rej, fee = utxo.validate_utxo_tx(tx, txid(tx), utxos, 1, CFG)
+    rej, fee = utxo.validate_spend(tx, txid(tx), utxos, 1, CFG)
     assert rej.ok
     assert fee == 10
     state = ledger.LedgerState()
     state.put_utxo(op, utxos[op])
-    utxo.apply_utxo_tx(state, tx, txid(tx))
+    receipts, _ = ledger.apply_batch(state, [tx], 1, make_config(initial_subsidy=0), workers=1)
+    assert receipts[0].status == utxo.OK
     assert op not in state.utxos
     assert state.utxos[Outpoint(txid(tx), 0)].amount == 60
     assert state.utxos[Outpoint(txid(tx), 1)].amount == 30
     assert state.utxo_total == 90
+    assert state.account_total == 10  # the fee, credited to the operator
 
 
 def test_missing_input():
     _, utxos = funded()
     ghost = Outpoint(b"\x00" * 32, 3)
     tx = signed_spend(ALICE, [ghost], [p2pk(BOB, 1)])
-    rej, _ = utxo.validate_utxo_tx(tx, txid(tx), utxos, 1, CFG)
+    rej, _ = utxo.validate_spend(tx, txid(tx), utxos, 1, CFG)
     assert rej.code == utxo.MISSING_INPUT
 
 
 def test_double_spend_within_tx_and_within_batch():
     op, utxos = funded(100)
     twice = signed_spend(ALICE, [op, op], [p2pk(BOB, 10)])
-    rej, _ = utxo.validate_utxo_tx(twice, txid(twice), utxos, 1, CFG)
+    rej, _ = utxo.validate_spend(twice, txid(twice), utxos, 1, CFG)
     assert rej.code == utxo.DOUBLE_SPEND_IN_BATCH
     tx = signed_spend(ALICE, [op], [p2pk(BOB, 10)])
-    rej, _ = utxo.validate_utxo_tx(tx, txid(tx), utxos, 1, CFG, spent_in_batch={op})
+    rej, _ = utxo.validate_spend(tx, txid(tx), utxos, 1, CFG, spent_in_batch={op})
     assert rej.code == utxo.DOUBLE_SPEND_IN_BATCH
 
 
@@ -55,33 +67,32 @@ def test_expired_input_gated_by_config():
     op, utxos = funded(50, expiry=5)
     tx = signed_spend(ALICE, [op], [p2pk(BOB, 50)])
     live = make_config(expiry_enabled=True)
-    rej, _ = utxo.validate_utxo_tx(tx, txid(tx), utxos, 4, live)
+    rej, _ = utxo.validate_spend(tx, txid(tx), utxos, 4, live)
     assert rej.ok
-    rej, _ = utxo.validate_utxo_tx(tx, txid(tx), utxos, 5, live)  # inclusive
+    rej, _ = utxo.validate_spend(tx, txid(tx), utxos, 5, live)  # inclusive
     assert rej.code == utxo.EXPIRED_INPUT
-    rej, _ = utxo.validate_utxo_tx(tx, txid(tx), utxos, 9, CFG)  # expiry disabled
+    rej, _ = utxo.validate_spend(tx, txid(tx), utxos, 9, CFG)  # expiry disabled
     assert rej.ok
 
 
 def test_validity_window():
-    op, utxos = funded()
+    op, _ = funded()
     tx = signed_spend(ALICE, [op], [p2pk(BOB, 10)], not_before=3, not_after=5)
-    for epoch, code in ((2, utxo.OUTSIDE_VALIDITY_WINDOW), (3, utxo.OK), (5, utxo.OK), (6, utxo.OUTSIDE_VALIDITY_WINDOW)):
-        rej, _ = utxo.validate_utxo_tx(tx, txid(tx), utxos, epoch, CFG)
-        assert rej.code == code, epoch
+    for epoch, inside in ((2, False), (3, True), (5, True), (6, False)):
+        assert utxo.check_window(tx, epoch) is inside, epoch
 
 
 def test_wrong_key_fails_lock():
     op, utxos = funded()
     tx = signed_spend(BOB, [op], [p2pk(BOB, 10)])
-    rej, _ = utxo.validate_utxo_tx(tx, txid(tx), utxos, 1, CFG)
+    rej, _ = utxo.validate_spend(tx, txid(tx), utxos, 1, CFG)
     assert rej.code == utxo.LOCK_FAILED
 
 
 def test_witness_count_mismatch():
     op, utxos = funded()
     tx = Transaction(UtxoSpend((op,), (p2pk(BOB, 10),)))  # no witness at all
-    rej, _ = utxo.validate_utxo_tx(tx, txid(tx), utxos, 1, CFG)
+    rej, _ = utxo.validate_spend(tx, txid(tx), utxos, 1, CFG)
     assert rej.code == utxo.WITNESS_COUNT_MISMATCH
 
 
@@ -95,13 +106,13 @@ def test_multisig_lock_order_and_threshold():
         return tx.with_witnesses((tuple(crypto.sign(k.seed, msg) for k in kps),))
 
     good = with_sigs(ALICE, CAROL)
-    rej, _ = utxo.validate_utxo_tx(good, txid(good), utxos, 1, CFG)
+    rej, _ = utxo.validate_spend(good, txid(good), utxos, 1, CFG)
     assert rej.ok
     out_of_order = with_sigs(CAROL, ALICE)
-    rej, _ = utxo.validate_utxo_tx(out_of_order, txid(out_of_order), utxos, 1, CFG)
+    rej, _ = utxo.validate_spend(out_of_order, txid(out_of_order), utxos, 1, CFG)
     assert rej.code == utxo.LOCK_FAILED
     short = with_sigs(BOB)
-    rej, _ = utxo.validate_utxo_tx(short, txid(short), utxos, 1, CFG)
+    rej, _ = utxo.validate_spend(short, txid(short), utxos, 1, CFG)
     assert rej.code == utxo.LOCK_FAILED
 
 
@@ -111,23 +122,24 @@ def test_script_lock_success_and_reason_codes():
     tx = Transaction(UtxoSpend((op,), (p2pk(BOB, 40),)))
     sig = crypto.sign(ALICE.seed, crypto.utxo_signing_message(txid(tx), 0))
     good = tx.with_witnesses(((sig,),))
-    rej, _ = utxo.validate_utxo_tx(good, txid(good), utxos, 1, CFG)
+    rej, _ = utxo.validate_spend(good, txid(good), utxos, 1, CFG)
     assert rej.ok
     bad = tx.with_witnesses(((b"\x00" * 64,),))
-    rej, _ = utxo.validate_utxo_tx(bad, txid(bad), utxos, 1, CFG)
+    rej, _ = utxo.validate_spend(bad, txid(bad), utxos, 1, CFG)
     assert rej.code == utxo.SCRIPT_FAILURE_BASE + 4  # verify failed
     empty = tx.with_witnesses(((),))
-    rej, _ = utxo.validate_utxo_tx(empty, txid(empty), utxos, 1, CFG)
+    rej, _ = utxo.validate_spend(empty, txid(empty), utxos, 1, CFG)
     assert rej.code == utxo.SCRIPT_FAILURE_BASE + 1  # underflow: CHECKSIG needs a sig
 
 
 def test_script_locks_refused_when_disallowed():
     lock = Lock.pay_to_script(assemble("TRUE"))
     op, utxos = funded(10, lock=lock)
-    tx = Transaction(UtxoSpend((op,), (p2pk(BOB, 10),))).with_witnesses(((),))
-    rej, _ = utxo.check_inputs(
-        txid(tx), tx, tx.kind.inputs, tx.witnesses, utxos, 1, CFG, allow_script_locks=False,
-    )
+    spend = Transaction(UtxoSpend((op,), (p2pk(BOB, 10),))).with_witnesses(((),))
+    rej, _ = utxo.validate_spend(spend, txid(spend), utxos, 1, CFG)
+    assert rej.ok
+    move = Transaction(MoveToAccount((op,), address_of_pubkey(BOB.pubkey), 10)).with_witnesses(((),))
+    rej, _ = utxo.validate_spend(move, txid(move), utxos, 1, CFG)
     assert rej.code == utxo.LOCK_FAILED
 
 
@@ -137,38 +149,37 @@ def test_covenant_context_sees_output_lock_hashes():
     lock = Lock.pay_to_script(assemble(f"PUSH({h.hex()}) PUSH(01) COVENANT TRUE"))
     op, utxos = funded(30, lock=lock)
     good = Transaction(UtxoSpend((op,), (Output(30, target),))).with_witnesses(((),))
-    rej, _ = utxo.validate_utxo_tx(good, txid(good), utxos, 1, CFG)
+    rej, _ = utxo.validate_spend(good, txid(good), utxos, 1, CFG)
     assert rej.ok
     bad = Transaction(UtxoSpend((op,), (p2pk(ALICE, 30),))).with_witnesses(((),))
-    rej, _ = utxo.validate_utxo_tx(bad, txid(bad), utxos, 1, CFG)
+    rej, _ = utxo.validate_spend(bad, txid(bad), utxos, 1, CFG)
     assert rej.code == utxo.SCRIPT_FAILURE_BASE + 4
 
 
 def test_fee_rules():
     op, utxos = funded(100)
     over = signed_spend(ALICE, [op], [p2pk(BOB, 101)])
-    rej, _ = utxo.validate_utxo_tx(over, txid(over), utxos, 1, CFG)
+    rej, _ = utxo.validate_spend(over, txid(over), utxos, 1, CFG)
     assert rej.code == utxo.INSUFFICIENT_FEE
     cheap = signed_spend(ALICE, [op], [p2pk(BOB, 98)])
     strict = make_config(min_fee=5)
-    rej, _ = utxo.validate_utxo_tx(cheap, txid(cheap), utxos, 1, strict)
+    rej, _ = utxo.validate_spend(cheap, txid(cheap), utxos, 1, strict)
     assert rej.code == utxo.INSUFFICIENT_FEE
     paid = signed_spend(ALICE, [op], [p2pk(BOB, 95)])
-    rej, fee = utxo.validate_utxo_tx(paid, txid(paid), utxos, 1, strict)
+    rej, fee = utxo.validate_spend(paid, txid(paid), utxos, 1, strict)
     assert rej.ok and fee == 5
 
 
 def test_allow_list_restricts_output_addresses():
-    from tierledger.model import address_of_pubkey
     from tierledger.rules import ALLOW_LIST_VIOLATION
 
     op, utxos = funded(20)
     cfg = make_config(allow_list=frozenset({address_of_pubkey(ALICE.pubkey)}))
     to_self = signed_spend(ALICE, [op], [p2pk(ALICE, 20)])
-    rej, _ = utxo.validate_utxo_tx(to_self, txid(to_self), utxos, 1, cfg)
+    rej, _ = utxo.validate_spend(to_self, txid(to_self), utxos, 1, cfg)
     assert rej.ok
     to_bob = signed_spend(ALICE, [op], [p2pk(BOB, 20)])
-    rej, _ = utxo.validate_utxo_tx(to_bob, txid(to_bob), utxos, 1, cfg)
+    rej, _ = utxo.validate_spend(to_bob, txid(to_bob), utxos, 1, cfg)
     assert rej.code == ALLOW_LIST_VIOLATION
 
 
