@@ -98,7 +98,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     try:
         tx = tx_from_json(json.loads(Path(args.tx).read_text(encoding="utf-8")))
-    except (OSError, ValueError, KeyError, ModelError) as exc:
+    # TypeError: a value of the wrong JSON type, such as a number where a
+    # list of inputs is expected.
+    except (OSError, ValueError, KeyError, TypeError, ModelError) as exc:
         log.error("cannot parse transaction: %s", exc)
         if not args.quiet:
             print(f"error: {exc}", file=sys.stderr)

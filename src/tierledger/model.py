@@ -564,6 +564,13 @@ def _unhex(s: str, what: str = "field") -> bytes:
         raise ModelError(f"bad hex in {what}: {s!r}") from exc
 
 
+def hex_list(value, what: str) -> list[bytes]:
+    """A JSON list of hex strings, decoded; any other shape is a ModelError."""
+    if type(value) is not list:
+        raise ModelError(f"{what} must be a list of hex strings: {value!r}")
+    return [_unhex(v, what) for v in value]
+
+
 def lock_to_json(lock: Lock) -> dict:
     if lock.kind == LOCK_PUBKEY:
         return {"kind": "pubkey", "pubkey": _hex(lock.pubkey)}

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import crypto
-from .model import EndorsementData, ModelError
+from .model import EndorsementData, ModelError, hex_list
 
 POLICY_OPEN = "open"
 POLICY_ALLOW_LIST = "allow_list"
@@ -54,11 +54,17 @@ class PermissionPolicy:
 
     @staticmethod
     def from_json(obj: dict) -> "PermissionPolicy":
+        """Decode a policy object; a wrong shape or an unknown kind is a
+        ModelError."""
+        if type(obj) is not dict:
+            raise ModelError("a policy must be a JSON object")
         kind = obj.get("kind", POLICY_OPEN)
         if kind == POLICY_ALLOW_LIST:
-            return PermissionPolicy.allow_list([bytes.fromhex(pk) for pk in obj["pubkeys"]])
+            return PermissionPolicy.allow_list(hex_list(obj.get("pubkeys"), "pubkeys"))
         if kind == POLICY_ENDORSED:
-            return PermissionPolicy.endorsed(obj["granularity"])
+            return PermissionPolicy.endorsed(obj.get("granularity"))
+        if kind != POLICY_OPEN:
+            raise ModelError(f"unknown policy kind {kind!r}")
         return PermissionPolicy.open()
 
 

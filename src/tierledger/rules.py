@@ -20,6 +20,7 @@ from .model import (
     Transaction,
     UtxoSpend,
     address_of_pubkey,
+    hex_list,
     require_u64,
 )
 from .permission import PermissionPolicy
@@ -32,6 +33,14 @@ FEE_OK = 0
 INSUFFICIENT_FEE = 500
 GAS_PRICE_TOO_LOW = 501
 ALLOW_LIST_VIOLATION = 502
+
+
+def _typed(obj: dict, key: str, kind: type, default):
+    """obj[key], or default when absent; it must be exactly of this type."""
+    value = obj.get(key, default)
+    if type(value) is not kind:
+        raise ModelError(f"genesis {key} must be a JSON {kind.__name__}: {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -97,23 +106,30 @@ class SystemConfig:
 
     @staticmethod
     def from_json(obj: Mapping) -> "SystemConfig":
+        """Decode a genesis object. A value of the wrong JSON type, the
+        wrong shape or out of range is a ModelError (a bool is not an
+        int)."""
+        if type(obj) is not dict:
+            raise ModelError("genesis must be a JSON object")
         allow = obj.get("allow_list")
+        registry = _typed(obj, "intermediary_registry", list, [])
+        if not all(type(e) is dict and type(e.get("name")) is str for e in registry):
+            raise ModelError("intermediary_registry entries need a string name")
         return SystemConfig(
-            max_level=Level.from_label(obj.get("max_level", "L3")),
-            initial_subsidy=obj.get("initial_subsidy", 50),
-            halving_interval=obj.get("halving_interval", 10),
-            min_fee=obj.get("min_fee", 0),
-            min_gas_price=obj.get("min_gas_price", 0),
-            covenants=obj.get("covenants", True),
-            access_mode=obj.get("access_mode", ACCESS_DYNAMIC),
-            allow_list=None if allow is None else frozenset(bytes.fromhex(a) for a in allow),
-            expiry_enabled=obj.get("expiry_enabled", False),
-            operator_pubkey=bytes.fromhex(obj.get("operator_pubkey", "00" * 32)),
+            max_level=Level.from_label(_typed(obj, "max_level", str, "L3")),
+            initial_subsidy=_typed(obj, "initial_subsidy", int, 50),
+            halving_interval=_typed(obj, "halving_interval", int, 10),
+            min_fee=_typed(obj, "min_fee", int, 0),
+            min_gas_price=_typed(obj, "min_gas_price", int, 0),
+            covenants=_typed(obj, "covenants", bool, True),
+            access_mode=_typed(obj, "access_mode", str, ACCESS_DYNAMIC),
+            allow_list=None if allow is None else frozenset(hex_list(allow, "allow_list")),
+            expiry_enabled=_typed(obj, "expiry_enabled", bool, False),
+            operator_pubkey=bytes.fromhex(_typed(obj, "operator_pubkey", str, "00" * 32)),
             deploy_policy=PermissionPolicy.from_json(obj.get("deploy_policy", {"kind": "open"})),
             call_policy=PermissionPolicy.from_json(obj.get("call_policy", {"kind": "open"})),
             intermediary_registry=tuple(
-                (e["name"], bytes.fromhex(e["pubkey"]))
-                for e in obj.get("intermediary_registry", [])
+                (e["name"], bytes.fromhex(_typed(e, "pubkey", str, None))) for e in registry
             ),
         )
 

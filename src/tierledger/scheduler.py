@@ -11,6 +11,7 @@ transactions within a wave touch disjoint state, and fee credits commute.
 
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
 import os
 import time
@@ -21,12 +22,15 @@ from . import vm
 from .model import AccessDecl, Call, Deploy, Transaction
 from .rules import ACCESS_DECLARED, SystemConfig
 
-# Waves cheaper than this many gas units run inline; forking workers costs
-# more than it saves below it. Measured on a shared 2-vCPU x86-64 host with
-# 2 workers only: a fork pool adds 17-30 ms per wave and the VM runs 2.9M
-# gas/s inline, so a wave of 8-16 burn calls broke even at 190k-250k gas
-# (pool 0.56x of inline speed at 96k, 1.23x at 384k, 1.66x at 768k). The
-# crossover for more workers is unmeasured.
+# Waves cheaper than this many gas units run inline; starting worker
+# processes costs more than it saves below it. Measured on a shared 2-vCPU
+# x86-64 host with waves of 8 conflict-free burn calls: the VM runs the burn
+# loop at 6.5-14M gas/s inline depending on host load, and one wave on the
+# process pool costs 13-30 ms. With 2 workers the pool broke even near 350k
+# gas while inline ran at ~7.5M gas/s (0.83-0.89x of inline speed at 192k,
+# 0.94-1.28x at 384k, 1.49-1.74x at 768k) and near 750k at ~13M gas/s
+# (0.49-0.59x at 192k, 1.08x at 768k); with 4 workers, 0.47-0.72x at 192k
+# and 1.32-1.61x at 768k. So this threshold sits below the crossover.
 PARALLEL_MIN_GAS = 200_000
 
 DEFAULT_WORKERS = (
@@ -249,7 +253,10 @@ def _run_parallel(
     ctx = multiprocessing.get_context("fork")
     nproc = min(workers, len(wave_items))
     try:
-        with ctx.Pool(processes=nproc) as pool:
-            return pool.map(_worker, range(len(wave_items)))
+        # A worker that dies breaks the executor, so map raises
+        # BrokenProcessPool (a RuntimeError); a multiprocessing.Pool waits
+        # for the lost task forever.
+        with concurrent.futures.ProcessPoolExecutor(nproc, mp_context=ctx) as pool:
+            return list(pool.map(_worker, range(len(wave_items))))
     finally:
         _FORK_STATE = {}

@@ -539,6 +539,39 @@ def test_replay_reports_malformed_shape_unreadable(tmp_path, case):
     assert cli.main(["--quiet", "digest", str(logdir)]) == 2
 
 
+GENESIS_VALUES = [[], {}, "x", None, True, -1, 2**70, 1.5]
+
+
+def test_replay_reports_any_genesis_edit(tmp_path, capsys):
+    """Every genesis key set to each JSON value, and a whole file of a list,
+    a string or null: replay returns a report and never raises. A value of
+    the wrong JSON type is unreadable at field genesis, so the CLI exits 2."""
+    from tierledger import cli
+
+    logdir = run_logged_ledger(tmp_path, batches=1)
+    path = logdir / "genesis.json"
+    raw = path.read_text()
+    genesis = json.loads(raw)
+    # Every key of SystemConfig.to_json, allow_list included (a list; null
+    # means no allow list).
+    kinds = {key: type(value) for key, value in genesis.items()}
+    assert len(kinds) == 12 and "allow_list" not in kinds
+    kinds["allow_list"] = list
+    edits = [({**genesis, key: value}, key) for key in kinds for value in GENESIS_VALUES]
+    edits += [(whole, None) for whole in ([genesis], "x", None)]
+    for edited, key in edits:
+        path.write_text(json.dumps(edited, sort_keys=True, separators=(",", ":")))
+        report = ledger.replay_verify(logdir)
+        assert report.ok == (edited == genesis), (key, edited, report)
+        if key is None or type(edited[key]) not in (kinds[key], type(None) if key == "allow_list" else kinds[key]):
+            assert (report.kind, report.field) == ("unreadable", "genesis"), (key, edited, report)
+    for edited in ({**genesis, "call_policy": "x"}, "x"):
+        path.write_text(json.dumps(edited))
+        assert cli.main(["--quiet", "replay", str(logdir)]) == 2
+    path.write_text(raw)
+    assert ledger.replay_verify(logdir).ok
+
+
 def test_contract_fees_settle_into_operator_account(tmp_path):
     cfg = make_config(initial_subsidy=0)
     state = ledger.LedgerState()

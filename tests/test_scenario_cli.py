@@ -141,6 +141,9 @@ def test_cli_classify(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "L3"
     txfile.write_text("[]")
     assert cli.main(["--quiet", "classify", str(txfile)]) == 2
+    # A value of the wrong JSON type is a malformed file too, not a crash.
+    txfile.write_text('{"kind":"utxo_spend","inputs":5,"outputs":[]}')
+    assert cli.main(["--quiet", "classify", str(txfile)]) == 2
 
 
 def test_scenario_log_matches_direct_replay(tmp_path):

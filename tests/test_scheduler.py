@@ -3,8 +3,12 @@ between declared-mode (waved, possibly parallel) and dynamic-serial runs."""
 
 from __future__ import annotations
 
+import os
 import random
 import time
+from concurrent.futures.process import BrokenProcessPool
+
+import pytest
 
 from helpers import (
     BURN_ASM,
@@ -206,6 +210,27 @@ def test_forced_parallel_wave_matches_inline_and_reports_telemetry():
     assert tel.parallel_waves == 1
     assert len(set(tel.worker_pids.values())) >= 2
     assert tel.max_concurrency() >= 2
+
+
+def _counter_wave(n: int):
+    acc, contracts = setup_contracts(n)
+    txs = [make_call(KEYS[2 + i], c, nonce=0, gas_limit=25, access=counter_access(c))
+           for i, c in enumerate(contracts)]
+    return acc, [scheduler._wrap(i, tx, txid(tx), acc, True) for i, tx in enumerate(txs)]
+
+
+def test_parallel_wave_raises_when_a_worker_dies_or_raises(monkeypatch):
+    acc, items = _counter_wave(3)
+    monkeypatch.setattr(scheduler, "_execute_one", lambda *args: os._exit(7))
+    with pytest.raises(BrokenProcessPool):
+        scheduler._run_parallel(acc, items, 1, DECL.operator_address, 3)
+
+    def boom(*args):
+        raise ValueError("boom in worker")
+
+    monkeypatch.setattr(scheduler, "_execute_one", boom)
+    with pytest.raises(ValueError, match="boom in worker"):
+        scheduler._run_parallel(acc, items, 1, DECL.operator_address, 2)
 
 
 def test_on_commit_order_is_submission_order_within_waves():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import COUNTER_ASM, COUNTER_GAS, KEYS, counter_code, make_call, make_deploy
+from helpers import BURN_ASM, COUNTER_ASM, COUNTER_GAS, KEYS, counter_code, make_call, make_deploy
 from oracles import tagged_invoke
 from tierledger import vm
 from tierledger.model import U64_MAX, AccessDecl, Call, Deploy, ModelError, Transaction, address_of_pubkey, txid
@@ -283,9 +283,15 @@ def test_operator_fee_is_a_commuting_delta():
     assert OPERATOR not in diff.balance_new
 
 
+def after(code: bytes, pc: int) -> int:
+    """Offset of the instruction after the one at pc."""
+    return pc + 1 + vm._OPERAND_WIDTH.get(code[pc], 0)
+
+
 def test_decode_once_per_code_and_gas_matches_table():
     """100 calls to one contract decode its code once; every decoded gas
-    charge equals vm.gas_cost."""
+    charge equals vm.gas_cost, and a fused entry's gas is the sum over the
+    ops of its group."""
     vm.decode.cache_clear()
     acc = fresh_accounts()
     c = deployed(acc, COUNTER_ASM)
@@ -298,6 +304,29 @@ def test_decode_once_per_code_and_gas_matches_table():
     assert [entry[0] for entry in decoded] == list(vm.MNEMONICS)
     for op, _, _, gas in decoded:
         assert gas == vm.gas_cost(op), vm.MNEMONICS[op]
+    # Every group, between gas-heavy neighbours.
+    code = vm.assemble(
+        " ".join(f"SLOAD {group_asm(ops, 7, 'x')} SSTORE" for ops in vm.FUSED.values()) + " x: HALT"
+    )
+    prog = vm.decode(code)
+    fused = {}
+    for pc, entry in enumerate(prog):
+        if entry is None or entry[0] not in vm.FUSED:
+            continue
+        fop, (operand, first), nxt, gas = entry
+        starts = [pc]
+        while after(code, starts[-1]) < nxt:
+            starts.append(after(code, starts[-1]))
+        ops = tuple(code[at] for at in starts)
+        assert ops == vm.FUSED[fop]
+        assert gas == sum(vm.gas_cost(op) for op in ops)
+        # The fallback is the first op's own entry; the later ops keep theirs.
+        assert first == (ops[0], int.from_bytes(code[pc + 1 : after(code, pc)], "little"),
+                         after(code, pc), vm.gas_cost(ops[0]))
+        assert [prog[at][0] for at in starts[1:]] == list(ops[1:])
+        assert operand == (first[1] if ops[0] == vm.OP_PUSHI else prog[starts[-1]][1])
+        fused[fop] = fused.get(fop, 0) + 1
+    assert fused == {fop: 1 for fop in vm.FUSED}
 
 
 # ---------------------------------------------------------------------------
@@ -478,3 +507,90 @@ def test_fixed_programs_match_at_every_gas_limit(asm, status):
     # Declared mode with nothing declared: the first state access or call
     # is a violation in both interpreters.
     assert_same_execution(acc, consts, 30_000, True, AccessDecl())
+
+
+# ---------------------------------------------------------------------------
+# Fused groups: every group against oracles.tagged_invoke, at every gas
+# limit, from every stack state that makes one of its ops fault.
+
+
+def group_asm(ops, k, label: str) -> str:
+    """Assembly of a fused group: PUSHI takes k, JUMPI jumps to label."""
+    words = {vm.OP_PUSHI: f"PUSHI {k}", vm.OP_JUMPI: f"JUMPI {label}"}
+    return " ".join(words.get(op, vm.MNEMONICS[op]) for op in ops)
+
+
+# Stack states before a group: empty, an Addr on top, Ints that make SUB
+# underflow or not, and a stack of 1023 or 1024 Ints.
+PRELUDES = {
+    "empty": "",
+    "addr": "CALLER",
+    "zero": "PUSHI 0",
+    "two": "PUSHI 9 PUSHI 2",
+    "max": f"PUSHI {U64_MAX}",
+    "big": f"PUSHI {2**33}",
+    "height1023": "PUSHI 7" + " DUP" * 1022,
+    "height1024": "PUSHI 7" + " DUP" * 1023,
+}
+# PUSHI operands: sub underflow from 0 or 2, and differences of 0 and
+# U64_MAX - 2**33 from 2**33 and U64_MAX.
+PUSHI_OPERANDS = (0, 1, 3, 2**33)
+
+
+def group_programs(ops):
+    """(name, assembly, the group's fused opcode) for one group in every
+    shape: followed by more code, ending the program, and entered by a jump
+    to each of its later ops."""
+    fop = {v: f for f, v in vm.FUSED.items()}[ops]
+    tail = "PUSHI 9 RETURN end: PUSHI 8 RETURN"
+    for pre_name, pre in PRELUDES.items():
+        deep = pre_name.startswith("height")
+        for k in PUSHI_OPERANDS[1:2] if deep or ops[0] != vm.OP_PUSHI else PUSHI_OPERANDS:
+            group = group_asm(ops, k, "end")
+            name = f"{pre_name}-{k}"
+            if ops[-1] == vm.OP_JUMPI:
+                yield f"{name}-then", f"{pre} {group} {tail}", fop
+                yield f"{name}-last", f"JUMP start end: PUSHI 8 RETURN start: {pre} {group}", fop
+            else:
+                yield f"{name}-then", f"{pre} {group} RETURN", fop
+                yield f"{name}-last", f"{pre} {group}", fop
+            for i in range(1, len(ops)):
+                head, rest = group_asm(ops[:i], k, "end"), group_asm(ops[i:], k, "end")
+                yield f"{name}-into{i}", f"{pre} PUSHI 5 JUMP mid {head} mid: {rest} {tail}", fop
+
+
+def gas_limits(full: int):
+    """Every limit up to full; past 64 gas (the 1023- and 1024-deep
+    preludes), the first few and the last 40, which hold the group."""
+    if full <= 64:
+        return range(full + 1)
+    return sorted(set(range(6)) | set(range(full - 40, full + 1)))
+
+
+@pytest.mark.parametrize("ops", list(vm.FUSED.values()), ids=lambda ops: "_".join(vm.MNEMONICS[op] for op in ops))
+def test_fused_groups_match_tagged_interpreter(ops):
+    statuses = set()
+    for name, asm, fop in group_programs(ops):
+        code = vm.assemble(asm)
+        assert fop in {entry[0] for entry in vm.decode(code) if entry}, name
+        acc, consts = vm_world(code, vm.assemble(COUNTER_ASM))
+        full = assert_same_execution(acc, consts, 30_000, False, None)
+        statuses.add(full.outcome.detail or full.outcome.ret)
+        for gas_limit in gas_limits(full.outcome.gas_used + 1):
+            assert_same_execution(acc, consts, gas_limit, False, None)
+    # The matrix reaches the faults it is built for.
+    assert {"stack underflow", "frame stack overflow", "type error: expected Int"} <= statuses
+    assert ops[-1] != vm.OP_SUB or "sub underflow" in statuses
+
+
+@pytest.mark.parametrize("arg", [0, 1, 3])
+def test_fused_loops_match_tagged_interpreter(arg):
+    """The burn loop (DUP NOT JUMPI, PUSHI 1 SUB), and one that steps by 2,
+    so an odd argument ends in a sub underflow inside the fused path."""
+    by_two = "ARG loop: DUP NOT JUMPI end PUSHI 2 SUB JUMP loop end: HALT"
+    for asm in (BURN_ASM, by_two):
+        acc, consts = vm_world(vm.assemble(asm), vm.assemble(COUNTER_ASM))
+        full = assert_same_execution(acc, consts, 30_000, False, None, arg=arg)
+        assert (full.outcome.detail == "sub underflow") == (asm == by_two and arg % 2 == 1)
+        for gas_limit in range(full.outcome.gas_used + 2):
+            assert_same_execution(acc, consts, gas_limit, False, None, arg=arg)
