@@ -4,9 +4,11 @@ deterministic m-of-n multisignature checking.
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from functools import cache, lru_cache
+from typing import Callable, Optional, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -19,6 +21,8 @@ from .model import MAX_MULTISIG_KEYS, sha256
 SEED_BYTES = 32
 PUBKEY_BYTES = 32
 SIG_BYTES = 64
+# Order of the Ed25519 base point; a signature's S half must be below it.
+GROUP_ORDER = 2**252 + 27742317777372353535851937790883648493
 
 
 @dataclass(frozen=True)
@@ -54,14 +58,49 @@ def sign(seed: bytes, msg: bytes) -> bytes:
     return _private_key(seed).sign(msg)
 
 
+@cache
+def _sodium_verify() -> Optional[Callable[[bytes, bytes, int, bytes], int]]:
+    """libsodium's `crypto_sign_ed25519_verify_detached`, located on first
+    use, or None where libsodium is not installed."""
+    name = ctypes.util.find_library("sodium")
+    if name is None:
+        return None
+    try:
+        lib = ctypes.CDLL(name)
+        fn = lib.crypto_sign_ed25519_verify_detached
+    except (OSError, AttributeError):
+        return None
+    lib.sodium_init.argtypes = ()
+    lib.sodium_init.restype = ctypes.c_int
+    if lib.sodium_init() < 0:
+        return None
+    fn.argtypes = (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p)
+    fn.restype = ctypes.c_int
+    return fn
+
+
 def verify(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
     """True iff sig is a valid signature on msg under pubkey.
+
+    The ledger's acceptance rules are OpenSSL's (through `cryptography`):
+    every False comes from OpenSSL. libsodium, when installed, is asked
+    first and may only short-cut an accept. Its accept set is a subset of
+    OpenSSL's: both check the same cofactorless equation over the same
+    SHA512(R || A || M), and libsodium only adds rejections (small-order A
+    or R, non-canonical A). The explicit S < L guard keeps that true for a
+    libsodium built without its own S check. An honest signature costs one
+    libsodium call; a rejected one costs a libsodium call and then the
+    OpenSSL call.
 
     Malformed key or signature lengths yield False, not an exception:
     validation pipelines treat every failure as "lock not satisfied".
     """
     if len(pubkey) != PUBKEY_BYTES or len(sig) != SIG_BYTES:
         return False
+    if int.from_bytes(sig[32:], "little") < GROUP_ORDER:
+        fast = _sodium_verify()
+        if fast is not None and fast(sig, msg, len(msg), pubkey) == 0:
+            return True
     try:
         _public_key(pubkey).verify(sig, msg)
         return True

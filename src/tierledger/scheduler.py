@@ -22,16 +22,15 @@ from . import vm
 from .model import AccessDecl, Call, Deploy, Transaction
 from .rules import ACCESS_DECLARED, SystemConfig
 
-# Waves cheaper than this many gas units run inline; starting worker
-# processes costs more than it saves below it. Measured on a shared 2-vCPU
-# x86-64 host with waves of 8 conflict-free burn calls: the VM runs the burn
-# loop at 6.5-14M gas/s inline depending on host load, and one wave on the
-# process pool costs 13-30 ms. With 2 workers the pool broke even near 350k
-# gas while inline ran at ~7.5M gas/s (0.83-0.89x of inline speed at 192k,
-# 0.94-1.28x at 384k, 1.49-1.74x at 768k) and near 750k at ~13M gas/s
-# (0.49-0.59x at 192k, 1.08x at 768k); with 4 workers, 0.47-0.72x at 192k
-# and 1.32-1.61x at 768k. So this threshold sits below the crossover.
-PARALLEL_MIN_GAS = 200_000
+# Waves cheaper than this many gas units run inline; below it, starting
+# worker processes costs more than it saves. Measured on a shared 2-vCPU
+# x86-64 host with waves of 8 conflict-free burn calls, inline against the
+# pool (inline time / pool time, two rounds each): at 768k gas every pool
+# run beat inline, 1.08-1.86x (2 workers, small or ~100 MB parent) and
+# 1.32-1.61x (4 workers); at 192k-384k it read 0.47-1.28x, mostly below
+# 1. The VM runs the burn loop at 6.5-14M gas/s inline depending on host
+# load, and one wave on the pool costs 13-30 ms.
+PARALLEL_MIN_GAS = 768_000
 
 DEFAULT_WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
@@ -93,7 +92,8 @@ def _execute_one(
 ) -> vm.StateDiff:
     if isinstance(item.tx.kind, Deploy):
         return vm.deploy(accounts, item.tx, item.tx_id, operator)
-    return vm.invoke(accounts, item.tx, item.tx_id, epoch, operator, declared)
+    final = item.footprint if item.footprint_final else None
+    return vm.invoke(accounts, item.tx, item.tx_id, epoch, operator, declared, final)
 
 
 # Fork-inherited state for pool workers: set in the parent immediately

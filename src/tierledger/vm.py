@@ -806,13 +806,17 @@ def invoke(
     epoch: int,
     operator: bytes,
     declared_mode: bool,
+    footprint: Optional[AccessDecl] = None,
 ) -> StateDiff:
     """Execute a Call transaction against a fixed pre-state.
 
     The returned diff is not yet applied; StateDiff.apply commits it.
     Rejections (bad structure, missing callee, insufficient prepay) produce
     a diff with no effects at all; executed transactions always advance the
-    nonce and pay the gas fee, whatever their status.
+    nonce and pay the gas fee, whatever their status. In declared mode,
+    `footprint` is the call's `call_footprint` when the caller already has
+    it and no contract it can reach was deployed since; otherwise it is
+    computed here.
     """
     k = tx.kind
     assert isinstance(k, Call)
@@ -829,7 +833,9 @@ def invoke(
 
     checker = None
     if declared_mode:
-        checker = _Checker(call_footprint(k, accounts.contracts))
+        if footprint is None:
+            footprint = call_footprint(k, accounts.contracts)
+        checker = _Checker(footprint)
 
     machine = _Machine(accounts, epoch, k.address_consts, k.gas_limit, checker)
     try:

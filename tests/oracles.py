@@ -97,7 +97,9 @@ from tierledger.vm import (
 )
 
 
-def verify_sig(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
+def ref_verify(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
+    """Ed25519 verification through OpenSSL alone: `crypto.verify` without
+    its libsodium fast path. OpenSSL's verdicts are the ledger's rules."""
     if len(pubkey) != 32 or len(sig) != 64:
         return False
     try:
@@ -115,7 +117,7 @@ def multisig_oracle(m: int, pubkeys: Sequence[bytes], sigs: Sequence[bytes], msg
     if not (1 <= m <= n <= 16 and m <= len(sigs) <= n):
         return False
     for picks in combinations(range(n), len(sigs)):
-        if all(verify_sig(pubkeys[ki], msg, sig) for ki, sig in zip(picks, sigs)):
+        if all(ref_verify(pubkeys[ki], msg, sig) for ki, sig in zip(picks, sigs)):
             return True
     return False
 
@@ -228,7 +230,7 @@ def straight_line_eval(
                 need(2)
                 pk = stack.pop()
                 sig = stack.pop()
-                ok = verify_sig(pk, msg, sig)
+                ok = ref_verify(pk, msg, sig)
                 if op == _CHECKSIG:
                     stack.append(b"\x01" if ok else b"")
                 elif not ok:

@@ -1,13 +1,18 @@
 """Key generation, fail-closed verification, and multisig checking against
-the brute-force oracle."""
+the brute-force oracle. Verification is differential against OpenSSL alone
+(`oracles.ref_verify`): the libsodium fast path may short-cut accepts but
+must never change a verdict."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import multisig_oracle
+import test_golden as golden
+from oracles import multisig_oracle, ref_verify
 from tierledger import crypto
 
 MSG = b"m" * 32
@@ -92,3 +97,142 @@ def test_multisig_matches_oracle_randomized():
                 sigs.append(rng.choice([junk, rng.randbytes(64)]))
         rng.shuffle(sigs)
         assert crypto.check_multisig(m, pks, sigs, MSG) == multisig_oracle(m, pks, sigs, MSG)
+
+
+# ---------------------------------------------------------------------------
+# The libsodium fast path against OpenSSL alone
+
+L = crypto.GROUP_ORDER
+P = 2**255 - 19
+# Canonical encodings of the eight small-order points: the identity, the
+# point of order 2, two of order 4 and four of order 8 (Chalkias, Garillot,
+# Nikolaenko, "Taming the many EdDSAs", SSR 2020).
+SMALL_ORDER = [
+    bytes.fromhex(h)
+    for h in (
+        "0100000000000000000000000000000000000000000000000000000000000000",
+        "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000080",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+    )
+]
+# Non-canonical encodings: y = p, y = p + 1, and the identity with the
+# sign bit set.
+NON_CANONICAL = [y.to_bytes(32, "little") for y in (P, P + 1, 1 | 1 << 255)]
+
+
+def with_s(sig: bytes, s: int) -> bytes:
+    return sig[:32] + s.to_bytes(32, "little")
+
+
+def flip(data: bytes, bit: int) -> bytes:
+    out = bytearray(data)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def assert_agrees(cases) -> list:
+    """Assert crypto.verify equals OpenSSL alone on every case; return the
+    cases OpenSSL accepts."""
+    accepted = []
+    for pk, msg, sig in cases:
+        want = ref_verify(pk, msg, sig)
+        assert crypto.verify(pk, msg, sig) == want, (pk.hex(), msg.hex(), sig.hex())
+        if want:
+            accepted.append((pk, msg, sig))
+    return accepted
+
+
+def test_verify_equals_openssl_on_small_order_and_non_canonical_points():
+    kp = KEYS[0]
+    honest_r = SIGS[kp.pubkey][:32]
+    points = SMALL_ORDER + NON_CANONICAL
+    cases = [
+        (a, msg, with_s(r, s))
+        for msg in (MSG, b"")
+        for a in points + [kp.pubkey]
+        for r in points + [honest_r]
+        for s in (0, 1, L - 1, L)
+    ]
+    accepted = assert_agrees(cases)
+    # OpenSSL accepts some small-order cases that libsodium refuses, so the
+    # fallback really decides them.
+    fast = crypto._sodium_verify()
+    if fast is not None:
+        assert [c for c in accepted if fast(c[2], c[1], len(c[1]), c[0]) != 0]
+
+
+def test_verify_equals_openssl_on_malleated_and_bit_flipped_signatures():
+    cases = []
+    for kp in KEYS[:2]:
+        sig = SIGS[kp.pubkey]
+        s = int.from_bytes(sig[32:], "little")
+        cases.append((kp.pubkey, MSG, with_s(sig, s + L)))
+        cases += [(kp.pubkey, MSG, flip(sig, bit)) for bit in range(512)]
+        cases += [(flip(kp.pubkey, bit), MSG, sig) for bit in range(256)]
+    assert assert_agrees(cases) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([kp.pubkey for kp in KEYS] + SMALL_ORDER + NON_CANONICAL),
+        st.binary(min_size=32, max_size=32),
+    ),
+    st.sampled_from([MSG, b"", b"x" * 100]),
+    st.one_of(st.sampled_from(list(SIGS.values())), st.binary(min_size=64, max_size=64)),
+)
+def test_verify_equals_openssl_on_arbitrary_input(pk, msg, sig):
+    assert crypto.verify(pk, msg, sig) == ref_verify(pk, msg, sig)
+
+
+def count_openssl(monkeypatch) -> list:
+    """Record every public key OpenSSL is asked to verify under."""
+    calls: list = []
+    real = crypto._public_key
+    monkeypatch.setattr(crypto, "_public_key", lambda pk: calls.append(pk) or real(pk))
+    return calls
+
+
+def test_honest_signatures_never_reach_openssl(monkeypatch):
+    if crypto._sodium_verify() is None:
+        pytest.skip("libsodium is not installed: every verdict comes from OpenSSL")
+    calls = count_openssl(monkeypatch)
+    for kp in KEYS:
+        assert crypto.verify(kp.pubkey, MSG, SIGS[kp.pubkey])
+    assert calls == []
+    assert not crypto.verify(KEYS[0].pubkey, MSG, SIGS[KEYS[1].pubkey])
+    assert calls == [KEYS[0].pubkey]
+
+
+def test_s_guard_holds_against_a_libsodium_that_accepts_everything(monkeypatch):
+    monkeypatch.setattr(crypto, "_sodium_verify", lambda: lambda sig, msg, n, pk: 0)
+    kp = KEYS[0]
+    sig = SIGS[kp.pubkey]
+    assert crypto.verify(kp.pubkey, MSG + b"x", sig)  # the stub is in effect
+    s = int.from_bytes(sig[32:], "little")
+    for bad in (L, s + L, 2**256 - 1):
+        assert not crypto.verify(kp.pubkey, MSG, with_s(sig, bad))
+
+
+@pytest.fixture
+def openssl_only(monkeypatch) -> list:
+    """A host without libsodium; yields the OpenSSL call log."""
+    monkeypatch.setattr(crypto, "_sodium_verify", lambda: None)
+    return count_openssl(monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(golden.FIXTURE_HEADERS))
+def test_fixture_final_header_hash_without_libsodium(openssl_only, tmp_path, name):
+    golden.test_fixture_final_header_hash(tmp_path, name)
+    assert openssl_only
+
+
+@pytest.mark.parametrize("seed", sorted(golden.RANDOM_HEADERS))
+def test_random_corpus_final_header_hash_without_libsodium(openssl_only, seed):
+    golden.test_random_corpus_final_header_hash(seed)
+    assert openssl_only

@@ -371,3 +371,19 @@ def test_calls_into_a_contract_deployed_in_the_batch_are_serialized():
         assert [o.status for o in outs] == [0, 0, 0], workers
         assert tel.waves == [[0], [1], [2]], workers
         assert a.storage_get(counter, 0) == 2, workers
+
+
+def test_footprint_is_expanded_once_per_call_whose_callees_predate_the_batch(monkeypatch):
+    """scheduler._wrap expands each declared call's footprint, and vm.invoke
+    reuses it when every reachable callee existed before the batch. A call
+    into a contract deployed in the batch is expanded again at execution."""
+    acc, contracts = setup_contracts(3)
+    calls = [make_call(KEYS[2 + i], c, access=counter_access(c)) for i, c in enumerate(contracts)]
+    dep = make_deploy(KEYS[1], counter_code() + bytes([vm.OP_HALT]) * 3, nonce=3)
+    late = make_call(KEYS[6], txid(dep), access=counter_access(txid(dep)))
+    expanded = []
+    real = vm.effective_footprint
+    monkeypatch.setattr(vm, "effective_footprint", lambda *a: expanded.append(a[1]) or real(*a))
+    outs, _ = scheduler.schedule_batch(acc, items_for(calls + [dep, late]), 1, DECL, workers=1)
+    assert [o.status for o in outs] == [0] * 5
+    assert sorted(expanded) == sorted(contracts + [txid(dep)] * 2)
