@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -20,15 +18,12 @@ from typing import Optional, Sequence
 from . import ledger, rules, scenario
 from .model import ModelError, classify_level, tx_from_json
 
-log = logging.getLogger("tierledger")
-
-
-def _setup_logging() -> None:
-    level_name = os.environ.get("TIERLEDGER_LOG_LEVEL", "error").lower()
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        level_name, logging.ERROR
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+def _error(args: argparse.Namespace, message: str) -> int:
+    """Report malformed input or an unusable log directory: one line on
+    stderr, nothing under --quiet. Returns exit code 2."""
+    if not args.quiet:
+        print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _emit(args: argparse.Namespace, human: str, machine: dict) -> None:
@@ -46,9 +41,11 @@ def cmd_init(args: argparse.Namespace) -> int:
             json.loads(Path(args.genesis).read_text(encoding="utf-8"))
         )
     except (OSError, ValueError, KeyError, ModelError) as exc:
-        log.error("cannot read genesis config: %s", exc)
-        return 2
-    ledger.init_log(args.logdir, cfg)
+        return _error(args, f"cannot read genesis config: {exc}")
+    try:
+        ledger.init_log(args.logdir, cfg)
+    except OSError as exc:
+        return _error(args, f"cannot create log directory: {exc}")
     _emit(args, f"initialized {args.logdir} (config {cfg.config_hash().hex()[:16]})",
           {"ok": True, "config_hash": cfg.config_hash().hex()})
     return 0
@@ -58,10 +55,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         ok, report = scenario.run_scenario(args.scenario, logdir=args.logdir)
     except scenario.ScenarioError as exc:
-        log.error("malformed scenario: %s", exc)
-        if not args.quiet:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(args, str(exc))
+    # Raised on the log directory: a scenario file that cannot be read is
+    # a ScenarioError.
+    except OSError as exc:
+        return _error(args, f"cannot write log directory: {exc}")
     lines = [f"scenario {report['scenario']}: {'ok' if ok else 'FAILED'}"]
     for a in report["assertions"]:
         mark = "pass" if a["ok"] else "FAIL"
@@ -101,10 +99,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     # TypeError: a value of the wrong JSON type, such as a number where a
     # list of inputs is expected.
     except (OSError, ValueError, KeyError, TypeError, ModelError) as exc:
-        log.error("cannot parse transaction: %s", exc)
-        if not args.quiet:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(args, f"cannot parse transaction: {exc}")
     label = classify_level(tx).label
     _emit(args, label, {"level": label})
     return 0
@@ -146,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     return args.func(args)
 

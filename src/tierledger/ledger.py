@@ -325,8 +325,8 @@ def _transfer(
         # not-yet-reached lower window bound. Its inputs are checked
         # against the current set only, not batch_spent: an input spent
         # earlier in this batch is simply missing.
-        rej, fee = utxo.validate_spend(tx, tx_id, state.utxos, epoch, cfg)
-        return state.pool.submit(tx, tx_id, fee)[0] if rej.ok else rej.code
+        status, fee = utxo.validate_spend(tx, tx_id, state.utxos, epoch, cfg)
+        return state.pool.submit(tx, tx_id, fee)[0] if status == utxo.OK else status
     if not utxo.check_window(tx, epoch):
         return utxo.OUTSIDE_VALIDITY_WINDOW
     if isinstance(k, MoveToUtxo):
@@ -342,9 +342,9 @@ def _transfer(
         accounts.set_balance(k.source, accounts.balance(k.source) - k.amount)
         accounts.set_nonce(k.source, tx.nonce + 1)
     else:
-        rej, fee = utxo.validate_spend(tx, tx_id, state.utxos, epoch, cfg, batch_spent)
-        if not rej.ok:
-            return rej.code
+        status, fee = utxo.validate_spend(tx, tx_id, state.utxos, epoch, cfg, batch_spent)
+        if status != utxo.OK:
+            return status
         batch_spent.update(k.inputs)
         for op in k.inputs:
             state.spend_utxo(op)
@@ -471,6 +471,28 @@ def init_log(logdir: Union[str, Path], cfg: rules.SystemConfig) -> None:
     (path / "genesis.json").write_text(cfg.to_json_str(), encoding="utf-8")
 
 
+# The log's file names and encodings, shared by the writer and the replay
+# verifier, which requires every file to match them byte for byte.
+_LOG_FILE = re.compile(r"(batch|header)_(\d{6})\.json$")
+
+
+def _log_file(kind: str, number: int) -> str:
+    """batch_NNNNNN.json or header_NNNNNN.json; _LOG_FILE matches both."""
+    return f"{kind}_{number:06d}.json"
+
+
+def _canonical(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _encode_batch(batch_number: int, epoch: int, txs: Sequence[Transaction]) -> str:
+    return _canonical({"batch": batch_number, "epoch": epoch, "txs": [tx_to_json(tx) for tx in txs]})
+
+
+def _encode_header(header: BatchHeader, receipts: Sequence[Receipt]) -> str:
+    return _canonical({"header": header.to_json(), "receipts": [r.to_json() for r in receipts]})
+
+
 def write_batch_files(
     logdir: Union[str, Path],
     batch_number: int,
@@ -480,20 +502,11 @@ def write_batch_files(
     receipts: Sequence[Receipt],
 ) -> None:
     path = Path(logdir)
-    batch_obj = {
-        "batch": batch_number,
-        "epoch": epoch,
-        "txs": [tx_to_json(tx) for tx in txs],
-    }
-    (path / f"batch_{batch_number:06d}.json").write_text(
-        json.dumps(batch_obj, sort_keys=True, separators=(",", ":")), encoding="utf-8"
+    (path / _log_file("batch", batch_number)).write_text(
+        _encode_batch(batch_number, epoch, txs), encoding="utf-8"
     )
-    header_obj = {
-        "header": header.to_json(),
-        "receipts": [r.to_json() for r in receipts],
-    }
-    (path / f"header_{batch_number:06d}.json").write_text(
-        json.dumps(header_obj, sort_keys=True, separators=(",", ":")), encoding="utf-8"
+    (path / _log_file("header", batch_number)).write_text(
+        _encode_header(header, receipts), encoding="utf-8"
     )
 
 
@@ -502,16 +515,15 @@ def log_extent(logdir: Union[str, Path]) -> tuple[int, str]:
     same contiguous range 0..n-1. Where they do, missing is "". Otherwise n
     is the first number with a file absent and missing names that file, so
     an orphan header or a stray batch after a gap is not silently ignored."""
-    pat = re.compile(r"(batch|header)_(\d{6})\.json$")
     present: dict[str, set[int]] = {"batch": set(), "header": set()}
     for name in os.listdir(logdir):
-        if (m := pat.match(name)) is not None:
+        if (m := _LOG_FILE.match(name)) is not None:
             present[m.group(1)].add(int(m.group(2)))
     top = max(present["batch"] | present["header"], default=-1) + 1
     for i in range(top):
         for kind in ("batch", "header"):
             if i not in present[kind]:
-                return i, f"{kind}_{i:06d}.json"
+                return i, _log_file(kind, i)
     return top, ""
 
 
@@ -558,11 +570,10 @@ def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
         )
     state = LedgerState()
     n, missing = log_extent(path)
-    canonical = lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"))
     for i in range(n):
         try:
-            raw_batch = (path / f"batch_{i:06d}.json").read_text(encoding="utf-8")
-            raw_header = (path / f"header_{i:06d}.json").read_text(encoding="utf-8")
+            raw_batch = (path / _log_file("batch", i)).read_text(encoding="utf-8")
+            raw_header = (path / _log_file("header", i)).read_text(encoding="utf-8")
             batch_obj = json.loads(raw_batch)
             stored_obj = json.loads(raw_header)
             # Check the containers' shape before indexing into them.
@@ -590,10 +601,7 @@ def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
         # decoded transactions must reproduce the file byte for byte;
         # anything else is tampering, even when it parses to equal values
         # (hex case flips, stray keys, number formatting).
-        rebuilt = canonical(
-            {"batch": batch_obj["batch"], "epoch": epoch, "txs": [tx_to_json(t) for t in txs]}
-        )
-        if rebuilt != raw_batch:
+        if _encode_batch(batch_obj["batch"], epoch, txs) != raw_batch:
             return ReplayReport(
                 False, "divergence", batch=i, field="encoding",
                 expected="canonical json", found="non-canonical bytes",
@@ -633,8 +641,7 @@ def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
         # Byte-identity of the header file against a reconstruction from the
         # recomputed header and receipts, catching edits to derived display
         # fields that decode to equal values.
-        rebuilt = canonical({"header": header.to_json(), "receipts": [r.to_json() for r in receipts]})
-        if rebuilt != raw_header:
+        if _encode_header(header, receipts) != raw_header:
             return ReplayReport(
                 False, "divergence", batch=i, field="encoding",
                 expected="canonical json", found="non-canonical bytes",

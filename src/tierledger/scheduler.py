@@ -1,10 +1,11 @@
 """Batch execution of contract transactions.
 
-Dynamic mode runs strictly serially in submission order. Declared mode
-builds a conflict graph from access declarations (a conflict is one
-transaction's written set intersecting another's read-or-written set over
-balances and storage keys, with callee footprints folded in) and executes
-conflict-free waves on a process pool. The committed result is
+Both modes run through one wave loop. Dynamic mode gives each transaction
+a wave of its own, so it runs strictly serially in submission order.
+Declared mode builds a conflict graph from access declarations (a conflict
+is one transaction's written set intersecting another's read-or-written
+set over balances and storage keys, with callee footprints folded in) and
+executes conflict-free waves on a process pool. The committed result is
 extensionally identical to serial execution in submission order because
 transactions within a wave touch disjoint state, and fee credits commute.
 """
@@ -140,9 +141,7 @@ def _footprint_sets(
     return reads, writes, barrier
 
 
-def _conflict_waves(
-    items: Sequence[_Item], accounts: vm.Accounts, operator: bytes
-) -> list[list[int]]:
+def _conflict_waves(items: Sequence[_Item], operator: bytes) -> list[list[int]]:
     """Partition into waves: tx j lands one level past the deepest earlier
     transaction it conflicts with, so each wave is pairwise conflict-free.
 
@@ -203,18 +202,14 @@ def schedule_batch(
         if on_commit is not None:
             on_commit(item.index, diff.outcome)
 
-    if not declared:
+    if declared:
+        telemetry.waves = _conflict_waves(wrapped, operator)
+    else:
         telemetry.waves = [[it.index] for it in wrapped]
-        for item in wrapped:
-            commit(item, _execute_one(accounts, item, epoch, operator, False))
-        return [o for o in outcomes if o is not None], telemetry
-
-    waves = _conflict_waves(wrapped, accounts, operator)
-    telemetry.waves = [[wrapped[j].index for j in wave] for wave in waves]
-    for wave in waves:
+    for wave in telemetry.waves:
         wave_items = [wrapped[j] for j in wave]
-        gas_in_wave = sum(_gas_limit(it.tx) for it in wave_items)
-        if len(wave_items) >= 2 and workers > 1 and gas_in_wave >= parallel_min_gas:
+        if (len(wave_items) >= 2 and workers > 1
+                and sum(_gas_limit(it.tx) for it in wave_items) >= parallel_min_gas):
             results = _run_parallel(accounts, wave_items, epoch, operator, workers)
             telemetry.parallel_waves += 1
             for idx, diff, pid, start, end in sorted(results):
@@ -224,7 +219,7 @@ def schedule_batch(
                 commit(item, diff)
         else:
             for item in wave_items:
-                commit(item, _execute_one(accounts, item, epoch, operator, True))
+                commit(item, _execute_one(accounts, item, epoch, operator, declared))
     return [o for o in outcomes if o is not None], telemetry
 
 

@@ -1,14 +1,15 @@
-"""Script execution kernel: the one implementation behind script.execute.
+"""Script interpreter: the execution context, the result, and execute.
 
-The test suite checks it against an independent straight-line evaluator
-(tests/oracles.py) on random branch-free programs and fuzzes it with
-adversarial bytecode.
+The test suite checks execute against an independent straight-line
+evaluator (tests/oracles.py) on random branch-free programs and fuzzes it
+with adversarial bytecode.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from ..crypto import check_multisig, verify
 from ..model import MAX_MULTISIG_KEYS
@@ -58,67 +59,75 @@ def _as_small_int(item: bytes) -> int:
     return int.from_bytes(item, "little")
 
 
-def execute_bytecode(
-    code: bytes,
-    witness: Sequence[bytes],
-    msg: bytes,
-    not_before: int,
-    spend_script_hashes: Sequence[bytes],
-    covenants_enabled: bool,
-) -> tuple[bool, int, int]:
-    """Run a script. Returns (success, reason, steps); reason is -1 on success.
+@dataclass(frozen=True)
+class ScriptContext:
+    """Read-only execution context: the deliberate, minimal view a script
+    gets of the world outside its own bytes."""
 
-    not_before is -1 when the spending transaction carries no validity
-    window. Witness elements seed the stack, first element deepest.
-    """
+    signing_message: bytes = b"\x00" * 32
+    not_before: Optional[int] = None
+    spend_script_hashes: tuple[bytes, ...] = ()
+    covenants_enabled: bool = True
+
+
+@dataclass(frozen=True)
+class ScriptResult:
+    success: bool
+    reason: int  # -1 on success, else a R_* code from opcodes
+    steps: int
+
+
+def execute(program: bytes, witness: Sequence[bytes], ctx: ScriptContext) -> ScriptResult:
+    """Execute a script program against a witness stack and context.
+    Witness elements seed the stack, first element deepest."""
     steps = 0
-    if len(code) == 0:
-        return (False, R_EMPTY_SCRIPT, steps)
+    if len(program) == 0:
+        return ScriptResult(False, R_EMPTY_SCRIPT, steps)
     if len(witness) > MAX_WITNESS_ITEMS:
-        return (False, R_STACK_LIMIT, steps)
+        return ScriptResult(False, R_STACK_LIMIT, steps)
     stack: list[bytes] = []
     for item in witness:
         if len(item) > MAX_ELEMENT:
-            return (False, R_STACK_LIMIT, steps)
+            return ScriptResult(False, R_STACK_LIMIT, steps)
         stack.append(bytes(item))
     cond: list[bool] = []
 
     pc = 0
-    n = len(code)
+    n = len(program)
     while pc < n:
         steps += 1
         if steps > MAX_STEPS:
-            return (False, R_STEP_LIMIT, steps)
-        op = code[pc]
+            return ScriptResult(False, R_STEP_LIMIT, steps)
+        op = program[pc]
         pc += 1
         executing = all(cond)
 
         if 1 <= op <= MAX_PUSH:
             if pc + op > n:
-                return (False, R_BAD_PUSH, steps)
+                return ScriptResult(False, R_BAD_PUSH, steps)
             if executing:
-                stack.append(code[pc : pc + op])
+                stack.append(program[pc : pc + op])
                 if len(stack) > MAX_STACK:
-                    return (False, R_STACK_LIMIT, steps)
+                    return ScriptResult(False, R_STACK_LIMIT, steps)
             pc += op
             continue
 
         if op == OP_IF:
             if executing:
                 if not stack:
-                    return (False, R_STACK_UNDERFLOW, steps)
+                    return ScriptResult(False, R_STACK_UNDERFLOW, steps)
                 cond.append(any(stack.pop()))
             else:
                 cond.append(False)
             continue
         if op == OP_ELSE:
             if not cond:
-                return (False, R_UNBALANCED_IF, steps)
+                return ScriptResult(False, R_UNBALANCED_IF, steps)
             cond[-1] = not cond[-1]
             continue
         if op == OP_ENDIF:
             if not cond:
-                return (False, R_UNBALANCED_IF, steps)
+                return ScriptResult(False, R_UNBALANCED_IF, steps)
             cond.pop()
             continue
 
@@ -128,105 +137,105 @@ def execute_bytecode(
         if op == OP_FALSE or op == OP_TRUE:
             stack.append(TRUE_ITEM if op == OP_TRUE else FALSE_ITEM)
             if len(stack) > MAX_STACK:
-                return (False, R_STACK_LIMIT, steps)
+                return ScriptResult(False, R_STACK_LIMIT, steps)
         elif op == OP_VERIFY:
             if not stack:
-                return (False, R_STACK_UNDERFLOW, steps)
+                return ScriptResult(False, R_STACK_UNDERFLOW, steps)
             if not any(stack.pop()):
-                return (False, R_VERIFY_FAILED, steps)
+                return ScriptResult(False, R_VERIFY_FAILED, steps)
         elif op == OP_RETURN:
-            return (False, R_RETURN_HIT, steps)
+            return ScriptResult(False, R_RETURN_HIT, steps)
         elif op == OP_DROP:
             if not stack:
-                return (False, R_STACK_UNDERFLOW, steps)
+                return ScriptResult(False, R_STACK_UNDERFLOW, steps)
             stack.pop()
         elif op == OP_DUP:
             if not stack:
-                return (False, R_STACK_UNDERFLOW, steps)
+                return ScriptResult(False, R_STACK_UNDERFLOW, steps)
             stack.append(stack[-1])
             if len(stack) > MAX_STACK:
-                return (False, R_STACK_LIMIT, steps)
+                return ScriptResult(False, R_STACK_LIMIT, steps)
         elif op == OP_SWAP:
             if len(stack) < 2:
-                return (False, R_STACK_UNDERFLOW, steps)
+                return ScriptResult(False, R_STACK_UNDERFLOW, steps)
             stack[-1], stack[-2] = stack[-2], stack[-1]
         elif op == OP_EQUAL or op == OP_EQUALVERIFY:
             if len(stack) < 2:
-                return (False, R_STACK_UNDERFLOW, steps)
+                return ScriptResult(False, R_STACK_UNDERFLOW, steps)
             a = stack.pop()
             b = stack.pop()
             if op == OP_EQUAL:
                 stack.append(TRUE_ITEM if a == b else FALSE_ITEM)
             elif a != b:
-                return (False, R_VERIFY_FAILED, steps)
+                return ScriptResult(False, R_VERIFY_FAILED, steps)
         elif op == OP_SHA256:
             if not stack:
-                return (False, R_STACK_UNDERFLOW, steps)
+                return ScriptResult(False, R_STACK_UNDERFLOW, steps)
             stack.append(hashlib.sha256(stack.pop()).digest())
         elif op == OP_CHECKSIG or op == OP_CHECKSIGVERIFY:
             if len(stack) < 2:
-                return (False, R_STACK_UNDERFLOW, steps)
+                return ScriptResult(False, R_STACK_UNDERFLOW, steps)
             pk = stack.pop()
             sig = stack.pop()
-            ok = verify(pk, msg, sig)
+            ok = verify(pk, ctx.signing_message, sig)
             if op == OP_CHECKSIG:
                 stack.append(TRUE_ITEM if ok else FALSE_ITEM)
             elif not ok:
-                return (False, R_VERIFY_FAILED, steps)
+                return ScriptResult(False, R_VERIFY_FAILED, steps)
         elif op == OP_CHECKMULTISIG:
             if not stack:
-                return (False, R_STACK_UNDERFLOW, steps)
+                return ScriptResult(False, R_STACK_UNDERFLOW, steps)
             nkeys = _as_small_int(stack.pop())
             if not 1 <= nkeys <= MAX_MULTISIG_KEYS:
-                return (False, R_TYPE_ERROR, steps)
+                return ScriptResult(False, R_TYPE_ERROR, steps)
             if len(stack) < nkeys:
-                return (False, R_STACK_UNDERFLOW, steps)
+                return ScriptResult(False, R_STACK_UNDERFLOW, steps)
             pks = [stack.pop() for _ in range(nkeys)]
             pks.reverse()
             if not stack:
-                return (False, R_STACK_UNDERFLOW, steps)
+                return ScriptResult(False, R_STACK_UNDERFLOW, steps)
             m = _as_small_int(stack.pop())
             if not 1 <= m <= nkeys:
-                return (False, R_TYPE_ERROR, steps)
+                return ScriptResult(False, R_TYPE_ERROR, steps)
             if len(stack) < m:
-                return (False, R_STACK_UNDERFLOW, steps)
+                return ScriptResult(False, R_STACK_UNDERFLOW, steps)
             sigs = [stack.pop() for _ in range(m)]
             sigs.reverse()
-            ok = check_multisig(m, pks, sigs, msg)
+            ok = check_multisig(m, pks, sigs, ctx.signing_message)
             stack.append(TRUE_ITEM if ok else FALSE_ITEM)
         elif op == OP_CHECKLOCKTIME:
             if not stack:
-                return (False, R_STACK_UNDERFLOW, steps)
+                return ScriptResult(False, R_STACK_UNDERFLOW, steps)
             t_item = stack.pop()
             if len(t_item) != 8:
-                return (False, R_TYPE_ERROR, steps)
+                return ScriptResult(False, R_TYPE_ERROR, steps)
             t = int.from_bytes(t_item, "little")
-            if not_before < 0 or not_before < t:
-                return (False, R_VERIFY_FAILED, steps)
+            if ctx.not_before is None or ctx.not_before < t:
+                return ScriptResult(False, R_VERIFY_FAILED, steps)
         elif op == OP_COVENANT:
-            if not covenants_enabled:
-                return (False, R_TYPE_ERROR, steps)
+            if not ctx.covenants_enabled:
+                return ScriptResult(False, R_TYPE_ERROR, steps)
             if not stack:
-                return (False, R_STACK_UNDERFLOW, steps)
+                return ScriptResult(False, R_STACK_UNDERFLOW, steps)
             k = _as_small_int(stack.pop())
             if not 0 <= k <= 32:
-                return (False, R_TYPE_ERROR, steps)
+                return ScriptResult(False, R_TYPE_ERROR, steps)
             if len(stack) < k:
-                return (False, R_STACK_UNDERFLOW, steps)
+                return ScriptResult(False, R_STACK_UNDERFLOW, steps)
             allowed = set()
             for _ in range(k):
                 h = stack.pop()
                 if len(h) != 32:
-                    return (False, R_TYPE_ERROR, steps)
+                    return ScriptResult(False, R_TYPE_ERROR, steps)
                 allowed.add(h)
-            for h in spend_script_hashes:
+            for h in ctx.spend_script_hashes:
                 if h not in allowed:
-                    return (False, R_VERIFY_FAILED, steps)
+                    return ScriptResult(False, R_VERIFY_FAILED, steps)
         else:
-            return (False, R_TYPE_ERROR, steps)
+            return ScriptResult(False, R_TYPE_ERROR, steps)
 
     if cond:
-        return (False, R_UNBALANCED_IF, steps)
+        return ScriptResult(False, R_UNBALANCED_IF, steps)
     if not stack or not any(stack[-1]):
-        return (False, R_VERIFY_FAILED, steps)
-    return (True, -1, steps)
+        return ScriptResult(False, R_VERIFY_FAILED, steps)
+    return ScriptResult(True, -1, steps)

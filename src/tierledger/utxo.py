@@ -38,19 +38,6 @@ REJECTED_LOWER_FEE = 112
 SCRIPT_FAILURE_BASE = 200
 
 
-@dataclass(frozen=True)
-class Rejection:
-    code: int
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.code == OK
-
-
-ACCEPT = Rejection(OK)
-
-
 def spend_script_hashes(outputs: Sequence[Output]) -> tuple[bytes, ...]:
     """Hashes of the spending transaction's output locks, as seen by the
     COVENANT opcode. check_inputs computes them on demand, when the first
@@ -74,45 +61,45 @@ def check_inputs(
     epoch: int,
     cfg: rules.SystemConfig,
     spent_in_batch: Optional[set[Outpoint]] = None,
-) -> tuple[Rejection, int]:
+) -> tuple[int, int]:
     """Existence, expiry, and lock checks for the inputs of a UtxoSpend or
     MoveToAccount, one witness per input.
 
-    Returns (rejection, total input value). spent_in_batch tracks outpoints
-    consumed earlier in the same batch validation. A script lock cannot move
-    value into an account, so a MoveToAccount input under one fails its
-    lock. For a UtxoSpend, a script lock's covenant context,
+    Returns (status, total input value); the value is 0 unless the status
+    is OK. spent_in_batch tracks outpoints consumed earlier in the same
+    batch validation. A script lock cannot move value into an account, so
+    a MoveToAccount input under one fails its lock. For a UtxoSpend, a script lock's covenant context,
     spend_script_hashes of tx's outputs, is computed when the first script
     lock runs.
     """
     inputs, witnesses = tx.kind.inputs, tx.witnesses
     if len(witnesses) != len(inputs):
-        return Rejection(WITNESS_COUNT_MISMATCH, "one witness per input required"), 0
+        return WITNESS_COUNT_MISMATCH, 0
     seen: set[Outpoint] = set()
     total_in = 0
     out_hashes: Optional[tuple[bytes, ...]] = None
     for i, op in enumerate(inputs):
         if op in seen or (spent_in_batch is not None and op in spent_in_batch):
-            return Rejection(DOUBLE_SPEND_IN_BATCH, f"input {i}"), 0
+            return DOUBLE_SPEND_IN_BATCH, 0
         seen.add(op)
         out = utxos.get(op)
         if out is None:
-            return Rejection(MISSING_INPUT, f"input {i}"), 0
+            return MISSING_INPUT, 0
         if cfg.expiry_enabled and out.expiry is not None and out.expiry <= epoch:
-            return Rejection(EXPIRED_INPUT, f"input {i}"), 0
+            return EXPIRED_INPUT, 0
         total_in += out.amount
         msg = crypto.utxo_signing_message(tx_id, i)
         wit = witnesses[i]
         lock = out.lock
         if lock.kind == LOCK_PUBKEY:
             if len(wit) != 1 or not crypto.verify(lock.pubkey, msg, wit[0]):
-                return Rejection(LOCK_FAILED, f"input {i}"), 0
+                return LOCK_FAILED, 0
         elif lock.kind == LOCK_MULTISIG:
             if not crypto.check_multisig(lock.m, lock.pubkeys, list(wit), msg):
-                return Rejection(LOCK_FAILED, f"input {i}"), 0
+                return LOCK_FAILED, 0
         elif lock.kind == LOCK_SCRIPT:
             if isinstance(tx.kind, MoveToAccount):
-                return Rejection(LOCK_FAILED, f"input {i}: script locks cannot move to account"), 0
+                return LOCK_FAILED, 0
             if out_hashes is None:
                 out_hashes = spend_script_hashes(tx.kind.outputs)
             ctx = script.ScriptContext(
@@ -123,13 +110,10 @@ def check_inputs(
             )
             result = script.execute(lock.script, wit, ctx)
             if not result.success:
-                return (
-                    Rejection(SCRIPT_FAILURE_BASE + result.reason, f"input {i}: {result.reason_name}"),
-                    0,
-                )
+                return SCRIPT_FAILURE_BASE + result.reason, 0
         else:  # pragma: no cover - Lock constructor rejects unknown kinds
-            return Rejection(LOCK_FAILED, f"input {i}: unknown lock"), 0
-    return ACCEPT, total_in
+            return LOCK_FAILED, 0
+    return OK, total_in
 
 
 def validate_spend(
@@ -139,29 +123,28 @@ def validate_spend(
     epoch: int,
     cfg: rules.SystemConfig,
     spent_in_batch: Optional[set[Outpoint]] = None,
-) -> tuple[Rejection, int]:
+) -> tuple[int, int]:
     """The validation of both UTXO-input kinds, UtxoSpend and MoveToAccount,
     apart from the validity window: inputs and locks, value out against
-    value in, the fee floor and the allow-list. Returns (rejection, implicit
-    fee). A MoveToAccount pays out its amount and creates no outputs.
+    value in, the fee floor and the allow-list. Returns (status, implicit
+    fee); the fee is 0 unless the status is OK. A MoveToAccount pays out
+    its amount and creates no outputs.
 
     Pending-pool admission runs this alone, because the transaction's lower
     window bound is still in the future."""
     k = tx.kind
-    rej, total_in = check_inputs(tx_id, tx, utxos, epoch, cfg, spent_in_batch)
-    if not rej.ok:
-        return rej, 0
+    status, total_in = check_inputs(tx_id, tx, utxos, epoch, cfg, spent_in_batch)
+    if status != OK:
+        return status, 0
     if isinstance(k, MoveToAccount):
         outputs, total_out = (), k.amount
     else:
         outputs, total_out = k.outputs, sum(out.amount for out in k.outputs)
     if total_out > total_in:
-        return Rejection(INSUFFICIENT_FEE, "outputs exceed inputs"), 0
+        return INSUFFICIENT_FEE, 0
     fee = total_in - total_out
-    code = rules.check_fee(tx, fee, cfg) or rules.check_allow_list(outputs, cfg)
-    if code != rules.FEE_OK:
-        return Rejection(code), 0
-    return ACCEPT, fee
+    status = rules.check_fee(tx, fee, cfg) or rules.check_allow_list(outputs, cfg)
+    return status, fee if status == OK else 0
 
 
 # ---------------------------------------------------------------------------

@@ -770,26 +770,33 @@ class _Machine:
             self.gas = gas
 
 
+def _prepay_covered(accounts: Accounts, payer: bytes, gas_limit: int, gas_price: int, value: int) -> bool:
+    """The payer's balance covers the value it moves plus the whole gas
+    prepay. Plain ints: a signed gas_limit * gas_price may pass 2^64-1, and
+    such a transaction is rejected, never raised on."""
+    return accounts.balance(payer) >= gas_limit * gas_price + value
+
+
 def _finish(
-    machine: Optional[_Machine],
     accounts: Accounts,
     actor: bytes,
     operator: bytes,
-    gas_used: int,
     gas_price: int,
     outcome: ExecOutcome,
+    balances: dict[bytes, int],
+    storage: dict[tuple[bytes, int], int],
 ) -> StateDiff:
-    """Assemble the committed diff: journal effects (when committed), nonce
-    advance, and the fee transfer caller -> operator."""
+    """Settle an executed transaction: its balance and storage writes when
+    it committed (the diff takes both dicts over), the nonce advance, and
+    the fee transfer actor -> operator."""
     diff = StateDiff(outcome)
-    fee = gas_used * gas_price
-    if outcome.committed and machine is not None:
-        diff.balance_new = dict(machine.balances)
-        diff.storage_new = dict(machine.storage)
+    fee = outcome.gas_used * gas_price
+    if outcome.committed:
+        diff.balance_new, diff.storage_new = balances, storage
     diff.nonce_new = (actor, accounts.nonces.get(actor, 0) + 1)
     if fee:
-        caller_bal = diff.balance_new.get(actor, accounts.balance(actor))
-        diff.balance_new[actor] = checked_sub(caller_bal, fee)
+        actor_bal = diff.balance_new.get(actor, accounts.balance(actor))
+        diff.balance_new[actor] = checked_sub(actor_bal, fee)
         diff.operator_delta = fee
     # The operator's own balance never appears as an absolute write: fee
     # income must commute across non-conflicting transactions.
@@ -827,8 +834,7 @@ def invoke(
         return StateDiff(ExecOutcome(STATUS_NO_SUCH_CONTRACT, detail="unknown contract"))
     if declared_mode and k.access is None:
         return StateDiff(ExecOutcome(STATUS_MISSING_ACCESS_DECL, detail="declared mode requires an access declaration"))
-    prepay = k.gas_limit * k.gas_price
-    if accounts.balance(caller) < checked_add(prepay, k.attached):
+    if not _prepay_covered(accounts, caller, k.gas_limit, k.gas_price, k.attached):
         return StateDiff(ExecOutcome(STATUS_INSUFFICIENT_BALANCE, detail="cannot cover attached value plus gas prepay"))
 
     checker = None
@@ -838,24 +844,21 @@ def invoke(
         checker = _Checker(footprint)
 
     machine = _Machine(accounts, epoch, k.address_consts, k.gas_limit, checker)
+    ret, detail = None, ""
     try:
         ret = machine.run_frame(k.contract, caller, k.arg, k.attached, depth=0)
+        status = STATUS_COMMITTED
     except _OutOfGas:
-        outcome = ExecOutcome(STATUS_OUT_OF_GAS, gas_used=k.gas_limit)
-        return _finish(None, accounts, caller, operator, k.gas_limit, k.gas_price, outcome)
+        status = STATUS_OUT_OF_GAS
     except AccessViolationError as exc:
-        gas_used = k.gas_limit - max(machine.gas, 0)
-        outcome = ExecOutcome(STATUS_ACCESS_VIOLATION, gas_used=gas_used, detail=exc.detail)
-        return _finish(None, accounts, caller, operator, gas_used, k.gas_price, outcome)
+        status, detail = STATUS_ACCESS_VIOLATION, exc.detail
     except _Fault as exc:
-        gas_used = k.gas_limit - machine.gas
-        outcome = ExecOutcome(STATUS_REVERTED, gas_used=gas_used, detail=exc.detail)
-        return _finish(None, accounts, caller, operator, gas_used, k.gas_price, outcome)
-    gas_used = k.gas_limit - machine.gas
-    outcome = ExecOutcome(
-        STATUS_COMMITTED, gas_used=gas_used, ret=ret, events=tuple(machine.events)
-    )
-    return _finish(machine, accounts, caller, operator, gas_used, k.gas_price, outcome)
+        status, detail = STATUS_REVERTED, exc.detail
+    # Gas runs negative only on out-of-gas, which uses the whole limit.
+    gas_used = k.gas_limit - max(machine.gas, 0)
+    events = tuple(machine.events) if status == STATUS_COMMITTED else ()
+    outcome = ExecOutcome(status, gas_used, ret, events, detail)
+    return _finish(accounts, caller, operator, k.gas_price, outcome, machine.balances, machine.storage)
 
 
 # Deploy gas: one unit per code byte (documented; there is no constructor
@@ -870,32 +873,25 @@ def deploy(
     tx_id: bytes,
     operator: bytes,
 ) -> StateDiff:
-    """Create a contract account at the deploy transaction's id."""
+    """Create a contract account at the deploy transaction's id, with the
+    same rejections and settlement as invoke."""
     k = tx.kind
     assert isinstance(k, Deploy)
-    if tx.nonce != accounts.nonces.get(k.payer, 0):
-        return StateDiff(ExecOutcome(STATUS_BAD_NONCE, detail=f"expected nonce {accounts.nonces.get(k.payer, 0)}"))
+    payer = k.payer
+    if tx.nonce != accounts.nonces.get(payer, 0):
+        return StateDiff(ExecOutcome(STATUS_BAD_NONCE, detail=f"expected nonce {accounts.nonces.get(payer, 0)}"))
     if not validate_code(k.code):
         return StateDiff(ExecOutcome(STATUS_MALFORMED_CODE, detail="code failed validation"))
-    prepay = k.gas_limit * k.gas_price
-    if accounts.balance(k.payer) < checked_add(prepay, k.endowment):
+    if not _prepay_covered(accounts, payer, k.gas_limit, k.gas_price, k.endowment):
         return StateDiff(ExecOutcome(STATUS_INSUFFICIENT_BALANCE, detail="cannot cover endowment plus gas prepay"))
-    gas_needed = deploy_gas(k.code)
-    if gas_needed > k.gas_limit:
+    gas_used = deploy_gas(k.code)
+    if gas_used > k.gas_limit:
         outcome = ExecOutcome(STATUS_OUT_OF_GAS, gas_used=k.gas_limit)
-        return _finish(None, accounts, k.payer, operator, k.gas_limit, k.gas_price, outcome)
-    footprint = k.access.substitute_self(tx_id) if k.access is not None else None
-    contract = ContractAccount(tx_id, k.code, footprint)
-    outcome = ExecOutcome(STATUS_COMMITTED, gas_used=gas_needed, ret=None)
-    diff = StateDiff(outcome)
-    diff.new_contract = contract
-    payer_bal = accounts.balance(k.payer)
-    diff.balance_new[k.payer] = checked_sub(payer_bal, k.endowment)
+        return _finish(accounts, payer, operator, k.gas_price, outcome, {}, {})
+    balances = {payer: accounts.balance(payer) - k.endowment}
     if k.endowment:
-        diff.balance_new[tx_id] = checked_add(accounts.balance(tx_id), k.endowment)
-    fee = gas_needed * k.gas_price
-    if fee:
-        diff.balance_new[k.payer] = checked_sub(diff.balance_new[k.payer], fee)
-        diff.operator_delta = fee
-    diff.nonce_new = (k.payer, accounts.nonces.get(k.payer, 0) + 1)
+        balances[tx_id] = checked_add(accounts.balance(tx_id), k.endowment)
+    diff = _finish(accounts, payer, operator, k.gas_price, ExecOutcome(STATUS_COMMITTED, gas_used), balances, {})
+    footprint = k.access.substitute_self(tx_id) if k.access is not None else None
+    diff.new_contract = ContractAccount(tx_id, k.code, footprint)
     return diff

@@ -895,20 +895,20 @@ def tagged_invoke(
         ret = machine.run_frame(k.contract, caller, k.arg, k.attached, depth=0)
     except _OutOfGas:
         outcome = ExecOutcome(STATUS_OUT_OF_GAS, gas_used=k.gas_limit)
-        return _finish(None, accounts, caller, operator, k.gas_limit, k.gas_price, outcome)
+        return _finish(accounts, caller, operator, k.gas_price, outcome, {}, {})
     except AccessViolationError as exc:
         gas_used = k.gas_limit - max(machine.gas, 0)
         outcome = ExecOutcome(STATUS_ACCESS_VIOLATION, gas_used=gas_used, detail=exc.detail)
-        return _finish(None, accounts, caller, operator, gas_used, k.gas_price, outcome)
+        return _finish(accounts, caller, operator, k.gas_price, outcome, {}, {})
     except _Fault as exc:
         gas_used = k.gas_limit - machine.gas
         outcome = ExecOutcome(STATUS_REVERTED, gas_used=gas_used, detail=exc.detail)
-        return _finish(None, accounts, caller, operator, gas_used, k.gas_price, outcome)
+        return _finish(accounts, caller, operator, k.gas_price, outcome, {}, {})
     gas_used = k.gas_limit - machine.gas
     outcome = ExecOutcome(
         STATUS_COMMITTED, gas_used=gas_used, ret=ret, events=tuple(machine.events)
     )
-    return _finish(machine, accounts, caller, operator, gas_used, k.gas_price, outcome)
+    return _finish(accounts, caller, operator, k.gas_price, outcome, machine.balances, machine.storage)
 
 
 # ---------------------------------------------------------------------------

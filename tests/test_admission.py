@@ -1,8 +1,8 @@
 """The admission path of apply_batch: every rejection of a transfer kind
 leaves the state untouched, transfer checks run after the contract flush
 while level, auth and contract-gate rejections are emitted before it,
-validity windows bind contract transactions too, and issuance stops at the
-u64 ceiling."""
+validity windows bind contract transactions too, issuance stops at the
+u64 ceiling, and a gas prepay past 2^64-1 is a rejection, not a crash."""
 
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from helpers import (
 from tierledger import codes, crypto, ledger, rules, utxo, vm
 from tierledger.model import (
     U64_MAX,
+    AccessDecl,
     Lock,
     MoveToAccount,
     Output,
@@ -237,3 +238,44 @@ def test_issuance_stops_at_the_u64_ceiling(tmp_path):
     assert (report.ok, report.kind, report.batch, report.field) == (
         False, "divergence", 1, "post_state_digest",
     )
+
+
+@pytest.mark.parametrize("mode", [rules.ACCESS_DYNAMIC, rules.ACCESS_DECLARED])
+@pytest.mark.parametrize("kind", ["call", "deploy"])
+def test_overflowing_gas_prepay_is_rejected_not_raised(tmp_path, kind, mode):
+    """gas_limit * gas_price passes 2^64-1: the transaction gets
+    InsufficientBalance and is charged nothing, and the batch that holds
+    it commits, is written and replays."""
+    cfg = make_config(initial_subsidy=1000, access_mode=mode)
+    ledger.init_log(tmp_path, cfg)
+    state = ledger.LedgerState()
+
+    def commit(txs, epoch):
+        receipts, header = ledger.apply_batch(state, txs, epoch, cfg, workers=1)
+        ledger.write_batch_files(tmp_path, header.batch_number, epoch, txs, header, receipts)
+        return receipts
+
+    commit([], 1)
+    code = counter_code()
+    dep = make_deploy(ALICE, code, nonce=0, gas_limit=len(code), gas_price=1)
+    c = txid(dep)
+    access = AccessDecl(storage_read=frozenset({(c, 0)}), storage_written=frozenset({(c, 0)}))
+    fund = make_move_to_account(KEYS[0], [ledger._coinbase_outpoint(0)], 1000, to=A_ADDR)
+    assert [r.status for r in commit([fund, dep], 2)] == [codes.OK, codes.OK]
+    balance = state.accounts.balance(A_ADDR)
+
+    if kind == "call":
+        huge = make_call(ALICE, c, nonce=1, gas_limit=2**63, gas_price=4, access=access)
+    else:
+        huge = make_deploy(ALICE, code, nonce=1, gas_limit=2**63, gas_price=4)
+    # The next call takes nonce 1, so it commits only if the rejection
+    # left the nonce alone.
+    call = make_call(ALICE, c, nonce=1, gas_limit=25, gas_price=1, access=access)
+    receipts = commit([huge, call], 3)
+    assert [(r.status, r.gas_used) for r in receipts] == [
+        (vm.STATUS_INSUFFICIENT_BALANCE, 0), (codes.OK, 20),
+    ]
+    assert state.accounts.balance(A_ADDR) == balance - 20
+    assert state.accounts.storage_get(c, 0) == 1
+    check_conservation(state)
+    assert ledger.replay_verify(tmp_path).ok

@@ -4,7 +4,11 @@ rule, exit codes, and machine-readable output."""
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +98,41 @@ def test_cli_init_and_replay(tmp_path, capsys):
     assert cli.main(["init", str(genesis), str(logdir)]) == 0
     assert cli.main(["replay", str(logdir)]) == 0  # empty log replays clean
     assert cli.main(["init", str(tmp_path / "nope.json"), str(logdir)]) == 2
+
+
+def run_cli(*args) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so stderr holds everything it
+    writes there."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "tierledger.cli", *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_cli_reports_each_error_once_and_nothing_when_quiet(tmp_path):
+    genesis = tmp_path / "genesis.json"
+    genesis.write_text(json.dumps({"initial_subsidy": 10, "operator_pubkey": "11" * 32}))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    good_scenario = write(tmp_path, base_scenario([{"op": "advance"}]))
+    cases = [
+        (["init", bad, tmp_path / "log_a"], "error: cannot read genesis config: "),
+        (["run", bad, tmp_path / "log_b"], "error: cannot read scenario: "),
+        # An unusable LOGDIR is malformed input too, not a traceback.
+        (["init", genesis, a_file], "error: cannot create log directory: "),
+        (["run", good_scenario, a_file], "error: cannot write log directory: "),
+    ]
+    for args, prefix in cases:
+        res = run_cli(*args)
+        assert (res.returncode, res.stdout) == (2, ""), args
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), (args, res.stderr)
+        quiet = run_cli("--quiet", *args)
+        assert (quiet.returncode, quiet.stdout, quiet.stderr) == (2, "", ""), args
 
 
 def test_cli_run_then_replay_and_digest(tmp_path, capsys):

@@ -306,7 +306,7 @@ def test_key_index_waves_equal_pairwise_oracle():
         acc, contracts = footprint_world(rng)
         items = random_items(rng, acc, contracts, rng.randint(0, 40))
         sets = [scheduler._footprint_sets(it, DECL.operator_address) for it in items]
-        assert scheduler._conflict_waves(items, acc, DECL.operator_address) == pairwise_waves(sets), trial
+        assert scheduler._conflict_waves(items, DECL.operator_address) == pairwise_waves(sets), trial
 
 
 def test_conflict_analysis_of_2000_calls_is_fast():
@@ -334,7 +334,7 @@ def test_conflict_analysis_of_2000_calls_is_fast():
     best = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
-        waves = scheduler._conflict_waves(items, acc, operator)
+        waves = scheduler._conflict_waves(items, operator)
         best = min(best, time.perf_counter() - t0)
     assert sorted(j for wave in waves for j in wave) == list(range(2000))
     assert best < 0.05, f"conflict analysis of 2000 calls took {best * 1e3:.1f} ms"

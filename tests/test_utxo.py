@@ -31,8 +31,8 @@ def funded(amount: int = 100, lock: Lock | None = None, expiry=None, tag: bytes 
 def test_valid_spend_and_fee():
     op, utxos = funded(100)
     tx = signed_spend(ALICE, [op], [p2pk(BOB, 60), p2pk(ALICE, 30)])
-    rej, fee = utxo.validate_spend(tx, txid(tx), utxos, 1, CFG)
-    assert rej.ok
+    status, fee = utxo.validate_spend(tx, txid(tx), utxos, 1, CFG)
+    assert status == utxo.OK
     assert fee == 10
     state = ledger.LedgerState()
     state.put_utxo(op, utxos[op])
@@ -49,30 +49,30 @@ def test_missing_input():
     _, utxos = funded()
     ghost = Outpoint(b"\x00" * 32, 3)
     tx = signed_spend(ALICE, [ghost], [p2pk(BOB, 1)])
-    rej, _ = utxo.validate_spend(tx, txid(tx), utxos, 1, CFG)
-    assert rej.code == utxo.MISSING_INPUT
+    status, _ = utxo.validate_spend(tx, txid(tx), utxos, 1, CFG)
+    assert status == utxo.MISSING_INPUT
 
 
 def test_double_spend_within_tx_and_within_batch():
     op, utxos = funded(100)
     twice = signed_spend(ALICE, [op, op], [p2pk(BOB, 10)])
-    rej, _ = utxo.validate_spend(twice, txid(twice), utxos, 1, CFG)
-    assert rej.code == utxo.DOUBLE_SPEND_IN_BATCH
+    status, _ = utxo.validate_spend(twice, txid(twice), utxos, 1, CFG)
+    assert status == utxo.DOUBLE_SPEND_IN_BATCH
     tx = signed_spend(ALICE, [op], [p2pk(BOB, 10)])
-    rej, _ = utxo.validate_spend(tx, txid(tx), utxos, 1, CFG, spent_in_batch={op})
-    assert rej.code == utxo.DOUBLE_SPEND_IN_BATCH
+    status, _ = utxo.validate_spend(tx, txid(tx), utxos, 1, CFG, spent_in_batch={op})
+    assert status == utxo.DOUBLE_SPEND_IN_BATCH
 
 
 def test_expired_input_gated_by_config():
     op, utxos = funded(50, expiry=5)
     tx = signed_spend(ALICE, [op], [p2pk(BOB, 50)])
     live = make_config(expiry_enabled=True)
-    rej, _ = utxo.validate_spend(tx, txid(tx), utxos, 4, live)
-    assert rej.ok
-    rej, _ = utxo.validate_spend(tx, txid(tx), utxos, 5, live)  # inclusive
-    assert rej.code == utxo.EXPIRED_INPUT
-    rej, _ = utxo.validate_spend(tx, txid(tx), utxos, 9, CFG)  # expiry disabled
-    assert rej.ok
+    status, _ = utxo.validate_spend(tx, txid(tx), utxos, 4, live)
+    assert status == utxo.OK
+    status, _ = utxo.validate_spend(tx, txid(tx), utxos, 5, live)  # inclusive
+    assert status == utxo.EXPIRED_INPUT
+    status, _ = utxo.validate_spend(tx, txid(tx), utxos, 9, CFG)  # expiry disabled
+    assert status == utxo.OK
 
 
 def test_validity_window():
@@ -85,15 +85,15 @@ def test_validity_window():
 def test_wrong_key_fails_lock():
     op, utxos = funded()
     tx = signed_spend(BOB, [op], [p2pk(BOB, 10)])
-    rej, _ = utxo.validate_spend(tx, txid(tx), utxos, 1, CFG)
-    assert rej.code == utxo.LOCK_FAILED
+    status, _ = utxo.validate_spend(tx, txid(tx), utxos, 1, CFG)
+    assert status == utxo.LOCK_FAILED
 
 
 def test_witness_count_mismatch():
     op, utxos = funded()
     tx = Transaction(UtxoSpend((op,), (p2pk(BOB, 10),)))  # no witness at all
-    rej, _ = utxo.validate_spend(tx, txid(tx), utxos, 1, CFG)
-    assert rej.code == utxo.WITNESS_COUNT_MISMATCH
+    status, _ = utxo.validate_spend(tx, txid(tx), utxos, 1, CFG)
+    assert status == utxo.WITNESS_COUNT_MISMATCH
 
 
 def test_multisig_lock_order_and_threshold():
@@ -106,14 +106,14 @@ def test_multisig_lock_order_and_threshold():
         return tx.with_witnesses((tuple(crypto.sign(k.seed, msg) for k in kps),))
 
     good = with_sigs(ALICE, CAROL)
-    rej, _ = utxo.validate_spend(good, txid(good), utxos, 1, CFG)
-    assert rej.ok
+    status, _ = utxo.validate_spend(good, txid(good), utxos, 1, CFG)
+    assert status == utxo.OK
     out_of_order = with_sigs(CAROL, ALICE)
-    rej, _ = utxo.validate_spend(out_of_order, txid(out_of_order), utxos, 1, CFG)
-    assert rej.code == utxo.LOCK_FAILED
+    status, _ = utxo.validate_spend(out_of_order, txid(out_of_order), utxos, 1, CFG)
+    assert status == utxo.LOCK_FAILED
     short = with_sigs(BOB)
-    rej, _ = utxo.validate_spend(short, txid(short), utxos, 1, CFG)
-    assert rej.code == utxo.LOCK_FAILED
+    status, _ = utxo.validate_spend(short, txid(short), utxos, 1, CFG)
+    assert status == utxo.LOCK_FAILED
 
 
 def test_script_lock_success_and_reason_codes():
@@ -122,25 +122,25 @@ def test_script_lock_success_and_reason_codes():
     tx = Transaction(UtxoSpend((op,), (p2pk(BOB, 40),)))
     sig = crypto.sign(ALICE.seed, crypto.utxo_signing_message(txid(tx), 0))
     good = tx.with_witnesses(((sig,),))
-    rej, _ = utxo.validate_spend(good, txid(good), utxos, 1, CFG)
-    assert rej.ok
+    status, _ = utxo.validate_spend(good, txid(good), utxos, 1, CFG)
+    assert status == utxo.OK
     bad = tx.with_witnesses(((b"\x00" * 64,),))
-    rej, _ = utxo.validate_spend(bad, txid(bad), utxos, 1, CFG)
-    assert rej.code == utxo.SCRIPT_FAILURE_BASE + 4  # verify failed
+    status, _ = utxo.validate_spend(bad, txid(bad), utxos, 1, CFG)
+    assert status == utxo.SCRIPT_FAILURE_BASE + 4  # verify failed
     empty = tx.with_witnesses(((),))
-    rej, _ = utxo.validate_spend(empty, txid(empty), utxos, 1, CFG)
-    assert rej.code == utxo.SCRIPT_FAILURE_BASE + 1  # underflow: CHECKSIG needs a sig
+    status, _ = utxo.validate_spend(empty, txid(empty), utxos, 1, CFG)
+    assert status == utxo.SCRIPT_FAILURE_BASE + 1  # underflow: CHECKSIG needs a sig
 
 
 def test_script_locks_refused_when_disallowed():
     lock = Lock.pay_to_script(assemble("TRUE"))
     op, utxos = funded(10, lock=lock)
     spend = Transaction(UtxoSpend((op,), (p2pk(BOB, 10),))).with_witnesses(((),))
-    rej, _ = utxo.validate_spend(spend, txid(spend), utxos, 1, CFG)
-    assert rej.ok
+    status, _ = utxo.validate_spend(spend, txid(spend), utxos, 1, CFG)
+    assert status == utxo.OK
     move = Transaction(MoveToAccount((op,), address_of_pubkey(BOB.pubkey), 10)).with_witnesses(((),))
-    rej, _ = utxo.validate_spend(move, txid(move), utxos, 1, CFG)
-    assert rej.code == utxo.LOCK_FAILED
+    status, _ = utxo.validate_spend(move, txid(move), utxos, 1, CFG)
+    assert status == utxo.LOCK_FAILED
 
 
 def test_covenant_context_sees_output_lock_hashes():
@@ -149,25 +149,25 @@ def test_covenant_context_sees_output_lock_hashes():
     lock = Lock.pay_to_script(assemble(f"PUSH({h.hex()}) PUSH(01) COVENANT TRUE"))
     op, utxos = funded(30, lock=lock)
     good = Transaction(UtxoSpend((op,), (Output(30, target),))).with_witnesses(((),))
-    rej, _ = utxo.validate_spend(good, txid(good), utxos, 1, CFG)
-    assert rej.ok
+    status, _ = utxo.validate_spend(good, txid(good), utxos, 1, CFG)
+    assert status == utxo.OK
     bad = Transaction(UtxoSpend((op,), (p2pk(ALICE, 30),))).with_witnesses(((),))
-    rej, _ = utxo.validate_spend(bad, txid(bad), utxos, 1, CFG)
-    assert rej.code == utxo.SCRIPT_FAILURE_BASE + 4
+    status, _ = utxo.validate_spend(bad, txid(bad), utxos, 1, CFG)
+    assert status == utxo.SCRIPT_FAILURE_BASE + 4
 
 
 def test_fee_rules():
     op, utxos = funded(100)
     over = signed_spend(ALICE, [op], [p2pk(BOB, 101)])
-    rej, _ = utxo.validate_spend(over, txid(over), utxos, 1, CFG)
-    assert rej.code == utxo.INSUFFICIENT_FEE
+    status, _ = utxo.validate_spend(over, txid(over), utxos, 1, CFG)
+    assert status == utxo.INSUFFICIENT_FEE
     cheap = signed_spend(ALICE, [op], [p2pk(BOB, 98)])
     strict = make_config(min_fee=5)
-    rej, _ = utxo.validate_spend(cheap, txid(cheap), utxos, 1, strict)
-    assert rej.code == utxo.INSUFFICIENT_FEE
+    status, _ = utxo.validate_spend(cheap, txid(cheap), utxos, 1, strict)
+    assert status == utxo.INSUFFICIENT_FEE
     paid = signed_spend(ALICE, [op], [p2pk(BOB, 95)])
-    rej, fee = utxo.validate_spend(paid, txid(paid), utxos, 1, strict)
-    assert rej.ok and fee == 5
+    status, fee = utxo.validate_spend(paid, txid(paid), utxos, 1, strict)
+    assert status == utxo.OK and fee == 5
 
 
 def test_allow_list_restricts_output_addresses():
@@ -176,11 +176,11 @@ def test_allow_list_restricts_output_addresses():
     op, utxos = funded(20)
     cfg = make_config(allow_list=frozenset({address_of_pubkey(ALICE.pubkey)}))
     to_self = signed_spend(ALICE, [op], [p2pk(ALICE, 20)])
-    rej, _ = utxo.validate_spend(to_self, txid(to_self), utxos, 1, cfg)
-    assert rej.ok
+    status, _ = utxo.validate_spend(to_self, txid(to_self), utxos, 1, cfg)
+    assert status == utxo.OK
     to_bob = signed_spend(ALICE, [op], [p2pk(BOB, 20)])
-    rej, _ = utxo.validate_spend(to_bob, txid(to_bob), utxos, 1, cfg)
-    assert rej.code == ALLOW_LIST_VIOLATION
+    status, _ = utxo.validate_spend(to_bob, txid(to_bob), utxos, 1, cfg)
+    assert status == ALLOW_LIST_VIOLATION
 
 
 def make_pending(op: Outpoint, amount: int, fee: int, nb: int = 9):

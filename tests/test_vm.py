@@ -112,6 +112,46 @@ def test_deploy_failures():
     assert vm.deploy(acc, stale, txid(stale), OPERATOR).outcome.status == vm.STATUS_BAD_NONCE
 
 
+def test_deploy_settlement_is_the_whole_diff():
+    """Fee and endowment together, a payer that is the operator, and an
+    out-of-gas deploy, which pays the fee and advances the nonce but
+    creates no contract and moves no endowment."""
+    code = counter_code()
+    size = len(code)
+    acc = fresh_accounts()
+    tx = make_deploy(ALICE, code, endowment=250, gas_limit=size, gas_price=3)
+    c = txid(tx)
+    assert vm.deploy(acc, tx, c, OPERATOR) == vm.StateDiff(
+        vm.ExecOutcome(vm.STATUS_COMMITTED, size),
+        balance_new={A_ADDR: 10_000 - 250 - 3 * size, c: 250},
+        new_contract=vm.ContractAccount(c, code),
+        nonce_new=(A_ADDR, 1),
+        operator_delta=3 * size,
+    )
+
+    acc.set_balance(OPERATOR, 10_000)
+    tx = make_deploy(KEYS[0], code, endowment=100, gas_limit=size, gas_price=2)
+    c = txid(tx)
+    diff = vm.deploy(acc, tx, c, OPERATOR)
+    assert diff == vm.StateDiff(
+        vm.ExecOutcome(vm.STATUS_COMMITTED, size),
+        balance_new={OPERATOR: 10_000 - 100 - 2 * size, c: 100},
+        new_contract=vm.ContractAccount(c, code),
+        nonce_new=(OPERATOR, 1),
+        operator_delta=2 * size,
+    )
+    diff.apply(acc, OPERATOR)
+    assert acc.balance(OPERATOR) == 10_000 - 100  # the fee went to itself
+
+    tx = make_deploy(ALICE, code, endowment=50, gas_limit=size - 1, gas_price=2)
+    assert vm.deploy(acc, tx, txid(tx), OPERATOR) == vm.StateDiff(
+        vm.ExecOutcome(vm.STATUS_OUT_OF_GAS, size - 1),
+        balance_new={A_ADDR: 10_000 - 2 * (size - 1)},
+        nonce_new=(A_ADDR, 1),
+        operator_delta=2 * (size - 1),
+    )
+
+
 def test_deploy_endowment_moves_value():
     acc = fresh_accounts()
     c = deployed(acc, "HALT", endowment=250)
