@@ -4,7 +4,9 @@ and in declared mode (runtime access checks on).
 
 Each call runs through vm.invoke against the same pre-state; the diff is
 not applied, so every repetition executes identical work. The short
-contracts run 25 times as many calls per timing as the burn loop.
+contracts run 25 times as many calls per timing as the burn loop. Each
+contract's code is compiled once first (vm.compile_code); the size of its
+generated source and the best of 20 compile times are printed with it.
 
 Usage: python benchmarks/bench_vm.py [iterations]
 """
@@ -76,6 +78,16 @@ def bench(acc: vm.Accounts, tx: Transaction, declared: bool, iterations: int) ->
     return best, gas
 
 
+def compile_cost(code: bytes) -> tuple[int, float]:
+    """(generated source bytes, best of 20 compile times in seconds)."""
+    best = float("inf")
+    for _ in range(20):
+        t0 = time.perf_counter()
+        vm.compile_code.__wrapped__(code)
+        best = min(best, time.perf_counter() - t0)
+    return len(vm.generate_source(vm.decode(code))), best
+
+
 def main() -> int:
     iterations = int(sys.argv[1]) if len(sys.argv) > 1 else 200
     acc, addrs = setup()
@@ -94,6 +106,8 @@ def main() -> int:
             balances_written=frozenset({SELLER}), storage_read=dex_slot, storage_written=dex_slot)),
     }
     for name, (arg, attached, consts, access) in calls.items():
+        source_bytes, seconds = compile_cost(acc.contracts[addrs[name]].code)
+        print(f"{name:8s} compile  {source_bytes:6d} source bytes  {seconds * 1e6:8.0f} us")
         tx = Transaction(Call(addrs[name], arg, attached, CALLER, 100_000, 0, access, consts), nonce=nonce)
         n = iterations if name == "burn" else iterations * SHORT_REPEAT
         for declared in (False, True):

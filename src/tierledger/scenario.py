@@ -449,14 +449,18 @@ def _substitute_refs(value: Any, keys: dict[str, crypto.KeyPair]) -> Any:
     return value
 
 
-def load_scenario(obj: dict) -> tuple[str, rules.SystemConfig, dict[str, crypto.KeyPair], list[dict]]:
+def load_scenario(obj: object) -> tuple[str, rules.SystemConfig, dict[str, crypto.KeyPair], list[dict]]:
+    if not isinstance(obj, dict):
+        raise ScenarioError("malformed scenario: the top level must be an object")
+    if not isinstance(obj.get("keys", {}), dict):
+        raise ScenarioError("malformed scenario: keys must be an object")
     try:
         keys = {name: crypto.keygen(bytes.fromhex(seed)) for name, seed in obj.get("keys", {}).items()}
         cfg_json = _substitute_refs(obj["config"], keys)
         cfg = rules.SystemConfig.from_json(cfg_json)
         steps = obj.get("steps", [])
-        if not isinstance(steps, list):
-            raise ScenarioError("steps must be a list")
+        if not isinstance(steps, list) or not all(isinstance(step, dict) for step in steps):
+            raise ScenarioError("malformed scenario: steps must be a list of objects")
         return obj.get("name", "unnamed"), cfg, keys, steps
     except ScenarioError:
         raise

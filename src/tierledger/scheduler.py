@@ -24,14 +24,15 @@ from .model import AccessDecl, Call, Deploy, Transaction
 from .rules import ACCESS_DECLARED, SystemConfig
 
 # Waves cheaper than this many gas units run inline; below it, starting
-# worker processes costs more than it saves. Measured on a shared 2-vCPU
-# x86-64 host with waves of 8 conflict-free burn calls, inline against the
-# pool (inline time / pool time, two rounds each): at 768k gas every pool
-# run beat inline, 1.08-1.86x (2 workers, small or ~100 MB parent) and
-# 1.32-1.61x (4 workers); at 192k-384k it read 0.47-1.28x, mostly below
-# 1. The VM runs the burn loop at 6.5-14M gas/s inline depending on host
-# load, and one wave on the pool costs 13-30 ms.
-PARALLEL_MIN_GAS = 768_000
+# worker processes costs more than it saves. Measured with
+# benchmarks/bench_pool.py on a shared 2-vCPU x86-64 host (waves of 8
+# conflict-free burn calls, inline time / pool time, best of 5, three runs
+# of three rounds): with 2 workers every round from 6.1M gas beat inline,
+# 1.02-1.95x; at 3.1M one round in nine lost (0.79-1.42x), and at 1.5M
+# most did (0.59-1.05x). The compiled VM runs the burn loop at 65-113M
+# gas/s inline, and one wave on the pool costs 15-25 ms on top of its
+# share of the work.
+PARALLEL_MIN_GAS = 6_144_000
 
 DEFAULT_WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
@@ -209,7 +210,7 @@ def schedule_batch(
     for wave in telemetry.waves:
         wave_items = [wrapped[j] for j in wave]
         if (len(wave_items) >= 2 and workers > 1
-                and sum(_gas_limit(it.tx) for it in wave_items) >= parallel_min_gas):
+                and sum(_payable_gas(accounts, it.tx) for it in wave_items) >= parallel_min_gas):
             results = _run_parallel(accounts, wave_items, epoch, operator, workers)
             telemetry.parallel_waves += 1
             for idx, diff, pid, start, end in sorted(results):
@@ -223,9 +224,14 @@ def schedule_batch(
     return [o for o in outcomes if o is not None], telemetry
 
 
-def _gas_limit(tx: Transaction) -> int:
+def _payable_gas(accounts: vm.Accounts, tx: Transaction) -> int:
+    """A call's gas limit when its caller can prepay it against the
+    pre-wave state; 0 otherwise, since such a call is rejected without
+    running. Deploys are barriers and never share a wave."""
     k = tx.kind
-    return k.gas_limit if isinstance(k, (Call, Deploy)) else 0
+    if isinstance(k, Call) and vm._prepay_covered(accounts, k.caller, k.gas_limit, k.gas_price, k.attached):
+        return k.gas_limit
+    return 0
 
 
 def _run_parallel(
@@ -245,6 +251,14 @@ def _run_parallel(
         "epoch": epoch,
         "operator": operator,
     }
+    # Compile the wave's codes in the parent, so that the workers inherit
+    # them instead of each compiling its own copy. A footprint's callees
+    # hold the called contract; a call without one is rejected unrun.
+    for item in wave_items:
+        for addr in item.footprint.callees if item.footprint is not None else ():
+            acct = accounts.contracts.get(addr)
+            if acct is not None:
+                vm.compile_code(acct.code)
     ctx = multiprocessing.get_context("fork")
     nproc = min(workers, len(wave_items))
     try:

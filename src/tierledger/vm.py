@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .lthash import LtHash
 from .model import (
@@ -457,38 +457,11 @@ class _Checker:
             raise AccessViolationError(f"undeclared call to {addr.hex()[:16]}")
 
 
-# Superinstructions (Ertl & Gregg, "The Structure and Performance of
-# Efficient Interpreters", JILP 2003): decode writes one fused entry at the
-# first offset of each group below. Only groups with measured traffic are
-# fused: the burn loop's DUP NOT JUMPI and PUSHI k SUB. Fused opcodes sit
-# above the byte range, so they never collide with a real opcode.
-_F_PUSHI_SUB = 0x100
-_F_DUP_NOT_JUMPI = 0x101
-# Fused opcode -> the opcodes of its group, in order.
-FUSED = {
-    _F_PUSHI_SUB: (OP_PUSHI, OP_SUB),
-    _F_DUP_NOT_JUMPI: (OP_DUP, OP_NOT, OP_JUMPI),
-}
-_FUSED_GAS = {fop: sum(_GAS_TABLE.get(op, 1) for op in ops) for fop, ops in FUSED.items()}
-
-
-# A 4 KiB program decodes to at most about 430 KiB (4096 one-byte
-# instructions; a fused entry adds about 160 B per group of 5 or more
-# bytes), so 64 entries bound the cache near 28 MiB; a miss costs about
-# 0.7 us per instruction.
-@functools.lru_cache(maxsize=64)
 def decode(code: bytes) -> tuple[Optional[tuple], ...]:
-    """Pre-decode validated code once per distinct code: for each
-    instruction start, (opcode, immediate, next pc, gas). The immediate is
-    the u64 of PUSHI, the table index of PUSHA, the target of JUMP/JUMPI and
-    0 otherwise. Offsets inside an operand hold None; validate_code keeps
-    jump targets off them.
-
-    Where a group of FUSED starts, the entry is fused instead: (fused
-    opcode, (operand, the first op's own entry), pc after the group, the
-    group's total gas), where the operand is the PUSHI value or the JUMPI
-    target. The group's later ops keep their own entries, so a jump into
-    the middle of a group runs from there."""
+    """Pre-decode validated code: for each instruction start, (opcode,
+    immediate, next pc, gas). The immediate is the u64 of PUSHI, the table
+    index of PUSHA, the target of JUMP/JUMPI and 0 otherwise. Offsets inside
+    an operand hold None; validate_code keeps jump targets off them."""
     prog: list[Optional[tuple]] = [None] * len(code)
     pc = 0
     while pc < len(code):
@@ -496,26 +469,494 @@ def decode(code: bytes) -> tuple[Optional[tuple], ...]:
         nxt = pc + 1 + _OPERAND_WIDTH.get(op, 0)
         prog[pc] = (op, int.from_bytes(code[pc + 1 : nxt], "little"), nxt, _GAS_TABLE.get(op, 1))
         pc = nxt
-    for pc, first in enumerate(prog):
-        if first is None:
-            continue
-        for fop, ops in FUSED.items():
-            at = pc
-            for op in ops:
-                last = prog[at] if at < len(code) else None
-                if last is None or last[0] != op:
-                    break
-                at = last[2]
-            else:
-                operand = first[1] if first[0] == OP_PUSHI else last[1]
-                prog[pc] = (fop, (operand, first), at, _FUSED_GAS[fop])
-                break
     return tuple(prog)
 
 
 # Stack words are plain values: an int is an Int, bytes are an Addr.
 _ARITH = frozenset({OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_MOD, OP_LT, OP_GT})
 _EXPECTED_INT = "type error: expected Int"
+
+
+# ---------------------------------------------------------------------------
+# Compiled code: one generated Python function per distinct code
+#
+# The dispatch per opcode is what an interpreter written in Python pays most
+# for (Ertl & Gregg, "The Structure and Performance of Efficient
+# Interpreters", JILP 2003). compile_code removes it for the pure part of a
+# program: each basic block of stack, arithmetic and control-flow ops becomes
+# straight-line Python over locals, from templates per op with an exact
+# fallback (the stencil idea of Xu & Kjolstad, "Copy-and-Patch Compilation",
+# OOPSLA 2021, without their machine code). A block checks at entry that the
+# gas covers it and that the stack holds the depth and the Int or Addr tags
+# it consumes without passing MAX_FRAME_STACK; it writes the stack back only
+# at its end. A failed guard or an in-block fault (sub underflow, add/mul
+# overflow, division by zero) hands the block's entry (pc, stack, gas) to
+# the per-op loop in _Machine.run_frame, which charges op by op, so the
+# faulting op, its detail and gas_used stay exact. Every other op ends a
+# block and runs through the per-op loop.
+
+_PURE = frozenset({
+    OP_PUSHI, OP_PUSHA, OP_DUP, OP_DROP, OP_SWAP, OP_NOT, OP_EQ, OP_JUMP, OP_JUMPI,
+    OP_ARG, OP_CALLER, OP_SELF, OP_VALUE, OP_EPOCH,
+}) | _ARITH
+# Tags of the words the frame constants push: Int or Addr.
+_ENV_TAGS = {OP_ARG: "I", OP_CALLER: "A", OP_SELF: "A", OP_VALUE: "I", OP_EPOCH: "I"}
+_NEGATED = {"<": ">=", ">": "<=", "==": "!="}
+# Bounds on the compiler's work for one code: the generated function holds
+# at most _MAX_LINES lines, and at most _MAX_TRACED ops are traced. Arms go
+# in by code offset until the next would pass a bound; the blocks left out
+# run through the per-op loop. The burn loop takes 40 lines. A loop is
+# looked for over at most _MAX_LOOP_BLOCKS blocks.
+_MAX_LINES = 1_000
+_MAX_TRACED = 4_096
+_MAX_LOOP_BLOCKS = 8
+
+
+class _Skip(Exception):
+    """The ops fault whatever the stack holds; the per-op loop runs them."""
+
+
+class _Full(Exception):
+    """The arm would pass _MAX_LINES."""
+
+
+class _Sym:
+    """A symbolic stack word. expr is a Python expression that is cheap and
+    cannot fail: an int literal, a local, or a frame constant. A 0/1 result
+    of a comparison or NOT keeps its condition and the negation instead
+    (expr is None) until a use needs the word. tag is "I" (Int), "A" (Addr)
+    or None for an entry word no guard has fixed; slot is the entry word's
+    depth below the top (1 = top), 0 for computed words."""
+
+    __slots__ = ("expr", "tag", "cond", "neg", "slot")
+
+    def __init__(self, expr, tag, cond=None, neg=None, slot=0):
+        self.expr, self.tag, self.cond, self.neg, self.slot = expr, tag, cond, neg, slot
+
+
+class _Trace:
+    """Symbolic execution of pure ops into Python lines over locals.
+
+    The entry words the ops reach are s1 (top), s2, ...; computed words go
+    to t1, t2, .... lines holds (indent, text), at most `limit` of them; a
+    possible fault emits `if <fault>:` followed by the `fault` lines. depth,
+    peak, guards and max_const are what the entry guard checks."""
+
+    def __init__(self, fault: list[str], limit: int, slots: int = 0, tags: Optional[dict] = None) -> None:
+        self.fault = fault
+        self.limit = limit
+        self.lines: list[tuple[int, str]] = []
+        self.slots: list[_Sym] = []
+        self.guards: dict[int, str] = {}
+        self.tags = tags or {}
+        self.st: list[_Sym] = []
+        self.depth = self.peak = self.gas = self.temps = 0
+        self.max_const = -1
+        self.used: set[int] = set()
+        self._need(slots)
+
+    def _fits(self) -> None:
+        # depth <= len(stack) <= MAX_FRAME_STACK - peak cannot hold.
+        if self.depth + self.peak > MAX_FRAME_STACK:
+            raise _Skip()
+
+    def _need(self, k: int) -> None:
+        while len(self.st) < k:
+            self.depth += 1
+            sym = _Sym(f"s{self.depth}", self.tags.get(self.depth), slot=self.depth)
+            self.slots.append(sym)
+            self.st.insert(0, sym)
+        self._fits()
+
+    def _push(self, sym: _Sym) -> None:
+        self.st.append(sym)
+        self.peak = max(self.peak, len(self.st) - self.depth)
+        self._fits()
+
+    def _pop(self, tag: Optional[str]) -> _Sym:
+        self._need(1)
+        sym = self.st.pop()
+        if tag is not None:
+            self._want(sym, tag)
+        return sym
+
+    def _want(self, sym: _Sym, tag: str) -> None:
+        if sym.tag is None:
+            sym.tag = self.guards[sym.slot] = tag
+        elif sym.tag != tag:
+            raise _Skip()
+
+    def _emit(self, indent: int, text: str) -> None:
+        if len(self.lines) >= self.limit:
+            raise _Full()
+        self.lines.append((indent, text))
+
+    def word(self, sym: _Sym) -> str:
+        """Expression of the word, without emitting anything."""
+        if sym.slot:
+            self.used.add(sym.slot)
+        return sym.expr if sym.expr is not None else f"(1 if {sym.cond} else 0)"
+
+    def truth(self, sym: _Sym, nonzero: bool) -> str:
+        """Condition that the word is nonzero (or zero)."""
+        if sym.expr is None:
+            return sym.cond if nonzero else sym.neg
+        return self.word(sym) if nonzero else f"not {self.word(sym)}"
+
+    def _atom(self, sym: _Sym) -> str:
+        if sym.expr is None:
+            sym.expr = self._temp(f"1 if {sym.cond} else 0")
+            sym.cond = sym.neg = None
+        return self.word(sym)
+
+    def _temp(self, expr: str) -> str:
+        self.temps += 1
+        self._emit(0, f"t{self.temps} = {expr}")
+        return f"t{self.temps}"
+
+    def _check(self, cond: str) -> None:
+        self._emit(0, f"if {cond}:")
+        for line in self.fault:
+            self._emit(1, line)
+
+    def op(self, op: int, imm: int, cost: int) -> Optional[_Sym]:
+        """Run one pure op; JUMPI returns its condition word."""
+        self.gas += cost
+        if op == OP_PUSHI:
+            self._push(_Sym(str(imm), "I"))
+        elif op == OP_PUSHA:
+            self.max_const = max(self.max_const, imm)
+            self._push(_Sym(f"consts[{imm}]", "A"))
+        elif op in _ENV_TAGS:
+            self._push(_Sym(f"env[{op}]", _ENV_TAGS[op]))
+        elif op == OP_DUP:
+            self._need(1)
+            self._push(self.st[-1])
+        elif op == OP_DROP:
+            self._pop(None)
+        elif op == OP_SWAP:
+            self._need(2)
+            self.st[-1], self.st[-2] = self.st[-2], self.st[-1]
+        elif op == OP_NOT:
+            x = self._pop("I")
+            if x.expr is None:
+                self._push(_Sym(None, "I", x.neg, x.cond))
+            else:
+                self._push(_Sym(None, "I", f"not {self.word(x)}", self.word(x)))
+        elif op == OP_EQ:
+            b, a = self._pop(None), self._pop(None)
+            if a.tag is None or b.tag is None:
+                tag = a.tag or b.tag or "I"
+                self._want(a, tag)
+                self._want(b, tag)
+            elif a.tag != b.tag:
+                raise _Skip()
+            self._compare(a, "==", b)
+        elif op == OP_JUMPI:
+            return self._pop("I")
+        elif op != OP_JUMP:
+            b, a = self._pop("I"), self._pop("I")
+            if op == OP_LT or op == OP_GT:
+                self._compare(a, "<" if op == OP_LT else ">", b)
+            else:
+                self._arith(op, a, b)
+        return None
+
+    def _compare(self, a: _Sym, rel: str, b: _Sym) -> None:
+        x, y = self._atom(a), self._atom(b)
+        self._push(_Sym(None, "I", f"{x} {rel} {y}", f"{x} {_NEGATED[rel]} {y}"))
+
+    def _arith(self, op: int, a: _Sym, b: _Sym) -> None:
+        x, y = self._atom(a), self._atom(b)
+        if op == OP_SUB:
+            self._check(f"{y} > {x}")
+            t = self._temp(f"{x} - {y}")
+        elif op == OP_ADD or op == OP_MUL:
+            t = self._temp(f"{x} {'+' if op == OP_ADD else '*'} {y}")
+            self._check(f"{t} > {U64_MAX}")
+        else:
+            self._check(f"not {y}")
+            t = self._temp(f"{x} {'//' if op == OP_DIV else '%'} {y}")
+        self._push(_Sym(t, "I"))
+
+    def writeback(self, fresh: bool) -> list[str]:
+        """Lines that put the symbolic words over the real stack's top
+        `depth` words. fresh: those still hold the entry words, so an
+        unchanged bottom run is left alone."""
+        keep = 0
+        if fresh:
+            while (keep < min(len(self.st), self.depth)
+                   and self.st[keep] is self.slots[self.depth - 1 - keep]):
+                keep += 1
+        m = self.depth - keep
+        words = [self.word(sym) for sym in self.st[keep:]]
+        if m == 1 and len(words) == 1:
+            return [f"stack[-1] = {words[0]}"]
+        if m or words:
+            return [f"stack[len(stack) - {m}:] = ({''.join(w + ', ' for w in words)})"]
+        return []
+
+    def entry_ok(self) -> list[str]:
+        """What the ops need of the stack and the constants, the gas aside:
+        depth, room below MAX_FRAME_STACK, tags, table size."""
+        ok = [f"{self.depth} <= len(stack) <= {MAX_FRAME_STACK - self.peak}"]
+        ok += [f"stack[-{i}].__class__ is {'' if tag == 'I' else 'not '}int"
+               for i, tag in sorted(self.guards.items())]
+        if self.max_const >= 0:
+            ok.append(f"len(consts) > {self.max_const}")
+        return ok
+
+    def loads(self, slots) -> list[tuple[int, str]]:
+        return [(0, f"s{i} = stack[-{i}]") for i in sorted(slots)]
+
+
+class _Program:
+    """Basic blocks of decoded code. A block is a run of pure ops that
+    starts at a leader (offset 0, a jump target, or the op after a jump or
+    after an op the per-op loop runs) and ends at a jump, before a leader or
+    before an op that is not pure.
+
+    armed holds the blocks meant to get an arm: those of two or more ops,
+    and the targets of backward jumps. runs[pc] is how many ops the per-op
+    loop runs from pc: up to the next armed block, the end of the code, or
+    a jump, whose target is known only at run time."""
+
+    def __init__(self, prog: tuple) -> None:
+        self.prog = prog
+        self.end = len(prog)
+        self.traced = 0
+        leaders = {0}
+        self.back_targets: set[int] = set()
+        for pc, entry in enumerate(prog):
+            if entry is None:
+                continue
+            op, imm, nxt, _ = entry
+            if op in (OP_JUMP, OP_JUMPI):
+                leaders.update((imm, nxt))
+                if imm <= pc:
+                    self.back_targets.add(imm)
+            elif op not in _PURE:
+                leaders.add(nxt)
+        self.blocks: dict[int, list[int]] = {}
+        for pc in sorted(leaders):
+            block: list[int] = []
+            while pc < self.end and prog[pc][0] in _PURE and not (block and pc in leaders):
+                block.append(pc)
+                if prog[pc][0] in (OP_JUMP, OP_JUMPI):
+                    break
+                pc = prog[pc][2]
+            if block:
+                self.blocks[block[0]] = block
+        self.armed = {b for b, block in self.blocks.items() if len(block) > 1 or b in self.back_targets}
+        runs = [0] * (self.end + 1)
+        for pc in range(self.end - 1, -1, -1):
+            if prog[pc] is not None:
+                op, _, nxt, _ = prog[pc]
+                stop = op in (OP_JUMP, OP_JUMPI) or nxt in self.armed
+                runs[pc] = 1 if stop else 1 + runs[nxt]
+        self.runs = tuple(runs)
+
+    def successors(self, block: list[int]) -> tuple[int, ...]:
+        """(target,) for JUMP or falling through; (taken, not taken) for
+        JUMPI."""
+        op, imm, nxt, _ = self.prog[block[-1]]
+        if op == OP_JUMP:
+            return (imm,)
+        return (imm, nxt) if op == OP_JUMPI else (nxt,)
+
+    def goto(self, target: int) -> list[str]:
+        """Lines that continue at target: dispatch to its arm, or return
+        the run the per-op loop executes there (none at the end of the
+        code)."""
+        if target in self.armed:
+            return [f"pc = {target}"]
+        return [f"return {target}, gas, {self.runs[target]}"]
+
+    def trace(self, path: list[list[int]], stays: list, tr: _Trace, exit_lines) -> Optional[_Sym]:
+        """Trace a path of blocks into tr. stays[i] is where block i's path
+        goes on (None: nowhere, the path ends there); a JUMPI whose other
+        target leaves the path calls exit_lines(target, condition). Returns
+        the condition of a last JUMPI that ends the path."""
+        cond = None
+        self.traced += sum(map(len, path))
+        for block, stay in zip(path, stays):
+            for pc in block:
+                op, imm, _, cost = self.prog[pc]
+                cond = tr.op(op, imm, cost)
+            succ = self.successors(block)
+            if stay is None or len(succ) == 1 or succ[0] == succ[1]:
+                continue
+            out = succ[1] if succ[0] == stay else succ[0]
+            exit_lines(out, tr.truth(cond, out == succ[0]))
+        return cond
+
+    def cycle(self, header: int) -> Optional[list[list[int]]]:
+        """Shortest path of blocks from header back to it, found breadth
+        first, so no block on it but the last can go to the header."""
+        parent: dict[int, Optional[int]] = {header: None}
+        frontier = [header]
+        for _ in range(_MAX_LOOP_BLOCKS):
+            later = []
+            for at in frontier:
+                for target in self.successors(self.blocks[at]):
+                    if target == header:
+                        path = [at]
+                        while parent[path[-1]] is not None:
+                            path.append(parent[path[-1]])
+                        return [self.blocks[b] for b in reversed(path)]
+                    if target in self.blocks and target not in parent:
+                        parent[target] = at
+                        later.append(target)
+            frontier = later
+        return None
+
+    def block_arm(self, start: int, limit: int) -> list[tuple[int, str]]:
+        """Guards, body, write-back and the way on for one block."""
+        block = self.blocks[start]
+        fallback = f"return {start}, gas, {len(block)}"
+        tr = _Trace([fallback], limit)
+        cond = self.trace([block], [None], tr, None)
+        tail = [(0, line) for line in tr.writeback(fresh=True)] + [(0, f"gas -= {tr.gas}")]
+        succ = self.successors(block)
+        if len(succ) == 1 or succ[0] == succ[1]:
+            tail += [(0, line) for line in self.goto(succ[0])]
+            return self._guarded(tr, fallback) + tail
+        when = tr.truth(cond, True)
+        if succ[0] in self.armed and succ[1] in self.armed:
+            tail.append((0, f"pc = {succ[0]} if {when} else {succ[1]}"))
+        else:
+            tail += [(0, f"if {when}:")] + [(1, line) for line in self.goto(succ[0])]
+            tail += [(0, "else:")] + [(1, line) for line in self.goto(succ[1])]
+        return self._guarded(tr, fallback) + tail
+
+    @staticmethod
+    def _guarded(tr: _Trace, fallback: str) -> list[tuple[int, str]]:
+        guard = [(0, f"if not ({' and '.join([f'gas >= {tr.gas}'] + tr.entry_ok())}):"), (1, fallback)]
+        return guard + tr.loads(tr.used) + tr.lines
+
+    def loop_arm(self, path: list[list[int]], limit: int) -> Optional[list[tuple[int, str]]]:
+        """A `while` over a cycle of blocks whose words keep their depth and
+        tags from one pass to the next: the entry words live in locals
+        s1..sd, so each pass checks only its gas. An exit writes the words
+        back and leaves; a pass that could fault or that the gas does not
+        cover writes back the pass's entry words and leaves pc at the
+        header, whose own block then runs."""
+        header = path[0][0]
+        stays = [block[0] for block in path[1:]] + [header]
+        probe = _Trace([], limit)
+        try:
+            self.trace(path, stays, probe, lambda out, when: None)
+        except _Skip:
+            return None
+        d = probe.depth
+        if len(probe.st) != d or any(probe.st[-i].tag != tag for i, tag in probe.guards.items()):
+            return None
+        words = ", ".join(f"s{i}" for i in range(d, 0, -1))
+        restore = [f"stack[-{d}:] = {words}," if d > 1 else "stack[-1] = s1"] if d else []
+        tr = _Trace(restore + ["break"], limit, d, probe.guards)
+
+        def exit_lines(out: int, when: str) -> None:
+            leave = tr.writeback(fresh=False) + [f"gas -= {tr.gas}"] + self.goto(out)
+            if leave[-1].startswith("pc"):
+                leave.append("break")
+            tr._emit(0, f"if {when}:")
+            for line in leave:
+                tr._emit(1, line)
+
+        self.trace(path, stays, tr, exit_lines)
+        new = {i: tr.word(tr.st[-i]) for i in range(1, d + 1)}
+        changed = [i for i in new if new[i] != f"s{i}"]
+        body = list(tr.lines)
+        if changed:
+            body.append((0, f"{', '.join(f's{i}' for i in changed)} = {', '.join(new[i] for i in changed)}"))
+        body.append((0, f"gas -= {tr.gas}"))
+        loop = tr.loads(range(1, d + 1)) + [(0, f"while gas >= {tr.gas}:")] + [(k + 1, line) for k, line in body]
+        if restore:
+            loop += [(0, "else:"), (1, restore[0])]
+        loop += [(0, f"if pc != {header}:"), (1, "continue")]
+        if probe.entry_ok():
+            loop = [(0, f"if {' and '.join(probe.entry_ok())}:")] + [(k + 1, line) for k, line in loop]
+        return loop
+
+
+def _dispatch(arms: list[tuple[int, list[tuple[int, str]]]], indent: int, out: list[str]) -> None:
+    """An if-tree on pc over the arms, halving until four are left; an
+    offset with no arm returns its run to the per-op loop."""
+    pad = "    " * indent
+    if len(arms) > 4:
+        mid = len(arms) // 2
+        out.append(f"{pad}if pc < {arms[mid][0]}:")
+        _dispatch(arms[:mid], indent + 1, out)
+        out.append(f"{pad}else:")
+        _dispatch(arms[mid:], indent + 1, out)
+        return
+    for i, (start, lines) in enumerate(arms):
+        out.append(f"{pad}{'el' if i else ''}if pc == {start}:")
+        out.extend(f"{pad}{'    ' * (k + 1)}{line}" for k, line in lines)
+    out.append(f"{pad}{'else:' if arms else 'if True:'}")
+    out.append(f"{pad}    return pc, gas, runs[pc]")
+
+
+def generate_source(prog: tuple) -> str:
+    """Python source of `run(stack, gas, pc, env, consts)` for a decoded
+    program; see _source."""
+    return _source(_Program(prog))
+
+
+def _source(p: _Program) -> str:
+    """Python source of `run(stack, gas, pc, env, consts)` for a decoded
+    program. From pc it runs compiled blocks over `stack` until the per-op
+    loop must take over, and returns (pc, gas, steps): the per-op loop runs
+    `steps` ops from pc and calls it again; steps is 0 at the end of the
+    code. The source holds only integers from the decoded program, never
+    bytes of the code.
+
+    A block of two or more ops gets an arm. A block that heads a cycle of
+    blocks (the target of a backward jump) first tries the cycle as a
+    `while`, and gets an arm for that alone. Arms stop at the bounds above.
+    Any other offset returns its run from the global `runs`, which
+    compile_code sets to _Program.runs."""
+    left = _MAX_LINES
+    arms = []
+    for start in sorted(p.blocks):
+        if p.traced >= _MAX_TRACED:
+            break
+        path = p.cycle(start) if start in p.back_targets else None
+        try:
+            lines = (path and p.loop_arm(path, left)) or []
+            if lines or len(p.blocks[start]) > 1:
+                lines += p.block_arm(start, left - len(lines))
+        except _Skip:
+            continue
+        except _Full:
+            break
+        # Two lines for the arm's place in the dispatch tree.
+        if len(lines) + 2 > left:
+            break
+        if lines:
+            arms.append((start, lines))
+            left -= len(lines) + 2
+    out = ["def run(stack, gas, pc, env, consts):", "    while True:"]
+    _dispatch(arms, 2, out)
+    return "\n".join(out) + "\n"
+
+
+# Each entry holds the decoded program, the run table and the compiled
+# function. For a 4 KiB code that is at most about 600 KiB: the decoded
+# program up to about 440 KiB (4096 one-byte instructions), the run table
+# up to about 140 KiB, and the function, which _MAX_LINES holds near 45 KiB.
+# So 64 entries bound the cache near 38 MiB. On a shared 2-vCPU x86-64
+# host a miss costs 0.2-1.4 ms for the burn, counter, average and DEX
+# contracts, and up to about 40 ms (under 6 MiB peak) for the worst 4 KiB
+# codes tried: 1,000-line sources of many short blocks or loops.
+@functools.lru_cache(maxsize=64)
+def compile_code(code: bytes) -> tuple[tuple, Callable]:
+    """(decoded program, compiled function) of validated code, built once
+    per distinct code."""
+    program = _Program(decode(code))
+    namespace = {"runs": program.runs}
+    exec(_source(program), namespace)
+    return program.prog, namespace["run"]
 
 
 def _pop(stack: list, want_int: bool):
@@ -582,23 +1023,20 @@ class _Machine:
         """Execute a contract frame; returns its RETURN value (None for
         HALT). Raises _Fault to revert the frame.
 
-        One loop over the pre-decoded program with gas in a local: each step
-        charges gas before it executes, and the common stack and control-flow
-        opcodes come first. self.gas is exact whenever the frame exits or
-        calls another frame.
-
-        A fused entry runs its whole group at once only when the gas covers
-        the group and no op before the last can fault; only the last op may
-        then fault, after the whole group is charged, as op by op. Otherwise
-        the group's first op runs alone through the per-op code, so the
-        faulting op, its detail and gas_used stay exact."""
+        The code's compiled function runs the pure blocks and returns where
+        the per-op loop takes over and for how many ops: the ops it does not
+        compile, and any block whose guard failed or that would fault. The
+        per-op loop keeps gas in a local and charges each op before it
+        executes it. self.gas is exact whenever the frame exits or calls
+        another frame."""
         acct = self.base.contracts.get(self_addr)
         if acct is None:
             raise _Fault("no such contract")
         self.move_value(caller, self_addr, value)
-        prog = decode(acct.code)
+        prog, compiled = compile_code(acct.code)
         n = len(prog)
         checker = self.checker
+        consts = self.consts
         env = {OP_ARG: arg, OP_CALLER: caller, OP_SELF: self_addr, OP_VALUE: value, OP_EPOCH: self.epoch}
         stack: list = []
         push, pop = stack.append, stack.pop
@@ -606,165 +1044,151 @@ class _Machine:
         pc = 0
         try:
             while pc < n:
-                op, imm, pc, cost = prog[pc]
-                if op > 0xFF:
-                    if (gas >= cost and stack and stack[-1].__class__ is int
-                            and len(stack) < MAX_FRAME_STACK):
-                        gas -= cost
+                pc, gas, steps = compiled(stack, gas, pc, env, consts)
+                for _ in range(steps):
+                    op, imm, pc, cost = prog[pc]
+                    gas -= cost
+                    if gas < 0:
+                        raise _OutOfGas()
+                    if op == OP_HALT:
+                        return None
+                    elif op == OP_SLOAD:
+                        key = _pop(stack, True)
+                        if checker is not None:
+                            checker.storage_read(self_addr, key)
+                        push(self.sload(self_addr, key))
+                    elif op == OP_SSTORE:
+                        val = _pop(stack, True)
+                        key = _pop(stack, True)
+                        if checker is not None:
+                            checker.storage_write(self_addr, key)
+                        self.storage[(self_addr, key)] = val
+                    elif op == OP_BALANCE:
+                        addr = _pop(stack, False)
+                        if checker is not None:
+                            checker.balance_read(addr)
+                        push(self.balance(addr))
+                    elif op == OP_TRANSFER:
+                        dst = _pop(stack, False)
+                        amount = _pop(stack, True)
+                        if checker is not None:
+                            checker.balance_write(self_addr)
+                            checker.balance_write(dst)
+                        self.move_value(self_addr, dst, amount)
+                    elif op == OP_RETURN:
+                        return _pop(stack, True)
+                    elif op == OP_EVENT:
+                        val = _pop(stack, True)
+                        topic = _pop(stack, True)
+                        self.events.append((self_addr, topic, val))
+                    elif op == OP_CALL:
+                        callee = _pop(stack, False)
+                        call_arg = _pop(stack, True)
+                        if checker is not None:
+                            checker.call(callee)
+                        ret, ok = None, 0
+                        if depth + 1 <= MAX_CALL_DEPTH and callee in self.base.contracts:
+                            snap = self.snapshot()
+                            self.gas = gas
+                            try:
+                                ret = self.run_frame(callee, self_addr, call_arg, 0, depth + 1)
+                                ok = 1
+                            except _Fault:
+                                self.rollback(snap)
+                            finally:
+                                gas = self.gas
+                        push(ret or 0)  # return value
+                        push(ok)  # status
+                    elif op == OP_REVERT:
+                        raise _Fault("explicit revert")
+                    elif op == OP_PUSHI:
+                        if len(stack) >= MAX_FRAME_STACK:
+                            raise _Fault("frame stack overflow")
+                        push(imm)
+                    elif op == OP_DUP:
+                        if not stack:
+                            raise _Fault("stack underflow")
+                        if len(stack) >= MAX_FRAME_STACK:
+                            raise _Fault("frame stack overflow")
+                        push(stack[-1])
+                    elif op == OP_JUMPI:
+                        if not stack:
+                            raise _Fault("stack underflow")
+                        v = pop()
+                        if v.__class__ is not int:
+                            raise _Fault(_EXPECTED_INT)
+                        if v:
+                            pc = imm
+                    elif op == OP_JUMP:
+                        pc = imm
+                    elif op == OP_NOT:
+                        if not stack:
+                            raise _Fault("stack underflow")
+                        if stack[-1].__class__ is not int:
+                            raise _Fault(_EXPECTED_INT)
+                        stack[-1] = 0 if stack[-1] else 1
+                    elif op in _ARITH:
+                        if not stack:
+                            raise _Fault("stack underflow")
+                        b = pop()
+                        if b.__class__ is not int:
+                            raise _Fault(_EXPECTED_INT)
+                        if not stack:
+                            raise _Fault("stack underflow")
                         a = stack[-1]
-                        if op == _F_PUSHI_SUB:
-                            b = imm[0]
+                        if a.__class__ is not int:
+                            raise _Fault(_EXPECTED_INT)
+                        if op == OP_SUB:
                             if b > a:
                                 raise _Fault("sub underflow")
-                            stack[-1] = a - b
-                        elif not a:
-                            # DUP NOT JUMPI jumps on a zero top and leaves
-                            # the stack as it was.
-                            pc = imm[0]
-                        continue
-                    op, imm, pc, cost = imm[1]
-                gas -= cost
-                if gas < 0:
-                    raise _OutOfGas()
-                if op == OP_PUSHI:
-                    if len(stack) >= MAX_FRAME_STACK:
-                        raise _Fault("frame stack overflow")
-                    push(imm)
-                elif op == OP_DUP:
-                    if not stack:
-                        raise _Fault("stack underflow")
-                    if len(stack) >= MAX_FRAME_STACK:
-                        raise _Fault("frame stack overflow")
-                    push(stack[-1])
-                elif op == OP_JUMPI:
-                    if not stack:
-                        raise _Fault("stack underflow")
-                    v = pop()
-                    if v.__class__ is not int:
-                        raise _Fault(_EXPECTED_INT)
-                    if v:
-                        pc = imm
-                elif op == OP_JUMP:
-                    pc = imm
-                elif op == OP_NOT:
-                    if not stack:
-                        raise _Fault("stack underflow")
-                    if stack[-1].__class__ is not int:
-                        raise _Fault(_EXPECTED_INT)
-                    stack[-1] = 0 if stack[-1] else 1
-                elif op in _ARITH:
-                    if not stack:
-                        raise _Fault("stack underflow")
-                    b = pop()
-                    if b.__class__ is not int:
-                        raise _Fault(_EXPECTED_INT)
-                    if not stack:
-                        raise _Fault("stack underflow")
-                    a = stack[-1]
-                    if a.__class__ is not int:
-                        raise _Fault(_EXPECTED_INT)
-                    if op == OP_SUB:
-                        if b > a:
-                            raise _Fault("sub underflow")
-                        a -= b
-                    elif op == OP_ADD:
-                        a += b
-                        if a > U64_MAX:
-                            raise _Fault("add overflow")
-                    elif op == OP_MUL:
-                        a *= b
-                        if a > U64_MAX:
-                            raise _Fault("mul overflow")
-                    elif op == OP_DIV:
-                        if b == 0:
-                            raise _Fault("division by zero")
-                        a //= b
-                    elif op == OP_MOD:
-                        if b == 0:
-                            raise _Fault("modulo by zero")
-                        a %= b
-                    else:
-                        a = int(a < b) if op == OP_LT else int(a > b)
-                    stack[-1] = a
-                elif op == OP_HALT:
-                    return None
-                elif op in env:
-                    if len(stack) >= MAX_FRAME_STACK:
-                        raise _Fault("frame stack overflow")
-                    push(env[op])
-                elif op == OP_PUSHA:
-                    if imm >= len(self.consts):
-                        raise _Fault(f"address constant {imm} out of range")
-                    if len(stack) >= MAX_FRAME_STACK:
-                        raise _Fault("frame stack overflow")
-                    push(self.consts[imm])
-                elif op == OP_DROP:
-                    if not stack:
-                        raise _Fault("stack underflow")
-                    pop()
-                elif op == OP_SWAP:
-                    if len(stack) < 2:
-                        raise _Fault("stack underflow")
-                    stack[-1], stack[-2] = stack[-2], stack[-1]
-                elif op == OP_EQ:
-                    if len(stack) < 2:
-                        raise _Fault("stack underflow")
-                    b = pop()
-                    a = stack[-1]
-                    if (a.__class__ is int) != (b.__class__ is int):
-                        raise _Fault("type error: EQ on mixed tags")
-                    stack[-1] = int(a == b)
-                elif op == OP_BALANCE:
-                    addr = _pop(stack, False)
-                    if checker is not None:
-                        checker.balance_read(addr)
-                    push(self.balance(addr))
-                elif op == OP_SLOAD:
-                    key = _pop(stack, True)
-                    if checker is not None:
-                        checker.storage_read(self_addr, key)
-                    push(self.sload(self_addr, key))
-                elif op == OP_SSTORE:
-                    val = _pop(stack, True)
-                    key = _pop(stack, True)
-                    if checker is not None:
-                        checker.storage_write(self_addr, key)
-                    self.storage[(self_addr, key)] = val
-                elif op == OP_TRANSFER:
-                    dst = _pop(stack, False)
-                    amount = _pop(stack, True)
-                    if checker is not None:
-                        checker.balance_write(self_addr)
-                        checker.balance_write(dst)
-                    self.move_value(self_addr, dst, amount)
-                elif op == OP_EVENT:
-                    val = _pop(stack, True)
-                    topic = _pop(stack, True)
-                    self.events.append((self_addr, topic, val))
-                elif op == OP_CALL:
-                    callee = _pop(stack, False)
-                    call_arg = _pop(stack, True)
-                    if checker is not None:
-                        checker.call(callee)
-                    ret, ok = None, 0
-                    if depth + 1 <= MAX_CALL_DEPTH and callee in self.base.contracts:
-                        snap = self.snapshot()
-                        self.gas = gas
-                        try:
-                            ret = self.run_frame(callee, self_addr, call_arg, 0, depth + 1)
-                            ok = 1
-                        except _Fault:
-                            self.rollback(snap)
-                        finally:
-                            gas = self.gas
-                    push(ret or 0)  # return value
-                    push(ok)  # status
-                elif op == OP_RETURN:
-                    return _pop(stack, True)
-                elif op == OP_REVERT:
-                    raise _Fault("explicit revert")
-                else:  # pragma: no cover - validate_code rejects unknown opcodes
-                    raise _Fault(f"unknown opcode 0x{op:02x}")
+                            a -= b
+                        elif op == OP_ADD:
+                            a += b
+                            if a > U64_MAX:
+                                raise _Fault("add overflow")
+                        elif op == OP_MUL:
+                            a *= b
+                            if a > U64_MAX:
+                                raise _Fault("mul overflow")
+                        elif op == OP_DIV:
+                            if b == 0:
+                                raise _Fault("division by zero")
+                            a //= b
+                        elif op == OP_MOD:
+                            if b == 0:
+                                raise _Fault("modulo by zero")
+                            a %= b
+                        else:
+                            a = int(a < b) if op == OP_LT else int(a > b)
+                        stack[-1] = a
+                    elif op in env:
+                        if len(stack) >= MAX_FRAME_STACK:
+                            raise _Fault("frame stack overflow")
+                        push(env[op])
+                    elif op == OP_PUSHA:
+                        if imm >= len(consts):
+                            raise _Fault(f"address constant {imm} out of range")
+                        if len(stack) >= MAX_FRAME_STACK:
+                            raise _Fault("frame stack overflow")
+                        push(consts[imm])
+                    elif op == OP_DROP:
+                        if not stack:
+                            raise _Fault("stack underflow")
+                        pop()
+                    elif op == OP_SWAP:
+                        if len(stack) < 2:
+                            raise _Fault("stack underflow")
+                        stack[-1], stack[-2] = stack[-2], stack[-1]
+                    elif op == OP_EQ:
+                        if len(stack) < 2:
+                            raise _Fault("stack underflow")
+                        b = pop()
+                        a = stack[-1]
+                        if (a.__class__ is int) != (b.__class__ is int):
+                            raise _Fault("type error: EQ on mixed tags")
+                        stack[-1] = int(a == b)
+                    else:  # pragma: no cover - validate_code rejects unknown opcodes
+                        raise _Fault(f"unknown opcode 0x{op:02x}")
             return None
         finally:
             self.gas = gas

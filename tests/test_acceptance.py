@@ -273,10 +273,12 @@ def test_criterion_6_declared_equals_serial_with_real_concurrency():
         if trial == 0:
             # Conflict-free heavyweight batch, forced onto the pool: the
             # telemetry demonstration that >= 2 transactions actually ran
-            # concurrently.
+            # concurrently. Each call takes a quarter of the wave gas that
+            # pays for a fork (6 gas per loop iteration).
             sa, sb = burn_base.copy(), burn_base.copy()
+            arg = scheduler.PARALLEL_MIN_GAS // 4 // 6
             txs = [
-                make_call(KEYS[2 + i], c, nonce=0, arg=20_000, gas_limit=130_000,
+                make_call(KEYS[2 + i], c, nonce=0, arg=arg, gas_limit=6 * arg + 5_000,
                           access=AccessDecl())
                 for i, c in enumerate(burn_contracts)
             ]
@@ -308,10 +310,13 @@ def test_criterion_6_declared_equals_serial_with_real_concurrency():
     assert concurrent, "no batch demonstrated >= 2 concurrent transactions"
     assert any(len(set(t.worker_pids.values())) >= 2 for t in telemetry)
 
-    # Timing: 32 conflict-free transactions, 4 workers vs serial.
+    # Timing: 32 conflict-free transactions, 4 workers vs serial, on a wave
+    # of TIMING_WAVE_MIN_GAS_MULTIPLE times the gas from which the
+    # scheduler forks a pool at all (6 gas per burn-loop iteration).
     timing_base, timing_contracts = _timing_fleet()
+    arg = int(TIMING_WAVE_MIN_GAS_MULTIPLE * scheduler.PARALLEL_MIN_GAS) // (32 * 6)
     txs = [
-        make_call(_extra_key(i), c, nonce=0, arg=10_000, gas_limit=65_000, access=AccessDecl())
+        make_call(_extra_key(i), c, nonce=0, arg=arg, gas_limit=6 * arg + 5_000, access=AccessDecl())
         for i, c in enumerate(timing_contracts)
     ]
     items = [(tx, txid(tx)) for tx in txs]
@@ -337,6 +342,9 @@ def test_criterion_6_declared_equals_serial_with_real_concurrency():
         f"is sensitive to host load: other work on the same CPUs slows the fork pool's "
         f"workers, and with a single CPU fork-based workers cannot beat serial execution"
     )
+
+
+TIMING_WAVE_MIN_GAS_MULTIPLE = 2.5
 
 
 def _extra_key(i: int) -> crypto.KeyPair:

@@ -135,6 +135,20 @@ def test_cli_reports_each_error_once_and_nothing_when_quiet(tmp_path):
         assert (quiet.returncode, quiet.stdout, quiet.stderr) == (2, "", ""), args
 
 
+def test_cli_run_on_a_scenario_of_the_wrong_shape_exits_2(tmp_path):
+    """A scenario file whose top level, keys or a step is not an object is
+    malformed input: exit 2 and one error line, not a traceback."""
+    shapes = ["[]", "3", '"steps"', "null", '{"keys": [], "config": {}}',
+              '{"config": {}, "steps": [3]}', '{"config": {}, "steps": {}}']
+    for i, text in enumerate(shapes):
+        path = tmp_path / f"shape{i}.json"
+        path.write_text(text)
+        res = run_cli("run", path, tmp_path / f"log{i}")
+        assert (res.returncode, res.stdout) == (2, ""), text
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: malformed scenario: "), (text, res.stderr)
+
+
 def test_cli_run_then_replay_and_digest(tmp_path, capsys):
     steps = [
         {"op": "advance"},

@@ -193,10 +193,12 @@ def test_forced_parallel_wave_matches_inline_and_reports_telemetry():
         diff.apply(acc_a, DYN.operator_address)
         contracts.append(txid(tx))
     acc_b = acc_a.copy()
+    # Long enough that the OS preempts mid-run and the wall-clock spans of
+    # sibling workers overlap even on a single hardware thread: a quarter
+    # of the wave gas that pays for a fork (6 gas per loop iteration).
+    arg = scheduler.PARALLEL_MIN_GAS // 4 // 6
     txs = [
-        # Long enough that the OS preempts mid-run and the wall-clock spans
-        # of sibling workers overlap even on a single hardware thread.
-        make_call(KEYS[2 + i], c, nonce=0, arg=20_000, gas_limit=130_000, gas_price=0,
+        make_call(KEYS[2 + i], c, nonce=0, arg=arg, gas_limit=6 * arg + 5_000, gas_price=0,
                   access=AccessDecl())
         for i, c in enumerate(contracts)
     ]
@@ -231,6 +233,47 @@ def test_parallel_wave_raises_when_a_worker_dies_or_raises(monkeypatch):
     monkeypatch.setattr(scheduler, "_execute_one", boom)
     with pytest.raises(ValueError, match="boom in worker"):
         scheduler._run_parallel(acc, items, 1, DECL.operator_address, 2)
+
+
+def test_pool_forks_only_on_gas_the_callers_can_prepay(monkeypatch):
+    """A wave forks the pool only on the gas of calls whose callers cover
+    the prepay: two calls with gas_limit 2**63 from callers holding 1,000
+    run inline and come back 304, where two payable calls of the same
+    total gas threshold fork once."""
+    forks = []
+    real = scheduler._run_parallel
+    monkeypatch.setattr(scheduler, "_run_parallel", lambda *a: forks.append(len(a[1])) or real(*a))
+    for gas_limit, gas_price, status, expected_forks in [(2**63, 4, 304, []), (500, 2, 0, [2])]:
+        forks.clear()
+        acc, contracts = setup_contracts(2, funded_keys=[1])
+        for i in range(2):
+            acc.set_balance(address_of_pubkey(KEYS[2 + i].pubkey), 1_000)
+        txs = [make_call(KEYS[2 + i], c, gas_limit=gas_limit, gas_price=gas_price, access=counter_access(c))
+               for i, c in enumerate(contracts)]
+        outs, tel = scheduler.schedule_batch(acc, items_for(txs), 1, DECL, workers=2, parallel_min_gas=1_000)
+        assert tel.waves == [[0, 1]]
+        assert [o.status for o in outs] == [status] * 2
+        assert (forks, tel.parallel_waves) == (expected_forks, len(expected_forks))
+
+
+def test_parallel_wave_workers_inherit_compiled_code(monkeypatch):
+    """The parent compiles each code of a wave before it forks, so no
+    worker compiles one."""
+    acc, items = _counter_wave(3)
+    vm.compile_code.cache_clear()
+    real = scheduler._execute_one
+
+    def execute(*args):
+        misses = vm.compile_code.cache_info().misses
+        diff = real(*args)
+        if vm.compile_code.cache_info().misses != misses:
+            raise ValueError("a worker compiled code")
+        return diff
+
+    monkeypatch.setattr(scheduler, "_execute_one", execute)
+    results = scheduler._run_parallel(acc, items, 1, DECL.operator_address, 2)
+    assert [diff.outcome.status for _, diff, *_ in sorted(results)] == [0, 0, 0]
+    assert vm.compile_code.cache_info().misses == 3
 
 
 def test_on_commit_order_is_submission_order_within_waves():

@@ -323,50 +323,22 @@ def test_operator_fee_is_a_commuting_delta():
     assert OPERATOR not in diff.balance_new
 
 
-def after(code: bytes, pc: int) -> int:
-    """Offset of the instruction after the one at pc."""
-    return pc + 1 + vm._OPERAND_WIDTH.get(code[pc], 0)
-
-
-def test_decode_once_per_code_and_gas_matches_table():
-    """100 calls to one contract decode its code once; every decoded gas
-    charge equals vm.gas_cost, and a fused entry's gas is the sum over the
-    ops of its group."""
-    vm.decode.cache_clear()
+def test_compile_once_per_code_and_decoded_gas_matches_table():
+    """100 calls to one contract compile its code once, and every decoded
+    gas charge equals vm.gas_cost."""
+    vm.compile_code.cache_clear()
     acc = fresh_accounts()
     c = deployed(acc, COUNTER_ASM)
     for _ in range(100):
         assert run_call(acc, c, gas_limit=COUNTER_GAS).outcome.status == vm.STATUS_COMMITTED
     assert acc.storage_get(c, 0) == 100
-    assert vm.decode.cache_info().misses == 1
+    assert vm.compile_code.cache_info().misses == 1
+    assert vm.compile_code(counter_code())[0] == vm.decode(counter_code())
     every_op = b"".join(bytes([op]) + bytes(vm._OPERAND_WIDTH.get(op, 0)) for op in vm.MNEMONICS)
     decoded = [entry for entry in vm.decode(every_op) if entry is not None]
     assert [entry[0] for entry in decoded] == list(vm.MNEMONICS)
     for op, _, _, gas in decoded:
         assert gas == vm.gas_cost(op), vm.MNEMONICS[op]
-    # Every group, between gas-heavy neighbours.
-    code = vm.assemble(
-        " ".join(f"SLOAD {group_asm(ops, 7, 'x')} SSTORE" for ops in vm.FUSED.values()) + " x: HALT"
-    )
-    prog = vm.decode(code)
-    fused = {}
-    for pc, entry in enumerate(prog):
-        if entry is None or entry[0] not in vm.FUSED:
-            continue
-        fop, (operand, first), nxt, gas = entry
-        starts = [pc]
-        while after(code, starts[-1]) < nxt:
-            starts.append(after(code, starts[-1]))
-        ops = tuple(code[at] for at in starts)
-        assert ops == vm.FUSED[fop]
-        assert gas == sum(vm.gas_cost(op) for op in ops)
-        # The fallback is the first op's own entry; the later ops keep theirs.
-        assert first == (ops[0], int.from_bytes(code[pc + 1 : after(code, pc)], "little"),
-                         after(code, pc), vm.gas_cost(ops[0]))
-        assert [prog[at][0] for at in starts[1:]] == list(ops[1:])
-        assert operand == (first[1] if ops[0] == vm.OP_PUSHI else prog[starts[-1]][1])
-        fused[fop] = fused.get(fop, 0) + 1
-    assert fused == {fop: 1 for fop in vm.FUSED}
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +507,9 @@ def test_random_programs_match_at_every_gas_limit(top, callee, declared):
         ("PUSHI 1 loop: DUP JUMP loop", vm.STATUS_REVERTED),
         # Value out of the contract: in declared mode BOB's balance is undeclared.
         ("PUSHI 1 PUSHA 1 TRANSFER HALT", vm.STATUS_COMMITTED),
+        # A jump inside a run of per-op ops, past ops the run would
+        # otherwise count, to code that ends two ops later.
+        ("PUSHI 0 SLOAD JUMP end SLOAD SLOAD SLOAD SLOAD end: PUSHI 7", vm.STATUS_COMMITTED),
     ],
 )
 def test_fixed_programs_match_at_every_gas_limit(asm, status):
@@ -550,12 +525,19 @@ def test_fixed_programs_match_at_every_gas_limit(asm, status):
 
 
 # ---------------------------------------------------------------------------
-# Fused groups: every group against oracles.tagged_invoke, at every gas
-# limit, from every stack state that makes one of its ops fault.
+# Fused groups: op groups that a compiled block fuses into one Python
+# expression (DUP NOT JUMPI into `if not s1`, PUSHI k SUB into one checked
+# subtraction), against oracles.tagged_invoke at every gas limit, from every
+# stack state that makes one of their ops fault.
+
+GROUPS = {
+    "PUSHI_SUB": (vm.OP_PUSHI, vm.OP_SUB),
+    "DUP_NOT_JUMPI": (vm.OP_DUP, vm.OP_NOT, vm.OP_JUMPI),
+}
 
 
 def group_asm(ops, k, label: str) -> str:
-    """Assembly of a fused group: PUSHI takes k, JUMPI jumps to label."""
+    """Assembly of a group: PUSHI takes k, JUMPI jumps to label."""
     words = {vm.OP_PUSHI: f"PUSHI {k}", vm.OP_JUMPI: f"JUMPI {label}"}
     return " ".join(words.get(op, vm.MNEMONICS[op]) for op in ops)
 
@@ -578,10 +560,9 @@ PUSHI_OPERANDS = (0, 1, 3, 2**33)
 
 
 def group_programs(ops):
-    """(name, assembly, the group's fused opcode) for one group in every
-    shape: followed by more code, ending the program, and entered by a jump
-    to each of its later ops."""
-    fop = {v: f for f, v in vm.FUSED.items()}[ops]
+    """(name, assembly, whole) for one group in every shape: followed by
+    more code, ending the program, and entered by a jump to each of its
+    later ops. whole: one compiled block holds the whole group."""
     tail = "PUSHI 9 RETURN end: PUSHI 8 RETURN"
     for pre_name, pre in PRELUDES.items():
         deep = pre_name.startswith("height")
@@ -589,14 +570,24 @@ def group_programs(ops):
             group = group_asm(ops, k, "end")
             name = f"{pre_name}-{k}"
             if ops[-1] == vm.OP_JUMPI:
-                yield f"{name}-then", f"{pre} {group} {tail}", fop
-                yield f"{name}-last", f"JUMP start end: PUSHI 8 RETURN start: {pre} {group}", fop
+                yield f"{name}-then", f"{pre} {group} {tail}", True
+                yield f"{name}-last", f"JUMP start end: PUSHI 8 RETURN start: {pre} {group}", True
             else:
-                yield f"{name}-then", f"{pre} {group} RETURN", fop
-                yield f"{name}-last", f"{pre} {group}", fop
+                yield f"{name}-then", f"{pre} {group} RETURN", True
+                yield f"{name}-last", f"{pre} {group}", True
             for i in range(1, len(ops)):
                 head, rest = group_asm(ops[:i], k, "end"), group_asm(ops[i:], k, "end")
-                yield f"{name}-into{i}", f"{pre} PUSHI 5 JUMP mid {head} mid: {rest} {tail}", fop
+                yield f"{name}-into{i}", f"{pre} PUSHI 5 JUMP mid {head} mid: {rest} {tail}", False
+
+
+def block_ops(code: bytes) -> list[tuple[int, ...]]:
+    """The opcodes of each compiled block."""
+    program = vm._Program(vm.decode(code))
+    return [tuple(code[pc] for pc in block) for block in program.blocks.values()]
+
+
+def holds(block: tuple[int, ...], ops: tuple[int, ...]) -> bool:
+    return any(block[i:i + len(ops)] == ops for i in range(len(block)))
 
 
 def gas_limits(full: int):
@@ -607,12 +598,12 @@ def gas_limits(full: int):
     return sorted(set(range(6)) | set(range(full - 40, full + 1)))
 
 
-@pytest.mark.parametrize("ops", list(vm.FUSED.values()), ids=lambda ops: "_".join(vm.MNEMONICS[op] for op in ops))
+@pytest.mark.parametrize("ops", list(GROUPS.values()), ids=list(GROUPS))
 def test_fused_groups_match_tagged_interpreter(ops):
     statuses = set()
-    for name, asm, fop in group_programs(ops):
+    for name, asm, whole in group_programs(ops):
         code = vm.assemble(asm)
-        assert fop in {entry[0] for entry in vm.decode(code) if entry}, name
+        assert any(holds(block, ops) for block in block_ops(code)) == whole, name
         acc, consts = vm_world(code, vm.assemble(COUNTER_ASM))
         full = assert_same_execution(acc, consts, 30_000, False, None)
         statuses.add(full.outcome.detail or full.outcome.ret)
@@ -626,11 +617,67 @@ def test_fused_groups_match_tagged_interpreter(ops):
 @pytest.mark.parametrize("arg", [0, 1, 3])
 def test_fused_loops_match_tagged_interpreter(arg):
     """The burn loop (DUP NOT JUMPI, PUSHI 1 SUB), and one that steps by 2,
-    so an odd argument ends in a sub underflow inside the fused path."""
+    so an odd argument ends in a sub underflow inside the compiled `while`.
+    Both compile to a `while`."""
     by_two = "ARG loop: DUP NOT JUMPI end PUSHI 2 SUB JUMP loop end: HALT"
     for asm in (BURN_ASM, by_two):
+        assert "while gas >= 6:" in vm.generate_source(vm.decode(vm.assemble(asm)))
         acc, consts = vm_world(vm.assemble(asm), vm.assemble(COUNTER_ASM))
         full = assert_same_execution(acc, consts, 30_000, False, None, arg=arg)
         assert (full.outcome.detail == "sub underflow") == (asm == by_two and arg % 2 == 1)
         for gas_limit in range(full.outcome.gas_used + 2):
             assert_same_execution(acc, consts, gas_limit, False, None, arg=arg)
+
+
+# ---------------------------------------------------------------------------
+# Countdown loops: ARG counts down by a random step through a random pure
+# body, the shape the compiler turns into a `while`.
+
+_BODY_PUSHES = ["PUSHI 0", "PUSHI 1", "PUSHI 3", f"PUSHI {2**33}", f"PUSHI {U64_MAX}",
+                "DUP", "DUP", "DUP", "ARG", "VALUE", "EPOCH"]
+_BODY_BINOPS = ["ADD", "SUB", "MUL", "DIV", "MOD", "LT", "GT", "EQ"]
+
+
+def countdown_loop(rng) -> str:
+    """Assembly of `ARG loop: DUP NOT JUMPI end <body> PUSHI step SUB JUMP
+    loop end: HALT`. The body is pure and leaves the stack as it found it,
+    but may read the counter (DUP), replace it (SWAP DROP) or fault (sub
+    underflow, overflow, division by zero, an Addr in arithmetic)."""
+    body, height = [], 0  # words above the counter
+    for _ in range(rng.randint(0, 10)):
+        choice = rng.random()
+        if height >= 2 and choice < 0.35:
+            body.append(rng.choice(_BODY_BINOPS))
+            height -= 1
+        elif height >= 1 and choice < 0.45:
+            body.append(rng.choice(["NOT", "DROP"]))
+            height -= body[-1] == "DROP"
+        elif height >= 2 and choice < 0.5:
+            body.append("SWAP")
+        elif height == 1 and choice < 0.55:
+            body.append("SWAP DROP")  # the body's word becomes the counter
+            height = 0
+        elif choice < 0.57:
+            body.append("CALLER DROP")
+        elif choice < 0.58:
+            body.append("CALLER PUSHI 1 ADD")  # a type error
+            height += 1
+        else:
+            body.append(rng.choice(_BODY_PUSHES))
+            height += 1
+    body += ["DROP"] * height
+    step = rng.choice([0, 1, 1, 2, 3, 7, U64_MAX])
+    return f"ARG loop: DUP NOT JUMPI end {' '.join(body)} PUSHI {step} SUB JUMP loop end: HALT"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 40), st.integers(0, 5_000))
+def test_countdown_loops_match_tagged_interpreter(rng, arg, gas_limit):
+    asm = countdown_loop(rng)
+    acc, consts = vm_world(vm.assemble(asm), vm.assemble(COUNTER_ASM))
+    assert_same_execution(acc, consts, gas_limit, False, None, arg=arg)
+    # Every limit up to 600 gas, which holds every block boundary of the
+    # run's first passes through the loop, and past its end.
+    full = assert_same_execution(acc, consts, 600, False, None, arg=arg).outcome.gas_used
+    for limit in range(full + 2):
+        assert_same_execution(acc, consts, limit, False, None, arg=arg)
