@@ -1,15 +1,27 @@
-"""Codec cost: µs per canonical encode by transaction kind, the decode,
-JSON re-encode and txid of one 1000-output fan-out transaction, put_utxo
-of 10k outputs, and the tracked objects and resident memory that 10k
-UTXOs add to a ledger state.
+"""Codec cost: µs per canonical encode by transaction kind; the decode,
+JSON re-encode and txid of one 1000-output fan-out transaction; the
+replay of a batch holding one 1000-output fan-out, split into its stages;
+put_utxos of 10k outputs against put_utxo of each; and the tracked objects
+and resident memory that 10k UTXOs add to a ledger state.
 
 Each encode is timed on a fresh Transaction instance (a copy made before
 the clock starts), so a cached encoding is never what is measured. The
 fan-out is decoded from its canonical JSON, as replay and the benchmark's
 set-up decode it; its txid is timed on a freshly decoded instance. The
 10k outputs for put_utxo and for the memory figures are that fan-out's
-outputs, decoded ten times. Times are medians over the repetitions; raw
-wall clock, not scaled by a host reference.
+outputs, decoded ten times.
+
+The replayed batch holds one fan-out with the output mix of perfbench's
+pay-10k set-up: 900 outputs to 100 keys and 100 to 2-of-3 multisig locks,
+all of one amount, shuffled; 200 distinct locks, five outputs per lock on
+average. Its stages are the ones replay_verify runs on each batch:
+json.loads of the batch file, decoding its transactions through one JSON
+codec, re-encoding them for the byte-identity check, and apply_batch on a
+copy of the state before it. Both ways of writing the 10k outputs build
+their outpoints inside the timed loop, as the transfer routine does.
+
+Times are medians over the repetitions; raw wall clock, not scaled by a
+host reference.
 
 Usage: python benchmarks/bench_codec.py [repetitions]
 """
@@ -18,13 +30,15 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import json
 import os
+import random
 import statistics
 import sys
 import time
 from typing import Callable, Optional
 
-from tierledger import crypto, ledger
+from tierledger import codes, crypto, ledger, rules
 from tierledger.model import (
     AccessDecl,
     Call,
@@ -46,6 +60,7 @@ from tierledger.model import (
 
 FANOUT = 1_000
 UTXOS = 10_000
+REPLAY_LOCKS = 200  # 100 single-key locks and 100 multisig locks
 COPIES = 2_000  # fresh instances per kind and repetition
 KEYS = [crypto.keygen(bytes([i]) * 32) for i in range(1, 4)]
 ADDRS = [address_of_pubkey(kp.pubkey) for kp in KEYS]
@@ -108,6 +123,48 @@ def rss_bytes() -> Optional[int]:
         return None
 
 
+def replay_batch() -> tuple[rules.SystemConfig, ledger.LedgerState, str]:
+    """The genesis config, the state after the coinbase batch, and the
+    canonical batch file of one signed fan-out of the coinbase."""
+    operator = KEYS[0]
+    cfg = rules.SystemConfig(operator_pubkey=operator.pubkey, initial_subsidy=10**9)
+    state = ledger.LedgerState()
+    ledger.apply_batch(state, [], 1, cfg, workers=1)
+    rng = random.Random(12)
+    keys = [sha256(b"key" + i.to_bytes(4, "little")) for i in range(REPLAY_LOCKS)]
+    n_keys = REPLAY_LOCKS // 2
+    locks = [Lock.pay_to_pubkey(keys[i % n_keys]) for i in range(FANOUT - n_keys)]
+    locks += [Lock.multisig(2, rng.sample(keys, 3)) for _ in range(n_keys)]
+    rng.shuffle(locks)
+    outputs = tuple(Output(1_000, lock) for lock in locks)
+    tx = Transaction(UtxoSpend((ledger._coinbase_outpoint(0),), outputs))
+    sig = crypto.sign(operator.seed, crypto.utxo_signing_message(txid(tx), 0))
+    return cfg, state, ledger._encode_batch(1, 2, [tx.with_witnesses([(sig,)])])
+
+
+def replay_ms(reps: int) -> dict[str, float]:
+    """Median ms of each replay stage of the fan-out batch, and their sum."""
+    cfg, base, raw = replay_batch()
+    stages: dict[str, list[float]] = {"loads": [], "decode": [], "re-encode": [], "apply": []}
+    for _ in range(reps):
+        state = base.copy()
+        t0 = time.perf_counter()
+        obj = json.loads(raw)
+        t1 = time.perf_counter()
+        txs = ledger._decode_txs(obj["txs"])
+        t2 = time.perf_counter()
+        same = ledger._encode_batch(obj["batch"], obj["epoch"], txs) == raw
+        t3 = time.perf_counter()
+        receipts, _ = ledger.apply_batch(state, txs, obj["epoch"], cfg, workers=1)
+        t4 = time.perf_counter()
+        assert same and [r.status for r in receipts] == [codes.OK]
+        for stage, dt in zip(stages, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+            stages[stage].append(1e3 * dt)
+    medians = {stage: statistics.median(times) for stage, times in stages.items()}
+    medians["total"] = sum(medians.values())
+    return medians
+
+
 def main() -> int:
     reps = int(sys.argv[1]) if len(sys.argv) > 1 else 9
     print("canonical encode, fresh instance:")
@@ -131,29 +188,41 @@ def main() -> int:
     print(f"fan-out of {FANOUT} outputs ({len(text)} B of JSON):")
     print(f"  decode {decode_ms:7.2f} ms   re-encode {reencode_ms:7.2f} ms   txid {txid_ms:7.2f} ms")
 
-    def outputs() -> list[tuple[Outpoint, Output]]:
-        items = []
-        for round_ in range(UTXOS // FANOUT):
-            tx = tx_from_json_str(text)
-            tx_id = sha256(round_.to_bytes(4, "little"))
-            items += [(Outpoint(tx_id, i), out) for i, out in enumerate(tx.kind.outputs)]
-        return items
+    replay = replay_ms(reps)
+    print(f"replay of a batch of one {FANOUT}-output fan-out ({REPLAY_LOCKS} distinct locks):")
+    print("  " + "   ".join(f"{stage} {ms:6.2f} ms" for stage, ms in replay.items()))
 
-    def put_once() -> float:
-        state, items = ledger.LedgerState(), outputs()
+    def rounds() -> list[tuple[bytes, tuple[Output, ...]]]:
+        return [
+            (sha256(round_.to_bytes(4, "little")), tx_from_json_str(text).kind.outputs)
+            for round_ in range(UTXOS // FANOUT)
+        ]
+
+    def put_each() -> float:
+        state, items = ledger.LedgerState(), rounds()
         t0 = time.perf_counter()
-        for op, out in items:
-            state.put_utxo(op, out)
+        for tx_id, outs in items:
+            for i, out in enumerate(outs):
+                state.put_utxo(Outpoint(tx_id, i), out)
         return time.perf_counter() - t0
 
-    put_ms = 1e3 * median_of(reps, put_once)
-    print(f"put_utxo of {UTXOS} outputs: {put_ms:7.2f} ms ({put_ms * 1e3 / UTXOS:.2f} µs each)")
+    def put_together() -> float:
+        state, items = ledger.LedgerState(), rounds()
+        t0 = time.perf_counter()
+        for tx_id, outs in items:
+            state.put_utxos(tx_id, outs)
+        return time.perf_counter() - t0
+
+    print(f"{UTXOS} outputs written:")
+    for name, put in (("put_utxo per output", put_each), ("put_utxos per fan-out", put_together)):
+        put_ms = 1e3 * median_of(reps, put)
+        print(f"  {name:22s} {put_ms:7.2f} ms ({put_ms * 1e3 / UTXOS:.2f} µs each)")
 
     gc.collect()
     objects, rss = len(gc.get_objects()), rss_bytes()
     state = ledger.LedgerState()
-    for op, out in outputs():
-        state.put_utxo(op, out)
+    for tx_id, outs in rounds():
+        state.put_utxos(tx_id, outs)
     gc.collect()
     objects = len(gc.get_objects()) - objects
     rss_mb = "n/a" if rss is None else f"{(rss_bytes() - rss) / 2**20:.2f} MB"

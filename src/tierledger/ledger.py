@@ -22,6 +22,7 @@ from .lthash import LtHash
 from .model import (
     Call,
     Deploy,
+    JsonCodec,
     Level,
     Lock,
     ModelError,
@@ -142,7 +143,7 @@ def utxo_entry(op: Outpoint, out: Output) -> bytes:
 
 class LedgerState:
     """The ledger's state. The UTXO set is a read-only view: every write
-    goes through put_utxo and spend_utxo, which keep utxo_total, an LtHash
+    goes through put_utxos and spend_utxo, which keep utxo_total, an LtHash
     over the UTXO entries and the expiry index up to date. Account writes
     go through the write API of self.accounts.
 
@@ -169,12 +170,21 @@ class LedgerState:
         self.batch_number = 0
         self.prev_header_hash = ZERO_HASH
 
+    def put_utxos(self, tx_id: bytes, outputs: Sequence[Output], first_index: int = 0) -> None:
+        """Create outputs as (tx_id, first_index), (tx_id, first_index + 1),
+        ...; their entries go into the UTXO LtHash in one add_many."""
+        entries = []
+        for j, out in enumerate(outputs, first_index):
+            op = Outpoint(tx_id, j)
+            self._utxos[op] = out
+            entries.append(utxo_entry(op, out))
+            if out.expiry is not None:
+                self._expiring.setdefault(out.expiry, set()).add(op)
+        self.utxo_lthash.add_many(entries)
+        self.utxo_total += sum(out.amount for out in outputs)
+
     def put_utxo(self, op: Outpoint, out: Output) -> None:
-        self._utxos[op] = out
-        self.utxo_lthash.add(utxo_entry(op, out))
-        self.utxo_total += out.amount
-        if out.expiry is not None:
-            self._expiring.setdefault(out.expiry, set()).add(op)
+        self.put_utxos(op.txid, (out,), op.index)
 
     def spend_utxo(self, op: Outpoint) -> Output:
         out = self._utxos.pop(op)
@@ -214,15 +224,6 @@ class LedgerState:
 _DIGEST_TAG = b"tierledger/state/lthash16/v1"
 
 
-def _finish_digest(
-    utxo_acc: LtHash, account_acc: LtHash, state: LedgerState, utxo_total: int, account_total: int
-) -> bytes:
-    counters = _DIGEST_COUNTERS.pack(
-        state.issued, state.expired, utxo_total, account_total, state.epoch
-    )
-    return sha256(b"".join((_DIGEST_TAG, utxo_acc.digest(), account_acc.digest(), counters)))
-
-
 def state_digest(state: LedgerState) -> bytes:
     """Commitment to the economic state: sha256 over a tag, the LtHash of
     the UTXO entries, the LtHash of the account entries (nonzero balances,
@@ -230,30 +231,12 @@ def state_digest(state: LedgerState) -> bytes:
     the epoch. The accumulators are kept by the write API, so this costs
     the same whatever the state's size. Nonces and the pending pool are not
     committed."""
-    return _finish_digest(
-        state.utxo_lthash, state.accounts.lthash, state, state.utxo_total, state.account_total
+    counters = _DIGEST_COUNTERS.pack(
+        state.issued, state.expired, state.utxo_total, state.account_total, state.epoch
     )
-
-
-def recompute_state_digest(state: LedgerState) -> bytes:
-    """state_digest rebuilt from scratch: both accumulators and both totals
-    are recomputed from the mappings. The test oracle for the incremental
-    bookkeeping."""
-    utxo_acc = LtHash()
-    for op, out in state.utxos.items():
-        utxo_acc.add(utxo_entry(op, out))
-    accounts = state.accounts
-    account_acc = LtHash()
-    for addr, bal in accounts.balances.items():
-        if bal:
-            account_acc.add(vm.balance_entry(addr, bal))
-    for (addr, key), val in accounts.storage.items():
-        if val:
-            account_acc.add(vm.slot_entry(addr, key, val))
-    for acct in accounts.contracts.values():
-        account_acc.add(vm.contract_entry(acct))
-    utxo_total = sum(out.amount for out in state.utxos.values())
-    return _finish_digest(utxo_acc, account_acc, state, utxo_total, sum(accounts.balances.values()))
+    return sha256(b"".join(
+        (_DIGEST_TAG, state.utxo_lthash.digest(), state.accounts.lthash.digest(), counters)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +334,7 @@ def _transfer(
     if isinstance(k, MoveToAccount):
         accounts.set_balance(k.to, accounts.balance(k.to) + k.amount)
     else:
-        for j, out in enumerate(k.outputs):
-            state.put_utxo(Outpoint(tx_id, j), out)
+        state.put_utxos(tx_id, k.outputs)
     if fee:
         operator = cfg.operator_address
         accounts.set_balance(operator, accounts.balance(operator) + fee)
@@ -390,7 +372,7 @@ def apply_batch(
     sub = min(rules.subsidy(epoch, cfg), U64_MAX - state.issued)
     if sub > 0:
         cb = _coinbase_outpoint(state.batch_number)
-        state.put_utxo(cb, Output(sub, Lock.pay_to_pubkey(cfg.operator_pubkey)))
+        state.put_utxos(cb.txid, (Output(sub, Lock.pay_to_pubkey(cfg.operator_pubkey)),))
         state.issued += sub
 
     # 3. Matured pending transactions run ahead of new submissions.
@@ -486,7 +468,17 @@ def _canonical(obj: dict) -> str:
 
 
 def _encode_batch(batch_number: int, epoch: int, txs: Sequence[Transaction]) -> str:
-    return _canonical({"batch": batch_number, "epoch": epoch, "txs": [tx_to_json(tx) for tx in txs]})
+    """The batch file; one codec encodes each distinct lock and output once."""
+    codec = JsonCodec()
+    txs_json = [tx_to_json(tx, codec) for tx in txs]
+    return _canonical({"batch": batch_number, "epoch": epoch, "txs": txs_json})
+
+
+def _decode_txs(txs_json: list) -> list[Transaction]:
+    """A batch file's transactions, through one codec that lives for this
+    decode only: each distinct lock and output is decoded once."""
+    codec = JsonCodec()
+    return [tx_from_json(t, codec) for t in txs_json]
 
 
 def _encode_header(header: BatchHeader, receipts: Sequence[Receipt]) -> str:
@@ -590,7 +582,7 @@ def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
                 and all(isinstance(r, dict) for r in stored_obj["receipts"])
             ):
                 raise ModelError("header file needs a header object and a list of receipt objects")
-            txs = [tx_from_json(t) for t in batch_obj["txs"]]
+            txs = _decode_txs(batch_obj["txs"])
             stored_header = BatchHeader.from_json(stored_obj["header"])
             stored_receipts = [Receipt.from_json(r) for r in stored_obj["receipts"]]
         # TypeError: a value of the wrong JSON type inside a transaction,

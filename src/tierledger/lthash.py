@@ -18,6 +18,7 @@ lane spills into the next.
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable
 
 LANES = 1024
 DIGEST_BYTES = 2 * LANES
@@ -27,9 +28,18 @@ _MASK = int.from_bytes(b"\xff\xff\x00\x00" * (LANES // 2), "little")
 _ONES = int.from_bytes(b"\x00\x00\x01\x00" * (LANES // 2), "little")
 
 
+# Elements summed between two masks in add_many.
+_FOLD = 65_536
+
+
+def _lanes(entry: bytes) -> int:
+    """An element's SHAKE-128 expansion as one int, lane i at bits 16i."""
+    return int.from_bytes(hashlib.shake_128(entry).digest(DIGEST_BYTES), "little")
+
+
 def _expand(entry: bytes) -> tuple[int, int]:
     """An element's lane vector, as (even lanes, odd lanes)."""
-    x = int.from_bytes(hashlib.shake_128(entry).digest(DIGEST_BYTES), "little")
+    x = _lanes(entry)
     return x & _MASK, (x >> 16) & _MASK
 
 
@@ -46,6 +56,25 @@ class LtHash:
         even, odd = _expand(entry)
         self._even = (self._even + even) & _MASK
         self._odd = (self._odd + odd) & _MASK
+
+    def add_many(self, entries: Iterable[bytes]) -> None:
+        """add for each entry, with one mask per _FOLD entries. Each
+        expansion is summed whole into total and its even lanes into even,
+        so the odd lanes' sum is (total - even) >> 16, exactly."""
+        even = total = n = 0
+        for entry in entries:
+            x = _lanes(entry)
+            total += x
+            even += x & _MASK
+            n += 1
+            if n == _FOLD:
+                self._add_sums(even, total)
+                even = total = n = 0
+        self._add_sums(even, total)
+
+    def _add_sums(self, even: int, total: int) -> None:
+        self._even = (self._even + even) & _MASK
+        self._odd = (self._odd + ((total - even) >> 16)) & _MASK
 
     def remove(self, entry: bytes) -> None:
         # Adding 2^16 per slot first keeps every slot's difference

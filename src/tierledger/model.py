@@ -571,15 +571,23 @@ def hex_list(value, what: str) -> list[bytes]:
     return [_unhex(v, what) for v in value]
 
 
-def lock_to_json(lock: Lock) -> dict:
-    if lock.kind == LOCK_PUBKEY:
-        return {"kind": "pubkey", "pubkey": _hex(lock.pubkey)}
-    if lock.kind == LOCK_MULTISIG:
-        return {"kind": "multisig", "m": lock.m, "pubkeys": [_hex(pk) for pk in lock.pubkeys]}
-    return {"kind": "script", "script": _hex(lock.script)}
+def _lock_key(obj) -> Optional[tuple]:
+    """A lock JSON's intern key: the fields the decoder reads, when each has
+    the one JSON type the decoder accepts; None for any other shape."""
+    if type(obj) is not dict:
+        return None
+    kind = obj.get("kind")
+    if kind == "pubkey" or kind == "script":
+        value = obj.get(kind)
+        return (kind, value) if type(value) is str else None
+    if kind == "multisig":
+        m, pks = obj.get("m"), obj.get("pubkeys")
+        if type(m) is int and type(pks) is list and all(type(pk) is str for pk in pks):
+            return (kind, m, *pks)
+    return None
 
 
-def lock_from_json(obj: dict) -> Lock:
+def _decode_lock(obj: dict) -> Lock:
     if not isinstance(obj, dict):
         raise ModelError("lock JSON must be an object")
     kind = obj.get("kind")
@@ -592,15 +600,65 @@ def lock_from_json(obj: dict) -> Lock:
     raise ModelError(f"unknown lock kind {kind!r}")
 
 
-def output_to_json(out: Output) -> dict:
-    obj: dict = {"amount": out.amount, "lock": lock_to_json(out.lock)}
-    if out.expiry is not None:
-        obj["expiry"] = out.expiry
-    return obj
+class JsonCodec:
+    """Intern tables for the JSON of one batch, or of one transaction when
+    tx_from_json or tx_to_json is called without a codec.
 
+    Decoding turns each distinct lock JSON into one Lock and each distinct
+    output JSON into one Output. A key holds only fields of the one JSON
+    type the decoder accepts. Python hashes 1, 1.0 and true equal, so an
+    amount of 1.0 or an m of true misses the table and reaches the
+    constructor that rejects it. Keys the decoder does not read are left out
+    of the key, as the decoder ignores them; the log's byte-identity check
+    is what refuses them.
 
-def output_from_json(obj: dict) -> Output:
-    return Output(obj["amount"], lock_from_json(obj["lock"]), obj.get("expiry"))
+    Encoding builds each distinct Lock's and Output's JSON once, by
+    identity. The table keeps each value alive with its JSON, so no id is
+    reused while the codec lives. Outputs that share a value share its JSON
+    dict, so an encoding must not be mutated."""
+
+    __slots__ = ("_locks", "_outputs", "_json")
+
+    def __init__(self) -> None:
+        self._locks: dict[tuple, Lock] = {}
+        self._outputs: dict[tuple, Output] = {}
+        self._json: dict[int, tuple[object, dict]] = {}
+
+    def output(self, obj: dict) -> Output:
+        if type(obj) is dict:
+            amount, expiry = obj.get("amount"), obj.get("expiry")
+            lock_key = _lock_key(obj.get("lock"))
+            if lock_key is not None and type(amount) is int and (expiry is None or type(expiry) is int):
+                key = (amount, expiry, lock_key)
+                out = self._outputs.get(key)
+                if out is None:
+                    lock = self._locks.get(lock_key)
+                    if lock is None:
+                        lock = self._locks[lock_key] = _decode_lock(obj["lock"])
+                    out = self._outputs[key] = Output(amount, lock, expiry)
+                return out
+        return Output(obj["amount"], _decode_lock(obj["lock"]), obj.get("expiry"))
+
+    def lock_json(self, lock: Lock) -> dict:
+        hit = self._json.get(id(lock))
+        if hit is None:
+            if lock.kind == LOCK_PUBKEY:
+                obj = {"kind": "pubkey", "pubkey": _hex(lock.pubkey)}
+            elif lock.kind == LOCK_MULTISIG:
+                obj = {"kind": "multisig", "m": lock.m, "pubkeys": [_hex(pk) for pk in lock.pubkeys]}
+            else:
+                obj = {"kind": "script", "script": _hex(lock.script)}
+            hit = self._json[id(lock)] = (lock, obj)
+        return hit[1]
+
+    def output_json(self, out: Output) -> dict:
+        hit = self._json.get(id(out))
+        if hit is None:
+            obj = {"amount": out.amount, "lock": self.lock_json(out.lock)}
+            if out.expiry is not None:
+                obj["expiry"] = out.expiry
+            hit = self._json[id(out)] = (out, obj)
+        return hit[1]
 
 
 def outpoint_to_json(op: Outpoint) -> dict:
@@ -633,12 +691,16 @@ def access_from_json(obj: dict) -> AccessDecl:
     )
 
 
-def tx_to_json(tx: Transaction) -> dict:
+def tx_to_json(tx: Transaction, codec: Optional[JsonCodec] = None) -> dict:
+    """The transaction's JSON; its outputs' JSON comes from codec, which is
+    fresh when none is given."""
+    if codec is None:
+        codec = JsonCodec()
     k = tx.kind
     obj: dict = {"kind": tx.kind_name, "nonce": tx.nonce}
     if isinstance(k, UtxoSpend):
         obj["inputs"] = [outpoint_to_json(op) for op in k.inputs]
-        obj["outputs"] = [output_to_json(o) for o in k.outputs]
+        obj["outputs"] = [codec.output_json(o) for o in k.outputs]
     elif isinstance(k, Deploy):
         obj.update(
             code=_hex(k.code),
@@ -669,7 +731,7 @@ def tx_to_json(tx: Transaction) -> dict:
     elif isinstance(k, MoveToUtxo):
         obj["source"] = _hex(k.source)
         obj["amount"] = k.amount
-        obj["outputs"] = [output_to_json(o) for o in k.outputs]
+        obj["outputs"] = [codec.output_json(o) for o in k.outputs]
     if tx.not_before is not None:
         obj["not_before"] = tx.not_before
     if tx.not_after is not None:
@@ -692,7 +754,11 @@ def tx_to_json(tx: Transaction) -> dict:
     return obj
 
 
-def tx_from_json(obj: dict) -> Transaction:
+def tx_from_json(obj: dict, codec: Optional[JsonCodec] = None) -> Transaction:
+    """Decode a transaction; its outputs are interned in codec, which is
+    fresh when none is given."""
+    if codec is None:
+        codec = JsonCodec()
     if not isinstance(obj, dict):
         raise ModelError("transaction JSON must be an object")
     name = obj.get("kind")
@@ -700,7 +766,7 @@ def tx_from_json(obj: dict) -> Transaction:
     if name == "utxo_spend":
         kind = UtxoSpend(
             tuple(outpoint_from_json(o) for o in obj["inputs"]),
-            tuple(output_from_json(o) for o in obj["outputs"]),
+            tuple(codec.output(o) for o in obj["outputs"]),
         )
     elif name == "deploy":
         kind = Deploy(
@@ -732,7 +798,7 @@ def tx_from_json(obj: dict) -> Transaction:
         kind = MoveToUtxo(
             _unhex(obj["source"], "source"),
             obj["amount"],
-            tuple(output_from_json(o) for o in obj["outputs"]),
+            tuple(codec.output(o) for o in obj["outputs"]),
         )
     else:
         raise ModelError(f"unknown transaction kind {name!r}")

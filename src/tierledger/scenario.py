@@ -410,6 +410,8 @@ class Runner:
         if op == "advance":
             self.advance(step.get("epochs", 1))
         elif op == "submit":
+            if not isinstance(step.get("tx"), dict):
+                raise ScenarioError(f"malformed scenario: step {index}: tx must be an object")
             self.submit(self.build_tx(step["tx"]), step.get("id"))
         elif op == "client_rule":
             self.rules_.append(

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
+from oracles import recompute_state_digest
 from tierledger import crypto, ledger, rules, vm
 from tierledger.model import (
     AccessDecl,
@@ -487,7 +488,7 @@ def check_conservation(state: ledger.LedgerState) -> None:
         account_total,
         state.expired,
     )
-    assert ledger.state_digest(state) == ledger.recompute_state_digest(state)
+    assert ledger.state_digest(state) == recompute_state_digest(state)
     # Every output with an expiry under its epoch, nothing else, and no
     # empty sets (the rebuilt index has none).
     assert dict(state.expiring) == expiring

@@ -3,17 +3,20 @@
 Deliberately written from the documented tables, not from the package
 internals: opcode bytes, limits, and failure reasons are restated as
 literals, signature verification goes straight to the cryptography
-library, and multisig matching is brute force instead of greedy. The three
-exceptions are the canonical codec, the contract VM and the conflict-wave
-builder: their oracles are the package's earlier, simpler implementations,
-which share the value types (and, for the VM and the waves, the opcode
-table, gas table, state types and footprint derivation) with the code
-under test and differ only in how they encode or execute.
+library, and multisig matching is brute force instead of greedy. The
+exceptions are the canonical codec, the JSON codec, the contract VM and
+the conflict-wave builder: their oracles are the package's earlier, simpler
+implementations, which share the value types (and, for the VM and the
+waves, the opcode table, gas table, state types and footprint derivation)
+with the code under test and differ only in how they encode or execute.
+The state digest is also rebuilt here from scratch with the package's own
+LtHash, as the oracle for its incremental bookkeeping.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import replace
 from itertools import combinations
 from typing import Optional, Sequence
@@ -21,6 +24,8 @@ from typing import Optional, Sequence
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
+from tierledger.ledger import LedgerState, utxo_entry
+from tierledger.lthash import LtHash
 from tierledger.model import (
     LOCK_MULTISIG,
     LOCK_PUBKEY,
@@ -29,6 +34,7 @@ from tierledger.model import (
     AccessDecl,
     Call,
     Deploy,
+    JsonCodec,
     Lock,
     ModelError,
     MoveToAccount,
@@ -89,6 +95,9 @@ from tierledger.vm import (
     Accounts,
     ExecOutcome,
     StateDiff,
+    balance_entry,
+    contract_entry,
+    slot_entry,
     _Checker,
     _Fault,
     _finish,
@@ -535,6 +544,31 @@ def ref_state_digest(
     return hashlib.sha256(w.done()).digest()
 
 
+def recompute_state_digest(state: LedgerState) -> bytes:
+    """state_digest rebuilt from scratch: both accumulators are summed anew
+    from the mappings, one add per entry, and both totals recomputed. The
+    oracle for the state-write API's incremental bookkeeping."""
+    utxo_acc = LtHash()
+    for op, out in state.utxos.items():
+        utxo_acc.add(utxo_entry(op, out))
+    accounts = state.accounts
+    account_acc = LtHash()
+    for addr, bal in accounts.balances.items():
+        if bal:
+            account_acc.add(balance_entry(addr, bal))
+    for (addr, key), val in accounts.storage.items():
+        if val:
+            account_acc.add(slot_entry(addr, key, val))
+    for acct in accounts.contracts.values():
+        account_acc.add(contract_entry(acct))
+    counters = struct.pack(
+        "<5Q", state.issued, state.expired, sum(out.amount for out in state.utxos.values()),
+        sum(accounts.balances.values()), state.epoch,
+    )
+    tag = b"tierledger/state/lthash16/v1"
+    return hashlib.sha256(tag + utxo_acc.digest() + account_acc.digest() + counters).digest()
+
+
 def read_lock(r: Reader) -> Lock:
     kind = r.u8()
     if kind == LOCK_PUBKEY:
@@ -612,6 +646,56 @@ def canonical_deserialize(data: bytes) -> Transaction:
     nonce = r.u64()
     r.finish()
     return Transaction(kind, nonce=nonce, not_before=not_before, not_after=not_after)
+
+
+# ---------------------------------------------------------------------------
+# JSON codec: the per-output decoder and encoder from before the codec
+# interned values. Swapped in for JsonCodec, it decodes and encodes every
+# output and lock afresh, so a differential test sees whether interning
+# changes a decoded value, a rejection or an encoding.
+
+
+def _ref_unhex(s: str) -> bytes:
+    try:
+        return bytes.fromhex(s)
+    except (ValueError, TypeError) as exc:
+        raise ModelError(f"bad hex: {s!r}") from exc
+
+
+def ref_lock_from_json(obj: dict) -> Lock:
+    if not isinstance(obj, dict):
+        raise ModelError("lock JSON must be an object")
+    kind = obj.get("kind")
+    if kind == "pubkey":
+        return Lock.pay_to_pubkey(_ref_unhex(obj["pubkey"]))
+    if kind == "multisig":
+        return Lock.multisig(obj["m"], [_ref_unhex(pk) for pk in obj["pubkeys"]])
+    if kind == "script":
+        return Lock.pay_to_script(_ref_unhex(obj["script"]))
+    raise ModelError(f"unknown lock kind {kind!r}")
+
+
+def ref_lock_to_json(lock: Lock) -> dict:
+    if lock.kind == LOCK_PUBKEY:
+        return {"kind": "pubkey", "pubkey": lock.pubkey.hex()}
+    if lock.kind == LOCK_MULTISIG:
+        return {"kind": "multisig", "m": lock.m, "pubkeys": [pk.hex() for pk in lock.pubkeys]}
+    return {"kind": "script", "script": lock.script.hex()}
+
+
+class PlainJsonCodec(JsonCodec):
+    """JsonCodec without its tables."""
+
+    __slots__ = ()
+
+    def output(self, obj: dict) -> Output:
+        return Output(obj["amount"], ref_lock_from_json(obj["lock"]), obj.get("expiry"))
+
+    def output_json(self, out: Output) -> dict:
+        obj: dict = {"amount": out.amount, "lock": ref_lock_to_json(out.lock)}
+        if out.expiry is not None:
+            obj["expiry"] = out.expiry
+        return obj
 
 
 # ---------------------------------------------------------------------------

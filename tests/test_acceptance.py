@@ -33,7 +33,7 @@ from helpers import (
     seed_utxo,
     signed_spend,
 )
-from oracles import multisig_oracle, straight_line_eval
+from oracles import multisig_oracle, recompute_state_digest, straight_line_eval
 from tierledger import codes, crypto, ledger, scenario, scheduler, script, utxo, vm
 from tierledger.model import (
     AccessDecl,
@@ -303,8 +303,8 @@ def test_criterion_6_declared_equals_serial_with_real_concurrency():
             (r.tx_id, r.status, r.gas_used) for r in rb
         ], trial
         assert ledger.state_digest(sa) == ledger.state_digest(sb), trial
-        assert ledger.state_digest(sa) == ledger.recompute_state_digest(sa), trial
-        assert ledger.state_digest(sb) == ledger.recompute_state_digest(sb), trial
+        assert ledger.state_digest(sa) == recompute_state_digest(sa), trial
+        assert ledger.state_digest(sb) == recompute_state_digest(sb), trial
 
     concurrent = [t for t in telemetry if t.parallel_waves and t.max_concurrency() >= 2]
     assert concurrent, "no batch demonstrated >= 2 concurrent transactions"

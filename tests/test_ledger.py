@@ -26,7 +26,13 @@ from helpers import (
     seed_utxo,
     signed_spend,
 )
-from oracles import ref_header_hash, ref_receipt_hash, ref_state_digest
+from oracles import (
+    PlainJsonCodec,
+    recompute_state_digest,
+    ref_header_hash,
+    ref_receipt_hash,
+    ref_state_digest,
+)
 from tierledger import codes, crypto, ledger, model, rules, utxo, vm
 from tierledger.model import (
     U64_MAX,
@@ -694,3 +700,98 @@ def test_covenant_hashes_only_for_script_lock_inputs(monkeypatch, script_input):
     receipts, _ = ledger.apply_batch(state, txs, 1, make_config(initial_subsidy=0), workers=1)
     assert receipts[0].status == codes.OK and receipts[1].status == utxo.PENDING_ACCEPTED
     assert len(calls) == (1 if script_input else 0)
+
+
+def test_put_utxos_matches_per_output_writes_and_the_oracle():
+    msig = Lock.multisig(1, [ALICE.pubkey, BOB.pubkey])
+    outputs = [p2pk(ALICE, 5 + i, expiry=3 if i % 3 == 0 else None) for i in range(40)]
+    outputs += [Output(7, msig, 4)] * 3 + [p2pk(BOB, 1)] * 3
+    tx_id = sha256(b"fan-out")
+    together, each = ledger.LedgerState(), ledger.LedgerState()
+    for state in (together, each):
+        state.put_utxo(Outpoint(sha256(b"earlier"), 2), p2pk(BOB, 11, expiry=3))
+    together.put_utxos(tx_id, outputs[:10])
+    together.put_utxos(tx_id, outputs[10:], 10)
+    together.put_utxos(tx_id, ())
+    for j, out in enumerate(outputs):
+        each.put_utxo(Outpoint(tx_id, j), out)
+    assert dict(together.utxos) == dict(each.utxos)
+    assert together.utxo_total == each.utxo_total == 11 + sum(out.amount for out in outputs)
+    assert {e: set(ops) for e, ops in together.expiring.items()} == {
+        e: set(ops) for e, ops in each.expiring.items()
+    }
+    assert len(together.expiring[3]) == 1 + 14 and len(together.expiring[4]) == 3
+    digest = ledger.state_digest(together)
+    assert digest == ledger.state_digest(each) == recompute_state_digest(together)
+
+
+def _fanout_log(tmp_path: Path) -> Path:
+    """A two-batch log: the coinbase, then one signed fan-out that repeats a
+    p2pk output of amount 1 and a 1-of-2 multisig output with expiry 9,
+    followed by each lock with the other expiry and a few distinct
+    outputs."""
+    cfg = make_config(initial_subsidy=10_000)
+    state = ledger.LedgerState()
+    logdir = tmp_path / "log"
+    ledger.init_log(logdir, cfg)
+    msig = Lock.multisig(1, [ALICE.pubkey, BOB.pubkey])
+    outputs = [p2pk(ALICE, 1), Output(1, msig, 9)] * 12 + [p2pk(ALICE, 1, 9), Output(1, msig)]
+    outputs += [p2pk(BOB, 2 + i) for i in range(4)]
+    fanout = signed_spend(OPERATOR, [ledger._coinbase_outpoint(0)], outputs)
+    for epoch, txs in ((1, []), (2, [fanout])):
+        receipts, header = ledger.apply_batch(state, txs, epoch, cfg, workers=1)
+        assert all(r.status == codes.OK for r in receipts)
+        ledger.write_batch_files(logdir, header.batch_number, epoch, txs, header, receipts)
+    return logdir
+
+
+def _set_output(key, value):
+    return lambda out: out.__setitem__(key, value)
+
+
+def _set_lock(key, value):
+    return lambda out: out["lock"].__setitem__(key, value)
+
+
+# Each edit is applied to one occurrence of a repeated output: even indices
+# below 24 hold the p2pk output of amount 1, odd ones the multisig one.
+INTERN_EDITS = {
+    "amount_float": (0, _set_output("amount", 1.0), "unreadable"),
+    "amount_true": (6, _set_output("amount", True), "unreadable"),
+    "m_true": (7, _set_lock("m", True), "unreadable"),
+    "m_float": (1, _set_lock("m", 1.0), "unreadable"),
+    "expiry_float": (9, _set_output("expiry", 9.0), "unreadable"),
+    "pubkey_not_a_string": (4, _set_lock("pubkey", 5), "unreadable"),
+    "hex_upper_case": (8, lambda out: out["lock"].update(pubkey=out["lock"]["pubkey"].upper()),
+                       "divergence"),
+    "expiry_null": (10, _set_output("expiry", None), "divergence"),
+    "stray_output_key": (12, _set_output("memo", 1), "divergence"),
+    "stray_lock_key": (13, _set_lock("memo", 1), "divergence"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERN_EDITS))
+def test_interning_decoder_reports_as_the_plain_decoder(tmp_path, monkeypatch, case):
+    """One occurrence of a repeated output or lock is perturbed; the
+    interning codec and the plain per-output codec it replaced must give
+    replay the same report."""
+    logdir = _fanout_log(tmp_path)
+    index, edit, kind = INTERN_EDITS[case]
+    path = logdir / "batch_000001.json"
+    batch = json.loads(path.read_text())
+    edit(batch["txs"][0]["outputs"][index])
+    path.write_text(json.dumps(batch, sort_keys=True, separators=(",", ":")))
+    report = ledger.replay_verify(logdir)
+    monkeypatch.setattr(ledger, "JsonCodec", PlainJsonCodec)
+    assert ledger.replay_verify(logdir) == report
+    assert (report.kind, report.batch) == (kind, 1), report
+    if kind == "divergence":
+        assert report.field == "encoding"
+
+
+def test_interning_decoder_replays_a_repeating_fanout_as_the_plain_decoder(tmp_path, monkeypatch):
+    logdir = _fanout_log(tmp_path)
+    report = ledger.replay_verify(logdir)
+    assert report.ok and report.batches == 2
+    monkeypatch.setattr(ledger, "JsonCodec", PlainJsonCodec)
+    assert ledger.replay_verify(logdir) == report

@@ -1,12 +1,14 @@
-"""LtHash16 accumulator: order independence, add/remove as inverses, and
-the packed lanes against a lane-by-lane oracle."""
+"""LtHash16 accumulator: order independence, add/remove as inverses, the
+packed lanes against a lane-by-lane oracle, and add_many against repeated
+add across its fold."""
 
 from __future__ import annotations
 
 import random
 
 from oracles import lthash16_oracle
-from tierledger.lthash import DIGEST_BYTES, LtHash
+from tierledger import lthash
+from tierledger.lthash import DIGEST_BYTES, LANES, LtHash
 
 
 def random_entries(rng: random.Random, n: int) -> list[bytes]:
@@ -64,3 +66,37 @@ def test_packed_lanes_match_lane_by_lane_oracle():
             else:
                 acc.remove(e)
         assert acc.digest() == lthash16_oracle(added, removed), trial
+
+
+def test_add_many_matches_repeated_add():
+    rng = random.Random(10)
+    base = random_entries(rng, 3)
+    for n in (0, 1, 1000):
+        entries = random_entries(rng, n)
+        each, many = LtHash(), LtHash()
+        for e in base:
+            each.add(e)
+            many.add(e)
+        for e in entries:
+            each.add(e)
+        many.add_many(entries)
+        assert many.digest() == each.digest() == lthash16_oracle(base + entries), n
+
+
+def test_add_many_is_exact_across_the_fold(monkeypatch):
+    """Every lane of every expansion 0xFFFF, on an accumulator whose lanes
+    are already 0xFFFF: the worst case for a slot's carry. Past 65,537
+    entries an unmasked slot would overflow into its neighbour."""
+    every_lane_max = int.from_bytes(b"\xff" * DIGEST_BYTES, "little")
+    monkeypatch.setattr(lthash, "_lanes", lambda entry: every_lane_max)
+    n = 2 * 65_536 + 3
+    each, many = LtHash(), LtHash()
+    each.add(b"")
+    many.add(b"")
+    for _ in range(n):
+        each.add(b"")
+    many.add_many(b"" for _ in range(n))
+    # n + 1 expansions of -1 per lane, mod 2^16.
+    want = (-(n + 1) % 65_536).to_bytes(2, "little") * LANES
+    assert each.digest() == want
+    assert many.digest() == want

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import KEYS, p2pk
 from oracles import (
+    PlainJsonCodec,
     Reader,
     Writer,
     canonical_deserialize,
@@ -31,6 +32,7 @@ from tierledger.model import (
     Call,
     Deploy,
     EndorsementData,
+    JsonCodec,
     Level,
     Lock,
     ModelError,
@@ -235,6 +237,41 @@ def test_json_rejects_bad_hex_and_kind():
         tx_from_json_str('{"kind":"utxo_spend","inputs":[' + op + '],"outputs":[{"amount":1,"lock":[]}]}')
     with pytest.raises(ModelError):
         tx_from_json_str(tx_to_json_str(sample_txs()[3])[:-1] + ',"access":"x"}')
+
+
+def test_codec_interns_repeats_and_keeps_json_types_apart():
+    """Equal output JSON decodes to one Output and one JSON dict; a field
+    that hashes equal but has another JSON type (1.0 or true for 1) misses
+    the table and is rejected as the plain decoder rejects it."""
+    pk = {"kind": "pubkey", "pubkey": "11" * 32}
+    msig = {"kind": "multisig", "m": 1, "pubkeys": ["11" * 32, "22" * 32]}
+    good = [
+        {"amount": 1, "lock": pk},
+        {"amount": 1, "lock": dict(pk), "memo": 0},
+        {"amount": 1, "lock": msig, "expiry": 1},
+        {"amount": 2, "lock": pk, "expiry": None},
+        {"amount": 1, "lock": pk, "expiry": 1},
+    ]
+    bad = [
+        {"amount": 1.0, "lock": pk},
+        {"amount": True, "lock": pk},
+        {"amount": 1, "lock": msig, "expiry": True},
+        {"amount": 1, "lock": {**msig, "m": True}},
+        {"amount": 1, "lock": {**msig, "m": 1.0}},
+        {"amount": 1, "lock": {**pk, "pubkey": 1}},
+    ]
+    codec, plain = JsonCodec(), PlainJsonCodec()
+    outs = [codec.output(obj) for obj in good]
+    assert outs == [plain.output(obj) for obj in good]
+    assert outs[0] is outs[1] and outs[3].lock is outs[0].lock and outs[2].lock.m == 1
+    assert outs[4].expiry == 1 and outs[4].lock is outs[0].lock
+    encoded = [codec.output_json(out) for out in outs]
+    assert encoded == [plain.output_json(out) for out in outs]
+    assert encoded[0] is encoded[1] and encoded[3]["lock"] is encoded[0]["lock"]
+    for obj in bad:
+        for decoder in (codec, plain):
+            with pytest.raises(ModelError):
+                decoder.output(obj)
 
 
 def test_values_the_encoder_packs_are_range_checked_at_construction():

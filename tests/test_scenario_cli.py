@@ -149,6 +149,15 @@ def test_cli_run_on_a_scenario_of_the_wrong_shape_exits_2(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error: malformed scenario: "), (text, res.stderr)
 
 
+def test_cli_run_on_a_submit_whose_tx_is_not_an_object_exits_2(tmp_path):
+    for i, tx in enumerate([3, [], "pay", None]):
+        path = write(tmp_path, {"config": {}, "steps": [{"op": "submit", "tx": tx}]}, f"tx{i}.json")
+        res = run_cli("run", path, tmp_path / f"log{i}")
+        assert (res.returncode, res.stdout) == (2, ""), tx
+        lines = res.stderr.splitlines()
+        assert lines == ["error: malformed scenario: step 0: tx must be an object"], (tx, res.stderr)
+
+
 def test_cli_run_then_replay_and_digest(tmp_path, capsys):
     steps = [
         {"op": "advance"},
