@@ -8,6 +8,13 @@ the state is filler: one output in twenty carries an expiry in a later
 epoch (spread over 50 epochs), the others none. Each repetition applies
 the batch to a fresh copy of the same pre-state; only apply_batch is timed.
 
+Two microbenchmarks of the state commitment follow, each the median over
+the repetitions of a timed loop:
+- us per Accounts.set_balance that replaces a nonzero balance, on accounts
+  holding 200 live balances (a contract call's settlement writes this way)
+- us per state_digest after an account write, at 1k UTXOs, so only the
+  account accumulator has changed (a contract receipt's digest)
+
 Usage: python benchmarks/bench_state.py [repetitions]
 """
 
@@ -16,7 +23,7 @@ from __future__ import annotations
 import sys
 import time
 
-from tierledger import crypto, ledger, rules
+from tierledger import crypto, ledger, rules, vm
 from tierledger.model import (
     Lock,
     MoveToAccount,
@@ -31,6 +38,8 @@ from tierledger.model import (
 )
 
 SIZES = (1_000, 10_000, 100_000)
+LIVE = 200  # live balances in the set_balance microbenchmark
+LOOP = 2_000  # timed calls per repetition of a microbenchmark
 EPOCH = 1
 DUE = 5  # outputs expiring at EPOCH
 OPERATOR = crypto.keygen(b"\x01" * 32)
@@ -113,6 +122,42 @@ def bench(n_utxos: int, txs: list[Transaction], coins: list[Outpoint], cfg, reps
     return batch_ms[reps // 2], expiry_ms[reps // 2]
 
 
+def bench_set_balance(reps: int) -> float:
+    """Median us per set_balance that replaces a nonzero balance."""
+    acc = vm.Accounts()
+    addrs = [sha256(b"acct" + i.to_bytes(4, "little")) for i in range(LIVE)]
+    for i, addr in enumerate(addrs):
+        acc.set_balance(addr, i + 1)
+    runs, bal = [], LIVE
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        for i in range(LOOP):
+            bal += 1
+            acc.set_balance(addrs[i % LIVE], bal)
+        runs.append((time.perf_counter() - t0) / LOOP * 1e6)
+    runs.sort()
+    return runs[reps // 2]
+
+
+def bench_digest_after_account_write(reps: int, coins: list[Outpoint]) -> float:
+    """Median us per state_digest when only an account balance changed
+    since the last digest; the write itself is not timed."""
+    state = build_state(SIZES[0], coins)
+    state_digest, perf_counter = ledger.state_digest, time.perf_counter
+    runs, bal = [], 50
+    for _ in range(reps):
+        spent = 0.0
+        for _ in range(LOOP):
+            bal += 1
+            state.accounts.set_balance(A_ADDR, bal)
+            t0 = perf_counter()
+            state_digest(state)
+            spent += perf_counter() - t0
+        runs.append(spent / LOOP * 1e6)
+    runs.sort()
+    return runs[reps // 2]
+
+
 def main() -> int:
     reps = int(sys.argv[1]) if len(sys.argv) > 1 else 21
     cfg = rules.SystemConfig(expiry_enabled=True, initial_subsidy=0, operator_pubkey=OPERATOR.pubkey)
@@ -124,6 +169,9 @@ def main() -> int:
             f"{n:7d} utxos  {batch_ms:8.3f} ms/batch  {expiry_ms:8.3f} ms apply_expiry  "
             f"share {expiry_ms / batch_ms:5.3f}"
         )
+    print(f"set_balance on an existing balance  {bench_set_balance(reps):8.3f} us/call ({LIVE} live)")
+    digest_us = bench_digest_after_account_write(reps, coins)
+    print(f"state_digest, UTXO side unchanged   {digest_us:8.3f} us/call ({SIZES[0]} utxos)")
     return 0
 
 

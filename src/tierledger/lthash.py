@@ -7,7 +7,9 @@ A multiset of byte strings hashes to 1024 lanes of 16 bits. Each element
 expands through SHAKE-128 to a vector of lanes, and the multiset's hash is
 the lane-wise sum of its elements' vectors mod 2^16. Adding or removing one
 element costs one expansion whatever the multiset's size, and the result
-does not depend on the order of the updates.
+does not depend on the order of the updates. A caller that keeps an
+element's vector (_lanes) adds or removes it again with add_lanes and
+remove_lanes, at no expansion.
 
 The lanes are packed into two Python ints, the even lanes and the odd
 lanes, each lane in the low half of a 32-bit slot. A lane-wise add is then
@@ -18,7 +20,7 @@ lane spills into the next.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+from typing import Iterable, Optional
 
 LANES = 1024
 DIGEST_BYTES = 2 * LANES
@@ -37,25 +39,24 @@ def _lanes(entry: bytes) -> int:
     return int.from_bytes(hashlib.shake_128(entry).digest(DIGEST_BYTES), "little")
 
 
-def _expand(entry: bytes) -> tuple[int, int]:
-    """An element's lane vector, as (even lanes, odd lanes)."""
-    x = _lanes(entry)
-    return x & _MASK, (x >> 16) & _MASK
-
-
 class LtHash:
     """Accumulator over a multiset of byte strings, starting empty."""
 
-    __slots__ = ("_even", "_odd")
+    __slots__ = ("_even", "_odd", "_digest")
 
     def __init__(self) -> None:
         self._even = 0
         self._odd = 0
+        self._digest: Optional[bytes] = None
 
     def add(self, entry: bytes) -> None:
-        even, odd = _expand(entry)
-        self._even = (self._even + even) & _MASK
-        self._odd = (self._odd + odd) & _MASK
+        self.add_lanes(_lanes(entry))
+
+    def add_lanes(self, x: int) -> None:
+        """Add the element whose expansion is x (from _lanes)."""
+        self._even = (self._even + (x & _MASK)) & _MASK
+        self._odd = (self._odd + ((x >> 16) & _MASK)) & _MASK
+        self._digest = None
 
     def add_many(self, entries: Iterable[bytes]) -> None:
         """add for each entry, with one mask per _FOLD entries. Each
@@ -75,19 +76,27 @@ class LtHash:
     def _add_sums(self, even: int, total: int) -> None:
         self._even = (self._even + even) & _MASK
         self._odd = (self._odd + ((total - even) >> 16)) & _MASK
+        self._digest = None
 
     def remove(self, entry: bytes) -> None:
+        self.remove_lanes(_lanes(entry))
+
+    def remove_lanes(self, x: int) -> None:
+        """Remove the element whose expansion is x (from _lanes)."""
         # Adding 2^16 per slot first keeps every slot's difference
         # non-negative, so no borrow crosses a slot boundary.
-        even, odd = _expand(entry)
-        self._even = (self._even + _ONES - even) & _MASK
-        self._odd = (self._odd + _ONES - odd) & _MASK
+        self._even = (self._even + _ONES - (x & _MASK)) & _MASK
+        self._odd = (self._odd + _ONES - ((x >> 16) & _MASK)) & _MASK
+        self._digest = None
 
     def digest(self) -> bytes:
-        """The lanes as 2048 bytes, lane i little-endian at bytes 2i, 2i+1."""
-        return (self._even | self._odd << 16).to_bytes(DIGEST_BYTES, "little")
+        """The lanes as 2048 bytes, lane i little-endian at bytes 2i, 2i+1.
+        The bytes are kept until the next update."""
+        if self._digest is None:
+            self._digest = (self._even | self._odd << 16).to_bytes(DIGEST_BYTES, "little")
+        return self._digest
 
     def copy(self) -> "LtHash":
         other = LtHash()
-        other._even, other._odd = self._even, self._odd
+        other._even, other._odd, other._digest = self._even, self._odd, self._digest
         return other

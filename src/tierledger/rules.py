@@ -8,6 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import AbstractSet, Mapping, Optional
 
 from .model import (
@@ -75,7 +76,8 @@ class SystemConfig:
             if policy.kind == "endorsed" and not self.intermediary_registry:
                 raise ModelError("endorsed policy requires a non-empty intermediary registry")
 
-    @property
+    # The config is frozen, so a value derived from it is computed once.
+    @cached_property
     def operator_address(self) -> bytes:
         return address_of_pubkey(self.operator_pubkey)
 
@@ -138,6 +140,10 @@ class SystemConfig:
 
     def config_hash(self) -> bytes:
         """sha256 of the canonical genesis JSON; embedded in every header."""
+        return self._config_hash
+
+    @cached_property
+    def _config_hash(self) -> bytes:
         return hashlib.sha256(self.to_json_str().encode()).digest()
 
 

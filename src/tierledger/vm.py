@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
 
-from .lthash import LtHash
+from . import lthash as _lthash
 from .model import (
     AccessDecl,
     Call,
@@ -165,7 +165,10 @@ class Accounts:
     The mappings are read-only views. Every write goes through set_balance,
     set_slot, add_contract or set_nonce, which keep the running balance
     total and an LtHash over the committed entries (nonzero balances,
-    nonzero slots, contracts) up to date. Nonces are not committed."""
+    nonzero slots, contracts) up to date. Nonces are not committed.
+
+    Each live committed entry's lane vector is kept until the entry leaves
+    the state, so replacing or deleting it costs no expansion."""
 
     def __init__(self) -> None:
         self._balances: dict[bytes, int] = {}
@@ -176,7 +179,8 @@ class Accounts:
         self.contracts: Mapping[bytes, ContractAccount] = MappingProxyType(self._contracts)
         self.storage: Mapping[tuple[bytes, int], int] = MappingProxyType(self._storage)
         self.nonces: Mapping[bytes, int] = MappingProxyType(self._nonces)
-        self.lthash = LtHash()
+        self.lthash = _lthash.LtHash()
+        self._vectors: dict[bytes, int] = {}
         self.total = 0
 
     def balance(self, addr: bytes) -> int:
@@ -190,9 +194,9 @@ class Accounts:
         if bal == old:
             return
         if old:
-            self.lthash.remove(balance_entry(addr, old))
+            self._remove_entry(balance_entry(addr, old))
         if bal:
-            self.lthash.add(balance_entry(addr, bal))
+            self._add_entry(balance_entry(addr, bal))
             self._balances[addr] = bal
         else:
             del self._balances[addr]
@@ -203,16 +207,23 @@ class Accounts:
         if val == old:
             return
         if old:
-            self.lthash.remove(slot_entry(addr, key, old))
+            self._remove_entry(slot_entry(addr, key, old))
         if val:
-            self.lthash.add(slot_entry(addr, key, val))
+            self._add_entry(slot_entry(addr, key, val))
             self._storage[(addr, key)] = val
         else:
             del self._storage[(addr, key)]
 
     def add_contract(self, acct: ContractAccount) -> None:
         self._contracts[acct.address] = acct
-        self.lthash.add(contract_entry(acct))
+        self._add_entry(contract_entry(acct))
+
+    def _add_entry(self, entry: bytes) -> None:
+        x = self._vectors[entry] = _lthash._lanes(entry)
+        self.lthash.add_lanes(x)
+
+    def _remove_entry(self, entry: bytes) -> None:
+        self.lthash.remove_lanes(self._vectors.pop(entry))
 
     def set_nonce(self, addr: bytes, nonce: int) -> None:
         self._nonces[addr] = nonce
@@ -224,6 +235,7 @@ class Accounts:
         other._storage.update(self._storage)
         other._nonces.update(self._nonces)
         other.lthash = self.lthash.copy()
+        other._vectors.update(self._vectors)
         other.total = self.total
         return other
 

@@ -257,7 +257,8 @@ def test_state_digest_sensitivity():
 
 def test_digest_work_does_not_grow_with_state(monkeypatch):
     """One identical 6-transaction batch hashes as many accumulator
-    elements on a 1k-UTXO state as on a 20k-UTXO state."""
+    elements on a 1k-UTXO state as on a 20k-UTXO state. Every expansion,
+    UTXO or account side, goes through lthash._lanes."""
     from tierledger import lthash
 
     cfg = make_config()
@@ -282,8 +283,8 @@ def test_digest_work_does_not_grow_with_state(monkeypatch):
         seed_balance(state, A_ADDR, 50)
         assert len(state.utxos) == n_utxos
         expansions = []
-        expand = lthash._expand
-        monkeypatch.setattr(lthash, "_expand", lambda e: (expansions.append(e), expand(e))[1])
+        lanes = lthash._lanes
+        monkeypatch.setattr(lthash, "_lanes", lambda e: (expansions.append(e), lanes(e))[1])
         receipts, _ = ledger.apply_batch(state, txs, 1, cfg, workers=1)
         monkeypatch.undo()
         assert [r.status for r in receipts] == [codes.OK] * len(txs)

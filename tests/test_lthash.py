@@ -100,3 +100,31 @@ def test_add_many_is_exact_across_the_fold(monkeypatch):
     want = (-(n + 1) % 65_536).to_bytes(2, "little") * LANES
     assert each.digest() == want
     assert many.digest() == want
+
+
+def test_lane_updates_match_entry_updates_and_the_kept_digest_follows():
+    """add_lanes/remove_lanes on a kept expansion equal add/remove of its
+    element, and the digest bytes kept between updates never go stale,
+    on the accumulator or on a copy."""
+    rng = random.Random(11)
+    by_entry, by_lanes = LtHash(), LtHash()
+    added: list[bytes] = []
+    removed: list[bytes] = []
+    for step in range(30):
+        e = random_entries(rng, 1)[0]
+        if added and rng.random() < 0.4:
+            e = added[rng.randrange(len(added))]
+            by_entry.remove(e)
+            by_lanes.remove_lanes(lthash._lanes(e))
+            removed.append(e)
+        else:
+            by_entry.add(e)
+            by_lanes.add_lanes(lthash._lanes(e))
+            added.append(e)
+        want = lthash16_oracle(added, removed)
+        assert by_lanes.digest() == by_entry.digest() == want, step
+        assert by_lanes.digest() is by_lanes.digest()
+        copy = by_lanes.copy()
+        copy.add(b"only in the copy")
+        assert copy.digest() == lthash16_oracle(added + [b"only in the copy"], removed)
+        assert by_lanes.digest() == want

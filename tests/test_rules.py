@@ -3,13 +3,16 @@ expiry, and the genesis config codec."""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import KEYS, make_config, p2pk, signed_spend
 from tierledger import ledger, rules
-from tierledger.model import Level, Lock, ModelError, Outpoint, Output, sha256
+from tierledger.model import Level, Lock, ModelError, Outpoint, Output, address_of_pubkey, sha256
 from tierledger.permission import PermissionPolicy
 
 ALICE, BOB = KEYS[1], KEYS[2]
@@ -102,3 +105,14 @@ def test_config_guards():
         make_config(operator_pubkey=b"\x01" * 31)
     with pytest.raises(ModelError):
         make_config(call_policy=PermissionPolicy.endorsed("per_transaction"))  # empty registry
+
+
+def test_derived_config_values_are_computed_once_and_fresh_per_config():
+    cfg = make_config(min_fee=3)
+    assert cfg.config_hash() == hashlib.sha256(cfg.to_json_str().encode()).digest()
+    assert cfg.config_hash() is cfg.config_hash()
+    assert cfg.operator_address == address_of_pubkey(cfg.operator_pubkey)
+    other = dataclasses.replace(cfg, min_fee=4, operator_pubkey=BOB.pubkey)
+    assert other.config_hash() == hashlib.sha256(other.to_json_str().encode()).digest()
+    assert other.config_hash() != cfg.config_hash()
+    assert other.operator_address == address_of_pubkey(BOB.pubkey) != cfg.operator_address

@@ -149,6 +149,7 @@ def snapshot(acc: vm.Accounts):
         dict(acc.storage),
         dict(acc.nonces),
         {a: c.code for a, c in acc.contracts.items()},
+        acc.lthash.digest(),
     )
 
 

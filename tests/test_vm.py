@@ -4,14 +4,18 @@ interpreter kept in oracles.py."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import BURN_ASM, COUNTER_ASM, COUNTER_GAS, KEYS, counter_code, make_call, make_deploy
-from oracles import tagged_invoke
-from tierledger import vm
-from tierledger.model import U64_MAX, AccessDecl, Call, Deploy, ModelError, Transaction, address_of_pubkey, txid
+from oracles import lthash16_oracle, tagged_invoke
+from tierledger import lthash, vm
+from tierledger.model import (
+    U64_MAX, AccessDecl, Call, Deploy, ModelError, Transaction, address_of_pubkey, sha256, txid,
+)
 
 ALICE, BOB = KEYS[1], KEYS[2]
 A_ADDR = address_of_pubkey(ALICE.pubkey)
@@ -321,6 +325,54 @@ def test_operator_fee_is_a_commuting_delta():
     diff = vm.invoke(acc, tx, txid(tx), 1, OPERATOR, False)
     assert diff.operator_delta == COUNTER_GAS
     assert OPERATOR not in diff.balance_new
+
+
+def live_entries(acc: vm.Accounts) -> list[bytes]:
+    """The committed entries, rebuilt from the mappings."""
+    return (
+        [vm.balance_entry(a, b) for a, b in acc.balances.items() if b]
+        + [vm.slot_entry(a, k, v) for (a, k), v in acc.storage.items() if v]
+        + [vm.contract_entry(c) for c in acc.contracts.values()]
+    )
+
+
+def test_kept_lane_vectors_follow_the_live_entries():
+    """Random balance and slot writes (to 0 and back), deploys, and copies
+    that then diverge: after every step, each Accounts' digest equals the
+    lane-by-lane oracle over its live entries, and it keeps a vector for
+    exactly those entries, so none goes stale and none leaks."""
+    rng = random.Random(13)
+    addrs = [sha256(bytes([i])) for i in range(4)]
+    live = [vm.Accounts()]
+    for step in range(80):
+        acc = rng.choice(live)
+        op = rng.random()
+        if op < 0.4:
+            acc.set_balance(rng.choice(addrs), rng.choice((0, 0, 1, 7, U64_MAX)))
+        elif op < 0.8:
+            acc.set_slot(rng.choice(addrs), rng.randrange(3), rng.choice((0, 0, 1, 9)))
+        elif op < 0.9:
+            acc.add_contract(vm.ContractAccount(sha256(b"c%d" % step), bytes([step])))
+        elif len(live) < 4:
+            live.append(acc.copy())
+        for each in live:
+            entries = live_entries(each)
+            assert each.lthash.digest() == lthash16_oracle(entries), step
+            assert sorted(each._vectors) == sorted(entries), step
+
+
+def test_replacing_a_balance_expands_only_the_new_entry(monkeypatch):
+    acc = fresh_accounts()
+    acc.set_slot(A_ADDR, 1, 5)
+    calls = []
+    lanes = lthash._lanes
+    monkeypatch.setattr(lthash, "_lanes", lambda e: (calls.append(e), lanes(e))[1])
+    acc.set_balance(A_ADDR, 3)
+    assert calls == [vm.balance_entry(A_ADDR, 3)]
+    acc.set_slot(A_ADDR, 1, 6)
+    acc.set_slot(A_ADDR, 1, 0)
+    acc.set_balance(B_ADDR, 0)
+    assert calls == [vm.balance_entry(A_ADDR, 3), vm.slot_entry(A_ADDR, 1, 6)]
 
 
 def test_compile_once_per_code_and_decoded_gas_matches_table():
