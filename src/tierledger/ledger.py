@@ -35,8 +35,10 @@ from .model import (
     U64_MAX,
     UtxoSpend,
     address_of_pubkey,
+    canonical_json,
     classify_level,
     full_serialize,
+    outpoint_range,
     require_u64,
     sha256,
     tx_from_json,
@@ -174,8 +176,8 @@ class LedgerState:
         """Create outputs as (tx_id, first_index), (tx_id, first_index + 1),
         ...; their entries go into the UTXO LtHash in one add_many."""
         entries = []
-        for j, out in enumerate(outputs, first_index):
-            op = Outpoint(tx_id, j)
+        ops = outpoint_range(tx_id, first_index, first_index + len(outputs))
+        for op, out in zip(ops, outputs):
             self._utxos[op] = out
             entries.append(utxo_entry(op, out))
             if out.expiry is not None:
@@ -463,15 +465,11 @@ def _log_file(kind: str, number: int) -> str:
     return f"{kind}_{number:06d}.json"
 
 
-def _canonical(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _encode_batch(batch_number: int, epoch: int, txs: Sequence[Transaction]) -> str:
     """The batch file; one codec encodes each distinct lock and output once."""
     codec = JsonCodec()
     txs_json = [tx_to_json(tx, codec) for tx in txs]
-    return _canonical({"batch": batch_number, "epoch": epoch, "txs": txs_json})
+    return canonical_json({"batch": batch_number, "epoch": epoch, "txs": txs_json})
 
 
 def _decode_txs(txs_json: list) -> list[Transaction]:
@@ -482,7 +480,7 @@ def _decode_txs(txs_json: list) -> list[Transaction]:
 
 
 def _encode_header(header: BatchHeader, receipts: Sequence[Receipt]) -> str:
-    return _canonical({"header": header.to_json(), "receipts": [r.to_json() for r in receipts]})
+    return canonical_json({"header": header.to_json(), "receipts": [r.to_json() for r in receipts]})
 
 
 def write_batch_files(

@@ -68,6 +68,12 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+# The one canonical JSON text: sorted keys, no spaces. Callers encode trees
+# built fresh from model values, never cyclic, so the circular-reference
+# check (about a sixth of each encode) is skipped.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+
 def address_of_pubkey(pk: bytes) -> bytes:
     """32-byte address of a public key."""
     return sha256(pk)
@@ -221,6 +227,29 @@ class Outpoint:
 
     def serialize(self) -> bytes:
         return self._ser
+
+
+_SET_OUTPOINT = (Outpoint.txid.__set__, Outpoint.index.__set__, Outpoint._ser.__set__)
+
+
+def outpoint_range(txid: bytes, start: int, stop: int) -> list[Outpoint]:
+    """[Outpoint(txid, i) for i in range(start, stop)], with the txid and the
+    index range checked once rather than per outpoint: a fan-out creates
+    thousands of outputs under one txid."""
+    if len(txid) != 32:
+        raise ModelError("outpoint txid must be 32 bytes")
+    if start < stop:
+        require_u32(start, "outpoint index")
+        require_u32(stop - 1, "outpoint index")
+    set_txid, set_index, set_ser = _SET_OUTPOINT
+    ops = []
+    for i in range(start, stop):
+        op = object.__new__(Outpoint)
+        set_txid(op, txid)
+        set_index(op, i)
+        set_ser(op, _OUTPOINT(32, txid, i))
+        ops.append(op)
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +862,7 @@ def tx_from_json(obj: dict, codec: Optional[JsonCodec] = None) -> Transaction:
 
 
 def tx_to_json_str(tx: Transaction) -> str:
-    return json.dumps(tx_to_json(tx), sort_keys=True, separators=(",", ":"))
+    return canonical_json(tx_to_json(tx))
 
 
 def tx_from_json_str(s: str) -> Transaction:

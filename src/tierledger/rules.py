@@ -6,7 +6,6 @@ configured once at genesis and immutable afterwards.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import AbstractSet, Mapping, Optional
@@ -21,6 +20,7 @@ from .model import (
     Transaction,
     UtxoSpend,
     address_of_pubkey,
+    canonical_json,
     hex_list,
     require_u64,
 )
@@ -136,7 +136,7 @@ class SystemConfig:
         )
 
     def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json())
 
     def config_hash(self) -> bytes:
         """sha256 of the canonical genesis JSON; embedded in every header."""

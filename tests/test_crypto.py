@@ -1,7 +1,8 @@
-"""Key generation, fail-closed verification, and multisig checking against
-the brute-force oracle. Verification is differential against OpenSSL alone
-(`oracles.ref_verify`): the libsodium fast path may short-cut accepts but
-must never change a verdict."""
+"""Key generation, signing, fail-closed verification, and multisig checking
+against the brute-force oracle. Verification is differential against OpenSSL
+alone (`oracles.ref_verify`): the libsodium fast path may short-cut accepts
+but must never change a verdict. Signing and key derivation through
+libsodium must return OpenSSL's bytes."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import strategies as st
 
 import test_golden as golden
@@ -26,6 +28,41 @@ def test_keygen_deterministic_and_guarded():
     assert a == b and len(a.pubkey) == 32
     with pytest.raises(ValueError):
         crypto.keygen(b"short")
+
+
+# RFC 8032 section 7.1, TEST 1: the empty message.
+RFC8032_SEED = bytes.fromhex("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60")
+RFC8032_PUBKEY = bytes.fromhex("d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a")
+RFC8032_SIG = bytes.fromhex(
+    "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e065224901555fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"
+)
+
+
+@pytest.mark.parametrize("backend", ["libsodium", "openssl"])
+def test_rfc8032_test_1(monkeypatch, backend):
+    # Each backend runs with the other's key cache removed, so a call that
+    # strays to it fails.
+    if backend == "openssl":
+        monkeypatch.setattr(crypto, "_sodium", lambda: None)
+        monkeypatch.setattr(crypto, "_secret_key", None)
+    elif crypto._sodium() is None:
+        pytest.skip("libsodium is not installed")
+    else:
+        monkeypatch.setattr(crypto, "_private_key", None)
+    kp = crypto.keygen(RFC8032_SEED)
+    assert kp.pubkey == RFC8032_PUBKEY
+    assert crypto.sign(RFC8032_SEED, b"") == RFC8032_SIG
+    assert kp.sign(b"") == RFC8032_SIG
+    with pytest.raises(ValueError):
+        crypto.sign(RFC8032_SEED[:31], b"")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(min_size=32, max_size=32), st.binary(max_size=1000))
+def test_sign_and_keygen_equal_openssl(seed, msg):
+    ref = Ed25519PrivateKey.from_private_bytes(seed)
+    assert crypto.keygen(seed).pubkey == ref.public_key().public_bytes_raw()
+    assert crypto.sign(seed, msg) == ref.sign(msg)
 
 
 def test_sign_verify_round_trip():
@@ -209,6 +246,31 @@ def test_honest_signatures_never_reach_openssl(monkeypatch):
     assert calls == [KEYS[0].pubkey]
 
 
+def test_honest_multisig_that_skips_a_key_never_reaches_openssl(monkeypatch):
+    if crypto._sodium_verify() is None:
+        pytest.skip("libsodium is not installed: every verdict comes from OpenSSL")
+    calls = count_openssl(monkeypatch)
+    pks = [kp.pubkey for kp in KEYS[:3]]
+    assert crypto.check_multisig(2, pks, [SIGS[pks[0]], SIGS[pks[2]]], MSG)
+    assert calls == []
+    # A failing multisig still has OpenSSL decide every rejection.
+    assert not crypto.check_multisig(2, pks, [SIGS[pks[2]], SIGS[pks[0]]], MSG)
+    assert calls
+
+
+def test_multisig_takes_an_accept_only_openssl_gives():
+    # Identity key, identity R, S = 0: OpenSSL accepts it, and libsodium
+    # refuses small-order points, so only the verify pass can match it.
+    identity = SMALL_ORDER[0]
+    odd = (identity, with_s(identity, 0))
+    pks = [KEYS[0].pubkey, odd[0], KEYS[1].pubkey]
+    sigs = [SIGS[pks[0]], odd[1]]
+    assert ref_verify(odd[0], MSG, odd[1]) and not crypto._sodium_accepts(odd[0], MSG, odd[1])
+    assert crypto.check_multisig(2, pks, sigs, MSG) == multisig_oracle(2, pks, sigs, MSG) is True
+    assert crypto.check_multisig(1, pks, [odd[1]], MSG)
+    assert not crypto.check_multisig(2, pks, [odd[1], SIGS[pks[0]]], MSG)
+
+
 def test_s_guard_holds_against_a_libsodium_that_accepts_everything(monkeypatch):
     monkeypatch.setattr(crypto, "_sodium_verify", lambda: lambda sig, msg, n, pk: 0)
     kp = KEYS[0]
@@ -217,12 +279,15 @@ def test_s_guard_holds_against_a_libsodium_that_accepts_everything(monkeypatch):
     s = int.from_bytes(sig[32:], "little")
     for bad in (L, s + L, 2**256 - 1):
         assert not crypto.verify(kp.pubkey, MSG, with_s(sig, bad))
+        assert not crypto.check_multisig(1, [kp.pubkey], [with_s(sig, bad)], MSG)
 
 
 @pytest.fixture
 def openssl_only(monkeypatch) -> list:
-    """A host without libsodium; yields the OpenSSL call log."""
-    monkeypatch.setattr(crypto, "_sodium_verify", lambda: None)
+    """A host without libsodium, for signing and key derivation as well as
+    verification; yields the OpenSSL verification call log."""
+    monkeypatch.setattr(crypto, "_sodium", lambda: None)
+    monkeypatch.setattr(crypto, "_secret_key", None)
     return count_openssl(monkeypatch)
 
 

@@ -48,6 +48,7 @@ from tierledger.model import (
     checked_sub,
     classify_level,
     full_serialize,
+    outpoint_range,
     tx_from_json_str,
     tx_to_json_str,
     txid,
@@ -296,6 +297,28 @@ def test_outpoint_rejects_bad_txid_length(blob, idx):
     else:
         with pytest.raises(ModelError):
             Outpoint(blob, idx)
+        with pytest.raises(ModelError):
+            outpoint_range(blob, idx, idx + 1)
+
+
+def test_outpoint_range_equals_the_constructor():
+    tx_id = b"\x5c" * 32
+    top = 2**32 - 1
+    for start, stop in ((0, 40), (7, 9), (top - 2, top + 1), (5, 5)):
+        built = outpoint_range(tx_id, start, stop)
+        assert len(built) == stop - start
+        for j, op in zip(range(start, stop), built):
+            ref = Outpoint(tx_id, j)
+            assert op == ref and hash(op) == hash(ref) and repr(op) == repr(ref)
+            assert op.serialize() == ref.serialize() == encode(write_outpoint, ref)
+            back = pickle.loads(pickle.dumps(op))
+            assert back == ref and back.serialize() == ref.serialize()
+            assert not op < ref and not ref < op
+            assert Outpoint(tx_id, j - 1) < op if j else op < Outpoint(tx_id, j + 1)
+        assert sorted(reversed(built)) == built
+    for start, stop in ((top, top + 2), (-1, 1)):
+        with pytest.raises(ModelError):
+            outpoint_range(tx_id, start, stop)
 
 
 # ---------------------------------------------------------------------------
