@@ -2,20 +2,22 @@
 JSON re-encode and txid of one 1000-output fan-out transaction; the
 replay of a batch holding one 1000-output fan-out, split into its stages;
 put_utxos of 10k outputs against put_utxo of each; and the tracked objects
-and resident memory that 10k UTXOs add to a ledger state.
+and the memory that 10k UTXOs add to a ledger state.
 
 Each encode is timed on a fresh Transaction instance (a copy made before
 the clock starts), so a cached encoding is never what is measured. The
 fan-out is decoded from its canonical JSON, as replay and the benchmark's
 set-up decode it; its txid is timed on a freshly decoded instance. The
 10k outputs for put_utxo and for the memory figures are that fan-out's
-outputs, decoded ten times.
+outputs, decoded ten times. Their memory is what tracemalloc counts as
+still allocated once the state is built, so it does not depend on how much
+freed memory the allocator had to reuse, as a resident-set difference does.
 
 The replayed batch holds one fan-out with the output mix of perfbench's
 pay-10k set-up: 900 outputs to 100 keys and 100 to 2-of-3 multisig locks,
 all of one amount, shuffled; 200 distinct locks, five outputs per lock on
 average. Its stages are the ones replay_verify runs on each batch:
-json.loads of the batch file, decoding its transactions through one JSON
+read_json of the batch file's bytes, decoding its transactions through one JSON
 codec, re-encoding them for the byte-identity check, and apply_batch on a
 copy of the state before it. Both ways of writing the 10k outputs build
 their outpoints inside the timed loop, as the transfer routine does.
@@ -30,12 +32,11 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import json
-import os
 import random
 import statistics
 import sys
 import time
+import tracemalloc
 from typing import Callable, Optional
 
 from tierledger import codes, crypto, ledger, rules
@@ -52,6 +53,7 @@ from tierledger.model import (
     UtxoSpend,
     address_of_pubkey,
     canonical_serialize,
+    read_json,
     sha256,
     tx_from_json_str,
     tx_to_json_str,
@@ -115,15 +117,7 @@ def timed(fn: Callable[[], object]) -> float:
     return time.perf_counter() - t0
 
 
-def rss_bytes() -> Optional[int]:
-    try:
-        with open("/proc/self/statm", encoding="ascii") as f:
-            return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def replay_batch() -> tuple[rules.SystemConfig, ledger.LedgerState, str]:
+def replay_batch() -> tuple[rules.SystemConfig, ledger.LedgerState, bytes]:
     """The genesis config, the state after the coinbase batch, and the
     canonical batch file of one signed fan-out of the coinbase."""
     operator = KEYS[0]
@@ -139,7 +133,7 @@ def replay_batch() -> tuple[rules.SystemConfig, ledger.LedgerState, str]:
     outputs = tuple(Output(1_000, lock) for lock in locks)
     tx = Transaction(UtxoSpend((ledger._coinbase_outpoint(0),), outputs))
     sig = crypto.sign(operator.seed, crypto.utxo_signing_message(txid(tx), 0))
-    return cfg, state, ledger._encode_batch(1, 2, [tx.with_witnesses([(sig,)])])
+    return cfg, state, ledger._encode_batch(1, 2, [tx.with_witnesses([(sig,)])]).encode()
 
 
 def replay_ms(reps: int) -> dict[str, float]:
@@ -149,11 +143,11 @@ def replay_ms(reps: int) -> dict[str, float]:
     for _ in range(reps):
         state = base.copy()
         t0 = time.perf_counter()
-        obj = json.loads(raw)
+        obj = read_json(raw)
         t1 = time.perf_counter()
         txs = ledger._decode_txs(obj["txs"])
         t2 = time.perf_counter()
-        same = ledger._encode_batch(obj["batch"], obj["epoch"], txs) == raw
+        same = ledger._encode_batch(obj["batch"], obj["epoch"], txs).encode() == raw
         t3 = time.perf_counter()
         receipts, _ = ledger.apply_batch(state, txs, obj["epoch"], cfg, workers=1)
         t4 = time.perf_counter()
@@ -219,14 +213,16 @@ def main() -> int:
         print(f"  {name:22s} {put_ms:7.2f} ms ({put_ms * 1e3 / UTXOS:.2f} µs each)")
 
     gc.collect()
-    objects, rss = len(gc.get_objects()), rss_bytes()
+    objects = len(gc.get_objects())
+    tracemalloc.start()
     state = ledger.LedgerState()
     for tx_id, outs in rounds():
         state.put_utxos(tx_id, outs)
     gc.collect()
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
     objects = len(gc.get_objects()) - objects
-    rss_mb = "n/a" if rss is None else f"{(rss_bytes() - rss) / 2**20:.2f} MB"
-    print(f"per {len(state.utxos)} UTXOs: {objects} tracked objects, RSS +{rss_mb}")
+    print(f"per {len(state.utxos)} UTXOs: {objects} tracked objects, {held / 2**20:.2f} MB allocated")
     return 0
 
 

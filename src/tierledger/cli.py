@@ -3,8 +3,9 @@
 Commands: init, run, replay, classify, digest. digest verifies the log
 exactly as replay does, then prints the final state digest. Exit codes:
 0 success, 1 assertion failure or detected divergence, 2 malformed input or
-unreadable log. Per-transaction rejections are receipts, never process
-errors.
+unreadable log. Malformed input is any file that is not JSON, nests too
+deeply to parse, or holds a value of the wrong shape or JSON type.
+Per-transaction rejections are receipts, never process errors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import ledger, rules, scenario
-from .model import ModelError, classify_level, tx_from_json
+from .model import ModelError, classify_level, read_json, tx_from_json
 
 def _error(args: argparse.Namespace, message: str) -> int:
     """Report malformed input or an unusable log directory: one line on
@@ -37,10 +38,8 @@ def _emit(args: argparse.Namespace, human: str, machine: dict) -> None:
 
 def cmd_init(args: argparse.Namespace) -> int:
     try:
-        cfg = rules.SystemConfig.from_json(
-            json.loads(Path(args.genesis).read_text(encoding="utf-8"))
-        )
-    except (OSError, ValueError, KeyError, ModelError) as exc:
+        cfg = rules.SystemConfig.from_json(read_json(Path(args.genesis).read_bytes()))
+    except (OSError, ModelError) as exc:
         return _error(args, f"cannot read genesis config: {exc}")
     try:
         ledger.init_log(args.logdir, cfg)
@@ -54,10 +53,10 @@ def cmd_init(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         ok, report = scenario.run_scenario(args.scenario, logdir=args.logdir)
-    except scenario.ScenarioError as exc:
+    except ModelError as exc:
         return _error(args, str(exc))
     # Raised on the log directory: a scenario file that cannot be read is
-    # a ScenarioError.
+    # a ScenarioError, which is a ModelError.
     except OSError as exc:
         return _error(args, f"cannot write log directory: {exc}")
     lines = [f"scenario {report['scenario']}: {'ok' if ok else 'FAILED'}"]
@@ -95,10 +94,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     try:
-        tx = tx_from_json(json.loads(Path(args.tx).read_text(encoding="utf-8")))
-    # TypeError: a value of the wrong JSON type, such as a number where a
-    # list of inputs is expected.
-    except (OSError, ValueError, KeyError, TypeError, ModelError) as exc:
+        tx = tx_from_json(read_json(Path(args.tx).read_bytes()))
+    except (OSError, ModelError) as exc:
         return _error(args, f"cannot parse transaction: {exc}")
     label = classify_level(tx).label
     _emit(args, label, {"level": label})

@@ -38,7 +38,10 @@ from .model import (
     canonical_json,
     classify_level,
     full_serialize,
+    json_field,
+    json_value,
     outpoint_range,
+    read_json,
     require_u64,
     sha256,
     tx_from_json,
@@ -81,11 +84,11 @@ class Receipt:
     @staticmethod
     def from_json(obj: dict) -> "Receipt":
         return Receipt(
-            bytes.fromhex(obj["txid"]),
-            require_u64(obj["status"], "status"),
-            require_u64(obj["gas_used"], "gas_used"),
-            Level.from_label(obj["level"]),
-            bytes.fromhex(obj["post_state_digest"]),
+            json_field(obj, "txid", bytes),
+            require_u64(json_field(obj, "status", int), "status"),
+            require_u64(json_field(obj, "gas_used", int), "gas_used"),
+            Level.from_label(json_field(obj, "level", str)),
+            json_field(obj, "post_state_digest", bytes),
         )
 
 
@@ -129,13 +132,9 @@ class BatchHeader:
     @staticmethod
     def from_json(obj: dict) -> "BatchHeader":
         return BatchHeader(
-            obj["batch_number"],
-            obj["epoch"],
-            bytes.fromhex(obj["prev_hash"]),
-            bytes.fromhex(obj["txs_hash"]),
-            bytes.fromhex(obj["receipts_hash"]),
-            bytes.fromhex(obj["post_state_digest"]),
-            bytes.fromhex(obj["config_hash"]),
+            json_field(obj, "batch_number", int),
+            json_field(obj, "epoch", int),
+            *(json_field(obj, key, bytes) for key in BatchHeader.FIELDS[2:]),
         )
 
 
@@ -549,11 +548,11 @@ def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
     batch count and epoch of a log that verifies."""
     path = Path(logdir)
     try:
-        raw_genesis = (path / "genesis.json").read_text(encoding="utf-8")
-        cfg = rules.SystemConfig.from_json(json.loads(raw_genesis))
-    except (OSError, ValueError, KeyError, ModelError):
+        raw_genesis = (path / "genesis.json").read_bytes()
+        cfg = rules.SystemConfig.from_json(read_json(raw_genesis))
+    except (OSError, ModelError):
         return ReplayReport(False, "unreadable", batch=-1, field="genesis")
-    if cfg.to_json_str() != raw_genesis:
+    if cfg.to_json_str().encode() != raw_genesis:
         return ReplayReport(
             False, "divergence", batch=-1, field="genesis_encoding",
             expected="canonical json", found="non-canonical bytes",
@@ -562,44 +561,32 @@ def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
     n, missing = log_extent(path)
     for i in range(n):
         try:
-            raw_batch = (path / _log_file("batch", i)).read_text(encoding="utf-8")
-            raw_header = (path / _log_file("header", i)).read_text(encoding="utf-8")
-            batch_obj = json.loads(raw_batch)
-            stored_obj = json.loads(raw_header)
-            # Check the containers' shape before indexing into them.
-            if not (isinstance(batch_obj, dict) and isinstance(batch_obj.get("txs"), list)):
-                raise ModelError("batch file needs a txs list")
+            raw_batch = (path / _log_file("batch", i)).read_bytes()
+            raw_header = (path / _log_file("header", i)).read_bytes()
+            batch_obj = json_value(read_json(raw_batch), dict, "batch file")
+            stored_obj = json_value(read_json(raw_header), dict, "header file")
             # Integers, not bools (JSON true equals 1 and re-encodes as
             # true); the epoch is committed as a u64 in every state digest.
-            require_u64(batch_obj.get("batch"), "batch")
-            epoch = require_u64(batch_obj.get("epoch"), "epoch")
-            if not (
-                isinstance(stored_obj, dict)
-                and isinstance(stored_obj.get("header"), dict)
-                and isinstance(stored_obj.get("receipts"), list)
-                and all(isinstance(r, dict) for r in stored_obj["receipts"])
-            ):
-                raise ModelError("header file needs a header object and a list of receipt objects")
-            txs = _decode_txs(batch_obj["txs"])
-            stored_header = BatchHeader.from_json(stored_obj["header"])
-            stored_receipts = [Receipt.from_json(r) for r in stored_obj["receipts"]]
-        # TypeError: a value of the wrong JSON type inside a transaction,
-        # header or receipt, such as a number where hex is expected.
-        except (OSError, ValueError, KeyError, TypeError, ModelError):
+            batch_number = require_u64(json_field(batch_obj, "batch", int), "batch")
+            epoch = require_u64(json_field(batch_obj, "epoch", int), "epoch")
+            txs = _decode_txs(json_field(batch_obj, "txs", list))
+            stored_header = BatchHeader.from_json(json_field(stored_obj, "header", dict))
+            stored_receipts = [Receipt.from_json(r) for r in json_field(stored_obj, "receipts", list, of=dict)]
+        except (OSError, ModelError):
             return ReplayReport(False, "unreadable", batch=i)
         # The log is written in one canonical encoding. Re-serializing the
         # decoded transactions must reproduce the file byte for byte;
         # anything else is tampering, even when it parses to equal values
         # (hex case flips, stray keys, number formatting).
-        if _encode_batch(batch_obj["batch"], epoch, txs) != raw_batch:
+        if _encode_batch(batch_number, epoch, txs).encode() != raw_batch:
             return ReplayReport(
                 False, "divergence", batch=i, field="encoding",
                 expected="canonical json", found="non-canonical bytes",
             )
-        if batch_obj["batch"] != i:
+        if batch_number != i:
             return ReplayReport(
                 False, "divergence", batch=i, field="batch",
-                expected=str(i), found=str(batch_obj["batch"]),
+                expected=str(i), found=str(batch_number),
             )
         try:
             receipts, header = apply_batch(state, txs, epoch, cfg, workers=1)
@@ -631,7 +618,7 @@ def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
         # Byte-identity of the header file against a reconstruction from the
         # recomputed header and receipts, catching edits to derived display
         # fields that decode to equal values.
-        if _encode_header(header, receipts) != raw_header:
+        if _encode_header(header, receipts).encode() != raw_header:
             return ReplayReport(
                 False, "divergence", batch=i, field="encoding",
                 expected="canonical json", found="non-canonical bytes",

@@ -582,22 +582,64 @@ def classify_level(tx: Transaction, utxos: Optional[Mapping[Outpoint, Output]] =
 # JSON encoding (human-facing files; byte arrays hex-encoded lowercase)
 
 
-def _hex(b: bytes) -> str:
-    return b.hex()
+# The one input boundary. Every JSON file the CLI and replay read is parsed
+# by read_json, and every value in it is taken by json_field or json_value,
+# so malformed input of any shape is a ModelError and nothing else.
+
+_JSON_TYPE_NAMES = {
+    dict: "an object", list: "an array", str: "a string", int: "an integer",
+    bool: "a boolean", bytes: "a hex string",
+}
+_REQUIRED = object()
 
 
-def _unhex(s: str, what: str = "field") -> bytes:
+def read_json(data: Union[str, bytes]) -> object:
+    """The value of a JSON text, or of its UTF-8 bytes. Any failure, bytes
+    that are not UTF-8 and nesting too deep for the parser included, is a
+    ModelError."""
     try:
-        return bytes.fromhex(s)
-    except (ValueError, TypeError) as exc:
-        raise ModelError(f"bad hex in {what}: {s!r}") from exc
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise ModelError(f"invalid JSON: {exc}") from exc
 
 
-def hex_list(value, what: str) -> list[bytes]:
-    """A JSON list of hex strings, decoded; any other shape is a ModelError."""
-    if type(value) is not list:
-        raise ModelError(f"{what} must be a list of hex strings: {value!r}")
-    return [_unhex(v, what) for v in value]
+def json_value(value: object, kind: object, what: str):
+    """value, which must be exactly of JSON type kind: dict, list, str, int
+    or bool (a bool is not an int). kind bytes reads a hex string and
+    returns its bytes. A tuple of kinds reads an array of that many items,
+    one of each kind, as a tuple."""
+    if type(value) is kind:
+        return value
+    if kind is bytes and type(value) is str:
+        try:
+            return bytes.fromhex(value)
+        except ValueError:
+            pass
+    elif type(kind) is tuple and type(value) is list and len(value) == len(kind):
+        return tuple([json_value(v, k, what) for v, k in zip(value, kind)])
+    name = f"an array of {len(kind)} items" if type(kind) is tuple else _JSON_TYPE_NAMES[kind]
+    raise ModelError(f"{what} must be {name}")
+
+
+def json_field(obj: dict, key: str, kind: object, default: object = _REQUIRED, of: object = None):
+    """obj[key], read by json_value. An absent key, or a null one where the
+    default is None, gives the default; without one the key is required.
+    With of, each item of the array, or each value of the object, is read
+    as of, into a new list or dict."""
+    value = obj.get(key)
+    if type(value) is kind and of is None:
+        return value
+    if value is None and (default is None or key not in obj):
+        if default is _REQUIRED:
+            raise ModelError(f"missing {key}")
+        return default
+    value = json_value(value, kind, key)
+    if of is None:
+        return value
+    what = f"each item of {key}"
+    if kind is dict:
+        return {k: json_value(v, of, what) for k, v in value.items()}
+    return [json_value(v, of, what) for v in value]
 
 
 def _lock_key(obj) -> Optional[tuple]:
@@ -617,15 +659,13 @@ def _lock_key(obj) -> Optional[tuple]:
 
 
 def _decode_lock(obj: dict) -> Lock:
-    if not isinstance(obj, dict):
-        raise ModelError("lock JSON must be an object")
-    kind = obj.get("kind")
+    kind = json_field(obj, "kind", str)
     if kind == "pubkey":
-        return Lock.pay_to_pubkey(_unhex(obj["pubkey"], "pubkey"))
+        return Lock.pay_to_pubkey(json_field(obj, "pubkey", bytes))
     if kind == "multisig":
-        return Lock.multisig(obj["m"], [_unhex(pk, "pubkey") for pk in obj["pubkeys"]])
+        return Lock.multisig(json_field(obj, "m", int), json_field(obj, "pubkeys", list, of=bytes))
     if kind == "script":
-        return Lock.pay_to_script(_unhex(obj["script"], "script"))
+        return Lock.pay_to_script(json_field(obj, "script", bytes))
     raise ModelError(f"unknown lock kind {kind!r}")
 
 
@@ -666,17 +706,19 @@ class JsonCodec:
                         lock = self._locks[lock_key] = _decode_lock(obj["lock"])
                     out = self._outputs[key] = Output(amount, lock, expiry)
                 return out
-        return Output(obj["amount"], _decode_lock(obj["lock"]), obj.get("expiry"))
+        obj = json_value(obj, dict, "output")
+        lock = _decode_lock(json_field(obj, "lock", dict))
+        return Output(json_field(obj, "amount", int), lock, json_field(obj, "expiry", int, None))
 
     def lock_json(self, lock: Lock) -> dict:
         hit = self._json.get(id(lock))
         if hit is None:
             if lock.kind == LOCK_PUBKEY:
-                obj = {"kind": "pubkey", "pubkey": _hex(lock.pubkey)}
+                obj = {"kind": "pubkey", "pubkey": lock.pubkey.hex()}
             elif lock.kind == LOCK_MULTISIG:
-                obj = {"kind": "multisig", "m": lock.m, "pubkeys": [_hex(pk) for pk in lock.pubkeys]}
+                obj = {"kind": "multisig", "m": lock.m, "pubkeys": [pk.hex() for pk in lock.pubkeys]}
             else:
-                obj = {"kind": "script", "script": _hex(lock.script)}
+                obj = {"kind": "script", "script": lock.script.hex()}
             hit = self._json[id(lock)] = (lock, obj)
         return hit[1]
 
@@ -691,32 +733,38 @@ class JsonCodec:
 
 
 def outpoint_to_json(op: Outpoint) -> dict:
-    return {"txid": _hex(op.txid), "index": op.index}
+    return {"txid": op.txid.hex(), "index": op.index}
 
 
 def outpoint_from_json(obj: dict) -> Outpoint:
-    return Outpoint(_unhex(obj["txid"], "txid"), obj["index"])
+    return Outpoint(json_field(obj, "txid", bytes), json_field(obj, "index", int))
+
+
+def _inputs(obj: dict) -> tuple[Outpoint, ...]:
+    return tuple(map(outpoint_from_json, json_field(obj, "inputs", list, of=dict)))
 
 
 def access_to_json(a: AccessDecl) -> dict:
     return {
-        "balances_read": sorted(_hex(x) for x in a.balances_read),
-        "balances_written": sorted(_hex(x) for x in a.balances_written),
-        "storage_read": [[_hex(ad), k] for ad, k in sorted(a.storage_read)],
-        "storage_written": [[_hex(ad), k] for ad, k in sorted(a.storage_written)],
-        "callees": sorted(_hex(x) for x in a.callees),
+        "balances_read": sorted(x.hex() for x in a.balances_read),
+        "balances_written": sorted(x.hex() for x in a.balances_written),
+        "storage_read": [[ad.hex(), k] for ad, k in sorted(a.storage_read)],
+        "storage_written": [[ad.hex(), k] for ad, k in sorted(a.storage_written)],
+        "callees": sorted(x.hex() for x in a.callees),
     }
 
 
-def access_from_json(obj: dict) -> AccessDecl:
-    if not isinstance(obj, dict):
-        raise ModelError("access JSON must be an object")
+def access_from_json(obj: Optional[dict]) -> Optional[AccessDecl]:
+    if obj is None:
+        return None
+
+    def read(key: str, item: object) -> frozenset:
+        return frozenset(json_field(obj, key, list, [], of=item))
+
+    slot = (bytes, int)
     return AccessDecl(
-        frozenset(_unhex(x, "address") for x in obj.get("balances_read", [])),
-        frozenset(_unhex(x, "address") for x in obj.get("balances_written", [])),
-        frozenset((_unhex(a, "address"), k) for a, k in obj.get("storage_read", [])),
-        frozenset((_unhex(a, "address"), k) for a, k in obj.get("storage_written", [])),
-        frozenset(_unhex(x, "address") for x in obj.get("callees", [])),
+        read("balances_read", bytes), read("balances_written", bytes),
+        read("storage_read", slot), read("storage_written", slot), read("callees", bytes),
     )
 
 
@@ -732,9 +780,9 @@ def tx_to_json(tx: Transaction, codec: Optional[JsonCodec] = None) -> dict:
         obj["outputs"] = [codec.output_json(o) for o in k.outputs]
     elif isinstance(k, Deploy):
         obj.update(
-            code=_hex(k.code),
+            code=k.code.hex(),
             endowment=k.endowment,
-            payer=_hex(k.payer),
+            payer=k.payer.hex(),
             gas_limit=k.gas_limit,
             gas_price=k.gas_price,
         )
@@ -742,23 +790,23 @@ def tx_to_json(tx: Transaction, codec: Optional[JsonCodec] = None) -> dict:
             obj["access"] = access_to_json(k.access)
     elif isinstance(k, Call):
         obj.update(
-            contract=_hex(k.contract),
+            contract=k.contract.hex(),
             arg=k.arg,
             attached=k.attached,
-            caller=_hex(k.caller),
+            caller=k.caller.hex(),
             gas_limit=k.gas_limit,
             gas_price=k.gas_price,
         )
         if k.access is not None:
             obj["access"] = access_to_json(k.access)
         if k.address_consts:
-            obj["address_consts"] = [_hex(a) for a in k.address_consts]
+            obj["address_consts"] = [a.hex() for a in k.address_consts]
     elif isinstance(k, MoveToAccount):
         obj["inputs"] = [outpoint_to_json(op) for op in k.inputs]
-        obj["to"] = _hex(k.to)
+        obj["to"] = k.to.hex()
         obj["amount"] = k.amount
     elif isinstance(k, MoveToUtxo):
-        obj["source"] = _hex(k.source)
+        obj["source"] = k.source.hex()
         obj["amount"] = k.amount
         obj["outputs"] = [codec.output_json(o) for o in k.outputs]
     if tx.not_before is not None:
@@ -766,18 +814,18 @@ def tx_to_json(tx: Transaction, codec: Optional[JsonCodec] = None) -> dict:
     if tx.not_after is not None:
         obj["not_after"] = tx.not_after
     if tx.witnesses:
-        obj["witnesses"] = [[_hex(item) for item in wit] for wit in tx.witnesses]
+        obj["witnesses"] = [[item.hex() for item in wit] for wit in tx.witnesses]
     if tx.auth is not None:
-        obj["auth"] = {"pubkey": _hex(tx.auth.pubkey), "signature": _hex(tx.auth.signature)}
+        obj["auth"] = {"pubkey": tx.auth.pubkey.hex(), "signature": tx.auth.signature.hex()}
     if tx.endorsement is not None:
         e = tx.endorsement
         eobj = {
             "granularity": e.granularity,
-            "intermediary_pubkey": _hex(e.intermediary_pubkey),
-            "signature": _hex(e.signature),
+            "intermediary_pubkey": e.intermediary_pubkey.hex(),
+            "signature": e.signature.hex(),
         }
         if e.granularity == "per_user":
-            eobj["user_pubkey"] = _hex(e.user_pubkey)
+            eobj["user_pubkey"] = e.user_pubkey.hex()
             eobj["expiry"] = e.expiry
         obj["endorsement"] = eobj
     return obj
@@ -788,73 +836,61 @@ def tx_from_json(obj: dict, codec: Optional[JsonCodec] = None) -> Transaction:
     fresh when none is given."""
     if codec is None:
         codec = JsonCodec()
-    if not isinstance(obj, dict):
-        raise ModelError("transaction JSON must be an object")
-    name = obj.get("kind")
+    obj = json_value(obj, dict, "transaction")
+    name = json_field(obj, "kind", str)
     kind: TxKind
     if name == "utxo_spend":
-        kind = UtxoSpend(
-            tuple(outpoint_from_json(o) for o in obj["inputs"]),
-            tuple(codec.output(o) for o in obj["outputs"]),
-        )
+        kind = UtxoSpend(_inputs(obj), tuple(map(codec.output, json_field(obj, "outputs", list))))
+    elif name == "move_to_account":
+        kind = MoveToAccount(_inputs(obj), json_field(obj, "to", bytes), json_field(obj, "amount", int))
     elif name == "deploy":
         kind = Deploy(
-            _unhex(obj["code"], "code"),
-            obj["endowment"],
-            _unhex(obj["payer"], "payer"),
-            obj["gas_limit"],
-            obj["gas_price"],
-            access_from_json(obj["access"]) if "access" in obj else None,
+            json_field(obj, "code", bytes),
+            json_field(obj, "endowment", int),
+            json_field(obj, "payer", bytes),
+            json_field(obj, "gas_limit", int),
+            json_field(obj, "gas_price", int),
+            access_from_json(json_field(obj, "access", dict, None)),
         )
     elif name == "call":
         kind = Call(
-            _unhex(obj["contract"], "contract"),
-            obj["arg"],
-            obj["attached"],
-            _unhex(obj["caller"], "caller"),
-            obj["gas_limit"],
-            obj["gas_price"],
-            access_from_json(obj["access"]) if "access" in obj else None,
-            tuple(_unhex(a, "address") for a in obj.get("address_consts", [])),
-        )
-    elif name == "move_to_account":
-        kind = MoveToAccount(
-            tuple(outpoint_from_json(o) for o in obj["inputs"]),
-            _unhex(obj["to"], "to"),
-            obj["amount"],
+            json_field(obj, "contract", bytes),
+            json_field(obj, "arg", int),
+            json_field(obj, "attached", int),
+            json_field(obj, "caller", bytes),
+            json_field(obj, "gas_limit", int),
+            json_field(obj, "gas_price", int),
+            access_from_json(json_field(obj, "access", dict, None)),
+            tuple(json_field(obj, "address_consts", list, [], of=bytes)),
         )
     elif name == "move_to_utxo":
         kind = MoveToUtxo(
-            _unhex(obj["source"], "source"),
-            obj["amount"],
-            tuple(codec.output(o) for o in obj["outputs"]),
+            json_field(obj, "source", bytes),
+            json_field(obj, "amount", int),
+            tuple(map(codec.output, json_field(obj, "outputs", list))),
         )
     else:
         raise ModelError(f"unknown transaction kind {name!r}")
     witnesses = tuple(
-        tuple(_unhex(item, "witness") for item in wit) for wit in obj.get("witnesses", [])
+        tuple(json_value(item, bytes, "witnesses") for item in wit)
+        for wit in json_field(obj, "witnesses", list, [], of=list)
     )
-    auth = None
-    if "auth" in obj:
-        auth = AccountAuth(
-            _unhex(obj["auth"]["pubkey"], "pubkey"),
-            _unhex(obj["auth"]["signature"], "signature"),
-        )
-    endorsement = None
-    if "endorsement" in obj:
-        e = obj["endorsement"]
-        endorsement = EndorsementData(
-            e["granularity"],
-            _unhex(e["intermediary_pubkey"], "pubkey"),
-            _unhex(e["signature"], "signature"),
-            _unhex(e.get("user_pubkey", ""), "pubkey"),
-            e.get("expiry", 0),
-        )
+    auth = json_field(obj, "auth", dict, None)
+    if auth is not None:
+        auth = AccountAuth(json_field(auth, "pubkey", bytes), json_field(auth, "signature", bytes))
+    e = json_field(obj, "endorsement", dict, None)
+    endorsement = None if e is None else EndorsementData(
+        json_field(e, "granularity", str),
+        json_field(e, "intermediary_pubkey", bytes),
+        json_field(e, "signature", bytes),
+        json_field(e, "user_pubkey", bytes, b""),
+        json_field(e, "expiry", int, 0),
+    )
     return Transaction(
         kind,
-        nonce=obj.get("nonce", 0),
-        not_before=obj.get("not_before"),
-        not_after=obj.get("not_after"),
+        nonce=json_field(obj, "nonce", int, 0),
+        not_before=json_field(obj, "not_before", int, None),
+        not_after=json_field(obj, "not_after", int, None),
         witnesses=witnesses,
         auth=auth,
         endorsement=endorsement,
@@ -866,4 +902,4 @@ def tx_to_json_str(tx: Transaction) -> str:
 
 
 def tx_from_json_str(s: str) -> Transaction:
-    return tx_from_json(json.loads(s))
+    return tx_from_json(read_json(s))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import crypto
-from .model import EndorsementData, ModelError, hex_list
+from .model import EndorsementData, ModelError, json_field
 
 POLICY_OPEN = "open"
 POLICY_ALLOW_LIST = "allow_list"
@@ -56,16 +56,12 @@ class PermissionPolicy:
     def from_json(obj: dict) -> "PermissionPolicy":
         """Decode a policy object; a wrong shape or an unknown kind is a
         ModelError."""
-        if type(obj) is not dict:
-            raise ModelError("a policy must be a JSON object")
-        kind = obj.get("kind", POLICY_OPEN)
+        kind = json_field(obj, "kind", str, POLICY_OPEN)
         if kind == POLICY_ALLOW_LIST:
-            return PermissionPolicy.allow_list(hex_list(obj.get("pubkeys"), "pubkeys"))
+            return PermissionPolicy.allow_list(json_field(obj, "pubkeys", list, of=bytes))
         if kind == POLICY_ENDORSED:
-            return PermissionPolicy.endorsed(obj.get("granularity"))
-        if kind != POLICY_OPEN:
-            raise ModelError(f"unknown policy kind {kind!r}")
-        return PermissionPolicy.open()
+            return PermissionPolicy.endorsed(json_field(obj, "granularity", str))
+        return PermissionPolicy(kind)
 
 
 # Authorization error codes (status registry range 400-499).

@@ -18,10 +18,10 @@ from .model import (
     Outpoint,
     Output,
     Transaction,
-    UtxoSpend,
     address_of_pubkey,
     canonical_json,
-    hex_list,
+    json_field,
+    json_value,
     require_u64,
 )
 from .permission import PermissionPolicy
@@ -34,14 +34,6 @@ FEE_OK = 0
 INSUFFICIENT_FEE = 500
 GAS_PRICE_TOO_LOW = 501
 ALLOW_LIST_VIOLATION = 502
-
-
-def _typed(obj: dict, key: str, kind: type, default):
-    """obj[key], or default when absent; it must be exactly of this type."""
-    value = obj.get(key, default)
-    if type(value) is not kind:
-        raise ModelError(f"genesis {key} must be a JSON {kind.__name__}: {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -107,31 +99,28 @@ class SystemConfig:
         return obj
 
     @staticmethod
-    def from_json(obj: Mapping) -> "SystemConfig":
+    def from_json(obj: object) -> "SystemConfig":
         """Decode a genesis object. A value of the wrong JSON type, the
         wrong shape or out of range is a ModelError (a bool is not an
-        int)."""
-        if type(obj) is not dict:
-            raise ModelError("genesis must be a JSON object")
-        allow = obj.get("allow_list")
-        registry = _typed(obj, "intermediary_registry", list, [])
-        if not all(type(e) is dict and type(e.get("name")) is str for e in registry):
-            raise ModelError("intermediary_registry entries need a string name")
+        int); an allow_list of null means none."""
+        obj = json_value(obj, dict, "genesis")
+        allow = json_field(obj, "allow_list", list, None, of=bytes)
+        registry = json_field(obj, "intermediary_registry", list, [], of=dict)
         return SystemConfig(
-            max_level=Level.from_label(_typed(obj, "max_level", str, "L3")),
-            initial_subsidy=_typed(obj, "initial_subsidy", int, 50),
-            halving_interval=_typed(obj, "halving_interval", int, 10),
-            min_fee=_typed(obj, "min_fee", int, 0),
-            min_gas_price=_typed(obj, "min_gas_price", int, 0),
-            covenants=_typed(obj, "covenants", bool, True),
-            access_mode=_typed(obj, "access_mode", str, ACCESS_DYNAMIC),
-            allow_list=None if allow is None else frozenset(hex_list(allow, "allow_list")),
-            expiry_enabled=_typed(obj, "expiry_enabled", bool, False),
-            operator_pubkey=bytes.fromhex(_typed(obj, "operator_pubkey", str, "00" * 32)),
-            deploy_policy=PermissionPolicy.from_json(obj.get("deploy_policy", {"kind": "open"})),
-            call_policy=PermissionPolicy.from_json(obj.get("call_policy", {"kind": "open"})),
+            max_level=Level.from_label(json_field(obj, "max_level", str, "L3")),
+            initial_subsidy=json_field(obj, "initial_subsidy", int, 50),
+            halving_interval=json_field(obj, "halving_interval", int, 10),
+            min_fee=json_field(obj, "min_fee", int, 0),
+            min_gas_price=json_field(obj, "min_gas_price", int, 0),
+            covenants=json_field(obj, "covenants", bool, True),
+            access_mode=json_field(obj, "access_mode", str, ACCESS_DYNAMIC),
+            allow_list=None if allow is None else frozenset(allow),
+            expiry_enabled=json_field(obj, "expiry_enabled", bool, False),
+            operator_pubkey=json_field(obj, "operator_pubkey", bytes, b"\x00" * 32),
+            deploy_policy=PermissionPolicy.from_json(json_field(obj, "deploy_policy", dict, {})),
+            call_policy=PermissionPolicy.from_json(json_field(obj, "call_policy", dict, {})),
             intermediary_registry=tuple(
-                (e["name"], bytes.fromhex(_typed(e, "pubkey", str, None))) for e in registry
+                (json_field(e, "name", str), json_field(e, "pubkey", bytes)) for e in registry
             ),
         )
 

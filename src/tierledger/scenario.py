@@ -12,10 +12,10 @@ key's public key and "@addr:name" for its address.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
 from . import codes, crypto, ledger, permission, rules, scheduler
 from .model import (
@@ -32,14 +32,17 @@ from .model import (
     Transaction,
     UtxoSpend,
     address_of_pubkey,
-    classify_level,
+    json_field,
+    json_value,
+    read_json,
+    require_u64,
     txid as compute_txid,
 )
-from .script.asm import ScriptSyntaxError, assemble as assemble_script
+from .script.asm import assemble as assemble_script
 from .vm import assemble as assemble_vm
 
 
-class ScenarioError(ValueError):
+class ScenarioError(ModelError):
     """Malformed scenario file (exit 2 territory), as opposed to a failing
     assertion (exit 1) or a rejected transaction (just a receipt)."""
 
@@ -89,8 +92,8 @@ class Runner:
 
     # -- name resolution ------------------------------------------------
 
-    def key(self, name: str) -> crypto.KeyPair:
-        kp = self.keys.get(name)
+    def key(self, name: object) -> crypto.KeyPair:
+        kp = self.keys.get(name) if type(name) is str else None
         if kp is None:
             raise ScenarioError(f"unknown key {name!r}")
         return kp
@@ -104,56 +107,50 @@ class Runner:
             return address_of_pubkey(self.keys[ref].pubkey)
         if ref in self.txids:
             return self.txids[ref]
-        try:
-            addr = bytes.fromhex(ref)
-        except ValueError:
-            raise ScenarioError(f"unresolvable address reference {ref!r}") from None
+        addr = json_value(ref, bytes, f"address reference {ref!r}")
         if len(addr) != 32:
             raise ScenarioError(f"address reference {ref!r} is not 32 bytes")
         return addr
 
     def resolve_outpoint(self, obj: dict) -> Outpoint:
-        ref = obj["tx"]
-        tx_id = self.txids.get(ref)
-        if tx_id is None:
-            try:
-                tx_id = bytes.fromhex(ref)
-            except ValueError:
-                raise ScenarioError(f"unknown transaction reference {ref!r}") from None
-        return Outpoint(tx_id, obj.get("index", 0))
+        ref = json_field(obj, "tx", str)
+        tx_id = self.txids.get(ref) or json_value(ref, bytes, f"transaction reference {ref!r}")
+        return Outpoint(tx_id, json_field(obj, "index", int, 0))
 
-    def build_lock(self, to: Union[str, dict]) -> Lock:
-        if isinstance(to, str):
+    def build_lock(self, to: object) -> Lock:
+        if type(to) is str:
             return Lock.pay_to_pubkey(self.key(to).pubkey)
-        if "multisig" in to:
-            ms = to["multisig"]
-            return Lock.multisig(ms["m"], [self.key(n).pubkey for n in ms["keys"]])
-        if "script" in to:
-            text = to["script"]
+        if type(to) is dict and "multisig" in to:
+            ms = json_field(to, "multisig", dict)
+            names = json_field(ms, "keys", list, of=str)
+            return Lock.multisig(json_field(ms, "m", int), [self.key(n).pubkey for n in names])
+        if type(to) is dict and "script" in to:
+            text = json_field(to, "script", str)
             # "@name" inside PUSH(...) expands to the named key's pubkey hex.
             for name in sorted(self.keys, key=len, reverse=True):
                 text = text.replace(f"@{name}", self.keys[name].pubkey.hex())
-            return Lock.pay_to_script(
-                assemble_script(text, covenants_enabled=self.cfg.covenants)
-            )
-        raise ScenarioError(f"unbuildable lock spec {to!r}")
+            return Lock.pay_to_script(assemble_script(text, covenants_enabled=self.cfg.covenants))
+        raise ScenarioError("to must be a key name, a multisig object or a script object")
 
     def build_output(self, obj: dict) -> Output:
-        return Output(obj["amount"], self.build_lock(obj["to"]), obj.get("expiry"))
+        amount, expiry = json_field(obj, "amount", int), json_field(obj, "expiry", int, None)
+        return Output(amount, self.build_lock(obj.get("to")), expiry)
 
-    def build_access(self, obj: Optional[dict]) -> Optional[AccessDecl]:
+    def build_access(self, t: dict) -> Optional[AccessDecl]:
+        obj = json_field(t, "access", dict, None)
         if obj is None:
             return None
+
+        def addrs(key: str) -> frozenset[bytes]:
+            return frozenset(map(self.resolve_address, json_field(obj, key, list, [], of=str)))
+
+        def slots(key: str) -> frozenset[tuple[bytes, int]]:
+            pairs = json_field(obj, key, list, [], of=(str, int))
+            return frozenset((self.resolve_address(a), k) for a, k in pairs)
+
         return AccessDecl(
-            balances_read=frozenset(self.resolve_address(a) for a in obj.get("balances_read", ())),
-            balances_written=frozenset(self.resolve_address(a) for a in obj.get("balances_written", ())),
-            storage_read=frozenset(
-                (self.resolve_address(a), k) for a, k in obj.get("storage_read", ())
-            ),
-            storage_written=frozenset(
-                (self.resolve_address(a), k) for a, k in obj.get("storage_written", ())
-            ),
-            callees=frozenset(self.resolve_address(a) for a in obj.get("callees", ())),
+            addrs("balances_read"), addrs("balances_written"),
+            slots("storage_read"), slots("storage_written"), addrs("callees"),
         )
 
     def next_nonce(self, addr: bytes) -> int:
@@ -200,90 +197,77 @@ class Runner:
             if have >= target:
                 break
         if have < target:
-            raise ScenarioError(
-                f"{payer!r} cannot fund {target} (has {have} spendable)"
-            )
+            raise ScenarioError(f"{payer!r} cannot fund {target} (has {have} spendable)")
         outs = list(outputs)
         change = have - target
         if change > 0:
             outs.append(Output(change, Lock.pay_to_pubkey(kp.pubkey)))
-        tx = Transaction(
-            UtxoSpend(tuple(op for op, _ in picked), tuple(outs)),
-            not_before=not_before,
-            not_after=not_after,
-        )
+        spend = UtxoSpend(tuple(op for op, _ in picked), tuple(outs))
+        return self._signed(Transaction(spend, not_before=not_before, not_after=not_after), kp)
+
+    @staticmethod
+    def _signed(tx: Transaction, kp: crypto.KeyPair) -> Transaction:
+        """tx with each of its inputs signed by kp alone."""
         tx_id = compute_txid(tx)
-        wit = tuple(
-            (crypto.sign(kp.seed, crypto.utxo_signing_message(tx_id, i)),)
-            for i in range(len(picked))
+        return tx.with_witnesses(
+            (crypto.sign(kp.seed, crypto.utxo_signing_message(tx_id, i)),) for i in range(len(tx.kind.inputs))
         )
-        return tx.with_witnesses(wit)
 
     # -- template building -------------------------------------------------
 
     def build_tx(self, t: dict) -> Transaction:
-        kind = t.get("kind")
-        windows = dict(not_before=t.get("not_before"), not_after=t.get("not_after"))
+        get = partial(json_field, t)
+        kind = get("kind", str)
+        windows = dict(not_before=get("not_before", int, None), not_after=get("not_after", int, None))
         if kind == "pay":
-            outputs = [self.build_output(o) for o in t["outputs"]]
-            tx = self.wallet_pay(t["from"], outputs, t.get("fee"), **windows)
+            outputs = [self.build_output(o) for o in get("outputs", list, of=dict)]
+            tx = self.wallet_pay(get("from", str), outputs, get("fee", int, None), **windows)
         elif kind == "spend":
-            inputs = tuple(self.resolve_outpoint(i) for i in t["inputs"])
-            outputs = tuple(self.build_output(o) for o in t["outputs"])
-            tx = Transaction(UtxoSpend(inputs, outputs), **windows)
+            specs = get("inputs", list, of=dict)
+            outputs = tuple(self.build_output(o) for o in get("outputs", list, of=dict))
+            tx = Transaction(UtxoSpend(tuple(map(self.resolve_outpoint, specs)), outputs), **windows)
             tx_id = compute_txid(tx)
-            witnesses = []
-            for i, ispec in enumerate(t["inputs"]):
-                msg = crypto.utxo_signing_message(tx_id, i)
-                items: list[bytes] = []
-                for w in ispec.get("witness", []):
-                    if isinstance(w, str):
-                        items.append(bytes.fromhex(w))
-                    elif "sig" in w:
-                        items.append(crypto.sign(self.key(w["sig"]).seed, msg))
-                    elif "pk" in w:
-                        items.append(self.key(w["pk"]).pubkey)
-                    else:
-                        raise ScenarioError(f"unbuildable witness item {w!r}")
-                witnesses.append(tuple(items))
-            tx = tx.with_witnesses(tuple(witnesses))
+            tx = tx.with_witnesses(
+                [self.witness_item(w, crypto.utxo_signing_message(tx_id, i)) for w in witness]
+                for i, witness in enumerate(json_field(spec, "witness", list, []) for spec in specs)
+            )
         elif kind == "deploy":
-            kp = self.key(t["payer"])
-            code = assemble_vm(t["code"]) if isinstance(t["code"], str) else bytes.fromhex(t["code"]["hex"])
+            kp = self.key(get("payer", str))
+            code = t.get("code")
             body = Deploy(
-                code=code,
-                endowment=t.get("endowment", 0),
+                code=assemble_vm(code) if type(code) is str else json_field(get("code", dict), "hex", bytes),
+                endowment=get("endowment", int, 0),
                 payer=address_of_pubkey(kp.pubkey),
-                gas_limit=t["gas_limit"],
-                gas_price=t.get("gas_price", self.cfg.min_gas_price),
-                access=self.build_access(t.get("access")),
+                gas_limit=get("gas_limit", int),
+                gas_price=get("gas_price", int, self.cfg.min_gas_price),
+                access=self.build_access(t),
             )
             tx = self._account_tx(body, kp, **windows)
         elif kind == "call":
-            kp = self.key(t["caller"])
+            kp = self.key(get("caller", str))
             body = Call(
-                contract=self.resolve_address(t["contract"]),
-                arg=t.get("arg", 0),
-                attached=t.get("attached", 0),
+                contract=self.resolve_address(get("contract", str)),
+                arg=get("arg", int, 0),
+                attached=get("attached", int, 0),
                 caller=address_of_pubkey(kp.pubkey),
-                gas_limit=t["gas_limit"],
-                gas_price=t.get("gas_price", self.cfg.min_gas_price),
-                access=self.build_access(t.get("access")),
-                address_consts=tuple(self.resolve_address(a) for a in t.get("address_consts", ())),
+                gas_limit=get("gas_limit", int),
+                gas_price=get("gas_price", int, self.cfg.min_gas_price),
+                access=self.build_access(t),
+                address_consts=tuple(map(self.resolve_address, get("address_consts", list, [], of=str))),
             )
             tx = self._account_tx(body, kp, **windows)
         elif kind == "move_to_account":
-            kp = self.key(t["from"])
-            to = self.resolve_address(t.get("to", t["from"]))
+            payer = get("from", str)
+            to, amount = self.resolve_address(get("to", str, payer)), get("amount", int)
             if "inputs" in t:
-                inputs = [self.resolve_outpoint(i) for i in t["inputs"]]
+                inputs = [self.resolve_outpoint(i) for i in get("inputs", list, of=dict)]
             else:
                 # No change output exists on a move: inputs minus the moved
                 # amount is all fee, so coin selection must land exactly.
-                needed = t["amount"] + t.get("fee", self.cfg.min_fee)
+                needed = amount + get("fee", int, self.cfg.min_fee)
                 inputs = []
                 have = 0
-                for op, out in self.spendable(t["from"]):
+                for op, out in self.spendable(payer):
                     inputs.append(op)
                     have += out.amount
                     if have >= needed:
@@ -292,38 +276,43 @@ class Runner:
                     raise ScenarioError(
                         f"move_to_account needs coins summing exactly to {needed}; give explicit inputs"
                     )
-            body = MoveToAccount(tuple(inputs), to, t["amount"])
-            tx = Transaction(body, **windows)
-            tx_id = compute_txid(tx)
-            wit = tuple(
-                (crypto.sign(kp.seed, crypto.utxo_signing_message(tx_id, i)),)
-                for i in range(len(inputs))
-            )
-            tx = tx.with_witnesses(wit)
+            tx = Transaction(MoveToAccount(tuple(inputs), to, amount), **windows)
+            tx = self._signed(tx, self.key(payer))
         elif kind == "move_to_utxo":
-            kp = self.key(t["from"])
+            kp = self.key(get("from", str))
             body = MoveToUtxo(
                 source=address_of_pubkey(kp.pubkey),
-                amount=t["amount"],
-                outputs=tuple(self.build_output(o) for o in t["outputs"]),
+                amount=get("amount", int),
+                outputs=tuple(self.build_output(o) for o in get("outputs", list, of=dict)),
             )
             tx = self._account_tx(body, kp, **windows)
         else:
             raise ScenarioError(f"unknown transaction template kind {kind!r}")
 
-        endorse = t.get("endorse")
+        endorse = get("endorse", dict, None)
         if endorse is not None:
-            seed = self.key(endorse["by"]).seed
-            tx_id = compute_txid(tx)
-            if endorse.get("granularity", "per_transaction") == "per_transaction":
-                ed = permission.endorse_transaction(seed, tx_id)
+            seed = self.key(json_field(endorse, "by", str)).seed
+            if json_field(endorse, "granularity", str, "per_transaction") == "per_transaction":
+                ed = permission.endorse_transaction(seed, compute_txid(tx))
             else:
-                user_pk = tx.auth.pubkey if tx.auth is not None else self.key(t.get("from", t.get("caller", t.get("payer")))).pubkey
-                ed = permission.issue_credential(seed, user_pk, endorse["expiry"])
+                user = tx.auth or self.key(t.get("from", t.get("caller", t.get("payer"))))
+                expiry = require_u64(json_field(endorse, "expiry", int), "expiry")
+                ed = permission.issue_credential(seed, user.pubkey, expiry)
             tx = Transaction(
                 tx.kind, tx.nonce, tx.not_before, tx.not_after, tx.witnesses, tx.auth, ed
             )
         return tx
+
+    def witness_item(self, w: object, msg: bytes) -> bytes:
+        """A spend template's witness item: hex, {"sig": key} (its signature
+        over msg) or {"pk": key} (its public key)."""
+        if type(w) is str:
+            return json_value(w, bytes, "witness")
+        if type(w) is dict and "sig" in w:
+            return crypto.sign(self.key(w["sig"]).seed, msg)
+        if type(w) is dict and "pk" in w:
+            return self.key(w["pk"]).pubkey
+        raise ScenarioError("a witness item must be hex, a sig object or a pk object")
 
     def _account_tx(self, body, kp: crypto.KeyPair, not_before=None, not_after=None) -> Transaction:
         addr = address_of_pubkey(kp.pubkey)
@@ -368,37 +357,37 @@ class Runner:
             self.batches += 1
 
     def run_assert(self, step_index: int, a: dict) -> None:
-        check = a["check"]
+        get = partial(json_field, a)
+        check = get("check", str)
         if check == "balance":
-            addr = self.resolve_address(a["of"])
-            actual = self.state.accounts.balance(addr)
-            expected = a["equals"]
+            actual = self.state.accounts.balance(self.resolve_address(get("of", str)))
+            expected = get("equals", int)
         elif check == "utxo_balance":
-            pk = self.key(a["of"]).pubkey
+            pk = self.key(get("of", str)).pubkey
             actual = sum(
                 out.amount
                 for out in self.state.utxos.values()
                 if out.lock.kind == LOCK_PUBKEY and out.lock.pubkey == pk
             )
-            expected = a["equals"]
+            expected = get("equals", int)
         elif check == "receipt":
-            r = self.receipts.get(self.txids.get(a["tx"], b""))
+            r = self.receipts.get(self.txids.get(get("tx", str), b""))
             actual = codes.name(r.status) if r is not None else "<no receipt>"
-            expected = a["status"] if isinstance(a["status"], str) else codes.name(a["status"])
+            expected = a["status"] if type(a.get("status")) is str else codes.name(get("status", int))
         elif check == "storage":
-            addr = self.resolve_address(a["contract"])
-            actual = self.state.accounts.storage_get(addr, a["key"])
-            expected = a["equals"]
+            addr = self.resolve_address(get("contract", str))
+            actual = self.state.accounts.storage_get(addr, get("key", int))
+            expected = get("equals", int)
         elif check == "digest_prefix":
             digest = ledger.state_digest(self.state).hex()
-            expected = a["equals"]
+            expected = get("equals", str)
             actual = digest[: len(expected)]
         elif check == "conservation":
             actual = self.state.conservation_holds()
             expected = True
         elif check == "epoch":
             actual = self.state.epoch
-            expected = a["equals"]
+            expected = get("equals", int)
         else:
             raise ScenarioError(f"unknown assertion check {check!r}")
         self.assertions.append(
@@ -406,19 +395,18 @@ class Runner:
         )
 
     def run_step(self, index: int, step: dict) -> None:
-        op = step.get("op")
+        get = partial(json_field, step)
+        op = get("op", str)
         if op == "advance":
-            self.advance(step.get("epochs", 1))
+            self.advance(get("epochs", int, 1))
         elif op == "submit":
-            if not isinstance(step.get("tx"), dict):
-                raise ScenarioError(f"malformed scenario: step {index}: tx must be an object")
-            self.submit(self.build_tx(step["tx"]), step.get("id"))
+            self.submit(self.build_tx(get("tx", dict)), get("id", str, None))
         elif op == "client_rule":
-            self.rules_.append(
-                ClientRule(
-                    step["payer"], step["payee"], step["amount"], step["every"], step.get("fee")
-                )
-            )
+            rule = ClientRule(get("payer", str), get("payee", str), get("amount", int), get("every", int),
+                              get("fee", int, None))
+            if rule.every < 1:
+                raise ScenarioError("every must be an integer >= 1")
+            self.rules_.append(rule)
         elif op == "assert":
             self.run_assert(index, step)
         else:
@@ -435,38 +423,39 @@ class Runner:
         }
 
 
-def _substitute_refs(value: Any, keys: dict[str, crypto.KeyPair]) -> Any:
-    """Config-level key references: "@name" -> pubkey hex, "@addr:name" ->
-    address hex."""
-    if isinstance(value, str):
-        if value.startswith("@addr:"):
-            return address_of_pubkey(keys[value[6:]].pubkey).hex()
-        if value.startswith("@"):
-            return keys[value[1:]].pubkey.hex()
-        return value
-    if isinstance(value, list):
-        return [_substitute_refs(v, keys) for v in value]
-    if isinstance(value, dict):
-        return {k: _substitute_refs(v, keys) for k, v in value.items()}
-    return value
+def _substitute_refs(tree: dict, keys: dict[str, crypto.KeyPair]) -> None:
+    """Config-level key references, in place: "@name" -> pubkey hex,
+    "@addr:name" -> address hex. A walk with its own stack, so that no
+    nesting the JSON parser accepts can exhaust Python's."""
+    stack: list = [tree]
+    while stack:
+        node = stack.pop()
+        for k, v in (node.items() if type(node) is dict else enumerate(node)):
+            if type(v) is str and v.startswith("@"):
+                is_address = v.startswith("@addr:")
+                name = v[6:] if is_address else v[1:]
+                if name not in keys:
+                    raise ScenarioError(f"unknown key {name!r}")
+                pk = keys[name].pubkey
+                node[k] = (address_of_pubkey(pk) if is_address else pk).hex()
+            elif type(v) in (dict, list):
+                stack.append(v)
 
 
 def load_scenario(obj: object) -> tuple[str, rules.SystemConfig, dict[str, crypto.KeyPair], list[dict]]:
-    if not isinstance(obj, dict):
-        raise ScenarioError("malformed scenario: the top level must be an object")
-    if not isinstance(obj.get("keys", {}), dict):
-        raise ScenarioError("malformed scenario: keys must be an object")
     try:
-        keys = {name: crypto.keygen(bytes.fromhex(seed)) for name, seed in obj.get("keys", {}).items()}
-        cfg_json = _substitute_refs(obj["config"], keys)
-        cfg = rules.SystemConfig.from_json(cfg_json)
-        steps = obj.get("steps", [])
-        if not isinstance(steps, list) or not all(isinstance(step, dict) for step in steps):
-            raise ScenarioError("malformed scenario: steps must be a list of objects")
-        return obj.get("name", "unnamed"), cfg, keys, steps
-    except ScenarioError:
-        raise
-    except (KeyError, ValueError, TypeError, ModelError) as exc:
+        obj = json_value(obj, dict, "the top level")
+        keys = {}
+        for name, seed in json_field(obj, "keys", dict, {}, of=bytes).items():
+            if len(seed) != crypto.SEED_BYTES:
+                raise ModelError(f"the seed of key {name!r} must be {crypto.SEED_BYTES} bytes")
+            keys[name] = crypto.keygen(seed)
+        config = json_field(obj, "config", dict)
+        _substitute_refs(config, keys)
+        cfg = rules.SystemConfig.from_json(config)
+        steps = json_field(obj, "steps", list, [], of=dict)
+        return json_field(obj, "name", str, "unnamed"), cfg, keys, steps
+    except ModelError as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 
@@ -476,10 +465,11 @@ def run_scenario(
     workers: int = scheduler.DEFAULT_WORKERS,
 ) -> tuple[bool, dict]:
     """Execute a scenario file. Returns (all assertions passed, report).
-    Raises ScenarioError when the file itself is malformed."""
+    Raises ScenarioError when the file itself is malformed, and OSError
+    when the log directory cannot be written."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+        obj = read_json(Path(path).read_bytes())
+    except (OSError, ModelError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
     name, cfg, keys, steps = load_scenario(obj)
     runner = Runner(cfg, keys, logdir=Path(logdir) if logdir is not None else None, workers=workers)
@@ -488,8 +478,6 @@ def run_scenario(
     for i, step in enumerate(steps):
         try:
             runner.run_step(i, step)
-        except ScenarioError:
-            raise
-        except (ScriptSyntaxError, ModelError, KeyError, TypeError) as exc:
-            raise ScenarioError(f"step {i} failed to build: {exc}") from exc
+        except ModelError as exc:
+            raise ScenarioError(f"malformed scenario: step {i}: {exc}") from exc
     return all(a.ok for a in runner.assertions), runner.report(name)

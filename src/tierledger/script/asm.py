@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..model import MAX_SCRIPT_BYTES
+from ..model import MAX_SCRIPT_BYTES, ModelError
 from .opcodes import (
     MAX_PUSH,
     MNEMONICS,
@@ -14,7 +14,7 @@ from .opcodes import (
 )
 
 
-class ScriptSyntaxError(ValueError):
+class ScriptSyntaxError(ModelError):
     """Malformed assembly text or bytecode."""
 
 

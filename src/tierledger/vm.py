@@ -343,11 +343,15 @@ def assemble(text: str) -> bytes:
         out.append(op)
         width = _OPERAND_WIDTH.get(op, 0)
         if width:
-            operand = tokens[i + 1]
+            operand = tokens[i + 1] if i + 1 < len(tokens) else ""
             if op in (OP_JUMP, OP_JUMPI) and operand in labels:
                 value = labels[operand]
-            else:
+            elif operand.isascii() and operand.isdigit() and len(operand) <= 3 * width:
                 value = int(operand)
+            else:
+                value = -1
+            if not 0 <= value < 1 << 8 * width:
+                raise ModelError(f"bad operand {operand!r} for {tok}")
             out.extend(value.to_bytes(width, "little"))
             i += 2
         else:

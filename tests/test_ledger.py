@@ -522,7 +522,13 @@ MALFORMED_SHAPES = {
         "header", lambda obj: {**obj, "receipts": [{**obj["receipts"][0], "status": [1]}]}
     ),
     "output_lock_is_a_list": ("batch", lambda obj: _edit_first_output(obj, "lock", [])),
+    # "<deep>" is written as an array nested 100,000 deep, past the parser's
+    # recursion limit.
+    "batch_file_nests_too_deep": ("batch", lambda obj: "<deep>"),
+    "txs_nest_too_deep": ("batch", lambda obj: {**obj, "txs": "<deep>"}),
+    "header_file_nests_too_deep": ("header", lambda obj: "<deep>"),
 }
+DEEP_NESTING = "[" * 100_000 + "]" * 100_000
 
 
 def _edit_first_output(batch_obj: dict, key: str, value) -> dict:
@@ -539,7 +545,8 @@ def test_replay_reports_malformed_shape_unreadable(tmp_path, case):
     kind, edit = MALFORMED_SHAPES[case]
     path = logdir / f"{kind}_000001.json"
     edited = edit(json.loads(path.read_text()))
-    path.write_text(json.dumps(edited, sort_keys=True, separators=(",", ":")))
+    text = json.dumps(edited, sort_keys=True, separators=(",", ":"))
+    path.write_text(text.replace('"<deep>"', DEEP_NESTING))
     report = ledger.replay_verify(logdir)
     assert not report.ok and report.kind == "unreadable" and report.batch == 1, report
     assert cli.main(["--quiet", "replay", str(logdir)]) == 2

@@ -119,9 +119,15 @@ def test_cli_reports_each_error_once_and_nothing_when_quiet(tmp_path):
     a_file = tmp_path / "a_file"
     a_file.write_text("")
     good_scenario = write(tmp_path, base_scenario([{"op": "advance"}]))
+    # An array nested past the JSON parser's recursion limit.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
     cases = [
         (["init", bad, tmp_path / "log_a"], "error: cannot read genesis config: "),
         (["run", bad, tmp_path / "log_b"], "error: cannot read scenario: "),
+        (["init", deep, tmp_path / "log_d"], "error: cannot read genesis config: "),
+        (["run", deep, tmp_path / "log_e"], "error: cannot read scenario: "),
+        (["classify", deep], "error: cannot parse transaction: "),
         # An unusable LOGDIR is malformed input too, not a traceback.
         (["init", genesis, a_file], "error: cannot create log directory: "),
         (["run", good_scenario, a_file], "error: cannot write log directory: "),
@@ -136,10 +142,21 @@ def test_cli_reports_each_error_once_and_nothing_when_quiet(tmp_path):
 
 
 def test_cli_run_on_a_scenario_of_the_wrong_shape_exits_2(tmp_path):
-    """A scenario file whose top level, keys or a step is not an object is
-    malformed input: exit 2 and one error line, not a traceback."""
+    """A scenario file whose top level, keys or a step is not an object, or
+    whose values have the wrong JSON type or range, is malformed input:
+    exit 2 and one error line, not a traceback."""
     shapes = ["[]", "3", '"steps"', "null", '{"keys": [], "config": {}}',
               '{"config": {}, "steps": [3]}', '{"config": {}, "steps": {}}']
+    fund = [{"op": "advance"}]
+    shapes += [json.dumps(base_scenario(steps)) for steps in (
+        fund + [{"op": "submit", "tx": {"kind": "call", "caller": "op", "contract": "op",
+                                        "gas_limit": 5, "access": []}}],
+        fund + [{"op": "submit", "tx": {"kind": "pay", "from": "op",
+                                        "outputs": [{"amount": 5, "to": {"script": 5}}]}}],
+        [{"op": "submit", "tx": {"kind": "deploy", "payer": "op", "gas_limit": 5, "code": {"hex": "zz"}}}],
+        fund + [{"op": "client_rule", "payer": "op", "payee": "alice", "amount": 1, "every": 0},
+                {"op": "advance"}],
+    )]
     for i, text in enumerate(shapes):
         path = tmp_path / f"shape{i}.json"
         path.write_text(text)

@@ -52,8 +52,12 @@ def run_call(acc: vm.Accounts, contract: bytes, kp=ALICE, apply=True, declared=F
 def test_assemble_disassemble_round_trip():
     code = vm.assemble("PUSHI 7 PUSHI 0 SSTORE loop: PUSHI 1 JUMPI loop HALT")
     assert vm.assemble(vm.disassemble(code)) == code
-    with pytest.raises(ModelError):
-        vm.assemble("WHAT 3")
+    # A missing, non-decimal or out-of-range operand is a ModelError too.
+    for text in ("WHAT 3", "PUSHI", "PUSHI x", "PUSHI -1", "PUSHI 18446744073709551616",
+                 "PUSHI " + "0" * 5000, "PUSHA 256", "JUMP nowhere", "JUMPI 65536"):
+        with pytest.raises(ModelError):
+            vm.assemble(text)
+    assert vm.assemble("PUSHI 18446744073709551615 PUSHA 255 HALT")[1:9] == b"\xff" * 8
 
 
 def test_validate_code_rejects_malformed():
