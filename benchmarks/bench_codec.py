@@ -1,8 +1,9 @@
 """Codec cost: µs per canonical encode by transaction kind; the decode,
-JSON re-encode and txid of one 1000-output fan-out transaction; the
-replay of a batch holding one 1000-output fan-out, split into its stages;
-put_utxos of 10k outputs against put_utxo of each; and the tracked objects
-and the memory that 10k UTXOs add to a ledger state.
+JSON re-encode and txid of one 1000-output fan-out transaction; the decode
+and re-encode of a batch of 200 declared calls; the replay of a batch
+holding one 1000-output fan-out, split into its stages; put_utxos of 10k
+outputs against put_utxo of each; and the tracked objects and the memory
+that 10k UTXOs add to a ledger state.
 
 Each encode is timed on a fresh Transaction instance (a copy made before
 the clock starts), so a cached encoding is never what is measured. The
@@ -12,6 +13,12 @@ set-up decode it; its txid is timed on a freshly decoded instance. The
 outputs, decoded ten times. Their memory is what tracemalloc counts as
 still allocated once the state is built, so it does not depend on how much
 freed memory the allocator had to reuse, as a resident-set difference does.
+
+The call batch is what contracts-declared replays: each call has an
+access list of two storage slots and two balances, an auth and an address
+constant, and its caller, contract and argument vary. Its decode and
+re-encode are the ones replay_verify runs on a batch file (_decode_txs
+and _encode_batch), per transaction.
 
 The replayed batch holds one fan-out with the output mix of perfbench's
 pay-10k set-up: 900 outputs to 100 keys and 100 to 2-of-3 multisig locks,
@@ -61,6 +68,7 @@ from tierledger.model import (
 )
 
 FANOUT = 1_000
+CALLS = 200
 UTXOS = 10_000
 REPLAY_LOCKS = 200  # 100 single-key locks and 100 multisig locks
 COPIES = 2_000  # fresh instances per kind and repetition
@@ -115,6 +123,29 @@ def timed(fn: Callable[[], object]) -> float:
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
+
+
+def call_batch_us(reps: int) -> tuple[float, float]:
+    """Median µs per transaction to decode, and to re-encode, a batch file of
+    CALLS declared calls."""
+    rng = random.Random(7)
+    contracts = [sha256(b"contract" + bytes([i])) for i in range(4)]
+    txs = []
+    for i in range(CALLS):
+        caller, contract = sha256(b"caller" + i.to_bytes(4, "little")), rng.choice(contracts)
+        access = AccessDecl(
+            balances_read=frozenset({caller}),
+            balances_written=frozenset({caller, contract}),
+            storage_read=frozenset({(contract, 0), (contract, 1 + i % 3)}),
+            storage_written=frozenset({(contract, 0)}),
+        )
+        call = Call(contract, rng.randrange(1000), 0, caller, 5_000, 1, access, (ADDRS[i % 3],))
+        txs.append(Transaction(call, nonce=i % 5).with_auth(KEYS[i % 3].pubkey, sha256(bytes([i])) * 2))
+    raw = ledger._encode_batch(1, 2, txs)
+    txs_json = read_json(raw)["txs"]
+    decode_s = median_of(reps, lambda: timed(lambda: ledger._decode_txs(txs_json)))
+    reencode_s = median_of(reps, lambda: timed(lambda: ledger._encode_batch(1, 2, txs)))
+    return 1e6 * decode_s / CALLS, 1e6 * reencode_s / CALLS
 
 
 def replay_batch() -> tuple[rules.SystemConfig, ledger.LedgerState, bytes]:
@@ -181,6 +212,10 @@ def main() -> int:
     txid_ms = 1e3 * median_of(reps, txid_once)
     print(f"fan-out of {FANOUT} outputs ({len(text)} B of JSON):")
     print(f"  decode {decode_ms:7.2f} ms   re-encode {reencode_ms:7.2f} ms   txid {txid_ms:7.2f} ms")
+
+    call_decode_us, call_reencode_us = call_batch_us(reps)
+    print(f"batch of {CALLS} declared calls with access lists, auth and address constants:")
+    print(f"  decode {call_decode_us:7.2f} µs/tx   re-encode {call_reencode_us:7.2f} µs/tx")
 
     replay = replay_ms(reps)
     print(f"replay of a batch of one {FANOUT}-output fan-out ({REPLAY_LOCKS} distinct locks):")

@@ -15,14 +15,22 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import AbstractSet, Mapping, Optional, Sequence, Union
+from typing import AbstractSet, ClassVar, Mapping, Optional, Sequence, Union
 
 from . import codes, crypto, permission, rules, scheduler, utxo, vm
 from .lthash import LtHash
 from .model import (
+    DERIVED,
+    HEX,
+    INT,
+    LEVEL,
+    STR,
+    U64,
     Call,
     Deploy,
     JsonCodec,
+    JsonRow,
+    JsonTable,
     Level,
     Lock,
     ModelError,
@@ -71,25 +79,27 @@ class Receipt:
             32, self.tx_id, self.status, self.gas_used, self.level.value, 32, self.post_state_digest
         ))
 
+    @property
+    def status_name(self) -> str:
+        return codes.name(self.status)
+
     def to_json(self) -> dict:
-        return {
-            "txid": self.tx_id.hex(),
-            "status": self.status,
-            "status_name": codes.name(self.status),
-            "gas_used": self.gas_used,
-            "level": self.level.label,
-            "post_state_digest": self.post_state_digest.hex(),
-        }
+        return RECEIPT_JSON.encode(self)
 
     @staticmethod
     def from_json(obj: dict) -> "Receipt":
-        return Receipt(
-            json_field(obj, "txid", bytes),
-            require_u64(json_field(obj, "status", int), "status"),
-            require_u64(json_field(obj, "gas_used", int), "gas_used"),
-            Level.from_label(json_field(obj, "level", str)),
-            json_field(obj, "post_state_digest", bytes),
-        )
+        return RECEIPT_JSON.decode(obj)
+
+
+RECEIPT_JSON = JsonTable(
+    Receipt,
+    JsonRow("txid", HEX, attr="tx_id"),
+    JsonRow("status", U64),
+    JsonRow("status_name", STR, DERIVED),
+    JsonRow("gas_used", U64),
+    JsonRow("level", LEVEL),
+    JsonRow("post_state_digest", HEX),
+)
 
 
 @dataclass(frozen=True)
@@ -102,15 +112,7 @@ class BatchHeader:
     post_state_digest: bytes
     config_hash: bytes
 
-    FIELDS = (
-        "batch_number",
-        "epoch",
-        "prev_hash",
-        "txs_hash",
-        "receipts_hash",
-        "post_state_digest",
-        "config_hash",
-    )
+    FIELDS: ClassVar[tuple[str, ...]]  # the JSON keys, from HEADER_JSON
 
     def hash(self) -> bytes:
         return sha256(_HEADER.pack(
@@ -119,23 +121,20 @@ class BatchHeader:
         ))
 
     def to_json(self) -> dict:
-        return {
-            "batch_number": self.batch_number,
-            "epoch": self.epoch,
-            "prev_hash": self.prev_hash.hex(),
-            "txs_hash": self.txs_hash.hex(),
-            "receipts_hash": self.receipts_hash.hex(),
-            "post_state_digest": self.post_state_digest.hex(),
-            "config_hash": self.config_hash.hex(),
-        }
+        return HEADER_JSON.encode(self)
 
     @staticmethod
     def from_json(obj: dict) -> "BatchHeader":
-        return BatchHeader(
-            json_field(obj, "batch_number", int),
-            json_field(obj, "epoch", int),
-            *(json_field(obj, key, bytes) for key in BatchHeader.FIELDS[2:]),
-        )
+        return HEADER_JSON.decode(obj)
+
+
+HEADER_JSON = JsonTable(
+    BatchHeader,
+    JsonRow("batch_number", INT),
+    JsonRow("epoch", INT),
+    *(JsonRow(key, HEX) for key in ("prev_hash", "txs_hash", "receipts_hash", "post_state_digest", "config_hash")),
+)
+BatchHeader.FIELDS = tuple(row.key for row in HEADER_JSON.rows)
 
 
 def utxo_entry(op: Outpoint, out: Output) -> bytes:
@@ -465,7 +464,7 @@ def _log_file(kind: str, number: int) -> str:
 
 
 def _encode_batch(batch_number: int, epoch: int, txs: Sequence[Transaction]) -> str:
-    """The batch file; one codec encodes each distinct lock and output once."""
+    """The batch file; its outputs' JSON comes from one codec."""
     codec = JsonCodec()
     txs_json = [tx_to_json(tx, codec) for tx in txs]
     return canonical_json({"batch": batch_number, "epoch": epoch, "txs": txs_json})

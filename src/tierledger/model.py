@@ -23,7 +23,9 @@ import json
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Union
+from functools import partial
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 U32_MAX = 2**32 - 1
 U64_MAX = 2**64 - 1
@@ -160,10 +162,10 @@ class Lock:
         object.__setattr__(self, "_ser", ser)
 
     @staticmethod
-    def pay_to_pubkey(pk: bytes) -> "Lock":
-        if len(pk) != 32:
+    def pay_to_pubkey(pubkey: bytes) -> "Lock":
+        if len(pubkey) != 32:
             raise ModelError("pubkey must be 32 bytes")
-        return Lock(LOCK_PUBKEY, pubkey=pk)
+        return Lock(LOCK_PUBKEY, pubkey=pubkey)
 
     @staticmethod
     def multisig(m: int, pubkeys: Iterable[bytes]) -> "Lock":
@@ -176,10 +178,10 @@ class Lock:
         return Lock(LOCK_MULTISIG, m=m, pubkeys=pks)
 
     @staticmethod
-    def pay_to_script(bytecode: bytes) -> "Lock":
-        if len(bytecode) > MAX_SCRIPT_BYTES:
+    def pay_to_script(script: bytes) -> "Lock":
+        if len(script) > MAX_SCRIPT_BYTES:
             raise ModelError(f"script exceeds {MAX_SCRIPT_BYTES} bytes")
-        return Lock(LOCK_SCRIPT, script=bytes(bytecode))
+        return Lock(LOCK_SCRIPT, script=bytes(script))
 
     def serialize(self) -> bytes:
         return self._ser
@@ -384,20 +386,13 @@ class MoveToUtxo:
 
 TxKind = Union[UtxoSpend, Deploy, Call, MoveToAccount, MoveToUtxo]
 
-_KIND_NAMES: dict[type, str] = {
-    UtxoSpend: "utxo_spend",
-    Deploy: "deploy",
-    Call: "call",
-    MoveToAccount: "move_to_account",
-    MoveToUtxo: "move_to_utxo",
-}
-
 
 @dataclass(frozen=True)
 class EndorsementData:
     """Intermediary endorsement carried by a transaction.
 
-    per_transaction: signature over the txid.
+    per_transaction: signature over the txid; user_pubkey and expiry keep
+    their defaults, which the log leaves out.
     per_user: bearer credential, signature over (user pubkey || expiry LE8).
     """
 
@@ -411,6 +406,8 @@ class EndorsementData:
         if self.granularity not in ("per_transaction", "per_user"):
             raise ModelError(f"unknown endorsement granularity {self.granularity!r}")
         require_u64(self.expiry, "endorsement expiry")
+        if self.granularity == "per_transaction" and (self.user_pubkey or self.expiry):
+            raise ModelError("a per_transaction endorsement has no user_pubkey or expiry")
 
 
 @dataclass(frozen=True)
@@ -444,10 +441,6 @@ class Transaction:
             and self.not_before > self.not_after
         ):
             raise ModelError("not_before must be <= not_after")
-
-    @property
-    def kind_name(self) -> str:
-        return _KIND_NAMES[type(self.kind)]
 
     def with_witnesses(self, witnesses: Iterable[Witness]) -> "Transaction":
         return replace(self, witnesses=tuple(tuple(w) for w in witnesses))
@@ -583,8 +576,9 @@ def classify_level(tx: Transaction, utxos: Optional[Mapping[Outpoint, Output]] =
 
 
 # The one input boundary. Every JSON file the CLI and replay read is parsed
-# by read_json, and every value in it is taken by json_field or json_value,
-# so malformed input of any shape is a ModelError and nothing else.
+# by read_json, and every value in it is taken by json_field, json_value or
+# a log record's table, so malformed input of any shape is a ModelError and
+# nothing else.
 
 _JSON_TYPE_NAMES = {
     dict: "an object", list: "an array", str: "a string", int: "an integer",
@@ -642,6 +636,256 @@ def json_field(obj: dict, key: str, kind: object, default: object = _REQUIRED, o
     return [json_value(v, of, what) for v in value]
 
 
+# ---------------------------------------------------------------------------
+# The log format. Each record's JSON is one table of rows, and these tables,
+# with the receipt's and the header's in ledger.py, are the one place where
+# a key, its JSON type and its omission rule are defined. JsonTable.decode
+# is the one decode loop; _compile_encode builds each table's encode from
+# its rows.
+
+
+class JsonKind(NamedTuple):
+    """A value's JSON type (dict, list, str or int; a bool is not an int),
+    and its decode and encode (None keeps the value as it is). A decode
+    raises ValueError or TypeError for a value it cannot read. With codec,
+    both are also passed the transaction's codec."""
+
+    json_type: type
+    decode: Optional[Callable] = None
+    encode: Optional[Callable] = None
+    codec: bool = False
+
+
+DERIVED = object()
+
+
+class JsonRow(NamedTuple):
+    """A key, its kind, the default an absent key reads as (none: required;
+    DERIVED: written from the record, never read), whether the key is left
+    out when the value is the default (of its type and equal to it), and
+    the record's attribute, when not the key. A dotted attribute names a
+    field of a part of the record."""
+
+    key: str
+    kind: JsonKind
+    default: object = _REQUIRED
+    omit: bool = False
+    attr: str = ""
+
+
+class JsonTable:
+    """One record's JSON. make takes the record's fields in row order."""
+
+    __slots__ = ("make", "rows", "tag", "_read", "_defaults", "_required", "encode")
+
+    def __init__(self, make: Callable, *rows: JsonRow, tag: Optional[tuple[str, str]] = None) -> None:
+        self.make, self.rows, self.tag = make, rows, tag
+        read = [row for row in rows if row.default is not DERIVED]
+        self._read = {
+            row.key: (i, row.kind.json_type, row.kind.decode, row.kind.codec, row.default is None, row.default is _REQUIRED)
+            for i, row in enumerate(read)
+        }
+        self._defaults = [row.default for row in read]
+        self._required = sum(row.default is _REQUIRED for row in read)
+        self.encode = _compile_encode(rows, tag)
+
+    def decode(self, obj: dict, codec: Optional["JsonCodec"] = None):
+        """The record in obj, visiting only the keys obj holds. A key that no
+        row names is skipped: the log's byte-identity check refuses it."""
+        vals = self._defaults.copy()
+        read = self._read
+        missing = self._required
+        for key, value in obj.items():
+            row = read.get(key)
+            if row is None:
+                continue
+            i, json_type, decode, with_codec, nullable, required = row
+            missing -= required
+            if type(value) is not json_type:
+                if value is None and nullable:
+                    continue
+                raise ModelError(f"{key} must be {_JSON_TYPE_NAMES[json_type]}")
+            if decode is not None:
+                try:
+                    value = decode(value, codec) if with_codec else decode(value)
+                except ModelError:
+                    raise
+                except (ValueError, TypeError) as exc:
+                    raise ModelError(f"bad {key}: {exc}") from None
+            vals[i] = value
+        if missing:
+            raise ModelError(f"missing {next(k for k, row in read.items() if vals[row[0]] is _REQUIRED)}")
+        return self.make(*vals)
+
+
+class JsonTagged:
+    """A record with variants, whose JSON names its variant: each variant's
+    table has a tag, one key with its own value. variants maps what select
+    returns for a record to the variant's table."""
+
+    def __init__(self, what: str, select: Callable, variants: dict) -> None:
+        self.what, self.variants = what, variants
+        self.key = next(iter(variants.values())).tag[0]
+        self._tables = {table.tag[1]: table for table in variants.values()}
+        encoders = {value: table.encode for value, table in variants.items()}
+
+        def encode(rec: object, codec: Optional["JsonCodec"] = None) -> dict:
+            return encoders[select(rec)](rec, codec)
+
+        self.encode = encode
+
+    def decode(self, obj: dict, codec: Optional["JsonCodec"] = None):
+        tag = obj.get(self.key)
+        table = self._tables.get(tag) if type(tag) is str else None
+        if table is None:
+            raise ModelError(f"unknown {self.what} {self.key} {json_field(obj, self.key, str)!r}")
+        return table.decode(obj, codec)
+
+
+def _compile_encode(rows: tuple[JsonRow, ...], tag: Optional[tuple[str, str]]) -> Callable:
+    """A table's encode, as straight-line code built once from its rows, as
+    dataclasses builds __init__: a loop over the rows at each call took
+    about 1.5-2x as long per transaction. The source holds only the table's
+    keys, tag and attribute names; its kinds and defaults are bound by name."""
+    env: dict = {}
+
+    def value(i: int, row: JsonRow, v: str) -> str:
+        env[f"e{i}"] = row.kind.encode
+        return v if row.kind.encode is None else f"e{i}({v}, codec)" if row.kind.codec else f"e{i}({v})"
+
+    items = [f"{tag[0]!r}: {tag[1]!r}"] if tag else []
+    lines = []
+    for i, row in enumerate(rows):
+        attr = row.attr or row.key
+        if not row.omit:
+            items.append(f"{row.key!r}: {value(i, row, 'rec.' + attr)}")
+            continue
+        env[f"d{i}"], env[f"t{i}"] = row.default, type(row.default)
+        kept = "v is not None" if row.default is None else f"not (type(v) is t{i} and v == d{i})"
+        lines += [f"    v = rec.{attr}", f"    if {kept}:", f"        obj[{row.key!r}] = {value(i, row, 'v')}"]
+    source = ["def encode(rec, codec=None):", f"    obj = {{{', '.join(items)}}}", *lines, "    return obj"]
+    exec("\n".join(source), env)
+    return env["encode"]
+
+
+def json_object(table: Union[JsonTable, JsonTagged]) -> JsonKind:
+    return JsonKind(dict, table.decode, table.encode)
+
+
+def _u64(value: int) -> int:
+    if not 0 <= value <= U64_MAX:
+        raise ValueError(f"{value} is out of u64 range")
+    return value
+
+
+def _items(item_type: type, read: Callable) -> Callable:
+    """A decode of an array whose items are each of item_type, read by read."""
+
+    def decode(value: list) -> tuple:
+        if not all(type(item) is item_type for item in value):
+            raise ValueError(f"each item must be {_JSON_TYPE_NAMES[item_type]}")
+        return tuple(map(read, value))
+
+    return decode
+
+
+def _slot(pair: list) -> tuple[bytes, int]:
+    if type(pair) is not list or len(pair) != 2 or type(pair[1]) is not int:
+        raise ValueError("each item must be a [hex string, integer] pair")
+    return bytes.fromhex(pair[0]), pair[1]
+
+
+def _hex_list(value: list) -> tuple:
+    return tuple(map(bytes.fromhex, value))
+
+
+INT = JsonKind(int)
+U64 = JsonKind(int, _u64)
+STR = JsonKind(str)
+HEX = JsonKind(str, bytes.fromhex, bytes.hex)
+HEX_LIST = JsonKind(list, _hex_list, lambda bs: list(map(bytes.hex, bs)))
+HEX_SET = JsonKind(list, lambda v: frozenset(map(bytes.fromhex, v)), lambda bs: sorted(map(bytes.hex, bs)))
+SLOT_SET = JsonKind(list, lambda v: frozenset(map(_slot, v)), lambda slots: [[a.hex(), k] for a, k in sorted(slots)])
+WITNESSES = JsonKind(list, _items(list, _hex_list), lambda ws: [list(map(bytes.hex, w)) for w in ws])
+LEVEL = JsonKind(str, Level.from_label, attrgetter("label"))
+# A transaction's outputs go through its codec, which interns them.
+OUTPUTS = JsonKind(
+    list, lambda v, codec: tuple(map(codec.output, v)), lambda outs, codec: list(map(codec.output_json, outs)), True
+)
+
+OUTPOINT_JSON = JsonTable(Outpoint, JsonRow("txid", HEX), JsonRow("index", INT))
+INPUTS = JsonKind(list, _items(dict, OUTPOINT_JSON.decode), lambda ops: list(map(OUTPOINT_JSON.encode, ops)))
+LOCK_JSON = JsonTagged("lock", attrgetter("kind"), {
+    LOCK_PUBKEY: JsonTable(Lock.pay_to_pubkey, JsonRow("pubkey", HEX), tag=("kind", "pubkey")),
+    LOCK_MULTISIG: JsonTable(Lock.multisig, JsonRow("m", INT), JsonRow("pubkeys", HEX_LIST), tag=("kind", "multisig")),
+    LOCK_SCRIPT: JsonTable(Lock.pay_to_script, JsonRow("script", HEX), tag=("kind", "script")),
+})
+OUTPUT_JSON = JsonTable(
+    Output, JsonRow("amount", INT), JsonRow("lock", json_object(LOCK_JSON)), JsonRow("expiry", INT, None, True)
+)
+ACCESS_JSON = JsonTable(
+    AccessDecl,
+    JsonRow("balances_read", HEX_SET, frozenset()),
+    JsonRow("balances_written", HEX_SET, frozenset()),
+    JsonRow("storage_read", SLOT_SET, frozenset()),
+    JsonRow("storage_written", SLOT_SET, frozenset()),
+    JsonRow("callees", HEX_SET, frozenset()),
+)
+AUTH_JSON = JsonTable(AccountAuth, JsonRow("pubkey", HEX), JsonRow("signature", HEX))
+# A per_transaction endorsement always holds the user fields' defaults, so
+# they are left out; a per_user one writes them.
+ENDORSEMENT_JSON = JsonTagged("endorsement", attrgetter("granularity"), {
+    granularity: JsonTable(
+        partial(EndorsementData, granularity),
+        JsonRow("intermediary_pubkey", HEX),
+        JsonRow("signature", HEX),
+        JsonRow("user_pubkey", HEX, b"", granularity == "per_transaction"),
+        JsonRow("expiry", INT, 0, granularity == "per_transaction"),
+        tag=("granularity", granularity),
+    )
+    for granularity in ("per_transaction", "per_user")
+})
+
+_ENVELOPE = (
+    JsonRow("nonce", INT, 0),
+    JsonRow("not_before", INT, None, True),
+    JsonRow("not_after", INT, None, True),
+    JsonRow("witnesses", WITNESSES, (), True),
+    JsonRow("auth", json_object(AUTH_JSON), None, True),
+    JsonRow("endorsement", json_object(ENDORSEMENT_JSON), None, True),
+)
+
+
+def _tx(name: str, cls: type, *rows: JsonRow) -> JsonTable:
+    """A transaction of kind cls: the envelope's keys and the kind's in one
+    object."""
+
+    def make(nonce, not_before, not_after, witnesses, auth, endorsement, *fields) -> Transaction:
+        return Transaction(cls(*fields), nonce, not_before, not_after, witnesses, auth, endorsement)
+
+    return JsonTable(make, *_ENVELOPE, *[row._replace(attr="kind." + row.key) for row in rows], tag=("kind", name))
+
+
+_ACCESS = JsonRow("access", json_object(ACCESS_JSON), None, True)
+_GAS = (JsonRow("gas_limit", INT), JsonRow("gas_price", INT))
+TX_JSON = JsonTagged("transaction", attrgetter("kind.__class__"), {
+    UtxoSpend: _tx("utxo_spend", UtxoSpend, JsonRow("inputs", INPUTS), JsonRow("outputs", OUTPUTS)),
+    Deploy: _tx(
+        "deploy", Deploy, JsonRow("code", HEX), JsonRow("endowment", INT), JsonRow("payer", HEX), *_GAS, _ACCESS
+    ),
+    Call: _tx(
+        "call", Call, JsonRow("contract", HEX), JsonRow("arg", INT), JsonRow("attached", INT),
+        JsonRow("caller", HEX), *_GAS, _ACCESS, JsonRow("address_consts", HEX_LIST, (), True),
+    ),
+    MoveToAccount: _tx(
+        "move_to_account", MoveToAccount, JsonRow("inputs", INPUTS), JsonRow("to", HEX), JsonRow("amount", INT)
+    ),
+    MoveToUtxo: _tx(
+        "move_to_utxo", MoveToUtxo, JsonRow("source", HEX), JsonRow("amount", INT), JsonRow("outputs", OUTPUTS)
+    ),
+})
+
+
 def _lock_key(obj) -> Optional[tuple]:
     """A lock JSON's intern key: the fields the decoder reads, when each has
     the one JSON type the decoder accepts; None for any other shape."""
@@ -658,40 +902,23 @@ def _lock_key(obj) -> Optional[tuple]:
     return None
 
 
-def _decode_lock(obj: dict) -> Lock:
-    kind = json_field(obj, "kind", str)
-    if kind == "pubkey":
-        return Lock.pay_to_pubkey(json_field(obj, "pubkey", bytes))
-    if kind == "multisig":
-        return Lock.multisig(json_field(obj, "m", int), json_field(obj, "pubkeys", list, of=bytes))
-    if kind == "script":
-        return Lock.pay_to_script(json_field(obj, "script", bytes))
-    raise ModelError(f"unknown lock kind {kind!r}")
-
-
 class JsonCodec:
     """Intern tables for the JSON of one batch, or of one transaction when
     tx_from_json or tx_to_json is called without a codec.
 
     Decoding turns each distinct lock JSON into one Lock and each distinct
-    output JSON into one Output. A key holds only fields of the one JSON
+    output JSON into one Output; every output is encoded by output_json. A key holds only fields of the one JSON
     type the decoder accepts. Python hashes 1, 1.0 and true equal, so an
     amount of 1.0 or an m of true misses the table and reaches the
     constructor that rejects it. Keys the decoder does not read are left out
     of the key, as the decoder ignores them; the log's byte-identity check
-    is what refuses them.
+    is what refuses them."""
 
-    Encoding builds each distinct Lock's and Output's JSON once, by
-    identity. The table keeps each value alive with its JSON, so no id is
-    reused while the codec lives. Outputs that share a value share its JSON
-    dict, so an encoding must not be mutated."""
-
-    __slots__ = ("_locks", "_outputs", "_json")
+    __slots__ = ("_locks", "_outputs")
 
     def __init__(self) -> None:
         self._locks: dict[tuple, Lock] = {}
         self._outputs: dict[tuple, Output] = {}
-        self._json: dict[int, tuple[object, dict]] = {}
 
     def output(self, obj: dict) -> Output:
         if type(obj) is dict:
@@ -703,198 +930,24 @@ class JsonCodec:
                 if out is None:
                     lock = self._locks.get(lock_key)
                     if lock is None:
-                        lock = self._locks[lock_key] = _decode_lock(obj["lock"])
+                        lock = self._locks[lock_key] = LOCK_JSON.decode(obj["lock"])
                     out = self._outputs[key] = Output(amount, lock, expiry)
                 return out
-        obj = json_value(obj, dict, "output")
-        lock = _decode_lock(json_field(obj, "lock", dict))
-        return Output(json_field(obj, "amount", int), lock, json_field(obj, "expiry", int, None))
+        return OUTPUT_JSON.decode(json_value(obj, dict, "output"))
 
-    def lock_json(self, lock: Lock) -> dict:
-        hit = self._json.get(id(lock))
-        if hit is None:
-            if lock.kind == LOCK_PUBKEY:
-                obj = {"kind": "pubkey", "pubkey": lock.pubkey.hex()}
-            elif lock.kind == LOCK_MULTISIG:
-                obj = {"kind": "multisig", "m": lock.m, "pubkeys": [pk.hex() for pk in lock.pubkeys]}
-            else:
-                obj = {"kind": "script", "script": lock.script.hex()}
-            hit = self._json[id(lock)] = (lock, obj)
-        return hit[1]
-
-    def output_json(self, out: Output) -> dict:
-        hit = self._json.get(id(out))
-        if hit is None:
-            obj = {"amount": out.amount, "lock": self.lock_json(out.lock)}
-            if out.expiry is not None:
-                obj["expiry"] = out.expiry
-            hit = self._json[id(out)] = (out, obj)
-        return hit[1]
-
-
-def outpoint_to_json(op: Outpoint) -> dict:
-    return {"txid": op.txid.hex(), "index": op.index}
-
-
-def outpoint_from_json(obj: dict) -> Outpoint:
-    return Outpoint(json_field(obj, "txid", bytes), json_field(obj, "index", int))
-
-
-def _inputs(obj: dict) -> tuple[Outpoint, ...]:
-    return tuple(map(outpoint_from_json, json_field(obj, "inputs", list, of=dict)))
-
-
-def access_to_json(a: AccessDecl) -> dict:
-    return {
-        "balances_read": sorted(x.hex() for x in a.balances_read),
-        "balances_written": sorted(x.hex() for x in a.balances_written),
-        "storage_read": [[ad.hex(), k] for ad, k in sorted(a.storage_read)],
-        "storage_written": [[ad.hex(), k] for ad, k in sorted(a.storage_written)],
-        "callees": sorted(x.hex() for x in a.callees),
-    }
-
-
-def access_from_json(obj: Optional[dict]) -> Optional[AccessDecl]:
-    if obj is None:
-        return None
-
-    def read(key: str, item: object) -> frozenset:
-        return frozenset(json_field(obj, key, list, [], of=item))
-
-    slot = (bytes, int)
-    return AccessDecl(
-        read("balances_read", bytes), read("balances_written", bytes),
-        read("storage_read", slot), read("storage_written", slot), read("callees", bytes),
-    )
+    output_json = staticmethod(OUTPUT_JSON.encode)  # an alias: no call of its own per output
 
 
 def tx_to_json(tx: Transaction, codec: Optional[JsonCodec] = None) -> dict:
     """The transaction's JSON; its outputs' JSON comes from codec, which is
     fresh when none is given."""
-    if codec is None:
-        codec = JsonCodec()
-    k = tx.kind
-    obj: dict = {"kind": tx.kind_name, "nonce": tx.nonce}
-    if isinstance(k, UtxoSpend):
-        obj["inputs"] = [outpoint_to_json(op) for op in k.inputs]
-        obj["outputs"] = [codec.output_json(o) for o in k.outputs]
-    elif isinstance(k, Deploy):
-        obj.update(
-            code=k.code.hex(),
-            endowment=k.endowment,
-            payer=k.payer.hex(),
-            gas_limit=k.gas_limit,
-            gas_price=k.gas_price,
-        )
-        if k.access is not None:
-            obj["access"] = access_to_json(k.access)
-    elif isinstance(k, Call):
-        obj.update(
-            contract=k.contract.hex(),
-            arg=k.arg,
-            attached=k.attached,
-            caller=k.caller.hex(),
-            gas_limit=k.gas_limit,
-            gas_price=k.gas_price,
-        )
-        if k.access is not None:
-            obj["access"] = access_to_json(k.access)
-        if k.address_consts:
-            obj["address_consts"] = [a.hex() for a in k.address_consts]
-    elif isinstance(k, MoveToAccount):
-        obj["inputs"] = [outpoint_to_json(op) for op in k.inputs]
-        obj["to"] = k.to.hex()
-        obj["amount"] = k.amount
-    elif isinstance(k, MoveToUtxo):
-        obj["source"] = k.source.hex()
-        obj["amount"] = k.amount
-        obj["outputs"] = [codec.output_json(o) for o in k.outputs]
-    if tx.not_before is not None:
-        obj["not_before"] = tx.not_before
-    if tx.not_after is not None:
-        obj["not_after"] = tx.not_after
-    if tx.witnesses:
-        obj["witnesses"] = [[item.hex() for item in wit] for wit in tx.witnesses]
-    if tx.auth is not None:
-        obj["auth"] = {"pubkey": tx.auth.pubkey.hex(), "signature": tx.auth.signature.hex()}
-    if tx.endorsement is not None:
-        e = tx.endorsement
-        eobj = {
-            "granularity": e.granularity,
-            "intermediary_pubkey": e.intermediary_pubkey.hex(),
-            "signature": e.signature.hex(),
-        }
-        if e.granularity == "per_user":
-            eobj["user_pubkey"] = e.user_pubkey.hex()
-            eobj["expiry"] = e.expiry
-        obj["endorsement"] = eobj
-    return obj
+    return TX_JSON.encode(tx, JsonCodec() if codec is None else codec)
 
 
 def tx_from_json(obj: dict, codec: Optional[JsonCodec] = None) -> Transaction:
     """Decode a transaction; its outputs are interned in codec, which is
     fresh when none is given."""
-    if codec is None:
-        codec = JsonCodec()
-    obj = json_value(obj, dict, "transaction")
-    name = json_field(obj, "kind", str)
-    kind: TxKind
-    if name == "utxo_spend":
-        kind = UtxoSpend(_inputs(obj), tuple(map(codec.output, json_field(obj, "outputs", list))))
-    elif name == "move_to_account":
-        kind = MoveToAccount(_inputs(obj), json_field(obj, "to", bytes), json_field(obj, "amount", int))
-    elif name == "deploy":
-        kind = Deploy(
-            json_field(obj, "code", bytes),
-            json_field(obj, "endowment", int),
-            json_field(obj, "payer", bytes),
-            json_field(obj, "gas_limit", int),
-            json_field(obj, "gas_price", int),
-            access_from_json(json_field(obj, "access", dict, None)),
-        )
-    elif name == "call":
-        kind = Call(
-            json_field(obj, "contract", bytes),
-            json_field(obj, "arg", int),
-            json_field(obj, "attached", int),
-            json_field(obj, "caller", bytes),
-            json_field(obj, "gas_limit", int),
-            json_field(obj, "gas_price", int),
-            access_from_json(json_field(obj, "access", dict, None)),
-            tuple(json_field(obj, "address_consts", list, [], of=bytes)),
-        )
-    elif name == "move_to_utxo":
-        kind = MoveToUtxo(
-            json_field(obj, "source", bytes),
-            json_field(obj, "amount", int),
-            tuple(map(codec.output, json_field(obj, "outputs", list))),
-        )
-    else:
-        raise ModelError(f"unknown transaction kind {name!r}")
-    witnesses = tuple(
-        tuple(json_value(item, bytes, "witnesses") for item in wit)
-        for wit in json_field(obj, "witnesses", list, [], of=list)
-    )
-    auth = json_field(obj, "auth", dict, None)
-    if auth is not None:
-        auth = AccountAuth(json_field(auth, "pubkey", bytes), json_field(auth, "signature", bytes))
-    e = json_field(obj, "endorsement", dict, None)
-    endorsement = None if e is None else EndorsementData(
-        json_field(e, "granularity", str),
-        json_field(e, "intermediary_pubkey", bytes),
-        json_field(e, "signature", bytes),
-        json_field(e, "user_pubkey", bytes, b""),
-        json_field(e, "expiry", int, 0),
-    )
-    return Transaction(
-        kind,
-        nonce=json_field(obj, "nonce", int, 0),
-        not_before=json_field(obj, "not_before", int, None),
-        not_after=json_field(obj, "not_after", int, None),
-        witnesses=witnesses,
-        auth=auth,
-        endorsement=endorsement,
-    )
+    return TX_JSON.decode(json_value(obj, dict, "transaction"), JsonCodec() if codec is None else codec)
 
 
 def tx_to_json_str(tx: Transaction) -> str:

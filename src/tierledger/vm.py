@@ -127,11 +127,6 @@ STATUS_MISSING_ACCESS_DECL = 305
 STATUS_NO_SUCH_CONTRACT = 306
 STATUS_BAD_NONCE = 307
 
-# Statuses where the transaction executed: nonce advances and gas is paid.
-EXECUTED_STATUSES = frozenset(
-    {STATUS_COMMITTED, STATUS_REVERTED, STATUS_OUT_OF_GAS, STATUS_ACCESS_VIOLATION}
-)
-
 
 @dataclass(frozen=True)
 class ContractAccount:

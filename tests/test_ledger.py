@@ -553,6 +553,27 @@ def test_replay_reports_malformed_shape_unreadable(tmp_path, case):
     assert cli.main(["--quiet", "digest", str(logdir)]) == 2
 
 
+@pytest.mark.parametrize("user_fields, kind", [
+    ({"user_pubkey": "07" * 32, "expiry": 9}, "unreadable"),
+    ({"user_pubkey": "", "expiry": 0}, "divergence"),
+])
+def test_per_transaction_endorsement_with_user_fields_does_not_replay(tmp_path, user_fields, kind):
+    """A per_transaction endorsement has no user fields. One that carries
+    them cannot be decoded; the default ones, which the writer leaves out,
+    are not the log's canonical bytes."""
+    logdir = run_logged_ledger(tmp_path, batches=2)
+    path = logdir / "batch_000001.json"
+    batch = json.loads(path.read_text())
+    batch["txs"][0]["endorsement"] = {
+        "granularity": "per_transaction", "intermediary_pubkey": "11" * 32, "signature": "22" * 64, **user_fields,
+    }
+    path.write_text(json.dumps(batch, sort_keys=True, separators=(",", ":")))
+    report = ledger.replay_verify(logdir)
+    assert (report.kind, report.batch) == (kind, 1), report
+    if kind == "divergence":
+        assert report.field == "encoding"
+
+
 GENESIS_VALUES = [[], {}, "x", None, True, -1, 2**70, 1.5]
 
 

@@ -3,6 +3,8 @@ classification."""
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import pickle
 from dataclasses import replace
 
@@ -26,6 +28,7 @@ from oracles import (
     write_outpoint,
     write_output,
 )
+from tierledger import ledger, model
 from tierledger.model import (
     AccessDecl,
     AccountAuth,
@@ -240,8 +243,19 @@ def test_json_rejects_bad_hex_and_kind():
         tx_from_json_str(tx_to_json_str(sample_txs()[3])[:-1] + ',"access":"x"}')
 
 
+def test_per_transaction_endorsement_carries_no_user_fields():
+    """The log leaves a per_transaction endorsement's user fields out, while
+    full_serialize, and so the header's txs_hash, covers them: a value the
+    log cannot hold is refused when it is made."""
+    EndorsementData("per_transaction", A.pubkey, b"\x02" * 64)
+    for user in ({"user_pubkey": b"\x07" * 32}, {"expiry": 9}, {"user_pubkey": b"\x07" * 32, "expiry": 9}):
+        with pytest.raises(ModelError):
+            EndorsementData("per_transaction", A.pubkey, b"\x02" * 64, **user)
+        EndorsementData("per_user", A.pubkey, b"\x02" * 64, **user)
+
+
 def test_codec_interns_repeats_and_keeps_json_types_apart():
-    """Equal output JSON decodes to one Output and one JSON dict; a field
+    """Equal output JSON decodes to one Output; a field
     that hashes equal but has another JSON type (1.0 or true for 1) misses
     the table and is rejected as the plain decoder rejects it."""
     pk = {"kind": "pubkey", "pubkey": "11" * 32}
@@ -268,7 +282,6 @@ def test_codec_interns_repeats_and_keeps_json_types_apart():
     assert outs[4].expiry == 1 and outs[4].lock is outs[0].lock
     encoded = [codec.output_json(out) for out in outs]
     assert encoded == [plain.output_json(out) for out in outs]
-    assert encoded[0] is encoded[1] and encoded[3]["lock"] is encoded[0]["lock"]
     for obj in bad:
         for decoder in (codec, plain):
             with pytest.raises(ModelError):
@@ -366,13 +379,11 @@ _kinds = st.one_of(
     st.builds(MoveToAccount, st.lists(_outpoints, min_size=1, max_size=4).map(tuple), _addr, _u64),
     st.builds(MoveToUtxo, _addr, _u64, st.lists(_outputs, min_size=1, max_size=4).map(tuple)),
 )
-_endorsements = st.none() | st.builds(
-    EndorsementData,
-    st.sampled_from(["per_transaction", "per_user"]),
-    _blob,
-    _blob,
-    _blob,
-    _u64,
+# A per_transaction endorsement keeps the user fields' defaults.
+_endorsements = (
+    st.none()
+    | st.builds(EndorsementData, st.just("per_transaction"), _blob, _blob)
+    | st.builds(EndorsementData, st.just("per_user"), _blob, _blob, _blob, _u64)
 )
 
 
@@ -406,6 +417,55 @@ def test_encoder_matches_reference_encoder(tx):
     for out in getattr(k, "outputs", ()):
         assert out.serialize() == encode(write_output, out)
         assert out.lock.serialize() == encode(write_lock, out.lock)
+
+
+@given(random_txs())
+@settings(max_examples=300, deadline=None)
+def test_json_round_trip_of_every_kind_and_optional_field(tx):
+    text = tx_to_json_str(tx)
+    back = tx_from_json_str(text)
+    assert back == tx
+    assert full_serialize(back) == full_serialize(tx)
+    assert tx_to_json_str(back) == text
+
+
+def _fields(make) -> list[str]:
+    """The names make takes one by one, in order."""
+    params = inspect.signature(make).parameters.values()
+    return [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+
+
+def _row_attrs(table: model.JsonTable) -> list[str]:
+    return [row.attr or row.key for row in table.rows if row.default is not model.DERIVED]
+
+
+def test_each_log_table_covers_its_record():
+    """Every field of a log record has a row, in the order the table's
+    constructor takes it, apart from derived keys such as status_name. A
+    field added later cannot be left out of the log silently."""
+    records = {
+        model.OUTPOINT_JSON: Outpoint,
+        model.OUTPUT_JSON: Output,
+        model.ACCESS_JSON: AccessDecl,
+        model.AUTH_JSON: AccountAuth,
+        ledger.RECEIPT_JSON: ledger.Receipt,
+        ledger.HEADER_JSON: ledger.BatchHeader,
+    }
+    for table, cls in records.items():
+        assert _row_attrs(table) == _fields(table.make) == _fields(cls)
+    assert [row.key for row in ledger.RECEIPT_JSON.rows if row.default is model.DERIVED] == ["status_name"]
+    for tagged, cls in ((model.LOCK_JSON, Lock), (model.ENDORSEMENT_JSON, EndorsementData)):
+        covered = {tagged.key}
+        for table in tagged.variants.values():
+            assert _row_attrs(table) == _fields(table.make)
+            covered.update(_row_attrs(table))
+        assert covered == {f.name for f in dataclasses.fields(cls) if f.init}
+    for kind, table in model.TX_JSON.variants.items():
+        attrs = _row_attrs(table)
+        envelope = [a for a in attrs if "." not in a]
+        assert [model.TX_JSON.key, *envelope] == _fields(Transaction)
+        assert envelope == _fields(table.make)
+        assert [a.removeprefix("kind.") for a in attrs if "." in a] == _fields(kind)
 
 
 def test_changed_copies_never_carry_stale_bytes():
