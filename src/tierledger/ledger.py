@@ -464,9 +464,7 @@ def _log_file(kind: str, number: int) -> str:
 
 
 def _encode_batch(batch_number: int, epoch: int, txs: Sequence[Transaction]) -> str:
-    """The batch file; its outputs' JSON comes from one codec."""
-    codec = JsonCodec()
-    txs_json = [tx_to_json(tx, codec) for tx in txs]
+    txs_json = [tx_to_json(tx) for tx in txs]
     return canonical_json({"batch": batch_number, "epoch": epoch, "txs": txs_json})
 
 

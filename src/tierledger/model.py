@@ -638,17 +638,18 @@ def json_field(obj: dict, key: str, kind: object, default: object = _REQUIRED, o
 
 # ---------------------------------------------------------------------------
 # The log format. Each record's JSON is one table of rows, and these tables,
-# with the receipt's and the header's in ledger.py, are the one place where
+# with the receipt's and the header's in ledger.py, genesis's in rules.py and
+# the policy's and registry entry's in permission.py, are the one place where
 # a key, its JSON type and its omission rule are defined. JsonTable.decode
 # is the one decode loop; _compile_encode builds each table's encode from
 # its rows.
 
 
 class JsonKind(NamedTuple):
-    """A value's JSON type (dict, list, str or int; a bool is not an int),
-    and its decode and encode (None keeps the value as it is). A decode
-    raises ValueError or TypeError for a value it cannot read. With codec,
-    both are also passed the transaction's codec."""
+    """A value's JSON type (dict, list, str, int or bool; a bool is not an
+    int), and its decode and encode (None keeps the value as it is). A
+    decode raises ValueError or TypeError for a value it cannot read. With
+    codec, the decode is also passed the transaction's codec."""
 
     json_type: type
     decode: Optional[Callable] = None
@@ -728,11 +729,7 @@ class JsonTagged:
         self.key = next(iter(variants.values())).tag[0]
         self._tables = {table.tag[1]: table for table in variants.values()}
         encoders = {value: table.encode for value, table in variants.items()}
-
-        def encode(rec: object, codec: Optional["JsonCodec"] = None) -> dict:
-            return encoders[select(rec)](rec, codec)
-
-        self.encode = encode
+        self.encode = lambda rec: encoders[select(rec)](rec)
 
     def decode(self, obj: dict, codec: Optional["JsonCodec"] = None):
         tag = obj.get(self.key)
@@ -751,7 +748,7 @@ def _compile_encode(rows: tuple[JsonRow, ...], tag: Optional[tuple[str, str]]) -
 
     def value(i: int, row: JsonRow, v: str) -> str:
         env[f"e{i}"] = row.kind.encode
-        return v if row.kind.encode is None else f"e{i}({v}, codec)" if row.kind.codec else f"e{i}({v})"
+        return v if row.kind.encode is None else f"e{i}({v})"
 
     items = [f"{tag[0]!r}: {tag[1]!r}"] if tag else []
     lines = []
@@ -763,13 +760,18 @@ def _compile_encode(rows: tuple[JsonRow, ...], tag: Optional[tuple[str, str]]) -
         env[f"d{i}"], env[f"t{i}"] = row.default, type(row.default)
         kept = "v is not None" if row.default is None else f"not (type(v) is t{i} and v == d{i})"
         lines += [f"    v = rec.{attr}", f"    if {kept}:", f"        obj[{row.key!r}] = {value(i, row, 'v')}"]
-    source = ["def encode(rec, codec=None):", f"    obj = {{{', '.join(items)}}}", *lines, "    return obj"]
+    source = ["def encode(rec):", f"    obj = {{{', '.join(items)}}}", *lines, "    return obj"]
     exec("\n".join(source), env)
     return env["encode"]
 
 
 def json_object(table: Union[JsonTable, JsonTagged]) -> JsonKind:
     return JsonKind(dict, table.decode, table.encode)
+
+
+def json_list(table: JsonTable) -> JsonKind:
+    """An array of objects, each read and written by table."""
+    return JsonKind(list, _items(dict, table.decode), lambda recs: list(map(table.encode, recs)))
 
 
 def _u64(value: int) -> int:
@@ -800,6 +802,7 @@ def _hex_list(value: list) -> tuple:
 
 
 INT = JsonKind(int)
+BOOL = JsonKind(bool)
 U64 = JsonKind(int, _u64)
 STR = JsonKind(str)
 HEX = JsonKind(str, bytes.fromhex, bytes.hex)
@@ -808,13 +811,9 @@ HEX_SET = JsonKind(list, lambda v: frozenset(map(bytes.fromhex, v)), lambda bs: 
 SLOT_SET = JsonKind(list, lambda v: frozenset(map(_slot, v)), lambda slots: [[a.hex(), k] for a, k in sorted(slots)])
 WITNESSES = JsonKind(list, _items(list, _hex_list), lambda ws: [list(map(bytes.hex, w)) for w in ws])
 LEVEL = JsonKind(str, Level.from_label, attrgetter("label"))
-# A transaction's outputs go through its codec, which interns them.
-OUTPUTS = JsonKind(
-    list, lambda v, codec: tuple(map(codec.output, v)), lambda outs, codec: list(map(codec.output_json, outs)), True
-)
 
 OUTPOINT_JSON = JsonTable(Outpoint, JsonRow("txid", HEX), JsonRow("index", INT))
-INPUTS = JsonKind(list, _items(dict, OUTPOINT_JSON.decode), lambda ops: list(map(OUTPOINT_JSON.encode, ops)))
+INPUTS = json_list(OUTPOINT_JSON)
 LOCK_JSON = JsonTagged("lock", attrgetter("kind"), {
     LOCK_PUBKEY: JsonTable(Lock.pay_to_pubkey, JsonRow("pubkey", HEX), tag=("kind", "pubkey")),
     LOCK_MULTISIG: JsonTable(Lock.multisig, JsonRow("m", INT), JsonRow("pubkeys", HEX_LIST), tag=("kind", "multisig")),
@@ -823,6 +822,8 @@ LOCK_JSON = JsonTagged("lock", attrgetter("kind"), {
 OUTPUT_JSON = JsonTable(
     Output, JsonRow("amount", INT), JsonRow("lock", json_object(LOCK_JSON)), JsonRow("expiry", INT, None, True)
 )
+# A transaction's outputs are decoded through its codec, which interns them.
+OUTPUTS = json_list(OUTPUT_JSON)._replace(decode=lambda v, codec: tuple(map(codec.output, v)), codec=True)
 ACCESS_JSON = JsonTable(
     AccessDecl,
     JsonRow("balances_read", HEX_SET, frozenset()),
@@ -904,10 +905,10 @@ def _lock_key(obj) -> Optional[tuple]:
 
 class JsonCodec:
     """Intern tables for the JSON of one batch, or of one transaction when
-    tx_from_json or tx_to_json is called without a codec.
+    tx_from_json is called without a codec.
 
     Decoding turns each distinct lock JSON into one Lock and each distinct
-    output JSON into one Output; every output is encoded by output_json. A key holds only fields of the one JSON
+    output JSON into one Output. A key holds only fields of the one JSON
     type the decoder accepts. Python hashes 1, 1.0 and true equal, so an
     amount of 1.0 or an m of true misses the table and reaches the
     constructor that rejects it. Keys the decoder does not read are left out
@@ -935,13 +936,9 @@ class JsonCodec:
                 return out
         return OUTPUT_JSON.decode(json_value(obj, dict, "output"))
 
-    output_json = staticmethod(OUTPUT_JSON.encode)  # an alias: no call of its own per output
 
-
-def tx_to_json(tx: Transaction, codec: Optional[JsonCodec] = None) -> dict:
-    """The transaction's JSON; its outputs' JSON comes from codec, which is
-    fresh when none is given."""
-    return TX_JSON.encode(tx, JsonCodec() if codec is None else codec)
+def tx_to_json(tx: Transaction) -> dict:
+    return TX_JSON.encode(tx)
 
 
 def tx_from_json(obj: dict, codec: Optional[JsonCodec] = None) -> Transaction:

@@ -8,10 +8,11 @@ log can run the replay verifier. No read-permissioning is modeled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import NamedTuple, Optional, Sequence
 
 from . import crypto
-from .model import EndorsementData, ModelError, json_field
+from .model import HEX, HEX_SET, STR, EndorsementData, JsonRow, JsonTable, JsonTagged, ModelError
 
 POLICY_OPEN = "open"
 POLICY_ALLOW_LIST = "allow_list"
@@ -38,30 +39,39 @@ class PermissionPolicy:
         return PermissionPolicy(POLICY_OPEN)
 
     @staticmethod
-    def allow_list(pubkeys: Sequence[bytes]) -> "PermissionPolicy":
-        return PermissionPolicy(POLICY_ALLOW_LIST, allowed_pubkeys=frozenset(pubkeys))
+    def allow_list(allowed_pubkeys: Sequence[bytes]) -> "PermissionPolicy":
+        return PermissionPolicy(POLICY_ALLOW_LIST, allowed_pubkeys=frozenset(allowed_pubkeys))
 
     @staticmethod
     def endorsed(granularity: str) -> "PermissionPolicy":
         return PermissionPolicy(POLICY_ENDORSED, granularity=granularity)
 
     def to_json(self) -> dict:
-        if self.kind == POLICY_ALLOW_LIST:
-            return {"kind": self.kind, "pubkeys": sorted(pk.hex() for pk in self.allowed_pubkeys)}
-        if self.kind == POLICY_ENDORSED:
-            return {"kind": self.kind, "granularity": self.granularity}
-        return {"kind": self.kind}
+        return POLICY_JSON.encode(self)
 
     @staticmethod
     def from_json(obj: dict) -> "PermissionPolicy":
-        """Decode a policy object; a wrong shape or an unknown kind is a
-        ModelError."""
-        kind = json_field(obj, "kind", str, POLICY_OPEN)
-        if kind == POLICY_ALLOW_LIST:
-            return PermissionPolicy.allow_list(json_field(obj, "pubkeys", list, of=bytes))
-        if kind == POLICY_ENDORSED:
-            return PermissionPolicy.endorsed(json_field(obj, "granularity", str))
-        return PermissionPolicy(kind)
+        """Decode a policy object; one with no kind is open."""
+        return POLICY_JSON.decode({"kind": POLICY_OPEN, **obj})
+
+
+POLICY_JSON = JsonTagged("policy", attrgetter("kind"), {
+    POLICY_OPEN: JsonTable(PermissionPolicy.open, tag=("kind", "open")),
+    POLICY_ALLOW_LIST: JsonTable(
+        PermissionPolicy.allow_list, JsonRow("pubkeys", HEX_SET, attr="allowed_pubkeys"), tag=("kind", "allow_list")
+    ),
+    POLICY_ENDORSED: JsonTable(PermissionPolicy.endorsed, JsonRow("granularity", STR), tag=("kind", "endorsed")),
+})
+
+
+class Intermediary(NamedTuple):
+    """An intermediary_registry entry: a name and the key it endorses with."""
+
+    name: str
+    pubkey: bytes
+
+
+INTERMEDIARY_JSON = JsonTable(Intermediary, JsonRow("name", STR), JsonRow("pubkey", HEX))
 
 
 # Authorization error codes (status registry range 400-499).

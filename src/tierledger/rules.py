@@ -11,8 +11,17 @@ from functools import cached_property
 from typing import AbstractSet, Mapping, Optional
 
 from .model import (
+    BOOL,
+    HEX,
+    HEX_SET,
+    INT,
+    LEVEL,
+    STR,
     Call,
     Deploy,
+    JsonKind,
+    JsonRow,
+    JsonTable,
     Level,
     ModelError,
     Outpoint,
@@ -20,11 +29,11 @@ from .model import (
     Transaction,
     address_of_pubkey,
     canonical_json,
-    json_field,
+    json_list,
     json_value,
     require_u64,
 )
-from .permission import PermissionPolicy
+from .permission import INTERMEDIARY_JSON, Intermediary, PermissionPolicy
 
 ACCESS_DECLARED = "declared"
 ACCESS_DYNAMIC = "dynamic"
@@ -52,9 +61,11 @@ class SystemConfig:
     operator_pubkey: bytes = b"\x00" * 32
     deploy_policy: PermissionPolicy = field(default_factory=PermissionPolicy.open)
     call_policy: PermissionPolicy = field(default_factory=PermissionPolicy.open)
-    intermediary_registry: tuple[tuple[str, bytes], ...] = ()
+    intermediary_registry: tuple[Intermediary, ...] = ()
 
     def __post_init__(self) -> None:
+        registry = tuple(Intermediary(*entry) for entry in self.intermediary_registry)
+        object.__setattr__(self, "intermediary_registry", registry)
         if self.halving_interval < 1:
             raise ModelError("halving_interval must be >= 1")
         if self.access_mode not in (ACCESS_DECLARED, ACCESS_DYNAMIC):
@@ -73,56 +84,18 @@ class SystemConfig:
     def operator_address(self) -> bytes:
         return address_of_pubkey(self.operator_pubkey)
 
-    @property
+    @cached_property
     def registry_pubkeys(self) -> frozenset[bytes]:
-        return frozenset(pk for _, pk in self.intermediary_registry)
+        return frozenset(entry.pubkey for entry in self.intermediary_registry)
 
     def to_json(self) -> dict:
-        obj: dict = {
-            "max_level": self.max_level.label,
-            "initial_subsidy": self.initial_subsidy,
-            "halving_interval": self.halving_interval,
-            "min_fee": self.min_fee,
-            "min_gas_price": self.min_gas_price,
-            "covenants": self.covenants,
-            "access_mode": self.access_mode,
-            "expiry_enabled": self.expiry_enabled,
-            "operator_pubkey": self.operator_pubkey.hex(),
-            "deploy_policy": self.deploy_policy.to_json(),
-            "call_policy": self.call_policy.to_json(),
-            "intermediary_registry": [
-                {"name": name, "pubkey": pk.hex()} for name, pk in self.intermediary_registry
-            ],
-        }
-        if self.allow_list is not None:
-            obj["allow_list"] = sorted(a.hex() for a in self.allow_list)
-        return obj
+        return GENESIS_JSON.encode(self)
 
     @staticmethod
     def from_json(obj: object) -> "SystemConfig":
-        """Decode a genesis object. A value of the wrong JSON type, the
-        wrong shape or out of range is a ModelError (a bool is not an
-        int); an allow_list of null means none."""
-        obj = json_value(obj, dict, "genesis")
-        allow = json_field(obj, "allow_list", list, None, of=bytes)
-        registry = json_field(obj, "intermediary_registry", list, [], of=dict)
-        return SystemConfig(
-            max_level=Level.from_label(json_field(obj, "max_level", str, "L3")),
-            initial_subsidy=json_field(obj, "initial_subsidy", int, 50),
-            halving_interval=json_field(obj, "halving_interval", int, 10),
-            min_fee=json_field(obj, "min_fee", int, 0),
-            min_gas_price=json_field(obj, "min_gas_price", int, 0),
-            covenants=json_field(obj, "covenants", bool, True),
-            access_mode=json_field(obj, "access_mode", str, ACCESS_DYNAMIC),
-            allow_list=None if allow is None else frozenset(allow),
-            expiry_enabled=json_field(obj, "expiry_enabled", bool, False),
-            operator_pubkey=json_field(obj, "operator_pubkey", bytes, b"\x00" * 32),
-            deploy_policy=PermissionPolicy.from_json(json_field(obj, "deploy_policy", dict, {})),
-            call_policy=PermissionPolicy.from_json(json_field(obj, "call_policy", dict, {})),
-            intermediary_registry=tuple(
-                (json_field(e, "name", str), json_field(e, "pubkey", bytes)) for e in registry
-            ),
-        )
+        """Decode a genesis object; a malformed value is a ModelError that
+        names its key."""
+        return GENESIS_JSON.decode(json_value(obj, dict, "genesis"))
 
     def to_json_str(self) -> str:
         return canonical_json(self.to_json())
@@ -134,6 +107,25 @@ class SystemConfig:
     @cached_property
     def _config_hash(self) -> bytes:
         return hashlib.sha256(self.to_json_str().encode()).digest()
+
+
+_POLICY = JsonKind(dict, PermissionPolicy.from_json, PermissionPolicy.to_json)
+GENESIS_JSON = JsonTable(
+    SystemConfig,
+    JsonRow("max_level", LEVEL, Level.L3),
+    JsonRow("initial_subsidy", INT, 50),
+    JsonRow("halving_interval", INT, 10),
+    JsonRow("min_fee", INT, 0),
+    JsonRow("min_gas_price", INT, 0),
+    JsonRow("covenants", BOOL, True),
+    JsonRow("access_mode", STR, ACCESS_DYNAMIC),
+    JsonRow("allow_list", HEX_SET, None, True),
+    JsonRow("expiry_enabled", BOOL, False),
+    JsonRow("operator_pubkey", HEX, b"\x00" * 32),
+    JsonRow("deploy_policy", _POLICY, PermissionPolicy.open()),
+    JsonRow("call_policy", _POLICY, PermissionPolicy.open()),
+    JsonRow("intermediary_registry", json_list(INTERMEDIARY_JSON), ()),
+)
 
 
 def subsidy(epoch: int, cfg: SystemConfig) -> int:

@@ -12,7 +12,7 @@ key's public key and "@addr:name" for its address.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Optional, Union
@@ -65,13 +65,7 @@ class AssertionResult:
     actual: str
 
     def to_json(self) -> dict:
-        return {
-            "step": self.step,
-            "check": self.check,
-            "ok": self.ok,
-            "expected": self.expected,
-            "actual": self.actual,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -298,9 +292,7 @@ class Runner:
                 user = tx.auth or self.key(t.get("from", t.get("caller", t.get("payer"))))
                 expiry = require_u64(json_field(endorse, "expiry", int), "expiry")
                 ed = permission.issue_credential(seed, user.pubkey, expiry)
-            tx = Transaction(
-                tx.kind, tx.nonce, tx.not_before, tx.not_after, tx.witnesses, tx.auth, ed
-            )
+            tx = replace(tx, endorsement=ed)
         return tx
 
     def witness_item(self, w: object, msg: bytes) -> bytes:

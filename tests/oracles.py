@@ -650,9 +650,10 @@ def canonical_deserialize(data: bytes) -> Transaction:
 
 # ---------------------------------------------------------------------------
 # JSON codec: the per-output decoder and encoder from before the codec
-# interned values. Swapped in for JsonCodec, it decodes and encodes every
-# output and lock afresh, so a differential test sees whether interning
-# changes a decoded value, a rejection or an encoding.
+# interned values. Swapped in for JsonCodec, it decodes every output and
+# lock afresh, so a differential test sees whether interning changes a
+# decoded value or a rejection; its output_json is compared with
+# model.OUTPUT_JSON's encode directly.
 
 
 def _ref_unhex(s: str) -> bytes:

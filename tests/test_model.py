@@ -28,7 +28,7 @@ from oracles import (
     write_outpoint,
     write_output,
 )
-from tierledger import ledger, model
+from tierledger import ledger, model, permission, rules
 from tierledger.model import (
     AccessDecl,
     AccountAuth,
@@ -280,8 +280,6 @@ def test_codec_interns_repeats_and_keeps_json_types_apart():
     assert outs == [plain.output(obj) for obj in good]
     assert outs[0] is outs[1] and outs[3].lock is outs[0].lock and outs[2].lock.m == 1
     assert outs[4].expiry == 1 and outs[4].lock is outs[0].lock
-    encoded = [codec.output_json(out) for out in outs]
-    assert encoded == [plain.output_json(out) for out in outs]
     for obj in bad:
         for decoder in (codec, plain):
             with pytest.raises(ModelError):
@@ -419,6 +417,14 @@ def test_encoder_matches_reference_encoder(tx):
         assert out.lock.serialize() == encode(write_lock, out.lock)
 
 
+@given(_outputs)
+@settings(max_examples=300, deadline=None)
+def test_output_table_encodes_as_the_reference_encoder(out):
+    """Every lock kind, with and without expiry: the output table writes
+    what the per-output encoder it replaced wrote."""
+    assert model.OUTPUT_JSON.encode(out) == PlainJsonCodec().output_json(out)
+
+
 @given(random_txs())
 @settings(max_examples=300, deadline=None)
 def test_json_round_trip_of_every_kind_and_optional_field(tx):
@@ -450,11 +456,22 @@ def test_each_log_table_covers_its_record():
         model.AUTH_JSON: AccountAuth,
         ledger.RECEIPT_JSON: ledger.Receipt,
         ledger.HEADER_JSON: ledger.BatchHeader,
+        rules.GENESIS_JSON: rules.SystemConfig,
+        permission.INTERMEDIARY_JSON: permission.Intermediary,
     }
     for table, cls in records.items():
         assert _row_attrs(table) == _fields(table.make) == _fields(cls)
     assert [row.key for row in ledger.RECEIPT_JSON.rows if row.default is model.DERIVED] == ["status_name"]
-    for tagged, cls in ((model.LOCK_JSON, Lock), (model.ENDORSEMENT_JSON, EndorsementData)):
+    # Each genesis key reads, when absent, as the config's own default.
+    defaults = [f.default_factory() if f.default is dataclasses.MISSING else f.default
+                for f in dataclasses.fields(rules.SystemConfig)]
+    assert [row.default for row in rules.GENESIS_JSON.rows] == defaults
+    assert rules.SystemConfig.from_json({}) == rules.SystemConfig()
+    tagged_records = (
+        (model.LOCK_JSON, Lock), (model.ENDORSEMENT_JSON, EndorsementData),
+        (permission.POLICY_JSON, permission.PermissionPolicy),
+    )
+    for tagged, cls in tagged_records:
         covered = {tagged.key}
         for table in tagged.variants.values():
             assert _row_attrs(table) == _fields(table.make)

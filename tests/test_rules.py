@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 
 import pytest
 from hypothesis import given
@@ -94,6 +95,70 @@ def test_config_json_round_trip_and_hash():
     assert back == cfg
     assert back.config_hash() == cfg.config_hash()
     assert cfg.config_hash() != make_config().config_hash()
+
+
+# Genesis texts and config hashes written before genesis was read and
+# written through its table: the default config, and one in which every
+# field differs from its default.
+PINNED_GENESIS = [
+    (
+        rules.SystemConfig(),
+        '{"access_mode":"dynamic","call_policy":{"kind":"open"},"covenants":true,'
+        '"deploy_policy":{"kind":"open"},"expiry_enabled":false,"halving_interval":10,'
+        '"initial_subsidy":50,"intermediary_registry":[],"max_level":"L3","min_fee":0,'
+        '"min_gas_price":0,"operator_pubkey":"' + "00" * 32 + '"}',
+        "65ecd58141100117aaa97844f4250fa9a9d27d4beb74d603713a72229eeaa190",
+    ),
+    (
+        rules.SystemConfig(
+            max_level=Level.L1_5, initial_subsidy=7, halving_interval=3, min_fee=2, min_gas_price=4,
+            covenants=False, access_mode=rules.ACCESS_DECLARED, allow_list=frozenset({b"\x07" * 32, b"\x03" * 32}),
+            expiry_enabled=True, operator_pubkey=b"\x11" * 32,
+            deploy_policy=PermissionPolicy.allow_list([b"\x44" * 32, b"\x05" * 32]),
+            call_policy=PermissionPolicy.endorsed("per_user"),
+            intermediary_registry=(("card", b"\x33" * 32), ("bank", b"\x22" * 32)),
+        ),
+        '{"access_mode":"declared","allow_list":["' + "03" * 32 + '","' + "07" * 32 + '"],'
+        '"call_policy":{"granularity":"per_user","kind":"endorsed"},"covenants":false,'
+        '"deploy_policy":{"kind":"allow_list","pubkeys":["' + "05" * 32 + '","' + "44" * 32 + '"]},'
+        '"expiry_enabled":true,"halving_interval":3,"initial_subsidy":7,"intermediary_registry":'
+        '[{"name":"card","pubkey":"' + "33" * 32 + '"},{"name":"bank","pubkey":"' + "22" * 32 + '"}],'
+        '"max_level":"L1.5","min_fee":2,"min_gas_price":4,"operator_pubkey":"' + "11" * 32 + '"}',
+        "c256b5aaeb83e81cd048368349cd2d75c745175a0639119d9f5e43a3dbcf190a",
+    ),
+]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED_GENESIS)))
+def test_genesis_text_and_hash_are_pinned(index):
+    cfg, text, config_hash = PINNED_GENESIS[index]
+    assert cfg.to_json_str() == text
+    assert cfg.config_hash().hex() == config_hash
+    back = rules.SystemConfig.from_json(json.loads(text))
+    assert back == cfg and back.to_json_str() == text
+
+
+def test_a_policy_with_no_kind_or_no_key_is_open():
+    assert PermissionPolicy.from_json({}) == PermissionPolicy.open()
+    assert PermissionPolicy.from_json({"pubkeys": []}) == PermissionPolicy.open()
+    assert rules.SystemConfig.from_json({"deploy_policy": {}, "call_policy": {}}) == rules.SystemConfig()
+    genesis = json.loads(rules.SystemConfig().to_json_str())
+    del genesis["deploy_policy"], genesis["call_policy"]
+    assert rules.SystemConfig.from_json(genesis) == rules.SystemConfig()
+    for key in ("deploy_policy", "call_policy"):
+        with pytest.raises(ModelError, match=key):
+            rules.SystemConfig.from_json({key: None})
+    with pytest.raises(ModelError, match="kind must be a string"):
+        rules.SystemConfig.from_json({"deploy_policy": {"kind": None}})
+    with pytest.raises(ModelError, match="unknown policy kind 'vip'"):
+        rules.SystemConfig.from_json({"call_policy": {"kind": "vip"}})
+
+
+def test_a_malformed_registry_entry_is_a_model_error():
+    entries = ([None], [[]], [{"name": "bank"}], [{"name": 1, "pubkey": "22" * 32}], [{"name": "bank", "pubkey": "zz"}])
+    for registry in entries:
+        with pytest.raises(ModelError):
+            rules.SystemConfig.from_json({"intermediary_registry": registry})
 
 
 def test_config_guards():
