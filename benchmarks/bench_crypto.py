@@ -16,6 +16,10 @@ backend answered.
   through more fresh seeds than the key caches hold, so every call derives.
 - 2-of-3 skipping key 1: an honest `check_multisig` signed by keys 0 and
   2, with the number of OpenSSL verifications each check makes.
+- 200 account auths: a batch of 200 honest account-auth checks, each on
+  its own message, run inline and split with the helper thread
+  (`crypto.split_checks`, on a host with two or more CPUs), with each
+  thread's count of libsodium calls per batch.
 
 Times are medians over the repetitions of a loop of calls; raw wall clock,
 not scaled by a host reference.
@@ -28,7 +32,9 @@ from __future__ import annotations
 import ctypes.util
 import statistics
 import sys
+import threading
 import time
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from itertools import cycle
 from typing import Callable, Iterator
@@ -46,16 +52,21 @@ OTHER = KEY.sign(MSG[::-1])
 IDENTITY = bytes([1]) + bytes(31)
 FRESH = [i.to_bytes(32, "little") for i in range(CALLS + 1)]
 MULTISIG = [crypto.keygen(bytes([60 + i]) * 32) for i in range(3)]
+AUTH_BATCH = 200
+AUTHS = [
+    (KEY.pubkey, msg, KEY.sign(msg))
+    for msg in (crypto.account_signing_message(i.to_bytes(32, "little")) for i in range(AUTH_BATCH))
+]
 
 
-def us_per_call(reps: int, fn: Callable[[], object]) -> float:
+def us_per_call(reps: int, fn: Callable[[], object], calls: int = CALLS) -> float:
     times = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        for _ in range(CALLS):
+        for _ in range(calls):
             fn()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times) * 1e6 / CALLS
+    return statistics.median(times) * 1e6 / calls
 
 
 def openssl_alone() -> bool:
@@ -70,6 +81,23 @@ def without_libsodium() -> Iterator[None]:
         yield
     finally:
         crypto._sodium = real
+
+
+def auth_batch(split: bool) -> None:
+    """One batch of AUTHS, inline or shared with the helper thread."""
+    with crypto.split_checks(lambda: [((pk,), msg, (sig,)) for pk, msg, sig in AUTHS]) if split else nullcontext():
+        if not all(crypto.verify(*auth) for auth in AUTHS):
+            raise SystemExit("account auth: unexpected verdict")
+
+
+@contextmanager
+def counting_libsodium(calls: Counter) -> Iterator[None]:
+    real = crypto._sodium_check
+    crypto._sodium_check = lambda *key: calls.update([threading.current_thread().name]) or real(*key)
+    try:
+        yield
+    finally:
+        crypto._sodium_check = real
 
 
 @contextmanager
@@ -118,6 +146,17 @@ def main() -> int:
             raise SystemExit("2-of-3 multisig: unexpected verdict")
     us = us_per_call(reps, lambda: crypto.check_multisig(2, pks, sigs, MSG))
     print(f"  {'2-of-3 skipping key 1':28s} {us:7.1f} µs, {len(calls)} OpenSSL calls per check")
+
+    if crypto.CPUS < 2 or fast is None:
+        print(f"  {AUTH_BATCH} account auths: split needs libsodium and two CPUs; inline only")
+    for split in (False, True) if crypto.CPUS >= 2 and fast is not None else (False,):
+        threads: Counter = Counter()
+        with counting_libsodium(threads):
+            auth_batch(split)
+        us = us_per_call(reps, lambda: auth_batch(split), 10) / AUTH_BATCH
+        counts = ", ".join(f"{name} {n}" for name, n in sorted(threads.items()))
+        name = f"{AUTH_BATCH} account auths, " + ("split" if split else "inline")
+        print(f"  {name:28s} {us:7.1f} µs per check; libsodium calls: {counts}")
     return 0
 
 

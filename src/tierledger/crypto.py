@@ -7,15 +7,22 @@ returns OpenSSL's bytes. Without it, OpenSSL (through `cryptography`) does
 all three. OpenSSL decides every rejection either way: `check_multisig`
 first matches with libsodium's accepts alone and asks `verify` only when
 that pass fails.
+
+Inside `split_checks`, one helper thread verifies outside the GIL (ctypes
+releases it) from the back of a batch's planned checks.
 """
 
 from __future__ import annotations
 
 import ctypes
 import ctypes.util
+import os
+import queue
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -30,6 +37,8 @@ PUBKEY_BYTES = 32
 SIG_BYTES = 64
 # Order of the Ed25519 base point; a signature's S half must be below it.
 GROUP_ORDER = 2**252 + 27742317777372353535851937790883648493
+# CPUs this process may run on; with one, no helper thread is started.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -134,7 +143,7 @@ def sign(seed: bytes, msg: bytes) -> bytes:
     return sig.raw
 
 
-def _sodium_accepts(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
+def _sodium_check(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
     """True iff libsodium is installed and accepts sig, with the S < L guard.
 
     This accept set is a subset of OpenSSL's: both check the same
@@ -150,6 +159,38 @@ def _sodium_accepts(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
         and int.from_bytes(sig[32:], "little") < GROUP_ORDER
         and fast(sig, msg, len(msg), pubkey) == 0
     )
+
+
+# The running batch's libsodium verdicts by (pubkey, msg, sig), or None
+# outside `split_checks`: a bool, or the lock its claimer holds meanwhile.
+_memo: Optional[dict] = None
+
+
+def _claim(memo: dict, key: tuple[bytes, bytes, bytes], wait: bool) -> object:
+    """key's verdict, computed here unless another thread claimed it first
+    (`setdefault` is the atomic claim): then the memo's bool, or, unless
+    waiting for it, the claimer's lock."""
+    mine = threading.Lock()
+    mine.acquire()
+    while (got := memo.setdefault(key, mine)) is not mine:
+        if isinstance(got, bool) or not wait:
+            return got
+        with got:  # released with the claimer's verdict, or its unclaim
+            pass
+    try:
+        memo[key] = verdict = _sodium_check(*key)
+    except BaseException:
+        del memo[key]
+        raise
+    finally:
+        mine.release()
+    return verdict
+
+
+def _sodium_accepts(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
+    """`_sodium_check`, through the running batch's memo if there is one."""
+    memo = _memo
+    return _sodium_check(pubkey, msg, sig) if memo is None else _claim(memo, (pubkey, msg, sig), True)
 
 
 def verify(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
@@ -216,6 +257,63 @@ def check_multisig(m: int, pubkeys: Sequence[bytes], sigs: Sequence[bytes], msg:
     if len(sigs) > n or len(sigs) < m:
         return False
     return _in_order(_sodium_accepts, pubkeys, sigs, msg) or _in_order(verify, pubkeys, sigs, msg)
+
+
+Check = tuple[Sequence[bytes], bytes, Sequence[bytes]]  # as check_multisig takes them
+_work: "queue.SimpleQueue[Optional[tuple[dict, Sequence[Check]]]]" = queue.SimpleQueue()
+_helper: Optional[threading.Thread] = None
+
+
+def _serve() -> None:
+    """The helper: `check_multisig`'s libsodium pass over each batch's plan
+    from the back, until the batch ends or it meets the caller's claims.
+    None stops it."""
+    while (item := _work.get()) is not None:
+        memo, checks = item
+        met = False
+
+        def accepts(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
+            nonlocal met
+            key = (pubkey, msg, sig)
+            verdict = None if met or _memo is not memo or key in memo else _claim(memo, key, False)
+            met = not isinstance(verdict, bool)
+            return verdict is True
+
+        for pubkeys, msg, sigs in reversed(checks):
+            _in_order(accepts, pubkeys, sigs, msg)
+            if met:
+                break
+        del item, memo, checks, accepts  # the memo must not outlive its batch
+
+
+@contextmanager
+def split_checks(plan: Callable[[], Sequence[Check]]) -> Iterator[None]:
+    """Share the block's libsodium verdicts with the helper, which works on
+    plan() meanwhile; only with libsodium and two CPUs is plan() called."""
+    global _memo, _helper
+    if CPUS < 2 or _sodium_verify() is None:
+        yield
+        return
+    if _helper is None or not _helper.is_alive():
+        _helper = threading.Thread(target=_serve, name="tierledger-verify", daemon=True)
+        _helper.start()
+    checks = plan()
+    _memo = memo = {}
+    _work.put((memo, checks))
+    try:
+        yield
+    finally:
+        _memo = None
+
+
+def quiesce() -> None:
+    """Drop the batch's memo and stop the helper, so that no thread runs
+    across a fork; the next batch starts a new one."""
+    global _memo
+    _memo = None
+    if _helper is not None and _helper.is_alive():
+        _work.put(None)
+        _helper.join()
 
 
 def utxo_signing_message(txid: bytes, input_index: int) -> bytes:

@@ -24,6 +24,7 @@ from .model import (
     HEX,
     INT,
     LEVEL,
+    LOCK_SCRIPT,
     STR,
     U64,
     Call,
@@ -341,6 +342,24 @@ def _transfer(
     return codes.OK
 
 
+def _planned_checks(utxos: Mapping[Outpoint, Output], work: Sequence[tuple]) -> list[crypto.Check]:
+    """The signature checks the batch will probably make, in its order:
+    account auth, and the P2PK and multisig inputs found in the UTXO set.
+    Inputs made earlier in the batch, script locks and endorsements are
+    left to the inline checks. A wrong guess costs the helper one wasted
+    verify, never a verdict."""
+    checks: list[crypto.Check] = []
+    for tx, tx_id, _ in work:
+        if tx.auth is not None and _actor(tx.kind) is not None:
+            checks.append(((tx.auth.pubkey,), crypto.account_signing_message(tx_id), (tx.auth.signature,)))
+        inputs = tx.kind.inputs if isinstance(tx.kind, (UtxoSpend, MoveToAccount)) else ()
+        for i, (op, wit) in enumerate(zip(inputs, tx.witnesses)):
+            out = utxos.get(op)
+            if out is not None and out.lock.kind != LOCK_SCRIPT:
+                checks.append((out.lock.pubkeys or (out.lock.pubkey,), crypto.utxo_signing_message(tx_id, i), wit))
+    return checks
+
+
 def apply_batch(
     state: LedgerState,
     txs: Sequence[Transaction],
@@ -358,7 +377,7 @@ def apply_batch(
     Deploy or Call for the scheduler, or the transfer routine. The buffer
     is flushed before each transfer, so transfer checks see every contract
     effect queued ahead of them; rejections at the gates are emitted at
-    once, before the flush."""
+    once, before the flush. Signature checks are shared with crypto's helper."""
     if epoch < state.epoch:
         raise BatchError(f"batch epoch {epoch} below ledger epoch {state.epoch}")
     state.epoch = epoch
@@ -406,24 +425,24 @@ def apply_batch(
             collect_telemetry.append(telemetry)
         contract_buffer.clear()
 
-    for i, (tx, tx_id, was_pending) in enumerate(work):
-        level = classify_level(tx, state.utxos)
-        actor = _actor(tx.kind)
-        if cfg.max_level < level:
-            status = codes.LEVEL_EXCEEDS_CONFIG
-        elif actor is not None and not _check_account_auth(tx, tx_id, actor):
-            status = codes.BAD_AUTH
-        elif isinstance(tx.kind, (Deploy, Call)):
-            status = _contract_gate(tx, tx_id, epoch, cfg)
-            if status == codes.OK:
-                contract_buffer.append((i, tx, tx_id))
-                continue
-        else:
-            flush_contracts()
-            status = _transfer(state, tx, tx_id, was_pending, epoch, cfg, batch_spent)
-        receipts[i] = Receipt(tx_id, status, 0, level, state_digest(state))
-
-    flush_contracts()
+    with crypto.split_checks(lambda: _planned_checks(state.utxos, work)):
+        for i, (tx, tx_id, was_pending) in enumerate(work):
+            level = classify_level(tx, state.utxos)
+            actor = _actor(tx.kind)
+            if cfg.max_level < level:
+                status = codes.LEVEL_EXCEEDS_CONFIG
+            elif actor is not None and not _check_account_auth(tx, tx_id, actor):
+                status = codes.BAD_AUTH
+            elif isinstance(tx.kind, (Deploy, Call)):
+                status = _contract_gate(tx, tx_id, epoch, cfg)
+                if status == codes.OK:
+                    contract_buffer.append((i, tx, tx_id))
+                    continue
+            else:
+                flush_contracts()
+                status = _transfer(state, tx, tx_id, was_pending, epoch, cfg, batch_spent)
+            receipts[i] = Receipt(tx_id, status, 0, level, state_digest(state))
+        flush_contracts()
 
     final_receipts = [r for r in receipts if r is not None]
     assert len(final_receipts) == len(work)

@@ -70,8 +70,15 @@ class SystemConfig:
             raise ModelError("halving_interval must be >= 1")
         if self.access_mode not in (ACCESS_DECLARED, ACCESS_DYNAMIC):
             raise ModelError(f"unknown access mode {self.access_mode!r}")
-        if len(self.operator_pubkey) != 32:
-            raise ModelError("operator_pubkey must be 32 bytes")
+        for key, values in {
+            "operator_pubkey": (self.operator_pubkey,), "allow_list": self.allow_list or (),
+            "deploy_policy": self.deploy_policy.allowed_pubkeys, "call_policy": self.call_policy.allowed_pubkeys,
+            "intermediary_registry": [entry.pubkey for entry in registry],
+        }.items():
+            if any(len(value) != 32 for value in values):
+                raise ModelError(f"each key or address in {key} must be 32 bytes")
+        if len({entry.name for entry in registry}) < len(registry) or len(self.registry_pubkeys) < len(registry):
+            raise ModelError("intermediary_registry names and pubkeys must each be unique")
         require_u64(self.initial_subsidy, "initial_subsidy")
         require_u64(self.min_fee, "min_fee")
         require_u64(self.min_gas_price, "min_gas_price")

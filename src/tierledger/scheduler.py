@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from . import vm
+from . import crypto, vm
 from .model import AccessDecl, Call, Deploy, Transaction
 from .rules import ACCESS_DECLARED, SystemConfig
 
@@ -34,9 +34,7 @@ from .rules import ACCESS_DECLARED, SystemConfig
 # share of the work.
 PARALLEL_MIN_GAS = 6_144_000
 
-DEFAULT_WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
-)
+DEFAULT_WORKERS = crypto.CPUS
 
 
 @dataclass
@@ -259,6 +257,7 @@ def _run_parallel(
             acct = accounts.contracts.get(addr)
             if acct is not None:
                 vm.compile_code(acct.code)
+    crypto.quiesce()  # no helper thread may run across the fork
     ctx = multiprocessing.get_context("fork")
     nproc = min(workers, len(wave_items))
     try:

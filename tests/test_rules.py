@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import KEYS, make_config, p2pk, signed_spend
-from tierledger import ledger, rules
+from tierledger import cli, ledger, rules
 from tierledger.model import Level, Lock, ModelError, Outpoint, Output, address_of_pubkey, sha256
 from tierledger.permission import PermissionPolicy
 
@@ -159,6 +159,37 @@ def test_a_malformed_registry_entry_is_a_model_error():
     for registry in entries:
         with pytest.raises(ModelError):
             rules.SystemConfig.from_json({"intermediary_registry": registry})
+
+
+def test_genesis_keys_are_32_bytes_and_registry_entries_unique(tmp_path):
+    good = "22" * 32
+    cases = {
+        "allow_list": {"allow_list": ["22"]},
+        "deploy_policy": {"deploy_policy": {"kind": "allow_list", "pubkeys": [""]}},
+        "call_policy": {"call_policy": {"kind": "allow_list", "pubkeys": [good, "33" * 33]}},
+        "intermediary_registry": {"intermediary_registry": [{"name": "a", "pubkey": "11"}]},
+        "names": {"intermediary_registry": [{"name": "a", "pubkey": good}, {"name": "a", "pubkey": "33" * 32}]},
+        "pubkeys": {"intermediary_registry": [{"name": "a", "pubkey": good}, {"name": "b", "pubkey": good}]},
+    }
+    for key, obj in cases.items():
+        with pytest.raises(ModelError, match=key):
+            rules.SystemConfig.from_json(obj)
+    with pytest.raises(ModelError):
+        rules.SystemConfig.from_json({
+            "allow_list": ["22"], "deploy_policy": {"kind": "allow_list", "pubkeys": [""]},
+            "intermediary_registry": [{"name": "a", "pubkey": "11"}, {"name": "a", "pubkey": "11"}],
+        })
+    # init refuses such a genesis, and replay reports it unreadable.
+    genesis = tmp_path / "genesis.json"
+    genesis.write_text(json.dumps(cases["allow_list"]), encoding="utf-8")
+    assert cli.main(["--quiet", "init", str(genesis), str(tmp_path / "log")]) == 2
+    assert ledger.replay_verify(tmp_path) == ledger.ReplayReport(False, "unreadable", batch=-1, field="genesis")
+    # Well-formed keys still decode.
+    cfg = rules.SystemConfig.from_json({
+        "allow_list": [good], "call_policy": {"kind": "allow_list", "pubkeys": [good]},
+        "intermediary_registry": [{"name": "a", "pubkey": good}, {"name": "b", "pubkey": "33" * 32}],
+    })
+    assert cfg.allow_list == frozenset({bytes.fromhex(good)})
 
 
 def test_config_guards():
