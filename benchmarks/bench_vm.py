@@ -6,7 +6,10 @@ Each call runs through vm.invoke against the same pre-state; the diff is
 not applied, so every repetition executes identical work. The short
 contracts run 25 times as many calls per timing as the burn loop. Each
 contract's code is compiled once first (vm.compile_code); the size of its
-generated source and the best of 20 compile times are printed with it.
+generated source and the best of 20 compile times are printed with it, and
+so is the best of five timings of vm.validate_code, which every deploy runs.
+The same is printed for two 4 KiB codes: 455 PUSHIs, the most operand bytes
+per instruction, and 4,096 DUPs, the most instructions.
 
 Usage: python benchmarks/bench_vm.py [iterations]
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+import timeit
 from pathlib import Path
 
 from tierledger import vm
@@ -32,6 +36,10 @@ OPERATOR = b"\x02" * 32
 HOLDERS = [bytes([0x10 + i]) * 32 for i in range(4)]  # three balances and a payee
 SELLER = b"\x20" * 32
 ASK = 7
+WORST_CODES = {
+    "4k-pushi": (bytes([vm.OP_PUSHI]) + bytes(8)) * 455,
+    "4k-dup": bytes([vm.OP_DUP]) * 4096,
+}
 
 
 def fixture_code(name: str) -> str:
@@ -88,6 +96,17 @@ def compile_cost(code: bytes) -> tuple[int, float]:
     return len(vm.generate_source(vm.decode(code))), best
 
 
+def validate_us(code: bytes) -> float:
+    """Best of five: µs per vm.validate_code(code), over about 20 ms each."""
+    number = max(1, 20_000 // len(code))
+    return 1e6 * min(timeit.repeat(lambda: vm.validate_code(code), number=number, repeat=5)) / number
+
+
+def print_validate(name: str, code: bytes) -> None:
+    assert vm.validate_code(code)
+    print(f"{name:8s} validate {len(code):6d} code bytes  {validate_us(code):8.2f} us")
+
+
 def main() -> int:
     iterations = int(sys.argv[1]) if len(sys.argv) > 1 else 200
     acc, addrs = setup()
@@ -106,7 +125,9 @@ def main() -> int:
             balances_written=frozenset({SELLER}), storage_read=dex_slot, storage_written=dex_slot)),
     }
     for name, (arg, attached, consts, access) in calls.items():
-        source_bytes, seconds = compile_cost(acc.contracts[addrs[name]].code)
+        code = acc.contracts[addrs[name]].code
+        print_validate(name, code)
+        source_bytes, seconds = compile_cost(code)
         print(f"{name:8s} compile  {source_bytes:6d} source bytes  {seconds * 1e6:8.0f} us")
         tx = Transaction(Call(addrs[name], arg, attached, CALLER, 100_000, 0, access, consts), nonce=nonce)
         n = iterations if name == "burn" else iterations * SHORT_REPEAT
@@ -117,6 +138,8 @@ def main() -> int:
                 f"{name:8s} {mode:8s} {gas:6d} gas/call  {n / seconds:10.0f} calls/s  "
                 f"{gas * n / seconds / 1e6:6.2f} Mgas/s"
             )
+    for name, code in WORST_CODES.items():
+        print_validate(name, code)
     return 0
 
 

@@ -259,7 +259,7 @@ def check_multisig(m: int, pubkeys: Sequence[bytes], sigs: Sequence[bytes], msg:
     return _in_order(_sodium_accepts, pubkeys, sigs, msg) or _in_order(verify, pubkeys, sigs, msg)
 
 
-Check = tuple[Sequence[bytes], bytes, Sequence[bytes]]  # as check_multisig takes them
+Check = tuple[Sequence[bytes], bytes, Sequence[bytes]]  # (pubkeys, msg, sigs)
 _work: "queue.SimpleQueue[Optional[tuple[dict, Sequence[Check]]]]" = queue.SimpleQueue()
 _helper: Optional[threading.Thread] = None
 
@@ -307,13 +307,17 @@ def split_checks(plan: Callable[[], Sequence[Check]]) -> Iterator[None]:
 
 
 def quiesce() -> None:
-    """Drop the batch's memo and stop the helper, so that no thread runs
-    across a fork; the next batch starts a new one."""
+    """Drop the batch's memo and stop the helper. It runs before every fork,
+    so no thread runs across one; the next batch starts a new helper."""
     global _memo
     _memo = None
     if _helper is not None and _helper.is_alive():
         _work.put(None)
         _helper.join()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=quiesce)
 
 
 def utxo_signing_message(txid: bytes, input_index: int) -> bytes:

@@ -15,7 +15,7 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import AbstractSet, ClassVar, Mapping, Optional, Sequence, Union
+from typing import AbstractSet, Mapping, Optional, Sequence, Union
 
 from . import codes, crypto, permission, rules, scheduler, utxo, vm
 from .lthash import LtHash
@@ -113,8 +113,6 @@ class BatchHeader:
     post_state_digest: bytes
     config_hash: bytes
 
-    FIELDS: ClassVar[tuple[str, ...]]  # the JSON keys, from HEADER_JSON
-
     def hash(self) -> bytes:
         return sha256(_HEADER.pack(
             self.batch_number, self.epoch, 32, self.prev_hash, 32, self.txs_hash,
@@ -135,7 +133,6 @@ HEADER_JSON = JsonTable(
     JsonRow("epoch", INT),
     *(JsonRow(key, HEX) for key in ("prev_hash", "txs_hash", "receipts_hash", "post_state_digest", "config_hash")),
 )
-BatchHeader.FIELDS = tuple(row.key for row in HEADER_JSON.rows)
 
 
 def utxo_entry(op: Outpoint, out: Output) -> bytes:
@@ -293,7 +290,6 @@ def _transfer(
     state: LedgerState,
     tx: Transaction,
     tx_id: bytes,
-    was_pending: bool,
     epoch: int,
     cfg: rules.SystemConfig,
     batch_spent: set[Outpoint],
@@ -304,7 +300,7 @@ def _transfer(
     writes nothing."""
     k = tx.kind
     accounts = state.accounts
-    if isinstance(k, UtxoSpend) and not was_pending and tx.not_before is not None and tx.not_before > epoch:
+    if isinstance(k, UtxoSpend) and tx.not_before is not None and tx.not_before > epoch:
         # Pool admission: the transaction must be valid except for its
         # not-yet-reached lower window bound. Its inputs are checked
         # against the current set only, not batch_spent: an input spent
@@ -349,7 +345,7 @@ def _planned_checks(utxos: Mapping[Outpoint, Output], work: Sequence[tuple]) -> 
     left to the inline checks. A wrong guess costs the helper one wasted
     verify, never a verdict."""
     checks: list[crypto.Check] = []
-    for tx, tx_id, _ in work:
+    for tx, tx_id in work:
         if tx.auth is not None and _actor(tx.kind) is not None:
             checks.append(((tx.auth.pubkey,), crypto.account_signing_message(tx_id), (tx.auth.signature,)))
         inputs = tx.kind.inputs if isinstance(tx.kind, (UtxoSpend, MoveToAccount)) else ()
@@ -394,11 +390,9 @@ def apply_batch(
         state.put_utxos(cb.txid, (Output(sub, Lock.pay_to_pubkey(cfg.operator_pubkey)),))
         state.issued += sub
 
-    # 3. Matured pending transactions run ahead of new submissions.
-    work: list[tuple[Transaction, bytes, bool]] = [
-        (e.tx, e.tx_id, True) for e in state.pool.drain(epoch)
-    ]
-    work += [(tx, compute_txid(tx), False) for tx in txs]
+    # 3. Matured pending transactions (never pooled again) run ahead of new submissions.
+    work: list[tuple[Transaction, bytes]] = [(e.tx, e.tx_id) for e in state.pool.drain(epoch)]
+    work += [(tx, compute_txid(tx)) for tx in txs]
 
     receipts: list[Optional[Receipt]] = [None] * len(work)
     batch_spent: set[Outpoint] = set()
@@ -426,7 +420,7 @@ def apply_batch(
         contract_buffer.clear()
 
     with crypto.split_checks(lambda: _planned_checks(state.utxos, work)):
-        for i, (tx, tx_id, was_pending) in enumerate(work):
+        for i, (tx, tx_id) in enumerate(work):
             level = classify_level(tx, state.utxos)
             actor = _actor(tx.kind)
             if cfg.max_level < level:
@@ -440,14 +434,13 @@ def apply_batch(
                     continue
             else:
                 flush_contracts()
-                status = _transfer(state, tx, tx_id, was_pending, epoch, cfg, batch_spent)
+                status = _transfer(state, tx, tx_id, epoch, cfg, batch_spent)
             receipts[i] = Receipt(tx_id, status, 0, level, state_digest(state))
         flush_contracts()
 
-    final_receipts = [r for r in receipts if r is not None]
-    assert len(final_receipts) == len(work)
+    assert None not in receipts
     txs_hash = sha256(b"".join(sha256(full_serialize(tx)) for tx in txs))
-    receipts_hash = sha256(b"".join(r.hash() for r in final_receipts))
+    receipts_hash = sha256(b"".join(r.hash() for r in receipts))
     header = BatchHeader(
         batch_number=state.batch_number,
         epoch=epoch,
@@ -459,7 +452,7 @@ def apply_batch(
     )
     state.prev_header_hash = header.hash()
     state.batch_number += 1
-    return final_receipts, header
+    return receipts, header
 
 
 # ---------------------------------------------------------------------------
@@ -610,13 +603,13 @@ def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
             return ReplayReport(
                 False, "divergence", batch=i, field="epoch", expected="monotone", found=str(exc)
             )
-        for fname in BatchHeader.FIELDS:
-            want = getattr(header, fname)
-            got = getattr(stored_header, fname)
+        for row in HEADER_JSON.rows:
+            want = getattr(header, row.key)
+            got = getattr(stored_header, row.key)
             if want != got:
                 as_str = lambda v: v.hex() if isinstance(v, bytes) else str(v)
                 return ReplayReport(
-                    False, "divergence", batch=i, field=fname,
+                    False, "divergence", batch=i, field=row.key,
                     expected=as_str(want), found=as_str(got),
                 )
         if len(receipts) != len(stored_receipts):

@@ -155,9 +155,9 @@ class Runner:
 
     # -- wallet ----------------------------------------------------------
 
-    def spendable(self, name: str) -> list[tuple[Outpoint, Output]]:
-        """The named key's single-signature coins, excluding anything a
-        queued transaction already spends, largest first."""
+    def select_coins(self, name: str, target: int) -> tuple[list[Outpoint], int]:
+        """(outpoints, sum) of the named key's unqueued single-signature coins,
+        largest first, through the first one that brings the sum to target."""
         pk = self.key(name).pubkey
         coins = [
             (op, out)
@@ -167,7 +167,14 @@ class Runner:
             and out.lock.pubkey == pk
         ]
         coins.sort(key=lambda c: (-c[1].amount, c[0].serialize()))
-        return coins
+        picked: list[Outpoint] = []
+        have = 0
+        for op, out in coins:
+            picked.append(op)
+            have += out.amount
+            if have >= target:
+                break
+        return picked, have
 
     def wallet_pay(
         self,
@@ -183,20 +190,14 @@ class Runner:
         if fee is None:
             fee = self.cfg.min_fee
         target = sum(o.amount for o in outputs) + fee
-        picked: list[tuple[Outpoint, Output]] = []
-        have = 0
-        for op, out in self.spendable(payer):
-            picked.append((op, out))
-            have += out.amount
-            if have >= target:
-                break
+        picked, have = self.select_coins(payer, target)
         if have < target:
             raise ScenarioError(f"{payer!r} cannot fund {target} (has {have} spendable)")
         outs = list(outputs)
         change = have - target
         if change > 0:
             outs.append(Output(change, Lock.pay_to_pubkey(kp.pubkey)))
-        spend = UtxoSpend(tuple(op for op, _ in picked), tuple(outs))
+        spend = UtxoSpend(tuple(picked), tuple(outs))
         return self._signed(Transaction(spend, not_before=not_before, not_after=not_after), kp)
 
     @staticmethod
@@ -259,13 +260,7 @@ class Runner:
                 # No change output exists on a move: inputs minus the moved
                 # amount is all fee, so coin selection must land exactly.
                 needed = amount + get("fee", int, self.cfg.min_fee)
-                inputs = []
-                have = 0
-                for op, out in self.spendable(payer):
-                    inputs.append(op)
-                    have += out.amount
-                    if have >= needed:
-                        break
+                inputs, have = self.select_coins(payer, needed)
                 if have != needed:
                     raise ScenarioError(
                         f"move_to_account needs coins summing exactly to {needed}; give explicit inputs"
@@ -326,15 +321,12 @@ class Runner:
     def advance(self, epochs: int) -> None:
         for _ in range(epochs):
             epoch = self.state.epoch + 1
-            batch = list(self.queued)
-            self.queued.clear()
             for rule in self.rules_:
                 if epoch % rule.every == 0:
                     out = Output(rule.amount, Lock.pay_to_pubkey(self.key(rule.payee).pubkey))
-                    tx = self.wallet_pay(rule.payer, [out], rule.fee)
-                    assert isinstance(tx.kind, UtxoSpend)
-                    self.reserved.update(tx.kind.inputs)
-                    batch.append(tx)
+                    self.submit(self.wallet_pay(rule.payer, [out], rule.fee), None)
+            batch = list(self.queued)
+            self.queued.clear()
             receipts, header = ledger.apply_batch(
                 self.state, batch, epoch, self.cfg, workers=self.workers
             )

@@ -257,7 +257,6 @@ def _run_parallel(
             acct = accounts.contracts.get(addr)
             if acct is not None:
                 vm.compile_code(acct.code)
-    crypto.quiesce()  # no helper thread may run across the fork
     ctx = multiprocessing.get_context("fork")
     nproc = min(workers, len(wave_items))
     try:

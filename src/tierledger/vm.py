@@ -10,9 +10,10 @@ CALLER/SELF opcodes. All arithmetic is checked; faults revert.
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from . import lthash as _lthash
 from .model import (
@@ -283,27 +284,55 @@ class StateDiff:
 # Code validation, assembler, disassembler
 
 
-def validate_code(code: bytes) -> bool:
-    """Well-formed: known opcodes, complete operands, jump targets landing
-    on instruction starts."""
-    if len(code) == 0 or len(code) > MAX_CONTRACT_CODE_BYTES:
-        return False
-    starts: set[int] = set()
-    targets: list[int] = []
-    pc = 0
-    n = len(code)
-    while pc < n:
-        starts.add(pc)
+# Per opcode byte: instruction size (None: unknown opcode), gas, operand reader.
+_SIZE = tuple(1 + _OPERAND_WIDTH.get(op, 0) if op in MNEMONICS else None for op in range(256))
+_GAS = tuple(_GAS_TABLE.get(op, 1) for op in range(256))
+_READ = {op: struct.Struct("<" + {1: "B", 2: "H", 8: "Q"}[w]).unpack_from for op, w in _OPERAND_WIDTH.items()}
+
+
+def _instructions(code: bytes) -> Iterator[tuple[int, int, int, int]]:
+    """The one walk over bytecode: (pc, opcode, immediate, next pc) for each
+    instruction from offset 0. The immediate is the u64 of PUSHI, the table
+    index of PUSHA, the target of JUMP/JUMPI and 0 otherwise. Raises
+    ModelError on an unknown opcode or a truncated operand."""
+    pc, end = 0, len(code)
+    while pc < end:
         op = code[pc]
-        if op not in MNEMONICS:
-            return False
-        width = _OPERAND_WIDTH.get(op, 0)
-        if pc + 1 + width > n:
-            return False
-        if op in (OP_JUMP, OP_JUMPI):
-            targets.append(int.from_bytes(code[pc + 1 : pc + 3], "little"))
-        pc += 1 + width
-    return all(t in starts for t in targets)
+        size = _SIZE[op]
+        if size is None:
+            raise ModelError(f"unknown opcode 0x{op:02x} at {pc}")
+        nxt = pc + size
+        if nxt > end:
+            raise ModelError(f"truncated {MNEMONICS[op]} operand at {pc}")
+        yield pc, op, _READ[op](code, pc + 1)[0] if size > 1 else 0, nxt
+        pc = nxt
+
+
+def decode(code: bytes) -> Optional[tuple[Optional[tuple], ...]]:
+    """The decoded program of well-formed code, None for any other code: for
+    each instruction start, (opcode, immediate, next pc, gas); offsets inside
+    an operand hold None. Well formed: 1 to MAX_CONTRACT_CODE_BYTES bytes,
+    known opcodes, complete operands, jump targets on instruction starts."""
+    if not 0 < len(code) <= MAX_CONTRACT_CODE_BYTES:
+        return None
+    prog: list[Optional[tuple]] = [None] * len(code)
+    targets = []
+    gas, jumps = _GAS, (OP_JUMP, OP_JUMPI)  # locals: this loop bounds deploy time
+    try:
+        for pc, op, imm, nxt in _instructions(code):
+            prog[pc] = (op, imm, nxt, gas[op])
+            if op in jumps:
+                targets.append(imm)
+    except ModelError:
+        return None
+    if not all(t < len(prog) and prog[t] is not None for t in targets):
+        return None
+    return tuple(prog)
+
+
+def validate_code(code: bytes) -> bool:
+    """Well formed, as decode defines it."""
+    return decode(code) is not None
 
 
 def assemble(text: str) -> bytes:
@@ -358,21 +387,9 @@ def assemble(text: str) -> bytes:
 
 
 def disassemble(code: bytes) -> str:
-    parts = []
-    pc = 0
-    while pc < len(code):
-        op = code[pc]
-        name = MNEMONICS.get(op)
-        if name is None:
-            raise ModelError(f"unknown opcode 0x{op:02x} at {pc}")
-        width = _OPERAND_WIDTH.get(op, 0)
-        if width:
-            operand = int.from_bytes(code[pc + 1 : pc + 1 + width], "little")
-            parts.append(f"{name} {operand}")
-        else:
-            parts.append(name)
-        pc += 1 + width
-    return " ".join(parts)
+    return " ".join(
+        f"{MNEMONICS[op]} {imm}" if op in _OPERAND_WIDTH else MNEMONICS[op] for _, op, imm, _ in _instructions(code)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -466,21 +483,6 @@ class _Checker:
     def call(self, addr: bytes) -> None:
         if addr not in self.fp.callees:
             raise AccessViolationError(f"undeclared call to {addr.hex()[:16]}")
-
-
-def decode(code: bytes) -> tuple[Optional[tuple], ...]:
-    """Pre-decode validated code: for each instruction start, (opcode,
-    immediate, next pc, gas). The immediate is the u64 of PUSHI, the table
-    index of PUSHA, the target of JUMP/JUMPI and 0 otherwise. Offsets inside
-    an operand hold None; validate_code keeps jump targets off them."""
-    prog: list[Optional[tuple]] = [None] * len(code)
-    pc = 0
-    while pc < len(code):
-        op = code[pc]
-        nxt = pc + 1 + _OPERAND_WIDTH.get(op, 0)
-        prog[pc] = (op, int.from_bytes(code[pc + 1 : nxt], "little"), nxt, _GAS_TABLE.get(op, 1))
-        pc = nxt
-    return tuple(prog)
 
 
 # Stack words are plain values: an int is an Int, bytes are an Addr.
@@ -1198,7 +1200,7 @@ class _Machine:
                         if (a.__class__ is int) != (b.__class__ is int):
                             raise _Fault("type error: EQ on mixed tags")
                         stack[-1] = int(a == b)
-                    else:  # pragma: no cover - validate_code rejects unknown opcodes
+                    else:  # pragma: no cover - decode rejects unknown opcodes
                         raise _Fault(f"unknown opcode 0x{op:02x}")
             return None
         finally:

@@ -31,6 +31,7 @@ from tierledger.model import (
     LOCK_PUBKEY,
     LOCK_SCRIPT,
     U64_MAX,
+    MAX_CONTRACT_CODE_BYTES,
     AccessDecl,
     Call,
     Deploy,
@@ -51,6 +52,7 @@ from tierledger.model import (
 from tierledger.vm import (
     MAX_CALL_DEPTH,
     MAX_FRAME_STACK,
+    MNEMONICS,
     OP_ADD,
     OP_ARG,
     OP_BALANCE,
@@ -994,6 +996,48 @@ def tagged_invoke(
         STATUS_COMMITTED, gas_used=gas_used, ret=ret, events=tuple(machine.events)
     )
     return _finish(accounts, caller, operator, k.gas_price, outcome, machine.balances, machine.storage)
+
+
+# ---------------------------------------------------------------------------
+# Contract code: the validator and the decoder that preceded the one
+# bytecode walk in tierledger.vm, each with its own loop. ref_decode is only
+# defined on code ref_validate_code accepts.
+
+
+def ref_validate_code(code: bytes) -> bool:
+    """Well-formed: known opcodes, complete operands, jump targets landing
+    on instruction starts."""
+    if len(code) == 0 or len(code) > MAX_CONTRACT_CODE_BYTES:
+        return False
+    starts: set[int] = set()
+    targets: list[int] = []
+    pc = 0
+    n = len(code)
+    while pc < n:
+        starts.add(pc)
+        op = code[pc]
+        if op not in MNEMONICS:
+            return False
+        width = _OPERAND_WIDTH.get(op, 0)
+        if pc + 1 + width > n:
+            return False
+        if op in (OP_JUMP, OP_JUMPI):
+            targets.append(int.from_bytes(code[pc + 1 : pc + 3], "little"))
+        pc += 1 + width
+    return all(t in starts for t in targets)
+
+
+def ref_decode(code: bytes) -> tuple[Optional[tuple], ...]:
+    """For each instruction start, (opcode, immediate, next pc, gas); None
+    at offsets inside an operand."""
+    prog: list[Optional[tuple]] = [None] * len(code)
+    pc = 0
+    while pc < len(code):
+        op = code[pc]
+        nxt = pc + 1 + _OPERAND_WIDTH.get(op, 0)
+        prog[pc] = (op, int.from_bytes(code[pc + 1 : nxt], "little"), nxt, _GAS_TABLE.get(op, 1))
+        pc = nxt
+    return tuple(prog)
 
 
 # ---------------------------------------------------------------------------

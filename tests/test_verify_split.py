@@ -131,7 +131,7 @@ def test_helper_on_and_off_give_identical_receipts_and_headers(monkeypatch):
 def test_each_triple_reaches_libsodium_once_across_both_threads(monkeypatch):
     monkeypatch.setattr(crypto, "CPUS", 2)
     state, cfg, txs, _ = mixed_batch()
-    planned = ledger._planned_checks(state.utxos, [(tx, txid(tx), False) for tx in txs])
+    planned = ledger._planned_checks(state.utxos, [(tx, txid(tx)) for tx in txs])
     keys = helper_pass(planned)
     calls = count_libsodium(monkeypatch)
     with crypto.split_checks(lambda: planned):
