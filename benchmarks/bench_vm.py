@@ -4,22 +4,34 @@ and in declared mode (runtime access checks on).
 
 Each call runs through vm.invoke against the same pre-state; the diff is
 not applied, so every repetition executes identical work. The short
-contracts run 25 times as many calls per timing as the burn loop. Each
-contract's code is compiled once first (vm.compile_code); the size of its
-generated source and the best of 20 compile times are printed with it, and
-so is the best of five timings of vm.validate_code, which every deploy runs.
-The same is printed for two 4 KiB codes: 455 PUSHIs, the most operand bytes
-per instruction, and 4,096 DUPs, the most instructions.
+contracts run 25 times as many calls per timing as the burn loop. The size
+of each contract's generated source and the best of 20 compile times
+(vm.compile_code) are printed with it.
+
+Then, each the best of five runs but the last, which runs once:
+- cold: with the compile cache cleared, µs for vm.deploy, for the first
+  call to the deployed code, and for the two together, on the four
+  contracts and three 4 KiB codes: 455 PUSHIs (the most operand bytes per
+  instruction), 4,096 DUPs (the most instructions) and 1,021 two-op
+  blocks between two HALTs (the most blocks);
+- nested calls: ns per gas of a loop that stores a slot and calls a HALT
+  contract each pass, at 1,000 and 16,000 passes;
+- cycling: operator µs per call, and per unit of gas used, of calls with
+  gas_limit 100 that cycle through 65 distinct 4 KiB block codes, one more
+  than the compile cache holds;
+- SSTORE commit: µs and resident bytes per new slot for StateDiff.apply of
+  one call that stores 100,000 slots (18 gas each).
 
 Usage: python benchmarks/bench_vm.py [iterations]
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import sys
 import time
-import timeit
 from pathlib import Path
 
 from tierledger import vm
@@ -36,9 +48,24 @@ OPERATOR = b"\x02" * 32
 HOLDERS = [bytes([0x10 + i]) * 32 for i in range(4)]  # three balances and a payee
 SELLER = b"\x20" * 32
 ASK = 7
+NESTED_ASM = ("ARG loop: DUP NOT JUMPI end DUP DUP SSTORE PUSHI 0 PUSHA 0 CALL DROP DROP "
+              "PUSHI 1 SUB JUMP loop end: HALT")
+STORE_ASM = "ARG loop: DUP NOT JUMPI end DUP DUP SSTORE PUSHI 1 SUB JUMP loop end: HALT"
+STORE_SLOTS = 100_000
+CYCLE_CODES = 65
+
+
+def short_blocks(tag: int) -> bytes:
+    """HALT, PUSHI tag, 1,021 blocks of `DUP JUMPI <next block>`, HALT:
+    4,095 bytes, and the slowest compile of the block shapes tried."""
+    blocks = " ".join(f"b{i}: DUP JUMPI b{i + 1}" for i in range(1021))
+    return vm.assemble(f"HALT PUSHI {tag} {blocks} b1021: HALT")
+
+
 WORST_CODES = {
     "4k-pushi": (bytes([vm.OP_PUSHI]) + bytes(8)) * 455,
     "4k-dup": bytes([vm.OP_DUP]) * 4096,
+    "4k-block": short_blocks(0),
 }
 
 
@@ -47,6 +74,18 @@ def fixture_code(name: str) -> str:
     path = Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.json"
     steps = json.loads(path.read_text(encoding="utf-8"))["steps"]
     return next(s["tx"]["code"] for s in steps if s.get("tx", {}).get("kind") == "deploy")
+
+
+def deploy_tx(acc: vm.Accounts, code: bytes) -> Transaction:
+    return Transaction(Deploy(code, 0, CALLER, 10_000, 0), nonce=acc.nonces.get(CALLER, 0))
+
+
+def deployed(acc: vm.Accounts, code: bytes) -> bytes:
+    tx = deploy_tx(acc, code)
+    diff = vm.deploy(acc, tx, txid(tx), OPERATOR)
+    assert diff.outcome.committed, diff.outcome
+    diff.apply(acc, OPERATOR)
+    return txid(tx)
 
 
 def setup() -> tuple[vm.Accounts, dict[str, bytes]]:
@@ -60,13 +99,7 @@ def setup() -> tuple[vm.Accounts, dict[str, bytes]]:
         "average": fixture_code("average_balance_contract"),
         "dex": fixture_code("dex_order_matching"),
     }
-    addrs = {}
-    for nonce, (name, asm) in enumerate(programs.items()):
-        tx = Transaction(Deploy(vm.assemble(asm), 0, CALLER, 10_000, 0), nonce=nonce)
-        diff = vm.deploy(acc, tx, txid(tx), OPERATOR)
-        assert diff.outcome.committed, diff.outcome
-        diff.apply(acc, OPERATOR)
-        addrs[name] = txid(tx)
+    addrs = {name: deployed(acc, vm.assemble(asm)) for name, asm in programs.items()}
     acc.set_balance(addrs["average"], 100)  # pays 5 to the payee per call
     acc.set_slot(addrs["dex"], 0, ASK)  # an open ask that each call fills
     return acc, addrs
@@ -96,15 +129,69 @@ def compile_cost(code: bytes) -> tuple[int, float]:
     return len(vm.generate_source(vm.decode(code))), best
 
 
-def validate_us(code: bytes) -> float:
-    """Best of five: µs per vm.validate_code(code), over about 20 ms each."""
-    number = max(1, 20_000 // len(code))
-    return 1e6 * min(timeit.repeat(lambda: vm.validate_code(code), number=number, repeat=5)) / number
+def print_cold(name: str, acc: vm.Accounts, call: Transaction) -> None:
+    """Best of five, each from a cleared compile cache: µs for a deploy of
+    the called code, for the call, and for the two together."""
+    code = acc.contracts[call.kind.contract].code
+    deploy = deploy_tx(acc, code)
+    best = [float("inf")] * 3
+    for _ in range(5):
+        vm.compile_code.cache_clear()
+        t0 = time.perf_counter()
+        assert vm.deploy(acc, deploy, txid(deploy), OPERATOR).outcome.committed
+        t1 = time.perf_counter()
+        vm.invoke(acc, call, txid(call), 1, OPERATOR, False)
+        t2 = time.perf_counter()
+        best = [min(b, t) for b, t in zip(best, (t1 - t0, t2 - t1, t2 - t0))]
+    print(f"{name:8s} cold     {len(code):6d} code bytes  deploy {best[0] * 1e6:8.0f} us  "
+          f"first call {best[1] * 1e6:8.0f} us  both {best[2] * 1e6:8.0f} us")
 
 
-def print_validate(name: str, code: bytes) -> None:
-    assert vm.validate_code(code)
-    print(f"{name:8s} validate {len(code):6d} code bytes  {validate_us(code):8.2f} us")
+def print_nested(acc: vm.Accounts) -> None:
+    callee = deployed(acc, vm.assemble("HALT"))
+    caller = deployed(acc, vm.assemble(NESTED_ASM))
+    for passes in (1_000, 16_000):
+        tx = Transaction(Call(caller, passes, 0, CALLER, 2**24, 0, None, (callee,)), nonce=acc.nonces[CALLER])
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            diff = vm.invoke(acc, tx, txid(tx), 1, OPERATOR, False)
+            best = min(best, time.perf_counter() - t0)
+        assert diff.outcome.committed, diff.outcome
+        print(f"nested   {passes:6d} passes {diff.outcome.gas_used:9d} gas  {best * 1e3:8.1f} ms  "
+              f"{best * 1e9 / diff.outcome.gas_used:6.0f} ns/gas")
+
+
+def print_cycling(acc: vm.Accounts) -> None:
+    contracts = [deployed(acc, short_blocks(tag)) for tag in range(1, CYCLE_CODES + 1)]
+    txs = [Transaction(Call(c, 0, 0, CALLER, 100, 0), nonce=acc.nonces[CALLER]) for c in contracts]
+    best, gas = float("inf"), 0
+    for _ in range(5):
+        t0 = time.perf_counter()
+        gas = sum(vm.invoke(acc, tx, txid(tx), 1, OPERATOR, False).outcome.gas_used for tx in txs)
+        best = min(best, time.perf_counter() - t0)
+    print(f"cycling  {CYCLE_CODES:6d} codes  gas_limit 100  {best * 1e6 / len(txs):8.0f} us/call  "
+          f"{best * 1e6 / gas:8.0f} us/gas")
+
+
+def resident_bytes() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+def print_sstore_commit(acc: vm.Accounts) -> None:
+    contract = deployed(acc, vm.assemble(STORE_ASM))
+    tx = Transaction(Call(contract, STORE_SLOTS, 0, CALLER, 2**24, 0), nonce=acc.nonces[CALLER])
+    diff = vm.invoke(acc, tx, txid(tx), 1, OPERATOR, False)
+    assert diff.outcome.committed and len(diff.storage_new) == STORE_SLOTS, diff.outcome
+    gc.collect()
+    rss, t0 = resident_bytes(), time.perf_counter()
+    diff.apply(acc, OPERATOR)
+    seconds = time.perf_counter() - t0
+    gc.collect()
+    grown = resident_bytes() - rss
+    print(f"sstore   {STORE_SLOTS:6d} slots {diff.outcome.gas_used // STORE_SLOTS:4d} gas/slot  "
+          f"commit {seconds * 1e6 / STORE_SLOTS:6.1f} us/slot  {grown / STORE_SLOTS:8.0f} B/slot")
 
 
 def main() -> int:
@@ -124,12 +211,11 @@ def main() -> int:
         "dex": (0, 10, (SELLER,), AccessDecl(
             balances_written=frozenset({SELLER}), storage_read=dex_slot, storage_written=dex_slot)),
     }
-    for name, (arg, attached, consts, access) in calls.items():
-        code = acc.contracts[addrs[name]].code
-        print_validate(name, code)
-        source_bytes, seconds = compile_cost(code)
+    txs = {name: Transaction(Call(addrs[name], arg, attached, CALLER, 100_000, 0, access, consts), nonce=nonce)
+           for name, (arg, attached, consts, access) in calls.items()}
+    for name, tx in txs.items():
+        source_bytes, seconds = compile_cost(acc.contracts[addrs[name]].code)
         print(f"{name:8s} compile  {source_bytes:6d} source bytes  {seconds * 1e6:8.0f} us")
-        tx = Transaction(Call(addrs[name], arg, attached, CALLER, 100_000, 0, access, consts), nonce=nonce)
         n = iterations if name == "burn" else iterations * SHORT_REPEAT
         for declared in (False, True):
             seconds, gas = bench(acc, tx, declared, n)
@@ -138,8 +224,14 @@ def main() -> int:
                 f"{name:8s} {mode:8s} {gas:6d} gas/call  {n / seconds:10.0f} calls/s  "
                 f"{gas * n / seconds / 1e6:6.2f} Mgas/s"
             )
+    for name, tx in txs.items():
+        print_cold(name, acc, tx)
     for name, code in WORST_CODES.items():
-        print_validate(name, code)
+        contract = deployed(acc, code)
+        print_cold(name, acc, Transaction(Call(contract, 0, 0, CALLER, 100, 0), nonce=acc.nonces[CALLER]))
+    print_nested(acc)
+    print_cycling(acc)
+    print_sstore_commit(acc)
     return 0
 
 

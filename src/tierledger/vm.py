@@ -13,7 +13,7 @@ import functools
 import struct
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from . import lthash as _lthash
 from .model import (
@@ -26,6 +26,7 @@ from .model import (
     U64_MAX,
     checked_add,
     checked_sub,
+    sha256,
 )
 
 # Opcodes. Operand widths: PUSHI carries a u64 LE immediate, PUSHA a one-byte
@@ -136,8 +137,6 @@ class ContractAccount:
     footprint: Optional[AccessDecl] = None
 
     def code_hash(self) -> bytes:
-        from .model import sha256
-
         return sha256(self.code)
 
 
@@ -317,7 +316,7 @@ def decode(code: bytes) -> Optional[tuple[Optional[tuple], ...]]:
         return None
     prog: list[Optional[tuple]] = [None] * len(code)
     targets = []
-    gas, jumps = _GAS, (OP_JUMP, OP_JUMPI)  # locals: this loop bounds deploy time
+    gas, jumps = _GAS, (OP_JUMP, OP_JUMPI)  # locals: every deploy's compile runs this loop
     try:
         for pc, op, imm, nxt in _instructions(code):
             prog[pc] = (op, imm, nxt, gas[op])
@@ -961,12 +960,16 @@ def _source(p: _Program) -> str:
 # So 64 entries bound the cache near 38 MiB. On a shared 2-vCPU x86-64
 # host a miss costs 0.2-1.4 ms for the burn, counter, average and DEX
 # contracts, and up to about 40 ms (under 6 MiB peak) for the worst 4 KiB
-# codes tried: 1,000-line sources of many short blocks or loops.
+# codes tried: 1,000-line sources of many short blocks or loops. deploy
+# compiles, so a miss is paid there, or by the first call after an eviction.
 @functools.lru_cache(maxsize=64)
 def compile_code(code: bytes) -> tuple[tuple, Callable]:
-    """(decoded program, compiled function) of validated code, built once
-    per distinct code."""
-    program = _Program(decode(code))
+    """(decoded program, compiled function) of well-formed code, built once
+    per distinct code; ModelError, never a cache entry, for any other code."""
+    prog = decode(code)
+    if prog is None:
+        raise ModelError("code failed validation")
+    program = _Program(prog)
     namespace = {"runs": program.runs}
     exec(_source(program), namespace)
     return program.prog, namespace["run"]
@@ -983,7 +986,10 @@ def _pop(stack: list, want_int: bool):
 
 class _Machine:
     """One transaction's execution: a journal of balance/storage writes over
-    an immutable pre-state, a global gas counter, and nested call frames."""
+    an immutable pre-state, a global gas counter, and nested call frames.
+    Every journal write also appends (journal, key, old value or None) to
+    one undo list, so a call's rollback point is a pair of lengths, undo and
+    events, and a reverted call pops its own writes back off."""
 
     def __init__(
         self,
@@ -1001,6 +1007,7 @@ class _Machine:
         self.balances: dict[bytes, int] = {}
         self.storage: dict[tuple[bytes, int], int] = {}
         self.events: list[tuple[bytes, int, int]] = []
+        self.undo: list[tuple[dict, object, Optional[int]]] = []
 
     # journaled state access ------------------------------------------------
 
@@ -1015,20 +1022,29 @@ class _Machine:
         have = self.balance(src)
         if have < amount:
             raise _Fault(f"insufficient balance: {have} < {amount}")
-        self.balances[src] = have - amount
-        self.balances[dst] = checked_add(self.balance(dst), amount)
+        self.write(self.balances, src, have - amount)
+        self.write(self.balances, dst, checked_add(self.balance(dst), amount))
 
     def sload(self, addr: bytes, key: int) -> int:
         if (addr, key) in self.storage:
             return self.storage[(addr, key)]
         return self.base.storage_get(addr, key)
 
-    def snapshot(self) -> tuple[dict, dict, int]:
-        return (dict(self.balances), dict(self.storage), len(self.events))
+    def write(self, journal: dict, key, val: int) -> None:
+        self.undo.append((journal, key, journal.get(key)))
+        journal[key] = val
 
-    def rollback(self, snap: tuple[dict, dict, int]) -> None:
-        self.balances, self.storage, nevents = snap[0], snap[1], snap[2]
-        del self.events[nevents:]
+    def snapshot(self) -> tuple[int, int]:
+        return len(self.undo), len(self.events)
+
+    def rollback(self, snap: tuple[int, int]) -> None:
+        while len(self.undo) > snap[0]:
+            journal, key, old = self.undo.pop()
+            if old is None:
+                del journal[key]
+            else:
+                journal[key] = old
+        del self.events[snap[1]:]
 
     # execution --------------------------------------------------------------
 
@@ -1075,7 +1091,7 @@ class _Machine:
                         key = _pop(stack, True)
                         if checker is not None:
                             checker.storage_write(self_addr, key)
-                        self.storage[(self_addr, key)] = val
+                        self.write(self.storage, (self_addr, key), val)
                     elif op == OP_BALANCE:
                         addr = _pop(stack, False)
                         if checker is not None:
@@ -1317,7 +1333,9 @@ def deploy(
     payer = k.payer
     if tx.nonce != accounts.nonces.get(payer, 0):
         return StateDiff(ExecOutcome(STATUS_BAD_NONCE, detail=f"expected nonce {accounts.nonces.get(payer, 0)}"))
-    if not validate_code(k.code):
+    try:
+        compile_code(k.code)
+    except ModelError:
         return StateDiff(ExecOutcome(STATUS_MALFORMED_CODE, detail="code failed validation"))
     if not _prepay_covered(accounts, payer, k.gas_limit, k.gas_price, k.endowment):
         return StateDiff(ExecOutcome(STATUS_INSUFFICIENT_BALANCE, detail="cannot cover endowment plus gas prepay"))

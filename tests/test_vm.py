@@ -5,6 +5,7 @@ interpreter kept in oracles.py."""
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -395,6 +396,73 @@ def test_compile_once_per_code_and_decoded_gas_matches_table():
     assert [entry[0] for entry in decoded] == list(vm.MNEMONICS)
     for op, _, _, gas in decoded:
         assert gas == vm.gas_cost(op), vm.MNEMONICS[op]
+
+
+def test_deploy_and_calls_decode_the_code_once(monkeypatch):
+    """Deploy compiles the code, so its three calls find it in the cache."""
+    vm.compile_code.cache_clear()
+    code, decoded = counter_code(), []
+    real = vm.decode
+    monkeypatch.setattr(vm, "decode", lambda c: decoded.append(c) or real(c))
+    acc = fresh_accounts()
+    tx = make_deploy(ALICE, code)
+    vm.deploy(acc, tx, txid(tx), OPERATOR).apply(acc, OPERATOR)
+    for _ in range(3):
+        assert run_call(acc, txid(tx), gas_limit=COUNTER_GAS).outcome.committed
+    assert decoded == [code]
+
+
+def test_malformed_deploy_is_free_and_never_cached():
+    """A malformed deploy is charged nothing, advances no nonce, and leaves
+    the compile cache as it was: compile_code raises rather than cache."""
+    acc = fresh_accounts()
+    size = vm.compile_code.cache_info().currsize
+    for code in (bytes([0xEE]), bytes([vm.OP_PUSHI, 1, 2]), bytes([vm.OP_JUMP, 2, 0, vm.OP_HALT]), b""):
+        tx = make_deploy(ALICE, code, gas_price=1)
+        diff = vm.deploy(acc, tx, txid(tx), OPERATOR)
+        assert diff == vm.StateDiff(vm.ExecOutcome(vm.STATUS_MALFORMED_CODE, detail="code failed validation"))
+        diff.apply(acc, OPERATOR)
+        with pytest.raises(ModelError):
+            vm.compile_code(code)
+    assert (acc.nonces.get(A_ADDR, 0), acc.balance(A_ADDR), acc.balance(OPERATOR)) == (0, 10_000, 0)
+    assert vm.compile_code.cache_info().currsize == size
+
+
+def test_reverted_call_pops_only_its_own_writes():
+    """The second call rewrites a slot the first call wrote, moves value,
+    then reverts: the slot keeps the first call's value, and the keys only
+    the reverted call wrote leave the diff altogether."""
+    acc = fresh_accounts()
+    callee = deployed(acc, "PUSHI 0 ARG PUSHI 1 ADD SSTORE ARG JUMPI bad HALT bad: PUSHI 3 PUSHA 1 TRANSFER REVERT",
+                      endowment=10)
+    caller = deployed(acc, "PUSHI 0 PUSHA 0 CALL DROP DROP PUSHI 1 PUSHA 0 CALL DROP DROP HALT")
+    diff = run_call(acc, caller, apply=False, address_consts=[callee, B_ADDR], gas_limit=500)
+    assert diff.outcome.committed
+    assert (diff.storage_new, diff.balance_new) == ({(callee, 0): 1}, {})
+
+
+def test_nested_call_work_is_in_proportion_to_gas():
+    """A loop that stores a slot and then calls out: ns per gas at 16,000
+    iterations stays within 2x of that at 1,000. A CALL that copied the
+    transaction's writes made it grow several-fold with the loop."""
+    acc = fresh_accounts()
+    callee = deployed(acc, "HALT")
+    caller = deployed(acc, "ARG loop: DUP NOT JUMPI end DUP DUP SSTORE PUSHI 0 PUSHA 0 CALL DROP DROP "
+                           "PUSHI 1 SUB JUMP loop end: HALT")
+    nonce = acc.nonces[A_ADDR]
+
+    def ns_per_gas(iterations: int) -> float:
+        tx = make_call(ALICE, caller, nonce=nonce, arg=iterations, gas_limit=2**24, address_consts=[callee])
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            diff = vm.invoke(acc, tx, txid(tx), 5, OPERATOR, False)
+            best = min(best, time.perf_counter() - t0)
+        assert diff.outcome.committed and len(diff.storage_new) == iterations
+        return best * 1e9 / diff.outcome.gas_used
+
+    small, large = ns_per_gas(1_000), ns_per_gas(16_000)
+    assert large < 2 * small, (small, large)
 
 
 # ---------------------------------------------------------------------------
