@@ -1,9 +1,9 @@
 """Codec cost: µs per canonical encode by transaction kind; the decode,
 JSON re-encode and txid of one 1000-output fan-out transaction; the decode
-and re-encode of a batch of 200 declared calls; the replay of a batch
-holding one 1000-output fan-out, split into its stages; put_utxos of 10k
-outputs against put_utxo of each; and the tracked objects and the memory
-that 10k UTXOs add to a ledger state.
+and re-encode of a batch of 200 declared calls; the check of a header file
+of 1,000 receipts; the replay of a batch holding one 1000-output fan-out,
+split into its stages; put_utxos of 10k outputs against put_utxo of each;
+and the tracked objects and the memory that 10k UTXOs add to a ledger state.
 
 Each encode is timed on a fresh Transaction instance (a copy made before
 the clock starts), so a cached encoding is never what is measured. The
@@ -19,6 +19,14 @@ access list of two storage slots and two balances, an auth and an address
 constant, and its caller, contract and argument vary. Its decode and
 re-encode are the ones replay_verify runs on a batch file (_decode_txs
 and _encode_batch), per transaction.
+
+The header file check is timed two ways, in µs per receipt. The decode
+check is what replay_verify ran on every batch before it checked bytes
+first: parse the file, decode its header and receipts, compare them with
+the recomputed ones, then compare the file with their encoding. The byte
+check is what replay now runs on a batch that verifies: the encoding
+compared with the file. Its receipts mix three statuses and the four
+levels.
 
 The replayed batch holds one fan-out with the output mix of perfbench's
 pay-10k set-up: 900 outputs to 100 keys and 100 to 2-of-3 multisig locks,
@@ -49,6 +57,7 @@ from typing import Callable, Optional
 from tierledger import codes, crypto, ledger, rules
 from tierledger.model import (
     AccessDecl,
+    Level,
     Call,
     Deploy,
     Lock,
@@ -68,6 +77,7 @@ from tierledger.model import (
 )
 
 FANOUT = 1_000
+RECEIPTS = 1_000
 CALLS = 200
 UTXOS = 10_000
 REPLAY_LOCKS = 200  # 100 single-key locks and 100 multisig locks
@@ -148,6 +158,33 @@ def call_batch_us(reps: int) -> tuple[float, float]:
     return 1e6 * decode_s / CALLS, 1e6 * reencode_s / CALLS
 
 
+def header_check_us(reps: int) -> tuple[float, float]:
+    """Median µs per receipt of the decode check and of the byte check of a
+    header file of RECEIPTS receipts."""
+    rng = random.Random(3)
+    receipts = [
+        ledger.Receipt(
+            sha256(i.to_bytes(4, "little")), rng.choice([codes.OK, codes.BAD_AUTH, codes.LEVEL_EXCEEDS_CONFIG]),
+            rng.randrange(100_000), rng.choice(list(Level)), sha256(b"digest" + i.to_bytes(4, "little")),
+        )
+        for i in range(RECEIPTS)
+    ]
+    header = ledger.BatchHeader(7, 9, *(sha256(bytes([i])) for i in range(5)))
+    raw = ledger._encode_header(header, receipts).encode()
+
+    def decode_check() -> bool:
+        obj = read_json(raw)
+        stored_header = ledger.BatchHeader.from_json(obj["header"])
+        stored = [ledger.Receipt.from_json(r) for r in obj["receipts"]]
+        return stored_header == header and stored == receipts and ledger._encode_header(header, receipts).encode() == raw
+
+    def byte_check() -> bool:
+        return ledger._encode_header(header, receipts).encode() == raw
+
+    assert decode_check() and byte_check()
+    return tuple(1e6 * median_of(reps, lambda: timed(check)) / RECEIPTS for check in (decode_check, byte_check))
+
+
 def replay_batch() -> tuple[rules.SystemConfig, ledger.LedgerState, bytes]:
     """The genesis config, the state after the coinbase batch, and the
     canonical batch file of one signed fan-out of the coinbase."""
@@ -216,6 +253,10 @@ def main() -> int:
     call_decode_us, call_reencode_us = call_batch_us(reps)
     print(f"batch of {CALLS} declared calls with access lists, auth and address constants:")
     print(f"  decode {call_decode_us:7.2f} µs/tx   re-encode {call_reencode_us:7.2f} µs/tx")
+
+    decode_check_us, byte_check_us = header_check_us(reps)
+    print(f"header file of {RECEIPTS} receipts:")
+    print(f"  decode check {decode_check_us:6.2f} µs/receipt   byte check {byte_check_us:6.2f} µs/receipt")
 
     replay = replay_ms(reps)
     print(f"replay of a batch of one {FANOUT}-output fan-out ({REPLAY_LOCKS} distinct locks):")

@@ -44,7 +44,6 @@ from .model import (
     U64_MAX,
     UtxoSpend,
     address_of_pubkey,
-    canonical_json,
     classify_level,
     full_serialize,
     json_field,
@@ -54,7 +53,7 @@ from .model import (
     require_u64,
     sha256,
     tx_from_json,
-    tx_to_json,
+    tx_to_json_str as tx_to_json,
     txid as compute_txid,
 )
 
@@ -85,7 +84,7 @@ class Receipt:
         return codes.name(self.status)
 
     def to_json(self) -> dict:
-        return RECEIPT_JSON.encode(self)
+        return json.loads(RECEIPT_JSON.encode(self))
 
     @staticmethod
     def from_json(obj: dict) -> "Receipt":
@@ -118,9 +117,6 @@ class BatchHeader:
             self.batch_number, self.epoch, 32, self.prev_hash, 32, self.txs_hash,
             32, self.receipts_hash, 32, self.post_state_digest, 32, self.config_hash,
         ))
-
-    def to_json(self) -> dict:
-        return HEADER_JSON.encode(self)
 
     @staticmethod
     def from_json(obj: dict) -> "BatchHeader":
@@ -476,8 +472,10 @@ def _log_file(kind: str, number: int) -> str:
 
 
 def _encode_batch(batch_number: int, epoch: int, txs: Sequence[Transaction]) -> str:
-    txs_json = [tx_to_json(tx) for tx in txs]
-    return canonical_json({"batch": batch_number, "epoch": epoch, "txs": txs_json})
+    """The batch file's text, through one codec that lives for this encode
+    only: each distinct output object is encoded once."""
+    codec = JsonCodec()
+    return f'{{"batch":{batch_number},"epoch":{epoch},"txs":[{",".join([tx_to_json(tx, codec) for tx in txs])}]}}'
 
 
 def _decode_txs(txs_json: list) -> list[Transaction]:
@@ -488,7 +486,7 @@ def _decode_txs(txs_json: list) -> list[Transaction]:
 
 
 def _encode_header(header: BatchHeader, receipts: Sequence[Receipt]) -> str:
-    return canonical_json({"header": header.to_json(), "receipts": [r.to_json() for r in receipts]})
+    return f'{{"header":{HEADER_JSON.encode(header)},"receipts":[{",".join(map(RECEIPT_JSON.encode, receipts))}]}}'
 
 
 def write_batch_files(
@@ -552,9 +550,16 @@ class ReplayReport:
 
 
 def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
-    """Re-execute the whole log from genesis and compare every header field
-    and every receipt; report the first mismatch, or the final state digest,
-    batch count and epoch of a log that verifies."""
+    """Re-execute the whole log from genesis and check that every file is
+    the canonical encoding of what replay computes; report the first
+    mismatch, or the final state digest, batch count and epoch of a log
+    that verifies.
+
+    A batch verifies when its batch file re-encodes to its own bytes, names
+    its own number, applies, and its header file's bytes are the encoding
+    of the recomputed header and receipts: bytes equal to a canonical
+    encoding decode to exactly the encoded values, so the header file is
+    parsed only to name a mismatch, by _divergence."""
     path = Path(logdir)
     try:
         raw_genesis = (path / "genesis.json").read_bytes()
@@ -573,67 +578,81 @@ def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
             raw_batch = (path / _log_file("batch", i)).read_bytes()
             raw_header = (path / _log_file("header", i)).read_bytes()
             batch_obj = json_value(read_json(raw_batch), dict, "batch file")
-            stored_obj = json_value(read_json(raw_header), dict, "header file")
             # Integers, not bools (JSON true equals 1 and re-encodes as
             # true); the epoch is committed as a u64 in every state digest.
             batch_number = require_u64(json_field(batch_obj, "batch", int), "batch")
             epoch = require_u64(json_field(batch_obj, "epoch", int), "epoch")
             txs = _decode_txs(json_field(batch_obj, "txs", list))
-            stored_header = BatchHeader.from_json(json_field(stored_obj, "header", dict))
-            stored_receipts = [Receipt.from_json(r) for r in json_field(stored_obj, "receipts", list, of=dict)]
         except (OSError, ModelError):
             return ReplayReport(False, "unreadable", batch=i)
         # The log is written in one canonical encoding. Re-serializing the
         # decoded transactions must reproduce the file byte for byte;
         # anything else is tampering, even when it parses to equal values
         # (hex case flips, stray keys, number formatting).
-        if _encode_batch(batch_number, epoch, txs).encode() != raw_batch:
-            return ReplayReport(
-                False, "divergence", batch=i, field="encoding",
-                expected="canonical json", found="non-canonical bytes",
-            )
-        if batch_number != i:
-            return ReplayReport(
-                False, "divergence", batch=i, field="batch",
-                expected=str(i), found=str(batch_number),
-            )
-        try:
-            receipts, header = apply_batch(state, txs, epoch, cfg, workers=1)
-        except BatchError as exc:
-            return ReplayReport(
-                False, "divergence", batch=i, field="epoch", expected="monotone", found=str(exc)
-            )
-        for row in HEADER_JSON.rows:
-            want = getattr(header, row.key)
-            got = getattr(stored_header, row.key)
-            if want != got:
-                as_str = lambda v: v.hex() if isinstance(v, bytes) else str(v)
-                return ReplayReport(
-                    False, "divergence", batch=i, field=row.key,
-                    expected=as_str(want), found=as_str(got),
-                )
-        if len(receipts) != len(stored_receipts):
-            return ReplayReport(
-                False, "divergence", batch=i, field="receipts",
-                expected=str(len(receipts)), found=str(len(stored_receipts)),
-            )
-        for j, (want_r, got_r) in enumerate(zip(receipts, stored_receipts)):
-            if want_r != got_r:
-                return ReplayReport(
-                    False, "divergence", batch=i, field=f"receipt[{j}]",
-                    expected=json.dumps(want_r.to_json(), sort_keys=True),
-                    found=json.dumps(got_r.to_json(), sort_keys=True),
-                )
-        # Byte-identity of the header file against a reconstruction from the
-        # recomputed header and receipts, catching edits to derived display
-        # fields that decode to equal values.
-        if _encode_header(header, receipts).encode() != raw_header:
-            return ReplayReport(
-                False, "divergence", batch=i, field="encoding",
-                expected="canonical json", found="non-canonical bytes",
-            )
+        canonical = _encode_batch(batch_number, epoch, txs).encode() == raw_batch
+        applied = None
+        if canonical and batch_number == i:
+            try:
+                applied = apply_batch(state, txs, epoch, cfg, workers=1)
+            except BatchError as exc:
+                applied = exc
+            else:
+                receipts, header = applied
+                if _encode_header(header, receipts).encode() == raw_header:
+                    continue
+        return _divergence(i, raw_header, canonical, batch_number, applied)
     if missing:
         return ReplayReport(False, "unreadable", batch=n, field=missing)
     return ReplayReport(
         True, "ok", digest=state_digest(state).hex(), batches=state.batch_number, epoch=state.epoch
+    )
+
+
+def _divergence(
+    i: int, raw_header: bytes, canonical: bool, batch_number: int,
+    applied: Union[tuple[list[Receipt], BatchHeader], BatchError, None],
+) -> ReplayReport:
+    """The report for batch i, which did not verify: an unreadable header
+    file, then the first of the checks below to fail, in this order.
+    canonical says whether the batch file re-encoded to its bytes; applied
+    is apply_batch's result or error, None when it was not run."""
+    try:
+        stored_obj = json_value(read_json(raw_header), dict, "header file")
+        stored_header = BatchHeader.from_json(json_field(stored_obj, "header", dict))
+        stored_receipts = [Receipt.from_json(r) for r in json_field(stored_obj, "receipts", list, of=dict)]
+    except ModelError:
+        return ReplayReport(False, "unreadable", batch=i)
+    if not canonical:
+        return ReplayReport(
+            False, "divergence", batch=i, field="encoding", expected="canonical json", found="non-canonical bytes"
+        )
+    if batch_number != i:
+        return ReplayReport(False, "divergence", batch=i, field="batch", expected=str(i), found=str(batch_number))
+    if isinstance(applied, BatchError):
+        return ReplayReport(False, "divergence", batch=i, field="epoch", expected="monotone", found=str(applied))
+    receipts, header = applied
+    for row in HEADER_JSON.rows:
+        want = getattr(header, row.key)
+        got = getattr(stored_header, row.key)
+        if want != got:
+            as_str = lambda v: v.hex() if isinstance(v, bytes) else str(v)
+            return ReplayReport(
+                False, "divergence", batch=i, field=row.key, expected=as_str(want), found=as_str(got),
+            )
+    if len(receipts) != len(stored_receipts):
+        return ReplayReport(
+            False, "divergence", batch=i, field="receipts",
+            expected=str(len(receipts)), found=str(len(stored_receipts)),
+        )
+    for j, (want_r, got_r) in enumerate(zip(receipts, stored_receipts)):
+        if want_r != got_r:
+            return ReplayReport(
+                False, "divergence", batch=i, field=f"receipt[{j}]",
+                expected=json.dumps(want_r.to_json(), sort_keys=True),
+                found=json.dumps(got_r.to_json(), sort_keys=True),
+            )
+    # The values are equal but the bytes are not: an edit to a derived
+    # display field, or to the text's form.
+    return ReplayReport(
+        False, "divergence", batch=i, field="encoding", expected="canonical json", found="non-canonical bytes"
     )

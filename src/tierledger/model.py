@@ -23,7 +23,8 @@ import json
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
+from functools import partial, total_ordering
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
@@ -70,17 +71,12 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-# The one canonical JSON text: sorted keys, no spaces. Callers encode trees
-# built fresh from model values, never cyclic, so the circular-reference
-# check (about a sixth of each encode) is skipped.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
-
-
 def address_of_pubkey(pk: bytes) -> bytes:
     """32-byte address of a public key."""
     return sha256(pk)
 
 
+@total_ordering
 class Level(Enum):
     """Programmability level of a transaction, lowest to highest."""
 
@@ -92,19 +88,19 @@ class Level(Enum):
     def __lt__(self, other: "Level") -> bool:
         return self.value < other.value
 
-    def __le__(self, other: "Level") -> bool:
-        return self.value <= other.value
-
     @property
     def label(self) -> str:
-        return {"L1": "L1", "L1_5": "L1.5", "L2": "L2", "L3": "L3"}[self.name]
+        return _LABELS[self._name_]
 
     @classmethod
     def from_label(cls, label: str) -> "Level":
-        for lvl in cls:
-            if lvl.label == label or lvl.name == label:
-                return lvl
-        raise ModelError(f"unknown level: {label!r}")
+        if type(label) is not str or label not in _BY_LABEL:
+            raise ModelError(f"unknown level: {label!r}")
+        return _BY_LABEL[label]
+
+
+_LABELS = {lvl.name: lvl.name.replace("_", ".") for lvl in Level}
+_BY_LABEL = {**{lvl.name: lvl for lvl in Level}, **{_LABELS[lvl.name]: lvl for lvl in Level}}
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +183,7 @@ class Lock:
         return self._ser
 
     def address(self) -> bytes:
-        """Address a lock pays to: sha256(pk) for single-key locks, else
-        sha256 of the canonical lock bytes."""
+        """Address a lock pays to: sha256(pk) for single-key locks, else sha256 of the canonical lock bytes."""
         if self.kind == LOCK_PUBKEY:
             return address_of_pubkey(self.pubkey)
         return sha256(self._ser)
@@ -279,17 +274,13 @@ class AccessDecl:
         Contract footprints are declared before the contract's address (its
         deploy txid) exists, so they use the zero address to mean "self".
         """
-        zero = b"\x00" * 32
-
-        def sub(a: bytes) -> bytes:
-            return addr if a == zero else a
-
+        sub = {b"\x00" * 32: addr}.get
         return AccessDecl(
-            frozenset(sub(a) for a in self.balances_read),
-            frozenset(sub(a) for a in self.balances_written),
-            frozenset((sub(a), k) for a, k in self.storage_read),
-            frozenset((sub(a), k) for a, k in self.storage_written),
-            frozenset(sub(a) for a in self.callees),
+            frozenset(sub(a, a) for a in self.balances_read),
+            frozenset(sub(a, a) for a in self.balances_written),
+            frozenset((sub(a, a), k) for a, k in self.storage_read),
+            frozenset((sub(a, a), k) for a, k in self.storage_written),
+            frozenset(sub(a, a) for a in self.callees),
         )
 
 
@@ -435,11 +426,7 @@ class Transaction:
             require_u64(self.not_before, "not_before")
         if self.not_after is not None:
             require_u64(self.not_after, "not_after")
-        if (
-            self.not_before is not None
-            and self.not_after is not None
-            and self.not_before > self.not_after
-        ):
+        if self.not_before is not None and self.not_after is not None and self.not_before > self.not_after:
             raise ModelError("not_before must be <= not_after")
 
     def with_witnesses(self, witnesses: Iterable[Witness]) -> "Transaction":
@@ -553,18 +540,11 @@ def classify_level(tx: Transaction, utxos: Optional[Mapping[Outpoint, Output]] =
     Spent locks can only be inspected when a UTXO view is supplied; without
     one, classification considers created locks and the validity window.
     """
-    if isinstance(tx.kind, (Deploy, Call, MoveToAccount, MoveToUtxo)):
+    k = tx.kind
+    if type(k) is not UtxoSpend:
         return Level.L3
-    assert isinstance(tx.kind, UtxoSpend)
-    created_script = any(out.lock.kind == LOCK_SCRIPT for out in tx.kind.outputs)
-    spent_script = False
-    if utxos is not None:
-        for op in tx.kind.inputs:
-            out = utxos.get(op)
-            if out is not None and out.lock.kind == LOCK_SCRIPT:
-                spent_script = True
-                break
-    if created_script or spent_script:
+    spent = () if utxos is None else map(utxos.get, k.inputs)
+    if any(out is not None and out.lock.kind == LOCK_SCRIPT for out in (*k.outputs, *spent)):
         return Level.L2
     if tx.not_before is not None or tx.not_after is not None:
         return Level.L1_5
@@ -641,15 +621,16 @@ def json_field(obj: dict, key: str, kind: object, default: object = _REQUIRED, o
 # with the receipt's and the header's in ledger.py, genesis's in rules.py and
 # the policy's and registry entry's in permission.py, are the one place where
 # a key, its JSON type and its omission rule are defined. JsonTable.decode
-# is the one decode loop; _compile_encode builds each table's encode from
-# its rows.
+# is the one decode loop; _compile_encode builds each table's encode from its
+# rows. Log text is canonical JSON: what json.dumps writes with sort_keys and
+# separators (",", ":"), strings ASCII-escaped.
 
 
 class JsonKind(NamedTuple):
     """A value's JSON type (dict, list, str, int or bool; a bool is not an
-    int), and its decode and encode (None keeps the value as it is). A
-    decode raises ValueError or TypeError for a value it cannot read. With
-    codec, the decode is also passed the transaction's codec."""
+    int), its decode (None keeps the value) and its encode to canonical JSON
+    text (None: an int, formatted). A decode raises ValueError or TypeError
+    for a value it cannot read. With codec, both are passed the codec too."""
 
     json_type: type
     decode: Optional[Callable] = None
@@ -729,7 +710,7 @@ class JsonTagged:
         self.key = next(iter(variants.values())).tag[0]
         self._tables = {table.tag[1]: table for table in variants.values()}
         encoders = {value: table.encode for value, table in variants.items()}
-        self.encode = lambda rec: encoders[select(rec)](rec)
+        self.encode = lambda rec, codec=None: encoders[select(rec)](rec, codec)
 
     def decode(self, obj: dict, codec: Optional["JsonCodec"] = None):
         tag = obj.get(self.key)
@@ -741,27 +722,36 @@ class JsonTagged:
 
 def _compile_encode(rows: tuple[JsonRow, ...], tag: Optional[tuple[str, str]]) -> Callable:
     """A table's encode, as straight-line code built once from its rows, as
-    dataclasses builds __init__: a loop over the rows at each call took
-    about 1.5-2x as long per transaction. The source holds only the table's
-    keys, tag and attribute names; its kinds and defaults are bound by name."""
+    dataclasses builds __init__: one f-string of the record's canonical JSON
+    text, keys sorted here. A key left out is an empty piece; keys before the
+    first one always written end with their comma, later keys start with one.
+    The source holds only keys, tag and attribute names; kinds and defaults
+    are bound by name."""
     env: dict = {}
 
-    def value(i: int, row: JsonRow, v: str) -> str:
+    def value(i: int, row: JsonRow) -> str:
+        v = "v" if row.omit else f"rec.{row.attr or row.key}"
+        if row.kind.encode is None:  # an int
+            return f"{{{v}}}"
+        if row.kind is HEX:
+            return f'"{{{v}.hex()}}"'
         env[f"e{i}"] = row.kind.encode
-        return v if row.kind.encode is None else f"e{i}({v})"
+        return f"{{e{i}({v}, codec)}}" if row.kind.codec else f"{{e{i}({v})}}"
 
-    items = [f"{tag[0]!r}: {tag[1]!r}"] if tag else []
-    lines = []
-    for i, row in enumerate(rows):
-        attr = row.attr or row.key
-        if not row.omit:
-            items.append(f"{row.key!r}: {value(i, row, 'rec.' + attr)}")
-            continue
-        env[f"d{i}"], env[f"t{i}"] = row.default, type(row.default)
-        kept = "v is not None" if row.default is None else f"not (type(v) is t{i} and v == d{i})"
-        lines += [f"    v = rec.{attr}", f"    if {kept}:", f"        obj[{row.key!r}] = {value(i, row, 'v')}"]
-    source = ["def encode(rec):", f"    obj = {{{', '.join(items)}}}", *lines, "    return obj"]
-    exec("\n".join(source), env)
+    text = lambda s: encode_basestring_ascii(s).replace("{", "{{").replace("}", "}}")
+    items = sorted([(row.key, i, row) for i, row in enumerate(rows)] + ([(tag[0], -1, None)] if tag else []))
+    first = next(n for n, (_, _, row) in enumerate(items) if row is None or not row.omit)
+    lines, out = [], "{{"
+    for n, (key, i, row) in enumerate(items):
+        piece = f"{text(key)}:{text(tag[1]) if row is None else value(i, row)}"
+        piece = piece + "," if n < first else "," + piece if n > first else piece
+        if row is not None and row.omit:
+            env[f"d{i}"], env[f"t{i}"] = row.default, type(row.default)
+            kept = "v is not None" if row.default is None else f"not (type(v) is t{i} and v == d{i})"
+            lines += [f"    v = rec.{row.attr or row.key}", f"    o{i} = f{piece!r} if {kept} else ''"]
+            piece = f"{{o{i}}}"
+        out += piece
+    exec("\n".join(["def encode(rec, codec=None):", *lines, f"    return f{out + '}}'!r}"]), env)
     return env["encode"]
 
 
@@ -771,7 +761,7 @@ def json_object(table: Union[JsonTable, JsonTagged]) -> JsonKind:
 
 def json_list(table: JsonTable) -> JsonKind:
     """An array of objects, each read and written by table."""
-    return JsonKind(list, _items(dict, table.decode), lambda recs: list(map(table.encode, recs)))
+    return JsonKind(list, _items(dict, table.decode), lambda recs: _array(map(table.encode, recs)))
 
 
 def _u64(value: int) -> int:
@@ -801,16 +791,21 @@ def _hex_list(value: list) -> tuple:
     return tuple(map(bytes.fromhex, value))
 
 
+def _array(texts: Iterable[str]) -> str:
+    return f"[{','.join(texts)}]"
+
+
 INT = JsonKind(int)
-BOOL = JsonKind(bool)
+BOOL = JsonKind(bool, None, lambda b: "true" if b else "false")
 U64 = JsonKind(int, _u64)
-STR = JsonKind(str)
-HEX = JsonKind(str, bytes.fromhex, bytes.hex)
-HEX_LIST = JsonKind(list, _hex_list, lambda bs: list(map(bytes.hex, bs)))
-HEX_SET = JsonKind(list, lambda v: frozenset(map(bytes.fromhex, v)), lambda bs: sorted(map(bytes.hex, bs)))
-SLOT_SET = JsonKind(list, lambda v: frozenset(map(_slot, v)), lambda slots: [[a.hex(), k] for a, k in sorted(slots)])
-WITNESSES = JsonKind(list, _items(list, _hex_list), lambda ws: [list(map(bytes.hex, w)) for w in ws])
-LEVEL = JsonKind(str, Level.from_label, attrgetter("label"))
+STR = JsonKind(str, None, encode_basestring_ascii)
+HEX = JsonKind(str, bytes.fromhex, lambda b: f'"{b.hex()}"')  # written inline by _compile_encode
+HEX_LIST = JsonKind(list, _hex_list, lambda bs: _array([f'"{b.hex()}"' for b in bs]))
+# Sets are written sorted; hex keeps the order of the bytes.
+HEX_SET = JsonKind(list, lambda v: frozenset(map(bytes.fromhex, v)), lambda bs: HEX_LIST.encode(sorted(bs)))
+SLOT_SET = JsonKind(list, lambda v: frozenset(map(_slot, v)), lambda s: _array([f'["{a.hex()}",{k}]' for a, k in sorted(s)]))
+WITNESSES = JsonKind(list, _items(list, _hex_list), lambda ws: _array([HEX_LIST.encode(w) for w in ws]))
+LEVEL = JsonKind(str, Level.from_label, lambda lvl: f'"{lvl.label}"')
 
 OUTPOINT_JSON = JsonTable(Outpoint, JsonRow("txid", HEX), JsonRow("index", INT))
 INPUTS = json_list(OUTPOINT_JSON)
@@ -822,8 +817,10 @@ LOCK_JSON = JsonTagged("lock", attrgetter("kind"), {
 OUTPUT_JSON = JsonTable(
     Output, JsonRow("amount", INT), JsonRow("lock", json_object(LOCK_JSON)), JsonRow("expiry", INT, None, True)
 )
-# A transaction's outputs are decoded through its codec, which interns them.
-OUTPUTS = json_list(OUTPUT_JSON)._replace(decode=lambda v, codec: tuple(map(codec.output, v)), codec=True)
+# A transaction's outputs go through its codec: interned as decoded, each object encoded once.
+OUTPUTS = JsonKind(
+    list, lambda v, codec: tuple(map(codec.output, v)), lambda outs, codec: _array(map(codec.output_text, outs)), True
+)
 ACCESS_JSON = JsonTable(
     AccessDecl,
     JsonRow("balances_read", HEX_SET, frozenset()),
@@ -858,8 +855,7 @@ _ENVELOPE = (
 
 
 def _tx(name: str, cls: type, *rows: JsonRow) -> JsonTable:
-    """A transaction of kind cls: the envelope's keys and the kind's in one
-    object."""
+    """A transaction of kind cls: the envelope's keys and the kind's in one object."""
 
     def make(nonce, not_before, not_after, witnesses, auth, endorsement, *fields) -> Transaction:
         return Transaction(cls(*fields), nonce, not_before, not_after, witnesses, auth, endorsement)
@@ -905,7 +901,7 @@ def _lock_key(obj) -> Optional[tuple]:
 
 class JsonCodec:
     """Intern tables for the JSON of one batch, or of one transaction when
-    tx_from_json is called without a codec.
+    tx_from_json or tx_to_json_str is called without a codec.
 
     Decoding turns each distinct lock JSON into one Lock and each distinct
     output JSON into one Output. A key holds only fields of the one JSON
@@ -915,11 +911,12 @@ class JsonCodec:
     of the key, as the decoder ignores them; the log's byte-identity check
     is what refuses them."""
 
-    __slots__ = ("_locks", "_outputs")
+    __slots__ = ("_locks", "_outputs", "_texts")
 
     def __init__(self) -> None:
         self._locks: dict[tuple, Lock] = {}
         self._outputs: dict[tuple, Output] = {}
+        self._texts: dict[int, str] = {}
 
     def output(self, obj: dict) -> Output:
         if type(obj) is dict:
@@ -936,19 +933,22 @@ class JsonCodec:
                 return out
         return OUTPUT_JSON.decode(json_value(obj, dict, "output"))
 
-
-def tx_to_json(tx: Transaction) -> dict:
-    return TX_JSON.encode(tx)
+    def output_text(self, out: Output) -> str:
+        """out's JSON text, encoded once per Output object. The batch or
+        transaction being encoded keeps each object, and so its id, alive."""
+        text = self._texts.get(id(out))
+        if text is None:
+            text = self._texts[id(out)] = OUTPUT_JSON.encode(out)
+        return text
 
 
 def tx_from_json(obj: dict, codec: Optional[JsonCodec] = None) -> Transaction:
-    """Decode a transaction; its outputs are interned in codec, which is
-    fresh when none is given."""
+    """Decode a transaction; its outputs are interned in codec, which is fresh when none is given."""
     return TX_JSON.decode(json_value(obj, dict, "transaction"), JsonCodec() if codec is None else codec)
 
 
-def tx_to_json_str(tx: Transaction) -> str:
-    return canonical_json(tx_to_json(tx))
+def tx_to_json_str(tx: Transaction, codec: Optional[JsonCodec] = None) -> str:
+    return TX_JSON.encode(tx, JsonCodec() if codec is None else codec)
 
 
 def tx_from_json_str(s: str) -> Transaction:

@@ -7,6 +7,7 @@ log can run the replay verifier. No read-permissioning is modeled.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
@@ -47,7 +48,7 @@ class PermissionPolicy:
         return PermissionPolicy(POLICY_ENDORSED, granularity=granularity)
 
     def to_json(self) -> dict:
-        return POLICY_JSON.encode(self)
+        return json.loads(POLICY_JSON.encode(self))
 
     @staticmethod
     def from_json(obj: dict) -> "PermissionPolicy":

@@ -6,6 +6,7 @@ configured once at genesis and immutable afterwards.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import AbstractSet, Mapping, Optional
@@ -28,12 +29,11 @@ from .model import (
     Output,
     Transaction,
     address_of_pubkey,
-    canonical_json,
     json_list,
     json_value,
     require_u64,
 )
-from .permission import INTERMEDIARY_JSON, Intermediary, PermissionPolicy
+from .permission import INTERMEDIARY_JSON, POLICY_JSON, Intermediary, PermissionPolicy
 
 ACCESS_DECLARED = "declared"
 ACCESS_DYNAMIC = "dynamic"
@@ -96,7 +96,7 @@ class SystemConfig:
         return frozenset(entry.pubkey for entry in self.intermediary_registry)
 
     def to_json(self) -> dict:
-        return GENESIS_JSON.encode(self)
+        return json.loads(self.to_json_str())
 
     @staticmethod
     def from_json(obj: object) -> "SystemConfig":
@@ -105,7 +105,7 @@ class SystemConfig:
         return GENESIS_JSON.decode(json_value(obj, dict, "genesis"))
 
     def to_json_str(self) -> str:
-        return canonical_json(self.to_json())
+        return GENESIS_JSON.encode(self)
 
     def config_hash(self) -> bytes:
         """sha256 of the canonical genesis JSON; embedded in every header."""
@@ -116,7 +116,7 @@ class SystemConfig:
         return hashlib.sha256(self.to_json_str().encode()).digest()
 
 
-_POLICY = JsonKind(dict, PermissionPolicy.from_json, PermissionPolicy.to_json)
+_POLICY = JsonKind(dict, PermissionPolicy.from_json, POLICY_JSON.encode)
 GENESIS_JSON = JsonTable(
     SystemConfig,
     JsonRow("max_level", LEVEL, Level.L3),

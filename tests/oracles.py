@@ -16,15 +16,33 @@ LtHash, as the oracle for its incremental bookkeeping.
 from __future__ import annotations
 
 import hashlib
+import json
 import struct
 from dataclasses import replace
 from itertools import combinations
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import Optional, Sequence, Union
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
-from tierledger.ledger import LedgerState, utxo_entry
+from tierledger import codes, rules
+from tierledger.ledger import (
+    HEADER_JSON,
+    BatchError,
+    BatchHeader,
+    LedgerState,
+    Receipt,
+    ReplayReport,
+    _decode_txs,
+    _encode_batch,
+    _encode_header,
+    _log_file,
+    apply_batch,
+    log_extent,
+    state_digest,
+    utxo_entry,
+)
 from tierledger.lthash import LtHash
 from tierledger.model import (
     LOCK_MULTISIG,
@@ -46,6 +64,9 @@ from tierledger.model import (
     TxKind,
     UtxoSpend,
     checked_add,
+    json_field,
+    json_value,
+    read_json,
     require_u32,
     require_u64,
 )
@@ -654,8 +675,13 @@ def canonical_deserialize(data: bytes) -> Transaction:
 # JSON codec: the per-output decoder and encoder from before the codec
 # interned values. Swapped in for JsonCodec, it decodes every output and
 # lock afresh, so a differential test sees whether interning changes a
-# decoded value or a rejection; its output_json is compared with
-# model.OUTPUT_JSON's encode directly.
+# decoded value or a rejection; canonical_json of its output_json is
+# compared with model.OUTPUT_JSON's encode.
+
+
+# The canonical JSON text the log's compiled encoders must write: sorted
+# keys, no spaces, strings ASCII-escaped.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _ref_unhex(s: str) -> bytes:
@@ -699,6 +725,102 @@ class PlainJsonCodec(JsonCodec):
         if out.expiry is not None:
             obj["expiry"] = out.expiry
         return obj
+
+
+# ---------------------------------------------------------------------------
+# Log objects, written out by hand from the key tables in model.py,
+# ledger.py, rules.py and permission.py. canonical_json of each must be the
+# text the package's compiled encoders write.
+
+_LEVEL_LABELS = {1: "L1", 2: "L1.5", 3: "L2", 4: "L3"}
+
+
+def _ref_access_json(a: AccessDecl) -> dict:
+    return {
+        "balances_read": sorted(x.hex() for x in a.balances_read),
+        "balances_written": sorted(x.hex() for x in a.balances_written),
+        "storage_read": [[x.hex(), key] for x, key in sorted(a.storage_read)],
+        "storage_written": [[x.hex(), key] for x, key in sorted(a.storage_written)],
+        "callees": sorted(x.hex() for x in a.callees),
+    }
+
+
+def ref_tx_json(tx: Transaction) -> dict:
+    k = tx.kind
+    inputs = [{"txid": op.txid.hex(), "index": op.index} for op in getattr(k, "inputs", ())]
+    outputs = [PlainJsonCodec().output_json(out) for out in getattr(k, "outputs", ())]
+    if isinstance(k, UtxoSpend):
+        obj: dict = {"kind": "utxo_spend", "inputs": inputs, "outputs": outputs}
+    elif isinstance(k, Deploy):
+        obj = {"kind": "deploy", "code": k.code.hex(), "endowment": k.endowment, "payer": k.payer.hex()}
+    elif isinstance(k, Call):
+        obj = {"kind": "call", "contract": k.contract.hex(), "arg": k.arg, "attached": k.attached,
+               "caller": k.caller.hex()}
+        if k.address_consts:
+            obj["address_consts"] = [a.hex() for a in k.address_consts]
+    elif isinstance(k, MoveToAccount):
+        obj = {"kind": "move_to_account", "inputs": inputs, "to": k.to.hex(), "amount": k.amount}
+    else:
+        obj = {"kind": "move_to_utxo", "source": k.source.hex(), "amount": k.amount, "outputs": outputs}
+    if isinstance(k, (Deploy, Call)):
+        obj.update(gas_limit=k.gas_limit, gas_price=k.gas_price)
+        if k.access is not None:
+            obj["access"] = _ref_access_json(k.access)
+    obj["nonce"] = tx.nonce
+    if tx.not_before is not None:
+        obj["not_before"] = tx.not_before
+    if tx.not_after is not None:
+        obj["not_after"] = tx.not_after
+    if tx.witnesses:
+        obj["witnesses"] = [[item.hex() for item in w] for w in tx.witnesses]
+    if tx.auth is not None:
+        obj["auth"] = {"pubkey": tx.auth.pubkey.hex(), "signature": tx.auth.signature.hex()}
+    e = tx.endorsement
+    if e is not None:
+        obj["endorsement"] = {
+            "granularity": e.granularity, "intermediary_pubkey": e.intermediary_pubkey.hex(),
+            "signature": e.signature.hex(),
+        }
+        if e.granularity == "per_user":
+            obj["endorsement"].update(user_pubkey=e.user_pubkey.hex(), expiry=e.expiry)
+    return obj
+
+
+def ref_receipt_json(r: Receipt) -> dict:
+    return {
+        "txid": r.tx_id.hex(), "status": r.status, "status_name": codes.name(r.status), "gas_used": r.gas_used,
+        "level": _LEVEL_LABELS[r.level.value], "post_state_digest": r.post_state_digest.hex(),
+    }
+
+
+def ref_header_json(h: BatchHeader) -> dict:
+    return {
+        "batch_number": h.batch_number, "epoch": h.epoch, "prev_hash": h.prev_hash.hex(),
+        "txs_hash": h.txs_hash.hex(), "receipts_hash": h.receipts_hash.hex(),
+        "post_state_digest": h.post_state_digest.hex(), "config_hash": h.config_hash.hex(),
+    }
+
+
+def _ref_policy_json(p) -> dict:
+    if p.kind == "open":
+        return {"kind": "open"}
+    if p.kind == "allow_list":
+        return {"kind": "allow_list", "pubkeys": sorted(pk.hex() for pk in p.allowed_pubkeys)}
+    return {"kind": "endorsed", "granularity": p.granularity}
+
+
+def ref_genesis_json(cfg: rules.SystemConfig) -> dict:
+    obj = {
+        "max_level": _LEVEL_LABELS[cfg.max_level.value], "initial_subsidy": cfg.initial_subsidy,
+        "halving_interval": cfg.halving_interval, "min_fee": cfg.min_fee, "min_gas_price": cfg.min_gas_price,
+        "covenants": cfg.covenants, "access_mode": cfg.access_mode, "expiry_enabled": cfg.expiry_enabled,
+        "operator_pubkey": cfg.operator_pubkey.hex(), "deploy_policy": _ref_policy_json(cfg.deploy_policy),
+        "call_policy": _ref_policy_json(cfg.call_policy),
+        "intermediary_registry": [{"name": e.name, "pubkey": e.pubkey.hex()} for e in cfg.intermediary_registry],
+    }
+    if cfg.allow_list is not None:
+        obj["allow_list"] = sorted(a.hex() for a in cfg.allow_list)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -1065,3 +1187,98 @@ def pairwise_waves(sets: Sequence[tuple]) -> list[list[int]]:
     for j in range(n):
         waves.setdefault(level[j], []).append(j)
     return [waves[lv] for lv in sorted(waves)]
+
+
+# ---------------------------------------------------------------------------
+# Replay verifier: ledger.replay_verify as it was before a batch could verify
+# on its bytes alone, unchanged apart from its name. It parses and decodes
+# every header file and compares values before bytes. The differential tests
+# require the package's replay_verify to give the same report on every log.
+
+
+def ref_replay_verify(logdir: Union[str, Path]) -> ReplayReport:
+    """Re-execute the whole log from genesis and compare every header field
+    and every receipt; report the first mismatch, or the final state digest,
+    batch count and epoch of a log that verifies."""
+    path = Path(logdir)
+    try:
+        raw_genesis = (path / "genesis.json").read_bytes()
+        cfg = rules.SystemConfig.from_json(read_json(raw_genesis))
+    except (OSError, ModelError):
+        return ReplayReport(False, "unreadable", batch=-1, field="genesis")
+    if cfg.to_json_str().encode() != raw_genesis:
+        return ReplayReport(
+            False, "divergence", batch=-1, field="genesis_encoding",
+            expected="canonical json", found="non-canonical bytes",
+        )
+    state = LedgerState()
+    n, missing = log_extent(path)
+    for i in range(n):
+        try:
+            raw_batch = (path / _log_file("batch", i)).read_bytes()
+            raw_header = (path / _log_file("header", i)).read_bytes()
+            batch_obj = json_value(read_json(raw_batch), dict, "batch file")
+            stored_obj = json_value(read_json(raw_header), dict, "header file")
+            # Integers, not bools (JSON true equals 1 and re-encodes as
+            # true); the epoch is committed as a u64 in every state digest.
+            batch_number = require_u64(json_field(batch_obj, "batch", int), "batch")
+            epoch = require_u64(json_field(batch_obj, "epoch", int), "epoch")
+            txs = _decode_txs(json_field(batch_obj, "txs", list))
+            stored_header = BatchHeader.from_json(json_field(stored_obj, "header", dict))
+            stored_receipts = [Receipt.from_json(r) for r in json_field(stored_obj, "receipts", list, of=dict)]
+        except (OSError, ModelError):
+            return ReplayReport(False, "unreadable", batch=i)
+        # The log is written in one canonical encoding. Re-serializing the
+        # decoded transactions must reproduce the file byte for byte;
+        # anything else is tampering, even when it parses to equal values
+        # (hex case flips, stray keys, number formatting).
+        if _encode_batch(batch_number, epoch, txs).encode() != raw_batch:
+            return ReplayReport(
+                False, "divergence", batch=i, field="encoding",
+                expected="canonical json", found="non-canonical bytes",
+            )
+        if batch_number != i:
+            return ReplayReport(
+                False, "divergence", batch=i, field="batch",
+                expected=str(i), found=str(batch_number),
+            )
+        try:
+            receipts, header = apply_batch(state, txs, epoch, cfg, workers=1)
+        except BatchError as exc:
+            return ReplayReport(
+                False, "divergence", batch=i, field="epoch", expected="monotone", found=str(exc)
+            )
+        for row in HEADER_JSON.rows:
+            want = getattr(header, row.key)
+            got = getattr(stored_header, row.key)
+            if want != got:
+                as_str = lambda v: v.hex() if isinstance(v, bytes) else str(v)
+                return ReplayReport(
+                    False, "divergence", batch=i, field=row.key,
+                    expected=as_str(want), found=as_str(got),
+                )
+        if len(receipts) != len(stored_receipts):
+            return ReplayReport(
+                False, "divergence", batch=i, field="receipts",
+                expected=str(len(receipts)), found=str(len(stored_receipts)),
+            )
+        for j, (want_r, got_r) in enumerate(zip(receipts, stored_receipts)):
+            if want_r != got_r:
+                return ReplayReport(
+                    False, "divergence", batch=i, field=f"receipt[{j}]",
+                    expected=json.dumps(want_r.to_json(), sort_keys=True),
+                    found=json.dumps(got_r.to_json(), sort_keys=True),
+                )
+        # Byte-identity of the header file against a reconstruction from the
+        # recomputed header and receipts, catching edits to derived display
+        # fields that decode to equal values.
+        if _encode_header(header, receipts).encode() != raw_header:
+            return ReplayReport(
+                False, "divergence", batch=i, field="encoding",
+                expected="canonical json", found="non-canonical bytes",
+            )
+    if missing:
+        return ReplayReport(False, "unreadable", batch=n, field=missing)
+    return ReplayReport(
+        True, "ok", digest=state_digest(state).hex(), batches=state.batch_number, epoch=state.epoch
+    )

@@ -28,12 +28,14 @@ from helpers import (
 )
 from oracles import (
     PlainJsonCodec,
+    canonical_json,
     recompute_state_digest,
     ref_header_hash,
     ref_receipt_hash,
+    ref_replay_verify,
     ref_state_digest,
 )
-from tierledger import codes, crypto, ledger, model, rules, utxo, vm
+from tierledger import codes, crypto, ledger, model, rules, scenario, utxo, vm
 from tierledger.model import (
     U64_MAX,
     Level,
@@ -44,8 +46,8 @@ from tierledger.model import (
     UtxoSpend,
     address_of_pubkey,
     sha256,
-    tx_from_json,
-    tx_to_json,
+    tx_from_json_str,
+    tx_to_json_str,
     txid,
 )
 from tierledger.script import assemble
@@ -703,7 +705,7 @@ def _mixed_batch(state: ledger.LedgerState, script_input: bool) -> list[Transact
     ]
     # Decoded from JSON, as replay and the benchmark see them: no instance
     # has encoded its body yet.
-    return [tx_from_json(tx_to_json(tx)) for tx in txs]
+    return [tx_from_json_str(tx_to_json_str(tx)) for tx in txs]
 
 
 def test_apply_batch_encodes_each_body_once(monkeypatch):
@@ -824,3 +826,180 @@ def test_interning_decoder_replays_a_repeating_fanout_as_the_plain_decoder(tmp_p
     assert report.ok and report.batches == 2
     monkeypatch.setattr(ledger, "JsonCodec", PlainJsonCodec)
     assert ledger.replay_verify(logdir) == report
+
+
+# ---------------------------------------------------------------------------
+# Replay checks each batch's files by their bytes first; the earlier
+# verifier, which decoded every header file and compared values first, must
+# give the same report on every log.
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+EDITED = 5  # average_balance_contract's batch of four L3 receipts, at epoch 6
+
+
+def _fixture_log(tmp_path: Path, name: str = "average_balance_contract") -> Path:
+    logdir = tmp_path / name
+    ok, report = scenario.run_scenario(FIXTURES / f"{name}.json", logdir=logdir, workers=1)
+    assert ok, report["assertions"]
+    return logdir
+
+
+def _header_file(logdir: Path) -> Path:
+    return logdir / f"header_{EDITED:06d}.json"
+
+
+def _batch_file(logdir: Path) -> Path:
+    return logdir / f"batch_{EDITED:06d}.json"
+
+
+def _rewrite(file, edit, dump=canonical_json):
+    """Parse the file, edit its value, and write it back with dump."""
+
+    def apply(logdir: Path) -> None:
+        path = file(logdir)
+        obj = json.loads(path.read_bytes())
+        edit(obj)
+        path.write_text(dump(obj))
+
+    return apply
+
+
+def _raw(file, edit):
+    def apply(logdir: Path) -> None:
+        path = file(logdir)
+        path.write_bytes(edit(path.read_bytes()))
+
+    return apply
+
+
+def _change(obj: dict, key: str) -> None:
+    """Give obj[key] another value of its type: an integer plus one, a
+    level or status name replaced, a hex string's first digit flipped."""
+    value = obj[key]
+    if type(value) is int:
+        obj[key] = value + 1
+    elif key == "level":
+        obj[key] = "L2" if value != "L2" else "L1"
+    elif key == "status_name":
+        obj[key] = "OK!"
+    else:
+        obj[key] = ("1" if value[0] == "0" else "0") + value[1:]
+
+
+def _both(*edits):
+    def apply(logdir: Path) -> None:
+        for edit in edits:
+            edit(logdir)
+
+    return apply
+
+
+def _drop(file):
+    return lambda logdir: file(logdir).unlink()
+
+
+_unreadable_header = _raw(_header_file, lambda raw: raw[:-1])
+_earlier_epoch = _rewrite(_batch_file, lambda o: o.__setitem__("epoch", o["epoch"] - 2))
+_wrong_number = _rewrite(_batch_file, lambda o: o.__setitem__("batch", o["batch"] + 1))
+_spaced_batch = _rewrite(_batch_file, lambda o: None, lambda o: json.dumps(o, sort_keys=True))
+_header_prev_hash = _rewrite(_header_file, lambda o: _change(o["header"], "prev_hash"))
+_dropped_receipt = _rewrite(_header_file, lambda o: o["receipts"].pop())
+
+REPLAY_EDITS = {
+    **{
+        f"header_{row.key}": _rewrite(_header_file, lambda o, key=row.key: _change(o["header"], key))
+        for row in ledger.HEADER_JSON.rows
+    },
+    **{
+        f"receipt_{row.key}": _rewrite(_header_file, lambda o, key=row.key: _change(o["receipts"][1], key))
+        for row in ledger.RECEIPT_JSON.rows
+    },
+    "receipt_level_unknown": _rewrite(_header_file, lambda o: o["receipts"][0].__setitem__("level", "L9")),
+    "receipt_status_a_string": _rewrite(_header_file, lambda o: o["receipts"][0].__setitem__("status", "0")),
+    "receipt_dropped": _dropped_receipt,
+    "receipt_repeated": _rewrite(_header_file, lambda o: o["receipts"].append(o["receipts"][0])),
+    "header_whitespace": _rewrite(_header_file, lambda o: None, lambda o: json.dumps(o, sort_keys=True)),
+    "header_trailing_newline": _raw(_header_file, lambda raw: raw + b"\n"),
+    "header_key_order": _rewrite(
+        _header_file, lambda o: None,
+        lambda o: json.dumps({"receipts": o["receipts"], "header": o["header"]}, separators=(",", ":")),
+    ),
+    "header_stray_key": _rewrite(_header_file, lambda o: o["header"].__setitem__("memo", 1)),
+    "receipt_stray_key": _rewrite(_header_file, lambda o: o["receipts"][2].__setitem__("memo", 1)),
+    "file_stray_key": _rewrite(_header_file, lambda o: o.__setitem__("memo", 1)),
+    "header_upper_case_hex": _rewrite(_header_file, lambda o: o["header"].__setitem__(
+        "txs_hash", o["header"]["txs_hash"].upper())),
+    "receipt_upper_case_hex": _rewrite(_header_file, lambda o: o["receipts"][3].__setitem__(
+        "txid", o["receipts"][3]["txid"].upper())),
+    "header_not_an_object": _raw(_header_file, lambda raw: b"[]"),
+    "header_truncated": _unreadable_header,
+    "batch_truncated": _raw(_batch_file, lambda raw: raw[:-1]),
+    "header_missing": _drop(_header_file),
+    "batch_missing": _drop(_batch_file),
+    "batch_whitespace": _spaced_batch,
+    "batch_number": _wrong_number,
+    "batch_later_epoch": _rewrite(_batch_file, lambda o: o.__setitem__("epoch", o["epoch"] + 1)),
+    "epoch_non_monotone": _earlier_epoch,
+    # Two faults at once, where the order of the checks decides the report.
+    "epoch_non_monotone_and_header_unreadable": _both(_earlier_epoch, _unreadable_header),
+    "batch_number_and_header_unreadable": _both(_wrong_number, _unreadable_header),
+    "batch_whitespace_and_header_unreadable": _both(_spaced_batch, _unreadable_header),
+    "epoch_non_monotone_and_header_field": _both(_earlier_epoch, _header_prev_hash),
+    "batch_whitespace_and_header_field": _both(_spaced_batch, _header_prev_hash),
+    "batch_number_and_receipt_dropped": _both(_wrong_number, _dropped_receipt),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_replay_reports_as_the_earlier_verifier_on_honest_logs(tmp_path, name):
+    logdir = _fixture_log(tmp_path, name)
+    report = ledger.replay_verify(logdir)
+    assert report.ok and report == ref_replay_verify(logdir)
+
+
+def test_replay_reports_as_the_earlier_verifier_on_a_repeating_fanout(tmp_path):
+    logdir = _fanout_log(tmp_path)
+    report = ledger.replay_verify(logdir)
+    assert report.ok and report == ref_replay_verify(logdir)
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_EDITS))
+def test_replay_reports_each_edit_as_the_earlier_verifier(tmp_path, case):
+    logdir = _fixture_log(tmp_path)
+    REPLAY_EDITS[case](logdir)
+    report = ledger.replay_verify(logdir)
+    assert report == ref_replay_verify(logdir)
+    assert not report.ok and report.batch == EDITED, report
+
+
+def test_honest_replay_decodes_no_header_file(tmp_path, monkeypatch):
+    logdir = _fixture_log(tmp_path)
+    decoded: list[model.JsonTable] = []
+    decode = model.JsonTable.decode
+
+    def counted(table, obj, codec=None):
+        decoded.append(table)
+        return decode(table, obj, codec)
+
+    monkeypatch.setattr(model.JsonTable, "decode", counted)
+    assert ledger.replay_verify(logdir).ok
+    assert decoded and not any(t is ledger.RECEIPT_JSON or t is ledger.HEADER_JSON for t in decoded)
+    # A mismatch is named from the decoded header file.
+    REPLAY_EDITS["receipt_gas_used"](logdir)
+    assert ledger.replay_verify(logdir).field == "receipt[1]"
+    assert sum(t is ledger.RECEIPT_JSON for t in decoded) == 4
+
+
+def test_batch_encode_writes_each_output_object_once(tmp_path, monkeypatch):
+    """The fan-out repeats two outputs twelve times: 30 outputs, 8 distinct.
+    Commit writes the transaction's own objects, replay the ones the codec
+    interned; either way each is encoded once."""
+    encoded: list[Output] = []
+    encode = model.OUTPUT_JSON.encode
+    monkeypatch.setattr(model.OUTPUT_JSON, "encode", lambda out: encoded.append(out) or encode(out))
+    logdir = _fanout_log(tmp_path)
+    outputs = json.loads((logdir / "batch_000001.json").read_text())["txs"][0]["outputs"]
+    assert len(outputs) == 30 and len(encoded) == len({canonical_json(out) for out in outputs}) == 8
+    encoded.clear()
+    assert ledger.replay_verify(logdir).ok
+    assert len(encoded) == 8

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import json
 import pickle
 from dataclasses import replace
 
@@ -18,11 +19,16 @@ from oracles import (
     Reader,
     Writer,
     canonical_deserialize,
+    canonical_json,
     encode,
     read_lock,
     read_output,
     ref_canonical_serialize,
     ref_full_serialize,
+    ref_genesis_json,
+    ref_header_json,
+    ref_receipt_json,
+    ref_tx_json,
     ref_txid,
     write_lock,
     write_outpoint,
@@ -422,7 +428,7 @@ def test_encoder_matches_reference_encoder(tx):
 def test_output_table_encodes_as_the_reference_encoder(out):
     """Every lock kind, with and without expiry: the output table writes
     what the per-output encoder it replaced wrote."""
-    assert model.OUTPUT_JSON.encode(out) == PlainJsonCodec().output_json(out)
+    assert model.OUTPUT_JSON.encode(out) == canonical_json(PlainJsonCodec().output_json(out))
 
 
 @given(random_txs())
@@ -433,6 +439,78 @@ def test_json_round_trip_of_every_kind_and_optional_field(tx):
     assert back == tx
     assert full_serialize(back) == full_serialize(tx)
     assert tx_to_json_str(back) == text
+
+
+@given(random_txs())
+@settings(max_examples=300, deadline=None)
+def test_transaction_text_is_canonical_json_of_the_reference_object(tx):
+    assert tx_to_json_str(tx) == canonical_json(ref_tx_json(tx))
+
+
+@given(st.lists(random_txs(), max_size=4), st.lists(st.integers(0, 3), max_size=6), _u64, _u64)
+@settings(max_examples=100, deadline=None)
+def test_batch_text_is_canonical_json_with_repeated_transactions_and_outputs(txs, repeats, number, epoch):
+    """A transaction listed twice shares its output objects, which the
+    batch's codec then writes from its text table."""
+    txs += [txs[i] for i in repeats if i < len(txs)]
+    want = {"batch": number, "epoch": epoch, "txs": [ref_tx_json(tx) for tx in txs]}
+    assert ledger._encode_batch(number, epoch, txs) == canonical_json(want)
+
+
+_receipts = st.builds(ledger.Receipt, _addr, st.sampled_from([0, 1, 104, 500, 999_999]) | _u64, _u64,
+                      st.sampled_from(list(Level)), _addr)
+_headers = st.builds(ledger.BatchHeader, _u64, _u64, _addr, _addr, _addr, _addr, _addr)
+
+
+@given(_headers, st.lists(_receipts, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_header_file_text_is_canonical_json_of_the_reference_objects(header, receipts):
+    want = {"header": ref_header_json(header), "receipts": [ref_receipt_json(r) for r in receipts]}
+    assert ledger._encode_header(header, receipts) == canonical_json(want)
+    for r in receipts:
+        assert r.to_json() == ref_receipt_json(r)
+
+
+# Names an intermediary may take: non-ASCII, control characters, quotes,
+# braces and the separators JSON escapes.
+_names = st.text(max_size=6) | st.sampled_from(["bänk", "\x00\n\t\x1f", '"{}"\\', "\u2028\ud7ff", "card\U0001f600"])
+
+
+@st.composite
+def _configs(draw):
+    registry = draw(st.lists(st.tuples(_names, _addr), max_size=3, unique_by=(lambda e: e[0], lambda e: e[1])))
+    policy = permission.PermissionPolicy
+    policies = [policy.open(), policy.allow_list(draw(st.lists(_addr, max_size=3)))]
+    if registry:
+        policies += [policy.endorsed(g) for g in ("per_transaction", "per_user")]
+    return rules.SystemConfig(
+        max_level=draw(st.sampled_from(list(Level))), initial_subsidy=draw(_u64),
+        halving_interval=draw(st.integers(1, U64_MAX)), min_fee=draw(_u64), min_gas_price=draw(_u64),
+        covenants=draw(st.booleans()), access_mode=draw(st.sampled_from([rules.ACCESS_DECLARED, rules.ACCESS_DYNAMIC])),
+        allow_list=draw(st.none() | st.frozensets(_addr, max_size=3)), expiry_enabled=draw(st.booleans()),
+        operator_pubkey=draw(_addr), deploy_policy=draw(st.sampled_from(policies)),
+        call_policy=draw(st.sampled_from(policies)), intermediary_registry=tuple(registry),
+    )
+
+
+@given(_configs())
+@settings(max_examples=200, deadline=None)
+def test_genesis_text_is_canonical_json_of_the_reference_object(cfg):
+    text = cfg.to_json_str()
+    assert text == canonical_json(ref_genesis_json(cfg))
+    assert rules.SystemConfig.from_json(json.loads(text)) == cfg
+
+
+def test_genesis_text_escapes_every_intermediary_name_as_json_does():
+    registry = tuple((name, bytes([i + 1]) * 32) for i, name in enumerate(
+        ["bänk", "\x00\n\t\x1f", '"{}"\\', "\u2028", "card\U0001f600"]
+    ))
+    for policy in (permission.PermissionPolicy.endorsed("per_user"),
+                   permission.PermissionPolicy.allow_list([b"\x09" * 32, b"\x02" * 32])):
+        cfg = rules.SystemConfig(call_policy=policy, intermediary_registry=registry)
+        text = cfg.to_json_str()
+        assert text.isascii() and text == canonical_json(ref_genesis_json(cfg))
+        assert rules.SystemConfig.from_json(json.loads(text)) == cfg
 
 
 def _fields(make) -> list[str]:

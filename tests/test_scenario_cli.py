@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from tierledger import cli, ledger, scenario
-from tierledger.model import tx_to_json, txid
+from tierledger.model import tx_to_json_str, txid
 from helpers import KEYS, make_call, sha256
 
 SEEDS = {
@@ -215,7 +215,7 @@ def test_cli_run_then_replay_and_digest(tmp_path, capsys):
 def test_cli_classify(tmp_path, capsys):
     call = make_call(KEYS[1], sha256(b"c"))
     txfile = tmp_path / "tx.json"
-    txfile.write_text(json.dumps(tx_to_json(call)))
+    txfile.write_text(tx_to_json_str(call))
     assert cli.main(["classify", str(txfile)]) == 0
     assert capsys.readouterr().out.strip() == "L3"
     txfile.write_text("[]")
