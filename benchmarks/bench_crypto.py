@@ -17,9 +17,14 @@ backend answered.
 - 2-of-3 skipping key 1: an honest `check_multisig` signed by keys 0 and
   2, with the number of OpenSSL verifications each check makes.
 - 200 account auths: a batch of 200 honest account-auth checks, each on
-  its own message, run inline and split with the helper thread
-  (`crypto.split_checks`, on a host with two or more CPUs), with each
-  thread's count of libsodium calls per batch.
+  its own message, run inline and split with the helper process
+  (`crypto.split_checks`, on a host with two or more CPUs). The checks
+  follow each other as in a contracts-declared batch; the "+ 100 µs work"
+  rows spin for 100 µs of Python between checks, as a mixed batch does
+  between its signatures. Each row counts, per batch, the libsodium
+  verdicts computed by the helper, by the caller for its own check
+  (inline), and by the caller for a later check while the helper held its
+  own (helping).
 
 Times are medians over the repetitions of a loop of calls; raw wall clock,
 not scaled by a host reference.
@@ -30,11 +35,11 @@ Usage: python benchmarks/bench_crypto.py [repetitions]
 from __future__ import annotations
 
 import ctypes.util
+import mmap
+import os
 import statistics
 import sys
-import threading
 import time
-from collections import Counter
 from contextlib import contextmanager, nullcontext
 from itertools import cycle
 from typing import Callable, Iterator
@@ -83,21 +88,59 @@ def without_libsodium() -> Iterator[None]:
         crypto._sodium = real
 
 
-def auth_batch(split: bool) -> None:
-    """One batch of AUTHS, inline or shared with the helper thread."""
+def auth_batch(split: bool, work_s: float = 0.0) -> None:
+    """One batch of AUTHS, inline or shared with the helper process, with
+    work_s of Python spinning between checks."""
     with crypto.split_checks(lambda: [((pk,), msg, (sig,)) for pk, msg, sig in AUTHS]) if split else nullcontext():
-        if not all(crypto.verify(*auth) for auth in AUTHS):
-            raise SystemExit("account auth: unexpected verdict")
+        for auth in AUTHS:
+            if not crypto.verify(*auth):
+                raise SystemExit("account auth: unexpected verdict")
+            end = time.perf_counter() + work_s
+            while time.perf_counter() < end:
+                pass
+
+
+VERDICT_SOURCES = ("helper", "caller inline", "caller helping", "caller, no slot")
 
 
 @contextmanager
-def counting_libsodium(calls: Counter) -> Iterator[None]:
-    real = crypto._sodium_check
-    crypto._sodium_check = lambda *key: calls.update([threading.current_thread().name]) or real(*key)
+def counting_verdicts() -> Iterator[memoryview]:
+    """Count libsodium verdicts by VERDICT_SOURCES, in memory shared with a
+    helper forked inside the block (the current one is stopped first, since
+    a helper runs the functions it forked with). The caller computes its own
+    check with its cursor on the slot, and helps with a later one."""
+    counts = memoryview(mmap.mmap(-1, 8 * len(VERDICT_SOURCES))).cast("q")
+    main = os.getpid()
+    real_verdict, real_check = crypto._verdict, crypto._sodium_check
+
+    def verdict(table, slot, key, claim):
+        if claim == crypto.HELPING:
+            counts[0] += 1
+        else:
+            counts[1 if slot == int.from_bytes(table[: crypto.HEAD], "little") else 2] += 1
+            counts[3] -= 1  # counted again as a caller call below
+        return real_verdict(table, slot, key, claim)
+
+    def check(*key):
+        if os.getpid() == main:
+            counts[3] += 1
+        return real_check(*key)
+
+    stop_helper()
+    crypto._verdict, crypto._sodium_check = verdict, check
     try:
-        yield
+        yield counts
     finally:
-        crypto._sodium_check = real
+        stop_helper()
+        crypto._verdict, crypto._sodium_check = real_verdict, real_check
+
+
+def stop_helper() -> None:
+    """Close the helper's pipe, so that it exits, and forget it."""
+    helper, crypto._helper = crypto._helper, None
+    if helper is not None:
+        helper[1].close()
+        helper[0].join(10)
 
 
 @contextmanager
@@ -149,14 +192,18 @@ def main() -> int:
 
     if crypto.CPUS < 2 or fast is None:
         print(f"  {AUTH_BATCH} account auths: split needs libsodium and two CPUs; inline only")
-    for split in (False, True) if crypto.CPUS >= 2 and fast is not None else (False,):
-        threads: Counter = Counter()
-        with counting_libsodium(threads):
-            auth_batch(split)
-        us = us_per_call(reps, lambda: auth_batch(split), 10) / AUTH_BATCH
-        counts = ", ".join(f"{name} {n}" for name, n in sorted(threads.items()))
-        name = f"{AUTH_BATCH} account auths, " + ("split" if split else "inline")
-        print(f"  {name:28s} {us:7.1f} µs per check; libsodium calls: {counts}")
+    for work_s in (0.0, 100e-6):
+        for split in (False, True) if crypto.CPUS >= 2 and fast is not None else (False,):
+            with counting_verdicts() as counts:
+                auth_batch(split, work_s)
+                # The helper may still be finishing the batch, so read after
+                # the next one has waited for its acknowledgement.
+                with crypto.split_checks(lambda: []) if split else nullcontext():
+                    sources = ", ".join(f"{name} {n}" for name, n in zip(VERDICT_SOURCES, counts))
+            auth_batch(split, work_s)  # forks the helper outside the timed loop
+            us = us_per_call(reps, lambda: auth_batch(split, work_s), 10) / AUTH_BATCH
+            name = f"{AUTH_BATCH} account auths{' + 100 µs work' if work_s else ''}, {'split' if split else 'inline'}"
+            print(f"  {name:42s} {us:7.1f} µs per check; verdicts: {sources}")
     return 0
 
 

@@ -8,18 +8,21 @@ all three. OpenSSL decides every rejection either way: `check_multisig`
 first matches with libsodium's accepts alone and asks `verify` only when
 that pass fails.
 
-Inside `split_checks`, one helper thread verifies outside the GIL (ctypes
-releases it) from the back of a batch's planned checks.
+Inside `split_checks`, one forked helper process runs libsodium over the
+batch's planned checks from the front, ahead of the caller, and the two
+share verdicts through a byte table in shared memory. Only libsodium
+verdicts are shared, so no verdict depends on the helper.
 """
 
 from __future__ import annotations
 
 import ctypes
 import ctypes.util
+import mmap
+import multiprocessing
 import os
-import queue
-import threading
-from contextlib import contextmanager
+import signal
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable, Iterator, Optional, Sequence
@@ -37,7 +40,7 @@ PUBKEY_BYTES = 32
 SIG_BYTES = 64
 # Order of the Ed25519 base point; a signature's S half must be below it.
 GROUP_ORDER = 2**252 + 27742317777372353535851937790883648493
-# CPUs this process may run on; with one, no helper thread is started.
+# CPUs this process may run on; with one, no helper process is started.
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
 
 
@@ -161,38 +164,6 @@ def _sodium_check(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
     )
 
 
-# The running batch's libsodium verdicts by (pubkey, msg, sig), or None
-# outside `split_checks`: a bool, or the lock its claimer holds meanwhile.
-_memo: Optional[dict] = None
-
-
-def _claim(memo: dict, key: tuple[bytes, bytes, bytes], wait: bool) -> object:
-    """key's verdict, computed here unless another thread claimed it first
-    (`setdefault` is the atomic claim): then the memo's bool, or, unless
-    waiting for it, the claimer's lock."""
-    mine = threading.Lock()
-    mine.acquire()
-    while (got := memo.setdefault(key, mine)) is not mine:
-        if isinstance(got, bool) or not wait:
-            return got
-        with got:  # released with the claimer's verdict, or its unclaim
-            pass
-    try:
-        memo[key] = verdict = _sodium_check(*key)
-    except BaseException:
-        del memo[key]
-        raise
-    finally:
-        mine.release()
-    return verdict
-
-
-def _sodium_accepts(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
-    """`_sodium_check`, through the running batch's memo if there is one."""
-    memo = _memo
-    return _sodium_check(pubkey, msg, sig) if memo is None else _claim(memo, (pubkey, msg, sig), True)
-
-
 def verify(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
     """True iff sig is a valid signature on msg under pubkey.
 
@@ -260,64 +231,133 @@ def check_multisig(m: int, pubkeys: Sequence[bytes], sigs: Sequence[bytes], msg:
 
 
 Check = tuple[Sequence[bytes], bytes, Sequence[bytes]]  # (pubkeys, msg, sigs)
-_work: "queue.SimpleQueue[Optional[tuple[dict, Sequence[Check]]]]" = queue.SimpleQueue()
-_helper: Optional[threading.Thread] = None
+
+# The verdict table in shared memory: a 4-byte cursor (the caller's last slot,
+# or DONE after the batch), then a state byte per planned triple in plan order.
+# Claims are plain byte writes: racing, both sides may compute one triple.
+FREE, HELPING, CALLING, ACCEPT, REJECT = range(5)
+HEAD, TABLE_SLOTS, DONE = 4, 1 << 16, 2**32 - 1  # planned triples past TABLE_SLOTS verify inline
+# The helper (process, the caller's end of its pipe, table); the running
+# batch's triple -> offset (None outside `split_checks`) and offset - HEAD -> triple.
+_helper: Optional[tuple] = None
+_slots: Optional[dict] = None
+_triples: list = []
 
 
-def _serve() -> None:
-    """The helper: `check_multisig`'s libsodium pass over each batch's plan
-    from the back, until the batch ends or it meets the caller's claims.
-    None stops it."""
-    while (item := _work.get()) is not None:
-        memo, checks = item
-        met = False
+def _index(plan: Sequence[Check]) -> dict:
+    """Each distinct triple that `check_multisig`'s greedy pass over plan may
+    ask libsodium (signature j against keys j onwards), to its table offset
+    while the table has room."""
+    slots: dict = {}
+    for pubkeys, msg, sigs in plan:
+        for j, sig in enumerate(sigs):
+            for pubkey in pubkeys[j:]:
+                if len(slots) < TABLE_SLOTS:
+                    slots.setdefault((pubkey, msg, sig), HEAD + len(slots))
+    return slots
 
-        def accepts(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
-            nonlocal met
-            key = (pubkey, msg, sig)
-            verdict = None if met or _memo is not memo or key in memo else _claim(memo, key, False)
-            met = not isinstance(verdict, bool)
-            return verdict is True
 
-        for pubkeys, msg, sigs in reversed(checks):
-            _in_order(accepts, pubkeys, sigs, msg)
-            if met:
-                break
-        del item, memo, checks, accepts  # the memo must not outlive its batch
+def _verdict(table: mmap.mmap, slot: int, key: tuple[bytes, bytes, bytes], claim: int) -> bool:
+    """key's libsodium verdict, computed under claim and written to its slot."""
+    table[slot] = claim
+    verdict = _sodium_check(*key)
+    table[slot] = ACCEPT if verdict else REJECT
+    return verdict
+
+
+def _sodium_accepts(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
+    """`_sodium_check`, through the running batch's table if the triple is
+    planned. While the helper computes the caller's slot, the caller computes
+    the next free slot; with none left it waits, as long as the helper lives."""
+    key = (pubkey, msg, sig)
+    slot = None if _slots is None else _slots.get(key)
+    if slot is None:
+        return _sodium_check(*key)
+    process, _, table = _helper
+    table[:HEAD] = slot.to_bytes(HEAD, "little")
+    while (state := table[slot]) == HELPING:
+        if (free := table.find(b"\0", slot + 1, HEAD + len(_triples))) > 0:
+            _verdict(table, free, _triples[free - HEAD], CALLING)
+        elif not process.is_alive():
+            break
+    return state == ACCEPT if state >= ACCEPT else _verdict(table, slot, key, CALLING)
+
+
+def _serve(conn: multiprocessing.connection.Connection, table: mmap.mmap) -> None:
+    """The helper process: for each plan, `check_multisig`'s libsodium pass over
+    the free slots past the caller's cursor, then an acknowledgement, after which
+    it writes nothing until it blocks on the next plan. EOF ends it."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C stops the parent, and EOF this
+
+    def accepts(*key: bytes) -> bool:
+        slot = slots.get(key)
+        if slot is None or slot <= int.from_bytes(table[:HEAD], "little"):
+            return True  # unplanned, or the caller is past it: assume honest
+        return _verdict(table, slot, key, HELPING) if table[slot] == FREE else table[slot] != REJECT
+
+    with suppress(EOFError, OSError):  # the caller's end is closed
+        while True:
+            plan = conn.recv()
+            slots = _index(plan)
+            for pubkeys, msg, sigs in plan:
+                _in_order(accepts, pubkeys, sigs, msg)
+            conn.send_bytes(b"")
+
+
+def _ready_helper() -> tuple:
+    """The helper once it has acknowledged its last batch, after which it
+    writes nothing until the next plan; a new helper if it died."""
+    global _helper
+    if _helper is not None:
+        with suppress(EOFError, OSError):  # else it died; starting the next process reaps it
+            _helper[1].recv_bytes()
+            return _helper
+    table, (conn, child_end) = mmap.mmap(-1, HEAD + TABLE_SLOTS), multiprocessing.Pipe()
+    fork = multiprocessing.get_context("fork")
+    process = fork.Process(target=_serve, args=(child_end, table), name="tierledger-verify", daemon=True)
+    _helper = (process, conn, table)
+    try:
+        process.start()  # the fork hook closes conn in the helper
+    finally:
+        child_end.close()
+    return _helper
 
 
 @contextmanager
 def split_checks(plan: Callable[[], Sequence[Check]]) -> Iterator[None]:
-    """Share the block's libsodium verdicts with the helper, which works on
-    plan() meanwhile; only with libsodium and two CPUs is plan() called."""
-    global _memo, _helper
+    """Share the batch's libsodium verdicts with the helper process, which
+    works through plan() meanwhile; only with libsodium and two CPUs is
+    plan() called."""
+    global _slots, _triples
     if CPUS < 2 or _sodium_verify() is None:
         yield
         return
-    if _helper is None or not _helper.is_alive():
-        _helper = threading.Thread(target=_serve, name="tierledger-verify", daemon=True)
-        _helper.start()
     checks = plan()
-    _memo = memo = {}
-    _work.put((memo, checks))
+    slots = _index(checks)
+    helper = _ready_helper()
+    helper[2][: HEAD + len(slots)] = bytes(HEAD + len(slots))
+    with suppress(OSError):  # a helper that died since: inline now, a new one next batch
+        helper[1].send(checks)
+        _slots, _triples = slots, list(slots)
     try:
         yield
     finally:
-        _memo = None
+        _slots, _triples = None, []
+        if _helper is helper:  # not in a forked child
+            helper[2][:HEAD] = DONE.to_bytes(HEAD, "little")
 
 
-def quiesce() -> None:
-    """Drop the batch's memo and stop the helper. It runs before every fork,
-    so no thread runs across one; the next batch starts a new helper."""
-    global _memo
-    _memo = None
-    if _helper is not None and _helper.is_alive():
-        _work.put(None)
-        _helper.join()
+def _forget_helper() -> None:
+    """In a forked child: verify inline, never touching the parent's table or pipe."""
+    global _helper, _slots
+    if _helper is not None:
+        _helper[1].close()
+        multiprocessing.process._children.discard(_helper[0])  # the child's exit must not stop it
+    _helper = _slots = None
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(before=quiesce)
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 def utxo_signing_message(txid: bytes, input_index: int) -> bytes:

@@ -1,16 +1,27 @@
-"""The signature helper thread (`crypto.split_checks`): `apply_batch` shares
-its libsodium accepts with one helper thread, which must never change a
-verdict, a receipt or a header hash, must compute each (pubkey, msg, sig)
-at most once per batch across both threads, and must leave no memo behind.
-Tests switch the helper on and off through `crypto.CPUS` alone."""
+"""The signature helper process (`crypto.split_checks`): `apply_batch` shares
+its libsodium verdicts with one forked helper through a byte table in shared
+memory. The helper must never change a verdict, a receipt or a header hash;
+no verdict may outlive its batch; a helper that raises or dies must leave
+the inline verdicts; and an idle helper must use no CPU and must not outlive
+its parent. Tests switch the helper on and off through `crypto.CPUS` alone.
+
+A patch of `crypto` reaches the helper only if the helper forks after it, so
+tests that patch what the helper runs take the `fresh_helper` fixture, which
+stops the helper before the test and again before the patches are undone."""
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
+import signal
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -36,21 +47,50 @@ HELPER = "tierledger-verify"
 needs_sodium = pytest.mark.skipif(crypto._sodium_verify() is None, reason="the helper needs libsodium")
 
 
+def stop_helper() -> None:
+    """Close the helper's pipe, so that it exits, and forget it."""
+    helper, crypto._helper = crypto._helper, None
+    if helper is not None:
+        helper[1].close()
+        helper[0].join(10)
+        assert not helper[0].is_alive()
+
+
+@pytest.fixture
+def fresh_helper(monkeypatch):
+    """The test's first batch forks a helper that runs the test's patches;
+    it is stopped before monkeypatch undoes them."""
+    stop_helper()
+    yield
+    stop_helper()
+
+
 def count_libsodium(monkeypatch) -> Counter:
-    """Count the calls that reach libsodium, by (thread name, triple)."""
+    """Count this process's calls that reach libsodium, by (inside a batch, triple)."""
     calls: Counter = Counter()
     real = crypto._sodium_check
 
     def counting(*key):
-        calls[threading.current_thread().name, key] += 1
+        calls[crypto._slots is not None, key] += 1
         return real(*key)
 
     monkeypatch.setattr(crypto, "_sodium_check", counting)
     return calls
 
 
-def helper_threads() -> int:
-    return sum(t.name == HELPER for t in threading.enumerate())
+def helper_processes() -> list:
+    return [p for p in multiprocessing.active_children() if p.name == HELPER]
+
+
+def wait_for_the_helper() -> None:
+    """Wait until the helper has acknowledged the running batch's plan: it
+    has finished its pass and writes nothing more until the next plan. The
+    acknowledgement stays in the pipe for the next batch to read."""
+    assert crypto._helper[1].poll(30), "the helper never finished the plan"
+
+
+def cursor(table) -> int:
+    return int.from_bytes(table[: crypto.HEAD], "little")
 
 
 def mixed_batch():
@@ -91,21 +131,12 @@ def mixed_batch():
 
 
 def helper_pass(plan) -> set:
-    """The triples the helper claims in its pass over plan, if the caller
-    claims none of them first."""
+    """The triples the helper computes in its pass over plan, if the caller
+    asks for none of them first."""
     keys: set = set()
     for pubkeys, msg, sigs in plan:
         crypto._in_order(lambda *key: keys.add(key) or crypto._sodium_check(*key), pubkeys, sigs, msg)
     return keys
-
-
-def wait_for_the_helper(keys: set) -> None:
-    """Wait until the helper has claimed and computed exactly keys, while
-    this thread checks nothing."""
-    deadline = time.monotonic() + 30
-    while set(list(crypto._memo)) != keys or not all(isinstance(v, bool) for v in list(crypto._memo.values())):
-        assert time.monotonic() < deadline, "the helper never finished the plan"
-        time.sleep(0.001)
 
 
 def apply_copy(state, cfg, txs):
@@ -114,13 +145,24 @@ def apply_copy(state, cfg, txs):
     return receipts, header.hash()
 
 
+def count_starts(monkeypatch) -> list:
+    """The names of the threads and processes started from now on."""
+    started: list = []
+    for cls in (threading.Thread, multiprocessing.process.BaseProcess):
+        real = cls.start
+        monkeypatch.setattr(cls, "start", lambda self, real=real: started.append(self.name) or real(self))
+    return started
+
+
 @needs_sodium
 def test_helper_on_and_off_give_identical_receipts_and_headers(monkeypatch):
     state, cfg, txs, want = mixed_batch()
     calls = count_libsodium(monkeypatch)
+    started = count_starts(monkeypatch)
     monkeypatch.setattr(crypto, "CPUS", 1)
     inline = apply_copy(state, cfg, txs)
-    assert {thread for thread, _ in calls} == {"MainThread"}
+    assert calls and {in_batch for in_batch, _ in calls} == {False}
+    assert started == []
     monkeypatch.setattr(crypto, "CPUS", 2)
     for _ in range(5):
         assert apply_copy(state, cfg, txs) == inline
@@ -128,15 +170,20 @@ def test_helper_on_and_off_give_identical_receipts_and_headers(monkeypatch):
 
 
 @needs_sodium
-def test_each_triple_reaches_libsodium_once_across_both_threads(monkeypatch):
+def test_a_finished_helper_answers_every_planned_check(monkeypatch):
     monkeypatch.setattr(crypto, "CPUS", 2)
     state, cfg, txs, _ = mixed_batch()
     planned = ledger._planned_checks(state.utxos, [(tx, txid(tx)) for tx in txs])
     keys = helper_pass(planned)
     calls = count_libsodium(monkeypatch)
     with crypto.split_checks(lambda: planned):
-        wait_for_the_helper(keys)
-        assert {thread for thread, _ in calls} == {HELPER}
+        wait_for_the_helper()
+        table = crypto._helper[2]
+        # The helper computed exactly its pass, each verdict libsodium's.
+        done = {key: table[slot] for key, slot in crypto._slots.items() if table[slot] != crypto.FREE}
+        assert set(done) == keys
+        assert all(done[key] == (crypto.ACCEPT if crypto._sodium_check(*key) else crypto.REJECT) for key in keys)
+        calls.clear()
         # The caller checks only now, so each check must find the helper's
         # verdict.
         for pubkeys, msg, sigs in planned:
@@ -144,37 +191,30 @@ def test_each_triple_reaches_libsodium_once_across_both_threads(monkeypatch):
                 crypto.verify(pubkeys[0], msg, sigs[0])
             else:
                 crypto.check_multisig(len(sigs), pubkeys, sigs, msg)
-    assert not [key for (thread, key) in calls if thread != HELPER]
-    assert max(calls.values()) == 1
-    # A whole batch, helper and caller racing: still once per triple.
-    calls.clear()
-    for _ in range(5):
-        apply_copy(state, cfg, txs)
-        crypto.quiesce()
-        per_triple = Counter(key for _, key in calls.elements())
-        assert max(per_triple.values()) == 1
-        calls.clear()
+    assert not calls
 
 
 @needs_sodium
 def test_no_memo_outlives_its_batch(monkeypatch):
+    """The batch's table is its memo: the caller drops its index when the
+    batch ends, marks the table done, and the helper acknowledges before the
+    next batch clears it."""
     monkeypatch.setattr(crypto, "CPUS", 2)
     state, cfg, txs, _ = mixed_batch()
-    seen = []
-    real = crypto._sodium_check
-    monkeypatch.setattr(crypto, "_sodium_check", lambda *key: seen.append(crypto._memo) or real(*key))
+    calls = count_libsodium(monkeypatch)
     apply_copy(state, cfg, txs)
-    assert crypto._memo is None
-    memo = next(memo for memo in seen if isinstance(memo, dict))
-    seen.clear()
-    # Once the helper is done with the batch, it holds no reference either.
-    deadline = time.monotonic() + 30
-    while sys.getrefcount(memo) > 2:
-        assert time.monotonic() < deadline, "the helper kept the batch's memo"
-        time.sleep(0.001)
+    assert any(in_batch for in_batch, _ in calls)  # the batch ran with a table
+    assert crypto._slots is None
+    table = crypto._helper[2]
+    assert cursor(table) == crypto.DONE
+    # Once the helper has acknowledged the batch, it writes nothing more.
+    wait_for_the_helper()
+    written = bytes(table)
+    time.sleep(0.05)
+    assert bytes(table) == written
     with pytest.raises(ledger.BatchError):
         ledger.apply_batch(state.copy(), txs, state.epoch - 1, cfg)
-    assert crypto._memo is None
+    assert crypto._slots is None
 
     def boom(*args):
         raise RuntimeError("transfer failed")
@@ -182,25 +222,23 @@ def test_no_memo_outlives_its_batch(monkeypatch):
     monkeypatch.setattr(ledger, "_transfer", boom)
     with pytest.raises(RuntimeError):
         apply_copy(state, cfg, txs)
-    assert crypto._memo is None
+    assert crypto._slots is None
+    assert cursor(crypto._helper[2]) == crypto.DONE
 
 
 @needs_sodium
-@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
-def test_a_helper_that_raises_leaves_the_inline_verdicts(monkeypatch):
-    state, cfg, txs, _ = mixed_batch()
+def test_a_helper_that_raises_leaves_the_inline_verdicts(monkeypatch, fresh_helper):
     monkeypatch.setattr(crypto, "CPUS", 1)
+    state, cfg, txs, _ = mixed_batch()
     inline = apply_copy(state, cfg, txs)
     monkeypatch.setattr(crypto, "CPUS", 2)
-    crypto.quiesce()
-    raised = threading.Event()
+    parent = os.getpid()
     real = crypto._sodium_check
 
     def failing(*key):
-        if threading.current_thread().name == HELPER:
-            raised.set()
+        if os.getpid() != parent:
             raise RuntimeError("helper failed")
-        raised.wait(10)  # let the helper fail before the caller's first check
+        crypto._helper[0].join(10)  # let the helper fail before the caller's first check
         return real(*key)
 
     monkeypatch.setattr(crypto, "_sodium_check", failing)
@@ -209,86 +247,65 @@ def test_a_helper_that_raises_leaves_the_inline_verdicts(monkeypatch):
     batch.start()
     batch.join(60)
     assert not batch.is_alive(), "apply_batch hung on a failed helper"
-    assert raised.is_set()
+    failed = crypto._helper[0]
+    assert failed.exitcode == 1  # it raised
     assert result == [inline]
-    # Once the failed helper has ended, the next batch starts a new one;
-    # there is never more than one.
-    failed = crypto._helper
-    failed.join(10)
-    assert not failed.is_alive()
+    # The next batch starts a new helper; there is never more than one.
     monkeypatch.setattr(crypto, "_sodium_check", real)
     assert apply_copy(state, cfg, txs) == inline
-    assert crypto._helper is not failed and helper_threads() == 1
+    assert crypto._helper[0] is not failed and helper_processes() == [crypto._helper[0]]
 
 
 @needs_sodium
-def test_a_caller_waiting_on_a_failed_claim_computes_the_verdict(monkeypatch):
+def test_a_caller_waiting_on_a_failed_claim_computes_the_verdict(monkeypatch, fresh_helper):
+    monkeypatch.setattr(crypto, "CPUS", 2)
     kp = KEYS[1]
     key = (kp.pubkey, test_crypto.MSG, kp.sign(test_crypto.MSG))
-    entered, release = threading.Event(), threading.Event()
+    parent = os.getpid()
     real = crypto._sodium_check
-
-    def check(*k):
-        if threading.current_thread().name == "claimer":
-            entered.set()
-            release.wait(10)
-            raise RuntimeError("claimer failed")
-        return real(*k)
-
-    memo: dict = {}
-    monkeypatch.setattr(crypto, "_sodium_check", check)
-    monkeypatch.setattr(crypto, "_memo", memo)
-    claimer = threading.Thread(target=lambda: pytest.raises(RuntimeError, crypto._claim, memo, key, True), name="claimer")
-    claimer.start()
-    assert entered.wait(10)
-    threading.Timer(0.05, release.set).start()
-    result = []
-    waiter = threading.Thread(target=lambda: result.append(crypto._sodium_accepts(*key)), daemon=True)
-    waiter.start()
-    waiter.join(30)
-    assert not waiter.is_alive(), "the caller hung on a failed claim"
-    assert result == [True]
-    claimer.join(10)
-    assert not claimer.is_alive()
-    assert memo == {key: True}
-
-
-def test_racing_threads_compute_each_triple_once(monkeypatch):
-    """More threads than CPUs, switching as often as the interpreter allows,
-    each claiming the same triples in its own order through one memo. The
-    verdicts come from a cheap stand-in for libsodium, so that the threads
-    spend their time claiming."""
-    rng = random.Random(7)
-    keys = [(rng.randbytes(32), rng.randbytes(32), rng.randbytes(64)) for _ in range(2_000)]
-    calls: list = []
-    monkeypatch.setattr(crypto, "_sodium_check", lambda *key: calls.append(key) or key[2][0] % 2 == 0)
-    want = {key: key[2][0] % 2 == 0 for key in keys}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for round_ in range(10):
-            calls.clear()
-            monkeypatch.setattr(crypto, "_memo", {})
-            results: list = []
-
-            def check(seed: int) -> None:
-                order = random.Random(seed).sample(keys, len(keys))
-                results.append({key: crypto._sodium_accepts(*key) for key in order})
-
-            threads = [threading.Thread(target=check, args=(round_ * 8 + i,), daemon=True) for i in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60)
-            assert not any(t.is_alive() for t in threads)
-            assert results == [want] * len(threads)
-            assert sorted(calls) == sorted(keys), f"round {round_}"
-    finally:
-        sys.setswitchinterval(interval)
+    # The helper dies inside its first libsodium call, holding that claim.
+    monkeypatch.setattr(crypto, "_sodium_check", lambda *k: os._exit(3) if os.getpid() != parent else real(*k))
+    with crypto.split_checks(lambda: [((key[0],), key[1], (key[2],))]):
+        process, _, table = crypto._helper
+        process.join(10)
+        assert process.exitcode == 3
+        slot = crypto._slots[key]
+        assert table[slot] == crypto.HELPING
+        result = []
+        waiter = threading.Thread(target=lambda: result.append(crypto._sodium_accepts(*key)), daemon=True)
+        waiter.start()
+        waiter.join(30)
+        assert not waiter.is_alive(), "the caller hung on a failed claim"
+        assert result == [True]
+        assert table[slot] == crypto.ACCEPT
 
 
 @needs_sodium
-def test_s_guard_holds_through_the_helper(monkeypatch):
+def test_racing_caller_and_helper_agree_on_every_verdict(monkeypatch, fresh_helper):
+    """The caller and the helper race over one plan of 2,000 triples, in plan
+    order and in shuffled orders. The verdicts come from a cheap stand-in for
+    libsodium, so that both processes spend their time claiming. A claim is
+    a plain byte write, so both may compute a triple; neither may ever read a
+    wrong verdict, and every slot must end as one."""
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    rng = random.Random(7)
+    keys = [(rng.randbytes(32), rng.randbytes(32), rng.randbytes(64)) for _ in range(2_000)]
+    monkeypatch.setattr(crypto, "_sodium_check", lambda *key: key[2][0] % 2 == 0)
+    want = {key: key[2][0] % 2 == 0 for key in keys}
+    plan = [((pk,), msg, (sig,)) for pk, msg, sig in keys]
+    for round_ in range(10):
+        order = keys if round_ % 2 == 0 else random.Random(round_).sample(keys, len(keys))
+        with crypto.split_checks(lambda: plan):
+            got = {key: crypto._sodium_accepts(*key) for key in order}
+            slots = dict(crypto._slots)
+        assert got == want, f"round {round_}"
+        wait_for_the_helper()
+        table = crypto._helper[2]
+        assert all(table[slot] == (crypto.ACCEPT if want[key] else crypto.REJECT) for key, slot in slots.items())
+
+
+@needs_sodium
+def test_s_guard_holds_through_the_helper(monkeypatch, fresh_helper):
     monkeypatch.setattr(crypto, "CPUS", 2)
     monkeypatch.setattr(crypto, "_sodium_verify", lambda: lambda sig, msg, n, pk: 0)
     kp = KEYS[1]
@@ -298,19 +315,148 @@ def test_s_guard_holds_through_the_helper(monkeypatch):
     bad = [test_crypto.with_s(sig, v) for v in (test_crypto.L, s + test_crypto.L, 2**256 - 1)]
     plan = [((pk, kp.pubkey), test_crypto.MSG, (b,)) for b in bad]
     with crypto.split_checks(lambda: plan):
-        wait_for_the_helper(helper_pass(plan))
-        assert len(crypto._memo) == 2 * len(bad)
+        wait_for_the_helper()
+        table = crypto._helper[2]
+        assert [table[slot] for slot in crypto._slots.values()] == [crypto.REJECT] * (2 * len(bad))
         assert crypto.verify(pk, test_crypto.MSG + b"x", sig)  # the stub is in effect
         for b in bad:
             assert not crypto.verify(pk, test_crypto.MSG, b)
             assert not crypto.check_multisig(1, [pk, kp.pubkey], [b], test_crypto.MSG)
 
 
-def count_thread_starts(monkeypatch) -> list:
-    started: list = []
-    real = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self.name) or real(self))
-    return started
+@needs_sodium
+def test_a_stale_verdict_never_lands_in_the_next_batch(monkeypatch, fresh_helper):
+    """Batch N plans an honest signature and batch N+1 a bad one at the same
+    slot. The helper's verdict on batch N's signature is delayed past the
+    end of batch N; the next batch must wait for it before it clears the
+    table, so the bad signature is still rejected."""
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    kp = KEYS[1]
+    good = (kp.pubkey, test_crypto.MSG, kp.sign(test_crypto.MSG))
+    bad = (kp.pubkey, test_crypto.MSG + b"x", good[2])
+    parent = os.getpid()
+    real = crypto._sodium_check
+
+    def slow_in_the_helper(*key):
+        if os.getpid() != parent:
+            time.sleep(0.3)
+        return real(*key)
+
+    monkeypatch.setattr(crypto, "_sodium_check", slow_in_the_helper)
+    with crypto.split_checks(lambda: [((good[0],), good[1], (good[2],))]):
+        table = crypto._helper[2]
+        slot = crypto._slots[good]
+        deadline = time.monotonic() + 30
+        while table[slot] != crypto.HELPING:
+            assert time.monotonic() < deadline, "the helper never claimed the slot"
+        # Batch N ends while the helper is still computing its verdict.
+    with crypto.split_checks(lambda: [((bad[0],), bad[1], (bad[2],))]):
+        assert crypto._slots[bad] == slot
+        time.sleep(0.5)  # long enough for a late write from batch N to land
+        assert not crypto._sodium_accepts(*bad)
+        assert not crypto.verify(*bad)
+
+
+@needs_sodium
+def test_a_helper_killed_mid_batch_leaves_the_receipts(monkeypatch, fresh_helper):
+    monkeypatch.setattr(crypto, "CPUS", 1)
+    state, cfg, txs, _ = mixed_batch()
+    inline = apply_copy(state, cfg, txs)
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    parent = os.getpid()
+    real = crypto._sodium_check
+    armed: list = []
+
+    def check(*key):
+        if os.getpid() != parent:
+            time.sleep(0.02)  # keeps the helper mid-pass
+        elif armed and armed[0].is_alive():
+            os.kill(armed[0].pid, signal.SIGKILL)
+        return real(*key)
+
+    monkeypatch.setattr(crypto, "_sodium_check", check)
+    assert apply_copy(state, cfg, txs) == inline  # forks a slow helper
+    killed = crypto._helper[0]
+    armed.append(killed)
+    result = []
+    batch = threading.Thread(target=lambda: result.append(apply_copy(state, cfg, txs)), daemon=True)
+    batch.start()
+    batch.join(60)
+    assert not batch.is_alive(), "apply_batch hung on a killed helper"
+    assert result == [inline]
+    killed.join(10)
+    assert killed.exitcode == -signal.SIGKILL
+    # The next batch starts a new helper; there is never more than one.
+    assert apply_copy(state, cfg, txs) == inline
+    assert crypto._helper[0] is not killed and helper_processes() == [crypto._helper[0]]
+
+
+CHILD = textwrap.dedent(
+    """
+    import sys, time
+    from tierledger import crypto
+    crypto.CPUS = 2
+    kp = crypto.keygen(bytes(32))
+    msg = bytes(32)
+    sig = kp.sign(msg)
+    with crypto.split_checks(lambda: [((kp.pubkey,), msg, (sig,))]):
+        assert crypto.verify(kp.pubkey, msg, sig)
+    print(crypto._helper[0].pid, flush=True)
+    if sys.argv[1] == "wait":
+        time.sleep(60)
+    """
+)
+
+
+def exited(pid: int) -> bool:
+    """pid has exited: it is gone, or a zombie that its new parent has yet
+    to reap (read from /proc only)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@needs_sodium
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+@pytest.mark.parametrize("end", ["exit", "kill"])
+def test_no_helper_outlives_its_parent(end):
+    env = {**os.environ, "PYTHONPATH": str(Path(crypto.__file__).parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-c", CHILD, "wait" if end == "kill" else "exit"], env=env, stdout=subprocess.PIPE, text=True
+    )
+    try:
+        pid = int(child.stdout.readline())
+        if end == "kill":
+            child.kill()
+        assert child.wait(30) == (-signal.SIGKILL if end == "kill" else 0)
+    finally:
+        child.kill()
+        child.stdout.close()
+    deadline = time.monotonic() + 2
+    while not exited(pid):
+        assert time.monotonic() < deadline, f"the helper outlived its parent ({end})"
+        time.sleep(0.01)
+
+
+def cpu_ticks(pid: int) -> int:
+    """utime + stime of pid, in clock ticks, read from /proc."""
+    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    return int(fields[11]) + int(fields[12])
+
+
+@needs_sodium
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_an_idle_helper_uses_no_cpu(monkeypatch):
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    state, cfg, txs, _ = mixed_batch()
+    apply_copy(state, cfg, txs)
+    wait_for_the_helper()
+    pid = crypto._helper[0].pid
+    before = cpu_ticks(pid)
+    time.sleep(0.5)
+    assert cpu_ticks(pid) - before <= 2
 
 
 def run_golden(tmp_path, case) -> None:
@@ -326,8 +472,7 @@ GOLDEN_CASES = sorted(golden.FIXTURE_HEADERS) + sorted(golden.RANDOM_HEADERS)
 @pytest.mark.parametrize("case", GOLDEN_CASES)
 def test_golden_hashes_on_one_cpu_start_no_thread(monkeypatch, tmp_path, case):
     monkeypatch.setattr(crypto, "CPUS", 1)
-    monkeypatch.setattr(crypto, "_helper", None)
-    started = count_thread_starts(monkeypatch)
+    started = count_starts(monkeypatch)
     run_golden(tmp_path, case)
     assert started == []
 
@@ -337,17 +482,16 @@ def test_golden_hashes_on_one_cpu_start_no_thread(monkeypatch, tmp_path, case):
 def test_golden_hashes_on_two_cpus(monkeypatch, tmp_path, case):
     monkeypatch.setattr(crypto, "CPUS", 2)
     seen = []
-    real = crypto._sodium_check
-    monkeypatch.setattr(crypto, "_sodium_check", lambda *key: seen.append(crypto._memo is not None) or real(*key))
+    real = crypto._sodium_accepts
+    monkeypatch.setattr(crypto, "_sodium_accepts", lambda *key: seen.append(key in (crypto._slots or ())) or real(*key))
     run_golden(tmp_path, case)
-    assert any(seen)
-    assert helper_threads() == 1
+    assert any(seen)  # some check went through the table
+    assert helper_processes() == [crypto._helper[0]]
 
 
 def test_golden_hashes_without_libsodium_start_no_helper(monkeypatch, tmp_path):
     monkeypatch.setattr(crypto, "CPUS", 2)
-    monkeypatch.setattr(crypto, "_helper", None)
-    started = count_thread_starts(monkeypatch)
+    started = count_starts(monkeypatch)
     monkeypatch.setattr(crypto, "_sodium", lambda: None)
     monkeypatch.setattr(crypto, "_secret_key", None)
     for case in GOLDEN_CASES:
