@@ -19,12 +19,13 @@ backend answered.
 - 200 account auths: a batch of 200 honest account-auth checks, each on
   its own message, run inline and split with the helper process
   (`crypto.split_checks`, on a host with two or more CPUs). The checks
-  follow each other as in a contracts-declared batch; the "+ 100 µs work"
-  rows spin for 100 µs of Python between checks, as a mixed batch does
-  between its signatures. Each row counts, per batch, the libsodium
-  verdicts computed by the helper, by the caller for its own check
-  (inline), and by the caller for a later check while the helper held its
-  own (helping).
+  follow each other in plan order; the "+ 100 µs work" rows spin for 100 µs
+  of Python between checks, as a batch does between its signatures, and
+  the "shuffled" row asks them in a fixed shuffled order, as the scheduler
+  asks contract calls' auths wave by wave. Each row counts, per batch, the
+  libsodium verdicts computed by the helper, by the caller for its own
+  check (inline), and by the caller for another check while the helper
+  held its own (helping).
 
 Times are medians over the repetitions of a loop of calls; raw wall clock,
 not scaled by a host reference.
@@ -37,6 +38,7 @@ from __future__ import annotations
 import ctypes.util
 import mmap
 import os
+import random
 import statistics
 import sys
 import time
@@ -62,6 +64,7 @@ AUTHS = [
     (KEY.pubkey, msg, KEY.sign(msg))
     for msg in (crypto.account_signing_message(i.to_bytes(32, "little")) for i in range(AUTH_BATCH))
 ]
+SHUFFLED = random.Random(24).sample(AUTHS, AUTH_BATCH)
 
 
 def us_per_call(reps: int, fn: Callable[[], object], calls: int = CALLS) -> float:
@@ -88,11 +91,12 @@ def without_libsodium() -> Iterator[None]:
         crypto._sodium = real
 
 
-def auth_batch(split: bool, work_s: float = 0.0) -> None:
-    """One batch of AUTHS, inline or shared with the helper process, with
-    work_s of Python spinning between checks."""
+def auth_batch(split: bool, work_s: float = 0.0, order: list = AUTHS) -> None:
+    """One batch of AUTHS, planned in their order and asked in order, inline
+    or shared with the helper process, with work_s of Python spinning
+    between checks."""
     with crypto.split_checks(lambda: [((pk,), msg, (sig,)) for pk, msg, sig in AUTHS]) if split else nullcontext():
-        for auth in AUTHS:
+        for auth in order:
             if not crypto.verify(*auth):
                 raise SystemExit("account auth: unexpected verdict")
             end = time.perf_counter() + work_s
@@ -108,7 +112,7 @@ def counting_verdicts() -> Iterator[memoryview]:
     """Count libsodium verdicts by VERDICT_SOURCES, in memory shared with a
     helper forked inside the block (the current one is stopped first, since
     a helper runs the functions it forked with). The caller computes its own
-    check with its cursor on the slot, and helps with a later one."""
+    check with its cursor on the slot, and helps with another one."""
     counts = memoryview(mmap.mmap(-1, 8 * len(VERDICT_SOURCES))).cast("q")
     main = os.getpid()
     real_verdict, real_check = crypto._verdict, crypto._sodium_check
@@ -192,18 +196,19 @@ def main() -> int:
 
     if crypto.CPUS < 2 or fast is None:
         print(f"  {AUTH_BATCH} account auths: split needs libsodium and two CPUs; inline only")
-    for work_s in (0.0, 100e-6):
+    for work_s, order, label in ((0.0, AUTHS, ""), (100e-6, AUTHS, " + 100 µs work"),
+                                 (100e-6, SHUFFLED, " + 100 µs work, shuffled")):
         for split in (False, True) if crypto.CPUS >= 2 and fast is not None else (False,):
             with counting_verdicts() as counts:
-                auth_batch(split, work_s)
+                auth_batch(split, work_s, order)
                 # The helper may still be finishing the batch, so read after
                 # the next one has waited for its acknowledgement.
                 with crypto.split_checks(lambda: []) if split else nullcontext():
                     sources = ", ".join(f"{name} {n}" for name, n in zip(VERDICT_SOURCES, counts))
-            auth_batch(split, work_s)  # forks the helper outside the timed loop
-            us = us_per_call(reps, lambda: auth_batch(split, work_s), 10) / AUTH_BATCH
-            name = f"{AUTH_BATCH} account auths{' + 100 µs work' if work_s else ''}, {'split' if split else 'inline'}"
-            print(f"  {name:42s} {us:7.1f} µs per check; verdicts: {sources}")
+            auth_batch(split, work_s, order)  # forks the helper outside the timed loop
+            us = us_per_call(reps, lambda: auth_batch(split, work_s, order), 10) / AUTH_BATCH
+            name = f"{AUTH_BATCH} account auths{label}, {'split' if split else 'inline'}"
+            print(f"  {name:51s} {us:7.1f} µs per check; verdicts: {sources}")
     return 0
 
 

@@ -9,9 +9,10 @@ first matches with libsodium's accepts alone and asks `verify` only when
 that pass fails.
 
 Inside `split_checks`, one forked helper process runs libsodium over the
-batch's planned checks from the front, ahead of the caller, and the two
-share verdicts through a byte table in shared memory. Only libsodium
-verdicts are shared, so no verdict depends on the helper.
+batch's planned checks from the front, ahead of the caller, which may ask
+them in any order, and the two share verdicts through a byte table in
+shared memory. Only libsodium verdicts are shared, so no verdict depends
+on the helper.
 """
 
 from __future__ import annotations
@@ -232,9 +233,11 @@ def check_multisig(m: int, pubkeys: Sequence[bytes], sigs: Sequence[bytes], msg:
 
 Check = tuple[Sequence[bytes], bytes, Sequence[bytes]]  # (pubkeys, msg, sigs)
 
-# The verdict table in shared memory: a 4-byte cursor (the caller's last slot,
-# or DONE after the batch), then a state byte per planned triple in plan order.
-# Claims are plain byte writes: racing, both sides may compute one triple.
+# The verdict table in shared memory: a 4-byte cursor (the slot the caller
+# asked last, in any order, or DONE after the batch), then a state byte per
+# planned triple in plan order. Claims are plain byte writes: the helper
+# claims from the front and the caller, helping, from the back, so both
+# compute one triple only when they race for the last free slot.
 FREE, HELPING, CALLING, ACCEPT, REJECT = range(5)
 HEAD, TABLE_SLOTS, DONE = 4, 1 << 16, 2**32 - 1  # planned triples past TABLE_SLOTS verify inline
 # The helper (process, the caller's end of its pipe, table); the running
@@ -268,7 +271,8 @@ def _verdict(table: mmap.mmap, slot: int, key: tuple[bytes, bytes, bytes], claim
 def _sodium_accepts(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
     """`_sodium_check`, through the running batch's table if the triple is
     planned. While the helper computes the caller's slot, the caller computes
-    the next free slot; with none left it waits, as long as the helper lives."""
+    the last free slot, since the helper works from the front; with none
+    left it waits, as long as the helper lives."""
     key = (pubkey, msg, sig)
     slot = None if _slots is None else _slots.get(key)
     if slot is None:
@@ -276,7 +280,7 @@ def _sodium_accepts(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
     process, _, table = _helper
     table[:HEAD] = slot.to_bytes(HEAD, "little")
     while (state := table[slot]) == HELPING:
-        if (free := table.find(b"\0", slot + 1, HEAD + len(_triples))) > 0:
+        if (free := table.rfind(b"\0", HEAD, HEAD + len(_triples))) > 0:
             _verdict(table, free, _triples[free - HEAD], CALLING)
         elif not process.is_alive():
             break
@@ -285,15 +289,23 @@ def _sodium_accepts(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
 
 def _serve(conn: multiprocessing.connection.Connection, table: mmap.mmap) -> None:
     """The helper process: for each plan, `check_multisig`'s libsodium pass over
-    the free slots past the caller's cursor, then an acknowledgement, after which
-    it writes nothing until it blocks on the next plan. EOF ends it."""
+    the free slots but the one under the caller's cursor, until the batch is
+    done, then an acknowledgement, after which it writes nothing until it
+    blocks on the next plan. EOF ends it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C stops the parent, and EOF this
 
     def accepts(*key: bytes) -> bool:
         slot = slots.get(key)
-        if slot is None or slot <= int.from_bytes(table[:HEAD], "little"):
-            return True  # unplanned, or the caller is past it: assume honest
-        return _verdict(table, slot, key, HELPING) if table[slot] == FREE else table[slot] != REJECT
+        if slot is None or table[slot] != FREE:
+            return slot is None or table[slot] != REJECT  # unplanned or taken: assume honest
+        # Claim, then read the cursor, the reverse of the caller's order: a
+        # caller that writes its cursor after this read finds the claim.
+        table[slot] = HELPING
+        if int.from_bytes(table[:HEAD], "little") in (slot, DONE):
+            if table[slot] == HELPING:
+                table[slot] = FREE  # the caller's own, or too late: leave it to the caller
+            return True
+        return _verdict(table, slot, key, HELPING)
 
     with suppress(EOFError, OSError):  # the caller's end is closed
         while True:

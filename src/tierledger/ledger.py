@@ -257,14 +257,14 @@ def _actor(k: TxKind) -> Optional[bytes]:
     return None
 
 
-def _check_account_auth(tx: Transaction, tx_id: bytes, expected_addr: bytes) -> bool:
-    if tx.auth is None:
-        return False
-    if address_of_pubkey(tx.auth.pubkey) != expected_addr:
-        return False
-    return crypto.verify(
-        tx.auth.pubkey, crypto.account_signing_message(tx_id), tx.auth.signature
-    )
+def _auth_names(tx: Transaction, actor: bytes) -> bool:
+    """Account auth's cheap half: an auth whose key hashes to the actor."""
+    return tx.auth is not None and address_of_pubkey(tx.auth.pubkey) == actor
+
+
+def _auth_signed(tx: Transaction, tx_id: bytes) -> bool:
+    """Account auth's signature, on a transaction that passed _auth_names."""
+    return crypto.verify(tx.auth.pubkey, crypto.account_signing_message(tx_id), tx.auth.signature)
 
 
 def _contract_gate(tx: Transaction, tx_id: bytes, epoch: int, cfg: rules.SystemConfig) -> int:
@@ -368,8 +368,13 @@ def apply_batch(
     account-based kinds, then either the contract gate, which buffers a
     Deploy or Call for the scheduler, or the transfer routine. The buffer
     is flushed before each transfer, so transfer checks see every contract
-    effect queued ahead of them; rejections at the gates are emitted at
-    once, before the flush. Signature checks are shared with crypto's helper."""
+    effect queued ahead of them. A buffered call's auth signature is checked
+    only when the scheduler reaches the call, which gives crypto's helper
+    the flush's conflict analysis and VM runs to verify it in; a refused
+    call never runs, and its BAD_AUTH receipt carries the state its
+    admission saw, as every rejection at the gates does. A call that fails
+    the contract gate has its signature checked at once, so BAD_AUTH still
+    takes precedence."""
     if epoch < state.epoch:
         raise BatchError(f"batch epoch {epoch} below ledger epoch {state.epoch}")
     state.epoch = epoch
@@ -398,9 +403,18 @@ def apply_batch(
         if not contract_buffer:
             return
 
+        before = state_digest(state)  # the state a refused call's admission saw
+
         def on_commit(idx: int, outcome: vm.ExecOutcome) -> None:
             i, _, tx_id = contract_buffer[idx]
             receipts[i] = Receipt(tx_id, outcome.status, outcome.gas_used, Level.L3, state_digest(state))
+
+        def admit(idx: int) -> bool:
+            i, tx, tx_id = contract_buffer[idx]
+            if _auth_signed(tx, tx_id):
+                return True
+            receipts[i] = Receipt(tx_id, codes.BAD_AUTH, 0, Level.L3, before)
+            return False
 
         _, telemetry = scheduler.schedule_batch(
             state.accounts,
@@ -410,6 +424,7 @@ def apply_batch(
             on_commit=on_commit,
             workers=workers,
             parallel_min_gas=parallel_min_gas,
+            admit=admit,
         )
         if collect_telemetry is not None:
             collect_telemetry.append(telemetry)
@@ -421,13 +436,17 @@ def apply_batch(
             actor = _actor(tx.kind)
             if cfg.max_level < level:
                 status = codes.LEVEL_EXCEEDS_CONFIG
-            elif actor is not None and not _check_account_auth(tx, tx_id, actor):
+            elif actor is not None and not _auth_names(tx, actor):
                 status = codes.BAD_AUTH
             elif isinstance(tx.kind, (Deploy, Call)):
                 status = _contract_gate(tx, tx_id, epoch, cfg)
                 if status == codes.OK:
                     contract_buffer.append((i, tx, tx_id))
                     continue
+                if not _auth_signed(tx, tx_id):
+                    status = codes.BAD_AUTH
+            elif actor is not None and not _auth_signed(tx, tx_id):
+                status = codes.BAD_AUTH
             else:
                 flush_contracts()
                 status = _transfer(state, tx, tx_id, epoch, cfg, batch_spent)

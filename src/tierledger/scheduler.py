@@ -182,18 +182,36 @@ def schedule_batch(
     on_commit: Optional[Callable[[int, vm.ExecOutcome], None]] = None,
     workers: int = DEFAULT_WORKERS,
     parallel_min_gas: int = PARALLEL_MIN_GAS,
+    admit: Optional[Callable[[int], bool]] = None,
 ) -> tuple[list[vm.ExecOutcome], Telemetry]:
     """Execute contract transactions and commit their effects into accounts.
 
     items are (transaction, txid) in submission order; on_commit fires right
     after each transaction's diff is applied, in a deterministic order
     (submission order within each wave).
+
+    admit(index), when given, is asked once about each transaction as late
+    as possible: an inline one right before it executes, and every member
+    of a parallel wave before the wave is dispatched. A refused transaction
+    never runs. In dynamic mode it held a wave of its own, so the others run
+    as if it were absent. In declared mode its footprint shaped the waves,
+    so every remaining transaction is asked at once, the commits made so far
+    are rolled back, and the admitted transactions run again alone. Either
+    way the result is that of scheduling the admitted transactions only.
     """
     operator = cfg.operator_address
     declared = cfg.access_mode == ACCESS_DECLARED
     wrapped = [_wrap(i, tx, tx_id, accounts, declared) for i, (tx, tx_id) in enumerate(items)]
     outcomes: list[Optional[vm.ExecOutcome]] = [None] * len(wrapped)
     telemetry = Telemetry(mode=cfg.access_mode)
+    verdicts: dict[int, bool] = {}
+
+    def admitted(item: _Item) -> bool:
+        if admit is None:
+            return True
+        if item.index not in verdicts:
+            verdicts[item.index] = admit(item.index)
+        return verdicts[item.index]
 
     def commit(item: _Item, diff: vm.StateDiff) -> None:
         diff.apply(accounts, operator)
@@ -201,25 +219,46 @@ def schedule_batch(
         if on_commit is not None:
             on_commit(item.index, diff.outcome)
 
+    def run_waves() -> bool:
+        """Commit wave after wave; False at a refusal in declared mode."""
+        for wave in telemetry.waves:
+            wave_items = [wrapped[j] for j in wave]
+            if (len(wave_items) >= 2 and workers > 1
+                    and sum(_payable_gas(accounts, it.tx) for it in wave_items) >= parallel_min_gas):
+                if not all(map(admitted, wave_items)):  # waves of two or more are declared
+                    return False
+                results = _run_parallel(accounts, wave_items, epoch, operator, workers)
+                telemetry.parallel_waves += 1
+                for idx, diff, pid, start, end in sorted(results):
+                    item = wave_items[idx]
+                    telemetry.worker_pids[item.index] = pid
+                    telemetry.spans[item.index] = (start, end)
+                    commit(item, diff)
+            else:
+                for item in wave_items:
+                    if admitted(item):
+                        commit(item, _execute_one(accounts, item, epoch, operator, declared))
+                    elif declared:
+                        return False
+        return True
+
     if declared:
         telemetry.waves = _conflict_waves(wrapped, operator)
     else:
         telemetry.waves = [[it.index] for it in wrapped]
-    for wave in telemetry.waves:
-        wave_items = [wrapped[j] for j in wave]
-        if (len(wave_items) >= 2 and workers > 1
-                and sum(_payable_gas(accounts, it.tx) for it in wave_items) >= parallel_min_gas):
-            results = _run_parallel(accounts, wave_items, epoch, operator, workers)
-            telemetry.parallel_waves += 1
-            for idx, diff, pid, start, end in sorted(results):
-                item = wave_items[idx]
-                telemetry.worker_pids[item.index] = pid
-                telemetry.spans[item.index] = (start, end)
-                commit(item, diff)
-        else:
-            for item in wave_items:
-                commit(item, _execute_one(accounts, item, epoch, operator, declared))
-    return [o for o in outcomes if o is not None], telemetry
+    undo = accounts.undo = [] if declared and admit is not None else None
+    try:
+        finished = run_waves()
+    finally:
+        accounts.undo = None
+    if finished:
+        return [o for o in outcomes if o is not None], telemetry
+    kept = [it.index for it in wrapped if admitted(it)]
+    accounts.rollback(undo)
+    return schedule_batch(
+        accounts, [items[j] for j in kept], epoch, cfg,
+        on_commit and (lambda j, outcome: on_commit(kept[j], outcome)), workers, parallel_min_gas,
+    )
 
 
 def _payable_gas(accounts: vm.Accounts, tx: Transaction) -> int:

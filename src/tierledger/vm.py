@@ -163,7 +163,10 @@ class Accounts:
     nonzero slots, contracts) up to date. Nonces are not committed.
 
     Each live committed entry's lane vector is kept until the entry leaves
-    the state, so replacing or deleting it costs no expansion."""
+    the state, so replacing or deleting it costs no expansion.
+
+    While undo is a list, each write appends the setter call that reverts
+    it, and rollback(undo) makes those calls newest first."""
 
     def __init__(self) -> None:
         self._balances: dict[bytes, int] = {}
@@ -177,6 +180,7 @@ class Accounts:
         self.lthash = _lthash.LtHash()
         self._vectors: dict[bytes, int] = {}
         self.total = 0
+        self.undo: Optional[list[tuple]] = None
 
     def balance(self, addr: bytes) -> int:
         return self._balances.get(addr, 0)
@@ -188,6 +192,8 @@ class Accounts:
         old = self._balances.get(addr, 0)
         if bal == old:
             return
+        if self.undo is not None:
+            self.undo.append((self.set_balance, addr, old))
         if old:
             self._remove_entry(balance_entry(addr, old))
         if bal:
@@ -201,6 +207,8 @@ class Accounts:
         old = self._storage.get((addr, key), 0)
         if val == old:
             return
+        if self.undo is not None:
+            self.undo.append((self.set_slot, addr, key, old))
         if old:
             self._remove_entry(slot_entry(addr, key, old))
         if val:
@@ -210,8 +218,14 @@ class Accounts:
             del self._storage[(addr, key)]
 
     def add_contract(self, acct: ContractAccount) -> None:
+        if self.undo is not None:
+            self.undo.append((self._remove_contract, acct))
         self._contracts[acct.address] = acct
         self._add_entry(contract_entry(acct))
+
+    def _remove_contract(self, acct: ContractAccount) -> None:
+        del self._contracts[acct.address]
+        self._remove_entry(contract_entry(acct))
 
     def _add_entry(self, entry: bytes) -> None:
         x = self._vectors[entry] = _lthash._lanes(entry)
@@ -220,8 +234,19 @@ class Accounts:
     def _remove_entry(self, entry: bytes) -> None:
         self.lthash.remove_lanes(self._vectors.pop(entry))
 
-    def set_nonce(self, addr: bytes, nonce: int) -> None:
-        self._nonces[addr] = nonce
+    def set_nonce(self, addr: bytes, nonce: Optional[int]) -> None:
+        """None removes addr's nonce, as if it had never been set."""
+        if self.undo is not None:
+            self.undo.append((self.set_nonce, addr, self._nonces.get(addr)))
+        if nonce is None:
+            del self._nonces[addr]
+        else:
+            self._nonces[addr] = nonce
+
+    def rollback(self, undo: list[tuple]) -> None:
+        """Revert the writes recorded in undo, which recording has stopped adding to."""
+        for setter, *args in reversed(undo):
+            setter(*args)
 
     def copy(self) -> "Accounts":
         other = Accounts()

@@ -1,8 +1,10 @@
 """The admission path of apply_batch: every rejection of a transfer kind
 leaves the state untouched, transfer checks run after the contract flush
-while level, auth and contract-gate rejections are emitted before it,
+while level, auth and contract-gate rejections see the state before it,
 validity windows bind contract transactions too, issuance stops at the
-u64 ceiling, and a gas prepay past 2^64-1 is a rejection, not a crash."""
+u64 ceiling, a gas prepay past 2^64-1 is a rejection, not a crash, and a
+buffered contract call whose signature fails leaves every other receipt
+as if it had never been submitted."""
 
 from __future__ import annotations
 
@@ -279,3 +281,131 @@ def test_overflowing_gas_prepay_is_rejected_not_raised(tmp_path, kind, mode):
     assert state.accounts.storage_get(c, 0) == 1
     check_conservation(state)
     assert ledger.replay_verify(tmp_path).ok
+
+
+# ---------------------------------------------------------------------------
+# Buffered contract calls whose account-auth signature fails. Each batch's
+# receipts and header hash are pinned: a refused call must leave the other
+# calls' commit order, and with it every receipt's state digest, as if it had
+# never been buffered.
+
+CALLERS = KEYS[3:9]
+
+
+def forged(tx: Transaction, kp) -> Transaction:
+    """tx whose auth key still names its actor, signed over the wrong message."""
+    return tx.with_auth(kp.pubkey, crypto.sign(kp.seed, b"not the txid"))
+
+
+def refusal_world(mode: str):
+    """A ledger in mode with counters X, Y and Z deployed and six funded callers."""
+    cfg = make_config(initial_subsidy=0, access_mode=mode)
+    state = ledger.LedgerState()
+    seed_balance(state, A_ADDR, 10_000)
+    deps = [make_deploy(ALICE, counter_code(), nonce=n, gas_limit=31, gas_price=1) for n in range(3)]
+    receipts, _ = ledger.apply_batch(state, deps, 1, cfg, workers=1)
+    assert [r.status for r in receipts] == [codes.OK] * 3
+    for kp in CALLERS:
+        seed_balance(state, address_of_pubkey(kp.pubkey), 10_000)
+    return state, cfg, [txid(d) for d in deps]
+
+
+def call_of(caller: int, contract: bytes, gas_limit: int = 25, gas_price: int = 1, nonce: int = 0) -> Transaction:
+    access = AccessDecl(storage_read=frozenset({(contract, 0)}), storage_written=frozenset({(contract, 0)}))
+    return make_call(CALLERS[caller], contract, nonce, gas_limit=gas_limit, gas_price=gas_price, access=access)
+
+
+def refusal_batch(case: str, x: bytes, y: bytes, z: bytes) -> tuple[list[Transaction], dict]:
+    """The batch of case, and the apply_batch keywords it runs with."""
+    bad = lambda caller, contract, **kw: forged(call_of(caller, contract, **kw), CALLERS[caller])
+    if case == "declared-abc":
+        # A (refused) and B write (X, 0), C writes (Y, 0): without A, B and
+        # C share the first wave, so B commits before C.
+        return [bad(0, x), call_of(1, x), call_of(2, y)], {}
+    if case in ("declared-commit-first", "dynamic-commit-first"):
+        # A call to Z commits before the refused A is reached.
+        return [call_of(3, z), bad(0, x), call_of(1, x), call_of(2, y)], {}
+    if case == "declared-deploy-barrier":
+        deploy = make_deploy(CALLERS[1], counter_code(), gas_limit=31, gas_price=1)
+        return [call_of(0, x), forged(deploy, CALLERS[1]), call_of(2, x), call_of(3, y)], {}
+    if case == "declared-deploy-first":
+        # A deploy commits, then the refused call behind it undoes it.
+        deploy = make_deploy(CALLERS[4], counter_code(), gas_limit=31, gas_price=1)
+        return [call_of(0, x), deploy, bad(1, y), call_of(2, x)], {}
+    if case == "declared-parallel-wave":
+        # Waves {X, Y, Z} and {refused X, Y}, each past the lowered fork
+        # threshold, so both run on the pool.
+        calls = [call_of(0, x, 500, 2), call_of(1, y, 500, 2), bad(2, x, gas_limit=500, gas_price=2),
+                 call_of(3, y, 500, 2), call_of(4, z, 500, 2)]
+        return calls, {"workers": 2, "parallel_min_gas": 1_000}
+    assert case == "declared-gate-and-signature"
+    # The first fails its window and its signature, the second its window only.
+    late = windowed(call_of(0, x), CALLERS[0], not_after=1)
+    return [call_of(1, y), forged(late, CALLERS[0]), windowed(call_of(2, y), CALLERS[2], not_after=1)], {}
+
+
+# (status, gas, digest prefix) per receipt, and the header hash, pinned
+# from the code that checked every call's signature at admission.
+REFUSAL_PINS = {
+    "declared-abc": (
+        [(4, 0, "514cc03bb4559b4e"), (0, 20, "a8a1405dcfec926e"), (0, 20, "4001174c5a3bac9f")],
+        "03a55cd110bb4d0dfe7e87c570175abef8b0e3257851d18531506cfef0d80ff8",
+    ),
+    "declared-commit-first": (
+        [(0, 20, "13bf13127fec4b14"), (4, 0, "514cc03bb4559b4e"), (0, 20, "2799162aff5e594e"),
+         (0, 20, "e54859f2c115790f")],
+        "119faec319a285009bcc2e17ac1c60fbb8b95d020c2503e7ffafba48f6940467",
+    ),
+    "dynamic-commit-first": (
+        [(0, 20, "13bf13127fec4b14"), (4, 0, "514cc03bb4559b4e"), (0, 20, "2799162aff5e594e"),
+         (0, 20, "e54859f2c115790f")],
+        "1a63ca3d15bfc7cf297f9761580a9b3e1e22ba2362af2fcc7aea00c7748996f5",
+    ),
+    "declared-deploy-barrier": (
+        [(0, 20, "b7d36093f17d8801"), (4, 0, "514cc03bb4559b4e"), (0, 20, "e7f454b06e73dc41"),
+         (0, 20, "b0c4bcec75d0d273")],
+        "1720d3c1e209f0c3c53ed93c9734bd59a83db9d6a13fb7f38c892d69c9e30326",
+    ),
+    "declared-deploy-first": (
+        [(0, 20, "b7d36093f17d8801"), (0, 31, "dea68fdd3ebeb827"), (4, 0, "514cc03bb4559b4e"),
+         (0, 20, "1fc1367de3269827")],
+        "d47bbe3f01df3de707e813dc5d4345e71cae223b967c216d6dc0a00ab2efe163",
+    ),
+    "declared-parallel-wave": (
+        [(0, 20, "a8fd94e5fc6190aa"), (0, 20, "60df2cc5b84b3d30"), (4, 0, "514cc03bb4559b4e"),
+         (0, 20, "f958b858b10fdf90"), (0, 20, "fc560f69aa1bdca8")],
+        "6194af726b59b3b515ae8a1acc5b40cc938723ea4c46ab1c7902f316939786c8",
+    ),
+    "declared-gate-and-signature": (
+        [(0, 20, "5b005215f460e0fa"), (4, 0, "514cc03bb4559b4e"), (103, 0, "514cc03bb4559b4e")],
+        "1d598b5eb681174e64979584d25c411c9d1cdd88d7bc4a12baaf6babc6289952",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSAL_PINS))
+def test_a_refused_contract_signature_leaves_the_others_as_if_unsubmitted(case):
+    mode = rules.ACCESS_DYNAMIC if case.startswith("dynamic") else rules.ACCESS_DECLARED
+    state, cfg, (x, y, z) = refusal_world(mode)
+    control, before = state.copy(), state.copy()
+    txs, kw = refusal_batch(case, x, y, z)
+    telemetry: list = []
+    receipts, header = ledger.apply_batch(state, txs, 2, cfg, collect_telemetry=telemetry, **kw)
+    assert [t.parallel_waves for t in telemetry] == [1 if "parallel" in case else 0]
+    got = ([(r.status, r.gas_used, r.post_state_digest.hex()[:16]) for r in receipts], header.hash().hex())
+    assert got == REFUSAL_PINS[case]
+    # The admitted calls alone commit the same receipts and the same state.
+    kept = [i for i, r in enumerate(receipts) if r.status != codes.BAD_AUTH]
+    alone, _ = ledger.apply_batch(control, [txs[i] for i in kept], 2, cfg, **kw)
+    assert [receipts[i] for i in kept] == alone
+    assert ledger.state_digest(state) == ledger.state_digest(control)
+    assert state.accounts.nonces == control.accounts.nonces
+    # A refused call's receipt carries the state its admission saw.
+    ledger.apply_batch(before, [], 2, cfg, workers=1)
+    for r in receipts:
+        if r.status == codes.BAD_AUTH:
+            assert r.post_state_digest == ledger.state_digest(before)
+    # Every later write finds the bookkeeping of the entries it replaces.
+    more = [call_of(5, c, nonce=n) for n, c in enumerate((x, y, z))]
+    assert [r.status for r in ledger.apply_batch(state, more, 3, cfg, workers=1)[0]] == [codes.OK] * 3
+    check_conservation(state)

@@ -305,6 +305,34 @@ def test_racing_caller_and_helper_agree_on_every_verdict(monkeypatch, fresh_help
 
 
 @needs_sodium
+def test_a_caller_asking_out_of_plan_order_leaves_the_helper_every_other_slot(monkeypatch, fresh_helper):
+    """The caller asks the last planned check first, as the scheduler does
+    with a call in an early wave; the helper must still verify every earlier
+    check, so the caller computes none of them."""
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    kp = KEYS[1]
+    msgs = [crypto.account_signing_message(i.to_bytes(32, "little")) for i in range(40)]
+    keys = [(kp.pubkey, msg, kp.sign(msg)) for msg in msgs]
+    parent = os.getpid()
+    real = crypto._sodium_check
+
+    def slow_in_the_helper(*key):
+        if os.getpid() != parent:
+            time.sleep(0.002)  # the caller's first check lands before the helper's pass ends
+        return real(*key)
+
+    monkeypatch.setattr(crypto, "_sodium_check", slow_in_the_helper)
+    calls = count_libsodium(monkeypatch)
+    with crypto.split_checks(lambda: [((pk,), msg, (sig,)) for pk, msg, sig in keys]):
+        assert crypto.verify(*keys[-1])
+        wait_for_the_helper()
+        table = crypto._helper[2]
+        assert [table[crypto._slots[key]] for key in keys] == [crypto.ACCEPT] * len(keys)
+        assert all(crypto.verify(*key) for key in keys[:-1])
+    assert {key for _, key in calls} <= {keys[-1]}
+
+
+@needs_sodium
 def test_s_guard_holds_through_the_helper(monkeypatch, fresh_helper):
     monkeypatch.setattr(crypto, "CPUS", 2)
     monkeypatch.setattr(crypto, "_sodium_verify", lambda: lambda sig, msg, n, pk: 0)
