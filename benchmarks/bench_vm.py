@@ -8,7 +8,7 @@ contracts run 25 times as many calls per timing as the burn loop. The size
 of each contract's generated source and the best of 20 compile times
 (vm.compile_code) are printed with it.
 
-Then, each the best of five runs but the last, which runs once:
+Then, each the best of five runs unless it says otherwise:
 - cold: with the compile cache cleared, µs for vm.deploy, for the first
   call to the deployed code, and for the two together, on the four
   contracts and three 4 KiB codes: 455 PUSHIs (the most operand bytes per
@@ -19,8 +19,13 @@ Then, each the best of five runs but the last, which runs once:
 - cycling: operator µs per call, and per unit of gas used, of calls with
   gas_limit 100 that cycle through 65 distinct 4 KiB block codes, one more
   than the compile cache holds;
-- SSTORE commit: µs and resident bytes per new slot for StateDiff.apply of
-  one call that stores 100,000 slots (18 gas each).
+- SSTORE commit, one run: µs and resident bytes per new slot for
+  StateDiff.apply of one call that stores 100,000 slots (18 gas each), and
+  ns per gas of that commit;
+- per-op: ns per gas of the burn loop with no compiled arms, so that every
+  op runs through the per-op loop in vm._Machine.run_frame; the best of
+  [iterations] single calls (about 2 ms each), since a short window is the
+  least likely to take in a burst of load from elsewhere on the host.
 
 Usage: python benchmarks/bench_vm.py [iterations]
 """
@@ -191,7 +196,29 @@ def print_sstore_commit(acc: vm.Accounts) -> None:
     gc.collect()
     grown = resident_bytes() - rss
     print(f"sstore   {STORE_SLOTS:6d} slots {diff.outcome.gas_used // STORE_SLOTS:4d} gas/slot  "
-          f"commit {seconds * 1e6 / STORE_SLOTS:6.1f} us/slot  {grown / STORE_SLOTS:8.0f} B/slot")
+          f"commit {seconds * 1e6 / STORE_SLOTS:6.1f} us/slot  {grown / STORE_SLOTS:8.0f} B/slot  "
+          f"{seconds * 1e9 / diff.outcome.gas_used:6.0f} ns/gas")
+
+
+def print_per_op(acc: vm.Accounts, burn: bytes, iterations: int) -> None:
+    """Burn calls with the compiler's line budget at 0, which leaves every
+    code compiled meanwhile without arms. The compile cache is cleared on
+    both sides, so only these calls run such code."""
+    tx = Transaction(Call(burn, BURN_ITERS, 0, CALLER, 100_000, 0), nonce=acc.nonces[CALLER])
+    tx_id = txid(tx)
+    saved, vm._MAX_LINES = vm._MAX_LINES, 0
+    vm.compile_code.cache_clear()
+    try:
+        best = float("inf")
+        for _ in range(iterations):
+            t0 = time.perf_counter()
+            diff = vm.invoke(acc, tx, tx_id, 1, OPERATOR, False)
+            best = min(best, time.perf_counter() - t0)
+    finally:
+        vm._MAX_LINES = saved
+        vm.compile_code.cache_clear()
+    assert diff.outcome.committed, diff.outcome
+    print(f"per-op   burn {diff.outcome.gas_used:6d} gas/call  {best * 1e9 / diff.outcome.gas_used:6.0f} ns/gas")
 
 
 def main() -> int:
@@ -232,6 +259,7 @@ def main() -> int:
     print_nested(acc)
     print_cycling(acc)
     print_sstore_commit(acc)
+    print_per_op(acc, addrs["burn"], iterations)
     return 0
 
 

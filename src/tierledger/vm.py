@@ -511,7 +511,6 @@ class _Checker:
 
 # Stack words are plain values: an int is an Int, bytes are an Addr.
 _ARITH = frozenset({OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_MOD, OP_LT, OP_GT})
-_EXPECTED_INT = "type error: expected Int"
 
 
 # ---------------------------------------------------------------------------
@@ -1000,13 +999,43 @@ def compile_code(code: bytes) -> tuple[tuple, Callable]:
     return program.prog, namespace["run"]
 
 
-def _pop(stack: list, want_int: bool):
+def _pop(stack: list, want_int: Optional[bool] = None):
+    """The top word, which must be an Int (want_int True), an Addr (False)
+    or either (None)."""
     if not stack:
         raise _Fault("stack underflow")
     v = stack.pop()
-    if (v.__class__ is int) != want_int:
-        raise _Fault(_EXPECTED_INT if want_int else "type error: expected Addr")
+    if want_int is not None and (v.__class__ is int) != want_int:
+        raise _Fault("type error: expected Int" if want_int else "type error: expected Addr")
     return v
+
+
+def _push(stack: list, v) -> None:
+    """Push v, unless the stack is at MAX_FRAME_STACK."""
+    if len(stack) >= MAX_FRAME_STACK:
+        raise _Fault("frame stack overflow")
+    stack.append(v)
+
+
+def _arith(op: int, stack: list) -> int:
+    """Pop b, then a, both Ints, and return a op b for the seven checked
+    arithmetic and comparison ops."""
+    b = _pop(stack, True)
+    a = _pop(stack, True)
+    if op == OP_SUB:
+        if b > a:
+            raise _Fault("sub underflow")
+        return a - b
+    if op == OP_ADD or op == OP_MUL:
+        c = a + b if op == OP_ADD else a * b
+        if c > U64_MAX:
+            raise _Fault("add overflow" if op == OP_ADD else "mul overflow")
+        return c
+    if op == OP_DIV or op == OP_MOD:
+        if not b:
+            raise _Fault("division by zero" if op == OP_DIV else "modulo by zero")
+        return a // b if op == OP_DIV else a % b
+    return int(a < b) if op == OP_LT else int(a > b)
 
 
 class _Machine:
@@ -1059,9 +1088,6 @@ class _Machine:
         self.undo.append((journal, key, journal.get(key)))
         journal[key] = val
 
-    def snapshot(self) -> tuple[int, int]:
-        return len(self.undo), len(self.events)
-
     def rollback(self, snap: tuple[int, int]) -> None:
         while len(self.undo) > snap[0]:
             journal, key, old = self.undo.pop()
@@ -1082,18 +1108,17 @@ class _Machine:
         compile, and any block whose guard failed or that would fault. The
         per-op loop keeps gas in a local and charges each op before it
         executes it. self.gas is exact whenever the frame exits or calls
-        another frame."""
-        acct = self.base.contracts.get(self_addr)
-        if acct is None:
-            raise _Fault("no such contract")
+        another frame. Words leave the stack through _pop and enter it
+        through _push, which checks MAX_FRAME_STACK; an op that pushes no
+        more words than it has popped appends them directly."""
         self.move_value(caller, self_addr, value)
-        prog, compiled = compile_code(acct.code)
+        prog, compiled = compile_code(self.base.contracts[self_addr].code)
         n = len(prog)
         checker = self.checker
         consts = self.consts
         env = {OP_ARG: arg, OP_CALLER: caller, OP_SELF: self_addr, OP_VALUE: value, OP_EPOCH: self.epoch}
         stack: list = []
-        push, pop = stack.append, stack.pop
+        push = stack.append
         gas = self.gas
         pc = 0
         try:
@@ -1142,7 +1167,7 @@ class _Machine:
                             checker.call(callee)
                         ret, ok = None, 0
                         if depth + 1 <= MAX_CALL_DEPTH and callee in self.base.contracts:
-                            snap = self.snapshot()
+                            snap = len(self.undo), len(self.events)
                             self.gas = gas
                             try:
                                 ret = self.run_frame(callee, self_addr, call_arg, 0, depth + 1)
@@ -1156,91 +1181,36 @@ class _Machine:
                     elif op == OP_REVERT:
                         raise _Fault("explicit revert")
                     elif op == OP_PUSHI:
-                        if len(stack) >= MAX_FRAME_STACK:
-                            raise _Fault("frame stack overflow")
-                        push(imm)
+                        _push(stack, imm)
                     elif op == OP_DUP:
-                        if not stack:
-                            raise _Fault("stack underflow")
-                        if len(stack) >= MAX_FRAME_STACK:
-                            raise _Fault("frame stack overflow")
-                        push(stack[-1])
+                        v = _pop(stack)
+                        push(v)
+                        _push(stack, v)
                     elif op == OP_JUMPI:
-                        if not stack:
-                            raise _Fault("stack underflow")
-                        v = pop()
-                        if v.__class__ is not int:
-                            raise _Fault(_EXPECTED_INT)
-                        if v:
+                        if _pop(stack, True):
                             pc = imm
                     elif op == OP_JUMP:
                         pc = imm
                     elif op == OP_NOT:
-                        if not stack:
-                            raise _Fault("stack underflow")
-                        if stack[-1].__class__ is not int:
-                            raise _Fault(_EXPECTED_INT)
-                        stack[-1] = 0 if stack[-1] else 1
+                        push(0 if _pop(stack, True) else 1)
                     elif op in _ARITH:
-                        if not stack:
-                            raise _Fault("stack underflow")
-                        b = pop()
-                        if b.__class__ is not int:
-                            raise _Fault(_EXPECTED_INT)
-                        if not stack:
-                            raise _Fault("stack underflow")
-                        a = stack[-1]
-                        if a.__class__ is not int:
-                            raise _Fault(_EXPECTED_INT)
-                        if op == OP_SUB:
-                            if b > a:
-                                raise _Fault("sub underflow")
-                            a -= b
-                        elif op == OP_ADD:
-                            a += b
-                            if a > U64_MAX:
-                                raise _Fault("add overflow")
-                        elif op == OP_MUL:
-                            a *= b
-                            if a > U64_MAX:
-                                raise _Fault("mul overflow")
-                        elif op == OP_DIV:
-                            if b == 0:
-                                raise _Fault("division by zero")
-                            a //= b
-                        elif op == OP_MOD:
-                            if b == 0:
-                                raise _Fault("modulo by zero")
-                            a %= b
-                        else:
-                            a = int(a < b) if op == OP_LT else int(a > b)
-                        stack[-1] = a
+                        push(_arith(op, stack))
                     elif op in env:
-                        if len(stack) >= MAX_FRAME_STACK:
-                            raise _Fault("frame stack overflow")
-                        push(env[op])
+                        _push(stack, env[op])
                     elif op == OP_PUSHA:
                         if imm >= len(consts):
                             raise _Fault(f"address constant {imm} out of range")
-                        if len(stack) >= MAX_FRAME_STACK:
-                            raise _Fault("frame stack overflow")
-                        push(consts[imm])
+                        _push(stack, consts[imm])
                     elif op == OP_DROP:
-                        if not stack:
-                            raise _Fault("stack underflow")
-                        pop()
+                        _pop(stack)
                     elif op == OP_SWAP:
-                        if len(stack) < 2:
-                            raise _Fault("stack underflow")
-                        stack[-1], stack[-2] = stack[-2], stack[-1]
+                        b, a = _pop(stack), _pop(stack)
+                        stack += b, a
                     elif op == OP_EQ:
-                        if len(stack) < 2:
-                            raise _Fault("stack underflow")
-                        b = pop()
-                        a = stack[-1]
+                        b, a = _pop(stack), _pop(stack)
                         if (a.__class__ is int) != (b.__class__ is int):
                             raise _Fault("type error: EQ on mixed tags")
-                        stack[-1] = int(a == b)
+                        push(int(a == b))
                     else:  # pragma: no cover - decode rejects unknown opcodes
                         raise _Fault(f"unknown opcode 0x{op:02x}")
             return None

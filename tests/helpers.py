@@ -144,6 +144,13 @@ def make_move_to_account(
     )
 
 
+def coinbase_to_account(state: ledger.LedgerState, batch_number: int, to: bytes) -> Transaction:
+    """MoveToAccount of batch batch_number's whole coinbase to `to`, so a
+    logged ledger funds accounts through batches that replay."""
+    cb = ledger._coinbase_outpoint(batch_number)
+    return make_move_to_account(OPERATOR, [cb], state.utxos[cb].amount, to=to)
+
+
 def make_move_to_utxo(
     kp: crypto.KeyPair, amount: int, outputs: Sequence[Output], nonce: int = 0
 ) -> Transaction:

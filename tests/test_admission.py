@@ -17,6 +17,7 @@ from helpers import (
     KEYS,
     account_signed,
     check_conservation,
+    coinbase_to_account,
     counter_code,
     make_call,
     make_config,
@@ -28,7 +29,7 @@ from helpers import (
     seed_utxo,
     signed_spend,
 )
-from tierledger import codes, crypto, ledger, rules, utxo, vm
+from tierledger import codes, crypto, ledger, permission, rules, utxo, vm
 from tierledger.model import (
     U64_MAX,
     AccessDecl,
@@ -409,3 +410,43 @@ def test_a_refused_contract_signature_leaves_the_others_as_if_unsubmitted(case):
     more = [call_of(5, c, nonce=n) for n, c in enumerate((x, y, z))]
     assert [r.status for r in ledger.apply_batch(state, more, 3, cfg, workers=1)[0]] == [codes.OK] * 3
     check_conservation(state)
+
+
+# ---------------------------------------------------------------------------
+# A contract call refused by the call policy, under apply_batch
+
+
+@pytest.mark.parametrize("mode", [rules.ACCESS_DYNAMIC, rules.ACCESS_DECLARED])
+def test_a_call_outside_the_call_policy_is_refused_and_charged_nothing(tmp_path, mode):
+    """With an allow-list call_policy, a call from an unlisted caller gets
+    NotOnAllowList, is charged nothing and leaves the caller's nonce. The
+    same call with a forged signature gets BadAuth: a call that fails the
+    gate has its signature checked at once. A listed caller's call in the
+    same batch commits, and the log replays."""
+    cfg = make_config(initial_subsidy=1000, access_mode=mode,
+                      call_policy=permission.PermissionPolicy.allow_list([ALICE.pubkey]))
+    ledger.init_log(tmp_path, cfg)
+    state = ledger.LedgerState()
+
+    def commit(txs, epoch):
+        receipts, header = ledger.apply_batch(state, txs, epoch, cfg, workers=1)
+        ledger.write_batch_files(tmp_path, header.batch_number, epoch, txs, header, receipts)
+        return [(r.status, r.gas_used) for r in receipts]
+
+    b_addr = address_of_pubkey(BOB.pubkey)
+    commit([], 1)
+    dep = make_deploy(ALICE, counter_code(), gas_limit=31, gas_price=1)
+    assert commit([coinbase_to_account(state, 0, A_ADDR), dep], 2) == [(codes.OK, 0), (codes.OK, 31)]
+    assert commit([coinbase_to_account(state, 1, b_addr)], 3) == [(codes.OK, 0)]
+    c = txid(dep)
+    access = AccessDecl(storage_read=frozenset({(c, 0)}), storage_written=frozenset({(c, 0)}))
+    unlisted = make_call(BOB, c, gas_limit=25, gas_price=1, access=access)
+    listed = make_call(ALICE, c, nonce=1, gas_limit=25, gas_price=1, access=access)
+    bob_balance = state.accounts.balance(b_addr)
+    assert commit([unlisted, forged(unlisted, BOB), listed], 4) == [
+        (permission.NOT_ON_ALLOW_LIST, 0), (codes.BAD_AUTH, 0), (codes.OK, 20),
+    ]
+    assert (state.accounts.balance(b_addr), state.accounts.nonces.get(b_addr, 0)) == (bob_balance, 0)
+    assert state.accounts.storage_get(c, 0) == 1
+    check_conservation(state)
+    assert ledger.replay_verify(tmp_path).ok

@@ -15,6 +15,7 @@ from helpers import (
     KEYS,
     OPERATOR,
     check_conservation,
+    coinbase_to_account,
     counter_code,
     make_call,
     make_config,
@@ -38,6 +39,7 @@ from oracles import (
 from tierledger import codes, crypto, ledger, model, rules, scenario, utxo, vm
 from tierledger.model import (
     U64_MAX,
+    AccessDecl,
     Level,
     Lock,
     Outpoint,
@@ -621,6 +623,59 @@ def test_contract_fees_settle_into_operator_account(tmp_path):
     assert receipts[1].gas_used == 20
     assert state.accounts.balance(OP_ADDR) == 31 * 2 + 20
     check_conservation(state)
+
+
+# Pays ARG from the contract's balance to address constant 0: 13 gas, or
+# 12 when the contract cannot cover ARG and TRANSFER reverts.
+PAY_ASM = "ARG PUSHA 0 TRANSFER HALT"
+
+
+def test_contract_payments_to_the_operator_settle_alike_in_both_modes(tmp_path):
+    """Calls that TRANSFER to the operator write its balance inside the VM;
+    settlement turns that write into a delta next to the fee, so the
+    operator gets fees and payments alike in dynamic mode and in declared
+    mode, where declaring the operator's balance written makes each such
+    call a barrier among fee-paying counter calls. The last payment is past
+    the contract's balance and reverts: only its fee reaches the operator."""
+    runs = {}
+    for mode in (rules.ACCESS_DYNAMIC, rules.ACCESS_DECLARED):
+        cfg = make_config(initial_subsidy=1000, access_mode=mode)
+        logdir = tmp_path / mode
+        ledger.init_log(logdir, cfg)
+        state = ledger.LedgerState()
+
+        def commit(txs, epoch):
+            receipts, header = ledger.apply_batch(state, txs, epoch, cfg, workers=1)
+            ledger.write_batch_files(logdir, header.batch_number, epoch, txs, header, receipts)
+            check_conservation(state)
+            return [(r.status, r.gas_used) for r in receipts]
+
+        b_addr = address_of_pubkey(BOB.pubkey)
+        commit([], 1)
+        counter = make_deploy(ALICE, counter_code(), gas_limit=31, gas_price=1)
+        payer = make_deploy(ALICE, vm.assemble(PAY_ASM), nonce=1, endowment=100, gas_limit=31, gas_price=1)
+        commit([coinbase_to_account(state, 0, A_ADDR), counter, payer], 2)
+        commit([coinbase_to_account(state, 1, b_addr)], 3)
+        c, p = txid(counter), txid(payer)
+        slot = frozenset({(c, 0)})
+        count = AccessDecl(storage_read=slot, storage_written=slot)
+        pay = AccessDecl(balances_written=frozenset({OP_ADDR}))
+        fees_before = state.accounts.balance(OP_ADDR)
+        txs = [
+            make_call(BOB, c, gas_limit=25, gas_price=1, access=count),
+            make_call(ALICE, p, nonce=2, arg=30, gas_limit=25, gas_price=2, access=pay, address_consts=[OP_ADDR]),
+            make_call(BOB, c, nonce=1, gas_limit=25, gas_price=1, access=count),
+            make_call(BOB, p, nonce=2, arg=50, gas_limit=25, gas_price=1, access=pay, address_consts=[OP_ADDR]),
+            make_call(ALICE, c, nonce=3, gas_limit=25, gas_price=1, access=count),
+            make_call(ALICE, p, nonce=4, arg=21, gas_limit=25, gas_price=1, access=pay, address_consts=[OP_ADDR]),
+        ]
+        got = commit(txs, 4)
+        assert got == [(0, 20), (0, 13), (0, 20), (0, 13), (0, 20), (vm.STATUS_REVERTED, 12)]
+        assert state.accounts.balance(OP_ADDR) - fees_before == 20 + 2 * 13 + 20 + 13 + 20 + 12 + 30 + 50
+        assert state.accounts.balance(p) == 100 - 30 - 50
+        assert ledger.replay_verify(logdir).ok
+        runs[mode] = got, ledger.state_digest(state)
+    assert runs[rules.ACCESS_DYNAMIC] == runs[rules.ACCESS_DECLARED]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ interpreter kept in oracles.py."""
 
 from __future__ import annotations
 
+import contextlib
 import random
 import time
 
@@ -607,6 +608,131 @@ def test_random_programs_match_at_every_gas_limit(top, callee, declared):
     full = assert_same_execution(acc, consts, 600, declared, access).outcome.gas_used
     for gas_limit in range(full + 1):
         assert_same_execution(acc, consts, gas_limit, declared, access)
+
+
+@contextlib.contextmanager
+def per_op_only():
+    """Codes compiled inside get no arms, so every op they run goes through
+    the per-op loop. The compile cache is cleared on entry, so no code
+    compiled with arms runs inside, and on exit, so none compiled without
+    them is left behind."""
+    saved = vm._MAX_LINES
+    vm._MAX_LINES = 0
+    vm.compile_code.cache_clear()
+    try:
+        yield
+    finally:
+        vm._MAX_LINES = saved
+        vm.compile_code.cache_clear()
+
+
+def per_op_world(top: bytes, callee: bytes):
+    """vm_world, inside per_op_only, with no arm in the code under test."""
+    acc, consts = vm_world(top, callee)
+    assert "if pc ==" not in vm.generate_source(vm.decode(top))
+    return acc, consts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.data(),
+    programs(),
+    programs(max_len=12),
+    st.integers(0, 3_000),
+    st.booleans(),
+    st.sampled_from([0, 1, 7, 2**32, U64_MAX]),
+    st.integers(0, 50),
+)
+def test_random_programs_match_tagged_interpreter_op_by_op(data, top, callee, gas_limit, declared, arg, attached):
+    with per_op_only():
+        acc, consts = per_op_world(top, callee)
+        access = data.draw(declarations(consts)) if declared else None
+        assert_same_execution(acc, consts, gas_limit, declared, access, arg, attached)
+
+
+@settings(max_examples=25, deadline=None)
+@given(programs(), programs(max_len=12), st.booleans())
+def test_random_programs_match_at_every_gas_limit_op_by_op(top, callee, declared):
+    with per_op_only():
+        acc, consts = per_op_world(top, callee)
+        access = full_declaration(consts) if declared else None
+        full = assert_same_execution(acc, consts, 600, declared, access).outcome.gas_used
+        for gas_limit in range(full + 1):
+            assert_same_execution(acc, consts, gas_limit, declared, access)
+
+
+# Operand words: Ints at the edges of the arithmetic checks, and an Addr.
+_OPERANDS = ["", "PUSHI 0", "PUSHI 1", "PUSHI 3", f"PUSHI {2**33}", f"PUSHI {U64_MAX}", "CALLER"]
+
+
+@pytest.mark.parametrize("op", sorted(vm._PURE), ids=lambda op: vm.MNEMONICS[op])
+def test_each_pure_op_matches_op_by_op(op):
+    """The op under each pair of operand words (or none), its result
+    returned: every result, fault and fault order of the op, whatever the
+    random programs happen to draw."""
+    operand = {vm.OP_PUSHI: " 5", vm.OP_PUSHA: " 1", vm.OP_JUMP: " end", vm.OP_JUMPI: " end"}.get(op, "")
+    with per_op_only():
+        for a in _OPERANDS:
+            for b in _OPERANDS:
+                asm = f"{a} {b} {vm.MNEMONICS[op]}{operand} RETURN end: PUSHI 8 RETURN"
+                acc, consts = per_op_world(vm.assemble(asm), vm.assemble("HALT"))
+                assert_same_execution(acc, consts, 100, False, None, arg=7, attached=2)
+
+
+@pytest.mark.parametrize("asm, detail", [
+    # Each op that pushes more than it pops, looped until the frame stack
+    # is full.
+    ("loop: PUSHI 1 JUMP loop", "frame stack overflow"),
+    ("PUSHI 1 loop: DUP JUMP loop", "frame stack overflow"),
+    ("loop: PUSHA 0 JUMP loop", "frame stack overflow"),
+    ("loop: ARG JUMP loop", "frame stack overflow"),
+    ("loop: CALLER JUMP loop", "frame stack overflow"),
+    # On a full stack, a PUSHA past the table faults on its index first.
+    ("PUSHI 1" + " DUP" * 1023 + " PUSHA 6", "address constant 6 out of range"),
+])
+def test_full_frame_stack_matches_op_by_op(asm, detail):
+    """The stack's depth limit, which the random programs seldom reach."""
+    with per_op_only():
+        acc, consts = per_op_world(vm.assemble(asm), vm.assemble(COUNTER_ASM))
+        full = assert_same_execution(acc, consts, 30_000, False, None).outcome
+        assert (full.status, full.detail) == (vm.STATUS_REVERTED, detail)
+        for gas_limit in range(full.gas_used - 4, full.gas_used + 1):
+            assert_same_execution(acc, consts, gas_limit, False, None)
+
+
+# Stores 42 at key 3, calls itself (address constant 2) with ARG 1, and
+# returns what key 3 then holds. The inner frame stores 99 at key 3 and
+# then ends as the instruction after `inner:` says.
+SELF_OVERWRITE_ASM = ("ARG JUMPI inner PUSHI 3 PUSHI 42 SSTORE PUSHI 1 PUSHA 2 CALL DROP DROP "
+                      "PUSHI 3 SLOAD RETURN inner: PUSHI 3 PUSHI 99 SSTORE {end}")
+
+
+@pytest.mark.parametrize("end, ret", [("REVERT", 42), ("HALT", 99)])
+@pytest.mark.parametrize("declared", [False, True])
+def test_sload_reads_the_transactions_own_writes(end, ret, declared):
+    """An SLOAD of a key the frame has stored reads the stored value, and
+    after a nested call to the same contract overwrote the key, the value
+    the call left: the frame's own if the call reverted."""
+    # The second program has no call between its store and its load.
+    for asm, want in ((SELF_OVERWRITE_ASM.format(end=end), ret), ("PUSHI 3 PUSHI 42 SSTORE PUSHI 3 SLOAD RETURN", 42)):
+        acc, consts = vm_world(vm.assemble(asm), vm.assemble("HALT"))
+        access = full_declaration(consts) if declared else None
+        out = assert_same_execution(acc, consts, 30_000, declared, access)
+        assert (out.outcome.status, out.outcome.ret) == (vm.STATUS_COMMITTED, want)
+        assert out.storage_new == {(consts[2], 3): want}
+
+
+def test_undeclared_balance_read_is_an_access_violation():
+    """A declared call that reads a balance its footprint leaves out (BOB's,
+    address constant 1) gets AccessViolation and pays for the gas it used."""
+    acc, consts = vm_world(vm.assemble("PUSHA 1 BALANCE RETURN"), vm.assemble("HALT"))
+    addrs, slots, callees = (frozenset(p) for p in declaration_pools(consts))
+    access = AccessDecl(addrs - {B_ADDR}, addrs - {B_ADDR}, slots, slots, callees)
+    out = assert_same_execution(acc, consts, 30_000, True, access)
+    assert (out.outcome.status, out.outcome.gas_used) == (vm.STATUS_ACCESS_VIOLATION, 6)
+    assert out.outcome.detail == f"undeclared balance read of {B_ADDR.hex()[:16]}"
+    # Declared, it reads BOB's balance.
+    assert assert_same_execution(acc, consts, 30_000, True, full_declaration(consts)).outcome.ret == 1_000_000
 
 
 @pytest.mark.parametrize(
