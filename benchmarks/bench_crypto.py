@@ -18,7 +18,7 @@ backend answered.
   2, with the number of OpenSSL verifications each check makes.
 - 200 account auths: a batch of 200 honest account-auth checks, each on
   its own message, run inline and split with the helper process
-  (`crypto.split_checks`, on a host with two or more CPUs). The checks
+  (`helper.split`, on a host with two or more CPUs). The checks
   follow each other in plan order; the "+ 100 µs work" rows spin for 100 µs
   of Python between checks, as a batch does between its signatures, and
   the "shuffled" row asks them in a fixed shuffled order, as the scheduler
@@ -48,7 +48,7 @@ from typing import Callable, Iterator
 
 from cryptography.hazmat.backends.openssl.backend import backend as openssl
 
-from tierledger import crypto
+from tierledger import crypto, helper
 
 CALLS = 2_000  # calls per repetition
 SEED = b"\x05" * 32
@@ -95,7 +95,7 @@ def auth_batch(split: bool, work_s: float = 0.0, order: list = AUTHS) -> None:
     """One batch of AUTHS, planned in their order and asked in order, inline
     or shared with the helper process, with work_s of Python spinning
     between checks."""
-    with crypto.split_checks(lambda: [((pk,), msg, (sig,)) for pk, msg, sig in AUTHS]) if split else nullcontext():
+    with helper.split(lambda: [((pk,), msg, (sig,)) for pk, msg, sig in AUTHS]) if split else nullcontext():
         for auth in order:
             if not crypto.verify(*auth):
                 raise SystemExit("account auth: unexpected verdict")
@@ -115,13 +115,13 @@ def counting_verdicts() -> Iterator[memoryview]:
     check with its cursor on the slot, and helps with another one."""
     counts = memoryview(mmap.mmap(-1, 8 * len(VERDICT_SOURCES))).cast("q")
     main = os.getpid()
-    real_verdict, real_check = crypto._verdict, crypto._sodium_check
+    real_verdict, real_check = helper._run, crypto._sodium_check
 
     def verdict(table, slot, key, claim):
-        if claim == crypto.HELPING:
+        if claim == helper.HELPING:
             counts[0] += 1
         else:
-            counts[1 if slot == int.from_bytes(table[: crypto.HEAD], "little") else 2] += 1
+            counts[1 if slot == int.from_bytes(table[: helper.HEAD], "little") else 2] += 1
             counts[3] -= 1  # counted again as a caller call below
         return real_verdict(table, slot, key, claim)
 
@@ -131,20 +131,20 @@ def counting_verdicts() -> Iterator[memoryview]:
         return real_check(*key)
 
     stop_helper()
-    crypto._verdict, crypto._sodium_check = verdict, check
+    helper._run, crypto._sodium_check = verdict, check
     try:
         yield counts
     finally:
         stop_helper()
-        crypto._verdict, crypto._sodium_check = real_verdict, real_check
+        helper._run, crypto._sodium_check = real_verdict, real_check
 
 
 def stop_helper() -> None:
     """Close the helper's pipe, so that it exits, and forget it."""
-    helper, crypto._helper = crypto._helper, None
-    if helper is not None:
-        helper[1].close()
-        helper[0].join(10)
+    running, helper._helper = helper._helper, None
+    if running is not None:
+        running[1].close()
+        running[0].join(10)
 
 
 @contextmanager
@@ -203,7 +203,7 @@ def main() -> int:
                 auth_batch(split, work_s, order)
                 # The helper may still be finishing the batch, so read after
                 # the next one has waited for its acknowledgement.
-                with crypto.split_checks(lambda: []) if split else nullcontext():
+                with helper.split(lambda: []) if split else nullcontext():
                     sources = ", ".join(f"{name} {n}" for name, n in zip(VERDICT_SOURCES, counts))
             auth_batch(split, work_s, order)  # forks the helper outside the timed loop
             us = us_per_call(reps, lambda: auth_batch(split, work_s, order), 10) / AUTH_BATCH

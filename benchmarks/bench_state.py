@@ -8,22 +8,35 @@ the state is filler: one output in twenty carries an expiry in a later
 epoch (spread over 50 epochs), the others none. Each repetition applies
 the batch to a fresh copy of the same pre-state; only apply_batch is timed.
 
-Two microbenchmarks of the state commitment follow, each the median over
+Microbenchmarks of the state commitment follow, each the median over
 the repetitions of a timed loop:
 - us per Accounts.set_balance that replaces a nonzero balance, on accounts
   holding 200 live balances (a contract call's settlement writes this way)
 - us per state_digest after an account write, at 1k UTXOs, so only the
   account accumulator has changed (a contract receipt's digest)
+- us per entry for LtHash.add_many of 1, 2 and 128 entries, against add
+  called once per entry (a pay transaction writes one or two outputs)
+
+Last, ms per apply_batch of a fan-out batch: 10 transactions of 1,000
+outputs each, with the helper process on (where libsodium is installed and
+the process may use two CPUs) and with crypto.CPUS = 1, and for the median
+helper batch how many of its sum jobs the helper computed, how many the
+caller claimed for itself, and how many it computed while the helper held
+its own.
 
 Usage: python benchmarks/bench_state.py [repetitions]
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 import sys
 import time
+from contextlib import contextmanager
+from typing import Iterator
 
-from tierledger import crypto, ledger, rules, vm
+from tierledger import crypto, helper, ledger, lthash, rules, vm
 from tierledger.model import (
     Lock,
     MoveToAccount,
@@ -38,6 +51,8 @@ from tierledger.model import (
 )
 
 SIZES = (1_000, 10_000, 100_000)
+FANOUT_TXS, FANOUT_OUTPUTS = 10, 1_000
+SUM_SOURCES = ("helper", "caller's own", "caller helping")
 LIVE = 200  # live balances in the set_balance microbenchmark
 LOOP = 2_000  # timed calls per repetition of a microbenchmark
 EPOCH = 1
@@ -158,6 +173,112 @@ def bench_digest_after_account_write(reps: int, coins: list[Outpoint]) -> float:
     return runs[reps // 2]
 
 
+def bench_add_many(reps: int) -> dict[int, tuple[float, float]]:
+    """n -> median (us per entry for add_many of n entries, for add per entry)."""
+    entries = [sha256(i.to_bytes(4, "little")) * 3 for i in range(LOOP)]
+    acc = lthash.LtHash()
+    out = {}
+    for n in (1, 2, 128):
+        groups = [entries[i : i + n] for i in range(0, LOOP - LOOP % n, n)]
+        many, each = [], []
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            for g in groups:
+                acc.add_many(g)
+            t1 = time.perf_counter()
+            for g in groups:
+                for e in g:
+                    acc.add(e)
+            t2 = time.perf_counter()
+            many.append((t1 - t0) / (len(groups) * n) * 1e6)
+            each.append((t2 - t1) / (len(groups) * n) * 1e6)
+        out[n] = (sorted(many)[reps // 2], sorted(each)[reps // 2])
+    return out
+
+
+def fanout(cfg) -> tuple[ledger.LedgerState, list[Transaction]]:
+    """A state holding FANOUT_TXS coins and one batch that spends each into
+    FANOUT_OUTPUTS outputs."""
+    coins = [Outpoint(sha256(b"fan" + bytes([i])), 0) for i in range(FANOUT_TXS)]
+    state = ledger.LedgerState()
+    for op in coins:
+        state.put_utxo(op, pay(ALICE, 10**9))
+    state.issued = state.utxo_total
+    txs = [
+        utxo_signed(Transaction(UtxoSpend((op,), tuple(pay(BOB, 1 + i % 500) for i in range(FANOUT_OUTPUTS)))), ALICE, 1)
+        for op in coins
+    ]
+    return state, txs
+
+
+@contextmanager
+def counting_sums() -> Iterator[memoryview]:
+    """Count the sum jobs computed, by SUM_SOURCES, in memory shared with a
+    helper forked inside the block (the current one is stopped first, since
+    a helper runs the functions it forked with)."""
+    counts = memoryview(mmap.mmap(-1, 8 * len(SUM_SOURCES))).cast("q")
+    real_run = helper._run
+
+    def run(table, slot, job, claim):
+        if len(job) == 1:
+            own = slot == int.from_bytes(table[: helper.HEAD], "little")
+            counts[0 if claim == helper.HELPING else 1 if own else 2] += 1
+        return real_run(table, slot, job, claim)
+
+    stop_helper()
+    helper._run = run
+    try:
+        yield counts
+    finally:
+        stop_helper()
+        helper._run = real_run
+
+
+def stop_helper() -> None:
+    """Close the helper's pipe, so that it exits, and forget it."""
+    running, helper._helper = helper._helper, None
+    if running is not None:
+        running[1].close()
+        running[0].join(10)
+
+
+def bench_fanout(cfg, reps: int) -> None:
+    base, txs = fanout(cfg)
+    cpus = crypto.CPUS
+    split = cpus >= 2 and crypto._sodium_verify() is not None
+    results = {}
+    try:
+        for on in (True, False) if split else (False,):
+            crypto.CPUS = cpus if on else 1
+            with counting_sums() as counts:
+                runs = []
+                for _ in range(reps):
+                    state = base.copy()
+                    before = counts.tolist()
+                    t0 = time.perf_counter()
+                    receipts, header = ledger.apply_batch(state, txs, EPOCH, cfg, workers=1)
+                    ms = (time.perf_counter() - t0) * 1e3
+                    assert all(r.status == 0 for r in receipts) and state.conservation_holds()
+                    # The helper may still be finishing the batch, so read
+                    # after the next one has waited for its acknowledgement.
+                    with helper.split(lambda: []):
+                        runs.append((ms, [a - b for a, b in zip(counts.tolist(), before)], header.hash()))
+            runs.sort(key=lambda run: run[0])
+            results[on] = runs[reps // 2]
+    finally:
+        crypto.CPUS = cpus
+    if len({run[2] for run in results.values()}) != 1:
+        raise SystemExit("fan-out: the header hash depends on the helper")
+    name = f"fan-out {FANOUT_TXS} x {FANOUT_OUTPUTS} outputs"
+    if split:
+        ms, counts, _ = results[True]
+        sources = ", ".join(f"{source} {n}" for source, n in zip(SUM_SOURCES, counts))
+        print(f"{name}, helper on   {ms:8.1f} ms/batch; sum jobs: {sources}")
+    else:
+        print(f"{name}: the helper needs libsodium and two CPUs; CPUS=1 only")
+    print(f"{name}, CPUS=1      {results[False][0]:8.1f} ms/batch")
+
+
 def main() -> int:
     reps = int(sys.argv[1]) if len(sys.argv) > 1 else 21
     cfg = rules.SystemConfig(expiry_enabled=True, initial_subsidy=0, operator_pubkey=OPERATOR.pubkey)
@@ -172,6 +293,9 @@ def main() -> int:
     print(f"set_balance on an existing balance  {bench_set_balance(reps):8.3f} us/call ({LIVE} live)")
     digest_us = bench_digest_after_account_write(reps, coins)
     print(f"state_digest, UTXO side unchanged   {digest_us:8.3f} us/call ({SIZES[0]} utxos)")
+    for n, (many, each) in bench_add_many(reps).items():
+        print(f"add_many of {n:3d} entries           {many:8.3f} us/entry, add {each:8.3f} us/entry")
+    bench_fanout(cfg, reps)
     return 0
 
 

@@ -3,8 +3,11 @@ contract and the average-balance and DEX fixture contracts, in dynamic mode
 and in declared mode (runtime access checks on).
 
 Each call runs through vm.invoke against the same pre-state; the diff is
-not applied, so every repetition executes identical work. The short
-contracts run 25 times as many calls per timing as the burn loop. The size
+not applied, so every repetition executes identical work. Each row is the
+best of [iterations] short windows: one burn call (about 2 ms), or 25 calls
+of a short contract, since a short window is the least likely to take in a
+burst of load from elsewhere on the host; the rows take turns window by
+window, so that each samples the whole run. The size
 of each contract's generated source and the best of 20 compile times
 (vm.compile_code) are printed with it.
 
@@ -110,18 +113,23 @@ def setup() -> tuple[vm.Accounts, dict[str, bytes]]:
     return acc, addrs
 
 
-def bench(acc: vm.Accounts, tx: Transaction, declared: bool, iterations: int) -> tuple[float, int]:
-    """Best of three: (seconds for `iterations` calls, gas per call)."""
-    tx_id = txid(tx)
-    best, gas = float("inf"), 0
-    for _ in range(3):
-        t0 = time.perf_counter()
-        for _ in range(iterations):
-            diff = vm.invoke(acc, tx, tx_id, 1, OPERATOR, declared)
-        best = min(best, time.perf_counter() - t0)
-        assert diff.outcome.committed, diff.outcome
-        gas = diff.outcome.gas_used
-    return best, gas
+def bench(acc: vm.Accounts, txs: dict[str, Transaction], windows: int) -> dict[tuple[str, bool], tuple[float, int]]:
+    """(name, declared) -> (seconds per call in the best of `windows`
+    windows, gas per call). A window is one burn call or SHORT_REPEAT calls
+    of a short contract, and the rows take turns window by window, so that
+    each row's windows are spread over the whole run."""
+    best: dict = {}
+    for _ in range(windows):
+        for name, tx in txs.items():
+            tx_id, calls = txid(tx), 1 if name == "burn" else SHORT_REPEAT
+            for declared in (False, True):
+                t0 = time.perf_counter()
+                for _ in range(calls):
+                    diff = vm.invoke(acc, tx, tx_id, 1, OPERATOR, declared)
+                seconds = (time.perf_counter() - t0) / calls
+                assert diff.outcome.committed, diff.outcome
+                best[name, declared] = min(best.get((name, declared), (float("inf"), 0)), (seconds, diff.outcome.gas_used))
+    return best
 
 
 def compile_cost(code: bytes) -> tuple[int, float]:
@@ -240,17 +248,12 @@ def main() -> int:
     }
     txs = {name: Transaction(Call(addrs[name], arg, attached, CALLER, 100_000, 0, access, consts), nonce=nonce)
            for name, (arg, attached, consts, access) in calls.items()}
-    for name, tx in txs.items():
+    for name in txs:
         source_bytes, seconds = compile_cost(acc.contracts[addrs[name]].code)
         print(f"{name:8s} compile  {source_bytes:6d} source bytes  {seconds * 1e6:8.0f} us")
-        n = iterations if name == "burn" else iterations * SHORT_REPEAT
-        for declared in (False, True):
-            seconds, gas = bench(acc, tx, declared, n)
-            mode = "declared" if declared else "dynamic"
-            print(
-                f"{name:8s} {mode:8s} {gas:6d} gas/call  {n / seconds:10.0f} calls/s  "
-                f"{gas * n / seconds / 1e6:6.2f} Mgas/s"
-            )
+    for (name, declared), (seconds, gas) in bench(acc, txs, iterations).items():
+        mode = "declared" if declared else "dynamic"
+        print(f"{name:8s} {mode:8s} {gas:6d} gas/call  {1 / seconds:10.0f} calls/s  {gas / seconds / 1e6:6.2f} Mgas/s")
     for name, tx in txs.items():
         print_cold(name, acc, tx)
     for name, code in WORST_CODES.items():

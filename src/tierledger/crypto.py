@@ -8,25 +8,18 @@ all three. OpenSSL decides every rejection either way: `check_multisig`
 first matches with libsodium's accepts alone and asks `verify` only when
 that pass fails.
 
-Inside `split_checks`, one forked helper process runs libsodium over the
-batch's planned checks from the front, ahead of the caller, which may ask
-them in any order, and the two share verdicts through a byte table in
-shared memory. Only libsodium verdicts are shared, so no verdict depends
-on the helper.
+Inside a batch, libsodium's verdicts on planned checks come through the
+`helper` process's table; OpenSSL's never do.
 """
 
 from __future__ import annotations
 
 import ctypes
 import ctypes.util
-import mmap
-import multiprocessing
 import os
-import signal
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -34,6 +27,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
+from . import helper
 from .model import MAX_MULTISIG_KEYS, sha256
 
 SEED_BYTES = 32
@@ -41,7 +35,7 @@ PUBKEY_BYTES = 32
 SIG_BYTES = 64
 # Order of the Ed25519 base point; a signature's S half must be below it.
 GROUP_ORDER = 2**252 + 27742317777372353535851937790883648493
-# CPUs this process may run on; with one, no helper process is started.
+# CPUs this process may run on; with one, `helper` starts no process.
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
 
 
@@ -147,6 +141,12 @@ def sign(seed: bytes, msg: bytes) -> bytes:
     return sig.raw
 
 
+def _sodium_accepts(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
+    """`_sodium_check`, through the running batch's helper table if planned."""
+    verdict = helper.ask((pubkey, msg, sig))
+    return _sodium_check(pubkey, msg, sig) if verdict is None else verdict
+
+
 def _sodium_check(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
     """True iff libsodium is installed and accepts sig, with the S < L guard.
 
@@ -229,147 +229,6 @@ def check_multisig(m: int, pubkeys: Sequence[bytes], sigs: Sequence[bytes], msg:
     if len(sigs) > n or len(sigs) < m:
         return False
     return _in_order(_sodium_accepts, pubkeys, sigs, msg) or _in_order(verify, pubkeys, sigs, msg)
-
-
-Check = tuple[Sequence[bytes], bytes, Sequence[bytes]]  # (pubkeys, msg, sigs)
-
-# The verdict table in shared memory: a 4-byte cursor (the slot the caller
-# asked last, in any order, or DONE after the batch), then a state byte per
-# planned triple in plan order. Claims are plain byte writes: the helper
-# claims from the front and the caller, helping, from the back, so both
-# compute one triple only when they race for the last free slot.
-FREE, HELPING, CALLING, ACCEPT, REJECT = range(5)
-HEAD, TABLE_SLOTS, DONE = 4, 1 << 16, 2**32 - 1  # planned triples past TABLE_SLOTS verify inline
-# The helper (process, the caller's end of its pipe, table); the running
-# batch's triple -> offset (None outside `split_checks`) and offset - HEAD -> triple.
-_helper: Optional[tuple] = None
-_slots: Optional[dict] = None
-_triples: list = []
-
-
-def _index(plan: Sequence[Check]) -> dict:
-    """Each distinct triple that `check_multisig`'s greedy pass over plan may
-    ask libsodium (signature j against keys j onwards), to its table offset
-    while the table has room."""
-    slots: dict = {}
-    for pubkeys, msg, sigs in plan:
-        for j, sig in enumerate(sigs):
-            for pubkey in pubkeys[j:]:
-                if len(slots) < TABLE_SLOTS:
-                    slots.setdefault((pubkey, msg, sig), HEAD + len(slots))
-    return slots
-
-
-def _verdict(table: mmap.mmap, slot: int, key: tuple[bytes, bytes, bytes], claim: int) -> bool:
-    """key's libsodium verdict, computed under claim and written to its slot."""
-    table[slot] = claim
-    verdict = _sodium_check(*key)
-    table[slot] = ACCEPT if verdict else REJECT
-    return verdict
-
-
-def _sodium_accepts(pubkey: bytes, msg: bytes, sig: bytes) -> bool:
-    """`_sodium_check`, through the running batch's table if the triple is
-    planned. While the helper computes the caller's slot, the caller computes
-    the last free slot, since the helper works from the front; with none
-    left it waits, as long as the helper lives."""
-    key = (pubkey, msg, sig)
-    slot = None if _slots is None else _slots.get(key)
-    if slot is None:
-        return _sodium_check(*key)
-    process, _, table = _helper
-    table[:HEAD] = slot.to_bytes(HEAD, "little")
-    while (state := table[slot]) == HELPING:
-        if (free := table.rfind(b"\0", HEAD, HEAD + len(_triples))) > 0:
-            _verdict(table, free, _triples[free - HEAD], CALLING)
-        elif not process.is_alive():
-            break
-    return state == ACCEPT if state >= ACCEPT else _verdict(table, slot, key, CALLING)
-
-
-def _serve(conn: multiprocessing.connection.Connection, table: mmap.mmap) -> None:
-    """The helper process: for each plan, `check_multisig`'s libsodium pass over
-    the free slots but the one under the caller's cursor, until the batch is
-    done, then an acknowledgement, after which it writes nothing until it
-    blocks on the next plan. EOF ends it."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C stops the parent, and EOF this
-
-    def accepts(*key: bytes) -> bool:
-        slot = slots.get(key)
-        if slot is None or table[slot] != FREE:
-            return slot is None or table[slot] != REJECT  # unplanned or taken: assume honest
-        # Claim, then read the cursor, the reverse of the caller's order: a
-        # caller that writes its cursor after this read finds the claim.
-        table[slot] = HELPING
-        if int.from_bytes(table[:HEAD], "little") in (slot, DONE):
-            if table[slot] == HELPING:
-                table[slot] = FREE  # the caller's own, or too late: leave it to the caller
-            return True
-        return _verdict(table, slot, key, HELPING)
-
-    with suppress(EOFError, OSError):  # the caller's end is closed
-        while True:
-            plan = conn.recv()
-            slots = _index(plan)
-            for pubkeys, msg, sigs in plan:
-                _in_order(accepts, pubkeys, sigs, msg)
-            conn.send_bytes(b"")
-
-
-def _ready_helper() -> tuple:
-    """The helper once it has acknowledged its last batch, after which it
-    writes nothing until the next plan; a new helper if it died."""
-    global _helper
-    if _helper is not None:
-        with suppress(EOFError, OSError):  # else it died; starting the next process reaps it
-            _helper[1].recv_bytes()
-            return _helper
-    table, (conn, child_end) = mmap.mmap(-1, HEAD + TABLE_SLOTS), multiprocessing.Pipe()
-    fork = multiprocessing.get_context("fork")
-    process = fork.Process(target=_serve, args=(child_end, table), name="tierledger-verify", daemon=True)
-    _helper = (process, conn, table)
-    try:
-        process.start()  # the fork hook closes conn in the helper
-    finally:
-        child_end.close()
-    return _helper
-
-
-@contextmanager
-def split_checks(plan: Callable[[], Sequence[Check]]) -> Iterator[None]:
-    """Share the batch's libsodium verdicts with the helper process, which
-    works through plan() meanwhile; only with libsodium and two CPUs is
-    plan() called."""
-    global _slots, _triples
-    if CPUS < 2 or _sodium_verify() is None:
-        yield
-        return
-    checks = plan()
-    slots = _index(checks)
-    helper = _ready_helper()
-    helper[2][: HEAD + len(slots)] = bytes(HEAD + len(slots))
-    with suppress(OSError):  # a helper that died since: inline now, a new one next batch
-        helper[1].send(checks)
-        _slots, _triples = slots, list(slots)
-    try:
-        yield
-    finally:
-        _slots, _triples = None, []
-        if _helper is helper:  # not in a forked child
-            helper[2][:HEAD] = DONE.to_bytes(HEAD, "little")
-
-
-def _forget_helper() -> None:
-    """In a forked child: verify inline, never touching the parent's table or pipe."""
-    global _helper, _slots
-    if _helper is not None:
-        _helper[1].close()
-        multiprocessing.process._children.discard(_helper[0])  # the child's exit must not stop it
-    _helper = _slots = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
 
 
 def utxo_signing_message(txid: bytes, input_index: int) -> bytes:

@@ -17,7 +17,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import AbstractSet, Mapping, Optional, Sequence, Union
 
-from . import codes, crypto, permission, rules, scheduler, utxo, vm
+from . import codes, crypto, helper, permission, rules, scheduler, utxo, vm
 from .lthash import LtHash
 from .model import (
     DERIVED,
@@ -137,7 +137,7 @@ def utxo_entry(op: Outpoint, out: Output) -> bytes:
 
 class LedgerState:
     """The ledger's state. The UTXO set is a read-only view: every write
-    goes through put_utxos and spend_utxo, which keep utxo_total, an LtHash
+    goes through put_utxos and spend_utxos, which keep utxo_total, an LtHash
     over the UTXO entries and the expiry index up to date. Account writes
     go through the write API of self.accounts.
 
@@ -146,7 +146,7 @@ class LedgerState:
     its last outpoint. It is kept whether or not the config enables expiry,
     so the batch pipeline finds due outputs without scanning the set. The
     view guards only the mapping: its per-epoch sets are the index's own
-    and must not be mutated, and spend_utxo changes them, so a caller that
+    and must not be mutated, and spend_utxos changes them, so a caller that
     spends what it reads must copy it out first."""
 
     def __init__(self) -> None:
@@ -164,32 +164,52 @@ class LedgerState:
         self.batch_number = 0
         self.prev_header_hash = ZERO_HASH
 
-    def put_utxos(self, tx_id: bytes, outputs: Sequence[Output], first_index: int = 0) -> None:
+    def put_utxos(
+        self, tx_id: bytes, outputs: Sequence[Output], first_index: int = 0, made: Optional[tuple] = None
+    ) -> None:
         """Create outputs as (tx_id, first_index), (tx_id, first_index + 1),
-        ...; their entries go into the UTXO LtHash in one add_many."""
-        entries = []
-        ops = outpoint_range(tx_id, first_index, first_index + len(outputs))
+        ...; their entries go into the UTXO LtHash as helper sum jobs. made,
+        a batch plan's (outputs, outpoints, entries) for tx_id from index 0,
+        is used if it was made of these very outputs."""
+        if made is not None and made[0] is outputs:
+            _, ops, entries = made
+        else:
+            ops = outpoint_range(tx_id, first_index, first_index + len(outputs))
+            entries = [utxo_entry(op, out) for op, out in zip(ops, outputs)]
         for op, out in zip(ops, outputs):
             self._utxos[op] = out
-            entries.append(utxo_entry(op, out))
             if out.expiry is not None:
                 self._expiring.setdefault(out.expiry, set()).add(op)
-        self.utxo_lthash.add_many(entries)
+        for part, vector in helper.summed(entries):
+            if vector is None:
+                self.utxo_lthash.add_many(part)
+            else:
+                self.utxo_lthash.add_lanes(int.from_bytes(vector, "little"))
         self.utxo_total += sum(out.amount for out in outputs)
 
     def put_utxo(self, op: Outpoint, out: Output) -> None:
         self.put_utxos(op.txid, (out,), op.index)
 
-    def spend_utxo(self, op: Outpoint) -> Output:
-        out = self._utxos.pop(op)
-        self.utxo_lthash.remove(utxo_entry(op, out))
-        self.utxo_total -= out.amount
-        if out.expiry is not None:
-            due = self._expiring[out.expiry]
-            due.remove(op)
-            if not due:
-                del self._expiring[out.expiry]
-        return out
+    def spend_utxos(self, ops: Sequence[Outpoint]) -> int:
+        """Spend ops, whose entries leave the UTXO LtHash as helper sum jobs;
+        returns their total amount."""
+        entries, amount = [], 0
+        for op in ops:
+            out = self._utxos.pop(op)
+            entries.append(utxo_entry(op, out))
+            amount += out.amount
+            if out.expiry is not None:
+                due = self._expiring[out.expiry]
+                due.remove(op)
+                if not due:
+                    del self._expiring[out.expiry]
+        for part, vector in helper.summed(entries):
+            if vector is None:
+                self.utxo_lthash.remove_many(part)
+            else:
+                self.utxo_lthash.remove_lanes(int.from_bytes(vector, "little"))
+        self.utxo_total -= amount
+        return amount
 
     @property
     def account_total(self) -> int:
@@ -289,6 +309,7 @@ def _transfer(
     epoch: int,
     cfg: rules.SystemConfig,
     batch_spent: set[Outpoint],
+    made: Mapping[bytes, tuple],
 ) -> int:
     """The one routine for UtxoSpend, MoveToAccount and MoveToUtxo: pending-
     pool admission, the validity window, the kind's checks, then the state
@@ -322,34 +343,48 @@ def _transfer(
         if status != utxo.OK:
             return status
         batch_spent.update(k.inputs)
-        for op in k.inputs:
-            state.spend_utxo(op)
+        state.spend_utxos(k.inputs)
     if isinstance(k, MoveToAccount):
         accounts.set_balance(k.to, accounts.balance(k.to) + k.amount)
     else:
-        state.put_utxos(tx_id, k.outputs)
+        state.put_utxos(tx_id, k.outputs, made=made.get(tx_id))
     if fee:
         operator = cfg.operator_address
         accounts.set_balance(operator, accounts.balance(operator) + fee)
     return codes.OK
 
 
-def _planned_checks(utxos: Mapping[Outpoint, Output], work: Sequence[tuple]) -> list[crypto.Check]:
-    """The signature checks the batch will probably make, in its order:
-    account auth, and the P2PK and multisig inputs found in the UTXO set.
-    Inputs made earlier in the batch, script locks and endorsements are
-    left to the inline checks. A wrong guess costs the helper one wasted
-    verify, never a verdict."""
-    checks: list[crypto.Check] = []
+def _plan(
+    utxos: Mapping[Outpoint, Output], due: Sequence[Outpoint], work: Sequence[tuple], made: dict
+) -> list[helper.Job]:
+    """The work the batch will probably do, in its order: the removal of
+    the due outputs, then for each transaction its signature checks
+    (account auth, and the P2PK and multisig inputs found in the UTXO set),
+    the removal of its inputs if all are in the set, and the creation of
+    its outputs, whose outpoints and entries go into made for put_utxos;
+    a sum only of helper.PLANNED_SUM entries or more. Inputs made earlier
+    in the batch, script locks and endorsements are left to the inline
+    checks. A wrong guess costs the helper wasted work, never a verdict or
+    a digest."""
+    big = helper.PLANNED_SUM
+    jobs = helper.sums([utxo_entry(op, utxos[op]) for op in due]) if len(due) >= big else []
     for tx, tx_id in work:
-        if tx.auth is not None and _actor(tx.kind) is not None:
-            checks.append(((tx.auth.pubkey,), crypto.account_signing_message(tx_id), (tx.auth.signature,)))
-        inputs = tx.kind.inputs if isinstance(tx.kind, (UtxoSpend, MoveToAccount)) else ()
-        for i, (op, wit) in enumerate(zip(inputs, tx.witnesses)):
-            out = utxos.get(op)
+        k = tx.kind
+        if tx.auth is not None and _actor(k) is not None:
+            jobs.append(((tx.auth.pubkey,), crypto.account_signing_message(tx_id), (tx.auth.signature,)))
+        inputs = k.inputs if isinstance(k, (UtxoSpend, MoveToAccount)) else ()
+        spent = [utxos.get(op) for op in inputs]
+        for i, (out, wit) in enumerate(zip(spent, tx.witnesses)):
             if out is not None and out.lock.kind != LOCK_SCRIPT:
-                checks.append((out.lock.pubkeys or (out.lock.pubkey,), crypto.utxo_signing_message(tx_id, i), wit))
-    return checks
+                jobs.append((out.lock.pubkeys or (out.lock.pubkey,), crypto.utxo_signing_message(tx_id, i), wit))
+        if len(inputs) >= big and None not in spent:
+            jobs += helper.sums([utxo_entry(op, out) for op, out in zip(inputs, spent)])
+        if isinstance(k, (UtxoSpend, MoveToUtxo)) and len(k.outputs) >= big:
+            ops = outpoint_range(tx_id, 0, len(k.outputs))
+            entries = [utxo_entry(op, out) for op, out in zip(ops, k.outputs)]
+            made[tx_id] = (k.outputs, ops, entries)
+            jobs += helper.sums(entries)
+    return jobs
 
 
 def apply_batch(
@@ -369,8 +404,8 @@ def apply_batch(
     Deploy or Call for the scheduler, or the transfer routine. The buffer
     is flushed before each transfer, so transfer checks see every contract
     effect queued ahead of them. A buffered call's auth signature is checked
-    only when the scheduler reaches the call, which gives crypto's helper
-    the flush's conflict analysis and VM runs to verify it in; a refused
+    only when the scheduler reaches the call, which gives the helper
+    process the flush's conflict analysis and VM runs to verify it in; a refused
     call never runs, and its BAD_AUTH receipt carries the state its
     admission saw, as every rejection at the gates does. A call that fails
     the contract gate has its signature checked at once, so BAD_AUTH still
@@ -378,25 +413,14 @@ def apply_batch(
     if epoch < state.epoch:
         raise BatchError(f"batch epoch {epoch} below ledger epoch {state.epoch}")
     state.epoch = epoch
-
-    # 1. Expire outputs, before any validation.
-    for op in rules.apply_expiry(state.expiring, epoch, cfg):
-        state.expired += state.spend_utxo(op).amount
-
-    # 2. Coinbase issuance to the operator. Capped so that issued, and with
-    # it every supply counter and balance, stays within u64.
-    sub = min(rules.subsidy(epoch, cfg), U64_MAX - state.issued)
-    if sub > 0:
-        cb = _coinbase_outpoint(state.batch_number)
-        state.put_utxos(cb.txid, (Output(sub, Lock.pay_to_pubkey(cfg.operator_pubkey)),))
-        state.issued += sub
-
-    # 3. Matured pending transactions (never pooled again) run ahead of new submissions.
+    due = rules.apply_expiry(state.expiring, epoch, cfg)
+    # Matured pending transactions (never pooled again) run ahead of new submissions.
     work: list[tuple[Transaction, bytes]] = [(e.tx, e.tx_id) for e in state.pool.drain(epoch)]
     work += [(tx, compute_txid(tx)) for tx in txs]
 
     receipts: list[Optional[Receipt]] = [None] * len(work)
     batch_spent: set[Outpoint] = set()
+    made: dict[bytes, tuple] = {}
     contract_buffer: list[tuple[int, Transaction, bytes]] = []
 
     def flush_contracts() -> None:
@@ -430,7 +454,17 @@ def apply_batch(
             collect_telemetry.append(telemetry)
         contract_buffer.clear()
 
-    with crypto.split_checks(lambda: _planned_checks(state.utxos, work)):
+    with helper.split(lambda: _plan(state.utxos, due, work, made)):
+        # 1. Expire the due outputs, before any validation.
+        state.expired += state.spend_utxos(due)
+        # 2. Coinbase issuance to the operator. Capped so that issued, and
+        # with it every supply counter and balance, stays within u64.
+        sub = min(rules.subsidy(epoch, cfg), U64_MAX - state.issued)
+        if sub > 0:
+            cb = _coinbase_outpoint(state.batch_number)
+            state.put_utxos(cb.txid, (Output(sub, Lock.pay_to_pubkey(cfg.operator_pubkey)),))
+            state.issued += sub
+        # 3. The transactions, in order.
         for i, (tx, tx_id) in enumerate(work):
             level = classify_level(tx, state.utxos)
             actor = _actor(tx.kind)
@@ -449,7 +483,7 @@ def apply_batch(
                 status = codes.BAD_AUTH
             else:
                 flush_contracts()
-                status = _transfer(state, tx, tx_id, epoch, cfg, batch_spent)
+                status = _transfer(state, tx, tx_id, epoch, cfg, batch_spent, made)
             receipts[i] = Receipt(tx_id, status, 0, level, state_digest(state))
         flush_contracts()
 

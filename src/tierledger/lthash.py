@@ -20,7 +20,7 @@ lane spills into the next.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 LANES = 1024
 DIGEST_BYTES = 2 * LANES
@@ -30,13 +30,36 @@ _MASK = int.from_bytes(b"\xff\xff\x00\x00" * (LANES // 2), "little")
 _ONES = int.from_bytes(b"\x00\x00\x01\x00" * (LANES // 2), "little")
 
 
-# Elements summed between two masks in add_many.
+# Elements summed between two masks in _sums.
 _FOLD = 65_536
 
 
 def _lanes(entry: bytes) -> int:
     """An element's SHAKE-128 expansion as one int, lane i at bits 16i."""
     return int.from_bytes(hashlib.shake_128(entry).digest(DIGEST_BYTES), "little")
+
+
+def _sums(entries: Iterable[bytes]) -> Iterator[tuple[int, int]]:
+    """The even and the odd lanes of entries' expansions, summed in the
+    accumulator's 32-bit slots, one pair per _FOLD entries, so that no slot
+    carries into its neighbour even with a masked lane added to it. Each
+    expansion is summed whole into total and its even lanes into even, so
+    the odd lanes' sum is (total - even) >> 16, exactly. One entry costs
+    the masks and shift that add_lanes makes."""
+    n = 0
+    for entry in entries:
+        x = _lanes(entry)
+        if n:
+            total += x
+            even += x & _MASK
+        else:
+            total, even = x, x & _MASK
+        n += 1
+        if n == _FOLD:
+            yield even, (total - even) >> 16
+            n = 0
+    if n:
+        yield even, (total - even) >> 16
 
 
 class LtHash:
@@ -59,23 +82,10 @@ class LtHash:
         self._digest = None
 
     def add_many(self, entries: Iterable[bytes]) -> None:
-        """add for each entry, with one mask per _FOLD entries. Each
-        expansion is summed whole into total and its even lanes into even,
-        so the odd lanes' sum is (total - even) >> 16, exactly."""
-        even = total = n = 0
-        for entry in entries:
-            x = _lanes(entry)
-            total += x
-            even += x & _MASK
-            n += 1
-            if n == _FOLD:
-                self._add_sums(even, total)
-                even = total = n = 0
-        self._add_sums(even, total)
-
-    def _add_sums(self, even: int, total: int) -> None:
-        self._even = (self._even + even) & _MASK
-        self._odd = (self._odd + ((total - even) >> 16)) & _MASK
+        """add for each entry."""
+        for even, odd in _sums(entries):
+            self._even = (self._even + even) & _MASK
+            self._odd = (self._odd + odd) & _MASK
         self._digest = None
 
     def remove(self, entry: bytes) -> None:
@@ -87,6 +97,13 @@ class LtHash:
         # non-negative, so no borrow crosses a slot boundary.
         self._even = (self._even + _ONES - (x & _MASK)) & _MASK
         self._odd = (self._odd + _ONES - ((x >> 16) & _MASK)) & _MASK
+        self._digest = None
+
+    def remove_many(self, entries: Iterable[bytes]) -> None:
+        """remove for each entry."""
+        for even, odd in _sums(entries):
+            self._even = (self._even + _ONES - (even & _MASK)) & _MASK
+            self._odd = (self._odd + _ONES - (odd & _MASK)) & _MASK
         self._digest = None
 
     def digest(self) -> bytes:

@@ -1,5 +1,5 @@
 """A process forked inside a batch, by the scheduler's worker pool or by
-anyone else, drops the parent's signature helper: it verifies inline and
+anyone else, drops the parent's helper process: it works inline and
 never touches the parent's table or pipe, while the parent's batch and
 helper carry on."""
 
@@ -16,7 +16,7 @@ import pytest
 import test_crypto
 from test_verify_split import cursor, helper_processes, needs_sodium
 from helpers import KEYS
-from tierledger import crypto
+from tierledger import crypto, helper
 
 
 @needs_sodium
@@ -26,12 +26,12 @@ def test_a_raw_fork_inside_a_batch_verifies_inline(monkeypatch):
     kp = KEYS[1]
     good = (kp.pubkey, test_crypto.MSG, kp.sign(test_crypto.MSG))
     bad = (kp.pubkey, test_crypto.MSG + b"x", good[2])
-    batch = crypto.split_checks(lambda: [((t[0],), t[1], (t[2],)) for t in (good, bad)])
+    batch = helper.split(lambda: [((t[0],), t[1], (t[2],)) for t in (good, bad)])
     batch.__enter__()
     pid = os.fork()
     if pid == 0:
         try:
-            ok = crypto._helper is None and crypto._slots is None
+            ok = helper._helper is None and helper._slots is None
             ok = ok and crypto.verify(*good) and not crypto.verify(*bad)
             batch.__exit__(None, None, None)  # must not mark the parent's batch done
             os._exit(0 if ok else 1)
@@ -39,29 +39,29 @@ def test_a_raw_fork_inside_a_batch_verifies_inline(monkeypatch):
             os._exit(2)
     try:
         assert os.waitpid(pid, 0)[1] == 0
-        assert crypto._slots is not None and cursor(crypto._helper[2]) != crypto.DONE
+        assert helper._slots is not None and cursor(helper._helper[2]) != helper.DONE
         assert crypto.verify(*good) and not crypto.verify(*bad)
     finally:
         batch.__exit__(None, None, None)
-    assert helper_processes() == [crypto._helper[0]]
+    assert helper_processes() == [helper._helper[0]]
 
 
 CHILD = textwrap.dedent(
     """
     import os, sys
-    from tierledger import crypto
+    from tierledger import crypto, helper
     crypto.CPUS = 2
     kp = crypto.keygen(bytes(32))
     msg = bytes(32)
     sig = kp.sign(msg)
-    with crypto.split_checks(lambda: [((kp.pubkey,), msg, (sig,))]):
+    with helper.split(lambda: [((kp.pubkey,), msg, (sig,))]):
         assert crypto.verify(kp.pubkey, msg, sig)
-    helper = crypto._helper[0]
+    running = helper._helper[0]
     pid = os.fork()
     if pid == 0:
         sys.exit(0)  # a normal exit, with the interpreter's exit handlers
     assert os.waitpid(pid, 0)[1] == 0
-    assert helper.is_alive() and crypto._helper[0] is helper
+    assert running.is_alive() and helper._helper[0] is running
     """
 )
 

@@ -1,11 +1,11 @@
-"""The signature helper process (`crypto.split_checks`): `apply_batch` shares
-its libsodium verdicts with one forked helper through a byte table in shared
-memory. The helper must never change a verdict, a receipt or a header hash;
+"""The helper process's signature checks (`helper.split`): `apply_batch`
+shares its libsodium verdicts with one forked helper through a byte table in
+shared memory. The helper must never change a verdict, a receipt or a header hash;
 no verdict may outlive its batch; a helper that raises or dies must leave
 the inline verdicts; and an idle helper must use no CPU and must not outlive
 its parent. Tests switch the helper on and off through `crypto.CPUS` alone.
 
-A patch of `crypto` reaches the helper only if the helper forks after it, so
+A patch of `crypto` or `helper` reaches the helper only if the helper forks after it, so
 tests that patch what the helper runs take the `fresh_helper` fixture, which
 stops the helper before the test and again before the patches are undone."""
 
@@ -39,21 +39,21 @@ from helpers import (
     seed_utxo,
     signed_spend,
 )
-from tierledger import codes, crypto, ledger, utxo
+from tierledger import codes, crypto, helper, ledger, utxo
 from tierledger.model import Lock, Outpoint, Output, Transaction, UtxoSpend, address_of_pubkey, txid
 
-HELPER = "tierledger-verify"
+HELPER = "tierledger-helper"
 
 needs_sodium = pytest.mark.skipif(crypto._sodium_verify() is None, reason="the helper needs libsodium")
 
 
 def stop_helper() -> None:
     """Close the helper's pipe, so that it exits, and forget it."""
-    helper, crypto._helper = crypto._helper, None
-    if helper is not None:
-        helper[1].close()
-        helper[0].join(10)
-        assert not helper[0].is_alive()
+    running, helper._helper = helper._helper, None
+    if running is not None:
+        running[1].close()
+        running[0].join(10)
+        assert not running[0].is_alive()
 
 
 @pytest.fixture
@@ -71,7 +71,7 @@ def count_libsodium(monkeypatch) -> Counter:
     real = crypto._sodium_check
 
     def counting(*key):
-        calls[crypto._slots is not None, key] += 1
+        calls[helper._slots is not None, key] += 1
         return real(*key)
 
     monkeypatch.setattr(crypto, "_sodium_check", counting)
@@ -86,11 +86,11 @@ def wait_for_the_helper() -> None:
     """Wait until the helper has acknowledged the running batch's plan: it
     has finished its pass and writes nothing more until the next plan. The
     acknowledgement stays in the pipe for the next batch to read."""
-    assert crypto._helper[1].poll(30), "the helper never finished the plan"
+    assert helper._helper[1].poll(30), "the helper never finished the plan"
 
 
 def cursor(table) -> int:
-    return int.from_bytes(table[: crypto.HEAD], "little")
+    return int.from_bytes(table[: helper.HEAD], "little")
 
 
 def mixed_batch():
@@ -173,16 +173,17 @@ def test_helper_on_and_off_give_identical_receipts_and_headers(monkeypatch):
 def test_a_finished_helper_answers_every_planned_check(monkeypatch):
     monkeypatch.setattr(crypto, "CPUS", 2)
     state, cfg, txs, _ = mixed_batch()
-    planned = ledger._planned_checks(state.utxos, [(tx, txid(tx)) for tx in txs])
+    work = [(tx, txid(tx)) for tx in txs]
+    planned = [job for job in ledger._plan(state.utxos, (), work, {}) if len(job) == 3]
     keys = helper_pass(planned)
     calls = count_libsodium(monkeypatch)
-    with crypto.split_checks(lambda: planned):
+    with helper.split(lambda: planned):
         wait_for_the_helper()
-        table = crypto._helper[2]
+        table = helper._helper[2]
         # The helper computed exactly its pass, each verdict libsodium's.
-        done = {key: table[slot] for key, slot in crypto._slots.items() if table[slot] != crypto.FREE}
+        done = {key: table[slot] for key, slot in helper._slots.items() if table[slot] != helper.FREE}
         assert set(done) == keys
-        assert all(done[key] == (crypto.ACCEPT if crypto._sodium_check(*key) else crypto.REJECT) for key in keys)
+        assert all(done[key] == (helper.ACCEPT if crypto._sodium_check(*key) else helper.REJECT) for key in keys)
         calls.clear()
         # The caller checks only now, so each check must find the helper's
         # verdict.
@@ -204,9 +205,9 @@ def test_no_memo_outlives_its_batch(monkeypatch):
     calls = count_libsodium(monkeypatch)
     apply_copy(state, cfg, txs)
     assert any(in_batch for in_batch, _ in calls)  # the batch ran with a table
-    assert crypto._slots is None
-    table = crypto._helper[2]
-    assert cursor(table) == crypto.DONE
+    assert helper._slots is None
+    table = helper._helper[2]
+    assert cursor(table) == helper.DONE
     # Once the helper has acknowledged the batch, it writes nothing more.
     wait_for_the_helper()
     written = bytes(table)
@@ -214,7 +215,7 @@ def test_no_memo_outlives_its_batch(monkeypatch):
     assert bytes(table) == written
     with pytest.raises(ledger.BatchError):
         ledger.apply_batch(state.copy(), txs, state.epoch - 1, cfg)
-    assert crypto._slots is None
+    assert helper._slots is None
 
     def boom(*args):
         raise RuntimeError("transfer failed")
@@ -222,8 +223,8 @@ def test_no_memo_outlives_its_batch(monkeypatch):
     monkeypatch.setattr(ledger, "_transfer", boom)
     with pytest.raises(RuntimeError):
         apply_copy(state, cfg, txs)
-    assert crypto._slots is None
-    assert cursor(crypto._helper[2]) == crypto.DONE
+    assert helper._slots is None
+    assert cursor(helper._helper[2]) == helper.DONE
 
 
 @needs_sodium
@@ -238,7 +239,7 @@ def test_a_helper_that_raises_leaves_the_inline_verdicts(monkeypatch, fresh_help
     def failing(*key):
         if os.getpid() != parent:
             raise RuntimeError("helper failed")
-        crypto._helper[0].join(10)  # let the helper fail before the caller's first check
+        helper._helper[0].join(10)  # let the helper fail before the caller's first check
         return real(*key)
 
     monkeypatch.setattr(crypto, "_sodium_check", failing)
@@ -247,13 +248,13 @@ def test_a_helper_that_raises_leaves_the_inline_verdicts(monkeypatch, fresh_help
     batch.start()
     batch.join(60)
     assert not batch.is_alive(), "apply_batch hung on a failed helper"
-    failed = crypto._helper[0]
+    failed = helper._helper[0]
     assert failed.exitcode == 1  # it raised
     assert result == [inline]
     # The next batch starts a new helper; there is never more than one.
     monkeypatch.setattr(crypto, "_sodium_check", real)
     assert apply_copy(state, cfg, txs) == inline
-    assert crypto._helper[0] is not failed and helper_processes() == [crypto._helper[0]]
+    assert helper._helper[0] is not failed and helper_processes() == [helper._helper[0]]
 
 
 @needs_sodium
@@ -265,19 +266,19 @@ def test_a_caller_waiting_on_a_failed_claim_computes_the_verdict(monkeypatch, fr
     real = crypto._sodium_check
     # The helper dies inside its first libsodium call, holding that claim.
     monkeypatch.setattr(crypto, "_sodium_check", lambda *k: os._exit(3) if os.getpid() != parent else real(*k))
-    with crypto.split_checks(lambda: [((key[0],), key[1], (key[2],))]):
-        process, _, table = crypto._helper
+    with helper.split(lambda: [((key[0],), key[1], (key[2],))]):
+        process, _, table = helper._helper
         process.join(10)
         assert process.exitcode == 3
-        slot = crypto._slots[key]
-        assert table[slot] == crypto.HELPING
+        slot = helper._slots[key]
+        assert table[slot] == helper.HELPING
         result = []
         waiter = threading.Thread(target=lambda: result.append(crypto._sodium_accepts(*key)), daemon=True)
         waiter.start()
         waiter.join(30)
         assert not waiter.is_alive(), "the caller hung on a failed claim"
         assert result == [True]
-        assert table[slot] == crypto.ACCEPT
+        assert table[slot] == helper.ACCEPT
 
 
 @needs_sodium
@@ -295,13 +296,13 @@ def test_racing_caller_and_helper_agree_on_every_verdict(monkeypatch, fresh_help
     plan = [((pk,), msg, (sig,)) for pk, msg, sig in keys]
     for round_ in range(10):
         order = keys if round_ % 2 == 0 else random.Random(round_).sample(keys, len(keys))
-        with crypto.split_checks(lambda: plan):
+        with helper.split(lambda: plan):
             got = {key: crypto._sodium_accepts(*key) for key in order}
-            slots = dict(crypto._slots)
+            slots = dict(helper._slots)
         assert got == want, f"round {round_}"
         wait_for_the_helper()
-        table = crypto._helper[2]
-        assert all(table[slot] == (crypto.ACCEPT if want[key] else crypto.REJECT) for key, slot in slots.items())
+        table = helper._helper[2]
+        assert all(table[slot] == (helper.ACCEPT if want[key] else helper.REJECT) for key, slot in slots.items())
 
 
 @needs_sodium
@@ -323,11 +324,11 @@ def test_a_caller_asking_out_of_plan_order_leaves_the_helper_every_other_slot(mo
 
     monkeypatch.setattr(crypto, "_sodium_check", slow_in_the_helper)
     calls = count_libsodium(monkeypatch)
-    with crypto.split_checks(lambda: [((pk,), msg, (sig,)) for pk, msg, sig in keys]):
+    with helper.split(lambda: [((pk,), msg, (sig,)) for pk, msg, sig in keys]):
         assert crypto.verify(*keys[-1])
         wait_for_the_helper()
-        table = crypto._helper[2]
-        assert [table[crypto._slots[key]] for key in keys] == [crypto.ACCEPT] * len(keys)
+        table = helper._helper[2]
+        assert [table[helper._slots[key]] for key in keys] == [helper.ACCEPT] * len(keys)
         assert all(crypto.verify(*key) for key in keys[:-1])
     assert {key for _, key in calls} <= {keys[-1]}
 
@@ -342,10 +343,10 @@ def test_s_guard_holds_through_the_helper(monkeypatch, fresh_helper):
     s = int.from_bytes(sig[32:], "little")
     bad = [test_crypto.with_s(sig, v) for v in (test_crypto.L, s + test_crypto.L, 2**256 - 1)]
     plan = [((pk, kp.pubkey), test_crypto.MSG, (b,)) for b in bad]
-    with crypto.split_checks(lambda: plan):
+    with helper.split(lambda: plan):
         wait_for_the_helper()
-        table = crypto._helper[2]
-        assert [table[slot] for slot in crypto._slots.values()] == [crypto.REJECT] * (2 * len(bad))
+        table = helper._helper[2]
+        assert [table[slot] for slot in helper._slots.values()] == [helper.REJECT] * (2 * len(bad))
         assert crypto.verify(pk, test_crypto.MSG + b"x", sig)  # the stub is in effect
         for b in bad:
             assert not crypto.verify(pk, test_crypto.MSG, b)
@@ -371,15 +372,15 @@ def test_a_stale_verdict_never_lands_in_the_next_batch(monkeypatch, fresh_helper
         return real(*key)
 
     monkeypatch.setattr(crypto, "_sodium_check", slow_in_the_helper)
-    with crypto.split_checks(lambda: [((good[0],), good[1], (good[2],))]):
-        table = crypto._helper[2]
-        slot = crypto._slots[good]
+    with helper.split(lambda: [((good[0],), good[1], (good[2],))]):
+        table = helper._helper[2]
+        slot = helper._slots[good]
         deadline = time.monotonic() + 30
-        while table[slot] != crypto.HELPING:
+        while table[slot] != helper.HELPING:
             assert time.monotonic() < deadline, "the helper never claimed the slot"
         # Batch N ends while the helper is still computing its verdict.
-    with crypto.split_checks(lambda: [((bad[0],), bad[1], (bad[2],))]):
-        assert crypto._slots[bad] == slot
+    with helper.split(lambda: [((bad[0],), bad[1], (bad[2],))]):
+        assert helper._slots[bad] == slot
         time.sleep(0.5)  # long enough for a late write from batch N to land
         assert not crypto._sodium_accepts(*bad)
         assert not crypto.verify(*bad)
@@ -404,7 +405,7 @@ def test_a_helper_killed_mid_batch_leaves_the_receipts(monkeypatch, fresh_helper
 
     monkeypatch.setattr(crypto, "_sodium_check", check)
     assert apply_copy(state, cfg, txs) == inline  # forks a slow helper
-    killed = crypto._helper[0]
+    killed = helper._helper[0]
     armed.append(killed)
     result = []
     batch = threading.Thread(target=lambda: result.append(apply_copy(state, cfg, txs)), daemon=True)
@@ -416,20 +417,20 @@ def test_a_helper_killed_mid_batch_leaves_the_receipts(monkeypatch, fresh_helper
     assert killed.exitcode == -signal.SIGKILL
     # The next batch starts a new helper; there is never more than one.
     assert apply_copy(state, cfg, txs) == inline
-    assert crypto._helper[0] is not killed and helper_processes() == [crypto._helper[0]]
+    assert helper._helper[0] is not killed and helper_processes() == [helper._helper[0]]
 
 
 CHILD = textwrap.dedent(
     """
     import sys, time
-    from tierledger import crypto
+    from tierledger import crypto, helper
     crypto.CPUS = 2
     kp = crypto.keygen(bytes(32))
     msg = bytes(32)
     sig = kp.sign(msg)
-    with crypto.split_checks(lambda: [((kp.pubkey,), msg, (sig,))]):
+    with helper.split(lambda: [((kp.pubkey,), msg, (sig,))]):
         assert crypto.verify(kp.pubkey, msg, sig)
-    print(crypto._helper[0].pid, flush=True)
+    print(helper._helper[0].pid, flush=True)
     if sys.argv[1] == "wait":
         time.sleep(60)
     """
@@ -481,7 +482,7 @@ def test_an_idle_helper_uses_no_cpu(monkeypatch):
     state, cfg, txs, _ = mixed_batch()
     apply_copy(state, cfg, txs)
     wait_for_the_helper()
-    pid = crypto._helper[0].pid
+    pid = helper._helper[0].pid
     before = cpu_ticks(pid)
     time.sleep(0.5)
     assert cpu_ticks(pid) - before <= 2
@@ -511,10 +512,10 @@ def test_golden_hashes_on_two_cpus(monkeypatch, tmp_path, case):
     monkeypatch.setattr(crypto, "CPUS", 2)
     seen = []
     real = crypto._sodium_accepts
-    monkeypatch.setattr(crypto, "_sodium_accepts", lambda *key: seen.append(key in (crypto._slots or ())) or real(*key))
+    monkeypatch.setattr(crypto, "_sodium_accepts", lambda *key: seen.append(key in (helper._slots or ())) or real(*key))
     run_golden(tmp_path, case)
     assert any(seen)  # some check went through the table
-    assert helper_processes() == [crypto._helper[0]]
+    assert helper_processes() == [helper._helper[0]]
 
 
 def test_golden_hashes_without_libsodium_start_no_helper(monkeypatch, tmp_path):
