@@ -20,7 +20,7 @@ lane spills into the next.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 LANES = 1024
 DIGEST_BYTES = 2 * LANES
@@ -99,8 +99,12 @@ class LtHash:
         self._odd = (self._odd + _ONES - ((x >> 16) & _MASK)) & _MASK
         self._digest = None
 
-    def remove_many(self, entries: Iterable[bytes]) -> None:
-        """remove for each entry."""
+    def remove_many(self, entries: Sequence[bytes]) -> None:
+        """remove for each entry. A sum of several entries is masked before
+        it is subtracted; one entry, the common spend, skips those masks."""
+        if len(entries) == 1:
+            self.remove(entries[0])
+            return
         for even, odd in _sums(entries):
             self._even = (self._even + _ONES - (even & _MASK)) & _MASK
             self._odd = (self._odd + _ONES - (odd & _MASK)) & _MASK
