@@ -14,6 +14,7 @@ from __future__ import annotations
 import mmap
 import multiprocessing
 import os
+import platform
 import signal
 from contextlib import contextmanager, suppress
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -21,10 +22,10 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from . import crypto
 from .lthash import DIGEST_BYTES, LtHash
 
-# Entries per sum job: a transaction's outputs or inputs are cut into sums
-# of CHUNK, so that a fan-out's large transactions are shared out. Fewer
-# than PLANNED_SUM entries are not worth a job: reading a vector back costs
-# about half of expanding an entry.
+# Entries per sum job: a transaction's created outputs are cut into sums of
+# CHUNK, so that a fan-out's large transactions are shared out. Fewer than
+# PLANNED_SUM outputs are not worth a job: reading a vector back costs about
+# half of expanding an entry.
 CHUNK, PLANNED_SUM = 128, 8
 
 Check = tuple[Sequence[bytes], bytes, Sequence[bytes]]  # (pubkeys, msg, sigs)
@@ -40,10 +41,13 @@ Job = Union[Check, Sum]
 # a batch plans. Claims are plain byte writes: the helper claims from the
 # front and the caller, helping, from the back, so both compute one job only
 # when they race for the last free slot. A sum's slot ends ACCEPT once its
-# vector is written; the helper writes the vector first, and on x86-64,
-# whose stores are seen in order, the caller reads it only after the byte.
+# vector is written; the helper writes the vector first, and the caller
+# reads it only after the byte, which is sound only where stores are seen in
+# order (x86-64). So sums are planned only there, and checks, whose result
+# is the byte itself, everywhere.
 FREE, HELPING, CALLING, ACCEPT, REJECT = range(5)
 HEAD, TABLE_SLOTS, SUM_SLOTS, DONE = 4, 1 << 16, 1 << 12, 2**32 - 1  # planned work past them runs inline
+ORDERED_STORES = platform.machine() in ("x86_64", "AMD64")
 # The helper (process, the caller's end of its pipe, table); the running
 # batch's job -> offset (None outside `split`) and offset - HEAD -> job.
 _helper: Optional[tuple] = None
@@ -115,14 +119,6 @@ def ask(job: Job) -> Union[None, bool, bytes]:
     if state < ACCEPT:
         return _run(table, slot, job, CALLING)
     return table[_vector(slot)] if len(job) == 1 else state == ACCEPT
-
-
-def summed(entries: Sequence[bytes]) -> list[tuple[Sequence[bytes], Optional[bytes]]]:
-    """entries in parts, each with its vector from the running batch's
-    table, or None where the caller is to add the part up itself."""
-    if _slots is None or len(entries) < PLANNED_SUM:
-        return [(entries, None)]
-    return [(job[0], ask(job)) for job in sums(entries)]
 
 
 def _serve(conn: multiprocessing.connection.Connection, table: mmap.mmap) -> None:

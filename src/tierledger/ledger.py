@@ -168,19 +168,21 @@ class LedgerState:
         self, tx_id: bytes, outputs: Sequence[Output], first_index: int = 0, made: Optional[tuple] = None
     ) -> None:
         """Create outputs as (tx_id, first_index), (tx_id, first_index + 1),
-        ...; their entries go into the UTXO LtHash as helper sum jobs. made,
-        a batch plan's (outputs, outpoints, entries) for tx_id from index 0,
-        is used if it was made of these very outputs."""
+        ...; their entries go into the UTXO LtHash. made, a batch plan's
+        (outputs, outpoints, entries) for tx_id from index 0, is used if it
+        was made of these very outputs: then its sum jobs are asked of the
+        helper, and each one it does not answer is added up here."""
         if made is not None and made[0] is outputs:
             _, ops, entries = made
+            parts = [(job[0], helper.ask(job)) for job in helper.sums(entries)]
         else:
             ops = outpoint_range(tx_id, first_index, first_index + len(outputs))
-            entries = [utxo_entry(op, out) for op, out in zip(ops, outputs)]
+            parts = [([utxo_entry(op, out) for op, out in zip(ops, outputs)], None)]
         for op, out in zip(ops, outputs):
             self._utxos[op] = out
             if out.expiry is not None:
                 self._expiring.setdefault(out.expiry, set()).add(op)
-        for part, vector in helper.summed(entries):
+        for part, vector in parts:
             if vector is None:
                 self.utxo_lthash.add_many(part)
             else:
@@ -191,8 +193,8 @@ class LedgerState:
         self.put_utxos(op.txid, (out,), op.index)
 
     def spend_utxos(self, ops: Sequence[Outpoint]) -> int:
-        """Spend ops, whose entries leave the UTXO LtHash as helper sum jobs;
-        returns their total amount."""
+        """Spend ops, whose entries leave the UTXO LtHash; returns their
+        total amount."""
         entries, amount = [], 0
         for op in ops:
             out = self._utxos.pop(op)
@@ -203,11 +205,7 @@ class LedgerState:
                 due.remove(op)
                 if not due:
                     del self._expiring[out.expiry]
-        for part, vector in helper.summed(entries):
-            if vector is None:
-                self.utxo_lthash.remove_many(part)
-            else:
-                self.utxo_lthash.remove_lanes(int.from_bytes(vector, "little"))
+        self.utxo_lthash.remove_many(entries)
         self.utxo_total -= amount
         return amount
 
@@ -354,32 +352,27 @@ def _transfer(
     return codes.OK
 
 
-def _plan(
-    utxos: Mapping[Outpoint, Output], due: Sequence[Outpoint], work: Sequence[tuple], made: dict
-) -> list[helper.Job]:
-    """The work the batch will probably do, in its order: the removal of
-    the due outputs, then for each transaction its signature checks
-    (account auth, and the P2PK and multisig inputs found in the UTXO set),
-    the removal of its inputs if all are in the set, and the creation of
-    its outputs, whose outpoints and entries go into made for put_utxos;
-    a sum only of helper.PLANNED_SUM entries or more. Inputs made earlier
-    in the batch, script locks and endorsements are left to the inline
-    checks. A wrong guess costs the helper wasted work, never a verdict or
-    a digest."""
-    big = helper.PLANNED_SUM
-    jobs = helper.sums([utxo_entry(op, utxos[op]) for op in due]) if len(due) >= big else []
+def _plan(utxos: Mapping[Outpoint, Output], work: Sequence[tuple], made: dict) -> list[helper.Job]:
+    """The work the batch will probably do, in its order: for each
+    transaction its signature checks (account auth, and the P2PK and
+    multisig inputs found in the UTXO set), then, where the host sees the
+    helper's stores in order, the creation of its outputs if there are
+    helper.PLANNED_SUM or more, whose outpoints and entries go into made for
+    put_utxos. Inputs made earlier in the batch, script locks and
+    endorsements are left to the inline checks, and spends and expiries to
+    inline removal. A wrong guess costs the helper wasted work, never a
+    verdict or a digest."""
+    jobs: list[helper.Job] = []
     for tx, tx_id in work:
         k = tx.kind
         if tx.auth is not None and _actor(k) is not None:
             jobs.append(((tx.auth.pubkey,), crypto.account_signing_message(tx_id), (tx.auth.signature,)))
         inputs = k.inputs if isinstance(k, (UtxoSpend, MoveToAccount)) else ()
-        spent = [utxos.get(op) for op in inputs]
-        for i, (out, wit) in enumerate(zip(spent, tx.witnesses)):
+        for i, (op, wit) in enumerate(zip(inputs, tx.witnesses)):
+            out = utxos.get(op)
             if out is not None and out.lock.kind != LOCK_SCRIPT:
                 jobs.append((out.lock.pubkeys or (out.lock.pubkey,), crypto.utxo_signing_message(tx_id, i), wit))
-        if len(inputs) >= big and None not in spent:
-            jobs += helper.sums([utxo_entry(op, out) for op, out in zip(inputs, spent)])
-        if isinstance(k, (UtxoSpend, MoveToUtxo)) and len(k.outputs) >= big:
+        if helper.ORDERED_STORES and isinstance(k, (UtxoSpend, MoveToUtxo)) and len(k.outputs) >= helper.PLANNED_SUM:
             ops = outpoint_range(tx_id, 0, len(k.outputs))
             entries = [utxo_entry(op, out) for op, out in zip(ops, k.outputs)]
             made[tx_id] = (k.outputs, ops, entries)
@@ -454,7 +447,7 @@ def apply_batch(
             collect_telemetry.append(telemetry)
         contract_buffer.clear()
 
-    with helper.split(lambda: _plan(state.utxos, due, work, made)):
+    with helper.split(lambda: _plan(state.utxos, work, made)):
         # 1. Expire the due outputs, before any validation.
         state.expired += state.spend_utxos(due)
         # 2. Coinbase issuance to the operator. Capped so that issued, and
@@ -509,8 +502,12 @@ def apply_batch(
 
 
 def init_log(logdir: Union[str, Path], cfg: rules.SystemConfig) -> None:
+    """Start a log: write logdir's genesis.json, unless logdir already holds
+    a batch or header file (FileExistsError, and nothing is written)."""
     path = Path(logdir)
     path.mkdir(parents=True, exist_ok=True)
+    if any(_LOG_FILE.match(f.name) for f in path.iterdir()):
+        raise FileExistsError(f"{path} already holds batch or header files")
     (path / "genesis.json").write_text(cfg.to_json_str(), encoding="utf-8")
 
 

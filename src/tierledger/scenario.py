@@ -450,7 +450,7 @@ def run_scenario(
 ) -> tuple[bool, dict]:
     """Execute a scenario file. Returns (all assertions passed, report).
     Raises ScenarioError when the file itself is malformed, and OSError
-    when the log directory cannot be written."""
+    when the log directory cannot be written or already holds a log."""
     try:
         obj = read_json(Path(path).read_bytes())
     except (OSError, ModelError) as exc:

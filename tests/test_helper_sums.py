@@ -1,8 +1,9 @@
 """The helper process's sum jobs (`helper.split`): `apply_batch` shares the
-LtHash expansions of large output and input lists with one forked helper,
-which writes each job's lane vector into shared memory. No receipt, header
-hash or replay may depend on it: not on whether it runs, not on its death
-mid-batch, and not on a plan that names the wrong entries.
+LtHash expansions of large created-output lists with one forked helper,
+which writes each job's lane vector into shared memory; spends and expiries
+are removed inline. No receipt, header hash or replay may depend on it: not
+on whether it runs, not on its death mid-batch, and not on a plan that
+names the wrong entries.
 
 Tests switch the helper on and off through `crypto.CPUS` alone."""
 
@@ -64,10 +65,18 @@ def apply_last(cfg, state, txs, logdir):
     return receipts, header.hash(), ledger.replay_verify(logdir)
 
 
+def made_entries(tx):
+    """The UTXO entries of tx's created outputs."""
+    ops = ledger.outpoint_range(txid(tx), 0, len(tx.kind.outputs))
+    return [ledger.utxo_entry(op, out) for op, out in zip(ops, tx.kind.outputs)]
+
+
 @pytest.fixture
 def log(tmp_path, monkeypatch):
-    """The test log and its batch, committed and replayed on one CPU."""
+    """The test log and its batch, committed and replayed on one CPU; on
+    two, sum jobs are planned whatever the host's store order."""
     monkeypatch.setattr(crypto, "CPUS", 1)
+    monkeypatch.setattr(helper, "ORDERED_STORES", True)
     cfg, state, txs = sum_log(tmp_path)
     inline = apply_last(cfg, state, txs, tmp_path)
     receipts, _, report = inline
@@ -77,10 +86,17 @@ def log(tmp_path, monkeypatch):
 
 
 def count_vectors(monkeypatch) -> list:
-    """Each sum part the caller applies, by whether its vector came from the table."""
+    """Each sum part the caller asks, by whether its vector came from the table."""
     seen: list = []
-    real = helper.summed
-    monkeypatch.setattr(helper, "summed", lambda entries: [seen.append(x is not None) or (p, x) for p, x in real(entries)])
+    real = helper.ask
+
+    def ask(job):
+        result = real(job)
+        if len(job) == 1:
+            seen.append(result is not None)
+        return result
+
+    monkeypatch.setattr(helper, "ask", ask)
     return seen
 
 
@@ -114,13 +130,13 @@ def test_the_helper_on_gives_the_inline_receipts_headers_and_replay(log, monkeyp
 
 @needs_sodium
 def test_a_helper_killed_mid_batch_leaves_the_sums(log, monkeypatch, fresh_helper):
-    """Each batch's helper is killed at the batch's first sum, while it is
-    mid-pass: the caller computes what it held, and each next batch starts
-    a new helper."""
+    """Each batch's helper is killed at the batch's first output creation
+    (the coinbase's, in every batch), while it is mid-pass: the caller
+    computes what it held, and each next batch starts a new helper."""
     cfg, state, txs, logdir, inline = log
     monkeypatch.setattr(crypto, "CPUS", 2)
     parent = os.getpid()
-    real_run, real_summed = helper._run, helper.summed
+    real_run, real_put = helper._run, ledger.LedgerState.put_utxos
     killed: list = []
 
     def slow_in_the_helper(*args):
@@ -128,16 +144,16 @@ def test_a_helper_killed_mid_batch_leaves_the_sums(log, monkeypatch, fresh_helpe
             time.sleep(0.002)  # keeps the helper mid-pass
         return real_run(*args)
 
-    def kill_first(entries):
+    def kill_first(*args, **kwargs):
         running = helper._helper and helper._helper[0]
         if running and running.is_alive():
             os.kill(running.pid, signal.SIGKILL)
             running.join(10)
             killed.append(running)
-        return real_summed(entries)
+        return real_put(*args, **kwargs)
 
     monkeypatch.setattr(helper, "_run", slow_in_the_helper)
-    monkeypatch.setattr(helper, "summed", kill_first)
+    monkeypatch.setattr(ledger.LedgerState, "put_utxos", kill_first)
     receipts, header_hash, report = apply_last(cfg, state, txs, logdir)
     assert (receipts, header_hash, report) == inline
     assert len(killed) >= 1 + EPOCH  # the commit's helper and one per replayed batch
@@ -160,8 +176,8 @@ def test_a_wrong_plan_costs_only_work(log, monkeypatch):
     stale = helper.sums([ledger.utxo_entry(Outpoint(bytes(32), i), p2pk(KEYS[7], 5)) for i in range(300)])
     planned: list = []
 
-    def wrong_plan(utxos, due, work, made):
-        jobs = real_plan(utxos, due, work, made)
+    def wrong_plan(utxos, work, made):
+        jobs = real_plan(utxos, work, made)
         if txid(fanout) in made:  # the batch with the fan-outs
             made[txid(fanout)] = (other, other_ops, other_entries)
             first = helper.sums(other_entries)[0]
@@ -169,10 +185,6 @@ def test_a_wrong_plan_costs_only_work(log, monkeypatch):
             assert first in jobs
         planned.append(jobs)
         return jobs
-
-    def made_entries(tx):
-        ops = ledger.outpoint_range(txid(tx), 0, len(tx.kind.outputs))
-        return [ledger.utxo_entry(op, out) for op, out in zip(ops, tx.kind.outputs)]
 
     monkeypatch.setattr(ledger, "_plan", wrong_plan)
     assert apply_last(cfg, state, txs, logdir) == inline
@@ -183,12 +195,55 @@ def test_a_wrong_plan_costs_only_work(log, monkeypatch):
 @pytest.mark.parametrize("planned_sum", [1, 10**9], ids=["every-sum", "no-sum"])
 @pytest.mark.parametrize("case", GOLDEN_CASES)
 def test_golden_hashes_with_sums_on_and_off(monkeypatch, tmp_path, case, planned_sum):
-    """With every output and input list planned as a sum job, and with none."""
+    """With every created-output list planned as a sum job, and with none."""
     monkeypatch.setattr(crypto, "CPUS", 2)
+    monkeypatch.setattr(helper, "ORDERED_STORES", True)
     monkeypatch.setattr(helper, "PLANNED_SUM", planned_sum)
     asked = count_asked_sums(monkeypatch)
     run_golden(tmp_path, case)
     assert bool(asked) == (planned_sum == 1)
+
+
+def test_the_plan_sums_only_created_outputs(tmp_path, monkeypatch):
+    """The batch's sum jobs are the fan-outs' created outputs, in CHUNK
+    parts and batch order, and none for the spend of PLANNED_INPUTS inputs
+    or the DUE outputs; where the host may see the helper's stores out of
+    order there are none at all, and the checks stay as they are."""
+    monkeypatch.setattr(crypto, "CPUS", 1)
+    cfg, state, txs = sum_log(tmp_path)
+    assert len(state.expiring[EPOCH]) == DUE
+    work = [(tx, txid(tx)) for tx in txs]
+    checks = []
+    for ordered, fanouts in ((True, txs[:FANOUTS]), (False, [])):
+        monkeypatch.setattr(helper, "ORDERED_STORES", ordered)
+        made: dict = {}
+        jobs = ledger._plan(state.utxos, work, made)
+        sums = [job for job in jobs if len(job) == 1]
+        assert sums == [job for tx in fanouts for job in helper.sums(made_entries(tx))]
+        parts = [min(helper.CHUNK, FANOUT_OUTPUTS - i) for i in range(0, FANOUT_OUTPUTS, helper.CHUNK)]
+        assert [len(job[0]) for job in sums] == parts * len(fanouts)
+        assert {tx_id: entries for tx_id, (_, _, entries) in made.items()} == {
+            txid(tx): made_entries(tx) for tx in fanouts
+        }
+        checks.append([job for job in jobs if len(job) == 3])
+    assert checks[0] == checks[1] and len(checks[0]) == FANOUTS + PLANNED_INPUTS
+
+
+@needs_sodium
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_golden_hashes_where_stores_may_be_seen_out_of_order(monkeypatch, tmp_path, case):
+    """Where the host may see the helper's stores out of order, no sum job
+    is asked, even with every created-output list large enough, and checks
+    still go through the helper's table."""
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    monkeypatch.setattr(helper, "ORDERED_STORES", False)
+    monkeypatch.setattr(helper, "PLANNED_SUM", 1)
+    asked = count_asked_sums(monkeypatch)
+    seen = []
+    real = crypto._sodium_accepts
+    monkeypatch.setattr(crypto, "_sodium_accepts", lambda *key: seen.append(key in (helper._slots or ())) or real(*key))
+    run_golden(tmp_path, case)
+    assert asked == [] and any(seen)
 
 
 def test_a_digest_read_as_lanes_adds_and_removes_its_multiset():

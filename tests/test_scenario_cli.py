@@ -141,6 +141,38 @@ def test_cli_reports_each_error_once_and_nothing_when_quiet(tmp_path):
         assert (quiet.returncode, quiet.stdout, quiet.stderr) == (2, "", ""), args
 
 
+def test_cli_run_and_init_refuse_a_directory_that_holds_a_log(tmp_path):
+    """A shorter scenario run over a longer log, or a new genesis under
+    one, would leave a log that diverges on replay: run and init exit 2
+    with one error line and write nothing. A directory that init made,
+    holding only genesis.json, is accepted by run."""
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    genesis = tmp_path / "genesis.json"
+    genesis.write_text(json.dumps({"initial_subsidy": 10, "operator_pubkey": "11" * 32}))
+    logdir = tmp_path / "log"
+    assert run_cli("run", fixtures / "average_balance_contract.json", logdir).returncode == 0
+    before = {f.name: f.read_bytes() for f in logdir.iterdir()}
+    for args, prefix in [
+        (["run", fixtures / "two_party_multisig.json", logdir], "error: cannot write log directory: "),
+        (["init", genesis, logdir], "error: cannot create log directory: "),
+    ]:
+        res = run_cli(*args)
+        assert (res.returncode, res.stdout) == (2, ""), args
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), (args, res.stderr)
+        assert {f.name: f.read_bytes() for f in logdir.iterdir()} == before
+    assert run_cli("replay", logdir).returncode == 0
+    for stray in ("batch_000000.json", "header_000003.json"):  # one log file is enough
+        (tmp_path / "stray").mkdir(exist_ok=True)
+        (tmp_path / "stray" / stray).write_text("")
+        assert run_cli("--quiet", "run", fixtures / "two_party_multisig.json", tmp_path / "stray").returncode == 2
+        assert [f.name for f in (tmp_path / "stray").iterdir()] == [stray]
+        (tmp_path / "stray" / stray).unlink()
+    assert cli.main(["--quiet", "init", str(genesis), str(tmp_path / "fresh")]) == 0
+    assert run_cli("run", fixtures / "two_party_multisig.json", tmp_path / "fresh").returncode == 0
+    assert run_cli("replay", tmp_path / "fresh").returncode == 0
+
+
 def test_cli_run_on_a_scenario_of_the_wrong_shape_exits_2(tmp_path):
     """A scenario file whose top level, keys or a step is not an object, or
     whose values have the wrong JSON type or range, is malformed input:

@@ -174,7 +174,7 @@ def test_a_finished_helper_answers_every_planned_check(monkeypatch):
     monkeypatch.setattr(crypto, "CPUS", 2)
     state, cfg, txs, _ = mixed_batch()
     work = [(tx, txid(tx)) for tx in txs]
-    planned = [job for job in ledger._plan(state.utxos, (), work, {}) if len(job) == 3]
+    planned = [job for job in ledger._plan(state.utxos, work, {}) if len(job) == 3]
     keys = helper_pass(planned)
     calls = count_libsodium(monkeypatch)
     with helper.split(lambda: planned):
