@@ -17,8 +17,9 @@ freed memory the allocator had to reuse, as a resident-set difference does.
 The call batch is what contracts-declared replays: each call has an
 access list of two storage slots and two balances, an auth and an address
 constant, and its caller, contract and argument vary. Its decode and
-re-encode are the ones replay_verify runs on a batch file (_decode_txs
-and _encode_batch), per transaction.
+re-encode are the whole-file ones (_decode_txs and _encode_batch), per
+transaction; replay_verify runs the same per-transaction work as it
+streams a batch file, and the whole-file code only to name a divergence.
 
 The header file check is timed two ways, in µs per receipt. The decode
 check is what replay_verify ran on every batch before it checked bytes
@@ -31,10 +32,11 @@ levels.
 The replayed batch holds one fan-out with the output mix of perfbench's
 pay-10k set-up: 900 outputs to 100 keys and 100 to 2-of-3 multisig locks,
 all of one amount, shuffled; 200 distinct locks, five outputs per lock on
-average. Its stages are the ones replay_verify runs on each batch:
-read_json of the batch file's bytes, decoding its transactions through one JSON
-codec, re-encoding them for the byte-identity check, and apply_batch on a
-copy of the state before it. Both ways of writing the 10k outputs build
+average. Its stages are the ones replay_verify ran on each batch before
+it streamed the batch file one transaction at a time: read_json of the
+batch file's bytes, decoding its transactions through one JSON codec,
+re-encoding them for the byte-identity check, and apply_batch on a copy of
+the state before it. Both ways of writing the 10k outputs build
 their outpoints inside the timed loop, as the transfer routine does.
 
 Times are medians over the repetitions; raw wall clock, not scaled by a

@@ -22,7 +22,9 @@ outputs each, with the helper process on (where libsodium is installed and
 the process may use two CPUs) and with crypto.CPUS = 1, and for the median
 helper batch how many of its sum jobs the helper computed, how many the
 caller claimed for itself, and how many it computed while the helper held
-its own.
+its own. Then the same for replay_verify of a log that ends with that
+batch (a coinbase, its split into the 10 coins, the fan-out), which reads
+the batch file one transaction at a time while the helper starts on it.
 
 Usage: python benchmarks/bench_state.py [repetitions]
 """
@@ -32,9 +34,11 @@ from __future__ import annotations
 import mmap
 import os
 import sys
+import tempfile
 import time
 from contextlib import contextmanager
-from typing import Iterator
+from pathlib import Path
+from typing import Callable, Iterator
 
 from tierledger import crypto, helper, ledger, lthash, rules, vm
 from tierledger.model import (
@@ -196,6 +200,14 @@ def bench_add_many(reps: int) -> dict[int, tuple[float, float]]:
     return out
 
 
+def fanout_txs(coins: list[Outpoint]) -> list[Transaction]:
+    """The fan-out batch: each of ALICE's coins spent into FANOUT_OUTPUTS outputs."""
+    return [
+        utxo_signed(Transaction(UtxoSpend((op,), tuple(pay(BOB, 1 + i % 500) for i in range(FANOUT_OUTPUTS)))), ALICE, 1)
+        for op in coins
+    ]
+
+
 def fanout(cfg) -> tuple[ledger.LedgerState, list[Transaction]]:
     """A state holding FANOUT_TXS coins and one batch that spends each into
     FANOUT_OUTPUTS outputs."""
@@ -204,11 +216,26 @@ def fanout(cfg) -> tuple[ledger.LedgerState, list[Transaction]]:
     for op in coins:
         state.put_utxo(op, pay(ALICE, 10**9))
     state.issued = state.utxo_total
-    txs = [
-        utxo_signed(Transaction(UtxoSpend((op,), tuple(pay(BOB, 1 + i % 500) for i in range(FANOUT_OUTPUTS)))), ALICE, 1)
-        for op in coins
-    ]
-    return state, txs
+    return state, fanout_txs(coins)
+
+
+def fanout_log(logdir: Path) -> None:
+    """A log of three batches: the operator's coinbase, its split into
+    FANOUT_TXS coins of ALICE's, and the fan-out batch that spends them."""
+    cfg = rules.SystemConfig(initial_subsidy=FANOUT_TXS * 10**9, operator_pubkey=OPERATOR.pubkey)
+    ledger.init_log(logdir, cfg)
+    state = ledger.LedgerState()
+
+    def commit(epoch: int, txs: list[Transaction]) -> None:
+        receipts, header = ledger.apply_batch(state, txs, epoch, cfg, workers=1)
+        assert all(r.status == 0 for r in receipts), receipts
+        ledger.write_batch_files(logdir, header.batch_number, epoch, txs, header, receipts)
+
+    commit(1, [])
+    (coinbase,) = state.utxos
+    split = utxo_signed(Transaction(UtxoSpend((coinbase,), (pay(ALICE, 10**9),) * FANOUT_TXS)), OPERATOR, 1)
+    commit(2, [split])
+    commit(3, fanout_txs([Outpoint(txid(split), i) for i in range(FANOUT_TXS)]))
 
 
 @contextmanager
@@ -242,41 +269,65 @@ def stop_helper() -> None:
         running[0].join(10)
 
 
-def bench_fanout(cfg, reps: int) -> None:
-    base, txs = fanout(cfg)
+def timed_with_helper_on_and_off(run: Callable[[], bytes], reps: int) -> dict:
+    """on -> the median of reps timed calls of run, as (ms, sum jobs by
+    SUM_SOURCES, the hash run returns), with the helper on where it can run
+    (True) and with crypto.CPUS = 1 (False). Every run must return one hash."""
     cpus = crypto.CPUS
-    split = cpus >= 2 and crypto._sodium_verify() is not None
     results = {}
     try:
-        for on in (True, False) if split else (False,):
+        for on in (True, False) if cpus >= 2 and crypto._sodium_verify() is not None else (False,):
             crypto.CPUS = cpus if on else 1
             with counting_sums() as counts:
                 runs = []
                 for _ in range(reps):
-                    state = base.copy()
                     before = counts.tolist()
                     t0 = time.perf_counter()
-                    receipts, header = ledger.apply_batch(state, txs, EPOCH, cfg, workers=1)
+                    result = run()
                     ms = (time.perf_counter() - t0) * 1e3
-                    assert all(r.status == 0 for r in receipts) and state.conservation_holds()
                     # The helper may still be finishing the batch, so read
                     # after the next one has waited for its acknowledgement.
-                    with helper.split(lambda: []):
-                        runs.append((ms, [a - b for a, b in zip(counts.tolist(), before)], header.hash()))
+                    with helper.split([]):
+                        runs.append((ms, [a - b for a, b in zip(counts.tolist(), before)], result))
             runs.sort(key=lambda run: run[0])
             results[on] = runs[reps // 2]
     finally:
         crypto.CPUS = cpus
     if len({run[2] for run in results.values()}) != 1:
-        raise SystemExit("fan-out: the header hash depends on the helper")
-    name = f"fan-out {FANOUT_TXS} x {FANOUT_OUTPUTS} outputs"
-    if split:
+        raise SystemExit("fan-out: the result depends on the helper")
+    return results
+
+
+def print_fanout(name: str, results: dict) -> None:
+    if True in results:
         ms, counts, _ = results[True]
         sources = ", ".join(f"{source} {n}" for source, n in zip(SUM_SOURCES, counts))
-        print(f"{name}, helper on   {ms:8.1f} ms/batch; sum jobs: {sources}")
+        print(f"{name}, helper on   {ms:8.1f} ms; sum jobs: {sources}")
     else:
         print(f"{name}: the helper needs libsodium and two CPUs; CPUS=1 only")
-    print(f"{name}, CPUS=1      {results[False][0]:8.1f} ms/batch")
+    print(f"{name}, CPUS=1      {results[False][0]:8.1f} ms")
+
+
+def bench_fanout(cfg, reps: int) -> None:
+    base, txs = fanout(cfg)
+
+    def apply() -> bytes:
+        state = base.copy()
+        receipts, header = ledger.apply_batch(state, txs, EPOCH, cfg, workers=1)
+        assert all(r.status == 0 for r in receipts) and state.conservation_holds()
+        return header.hash()
+
+    name = f"fan-out {FANOUT_TXS} x {FANOUT_OUTPUTS} outputs"
+    print_fanout(f"{name}, apply_batch", timed_with_helper_on_and_off(apply, reps))
+    with tempfile.TemporaryDirectory() as logdir:
+        fanout_log(Path(logdir))
+
+        def replay() -> bytes:
+            report = ledger.replay_verify(logdir)
+            assert report.ok, report
+            return bytes.fromhex(report.digest)
+
+        print_fanout(f"{name}, replay of its log", timed_with_helper_on_and_off(replay, reps))
 
 
 def main() -> int:

@@ -1,8 +1,9 @@
 """One forked helper process that works through a batch's plan ahead of
 the caller, which asks the same jobs in any order, and shares each result
-through one table in shared memory (`split`). A job is a signature check,
-each of whose triples ends as a libsodium verdict byte, or a sum of UTXO
-entries, which ends as the entries' own LtHash `digest()`. A result is
+through one table in shared memory (`split`). The plan reaches the helper
+in parts while the caller is still reading the batch. A job is a signature
+check, each of whose triples ends as a libsodium verdict byte, or a sum of
+UTXO entries, which ends as the entries' own LtHash `digest()`. A result is
 looked up by the exact triple or entries the caller would compute it from,
 so a wrong or stale plan costs only wasted work. A job the plan missed,
 one past the table's room, and all work on one CPU or without libsodium
@@ -16,8 +17,9 @@ import multiprocessing
 import os
 import platform
 import signal
+from collections import deque
 from contextlib import contextmanager, suppress
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import crypto
 from .lthash import DIGEST_BYTES, LtHash
@@ -27,6 +29,11 @@ from .lthash import DIGEST_BYTES, LtHash
 # PLANNED_SUM outputs are not worth a job: reading a vector back costs about
 # half of expanding an entry.
 CHUNK, PLANNED_SUM = 128, 8
+# The caller sends the parts it has read as one message once they hold a
+# sum job or PART_SLOTS new table slots, and the rest with the end of the
+# plan. Each message costs both processes a pickle and a wake-up, so a batch
+# of a few small transactions still goes as one.
+PART_SLOTS = 32
 
 Check = tuple[Sequence[bytes], bytes, Sequence[bytes]]  # (pubkeys, msg, sigs)
 # A sum job holds its UTXO entries in a 1-tuple, so it never equals a
@@ -60,13 +67,13 @@ def sums(entries: Sequence[bytes]) -> list[Sum]:
     return [(tuple(entries[i : i + CHUNK]),) for i in range(0, len(entries), CHUNK)]
 
 
-def _index(plan: Sequence[Job]) -> dict:
-    """Each distinct job in plan to its table offset while the table has
+def _index(part: Sequence[Job], slots: dict) -> None:
+    """Give each new job in part the next table offset while the table has
     room: a sum among the first SUM_SLOTS slots, and for a check each triple
     that `check_multisig`'s greedy pass may ask libsodium (signature j
-    against keys j onwards)."""
-    slots: dict = {}
-    for job in plan:
+    against keys j onwards). Both sides index the same parts in plan order,
+    so they agree on every offset."""
+    for job in part:
         if len(job) == 1:
             if len(slots) < SUM_SLOTS:
                 slots.setdefault(job, HEAD + len(slots))
@@ -76,7 +83,6 @@ def _index(plan: Sequence[Job]) -> dict:
             for pubkey in pubkeys[j:]:
                 if len(slots) < TABLE_SLOTS:
                     slots.setdefault((pubkey, msg, sig), HEAD + len(slots))
-    return slots
 
 
 def _vector(slot: int) -> slice:
@@ -124,7 +130,8 @@ def ask(job: Job) -> Union[None, bool, bytes]:
 def _serve(conn: multiprocessing.connection.Connection, table: mmap.mmap) -> None:
     """The helper process: for each plan, each free job in order but the one
     under the caller's cursor, a check through `check_multisig`'s libsodium
-    pass, until the batch is done, then an acknowledgement, after which it
+    pass, reading the parts that have arrived between jobs, until the plan
+    has ended and the batch is done; then an acknowledgement, after which it
     writes nothing until it blocks on the next plan. EOF ends it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C stops the parent, and EOF this
 
@@ -144,9 +151,19 @@ def _serve(conn: multiprocessing.connection.Connection, table: mmap.mmap) -> Non
 
     with suppress(EOFError, OSError):  # the caller's end is closed
         while True:
-            plan = conn.recv()
-            slots = _index(plan)
-            for job in plan:
+            slots: dict = {}
+            jobs: deque = deque()
+            ended = False
+            while jobs or not ended:
+                # Read waiting parts between jobs, so that a caller blocked on
+                # a full pipe waits for one job at most; wait for a part only
+                # with no job left.
+                if not ended and (not jobs or conn.poll()):
+                    part, ended = conn.recv()
+                    _index(part, slots)
+                    jobs.extend(part)
+                    continue
+                job = jobs.popleft()
                 if len(job) == 1:
                     take(job)
                 else:
@@ -175,27 +192,46 @@ def _ready_helper() -> tuple:
 
 
 @contextmanager
-def split(plan: Callable[[], Sequence[Job]]) -> Iterator[None]:
-    """Share the batch's planned work with the helper process, which works
-    through plan() meanwhile; only with libsodium and two CPUs is plan()
-    called."""
+def split(parts: Iterable[Sequence[Job]]) -> Iterator[None]:
+    """Read the batch's plan, parts of jobs in plan order, whole before the
+    block runs, and share its work with the helper process, which starts on
+    each part as it is sent. Only with libsodium and two CPUs is a helper
+    used; the plan is read either way."""
     global _slots, _jobs
     if crypto.CPUS < 2 or crypto._sodium_verify() is None:
+        for _ in parts:
+            pass
         yield
         return
-    jobs = plan()
-    slots = _index(jobs)
     helper = _ready_helper()
-    helper[2][: HEAD + len(slots)] = bytes(HEAD + len(slots))
-    with suppress(OSError):  # a helper that died since: inline now, a new one next batch
-        helper[1].send(jobs)
-        _slots, _jobs = slots, list(slots)
+    _, conn, table = helper
+    table[:HEAD] = bytes(HEAD)
+    slots: dict = {}
+    message: list = []
+    sent = 0  # slots the helper has been sent
+
+    def send(ended: bool) -> None:
+        nonlocal message, sent
+        table[HEAD + sent : HEAD + len(slots)] = bytes(len(slots) - sent)
+        with suppress(OSError):  # a helper that died since: its slots run inline, a new one next batch
+            conn.send((message, ended))
+        message, sent = [], len(slots)
+
     try:
+        try:
+            for part in parts:
+                _index(part, slots)
+                message += part
+                if len(slots) - sent >= PART_SLOTS or any(len(job) == 1 for job in part):
+                    send(False)
+        finally:
+            send(True)  # the rest and the end of the plan, also when reading it raised
+        _slots, _jobs = slots, list(slots)
         yield
     finally:
         _slots, _jobs = None, []
         if _helper is helper:  # not in a forked child
-            helper[2][:HEAD] = DONE.to_bytes(HEAD, "little")
+            table[:HEAD] = DONE.to_bytes(HEAD, "little")
 
 
 def _forget_helper() -> None:

@@ -13,9 +13,10 @@ import os
 import re
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
-from typing import AbstractSet, Mapping, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import codes, crypto, helper, permission, rules, scheduler, utxo, vm
 from .lthash import LtHash
@@ -50,12 +51,14 @@ from .model import (
     json_value,
     outpoint_range,
     read_json,
+    read_json_at,
     require_u64,
     sha256,
     tx_from_json,
     tx_to_json_str as tx_to_json,
     txid as compute_txid,
 )
+from .script.interpreter import checksig_keys
 
 ZERO_HASH = b"\x00" * 32
 
@@ -352,37 +355,53 @@ def _transfer(
     return codes.OK
 
 
-def _plan(utxos: Mapping[Outpoint, Output], work: Sequence[tuple], made: dict) -> list[helper.Job]:
-    """The work the batch will probably do, in its order: for each
-    transaction its signature checks (account auth, and the P2PK and
-    multisig inputs found in the UTXO set), then, where the host sees the
+def _plan(
+    utxos: Mapping[Outpoint, Output],
+    pending: Sequence[tuple[Transaction, bytes]],
+    txs: Iterable[Transaction],
+    work: list,
+    made: dict,
+) -> Iterator[list[helper.Job]]:
+    """The work the batch will probably do, one part per transaction in its
+    order: the pending transactions with their txids, then txs, whose txids
+    are computed as each is reached; each transaction goes into work with
+    its txid. A part holds the transaction's signature checks (account auth,
+    and for each input found in the UTXO set its P2PK or multisig keys, or
+    each key its script pushes just before CHECKSIG or CHECKSIGVERIFY against
+    each signature-sized witness item), then, where the host sees the
     helper's stores in order, the creation of its outputs if there are
     helper.PLANNED_SUM or more, whose outpoints and entries go into made for
-    put_utxos. Inputs made earlier in the batch, script locks and
-    endorsements are left to the inline checks, and spends and expiries to
-    inline removal. A wrong guess costs the helper wasted work, never a
-    verdict or a digest."""
-    jobs: list[helper.Job] = []
-    for tx, tx_id in work:
+    put_utxos. Inputs made earlier in the batch and endorsements are left to
+    the inline checks, and spends and expiries to inline removal. A wrong
+    guess costs the helper wasted work, never a verdict or a digest."""
+    for tx, tx_id in chain(pending, ((tx, compute_txid(tx)) for tx in txs)):
+        work.append((tx, tx_id))
         k = tx.kind
+        jobs: list[helper.Job] = []
         if tx.auth is not None and _actor(k) is not None:
             jobs.append(((tx.auth.pubkey,), crypto.account_signing_message(tx_id), (tx.auth.signature,)))
         inputs = k.inputs if isinstance(k, (UtxoSpend, MoveToAccount)) else ()
         for i, (op, wit) in enumerate(zip(inputs, tx.witnesses)):
             out = utxos.get(op)
-            if out is not None and out.lock.kind != LOCK_SCRIPT:
-                jobs.append((out.lock.pubkeys or (out.lock.pubkey,), crypto.utxo_signing_message(tx_id, i), wit))
+            if out is None:
+                continue
+            msg = crypto.utxo_signing_message(tx_id, i)
+            if out.lock.kind != LOCK_SCRIPT:
+                jobs.append((out.lock.pubkeys or (out.lock.pubkey,), msg, wit))
+                continue
+            sigs = [item for item in wit if len(item) == crypto.SIG_BYTES]
+            jobs += [((pk,), msg, (sig,)) for pk in checksig_keys(out.lock.script) for sig in sigs]
         if helper.ORDERED_STORES and isinstance(k, (UtxoSpend, MoveToUtxo)) and len(k.outputs) >= helper.PLANNED_SUM:
             ops = outpoint_range(tx_id, 0, len(k.outputs))
             entries = [utxo_entry(op, out) for op, out in zip(ops, k.outputs)]
             made[tx_id] = (k.outputs, ops, entries)
             jobs += helper.sums(entries)
-    return jobs
+        yield jobs
 
 
 def apply_batch(
     state: LedgerState,
-    txs: Sequence[Transaction],
+    txs: Iterable[Transaction],
     epoch: int,
     cfg: rules.SystemConfig,
     workers: int = scheduler.DEFAULT_WORKERS,
@@ -402,16 +421,16 @@ def apply_batch(
     call never runs, and its BAD_AUTH receipt carries the state its
     admission saw, as every rejection at the gates does. A call that fails
     the contract gate has its signature checked at once, so BAD_AUTH still
-    takes precedence."""
+    takes precedence.
+
+    txs may be any iterable. It is read once, whole, and planned for the
+    helper process as it is read, before the first state write: an iterable
+    that raises leaves the state as it was."""
     if epoch < state.epoch:
         raise BatchError(f"batch epoch {epoch} below ledger epoch {state.epoch}")
-    state.epoch = epoch
-    due = rules.apply_expiry(state.expiring, epoch, cfg)
     # Matured pending transactions (never pooled again) run ahead of new submissions.
-    work: list[tuple[Transaction, bytes]] = [(e.tx, e.tx_id) for e in state.pool.drain(epoch)]
-    work += [(tx, compute_txid(tx)) for tx in txs]
-
-    receipts: list[Optional[Receipt]] = [None] * len(work)
+    pending = [(e.tx, e.tx_id) for e in state.pool.mature(epoch)]
+    work: list[tuple[Transaction, bytes]] = []
     batch_spent: set[Outpoint] = set()
     made: dict[bytes, tuple] = {}
     contract_buffer: list[tuple[int, Transaction, bytes]] = []
@@ -447,9 +466,12 @@ def apply_batch(
             collect_telemetry.append(telemetry)
         contract_buffer.clear()
 
-    with helper.split(lambda: _plan(state.utxos, work, made)):
+    with helper.split(_plan(state.utxos, pending, txs, work, made)):
+        receipts: list[Optional[Receipt]] = [None] * len(work)
+        state.pool.drain(epoch)
+        state.epoch = epoch
         # 1. Expire the due outputs, before any validation.
-        state.expired += state.spend_utxos(due)
+        state.expired += state.spend_utxos(rules.apply_expiry(state.expiring, epoch, cfg))
         # 2. Coinbase issuance to the operator. Capped so that issued, and
         # with it every supply counter and balance, stays within u64.
         sub = min(rules.subsidy(epoch, cfg), U64_MAX - state.issued)
@@ -481,7 +503,7 @@ def apply_batch(
         flush_contracts()
 
     assert None not in receipts
-    txs_hash = sha256(b"".join(sha256(full_serialize(tx)) for tx in txs))
+    txs_hash = sha256(b"".join(sha256(full_serialize(tx)) for tx, _ in work[len(pending) :]))
     receipts_hash = sha256(b"".join(r.hash() for r in receipts))
     header = BatchHeader(
         batch_number=state.batch_number,
@@ -605,11 +627,15 @@ def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
     mismatch, or the final state digest, batch count and epoch of a log
     that verifies.
 
-    A batch verifies when its batch file re-encodes to its own bytes, names
-    its own number, applies, and its header file's bytes are the encoding
-    of the recomputed header and receipts: bytes equal to a canonical
-    encoding decode to exactly the encoded values, so the header file is
-    parsed only to name a mismatch, by _divergence."""
+    A batch verifies when its batch file is, byte for byte, the canonical
+    head of batch i then the canonical text of each transaction it decodes
+    to, and its header file's bytes are the encoding of the recomputed
+    header and receipts. The batch file is read as one stream: each
+    transaction is decoded, re-encoded and compared with its own text as
+    apply_batch reads it, so the helper process starts on the plan while the
+    rest of the file is still being read. Bytes equal to a canonical
+    encoding decode to exactly the encoded values, so a file is parsed
+    whole only to name a mismatch, by _divergence."""
     path = Path(logdir)
     try:
         raw_genesis = (path / "genesis.json").read_bytes()
@@ -627,30 +653,20 @@ def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
         try:
             raw_batch = (path / _log_file("batch", i)).read_bytes()
             raw_header = (path / _log_file("header", i)).read_bytes()
-            batch_obj = json_value(read_json(raw_batch), dict, "batch file")
-            # Integers, not bools (JSON true equals 1 and re-encodes as
-            # true); the epoch is committed as a u64 in every state digest.
-            batch_number = require_u64(json_field(batch_obj, "batch", int), "batch")
-            epoch = require_u64(json_field(batch_obj, "epoch", int), "epoch")
-            txs = _decode_txs(json_field(batch_obj, "txs", list))
-        except (OSError, ModelError):
+        except OSError:
             return ReplayReport(False, "unreadable", batch=i)
-        # The log is written in one canonical encoding. Re-serializing the
-        # decoded transactions must reproduce the file byte for byte;
-        # anything else is tampering, even when it parses to equal values
-        # (hex case flips, stray keys, number formatting).
-        canonical = _encode_batch(batch_number, epoch, txs).encode() == raw_batch
-        applied = None
-        if canonical and batch_number == i:
-            try:
-                applied = apply_batch(state, txs, epoch, cfg, workers=1)
-            except BatchError as exc:
-                applied = exc
-            else:
-                receipts, header = applied
-                if _encode_header(header, receipts).encode() == raw_header:
-                    continue
-        return _divergence(i, raw_header, canonical, batch_number, applied)
+        try:
+            epoch, at = _batch_head(raw_batch, i)
+            applied = apply_batch(state, _batch_txs(raw_batch, at), epoch, cfg, workers=1)
+        except BatchError as exc:
+            applied = exc
+        except ModelError:
+            applied = None  # the text stopped being canonical before anything was applied
+        else:
+            receipts, header = applied
+            if _encode_header(header, receipts).encode() == raw_header:
+                continue
+        return _divergence(i, raw_batch, raw_header, applied)
     if missing:
         return ReplayReport(False, "unreadable", batch=n, field=missing)
     return ReplayReport(
@@ -658,27 +674,77 @@ def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
     )
 
 
+# The canonical head of a batch file, up to its first transaction. The
+# epoch is committed as a u64 in every state digest, so it has at most 20
+# digits.
+_BATCH_HEAD = re.compile(rb'\{"batch":(0|[1-9][0-9]*),"epoch":(0|[1-9][0-9]{0,19}),"txs":\[')
+
+
+def _batch_head(raw_batch: bytes, i: int) -> tuple[int, int]:
+    """The epoch of a batch file that starts with the canonical head of
+    batch i, and where the head ends; ModelError for any other start."""
+    head = _BATCH_HEAD.match(raw_batch)
+    if head is None or head[1] != str(i).encode() or int(head[2]) > U64_MAX:
+        raise ModelError(f"the batch file does not start as batch {i}'s canonical text")
+    return int(head[2]), head.end()
+
+
+def _batch_txs(raw_batch: bytes, at: int) -> Iterator[Transaction]:
+    """The transactions of a batch file, from the end of its head at at,
+    through one codec: each is read as one JSON value, decoded, and yielded
+    only if it re-encodes to its own text; they must be joined by single
+    commas, and the file must end with "]}" right after the last one. Any
+    other text raises ModelError."""
+    text = raw_batch.decode("latin-1")  # canonical text is ASCII: a byte above 0x7f never matches it
+    codec = JsonCodec()
+    end = len(text) - 2
+    more = at < end
+    while more:
+        obj, stop = read_json_at(text, at)
+        tx = tx_from_json(obj, codec)
+        if text[at:stop] != tx_to_json(tx, codec):
+            raise ModelError("a transaction's text is not its canonical encoding")
+        yield tx
+        more = text.startswith(",", stop)
+        at = stop + more
+    if at != end or not text.endswith("]}"):
+        raise ModelError("the batch file does not end right after its last transaction")
+
+
 def _divergence(
-    i: int, raw_header: bytes, canonical: bool, batch_number: int,
-    applied: Union[tuple[list[Receipt], BatchHeader], BatchError, None],
+    i: int, raw_batch: bytes, raw_header: bytes, applied: Union[tuple[list[Receipt], BatchHeader], BatchError, None],
 ) -> ReplayReport:
-    """The report for batch i, which did not verify: an unreadable header
-    file, then the first of the checks below to fail, in this order.
-    canonical says whether the batch file re-encoded to its bytes; applied
-    is apply_batch's result or error, None when it was not run."""
+    """The report for batch i, which did not verify: an unreadable file,
+    then the first of the checks below to fail, in this order. applied is
+    apply_batch's result or error, or None when the batch file's text was
+    not canonical; only then, or on an error, is the batch file parsed
+    whole, to tell which check it failed."""
     try:
         stored_obj = json_value(read_json(raw_header), dict, "header file")
         stored_header = BatchHeader.from_json(json_field(stored_obj, "header", dict))
         stored_receipts = [Receipt.from_json(r) for r in json_field(stored_obj, "receipts", list, of=dict)]
+        if not isinstance(applied, tuple):
+            batch_obj = json_value(read_json(raw_batch), dict, "batch file")
+            # Integers, not bools (JSON true equals 1 and re-encodes as
+            # true); the epoch is committed as a u64 in every state digest.
+            batch_number = require_u64(json_field(batch_obj, "batch", int), "batch")
+            epoch = require_u64(json_field(batch_obj, "epoch", int), "epoch")
+            txs = _decode_txs(json_field(batch_obj, "txs", list))
     except ModelError:
         return ReplayReport(False, "unreadable", batch=i)
-    if not canonical:
-        return ReplayReport(
-            False, "divergence", batch=i, field="encoding", expected="canonical json", found="non-canonical bytes"
-        )
-    if batch_number != i:
-        return ReplayReport(False, "divergence", batch=i, field="batch", expected=str(i), found=str(batch_number))
-    if isinstance(applied, BatchError):
+    if not isinstance(applied, tuple):
+        # The log is written in one canonical encoding. Re-serializing the
+        # decoded transactions must reproduce the file byte for byte;
+        # anything else is tampering, even when it parses to equal values
+        # (hex case flips, stray keys, number formatting).
+        if _encode_batch(batch_number, epoch, txs).encode() != raw_batch:
+            return ReplayReport(
+                False, "divergence", batch=i, field="encoding", expected="canonical json", found="non-canonical bytes"
+            )
+        if batch_number != i:
+            return ReplayReport(False, "divergence", batch=i, field="batch", expected=str(i), found=str(batch_number))
+        # The text is batch i's canonical text, which the stream accepts: so
+        # apply_batch ran and refused the epoch.
         return ReplayReport(False, "divergence", batch=i, field="epoch", expected="monotone", found=str(applied))
     receipts, header = applied
     for row in HEADER_JSON.rows:

@@ -577,6 +577,18 @@ def read_json(data: Union[str, bytes]) -> object:
         raise ModelError(f"invalid JSON: {exc}") from exc
 
 
+_DECODER = json.JSONDecoder()
+
+
+def read_json_at(text: str, at: int) -> tuple[object, int]:
+    """The JSON value that starts exactly at text[at], and the index just
+    past it. Failures are ModelErrors, as read_json's."""
+    try:
+        return _DECODER.raw_decode(text, at)
+    except (ValueError, RecursionError) as exc:
+        raise ModelError(f"invalid JSON: {exc}") from exc
+
+
 def json_value(value: object, kind: object, what: str):
     """value, which must be exactly of JSON type kind: dict, list, str, int
     or bool (a bool is not an int). kind bytes reads a hex string and

@@ -11,7 +11,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..crypto import check_multisig, verify
+from ..crypto import PUBKEY_BYTES, check_multisig, verify
 from ..model import MAX_MULTISIG_KEYS
 from .opcodes import (
     MAX_ELEMENT,
@@ -75,6 +75,21 @@ class ScriptResult:
     success: bool
     reason: int  # -1 on success, else a R_* code from opcodes
     steps: int
+
+
+def checksig_keys(program: bytes) -> list[bytes]:
+    """Each 32-byte push in program that CHECKSIG or CHECKSIGVERIFY follows
+    directly: a key that execute will most likely check a signature against.
+    Pushes are stepped over whole, as execute reads them."""
+    keys, pc, n = [], 0, len(program)
+    while pc < n:
+        op = program[pc]
+        pc += 1
+        if 1 <= op <= MAX_PUSH:
+            if op == PUBKEY_BYTES and pc + op < n and program[pc + op] in (OP_CHECKSIG, OP_CHECKSIGVERIFY):
+                keys.append(program[pc : pc + op])
+            pc += op
+    return keys
 
 
 def execute(program: bytes, witness: Sequence[bytes], ctx: ScriptContext) -> ScriptResult:

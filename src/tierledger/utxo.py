@@ -188,18 +188,22 @@ class PendingPool:
             self.by_outpoint[op] = entry
         return (PENDING_REPLACED if evicted else PENDING_ACCEPTED), evicted
 
-    def drain(self, epoch: int) -> list[PoolEntry]:
-        """Remove and return entries mature at epoch, fee-descending then
-        txid-ascending."""
+    def mature(self, epoch: int) -> list[PoolEntry]:
+        """The entries mature at epoch, fee-descending then txid-ascending."""
         mature = {
             e.tx_id: e
             for e in self.by_outpoint.values()
             if e.tx.not_before is None or e.tx.not_before <= epoch
         }
-        for e in mature.values():
+        return sorted(mature.values(), key=lambda e: (-e.fee, e.tx_id))
+
+    def drain(self, epoch: int) -> list[PoolEntry]:
+        """Remove and return the entries mature at epoch, as mature orders them."""
+        mature = self.mature(epoch)
+        for e in mature:
             for op in self._outpoints(e.tx):
                 self.by_outpoint.pop(op, None)
-        return sorted(mature.values(), key=lambda e: (-e.fee, e.tx_id))
+        return mature
 
     def entries(self) -> list[PoolEntry]:
         return sorted({e.tx_id: e for e in self.by_outpoint.values()}.values(), key=lambda e: e.tx_id)

@@ -176,15 +176,15 @@ def test_a_wrong_plan_costs_only_work(log, monkeypatch):
     stale = helper.sums([ledger.utxo_entry(Outpoint(bytes(32), i), p2pk(KEYS[7], 5)) for i in range(300)])
     planned: list = []
 
-    def wrong_plan(utxos, work, made):
-        jobs = real_plan(utxos, work, made)
+    def wrong_plan(utxos, pending, txs, work, made):
+        jobs = [job for part in real_plan(utxos, pending, txs, work, made) for job in part]
         if txid(fanout) in made:  # the batch with the fan-outs
             made[txid(fanout)] = (other, other_ops, other_entries)
             first = helper.sums(other_entries)[0]
             jobs = [first if job == helper.sums(made_entries(fanout))[0] else job for job in jobs] + stale
             assert first in jobs
         planned.append(jobs)
-        return jobs
+        return [jobs]
 
     monkeypatch.setattr(ledger, "_plan", wrong_plan)
     assert apply_last(cfg, state, txs, logdir) == inline
@@ -212,12 +212,11 @@ def test_the_plan_sums_only_created_outputs(tmp_path, monkeypatch):
     monkeypatch.setattr(crypto, "CPUS", 1)
     cfg, state, txs = sum_log(tmp_path)
     assert len(state.expiring[EPOCH]) == DUE
-    work = [(tx, txid(tx)) for tx in txs]
     checks = []
     for ordered, fanouts in ((True, txs[:FANOUTS]), (False, [])):
         monkeypatch.setattr(helper, "ORDERED_STORES", ordered)
         made: dict = {}
-        jobs = ledger._plan(state.utxos, work, made)
+        jobs = [job for part in ledger._plan(state.utxos, (), txs, [], made) for job in part]
         sums = [job for job in jobs if len(job) == 1]
         assert sums == [job for tx in fanouts for job in helper.sums(made_entries(tx))]
         parts = [min(helper.CHUNK, FANOUT_OUTPUTS - i) for i in range(0, FANOUT_OUTPUTS, helper.CHUNK)]

@@ -4,6 +4,7 @@ replay verifier (including targeted log mutations)."""
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 from types import MappingProxyType
 
@@ -290,12 +291,64 @@ def test_digest_work_does_not_grow_with_state(monkeypatch):
         assert len(state.utxos) == n_utxos
         expansions = []
         lanes = lthash._lanes
-        monkeypatch.setattr(lthash, "_lanes", lambda e: (expansions.append(e), lanes(e))[1])
-        receipts, _ = ledger.apply_batch(state, txs, 1, cfg, workers=1)
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(lthash, "_lanes", lambda e: (expansions.append(e), lanes(e))[1])
+            receipts, _ = ledger.apply_batch(state, txs, 1, cfg, workers=1)
         assert [r.status for r in receipts] == [codes.OK] * len(txs)
         counts.append(len(expansions))
     assert counts[0] == counts[1] > 0, counts
+
+
+def _within_a_minute(run):
+    """run's result; it must not wait on the helper process forever."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(run()), daemon=True)
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive(), "hung on the helper process"
+    return result[0]
+
+
+def _whole_state(state: ledger.LedgerState) -> tuple:
+    return (
+        state.epoch, dict(state.pool.by_outpoint), dict(state.utxos), state.utxo_lthash.digest(),
+        state.accounts.lthash.digest(), ledger.state_digest(state), state.batch_number, state.prev_header_hash,
+    )
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_batch_whose_transactions_raise_leaves_the_state(monkeypatch, cpus):
+    """apply_batch reads its transactions whole before it writes: an
+    iterable that raises at its third transaction leaves the epoch, the
+    pending pool, the UTXO set, both accumulators and the batch number as
+    they were, though expiry, the coinbase and a matured pending spend were
+    all due; the same state then applies the batch as a copy does."""
+    monkeypatch.setattr(crypto, "CPUS", cpus)
+    cfg = make_config(expiry_enabled=True, initial_subsidy=1_000)
+    state = ledger.LedgerState()
+    coins = [seed_utxo(state, p2pk(ALICE, 100)) for _ in range(3)]
+    seed_utxo(state, p2pk(BOB, 5, expiry=4))
+    seed_balance(state, A_ADDR, 50)
+    locked = signed_spend(ALICE, [coins[0]], [p2pk(BOB, 99)], not_before=4)
+    ledger.apply_batch(state, [locked], 3, cfg)
+    assert state.pool.entries()
+    txs = [
+        signed_spend(ALICE, [coins[1]], [p2pk(BOB, 60), p2pk(ALICE, 39)]),
+        make_move_to_account(ALICE, [coins[2]], 99),
+        make_move_to_utxo(ALICE, 20, [p2pk(ALICE, 19)], nonce=0),
+    ]
+
+    def arriving():
+        yield from txs[:2]
+        raise model.ModelError("the third transaction is unreadable")
+
+    copy, before = state.copy(), _whole_state(state)
+    with pytest.raises(model.ModelError):
+        ledger.apply_batch(state, arriving(), 4, cfg)
+    assert _whole_state(state) == before
+    receipts, header = _within_a_minute(lambda: ledger.apply_batch(state, iter(txs), 4, cfg))
+    assert [r.status for r in receipts] == [codes.OK] * 4
+    assert (receipts, header) == ledger.apply_batch(copy, txs, 4, cfg)
 
 
 def test_expiry_work_does_not_grow_with_state():
@@ -1004,6 +1057,18 @@ REPLAY_EDITS = {
     "epoch_non_monotone_and_header_field": _both(_earlier_epoch, _header_prev_hash),
     "batch_whitespace_and_header_field": _both(_spaced_batch, _header_prev_hash),
     "batch_number_and_receipt_dropped": _both(_wrong_number, _dropped_receipt),
+    # Inside the batch file, which replay reads one transaction at a time.
+    "batch_later_tx_upper_case_hex": _rewrite(_batch_file, lambda o: o["txs"][2].__setitem__(
+        "to", o["txs"][2]["to"].upper())),
+    "batch_last_tx_stray_key": _rewrite(_batch_file, lambda o: o["txs"][-1].__setitem__("memo", 1)),
+    "batch_whitespace_between_txs": _raw(_batch_file, lambda raw: raw.replace(b'},{"amount"', b'}, {"amount"', 1)),
+    "batch_comma_after_last_tx": _raw(_batch_file, lambda raw: raw[:-2] + b",]}"),
+    "batch_newline_after_end": _raw(_batch_file, lambda raw: raw + b"\n"),
+    "batch_bytes_after_end": _raw(_batch_file, lambda raw: raw + b"[]"),
+    "batch_non_ascii_byte_in_a_string": _raw(_batch_file, lambda raw: (
+        lambda at: raw[:at] + b"\xe9" + raw[at:])(raw.rindex(b'"to":"') + len(b'"to":"'))),
+    "batch_nan_amount": _rewrite(_batch_file, lambda o: o["txs"][1].__setitem__("amount", float("nan"))),
+    "batch_tx_nested_100k_deep": _raw(_batch_file, lambda raw: raw[:-2] + b"," + b"[" * 100_000 + b"]" * 100_000 + b"]}"),
 }
 
 
@@ -1027,6 +1092,29 @@ def test_replay_reports_each_edit_as_the_earlier_verifier(tmp_path, case):
     report = ledger.replay_verify(logdir)
     assert report == ref_replay_verify(logdir)
     assert not report.ok and report.batch == EDITED, report
+
+
+@pytest.fixture(scope="module")
+def honest_log(tmp_path_factory) -> tuple[Path, ledger.ReplayReport]:
+    logdir = _fixture_log(tmp_path_factory.mktemp("honest"))
+    report = ledger.replay_verify(logdir)
+    assert report.ok
+    return logdir, report
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_EDITS))
+def test_each_edit_leaves_the_helper_ready_for_the_next_replay(tmp_path, monkeypatch, honest_log, case):
+    """With the helper on, an edited log and then an honest one are replayed
+    in one process. A batch file whose text stops being canonical mid-batch
+    stops the plan mid-way: its end must still reach the helper, or the
+    next batch waits for the helper's acknowledgement forever."""
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    logdir = _fixture_log(tmp_path)
+    REPLAY_EDITS[case](logdir)
+    report = ledger.replay_verify(logdir)
+    honest, honest_report = honest_log
+    assert _within_a_minute(lambda: ledger.replay_verify(honest)) == honest_report
+    assert report == ref_replay_verify(logdir)
 
 
 def test_honest_replay_decodes_no_header_file(tmp_path, monkeypatch):

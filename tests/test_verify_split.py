@@ -12,6 +12,7 @@ stops the helper before the test and again before the patches are undone."""
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import random
 import signal
@@ -41,6 +42,7 @@ from helpers import (
 )
 from tierledger import codes, crypto, helper, ledger, utxo
 from tierledger.model import Lock, Outpoint, Output, Transaction, UtxoSpend, address_of_pubkey, txid
+from tierledger.script import assemble
 
 HELPER = "tierledger-helper"
 
@@ -173,11 +175,10 @@ def test_helper_on_and_off_give_identical_receipts_and_headers(monkeypatch):
 def test_a_finished_helper_answers_every_planned_check(monkeypatch):
     monkeypatch.setattr(crypto, "CPUS", 2)
     state, cfg, txs, _ = mixed_batch()
-    work = [(tx, txid(tx)) for tx in txs]
-    planned = [job for job in ledger._plan(state.utxos, work, {}) if len(job) == 3]
+    planned = [job for part in ledger._plan(state.utxos, (), txs, [], {}) for job in part if len(job) == 3]
     keys = helper_pass(planned)
     calls = count_libsodium(monkeypatch)
-    with helper.split(lambda: planned):
+    with helper.split([planned]):
         wait_for_the_helper()
         table = helper._helper[2]
         # The helper computed exactly its pass, each verdict libsodium's.
@@ -266,7 +267,7 @@ def test_a_caller_waiting_on_a_failed_claim_computes_the_verdict(monkeypatch, fr
     real = crypto._sodium_check
     # The helper dies inside its first libsodium call, holding that claim.
     monkeypatch.setattr(crypto, "_sodium_check", lambda *k: os._exit(3) if os.getpid() != parent else real(*k))
-    with helper.split(lambda: [((key[0],), key[1], (key[2],))]):
+    with helper.split([[((key[0],), key[1], (key[2],))]]):
         process, _, table = helper._helper
         process.join(10)
         assert process.exitcode == 3
@@ -296,7 +297,7 @@ def test_racing_caller_and_helper_agree_on_every_verdict(monkeypatch, fresh_help
     plan = [((pk,), msg, (sig,)) for pk, msg, sig in keys]
     for round_ in range(10):
         order = keys if round_ % 2 == 0 else random.Random(round_).sample(keys, len(keys))
-        with helper.split(lambda: plan):
+        with helper.split([plan]):
             got = {key: crypto._sodium_accepts(*key) for key in order}
             slots = dict(helper._slots)
         assert got == want, f"round {round_}"
@@ -324,7 +325,7 @@ def test_a_caller_asking_out_of_plan_order_leaves_the_helper_every_other_slot(mo
 
     monkeypatch.setattr(crypto, "_sodium_check", slow_in_the_helper)
     calls = count_libsodium(monkeypatch)
-    with helper.split(lambda: [((pk,), msg, (sig,)) for pk, msg, sig in keys]):
+    with helper.split([[((pk,), msg, (sig,)) for pk, msg, sig in keys]]):
         assert crypto.verify(*keys[-1])
         wait_for_the_helper()
         table = helper._helper[2]
@@ -343,7 +344,7 @@ def test_s_guard_holds_through_the_helper(monkeypatch, fresh_helper):
     s = int.from_bytes(sig[32:], "little")
     bad = [test_crypto.with_s(sig, v) for v in (test_crypto.L, s + test_crypto.L, 2**256 - 1)]
     plan = [((pk, kp.pubkey), test_crypto.MSG, (b,)) for b in bad]
-    with helper.split(lambda: plan):
+    with helper.split([plan]):
         wait_for_the_helper()
         table = helper._helper[2]
         assert [table[slot] for slot in helper._slots.values()] == [helper.REJECT] * (2 * len(bad))
@@ -372,14 +373,14 @@ def test_a_stale_verdict_never_lands_in_the_next_batch(monkeypatch, fresh_helper
         return real(*key)
 
     monkeypatch.setattr(crypto, "_sodium_check", slow_in_the_helper)
-    with helper.split(lambda: [((good[0],), good[1], (good[2],))]):
+    with helper.split([[((good[0],), good[1], (good[2],))]]):
         table = helper._helper[2]
         slot = helper._slots[good]
         deadline = time.monotonic() + 30
         while table[slot] != helper.HELPING:
             assert time.monotonic() < deadline, "the helper never claimed the slot"
         # Batch N ends while the helper is still computing its verdict.
-    with helper.split(lambda: [((bad[0],), bad[1], (bad[2],))]):
+    with helper.split([[((bad[0],), bad[1], (bad[2],))]]):
         assert helper._slots[bad] == slot
         time.sleep(0.5)  # long enough for a late write from batch N to land
         assert not crypto._sodium_accepts(*bad)
@@ -428,7 +429,7 @@ CHILD = textwrap.dedent(
     kp = crypto.keygen(bytes(32))
     msg = bytes(32)
     sig = kp.sign(msg)
-    with helper.split(lambda: [((kp.pubkey,), msg, (sig,))]):
+    with helper.split([[((kp.pubkey,), msg, (sig,))]]):
         assert crypto.verify(kp.pubkey, msg, sig)
     print(helper._helper[0].pid, flush=True)
     if sys.argv[1] == "wait":
@@ -516,6 +517,76 @@ def test_golden_hashes_on_two_cpus(monkeypatch, tmp_path, case):
     run_golden(tmp_path, case)
     assert any(seen)  # some check went through the table
     assert helper_processes() == [helper._helper[0]]
+
+
+@needs_sodium
+@pytest.mark.parametrize("parts", ["a-part-per-job", "one-part"])
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_golden_hashes_however_the_plan_is_cut_into_parts(monkeypatch, tmp_path, case, parts):
+    """The same jobs in plan order, each in a part of its own, or all in one
+    part: both sides index parts as they come, so every offset agrees."""
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    real = ledger._plan
+
+    def recut(*args):
+        jobs = [job for part in real(*args) for job in part]
+        return [[job] for job in jobs] if parts == "a-part-per-job" else [jobs]
+
+    monkeypatch.setattr(ledger, "_plan", recut)
+    seen = []
+    accepts = crypto._sodium_accepts
+    monkeypatch.setattr(crypto, "_sodium_accepts", lambda *key: seen.append(key in (helper._slots or ())) or accepts(*key))
+    run_golden(tmp_path, case)
+    assert any(seen)
+
+
+def count_messages(monkeypatch) -> list:
+    """The plan messages this process sends to the helper, as (jobs, ended)."""
+    sent: list = []
+    real = multiprocessing.connection.Connection.send
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send", lambda conn, obj: sent.append(obj) or real(conn, obj))
+    return sent
+
+
+@needs_sodium
+def test_a_small_batch_goes_to_the_helper_as_one_message(monkeypatch):
+    """The mixed batch's 12 transactions hold fewer than PART_SLOTS triples
+    and no sum: one message, which also ends the plan. A batch of 40
+    single-key spends goes in parts of PART_SLOTS triples as it is read."""
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    state, cfg, txs, _ = mixed_batch()
+    sent = count_messages(monkeypatch)
+    apply_copy(state, cfg, txs)
+    assert [ended for _, ended in sent] == [True]
+    sent.clear()
+    spends = [signed_spend(KEYS[1], [seed_utxo(state, p2pk(KEYS[1], 5))], [p2pk(KEYS[2], 5)]) for _ in range(40)]
+    receipts, _ = apply_copy(state, cfg, spends)
+    assert {r.status for r in receipts} == {codes.OK}
+    assert [(len(jobs), ended) for jobs, ended in sent] == [(helper.PART_SLOTS, False), (40 - helper.PART_SLOTS, True)]
+
+
+@needs_sodium
+def test_a_script_checksig_is_planned_and_answered_from_the_table(monkeypatch):
+    """For a script lock, each key pushed right before CHECKSIG or
+    CHECKSIGVERIFY is planned against each signature-sized witness item,
+    and the script's check is answered from the helper's table."""
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    state, cfg = ledger.LedgerState(), make_config()
+    owner, other = KEYS[1], KEYS[2]
+    text = f"PUSH({other.pubkey.hex()}) DROP PUSH({owner.pubkey.hex()}) CHECKSIGVERIFY DROP PUSH({other.pubkey.hex()}) CHECKSIG"
+    coin = seed_utxo(state, Output(10, Lock.pay_to_script(assemble(text))))
+    tx = Transaction(UtxoSpend((coin,), (p2pk(owner, 10),)))
+    msg = crypto.utxo_signing_message(txid(tx), 0)
+    sigs = (other.sign(msg), owner.sign(msg))
+    tx = tx.with_witnesses([(sigs[0], b"\x01" * 3, sigs[1])])
+    (part,) = ledger._plan(state.utxos, (), [tx], [], {})
+    assert part == [((kp.pubkey,), msg, (sig,)) for kp in (owner, other) for sig in sigs]
+    asked = []
+    accepts = crypto._sodium_accepts
+    monkeypatch.setattr(crypto, "_sodium_accepts", lambda *key: asked.append((key, key in (helper._slots or ()))) or accepts(*key))
+    receipts, _ = apply_copy(state, cfg, [tx])
+    assert receipts[0].status == codes.OK
+    assert [item for item in asked if item[0][1] == msg] == [((owner.pubkey, msg, sigs[1]), True), ((other.pubkey, msg, sigs[0]), True)]
 
 
 def test_golden_hashes_without_libsodium_start_no_helper(monkeypatch, tmp_path):
