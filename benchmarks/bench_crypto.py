@@ -95,7 +95,7 @@ def auth_batch(split: bool, work_s: float = 0.0, order: list = AUTHS) -> None:
     """One batch of AUTHS, planned in their order and asked in order, inline
     or shared with the helper process, with work_s of Python spinning
     between checks."""
-    with helper.split([[((pk,), msg, (sig,)) for pk, msg, sig in AUTHS]]) if split else nullcontext():
+    with helper.split([[((pk,), msg, (sig,)) for pk, msg, sig in AUTHS]], list) if split else nullcontext():
         for auth in order:
             if not crypto.verify(*auth):
                 raise SystemExit("account auth: unexpected verdict")
@@ -203,7 +203,7 @@ def main() -> int:
                 auth_batch(split, work_s, order)
                 # The helper may still be finishing the batch, so read after
                 # the next one has waited for its acknowledgement.
-                with helper.split([]) if split else nullcontext():
+                with helper.split([], list) if split else nullcontext():
                     sources = ", ".join(f"{name} {n}" for name, n in zip(VERDICT_SOURCES, counts))
             auth_batch(split, work_s, order)  # forks the helper outside the timed loop
             us = us_per_call(reps, lambda: auth_batch(split, work_s, order), 10) / AUTH_BATCH

@@ -287,7 +287,7 @@ def timed_with_helper_on_and_off(run: Callable[[], bytes], reps: int) -> dict:
                     ms = (time.perf_counter() - t0) * 1e3
                     # The helper may still be finishing the batch, so read
                     # after the next one has waited for its acknowledgement.
-                    with helper.split([]):
+                    with helper.split([], list):
                         runs.append((ms, [a - b for a, b in zip(counts.tolist(), before)], result))
             runs.sort(key=lambda run: run[0])
             results[on] = runs[reps // 2]

@@ -4,8 +4,8 @@ ledger. For each workload and seed it prints:
 - how many lists reach LedgerState.put_utxos and LedgerState.spend_utxos,
   below and at or above helper.PLANNED_SUM entries
 - the jobs batch plans hold, by kind: signature checks, and sum jobs that
-  create a transaction's outputs (they sum a plan's `made` entries) or
-  remove entries (any other sum)
+  create a transaction's outputs (they sum the entries of the planned
+  transaction's own outputs) or remove entries (any other sum)
 - the plans sent to the helper process, the messages that carried them,
   and how many plans took more than one message
 - the number of parallel waves the scheduler forked
@@ -13,8 +13,9 @@ ledger. For each workload and seed it prints:
 It runs perfbench/run.py's main in-process, with its own output dropped,
 and only wraps the ledger's functions and the pipe's send, so perfbench is
 used unedited. Sums are planned only where the host sees the helper's
-stores in order (x86-64), and plans are sent only where the helper runs
-(libsodium and two CPUs); elsewhere those counts read 0.
+stores in order (x86-64), and plans are made and sent only where the
+helper runs (libsodium and two CPUs); elsewhere those counts, checks
+included, read 0.
 
 Usage: python benchmarks/bench_traffic.py [--workloads W ...] [--seeds N ...] [--seconds S]
 """
@@ -58,15 +59,16 @@ def counting(counts: Counter):
         counts[f"spend_utxos {size(len(ops))}"] += 1
         return spend(self, ops)
 
-    def counted_plan(*args):
-        jobs = []
-        for part in plan(*args):
-            jobs += part
-            yield part
-        made = args[-1]
-        creating = {job for _, _, entries in made.values() for job in helper.sums(entries)}
+    def counted_plan(utxos, tx, tx_id):
+        jobs = plan(utxos, tx, tx_id)
+        creating = set()
+        if any(len(job) == 1 for job in jobs):
+            outputs = getattr(tx.kind, "outputs", ())
+            ops = ledger.outpoint_range(tx_id, 0, len(outputs))
+            creating.update(helper.sums([ledger.utxo_entry(op, out) for op, out in zip(ops, outputs)]))
         for job in jobs:
             counts["check" if len(job) > 1 else "sum create" if job in creating else "sum remove"] += 1
+        return jobs
 
     def counted_send(conn, obj):
         # Only helper.split sends with Connection.send: (jobs, plan ended).

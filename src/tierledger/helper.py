@@ -1,13 +1,13 @@
-"""One forked helper process that works through a batch's plan ahead of
-the caller, which asks the same jobs in any order, and shares each result
-through one table in shared memory (`split`). The plan reaches the helper
-in parts while the caller is still reading the batch. A job is a signature
+"""One forked helper process that works through a batch's plan ahead of the
+caller, which asks the same jobs in any order, and shares each result
+through one table in shared memory (`split`). The plan, made only while a
+helper runs, reaches it in parts as the batch is read. A job is a signature
 check, each of whose triples ends as a libsodium verdict byte, or a sum of
 UTXO entries, which ends as the entries' own LtHash `digest()`. A result is
 looked up by the exact triple or entries the caller would compute it from,
-so a wrong or stale plan costs only wasted work. A job the plan missed,
-one past the table's room, and all work on one CPU or without libsodium
-run inline: no verdict, digest, receipt or log byte depends on the helper.
+so a wrong or stale plan costs only wasted work. A job the plan missed, one
+past the table's room, and all work on one CPU or without libsodium run
+inline: no verdict, digest, receipt or log byte depends on the helper.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import platform
 import signal
 from collections import deque
 from contextlib import contextmanager, suppress
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import crypto
 from .lthash import DIGEST_BYTES, LtHash
@@ -104,6 +104,11 @@ def _run(table: mmap.mmap, slot: int, job: tuple, claim: int) -> Union[bool, byt
     result = crypto._sodium_check(*job)
     table[slot] = ACCEPT if result else REJECT
     return result
+
+
+def sharing() -> bool:
+    """Whether a batch's planned jobs may be answered from the helper's table."""
+    return _slots is not None
 
 
 def ask(job: Job) -> Union[None, bool, bytes]:
@@ -192,20 +197,19 @@ def _ready_helper() -> tuple:
 
 
 @contextmanager
-def split(parts: Iterable[Sequence[Job]]) -> Iterator[None]:
-    """Read the batch's plan, parts of jobs in plan order, whole before the
-    block runs, and share its work with the helper process, which starts on
-    each part as it is sent. Only with libsodium and two CPUs is a helper
-    used; the plan is read either way."""
+def split(items: Iterable, plan: Callable[..., Sequence[Job]]) -> Iterator[list]:
+    """Read items whole before the block runs, and hand the block the list
+    read. Only with libsodium and two CPUs is a helper used: then plan(item),
+    the item's part of the batch's plan, is made as it is read, and the
+    helper starts on each part as it is sent; otherwise nothing is planned."""
     global _slots, _jobs
     if crypto.CPUS < 2 or crypto._sodium_verify() is None:
-        for _ in parts:
-            pass
-        yield
+        yield list(items)
         return
     helper = _ready_helper()
     _, conn, table = helper
     table[:HEAD] = bytes(HEAD)
+    read: list = []
     slots: dict = {}
     message: list = []
     sent = 0  # slots the helper has been sent
@@ -219,7 +223,9 @@ def split(parts: Iterable[Sequence[Job]]) -> Iterator[None]:
 
     try:
         try:
-            for part in parts:
+            for item in items:
+                read.append(item)
+                part = plan(item)
                 _index(part, slots)
                 message += part
                 if len(slots) - sent >= PART_SLOTS or any(len(job) == 1 for job in part):
@@ -227,7 +233,7 @@ def split(parts: Iterable[Sequence[Job]]) -> Iterator[None]:
         finally:
             send(True)  # the rest and the end of the plan, also when reading it raised
         _slots, _jobs = slots, list(slots)
-        yield
+        yield read
     finally:
         _slots, _jobs = None, []
         if _helper is helper:  # not in a forked child

@@ -138,6 +138,9 @@ def utxo_entry(op: Outpoint, out: Output) -> bytes:
     return b"U" + op.serialize() + out.serialize()
 
 
+_CREATED = struct.Struct("<cI32sI").pack  # utxo_entry's head, b"U" and the outpoint, without an Outpoint
+
+
 class LedgerState:
     """The ledger's state. The UTXO set is a read-only view: every write
     goes through put_utxos and spend_utxos, which keep utxo_total, an LtHash
@@ -167,24 +170,18 @@ class LedgerState:
         self.batch_number = 0
         self.prev_header_hash = ZERO_HASH
 
-    def put_utxos(
-        self, tx_id: bytes, outputs: Sequence[Output], first_index: int = 0, made: Optional[tuple] = None
-    ) -> None:
+    def put_utxos(self, tx_id: bytes, outputs: Sequence[Output], first_index: int = 0) -> None:
         """Create outputs as (tx_id, first_index), (tx_id, first_index + 1),
-        ...; their entries go into the UTXO LtHash. made, a batch plan's
-        (outputs, outpoints, entries) for tx_id from index 0, is used if it
-        was made of these very outputs: then its sum jobs are asked of the
-        helper, and each one it does not answer is added up here."""
-        if made is not None and made[0] is outputs:
-            _, ops, entries = made
-            parts = [(job[0], helper.ask(job)) for job in helper.sums(entries)]
-        else:
-            ops = outpoint_range(tx_id, first_index, first_index + len(outputs))
-            parts = [([utxo_entry(op, out) for op, out in zip(ops, outputs)], None)]
+        ...; their entries go into the UTXO LtHash: while a batch shares its
+        work with the helper, as the sum jobs it answers and the rest, and
+        otherwise in one call."""
+        ops = outpoint_range(tx_id, first_index, first_index + len(outputs))
+        entries = [utxo_entry(op, out) for op, out in zip(ops, outputs)]
         for op, out in zip(ops, outputs):
             self._utxos[op] = out
             if out.expiry is not None:
                 self._expiring.setdefault(out.expiry, set()).add(op)
+        parts = [(job[0], helper.ask(job)) for job in helper.sums(entries)] if helper.sharing() else [(entries, None)]
         for part, vector in parts:
             if vector is None:
                 self.utxo_lthash.add_many(part)
@@ -310,7 +307,6 @@ def _transfer(
     epoch: int,
     cfg: rules.SystemConfig,
     batch_spent: set[Outpoint],
-    made: Mapping[bytes, tuple],
 ) -> int:
     """The one routine for UtxoSpend, MoveToAccount and MoveToUtxo: pending-
     pool admission, the validity window, the kind's checks, then the state
@@ -348,55 +344,43 @@ def _transfer(
     if isinstance(k, MoveToAccount):
         accounts.set_balance(k.to, accounts.balance(k.to) + k.amount)
     else:
-        state.put_utxos(tx_id, k.outputs, made=made.get(tx_id))
+        state.put_utxos(tx_id, k.outputs)
     if fee:
         operator = cfg.operator_address
         accounts.set_balance(operator, accounts.balance(operator) + fee)
     return codes.OK
 
 
-def _plan(
-    utxos: Mapping[Outpoint, Output],
-    pending: Sequence[tuple[Transaction, bytes]],
-    txs: Iterable[Transaction],
-    work: list,
-    made: dict,
-) -> Iterator[list[helper.Job]]:
-    """The work the batch will probably do, one part per transaction in its
-    order: the pending transactions with their txids, then txs, whose txids
-    are computed as each is reached; each transaction goes into work with
-    its txid. A part holds the transaction's signature checks (account auth,
-    and for each input found in the UTXO set its P2PK or multisig keys, or
+def _plan(utxos: Mapping[Outpoint, Output], tx: Transaction, tx_id: bytes) -> list[helper.Job]:
+    """The work tx will probably ask of the helper, in the order it asks
+    it: its signature checks (account auth, and for each input found in the
+    UTXO set its P2PK or multisig keys, or for a UtxoSpend's script lock
     each key its script pushes just before CHECKSIG or CHECKSIGVERIFY against
     each signature-sized witness item), then, where the host sees the
     helper's stores in order, the creation of its outputs if there are
-    helper.PLANNED_SUM or more, whose outpoints and entries go into made for
-    put_utxos. Inputs made earlier in the batch and endorsements are left to
-    the inline checks, and spends and expiries to inline removal. A wrong
-    guess costs the helper wasted work, never a verdict or a digest."""
-    for tx, tx_id in chain(pending, ((tx, compute_txid(tx)) for tx in txs)):
-        work.append((tx, tx_id))
-        k = tx.kind
-        jobs: list[helper.Job] = []
-        if tx.auth is not None and _actor(k) is not None:
-            jobs.append(((tx.auth.pubkey,), crypto.account_signing_message(tx_id), (tx.auth.signature,)))
-        inputs = k.inputs if isinstance(k, (UtxoSpend, MoveToAccount)) else ()
-        for i, (op, wit) in enumerate(zip(inputs, tx.witnesses)):
-            out = utxos.get(op)
-            if out is None:
-                continue
-            msg = crypto.utxo_signing_message(tx_id, i)
-            if out.lock.kind != LOCK_SCRIPT:
-                jobs.append((out.lock.pubkeys or (out.lock.pubkey,), msg, wit))
-                continue
+    helper.PLANNED_SUM or more. A MoveToAccount's script-locked input fails
+    before any script runs, and inputs made earlier in the batch and
+    endorsements are left to the inline checks, spends and expiries to
+    inline removal. A wrong guess costs the helper wasted work, never a
+    verdict or a digest."""
+    k = tx.kind
+    jobs: list[helper.Job] = []
+    if tx.auth is not None and _actor(k) is not None:
+        jobs.append(((tx.auth.pubkey,), crypto.account_signing_message(tx_id), (tx.auth.signature,)))
+    inputs = k.inputs if isinstance(k, (UtxoSpend, MoveToAccount)) else ()
+    for i, (op, wit) in enumerate(zip(inputs, tx.witnesses)):
+        out = utxos.get(op)
+        if out is None:
+            continue
+        msg = crypto.utxo_signing_message(tx_id, i)
+        if out.lock.kind != LOCK_SCRIPT:
+            jobs.append((out.lock.pubkeys or (out.lock.pubkey,), msg, wit))
+        elif isinstance(k, UtxoSpend):
             sigs = [item for item in wit if len(item) == crypto.SIG_BYTES]
             jobs += [((pk,), msg, (sig,)) for pk in checksig_keys(out.lock.script) for sig in sigs]
-        if helper.ORDERED_STORES and isinstance(k, (UtxoSpend, MoveToUtxo)) and len(k.outputs) >= helper.PLANNED_SUM:
-            ops = outpoint_range(tx_id, 0, len(k.outputs))
-            entries = [utxo_entry(op, out) for op, out in zip(ops, k.outputs)]
-            made[tx_id] = (k.outputs, ops, entries)
-            jobs += helper.sums(entries)
-        yield jobs
+    if helper.ORDERED_STORES and isinstance(k, (UtxoSpend, MoveToUtxo)) and len(k.outputs) >= helper.PLANNED_SUM:
+        jobs += helper.sums([_CREATED(b"U", 32, tx_id, i) + out.serialize() for i, out in enumerate(k.outputs)])
+    return jobs
 
 
 def apply_batch(
@@ -423,16 +407,14 @@ def apply_batch(
     the contract gate has its signature checked at once, so BAD_AUTH still
     takes precedence.
 
-    txs may be any iterable. It is read once, whole, and planned for the
-    helper process as it is read, before the first state write: an iterable
-    that raises leaves the state as it was."""
+    txs may be any iterable. It is read once, whole, before the first state
+    write, and while a helper process runs each transaction is planned for
+    it as it is read: an iterable that raises leaves the state as it was."""
     if epoch < state.epoch:
         raise BatchError(f"batch epoch {epoch} below ledger epoch {state.epoch}")
     # Matured pending transactions (never pooled again) run ahead of new submissions.
     pending = [(e.tx, e.tx_id) for e in state.pool.mature(epoch)]
-    work: list[tuple[Transaction, bytes]] = []
     batch_spent: set[Outpoint] = set()
-    made: dict[bytes, tuple] = {}
     contract_buffer: list[tuple[int, Transaction, bytes]] = []
 
     def flush_contracts() -> None:
@@ -466,7 +448,8 @@ def apply_batch(
             collect_telemetry.append(telemetry)
         contract_buffer.clear()
 
-    with helper.split(_plan(state.utxos, pending, txs, work, made)):
+    batch = chain(pending, ((tx, compute_txid(tx)) for tx in txs))
+    with helper.split(batch, lambda item: _plan(state.utxos, *item)) as work:
         receipts: list[Optional[Receipt]] = [None] * len(work)
         state.pool.drain(epoch)
         state.epoch = epoch
@@ -498,7 +481,7 @@ def apply_batch(
                 status = codes.BAD_AUTH
             else:
                 flush_contracts()
-                status = _transfer(state, tx, tx_id, epoch, cfg, batch_spent, made)
+                status = _transfer(state, tx, tx_id, epoch, cfg, batch_spent)
             receipts[i] = Receipt(tx_id, status, 0, level, state_digest(state))
         flush_contracts()
 

@@ -26,7 +26,7 @@ def test_a_raw_fork_inside_a_batch_verifies_inline(monkeypatch):
     kp = KEYS[1]
     good = (kp.pubkey, test_crypto.MSG, kp.sign(test_crypto.MSG))
     bad = (kp.pubkey, test_crypto.MSG + b"x", good[2])
-    batch = helper.split([[((t[0],), t[1], (t[2],)) for t in (good, bad)]])
+    batch = helper.split([[((t[0],), t[1], (t[2],)) for t in (good, bad)]], list)
     batch.__enter__()
     pid = os.fork()
     if pid == 0:
@@ -54,7 +54,7 @@ CHILD = textwrap.dedent(
     kp = crypto.keygen(bytes(32))
     msg = bytes(32)
     sig = kp.sign(msg)
-    with helper.split([[((kp.pubkey,), msg, (sig,))]]):
+    with helper.split([[((kp.pubkey,), msg, (sig,))]], list):
         assert crypto.verify(kp.pubkey, msg, sig)
     running = helper._helper[0]
     pid = os.fork()

@@ -162,10 +162,9 @@ def test_a_helper_killed_mid_batch_leaves_the_sums(log, monkeypatch, fresh_helpe
 
 @needs_sodium
 def test_a_wrong_plan_costs_only_work(log, monkeypatch):
-    """Stale entries that no batch writes, sums of a fan-out's outputs with
-    one amount changed, and that fan-out's outputs and entries made for
-    other outputs: the helper may compute every such job, and the caller
-    uses none of them."""
+    """Stale entries that no batch writes, and sums of a fan-out's outputs
+    with one amount changed: the helper may compute every such job, and the
+    caller uses none of them."""
     cfg, state, txs, logdir, inline = log
     monkeypatch.setattr(crypto, "CPUS", 2)
     real_plan = ledger._plan
@@ -176,15 +175,14 @@ def test_a_wrong_plan_costs_only_work(log, monkeypatch):
     stale = helper.sums([ledger.utxo_entry(Outpoint(bytes(32), i), p2pk(KEYS[7], 5)) for i in range(300)])
     planned: list = []
 
-    def wrong_plan(utxos, pending, txs, work, made):
-        jobs = [job for part in real_plan(utxos, pending, txs, work, made) for job in part]
-        if txid(fanout) in made:  # the batch with the fan-outs
-            made[txid(fanout)] = (other, other_ops, other_entries)
+    def wrong_plan(utxos, tx, tx_id):
+        jobs = real_plan(utxos, tx, tx_id)
+        if tx_id == txid(fanout):
             first = helper.sums(other_entries)[0]
             jobs = [first if job == helper.sums(made_entries(fanout))[0] else job for job in jobs] + stale
             assert first in jobs
         planned.append(jobs)
-        return [jobs]
+        return jobs
 
     monkeypatch.setattr(ledger, "_plan", wrong_plan)
     assert apply_last(cfg, state, txs, logdir) == inline
@@ -208,22 +206,19 @@ def test_the_plan_sums_only_created_outputs(tmp_path, monkeypatch):
     """The batch's sum jobs are the fan-outs' created outputs, in CHUNK
     parts and batch order, and none for the spend of PLANNED_INPUTS inputs
     or the DUE outputs; where the host may see the helper's stores out of
-    order there are none at all, and the checks stay as they are."""
+    order there are none at all, and the checks stay as they are. The
+    plan's entries are put_utxos' own."""
     monkeypatch.setattr(crypto, "CPUS", 1)
     cfg, state, txs = sum_log(tmp_path)
     assert len(state.expiring[EPOCH]) == DUE
     checks = []
     for ordered, fanouts in ((True, txs[:FANOUTS]), (False, [])):
         monkeypatch.setattr(helper, "ORDERED_STORES", ordered)
-        made: dict = {}
-        jobs = [job for part in ledger._plan(state.utxos, (), txs, [], made) for job in part]
+        jobs = [job for tx in txs for job in ledger._plan(state.utxos, tx, txid(tx))]
         sums = [job for job in jobs if len(job) == 1]
         assert sums == [job for tx in fanouts for job in helper.sums(made_entries(tx))]
         parts = [min(helper.CHUNK, FANOUT_OUTPUTS - i) for i in range(0, FANOUT_OUTPUTS, helper.CHUNK)]
         assert [len(job[0]) for job in sums] == parts * len(fanouts)
-        assert {tx_id: entries for tx_id, (_, _, entries) in made.items()} == {
-            txid(tx): made_entries(tx) for tx in fanouts
-        }
         checks.append([job for job in jobs if len(job) == 3])
     assert checks[0] == checks[1] and len(checks[0]) == FANOUTS + PLANNED_INPUTS
 

@@ -34,6 +34,7 @@ from helpers import (
     make_call,
     make_config,
     make_deploy,
+    make_move_to_account,
     make_move_to_utxo,
     p2pk,
     seed_balance,
@@ -175,10 +176,10 @@ def test_helper_on_and_off_give_identical_receipts_and_headers(monkeypatch):
 def test_a_finished_helper_answers_every_planned_check(monkeypatch):
     monkeypatch.setattr(crypto, "CPUS", 2)
     state, cfg, txs, _ = mixed_batch()
-    planned = [job for part in ledger._plan(state.utxos, (), txs, [], {}) for job in part if len(job) == 3]
+    planned = [job for tx in txs for job in ledger._plan(state.utxos, tx, txid(tx)) if len(job) == 3]
     keys = helper_pass(planned)
     calls = count_libsodium(monkeypatch)
-    with helper.split([planned]):
+    with helper.split([planned], list):
         wait_for_the_helper()
         table = helper._helper[2]
         # The helper computed exactly its pass, each verdict libsodium's.
@@ -267,7 +268,7 @@ def test_a_caller_waiting_on_a_failed_claim_computes_the_verdict(monkeypatch, fr
     real = crypto._sodium_check
     # The helper dies inside its first libsodium call, holding that claim.
     monkeypatch.setattr(crypto, "_sodium_check", lambda *k: os._exit(3) if os.getpid() != parent else real(*k))
-    with helper.split([[((key[0],), key[1], (key[2],))]]):
+    with helper.split([[((key[0],), key[1], (key[2],))]], list):
         process, _, table = helper._helper
         process.join(10)
         assert process.exitcode == 3
@@ -297,7 +298,7 @@ def test_racing_caller_and_helper_agree_on_every_verdict(monkeypatch, fresh_help
     plan = [((pk,), msg, (sig,)) for pk, msg, sig in keys]
     for round_ in range(10):
         order = keys if round_ % 2 == 0 else random.Random(round_).sample(keys, len(keys))
-        with helper.split([plan]):
+        with helper.split([plan], list):
             got = {key: crypto._sodium_accepts(*key) for key in order}
             slots = dict(helper._slots)
         assert got == want, f"round {round_}"
@@ -325,7 +326,7 @@ def test_a_caller_asking_out_of_plan_order_leaves_the_helper_every_other_slot(mo
 
     monkeypatch.setattr(crypto, "_sodium_check", slow_in_the_helper)
     calls = count_libsodium(monkeypatch)
-    with helper.split([[((pk,), msg, (sig,)) for pk, msg, sig in keys]]):
+    with helper.split([[((pk,), msg, (sig,)) for pk, msg, sig in keys]], list):
         assert crypto.verify(*keys[-1])
         wait_for_the_helper()
         table = helper._helper[2]
@@ -344,7 +345,7 @@ def test_s_guard_holds_through_the_helper(monkeypatch, fresh_helper):
     s = int.from_bytes(sig[32:], "little")
     bad = [test_crypto.with_s(sig, v) for v in (test_crypto.L, s + test_crypto.L, 2**256 - 1)]
     plan = [((pk, kp.pubkey), test_crypto.MSG, (b,)) for b in bad]
-    with helper.split([plan]):
+    with helper.split([plan], list):
         wait_for_the_helper()
         table = helper._helper[2]
         assert [table[slot] for slot in helper._slots.values()] == [helper.REJECT] * (2 * len(bad))
@@ -373,14 +374,14 @@ def test_a_stale_verdict_never_lands_in_the_next_batch(monkeypatch, fresh_helper
         return real(*key)
 
     monkeypatch.setattr(crypto, "_sodium_check", slow_in_the_helper)
-    with helper.split([[((good[0],), good[1], (good[2],))]]):
+    with helper.split([[((good[0],), good[1], (good[2],))]], list):
         table = helper._helper[2]
         slot = helper._slots[good]
         deadline = time.monotonic() + 30
         while table[slot] != helper.HELPING:
             assert time.monotonic() < deadline, "the helper never claimed the slot"
         # Batch N ends while the helper is still computing its verdict.
-    with helper.split([[((bad[0],), bad[1], (bad[2],))]]):
+    with helper.split([[((bad[0],), bad[1], (bad[2],))]], list):
         assert helper._slots[bad] == slot
         time.sleep(0.5)  # long enough for a late write from batch N to land
         assert not crypto._sodium_accepts(*bad)
@@ -429,7 +430,7 @@ CHILD = textwrap.dedent(
     kp = crypto.keygen(bytes(32))
     msg = bytes(32)
     sig = kp.sign(msg)
-    with helper.split([[((kp.pubkey,), msg, (sig,))]]):
+    with helper.split([[((kp.pubkey,), msg, (sig,))]], list):
         assert crypto.verify(kp.pubkey, msg, sig)
     print(helper._helper[0].pid, flush=True)
     if sys.argv[1] == "wait":
@@ -520,24 +521,22 @@ def test_golden_hashes_on_two_cpus(monkeypatch, tmp_path, case):
 
 
 @needs_sodium
-@pytest.mark.parametrize("parts", ["a-part-per-job", "one-part"])
+@pytest.mark.parametrize("part_slots", [1, 10**9], ids=["a-message-per-part", "one-message"])
 @pytest.mark.parametrize("case", GOLDEN_CASES)
-def test_golden_hashes_however_the_plan_is_cut_into_parts(monkeypatch, tmp_path, case, parts):
-    """The same jobs in plan order, each in a part of its own, or all in one
-    part: both sides index parts as they come, so every offset agrees."""
+def test_golden_hashes_however_the_plan_is_cut_into_parts(monkeypatch, tmp_path, case, part_slots):
+    """The same jobs in plan order, sent to the helper as each
+    transaction's part is read, or all in one message unless a part holds a
+    sum: both sides index parts as they come, so every offset agrees."""
     monkeypatch.setattr(crypto, "CPUS", 2)
-    real = ledger._plan
-
-    def recut(*args):
-        jobs = [job for part in real(*args) for job in part]
-        return [[job] for job in jobs] if parts == "a-part-per-job" else [jobs]
-
-    monkeypatch.setattr(ledger, "_plan", recut)
+    monkeypatch.setattr(helper, "PART_SLOTS", part_slots)
+    sent = count_messages(monkeypatch)
     seen = []
     accepts = crypto._sodium_accepts
     monkeypatch.setattr(crypto, "_sodium_accepts", lambda *key: seen.append(key in (helper._slots or ())) or accepts(*key))
     run_golden(tmp_path, case)
     assert any(seen)
+    if part_slots == 1:
+        assert any(not ended and jobs for jobs, ended in sent)  # some plan took more than one message
 
 
 def count_messages(monkeypatch) -> list:
@@ -579,7 +578,7 @@ def test_a_script_checksig_is_planned_and_answered_from_the_table(monkeypatch):
     msg = crypto.utxo_signing_message(txid(tx), 0)
     sigs = (other.sign(msg), owner.sign(msg))
     tx = tx.with_witnesses([(sigs[0], b"\x01" * 3, sigs[1])])
-    (part,) = ledger._plan(state.utxos, (), [tx], [], {})
+    part = ledger._plan(state.utxos, tx, txid(tx))
     assert part == [((kp.pubkey,), msg, (sig,)) for kp in (owner, other) for sig in sigs]
     asked = []
     accepts = crypto._sodium_accepts
@@ -597,3 +596,64 @@ def test_golden_hashes_without_libsodium_start_no_helper(monkeypatch, tmp_path):
     for case in GOLDEN_CASES:
         run_golden(tmp_path / str(case), case)
     assert started == []
+
+
+@pytest.mark.parametrize(
+    "helper_runs", [pytest.param(True, marks=needs_sodium), "one-cpu", "no-libsodium"], ids=["helper", "one-cpu", "no-libsodium"]
+)
+def test_a_plan_is_made_only_while_a_helper_runs(monkeypatch, tmp_path, helper_runs):
+    """With one CPU, or with libsodium's verify missing, `helper.split`
+    calls no plan function, so no signing message, job or entry is built
+    for a helper that does not run; the golden hashes hold either way."""
+    monkeypatch.setattr(crypto, "CPUS", 1 if helper_runs == "one-cpu" else 2)
+    if helper_runs == "no-libsodium":
+        monkeypatch.setattr(crypto, "_sodium_verify", lambda: None)
+    planned = []
+    real = ledger._plan
+    monkeypatch.setattr(ledger, "_plan", lambda *args: planned.append(args[2]) or real(*args))
+    for case in GOLDEN_CASES:
+        run_golden(tmp_path / str(case), case)
+    assert bool(planned) == (helper_runs is True)
+
+
+@needs_sodium
+def test_the_plan_gives_a_transaction_the_same_jobs_in_any_batch(monkeypatch):
+    """A transaction's part of the plan depends on it and the state before
+    its batch only: alone, in the mixed batch and in that batch reversed."""
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    state, cfg, txs, _ = mixed_batch()
+    plans: dict = {}
+    real = ledger._plan
+
+    def recording(utxos, tx, tx_id):
+        jobs = real(utxos, tx, tx_id)
+        plans.setdefault(tx_id, []).append(jobs)
+        return jobs
+
+    monkeypatch.setattr(ledger, "_plan", recording)
+    for batch in (txs, txs[::-1], *([tx] for tx in txs)):
+        apply_copy(state, cfg, batch)
+    assert sorted(plans) == sorted(txid(tx) for tx in txs)
+    for tx in txs:
+        assert plans[txid(tx)] == [real(state.utxos, tx, txid(tx))] * 3
+    assert any(plans[txid(tx)][0] for tx in txs)  # some transaction plans work
+
+
+@needs_sodium
+def test_a_move_to_account_plans_no_script_check(monkeypatch):
+    """A MoveToAccount's script-locked input fails with LOCK_FAILED before
+    any script runs, so its CHECKSIG keys are not sent to the helper; its
+    P2PK input's check still is."""
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    state, cfg = ledger.LedgerState(), make_config()
+    owner = KEYS[1]
+    script = Lock.pay_to_script(assemble(f"PUSH({owner.pubkey.hex()}) CHECKSIG"))
+    coins = [seed_utxo(state, p2pk(owner, 10)), seed_utxo(state, Output(10, script))]
+    tx = make_move_to_account(owner, coins, 20)
+    tx_id = txid(tx)
+    sent = count_messages(monkeypatch)
+    receipts, _ = apply_copy(state, cfg, [tx])
+    assert receipts[0].status == utxo.LOCK_FAILED
+    p2pk_check = ((owner.pubkey,), crypto.utxo_signing_message(tx_id, 0), tx.witnesses[0])
+    assert [job for jobs, _ in sent for job in jobs] == [p2pk_check]
+    assert ledger._plan(state.utxos, tx, tx_id) == [p2pk_check]
