@@ -9,22 +9,27 @@ epoch (spread over 50 epochs), the others none. Each repetition applies
 the batch to a fresh copy of the same pre-state; only apply_batch is timed.
 
 Microbenchmarks of the state commitment follow, each the median over
-the repetitions of a timed loop:
+the repetitions of a timed loop. A write only notes the LtHash entries it
+removes and adds; they are expanded when the accumulator is folded, here
+inline, as on one CPU:
 - us per Accounts.set_balance that replaces a nonzero balance, on accounts
-  holding 200 live balances (a contract call's settlement writes this way)
+  holding 200 live balances, with the fold of both its entries (the
+  removed balance is expanded again: no vector is kept per live entry)
 - us per state_digest after an account write, at 1k UTXOs, so only the
-  account accumulator has changed (a contract receipt's digest)
-- us per entry for LtHash.add_many of 1, 2 and 128 entries, against add
-  called once per entry (a pay transaction writes one or two outputs)
+  account accumulator has changed (a contract receipt's digest); it folds
+  the write's two entries
+- us per entry to fold n noted entries at a digest, for n of 1, 2 and 128
+  (a pay transaction writes one or two outputs)
 
 Last, ms per apply_batch of a fan-out batch: 10 transactions of 1,000
 outputs each, with the helper process on (where libsodium is installed and
 the process may use two CPUs) and with crypto.CPUS = 1, and for the median
-helper batch how many of its sum jobs the helper computed, how many the
-caller claimed for itself, and how many it computed while the helper held
-its own. Then the same for replay_verify of a log that ends with that
-batch (a coinbase, its split into the 10 coins, the fan-out), which reads
-the batch file one transaction at a time while the helper starts on it.
+helper batch how many of its vector jobs (sums and deltas) the helper
+computed, how many the caller computed while the helper held the one it
+asked, and how many the caller folded inline. Then the same for
+replay_verify of a log that ends with that batch (a coinbase, its split
+into the 10 coins, the fan-out), which reads the batch file one
+transaction at a time while the helper starts on it.
 
 Usage: python benchmarks/bench_state.py [repetitions]
 """
@@ -56,7 +61,7 @@ from tierledger.model import (
 
 SIZES = (1_000, 10_000, 100_000)
 FANOUT_TXS, FANOUT_OUTPUTS = 10, 1_000
-SUM_SOURCES = ("helper", "caller's own", "caller helping")
+SUM_SOURCES = ("helper", "caller helping", "caller inline")
 LIVE = 200  # live balances in the set_balance microbenchmark
 LOOP = 2_000  # timed calls per repetition of a microbenchmark
 EPOCH = 1
@@ -106,6 +111,7 @@ def build_state(n_utxos: int, coins: list[Outpoint]) -> ledger.LedgerState:
         state.put_utxo(Outpoint(sha256(b"filler" + i.to_bytes(4, "little")), 0), pay(BOB, 1, expiry))
     state.accounts.set_balance(A_ADDR, 50)
     state.issued = state.utxo_total + state.account_total
+    ledger.state_digest(state)  # folds the set-up's noted entries, as a batch would
     return state
 
 
@@ -142,17 +148,19 @@ def bench(n_utxos: int, txs: list[Transaction], coins: list[Outpoint], cfg, reps
 
 
 def bench_set_balance(reps: int) -> float:
-    """Median us per set_balance that replaces a nonzero balance."""
+    """Median us per set_balance that replaces a nonzero balance, folded."""
     acc = vm.Accounts()
     addrs = [sha256(b"acct" + i.to_bytes(4, "little")) for i in range(LIVE)]
     for i, addr in enumerate(addrs):
         acc.set_balance(addr, i + 1)
+    acc.lthash.digest()
     runs, bal = [], LIVE
     for _ in range(reps):
         t0 = time.perf_counter()
         for i in range(LOOP):
             bal += 1
             acc.set_balance(addrs[i % LIVE], bal)
+        acc.lthash.digest()
         runs.append((time.perf_counter() - t0) / LOOP * 1e6)
     runs.sort()
     return runs[reps // 2]
@@ -177,26 +185,21 @@ def bench_digest_after_account_write(reps: int, coins: list[Outpoint]) -> float:
     return runs[reps // 2]
 
 
-def bench_add_many(reps: int) -> dict[int, tuple[float, float]]:
-    """n -> median (us per entry for add_many of n entries, for add per entry)."""
+def bench_fold(reps: int) -> dict[int, float]:
+    """n -> median us per entry to note n entries and fold them at a digest."""
     entries = [sha256(i.to_bytes(4, "little")) * 3 for i in range(LOOP)]
     acc = lthash.LtHash()
     out = {}
     for n in (1, 2, 128):
         groups = [entries[i : i + n] for i in range(0, LOOP - LOOP % n, n)]
-        many, each = [], []
+        runs = []
         for _ in range(reps):
             t0 = time.perf_counter()
             for g in groups:
                 acc.add_many(g)
-            t1 = time.perf_counter()
-            for g in groups:
-                for e in g:
-                    acc.add(e)
-            t2 = time.perf_counter()
-            many.append((t1 - t0) / (len(groups) * n) * 1e6)
-            each.append((t2 - t1) / (len(groups) * n) * 1e6)
-        out[n] = (sorted(many)[reps // 2], sorted(each)[reps // 2])
+                acc.digest()
+            runs.append((time.perf_counter() - t0) / (len(groups) * n) * 1e6)
+        out[n] = sorted(runs)[reps // 2]
     return out
 
 
@@ -216,6 +219,7 @@ def fanout(cfg) -> tuple[ledger.LedgerState, list[Transaction]]:
     for op in coins:
         state.put_utxo(op, pay(ALICE, 10**9))
     state.issued = state.utxo_total
+    ledger.state_digest(state)
     return state, fanout_txs(coins)
 
 
@@ -239,26 +243,29 @@ def fanout_log(logdir: Path) -> None:
 
 
 @contextmanager
-def counting_sums() -> Iterator[memoryview]:
-    """Count the sum jobs computed, by SUM_SOURCES, in memory shared with a
-    helper forked inside the block (the current one is stopped first, since
-    a helper runs the functions it forked with)."""
+def counting_vectors() -> Iterator[memoryview]:
+    """Count the vector jobs computed, by SUM_SOURCES, in memory shared with
+    a helper forked inside the block (the current one is stopped first,
+    since a helper runs the functions it forked with)."""
     counts = memoryview(mmap.mmap(-1, 8 * len(SUM_SOURCES))).cast("q")
-    real_run = helper._run
+    real_run, real_settle = helper._run, lthash.LtHash.settle
 
     def run(table, slot, job, claim):
-        if len(job) == 1:
-            own = slot == int.from_bytes(table[: helper.HEAD], "little")
-            counts[0 if claim == helper.HELPING else 1 if own else 2] += 1
+        if len(job) < 3:
+            counts[0 if claim == helper.HELPING else 1] += 1
         return real_run(table, slot, job, claim)
 
+    def settle(acc, delta, lanes=None):
+        counts[2] += lanes is None
+        return real_settle(acc, delta, lanes)
+
     stop_helper()
-    helper._run = run
+    helper._run, lthash.LtHash.settle = run, settle
     try:
         yield counts
     finally:
         stop_helper()
-        helper._run = real_run
+        helper._run, lthash.LtHash.settle = real_run, real_settle
 
 
 def stop_helper() -> None:
@@ -278,7 +285,7 @@ def timed_with_helper_on_and_off(run: Callable[[], bytes], reps: int) -> dict:
     try:
         for on in (True, False) if cpus >= 2 and crypto._sodium_verify() is not None else (False,):
             crypto.CPUS = cpus if on else 1
-            with counting_sums() as counts:
+            with counting_vectors() as counts:
                 runs = []
                 for _ in range(reps):
                     before = counts.tolist()
@@ -302,7 +309,7 @@ def print_fanout(name: str, results: dict) -> None:
     if True in results:
         ms, counts, _ = results[True]
         sources = ", ".join(f"{source} {n}" for source, n in zip(SUM_SOURCES, counts))
-        print(f"{name}, helper on   {ms:8.1f} ms; sum jobs: {sources}")
+        print(f"{name}, helper on   {ms:8.1f} ms; vector jobs: {sources}")
     else:
         print(f"{name}: the helper needs libsodium and two CPUs; CPUS=1 only")
     print(f"{name}, CPUS=1      {results[False][0]:8.1f} ms")
@@ -344,8 +351,8 @@ def main() -> int:
     print(f"set_balance on an existing balance  {bench_set_balance(reps):8.3f} us/call ({LIVE} live)")
     digest_us = bench_digest_after_account_write(reps, coins)
     print(f"state_digest, UTXO side unchanged   {digest_us:8.3f} us/call ({SIZES[0]} utxos)")
-    for n, (many, each) in bench_add_many(reps).items():
-        print(f"add_many of {n:3d} entries           {many:8.3f} us/entry, add {each:8.3f} us/entry")
+    for n, us in bench_fold(reps).items():
+        print(f"fold of {n:3d} noted entries          {us:8.3f} us/entry")
     bench_fanout(cfg, reps)
     return 0
 

@@ -10,12 +10,27 @@ ledger. For each workload and seed it prints:
   and how many plans took more than one message
 - the number of parallel waves the scheduler forked
 
+A second table is the census of both CPUs over the timed commits only:
+- commit s, the wall time of their apply_batch calls
+- the helper's time inside helper._run, checks and vector jobs (sums and
+  LtHash deltas) apart, read from a counter in shared memory, and its busy
+  share of commit s
+- the caller's time in LtHash expansions and lane arithmetic (lthash's
+  functions and LtHash's methods) and, apart, in ledger.state_digest
+- the libsodium checks and the vector jobs (sums and deltas) by who
+  computed them: the helper; the caller helping, that is computing a job
+  from the back while the helper held the one it asked; the caller
+  computing the very job it asked through the table (the cursor's), which
+  the helper had not reached; and, inline, a check the table does not
+  hold or a delta the caller folds without a vector
+
 It runs perfbench/run.py's main in-process, with its own output dropped,
 and only wraps the ledger's functions and the pipe's send, so perfbench is
 used unedited. Sums are planned only where the host sees the helper's
 stores in order (x86-64), and plans are made and sent only where the
 helper runs (libsodium and two CPUs); elsewhere those counts, checks
-included, read 0.
+included, read 0. The wrappers cost time of their own, so the seconds are
+for comparing trees under the same census, not for the throughput.
 
 Usage: python benchmarks/bench_traffic.py [--workloads W ...] [--seeds N ...] [--seconds S]
 """
@@ -25,8 +40,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import mmap
 import multiprocessing.connection
+import os
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -35,7 +53,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402
 import run as perfbench  # noqa: E402
-from tierledger import helper, ledger, scheduler  # noqa: E402
+from tierledger import crypto, helper, ledger, lthash, scheduler  # noqa: E402
 
 
 @contextlib.contextmanager
@@ -101,19 +119,155 @@ ROWS = [
     "check", "sum create", "sum remove", "plans sent", "plan messages", "plans of 2+ messages", "parallel waves",
 ]
 
+# Shared with the helper, as doubles: whether a timed commit runs, then its
+# time in _run on checks and on vector jobs, and the jobs of each kind.
+TIMED, HELPER_CHECK_S, HELPER_VECTOR_S, HELPER_CHECKS, HELPER_VECTORS = range(5)
+CPU_ROWS = [
+    "commit s", "helper busy s", "helper busy share", "helper checks s", "helper vectors s",
+    "caller lthash s", "caller state_digest s",
+    "checks by helper", "checks by caller helping", "checks by caller own", "checks inline",
+    "vectors by helper", "vectors by caller helping", "vectors by caller own", "vectors inline",
+]
+LTHASH_METHODS = (
+    "add", "add_many", "add_lanes", "remove", "remove_many", "remove_lanes", "settle", "digest",
+)
 
-def census(workload: str, seed: int, seconds: float) -> Counter:
+
+def stop_helper() -> None:
+    """Close the helper's pipe, so that it exits, and forget it: the next
+    batch forks one that runs the functions wrapped since."""
+    running, helper._helper = helper._helper, None
+    if running is not None:
+        running[1].close()
+        running[0].join(10)
+
+
+@contextlib.contextmanager
+def second_cpu(counts: Counter):
+    """The census of both CPUs over perfbench's timed commits, into counts.
+    Names missing from a tree (an older tree has no deltas) are skipped."""
+    shared = memoryview(mmap.mmap(-1, 8 * 5)).cast("d")
+    caller = os.getpid()
+    depth = [0]  # the caller's calls into timed code, outermost first
+    patched: list = []
+
+    def patch(owner, name: str, wrapper) -> None:
+        real = getattr(owner, name, None)
+        if real is not None:
+            patched.append((owner, name, real))
+            setattr(owner, name, wrapper(real))
+
+    def timed_as(row: str):
+        def wrapper(real):
+            def timed(*args, **kwargs):
+                if not shared[TIMED] or os.getpid() != caller or depth[0]:
+                    return real(*args, **kwargs)
+                depth[0] += 1
+                t0 = time.perf_counter()
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    counts[row] += time.perf_counter() - t0
+                    depth[0] -= 1
+            return timed
+        return wrapper
+
+    def run(real):
+        def counted(table, slot, job, claim):
+            vector = len(job) < 3
+            if os.getpid() == caller:
+                if shared[TIMED]:
+                    own = slot == int.from_bytes(table[: helper.HEAD], "little")
+                    counts[f"{'vectors' if vector else 'checks'} by caller {'own' if own else 'helping'}"] += 1
+                    counts["checks inline"] -= not vector  # counted again by sodium
+                return real(table, slot, job, claim)
+            t0 = time.perf_counter()
+            try:
+                return real(table, slot, job, claim)
+            finally:
+                if shared[TIMED]:
+                    shared[HELPER_VECTOR_S if vector else HELPER_CHECK_S] += time.perf_counter() - t0
+                    shared[HELPER_VECTORS if vector else HELPER_CHECKS] += 1
+        return counted
+
+    def sodium(real):
+        def counted(*key):
+            if shared[TIMED] and os.getpid() == caller:
+                counts["checks inline"] += 1
+            return real(*key)
+        return counted
+
+    def settle(real):
+        def counted(self, delta, lanes=None):
+            if lanes is None and shared[TIMED]:
+                counts["vectors inline"] += 1
+            return real(self, delta, lanes)
+        return counted
+
+    def window(real):
+        def timed_commits(*args, **kwargs):
+            shared[TIMED] = 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                shared[TIMED] = 0
+        return timed_commits
+
+    def apply(real):
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return real(*args, **kwargs)
+            finally:
+                if shared[TIMED]:
+                    counts["commit s"] += time.perf_counter() - t0
+        return timed
+
+    stop_helper()
+    patch(perfbench, "commit_all", window)
+    patch(ledger, "apply_batch", apply)
+    patch(ledger, "state_digest", timed_as("caller state_digest s"))
+    for name in ("_lanes", "vector"):
+        patch(lthash, name, timed_as("caller lthash s"))
+    for name in LTHASH_METHODS:
+        patch(lthash.LtHash, name, timed_as("caller lthash s"))
+    patch(lthash.LtHash, "settle", settle)
+    patch(helper, "_run", run)
+    patch(crypto, "_sodium_check", sodium)
+    try:
+        yield
+    finally:
+        stop_helper()
+        for owner, name, real in reversed(patched):
+            setattr(owner, name, real)
+        counts["helper checks s"] = shared[HELPER_CHECK_S]
+        counts["helper vectors s"] = shared[HELPER_VECTOR_S]
+        counts["helper busy s"] = shared[HELPER_CHECK_S] + shared[HELPER_VECTOR_S]
+        counts["helper busy share"] = counts["helper busy s"] / counts["commit s"] if counts["commit s"] else 0.0
+        counts["checks by helper"] = int(shared[HELPER_CHECKS])
+        counts["vectors by helper"] = int(shared[HELPER_VECTORS])
+
+
+def census(workload: str, seed: int, seconds: float) -> tuple[Counter, Counter]:
+    """The traffic census over the whole run, and the census of both CPUs
+    over its timed commits, from two runs, so that neither census's
+    wrappers slow the other."""
     counts: Counter = Counter()
+    cpus: Counter = Counter()
     argv = sys.argv
     sys.argv = ["run.py", "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}"]
     try:
-        with counting(counts), contextlib.redirect_stdout(io.StringIO()):
-            status = perfbench.main()
+        for tally in (counting(counts), second_cpu(cpus)):
+            with tally, contextlib.redirect_stdout(io.StringIO()):
+                if perfbench.main() != 0:
+                    raise SystemExit(f"perfbench failed on {workload} seed {seed}")
     finally:
         sys.argv = argv
-    if status != 0:
-        raise SystemExit(f"perfbench failed on {workload} seed {seed}")
-    return counts
+    return counts, cpus
+
+
+def cell(value) -> str:
+    return f"{value:>26.4f}" if isinstance(value, float) else f"{value:>26}"
 
 
 def main() -> None:
@@ -125,10 +279,16 @@ def main() -> None:
     print(f"--seconds {args.seconds:g}; large = {helper.PLANNED_SUM} entries or more; "
           f"lists and jobs over set-up, timed commit and replay of {perfbench.LEDGERS} ledgers")
     print(f"{'workload':<20}{'seed':>6}" + "".join(f"{row:>22}" for row in ROWS))
+    cpus = []
     for workload in args.workloads:
         for seed in args.seeds:
-            counts = census(workload, seed, args.seconds)
+            counts, cpu = census(workload, seed, args.seconds)
+            cpus.append((workload, seed, cpu))
             print(f"{workload:<20}{seed:>6}" + "".join(f"{counts[row]:>22}" for row in ROWS), flush=True)
+    print("\nboth CPUs over the timed commits (a run of its own, under the census's wrappers)")
+    print(f"{'workload':<20}{'seed':>6}" + "".join(f"{row:>26}" for row in CPU_ROWS))
+    for workload, seed, cpu in cpus:
+        print(f"{workload:<20}{seed:>6}" + "".join(cell(cpu[row]) for row in CPU_ROWS))
 
 
 if __name__ == "__main__":

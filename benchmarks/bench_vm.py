@@ -23,8 +23,9 @@ Then, each the best of five runs unless it says otherwise:
   gas_limit 100 that cycle through 65 distinct 4 KiB block codes, one more
   than the compile cache holds;
 - SSTORE commit, one run: µs and resident bytes per new slot for
-  StateDiff.apply of one call that stores 100,000 slots (18 gas each), and
-  ns per gas of that commit;
+  StateDiff.apply of one call that stores 100,000 slots (18 gas each) and
+  the account digest that folds their LtHash entries, and ns per gas of
+  that commit;
 - per-op: ns per gas of the burn loop with no compiled arms, so that every
   op runs through the per-op loop in vm._Machine.run_frame; the best of
   [iterations] single calls (about 2 ms each), since a short window is the
@@ -200,6 +201,7 @@ def print_sstore_commit(acc: vm.Accounts) -> None:
     gc.collect()
     rss, t0 = resident_bytes(), time.perf_counter()
     diff.apply(acc, OPERATOR)
+    acc.lthash.digest()
     seconds = time.perf_counter() - t0
     gc.collect()
     grown = resident_bytes() - rss

@@ -1,13 +1,15 @@
 """One forked helper process that works through a batch's plan ahead of the
 caller, which asks the same jobs in any order, and shares each result
 through one table in shared memory (`split`). The plan, made only while a
-helper runs, reaches it in parts as the batch is read. A job is a signature
-check, each of whose triples ends as a libsodium verdict byte, or a sum of
-UTXO entries, which ends as the entries' own LtHash `digest()`. A result is
-looked up by the exact triple or entries the caller would compute it from,
-so a wrong or stale plan costs only wasted work. A job the plan missed, one
-past the table's room, and all work on one CPU or without libsodium run
-inline: no verdict, digest, receipt or log byte depends on the helper.
+helper runs, reaches it in parts as the batch is read, and the batch's
+LtHash deltas follow it as the batch closes them (`post`). A job is a
+signature check, each of whose triples ends as a libsodium verdict byte,
+or a sum or delta of LtHash entries, which ends as its lane vector. A
+result is looked up by the exact triple or entries the caller would compute
+it from, so a wrong or stale plan costs only wasted work. A job the plan
+missed, one past the table's room, and all work on one CPU or without
+libsodium run inline: no verdict, digest, receipt or log byte depends on
+the helper.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ import mmap
 import multiprocessing
 import os
 import platform
+import select
 import signal
 from collections import deque
 from contextlib import contextmanager, suppress
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from . import crypto
-from .lthash import DIGEST_BYTES, LtHash
+from . import crypto, lthash
+from .lthash import DIGEST_BYTES
 
 # Entries per sum job: a transaction's created outputs are cut into sums of
 # CHUNK, so that a fan-out's large transactions are shared out. Fewer than
@@ -34,55 +37,64 @@ CHUNK, PLANNED_SUM = 128, 8
 # plan. Each message costs both processes a pickle and a wake-up, so a batch
 # of a few small transactions still goes as one.
 PART_SLOTS = 32
+# Expansions the helper keeps (lthash.keep), more than a caller does: it
+# expands most of a batch's LtHash entries, so an entry a delta removes is
+# mostly one it added, and its memory is its own.
+HELPER_RECENT = 1024
 
 Check = tuple[Sequence[bytes], bytes, Sequence[bytes]]  # (pubkeys, msg, sigs)
-# A sum job holds its UTXO entries in a 1-tuple, so it never equals a
-# check's 3-tuple as a key, and pickles as plainly.
-Sum = tuple[tuple[bytes, ...]]
-Job = Union[Check, Sum]
+# A vector job is an LtHash delta: a sum holds its UTXO entries in a
+# 1-tuple, a delta its added and its removed entries in a 2-tuple, so that
+# neither equals a check's 3-tuple as a key, and both pickle plainly.
+Job = Union[Check, lthash.Delta]
 
 # The table in shared memory: a 4-byte cursor (the slot the caller asked
 # last, in any order, or DONE after the batch), then a state byte per
-# planned triple or sum in plan order, then one DIGEST_BYTES vector per
-# slot for the first SUM_SLOTS slots; its pages are touched only by the sums
-# a batch plans. Claims are plain byte writes: the helper claims from the
-# front and the caller, helping, from the back, so both compute one job only
-# when they race for the last free slot. A sum's slot ends ACCEPT once its
-# vector is written; the helper writes the vector first, and the caller
-# reads it only after the byte, which is sound only where stores are seen in
-# order (x86-64). So sums are planned only there, and checks, whose result
-# is the byte itself, everywhere.
+# planned triple or vector job in plan order, then one DIGEST_BYTES vector
+# per slot for the first SUM_SLOTS slots; its pages are touched only by the
+# vector jobs a batch holds. Claims are plain byte writes: the helper claims
+# from the front and the caller, helping, from the back, so both compute one
+# job only when they race for the last free slot. A vector job's slot ends
+# ACCEPT once its vector is written; the helper writes the vector first, and
+# the caller reads it only after the byte, which is sound only where stores
+# are seen in order (x86-64). So vector jobs go to the helper only there,
+# and checks, whose result is the byte itself, everywhere.
 FREE, HELPING, CALLING, ACCEPT, REJECT = range(5)
 HEAD, TABLE_SLOTS, SUM_SLOTS, DONE = 4, 1 << 16, 1 << 12, 2**32 - 1  # planned work past them runs inline
 ORDERED_STORES = platform.machine() in ("x86_64", "AMD64")
 # The helper (process, the caller's end of its pipe, table); the running
-# batch's job -> offset (None outside `split`) and offset - HEAD -> job.
+# batch's job -> offset (None outside `split`), offset - HEAD -> job, the
+# number of jobs planned before it ran, and the function behind `post`.
 _helper: Optional[tuple] = None
 _slots: Optional[dict] = None
 _jobs: list = []
+_planned = 0
+_more: Optional[Callable[[Sequence[lthash.Delta], bool], None]] = None
 
 
-def sums(entries: Sequence[bytes]) -> list[Sum]:
+def sums(entries: Sequence[bytes]) -> list[lthash.Delta]:
     """entries as the sum jobs that plan and apply them alike."""
     return [(tuple(entries[i : i + CHUNK]),) for i in range(0, len(entries), CHUNK)]
 
 
-def _index(part: Sequence[Job], slots: dict) -> None:
+def _index(part: Sequence[Job], slots: dict) -> list:
     """Give each new job in part the next table offset while the table has
-    room: a sum among the first SUM_SLOTS slots, and for a check each triple
-    that `check_multisig`'s greedy pass may ask libsodium (signature j
-    against keys j onwards). Both sides index the same parts in plan order,
-    so they agree on every offset."""
+    room, and return the new keys: a vector job among the first SUM_SLOTS
+    slots, and for a check each triple that `check_multisig`'s greedy pass
+    may ask libsodium (signature j against keys j onwards). Both sides index
+    the same parts in plan order, so they agree on every offset."""
+    new = []
     for job in part:
-        if len(job) == 1:
-            if len(slots) < SUM_SLOTS:
-                slots.setdefault(job, HEAD + len(slots))
-            continue
-        pubkeys, msg, sigs = job
-        for j, sig in enumerate(sigs):
-            for pubkey in pubkeys[j:]:
-                if len(slots) < TABLE_SLOTS:
-                    slots.setdefault((pubkey, msg, sig), HEAD + len(slots))
+        if len(job) < 3:
+            keys: Sequence = (job,) if len(slots) < SUM_SLOTS else ()
+        else:
+            pubkeys, msg, sigs = job
+            keys = [(pubkey, msg, sig) for j, sig in enumerate(sigs) for pubkey in pubkeys[j:]]
+        for key in keys:
+            if key not in slots and len(slots) < TABLE_SLOTS:
+                slots[key] = HEAD + len(slots)
+                new.append(key)
+    return new
 
 
 def _vector(slot: int) -> slice:
@@ -93,12 +105,10 @@ def _vector(slot: int) -> slice:
 
 def _run(table: mmap.mmap, slot: int, job: tuple, claim: int) -> Union[bool, bytes]:
     """job's result, computed under claim and written to its slot: a
-    triple's libsodium verdict, or a sum's vector."""
+    triple's libsodium verdict, or a vector job's lanes."""
     table[slot] = claim
-    if len(job) == 1:
-        acc = LtHash()
-        acc.add_many(job[0])
-        table[_vector(slot)] = result = acc.digest()
+    if len(job) < 3:
+        table[_vector(slot)] = result = lthash.vector(job)
         table[slot] = ACCEPT
         return result
     result = crypto._sodium_check(*job)
@@ -106,39 +116,53 @@ def _run(table: mmap.mmap, slot: int, job: tuple, claim: int) -> Union[bool, byt
     return result
 
 
-def sharing() -> bool:
-    """Whether a batch's planned jobs may be answered from the helper's table."""
-    return _slots is not None
+def planned(job: Job) -> Optional[Job]:
+    """The running batch's own copy of job, if its plan holds it."""
+    slot = None if _slots is None else _slots.get(job)
+    return None if slot is None else _jobs[slot - HEAD]
 
 
 def ask(job: Job) -> Union[None, bool, bytes]:
     """job's result through the running batch's table (a triple's verdict, a
-    sum's vector), or None if job is not planned. While the helper computes
-    the caller's slot, the caller computes the last free slot, since the
-    helper works from the front; with none left it waits, as long as the
-    helper lives."""
+    vector job's lanes), or None if job is not in the plan. While the helper
+    computes the caller's slot, the caller computes the last free slot, since
+    the helper works from the front; with none left it waits for a check, as
+    long as the helper lives. A check helps only with the jobs planned before
+    the batch ran: a delta takes longer than the check the caller waits for,
+    and the deltas are the helper's while the batch runs. A vector job that
+    the helper has not written is the caller's to compute, without its
+    vector (None): claimed if free, and else computed alike, since its
+    vector is the same whoever computes it."""
     slot = None if _slots is None else _slots.get(job)
     if slot is None:
         return None
     process, _, table = _helper
     table[:HEAD] = slot.to_bytes(HEAD, "little")
+    helped = HEAD + (len(_jobs) if len(job) < 3 else _planned)
     while (state := table[slot]) == HELPING:
-        if (free := table.rfind(b"\0", HEAD, HEAD + len(_jobs))) > 0:
+        if (free := table.rfind(b"\0", HEAD, helped)) > 0:
             _run(table, free, _jobs[free - HEAD], CALLING)
-        elif not process.is_alive():
+        elif len(job) < 3 or not process.is_alive():
             break
-    if state < ACCEPT:
-        return _run(table, slot, job, CALLING)
-    return table[_vector(slot)] if len(job) == 1 else state == ACCEPT
+    if state >= ACCEPT:
+        return table[_vector(slot)] if len(job) < 3 else state == ACCEPT
+    if len(job) < 3:
+        if state == FREE:
+            table[slot] = CALLING
+        return None
+    return _run(table, slot, job, CALLING)
 
 
 def _serve(conn: multiprocessing.connection.Connection, table: mmap.mmap) -> None:
     """The helper process: for each plan, each free job in order but the one
     under the caller's cursor, a check through `check_multisig`'s libsodium
     pass, reading the parts that have arrived between jobs, until the plan
-    has ended and the batch is done; then an acknowledgement, after which it
-    writes nothing until it blocks on the next plan. EOF ends it."""
+    has ended; then an acknowledgement, after which it writes nothing until
+    it blocks on the next plan. EOF ends it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C stops the parent, and EOF this
+    lthash.keep(HELPER_RECENT)
+    waiting = select.poll()  # a tenth of conn.poll()'s cost, paid between every two jobs
+    waiting.register(conn.fileno(), select.POLLIN)
 
     def take(job: tuple) -> bool:
         """False only for a rejected triple."""
@@ -163,13 +187,13 @@ def _serve(conn: multiprocessing.connection.Connection, table: mmap.mmap) -> Non
                 # Read waiting parts between jobs, so that a caller blocked on
                 # a full pipe waits for one job at most; wait for a part only
                 # with no job left.
-                if not ended and (not jobs or conn.poll()):
+                if not ended and (not jobs or waiting.poll(0)):
                     part, ended = conn.recv()
                     _index(part, slots)
                     jobs.extend(part)
                     continue
                 job = jobs.popleft()
-                if len(job) == 1:
+                if len(job) < 3:
                     take(job)
                 else:
                     pubkeys, msg, sigs = job
@@ -179,12 +203,14 @@ def _serve(conn: multiprocessing.connection.Connection, table: mmap.mmap) -> Non
 
 def _ready_helper() -> tuple:
     """The helper once it has acknowledged its last batch, after which it
-    writes nothing until the next plan; a new helper if it died."""
+    writes nothing until the next plan; a new helper if it died, also since
+    its acknowledgement."""
     global _helper
     if _helper is not None:
         with suppress(EOFError, OSError):  # else it died; starting the next process reaps it
             _helper[1].recv_bytes()
-            return _helper
+            if _helper[0].is_alive():
+                return _helper
     table, (conn, child_end) = mmap.mmap(-1, TABLE_SLOTS + (HEAD + SUM_SLOTS) * DIGEST_BYTES), multiprocessing.Pipe()
     fork = multiprocessing.get_context("fork")
     process = fork.Process(target=_serve, args=(child_end, table), name="tierledger-helper", daemon=True)
@@ -201,8 +227,12 @@ def split(items: Iterable, plan: Callable[..., Sequence[Job]]) -> Iterator[list]
     """Read items whole before the block runs, and hand the block the list
     read. Only with libsodium and two CPUs is a helper used: then plan(item),
     the item's part of the batch's plan, is made as it is read, and the
-    helper starts on each part as it is sent; otherwise nothing is planned."""
-    global _slots, _jobs
+    helper starts on each part as it is sent; otherwise nothing is planned.
+    A batch of PART_SLOTS items or more, where the host sees the helper's
+    stores in order, shares its LtHash deltas (`post`), and its plan stays
+    open for them until the block ends; a smaller one, whose deltas would
+    not fill a part, ends its plan as soon as it is read."""
+    global _slots, _jobs, _planned, _more
     if crypto.CPUS < 2 or crypto._sodium_verify() is None:
         yield list(items)
         return
@@ -211,42 +241,77 @@ def split(items: Iterable, plan: Callable[..., Sequence[Job]]) -> Iterator[list]
     table[:HEAD] = bytes(HEAD)
     read: list = []
     slots: dict = {}
+    jobs: list = []
     message: list = []
     sent = 0  # slots the helper has been sent
+    ended = False
+    posted: list = []  # deltas not yet added
 
-    def send(ended: bool) -> None:
-        nonlocal message, sent
-        table[HEAD + sent : HEAD + len(slots)] = bytes(len(slots) - sent)
+    def send(end: bool) -> None:
+        nonlocal message, sent, ended
         with suppress(OSError):  # a helper that died since: its slots run inline, a new one next batch
-            conn.send((message, ended))
-        message, sent = [], len(slots)
+            conn.send((message, end))
+        message, sent, ended = [], len(slots), end
+
+    def add(part: Sequence[Job], now: bool = False) -> None:
+        """Index part, whose new slots start free, and send what has
+        gathered now or once it holds a sum job or PART_SLOTS new slots."""
+        nonlocal message
+        new = _index(part, slots)
+        table[HEAD + len(jobs) : HEAD + len(slots)] = bytes(len(new))
+        jobs.extend(new)
+        message += part
+        if now or len(slots) - sent >= PART_SLOTS or any(len(job) == 1 for job in part):
+            send(False)
+
+    def more(deltas: Sequence[lthash.Delta], end: bool) -> None:
+        """post: the deltas the plan does not hold, added and sent in parts
+        of PART_SLOTS, and the rest with the end of the plan; nothing once
+        the plan has ended."""
+        if ended:
+            return
+        posted.extend(deltas)
+        if end or len(posted) >= PART_SLOTS:
+            add([delta for delta in posted if delta not in slots], not end)
+            posted.clear()
+            if end:
+                send(True)
 
     try:
-        try:
-            for item in items:
-                read.append(item)
-                part = plan(item)
-                _index(part, slots)
-                message += part
-                if len(slots) - sent >= PART_SLOTS or any(len(job) == 1 for job in part):
-                    send(False)
-        finally:
-            send(True)  # the rest and the end of the plan, also when reading it raised
-        _slots, _jobs = slots, list(slots)
+        for item in items:
+            read.append(item)
+            add(plan(item))
+        shares = ORDERED_STORES and len(read) >= PART_SLOTS
+        if message or not shares:
+            send(not shares)  # the plan's tail, for the helper to start on
+        _slots, _jobs, _planned, _more = slots, jobs, len(jobs), more if shares else None
         yield read
     finally:
-        _slots, _jobs = None, []
+        _slots, _jobs, _more = None, [], None
         if _helper is helper:  # not in a forked child
+            if not ended:
+                send(True)  # the end of the plan, also when reading it or the block raised
             table[:HEAD] = DONE.to_bytes(HEAD, "little")
+
+
+def post(deltas: Sequence[lthash.Delta], end: bool = False) -> bool:
+    """Whether the running batch shares its LtHash deltas (see `split`);
+    if so, add deltas to its plan, in parts of PART_SLOTS; until its part
+    is added, a delta is not in the plan. end adds the rest and ends the
+    plan."""
+    if _more is None:
+        return False
+    _more(deltas, end)
+    return True
 
 
 def _forget_helper() -> None:
     """In a forked child: work inline, never touching the parent's table or pipe."""
-    global _helper, _slots
+    global _helper, _slots, _more
     if _helper is not None:
         _helper[1].close()
         multiprocessing.process._children.discard(_helper[0])  # the child's exit must not stop it
-    _helper = _slots = None
+    _helper = _slots = _more = None
 
 
 if hasattr(os, "register_at_fork"):

@@ -8,6 +8,7 @@ receipts). Replay consumes exactly these files.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -169,32 +170,31 @@ class LedgerState:
         self.epoch = 0
         self.batch_number = 0
         self.prev_header_hash = ZERO_HASH
+        self._digest_prefix: tuple = (None, None)  # state_digest's (UTXO digest, sha256 of the tag and it)
 
     def put_utxos(self, tx_id: bytes, outputs: Sequence[Output], first_index: int = 0) -> None:
         """Create outputs as (tx_id, first_index), (tx_id, first_index + 1),
-        ...; their entries go into the UTXO LtHash: while a batch shares its
-        work with the helper, as the sum jobs it answers and the rest, and
-        otherwise in one call."""
+        ...; their entries are noted in the UTXO LtHash, a list of
+        helper.PLANNED_SUM or more as the sum jobs a batch's plan holds."""
         ops = outpoint_range(tx_id, first_index, first_index + len(outputs))
         entries = [utxo_entry(op, out) for op, out in zip(ops, outputs)]
         for op, out in zip(ops, outputs):
             self._utxos[op] = out
             if out.expiry is not None:
                 self._expiring.setdefault(out.expiry, set()).add(op)
-        parts = [(job[0], helper.ask(job)) for job in helper.sums(entries)] if helper.sharing() else [(entries, None)]
-        for part, vector in parts:
-            if vector is None:
-                self.utxo_lthash.add_many(part)
-            else:
-                self.utxo_lthash.add_lanes(int.from_bytes(vector, "little"))
+        if len(entries) >= helper.PLANNED_SUM:
+            for job in helper.sums(entries):
+                self.utxo_lthash.defer(helper.planned(job) or job)  # the plan's copy: the batch holds one
+        else:
+            self.utxo_lthash.add_many(entries)
         self.utxo_total += sum(out.amount for out in outputs)
 
     def put_utxo(self, op: Outpoint, out: Output) -> None:
         self.put_utxos(op.txid, (out,), op.index)
 
     def spend_utxos(self, ops: Sequence[Outpoint]) -> int:
-        """Spend ops, whose entries leave the UTXO LtHash; returns their
-        total amount."""
+        """Spend ops, whose entries are noted as leaving the UTXO LtHash;
+        returns their total amount."""
         entries, amount = [], 0
         for op in ops:
             out = self._utxos.pop(op)
@@ -236,19 +236,27 @@ class LedgerState:
 _DIGEST_TAG = b"tierledger/state/lthash16/v1"
 
 
-def state_digest(state: LedgerState) -> bytes:
+def _counters(state: LedgerState) -> bytes:
+    """The supply counters and the epoch, as state_digest hashes them."""
+    return _DIGEST_COUNTERS.pack(state.issued, state.expired, state.utxo_total, state.account_total, state.epoch)
+
+
+def state_digest(state: LedgerState, counters: Optional[bytes] = None) -> bytes:
     """Commitment to the economic state: sha256 over a tag, the LtHash of
     the UTXO entries, the LtHash of the account entries (nonzero balances,
     nonzero storage slots, contract code hashes), the supply counters and
-    the epoch. The accumulators are kept by the write API, so this costs
-    the same whatever the state's size. Nonces and the pending pool are not
-    committed."""
-    counters = _DIGEST_COUNTERS.pack(
-        state.issued, state.expired, state.utxo_total, state.account_total, state.epoch
-    )
-    return sha256(b"".join(
-        (_DIGEST_TAG, state.utxo_lthash.digest(), state.accounts.lthash.digest(), counters)
-    ))
+    the epoch (counters, from _counters, or else the state's own). The
+    accumulators are kept by the write API, so this costs the same whatever
+    the state's size. Nonces and the pending pool are not committed. The
+    hash of the tag and the UTXO LtHash is kept while that LtHash's digest
+    is the same object, so a run of contract receipts hashes only the rest."""
+    utxo = state.utxo_lthash.digest()
+    if state._digest_prefix[0] is not utxo:
+        state._digest_prefix = (utxo, hashlib.sha256(_DIGEST_TAG + utxo))
+    h = state._digest_prefix[1].copy()
+    h.update(state.accounts.lthash.digest())
+    h.update(_counters(state) if counters is None else counters)
+    return h.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +315,13 @@ def _transfer(
     epoch: int,
     cfg: rules.SystemConfig,
     batch_spent: set[Outpoint],
+    matured: bool = False,
 ) -> int:
     """The one routine for UtxoSpend, MoveToAccount and MoveToUtxo: pending-
     pool admission, the validity window, the kind's checks, then the state
-    writes and the operator fee. Returns the receipt status; a rejection
-    writes nothing."""
+    writes and the operator fee. A matured pending transaction's input locks
+    passed at its admission and are not checked again. Returns the receipt
+    status; a rejection writes nothing."""
     k = tx.kind
     accounts = state.accounts
     if isinstance(k, UtxoSpend) and tx.not_before is not None and tx.not_before > epoch:
@@ -336,7 +346,7 @@ def _transfer(
         accounts.set_balance(k.source, accounts.balance(k.source) - k.amount)
         accounts.set_nonce(k.source, tx.nonce + 1)
     else:
-        status, fee = utxo.validate_spend(tx, tx_id, state.utxos, epoch, cfg, batch_spent)
+        status, fee = utxo.validate_spend(tx, tx_id, state.utxos, epoch, cfg, batch_spent, matured)
         if status != utxo.OK:
             return status
         batch_spent.update(k.inputs)
@@ -412,26 +422,49 @@ def apply_batch(
     it as it is read: an iterable that raises leaves the state as it was."""
     if epoch < state.epoch:
         raise BatchError(f"batch epoch {epoch} below ledger epoch {state.epoch}")
-    # Matured pending transactions (never pooled again) run ahead of new submissions.
-    pending = [(e.tx, e.tx_id) for e in state.pool.mature(epoch)]
+    # Matured pending transactions (never pooled again) run ahead of new
+    # submissions. Their locks passed at admission.
+    pending = [(e.tx, e.tx_id, True) for e in state.pool.mature(epoch)]
     batch_spent: set[Outpoint] = set()
     contract_buffer: list[tuple[int, Transaction, bytes]] = []
+    # Each receipt, each flush's start and the header close an interval of
+    # state writes, whose digest is the interval's own. In a batch that
+    # shares its LtHash deltas with the helper, they go to it as they close,
+    # and the batch settles them in order at its end, also if a write
+    # raised, taking each digest with the counters kept at its close;
+    # otherwise each interval is settled as it closes.
+    accumulators = state.utxo_lthash, state.accounts.lthash
+    digests: list[bytes] = []  # per interval; b"" until settled
+    shared: list[tuple[int, list, list, bytes]] = []  # (interval, deltas of each accumulator, counters)
+
+    def close(end: bool = False) -> int:
+        """The interval since the last close, closed: its index."""
+        deltas = [acc.close() for acc in accumulators]
+        if helper.post(deltas[0] + deltas[1], end):
+            shared.append((len(digests), *deltas, _counters(state)))
+            digests.append(b"")
+        else:
+            for acc, acc_deltas in zip(accumulators, deltas):
+                for delta in acc_deltas:
+                    acc.settle(delta, helper.ask(delta))  # a planned sum may be the helper's
+            digests.append(state_digest(state))
+        return len(digests) - 1
 
     def flush_contracts() -> None:
         if not contract_buffer:
             return
 
-        before = state_digest(state)  # the state a refused call's admission saw
+        before = close()  # the state a refused call's admission saw
 
         def on_commit(idx: int, outcome: vm.ExecOutcome) -> None:
             i, _, tx_id = contract_buffer[idx]
-            receipts[i] = Receipt(tx_id, outcome.status, outcome.gas_used, Level.L3, state_digest(state))
+            results[i] = (tx_id, outcome.status, outcome.gas_used, Level.L3, close())
 
         def admit(idx: int) -> bool:
             i, tx, tx_id = contract_buffer[idx]
             if _auth_signed(tx, tx_id):
                 return True
-            receipts[i] = Receipt(tx_id, codes.BAD_AUTH, 0, Level.L3, before)
+            results[i] = (tx_id, codes.BAD_AUTH, 0, Level.L3, before)
             return False
 
         _, telemetry = scheduler.schedule_batch(
@@ -448,45 +481,59 @@ def apply_batch(
             collect_telemetry.append(telemetry)
         contract_buffer.clear()
 
-    batch = chain(pending, ((tx, compute_txid(tx)) for tx in txs))
-    with helper.split(batch, lambda item: _plan(state.utxos, *item)) as work:
-        receipts: list[Optional[Receipt]] = [None] * len(work)
-        state.pool.drain(epoch)
-        state.epoch = epoch
-        # 1. Expire the due outputs, before any validation.
-        state.expired += state.spend_utxos(rules.apply_expiry(state.expiring, epoch, cfg))
-        # 2. Coinbase issuance to the operator. Capped so that issued, and
-        # with it every supply counter and balance, stays within u64.
-        sub = min(rules.subsidy(epoch, cfg), U64_MAX - state.issued)
-        if sub > 0:
-            cb = _coinbase_outpoint(state.batch_number)
-            state.put_utxos(cb.txid, (Output(sub, Lock.pay_to_pubkey(cfg.operator_pubkey)),))
-            state.issued += sub
-        # 3. The transactions, in order.
-        for i, (tx, tx_id) in enumerate(work):
-            level = classify_level(tx, state.utxos)
-            actor = _actor(tx.kind)
-            if cfg.max_level < level:
-                status = codes.LEVEL_EXCEEDS_CONFIG
-            elif actor is not None and not _auth_names(tx, actor):
-                status = codes.BAD_AUTH
-            elif isinstance(tx.kind, (Deploy, Call)):
-                status = _contract_gate(tx, tx_id, epoch, cfg)
-                if status == codes.OK:
-                    contract_buffer.append((i, tx, tx_id))
-                    continue
-                if not _auth_signed(tx, tx_id):
-                    status = codes.BAD_AUTH
-            elif actor is not None and not _auth_signed(tx, tx_id):
-                status = codes.BAD_AUTH
-            else:
-                flush_contracts()
-                status = _transfer(state, tx, tx_id, epoch, cfg, batch_spent)
-            receipts[i] = Receipt(tx_id, status, 0, level, state_digest(state))
-        flush_contracts()
+    def plan(item: tuple[Transaction, bytes, bool]) -> list[helper.Job]:
+        tx, tx_id, matured = item
+        return _plan({} if matured else state.utxos, tx, tx_id)  # a matured one's inputs need no check
 
-    assert None not in receipts
-    txs_hash = sha256(b"".join(sha256(full_serialize(tx)) for tx, _ in work[len(pending) :]))
+    batch = chain(pending, ((tx, compute_txid(tx), False) for tx in txs))
+    with helper.split(batch, plan) as work:
+        # Per transaction: its receipt's fields but the digest, and its interval.
+        results: list[Optional[tuple]] = [None] * len(work)
+        try:
+            state.pool.drain(epoch)
+            state.epoch = epoch
+            # 1. Expire the due outputs, before any validation.
+            state.expired += state.spend_utxos(rules.apply_expiry(state.expiring, epoch, cfg))
+            # 2. Coinbase issuance to the operator. Capped so that issued, and
+            # with it every supply counter and balance, stays within u64.
+            sub = min(rules.subsidy(epoch, cfg), U64_MAX - state.issued)
+            if sub > 0:
+                cb = _coinbase_outpoint(state.batch_number)
+                state.put_utxos(cb.txid, (Output(sub, Lock.pay_to_pubkey(cfg.operator_pubkey)),))
+                state.issued += sub
+            # 3. The transactions, in order.
+            for i, (tx, tx_id, matured) in enumerate(work):
+                level = classify_level(tx, state.utxos)
+                actor = _actor(tx.kind)
+                if cfg.max_level < level:
+                    status = codes.LEVEL_EXCEEDS_CONFIG
+                elif actor is not None and not _auth_names(tx, actor):
+                    status = codes.BAD_AUTH
+                elif isinstance(tx.kind, (Deploy, Call)):
+                    status = _contract_gate(tx, tx_id, epoch, cfg)
+                    if status == codes.OK:
+                        contract_buffer.append((i, tx, tx_id))
+                        continue
+                    if not _auth_signed(tx, tx_id):
+                        status = codes.BAD_AUTH
+                elif actor is not None and not _auth_signed(tx, tx_id):
+                    status = codes.BAD_AUTH
+                else:
+                    flush_contracts()
+                    status = _transfer(state, tx, tx_id, epoch, cfg, batch_spent, matured)
+                results[i] = (tx_id, status, 0, level, close())
+            flush_contracts()
+            close(end=True)  # the header's
+        finally:
+            for i, *deltas, counters in shared:
+                for acc, acc_deltas in zip(accumulators, deltas):
+                    for delta in acc_deltas:
+                        acc.settle(delta, helper.ask(delta))
+                digests[i] = state_digest(state, counters)
+
+    assert None not in results
+    receipts = [Receipt(*result[:4], digests[result[4]]) for result in results]
+    txs_hash = sha256(b"".join(sha256(full_serialize(tx)) for tx, _, _ in work[len(pending) :]))
     receipts_hash = sha256(b"".join(r.hash() for r in receipts))
     header = BatchHeader(
         batch_number=state.batch_number,
@@ -494,7 +541,7 @@ def apply_batch(
         prev_hash=state.prev_header_hash,
         txs_hash=txs_hash,
         receipts_hash=receipts_hash,
-        post_state_digest=state_digest(state),
+        post_state_digest=digests[-1],
         config_hash=cfg.config_hash(),
     )
     state.prev_header_hash = header.hash()

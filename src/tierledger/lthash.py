@@ -7,117 +7,162 @@ A multiset of byte strings hashes to 1024 lanes of 16 bits. Each element
 expands through SHAKE-128 to a vector of lanes, and the multiset's hash is
 the lane-wise sum of its elements' vectors mod 2^16. Adding or removing one
 element costs one expansion whatever the multiset's size, and the result
-does not depend on the order of the updates. A caller that keeps an
-element's vector (_lanes) adds or removes it again with add_lanes and
-remove_lanes, at no expansion.
+does not depend on the order of the updates.
 
-The lanes are packed into two Python ints, the even lanes and the odd
-lanes, each lane in the low half of a 32-bit slot. A lane-wise add is then
-one big-int add and one mask: a slot's upper half takes the carry, so no
-lane spills into the next.
+An accumulator records its updates and expands them later. add and remove
+note an element; close() hands out what was noted since the last close as
+deltas, each a tuple of the elements added and, unless it holds additions
+alone, of the elements removed, and settle() folds a delta back in, either
+from its vector (a `vector()` computed elsewhere, such as in the ledger's
+helper process) or by expanding it. digest() folds what is noted and not
+closed; a delta that was closed counts only once it is settled.
+
+The lanes are packed into one Python int, lane i at bits 16i, which is also
+the digest's byte order. Lane-wise arithmetic works on the whole int at
+once: the lanes' low 15 bits are added or subtracted with each lane's top
+bit masked out, so that no carry or borrow crosses into the next lane, and
+the top bits are then set by exclusive or.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 LANES = 1024
 DIGEST_BYTES = 2 * LANES
 
-# 0xFFFF in the low half of every 32-bit slot, and 2^16 in every slot.
-_MASK = int.from_bytes(b"\xff\xff\x00\x00" * (LANES // 2), "little")
-_ONES = int.from_bytes(b"\x00\x00\x01\x00" * (LANES // 2), "little")
+# Each lane's top bit, and each lane's other 15 bits.
+_TOP = int.from_bytes(b"\x00\x80" * LANES, "little")
+_LOW = int.from_bytes(b"\xff\x7f" * LANES, "little")
+
+# The elements added, then, unless the delta only adds, the elements removed.
+Delta = tuple[tuple[bytes, ...], ...]
 
 
-# Elements summed between two masks in _sums.
-_FOLD = 65_536
-
-
-def _lanes(entry: bytes) -> int:
+def _expand(entry: bytes) -> int:
     """An element's SHAKE-128 expansion as one int, lane i at bits 16i."""
     return int.from_bytes(hashlib.shake_128(entry).digest(DIGEST_BYTES), "little")
 
 
-def _sums(entries: Iterable[bytes]) -> Iterator[tuple[int, int]]:
-    """The even and the odd lanes of entries' expansions, summed in the
-    accumulator's 32-bit slots, one pair per _FOLD entries, so that no slot
-    carries into its neighbour even with a masked lane added to it. Each
-    expansion is summed whole into total and its even lanes into even, so
-    the odd lanes' sum is (total - even) >> 16, exactly. One entry costs
-    the masks and shift that add_lanes makes."""
-    n = 0
+def keep(n: int) -> None:
+    """From now on, keep this process's last n expansions (RECENT at
+    first), which a delta's elements are expanded through: an element
+    removed soon after it was added, such as the operator's balance or a
+    contract's busy slot, is then not expanded again."""
+    global _lanes
+    _lanes = functools.lru_cache(maxsize=n)(_expand)
+
+
+RECENT = 64
+keep(RECENT)
+
+
+def _plus(a: int, b: int) -> int:
+    """a + b, lane by lane, mod 2^16."""
+    return ((a & _LOW) + (b & _LOW)) ^ ((a ^ b) & _TOP)
+
+
+def _minus(a: int, b: int) -> int:
+    """a - b, lane by lane, mod 2^16."""
+    return ((a | _TOP) - (b & _LOW)) ^ (((a ^ b) & _TOP) ^ _TOP)
+
+
+def _sum(entries: Iterable[bytes], expand: Callable[[bytes], int]) -> int:
+    """The lane-wise sum of entries' expansions."""
+    total = 0
     for entry in entries:
-        x = _lanes(entry)
-        if n:
-            total += x
-            even += x & _MASK
-        else:
-            total, even = x, x & _MASK
-        n += 1
-        if n == _FOLD:
-            yield even, (total - even) >> 16
-            n = 0
-    if n:
-        yield even, (total - even) >> 16
+        total = _plus(total, expand(entry)) if total else expand(entry)
+    return total
+
+
+def _delta(delta: Delta) -> int:
+    """delta's lanes: its additions' sum less its removals'. A delta of
+    additions alone, a sum kept whole (`defer`), expands past the kept
+    expansions (`keep`): its many elements would only push the recent ones
+    out."""
+    if len(delta) == 1:
+        return _sum(delta[0], _expand)
+    added = _sum(delta[0], _lanes)
+    return _minus(added, _sum(delta[1], _lanes)) if delta[1] else added
+
+
+def vector(delta: Delta) -> bytes:
+    """delta's lanes as digest() bytes: what settle folds in place of
+    expanding delta."""
+    return _delta(delta).to_bytes(DIGEST_BYTES, "little")
 
 
 class LtHash:
     """Accumulator over a multiset of byte strings, starting empty."""
 
-    __slots__ = ("_even", "_odd", "_digest")
+    __slots__ = ("_packed", "_digest", "_added", "_removed", "_deferred")
 
     def __init__(self) -> None:
-        self._even = 0
-        self._odd = 0
+        self._packed = 0
         self._digest: Optional[bytes] = None
+        self._added: list[bytes] = []
+        self._removed: list[bytes] = []
+        self._deferred: list[Delta] = []
 
     def add(self, entry: bytes) -> None:
-        self.add_lanes(_lanes(entry))
+        self._added.append(entry)
+
+    def add_many(self, entries: Iterable[bytes]) -> None:
+        self._added += entries
+
+    def remove(self, entry: bytes) -> None:
+        self._removed.append(entry)
+
+    def remove_many(self, entries: Iterable[bytes]) -> None:
+        self._removed += entries
+
+    def defer(self, delta: Delta) -> None:
+        """Note delta whole: close() returns it as it is, not merged with
+        the single updates, so that a vector computed ahead for exactly
+        delta can settle it."""
+        self._deferred.append(delta)
+
+    def close(self) -> list[Delta]:
+        """The updates noted since the last close, as deltas: those deferred
+        whole, then one of the single adds and removes, if any. They leave
+        the accumulator, which holds each again once it is settled."""
+        deltas, self._deferred = self._deferred, []
+        if self._added or self._removed:
+            deltas.append((tuple(self._added), tuple(self._removed)))
+            self._added, self._removed = [], []
+        return deltas
+
+    def settle(self, delta: Delta, lanes: Optional[bytes] = None) -> None:
+        """Fold delta, from close(): lanes, its `vector()`, if given, else
+        its own expansions."""
+        self.add_lanes(_delta(delta) if lanes is None else int.from_bytes(lanes, "little"))
 
     def add_lanes(self, x: int) -> None:
         """Add the element whose expansion is x (from _lanes)."""
-        self._even = (self._even + (x & _MASK)) & _MASK
-        self._odd = (self._odd + ((x >> 16) & _MASK)) & _MASK
+        self._packed = _plus(self._packed, x)
         self._digest = None
-
-    def add_many(self, entries: Iterable[bytes]) -> None:
-        """add for each entry."""
-        for even, odd in _sums(entries):
-            self._even = (self._even + even) & _MASK
-            self._odd = (self._odd + odd) & _MASK
-        self._digest = None
-
-    def remove(self, entry: bytes) -> None:
-        self.remove_lanes(_lanes(entry))
 
     def remove_lanes(self, x: int) -> None:
         """Remove the element whose expansion is x (from _lanes)."""
-        # Adding 2^16 per slot first keeps every slot's difference
-        # non-negative, so no borrow crosses a slot boundary.
-        self._even = (self._even + _ONES - (x & _MASK)) & _MASK
-        self._odd = (self._odd + _ONES - ((x >> 16) & _MASK)) & _MASK
-        self._digest = None
-
-    def remove_many(self, entries: Sequence[bytes]) -> None:
-        """remove for each entry. A sum of several entries is masked before
-        it is subtracted; one entry, the common spend, skips those masks."""
-        if len(entries) == 1:
-            self.remove(entries[0])
-            return
-        for even, odd in _sums(entries):
-            self._even = (self._even + _ONES - (even & _MASK)) & _MASK
-            self._odd = (self._odd + _ONES - (odd & _MASK)) & _MASK
+        self._packed = _minus(self._packed, x)
         self._digest = None
 
     def digest(self) -> bytes:
-        """The lanes as 2048 bytes, lane i little-endian at bytes 2i, 2i+1.
-        The bytes are kept until the next update."""
+        """The lanes as 2048 bytes, lane i little-endian at bytes 2i, 2i+1,
+        once what is noted and not closed is folded. The bytes are kept
+        until the next fold."""
+        if self._added or self._removed or self._deferred:
+            for delta in self.close():
+                self.settle(delta)
         if self._digest is None:
-            self._digest = (self._even | self._odd << 16).to_bytes(DIGEST_BYTES, "little")
+            self._digest = self._packed.to_bytes(DIGEST_BYTES, "little")
         return self._digest
 
     def copy(self) -> "LtHash":
         other = LtHash()
-        other._even, other._odd, other._digest = self._even, self._odd, self._digest
+        other._packed, other._digest = self._packed, self._digest
+        other._added, other._removed = list(self._added), list(self._removed)
+        other._deferred = list(self._deferred)
         return other

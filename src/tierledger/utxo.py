@@ -61,13 +61,15 @@ def check_inputs(
     epoch: int,
     cfg: rules.SystemConfig,
     spent_in_batch: Optional[set[Outpoint]] = None,
+    locks_passed: bool = False,
 ) -> tuple[int, int]:
     """Existence, expiry, and lock checks for the inputs of a UtxoSpend or
     MoveToAccount, one witness per input.
 
     Returns (status, total input value); the value is 0 unless the status
     is OK. spent_in_batch tracks outpoints consumed earlier in the same
-    batch validation. A script lock cannot move value into an account, so
+    batch validation. locks_passed skips the lock checks, for a matured
+    pending transaction (see PoolEntry). A script lock cannot move value into an account, so
     a MoveToAccount input under one fails its lock. For a UtxoSpend, a script lock's covenant context,
     spend_script_hashes of tx's outputs, is computed when the first script
     lock runs.
@@ -88,6 +90,8 @@ def check_inputs(
         if cfg.expiry_enabled and out.expiry is not None and out.expiry <= epoch:
             return EXPIRED_INPUT, 0
         total_in += out.amount
+        if locks_passed:
+            continue
         msg = crypto.utxo_signing_message(tx_id, i)
         wit = witnesses[i]
         lock = out.lock
@@ -123,6 +127,7 @@ def validate_spend(
     epoch: int,
     cfg: rules.SystemConfig,
     spent_in_batch: Optional[set[Outpoint]] = None,
+    locks_passed: bool = False,
 ) -> tuple[int, int]:
     """The validation of both UTXO-input kinds, UtxoSpend and MoveToAccount,
     apart from the validity window: inputs and locks, value out against
@@ -133,7 +138,7 @@ def validate_spend(
     Pending-pool admission runs this alone, because the transaction's lower
     window bound is still in the future."""
     k = tx.kind
-    status, total_in = check_inputs(tx_id, tx, utxos, epoch, cfg, spent_in_batch)
+    status, total_in = check_inputs(tx_id, tx, utxos, epoch, cfg, spent_in_batch, locks_passed)
     if status != OK:
         return status, 0
     if isinstance(k, MoveToAccount):
@@ -153,6 +158,12 @@ def validate_spend(
 
 @dataclass(frozen=True)
 class PoolEntry:
+    """A pending transaction, admitted only once its input locks passed.
+    That verdict holds at maturity: a lock's verdict depends only on the
+    transaction and the input's output, and an outpoint never names another
+    output. So a matured entry is checked again for existence, double
+    spends and expiry, but not for its locks."""
+
     tx: Transaction
     tx_id: bytes
     fee: int

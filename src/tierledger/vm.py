@@ -160,10 +160,9 @@ class Accounts:
     The mappings are read-only views. Every write goes through set_balance,
     set_slot, add_contract or set_nonce, which keep the running balance
     total and an LtHash over the committed entries (nonzero balances,
-    nonzero slots, contracts) up to date. Nonces are not committed.
-
-    Each live committed entry's lane vector is kept until the entry leaves
-    the state, so replacing or deleting it costs no expansion.
+    nonzero slots, contracts) up to date. Nonces are not committed. A write
+    only notes the entries it removes and adds; the accumulator expands
+    them when they are settled, which a batch leaves to its end.
 
     While undo is a list, each write appends the setter call that reverts
     it, and rollback(undo) makes those calls newest first."""
@@ -178,7 +177,6 @@ class Accounts:
         self.storage: Mapping[tuple[bytes, int], int] = MappingProxyType(self._storage)
         self.nonces: Mapping[bytes, int] = MappingProxyType(self._nonces)
         self.lthash = _lthash.LtHash()
-        self._vectors: dict[bytes, int] = {}
         self.total = 0
         self.undo: Optional[list[tuple]] = None
 
@@ -195,9 +193,9 @@ class Accounts:
         if self.undo is not None:
             self.undo.append((self.set_balance, addr, old))
         if old:
-            self._remove_entry(balance_entry(addr, old))
+            self.lthash.remove(balance_entry(addr, old))
         if bal:
-            self._add_entry(balance_entry(addr, bal))
+            self.lthash.add(balance_entry(addr, bal))
             self._balances[addr] = bal
         else:
             del self._balances[addr]
@@ -210,9 +208,9 @@ class Accounts:
         if self.undo is not None:
             self.undo.append((self.set_slot, addr, key, old))
         if old:
-            self._remove_entry(slot_entry(addr, key, old))
+            self.lthash.remove(slot_entry(addr, key, old))
         if val:
-            self._add_entry(slot_entry(addr, key, val))
+            self.lthash.add(slot_entry(addr, key, val))
             self._storage[(addr, key)] = val
         else:
             del self._storage[(addr, key)]
@@ -221,18 +219,11 @@ class Accounts:
         if self.undo is not None:
             self.undo.append((self._remove_contract, acct))
         self._contracts[acct.address] = acct
-        self._add_entry(contract_entry(acct))
+        self.lthash.add(contract_entry(acct))
 
     def _remove_contract(self, acct: ContractAccount) -> None:
         del self._contracts[acct.address]
-        self._remove_entry(contract_entry(acct))
-
-    def _add_entry(self, entry: bytes) -> None:
-        x = self._vectors[entry] = _lthash._lanes(entry)
-        self.lthash.add_lanes(x)
-
-    def _remove_entry(self, entry: bytes) -> None:
-        self.lthash.remove_lanes(self._vectors.pop(entry))
+        self.lthash.remove(contract_entry(acct))
 
     def set_nonce(self, addr: bytes, nonce: Optional[int]) -> None:
         """None removes addr's nonce, as if it had never been set."""
@@ -255,7 +246,6 @@ class Accounts:
         other._storage.update(self._storage)
         other._nonces.update(self._nonces)
         other.lthash = self.lthash.copy()
-        other._vectors.update(self._vectors)
         other.total = self.total
         return other
 

@@ -1,9 +1,11 @@
-"""The helper process's sum jobs (`helper.split`): `apply_batch` shares the
-LtHash expansions of large created-output lists with one forked helper,
-which writes each job's lane vector into shared memory; spends and expiries
-are removed inline. No receipt, header hash or replay may depend on it: not
-on whether it runs, not on its death mid-batch, and not on a plan that
-names the wrong entries.
+"""The helper process's vector jobs (`helper.split`, `helper.post`): the
+batch's plan sums large created-output lists ahead, and `apply_batch` posts
+every interval's LtHash deltas (the entries a receipt's state writes added
+and removed) to one forked helper, which writes each job's lane vector into
+shared memory; the batch folds them in order at its end and takes each
+receipt's digest as it goes. No receipt, header hash or replay may depend
+on it: not on whether it runs, not on the table's room, not on its death
+mid-batch or mid-fold, and not on a plan that names the wrong entries.
 
 Tests switch the helper on and off through `crypto.CPUS` alone."""
 
@@ -16,8 +18,9 @@ import time
 import pytest
 
 from helpers import KEYS, OPERATOR, make_config, p2pk, signed_spend
+from test_admission import REFUSAL_PINS, refusal_batch, refusal_world
 from test_verify_split import GOLDEN_CASES, fresh_helper, needs_sodium, run_golden  # noqa: F401
-from tierledger import crypto, helper, ledger, lthash
+from tierledger import codes, crypto, helper, ledger, lthash, rules
 from tierledger.model import Outpoint, txid
 
 FANOUTS, FANOUT_OUTPUTS, PLANNED_INPUTS, DUE = 3, 1_000, 12, 9
@@ -115,6 +118,19 @@ def count_asked_sums(monkeypatch) -> list:
     return asked
 
 
+def count_settled(monkeypatch) -> list:
+    """Each LtHash delta settled, by whether its lanes came from the table."""
+    settled: list = []
+    real = lthash.LtHash.settle
+
+    def settle(self, delta, lanes=None):
+        settled.append(lanes is not None)
+        return real(self, delta, lanes)
+
+    monkeypatch.setattr(lthash.LtHash, "settle", settle)
+    return settled
+
+
 @needs_sodium
 def test_the_helper_on_gives_the_inline_receipts_headers_and_replay(log, monkeypatch):
     cfg, state, txs, logdir, inline = log
@@ -150,13 +166,32 @@ def test_a_helper_killed_mid_batch_leaves_the_sums(log, monkeypatch, fresh_helpe
             os.kill(running.pid, signal.SIGKILL)
             running.join(10)
             killed.append(running)
-        return real_put(*args, **kwargs)
+        if args:
+            return real_put(*args, **kwargs)
 
     monkeypatch.setattr(helper, "_run", slow_in_the_helper)
-    monkeypatch.setattr(ledger.LedgerState, "put_utxos", kill_first)
-    receipts, header_hash, report = apply_last(cfg, state, txs, logdir)
+    with monkeypatch.context() as patch:
+        patch.setattr(ledger.LedgerState, "put_utxos", kill_first)
+        receipts, header_hash, report = apply_last(cfg, state, txs, logdir)
     assert (receipts, header_hash, report) == inline
     assert len(killed) >= 1 + EPOCH  # the commit's helper and one per replayed batch
+    # Killed again, now at each batch's first delta the fold asks, while the
+    # helper holds some of the batch's deltas and has written others.
+    real_ask = helper.ask
+
+    def kill_at_the_fold(job):
+        if len(job) == 2:
+            kill_first()
+        return real_ask(job)
+
+    killed.clear()
+    monkeypatch.setattr(helper, "PART_SLOTS", 1)  # every delta is posted as it closes
+    monkeypatch.setattr(helper, "ask", kill_at_the_fold)
+    monkeypatch.setattr(ledger.LedgerState, "put_utxos", real_put)
+    settled = count_settled(monkeypatch)
+    assert apply_last(cfg, state, txs, logdir) == inline
+    assert len(killed) >= EPOCH  # the commit's and the replayed batches' but the empty first one's
+    assert False in settled
     assert all(p.exitcode == -signal.SIGKILL for p in killed)
 
 
@@ -264,3 +299,66 @@ def test_a_digest_read_as_lanes_adds_and_removes_its_multiset():
     only_base = lthash.LtHash()
     only_base.add_many(base)
     assert by_lanes.digest() == by_entry.digest() == by_many.digest() == only_base.digest()
+
+
+@pytest.mark.parametrize(
+    "where", [pytest.param("helper", marks=needs_sodium), "one-cpu", "no-libsodium", "table-full"]
+)
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_golden_hashes_with_deltas_folded_at_the_batch_end(monkeypatch, tmp_path, fresh_helper, case, where):
+    """Every golden log, with every delta posted to the helper's table as
+    it closes (helper.PART_SLOTS = 1, so that every batch of a transaction
+    or more shares its deltas), on one CPU and without libsodium's verify,
+    where no delta reaches the table, and with the table's vector room cut
+    to one slot as well (helper.SUM_SLOTS = 1, in a helper forked after the
+    patch), so that the deltas past it are folded inline. Which process
+    computes a posted delta is a race, so only the table is asserted."""
+    monkeypatch.setattr(crypto, "CPUS", 1 if where == "one-cpu" else 2)
+    monkeypatch.setattr(helper, "ORDERED_STORES", True)
+    monkeypatch.setattr(helper, "PART_SLOTS", 1)
+    if where == "no-libsodium":
+        monkeypatch.setattr(crypto, "_sodium_verify", lambda: None)
+    if where == "table-full":
+        monkeypatch.setattr(helper, "SUM_SLOTS", 1)
+    posted: list = []  # per delta the fold asks: (its batch, whether the table holds it)
+    real_ask, real_apply = helper.ask, ledger.apply_batch
+    batches = [0]
+
+    def ask(job):
+        if len(job) == 2:
+            posted.append((batches[0], job in (helper._slots or ())))
+        return real_ask(job)
+
+    def apply_batch(*args, **kwargs):
+        batches[0] += 1
+        return real_apply(*args, **kwargs)
+
+    monkeypatch.setattr(helper, "ask", ask)
+    monkeypatch.setattr(ledger, "apply_batch", apply_batch)
+    run_golden(tmp_path, case)
+    held = [batch for batch, in_table in posted if in_table]
+    if where == "helper":
+        assert held
+    elif where == "table-full":
+        assert len(held) < len(posted) and len(held) == len(set(held))  # a batch's one vector slot, at most
+    else:
+        assert posted and not held
+
+
+@pytest.mark.parametrize("case", sorted(case for case in REFUSAL_PINS if case.startswith("declared")))
+def test_a_refused_call_rolls_back_to_the_same_receipts_with_and_without_a_helper(monkeypatch, case):
+    """A declared flush whose refused call rolls the commits before it back
+    through `Accounts.undo` and runs the rest again: the intervals closed
+    before the rollback are folded too, and the receipts, the header and
+    the final digest are the pinned ones with the helper and without it."""
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(crypto, "CPUS", cpus)
+        state, cfg, (x, y, z) = refusal_world(rules.ACCESS_DECLARED)
+        txs, kw = refusal_batch(case, x, y, z)
+        receipts, header = ledger.apply_batch(state, txs, 2, cfg, **kw)
+        assert codes.BAD_AUTH in [r.status for r in receipts]
+        got = ([(r.status, r.gas_used, r.post_state_digest.hex()[:16]) for r in receipts], header.hash().hex())
+        assert got == REFUSAL_PINS[case]
+        runs.append((receipts, header, ledger.state_digest(state)))
+    assert runs[0] == runs[1]

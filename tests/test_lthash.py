@@ -1,6 +1,7 @@
 """LtHash16 accumulator: order independence, add/remove as inverses, the
-packed lanes against a lane-by-lane oracle, and add_many against repeated
-add across its fold."""
+packed lanes against a lane-by-lane oracle, add_many against repeated add
+with every lane carrying, and deferred updates closed and settled in any
+mix of vectors and expansions."""
 
 from __future__ import annotations
 
@@ -85,8 +86,8 @@ def test_add_many_matches_repeated_add():
 
 def test_add_many_is_exact_across_the_fold(monkeypatch):
     """Every lane of every expansion 0xFFFF, on an accumulator whose lanes
-    are already 0xFFFF: the worst case for a slot's carry. Past 65,537
-    entries an unmasked slot would overflow into its neighbour."""
+    are already 0xFFFF: the worst case for a lane's carry, which must never
+    reach its neighbour, over more than 2^17 entries."""
     every_lane_max = int.from_bytes(b"\xff" * DIGEST_BYTES, "little")
     monkeypatch.setattr(lthash, "_lanes", lambda entry: every_lane_max)
     n = 2 * 65_536 + 3
@@ -128,3 +129,51 @@ def test_lane_updates_match_entry_updates_and_the_kept_digest_follows():
         copy.add(b"only in the copy")
         assert copy.digest() == lthash16_oracle(added + [b"only in the copy"], removed)
         assert by_lanes.digest() == want
+
+
+def test_deferred_updates_fold_to_the_oracle():
+    """Interleaved adds and removes, single, many and deferred whole,
+    closed at random points; each closed delta settled in order, from its
+    vector or by expanding it. A delta closed and not yet settled is not in
+    the digest; once all are, the digest is the lane-by-lane oracle's, and a
+    copy taken with updates still open folds them alike."""
+    rng = random.Random(12)
+    acc = LtHash()
+    added: list[bytes] = []
+    removed: list[bytes] = []
+    settled_added: list[bytes] = []
+    settled_removed: list[bytes] = []
+    for step in range(60):
+        op = rng.random()
+        if op < 0.3:
+            e = random_entries(rng, 1)[0]
+            acc.add(e)
+            added.append(e)
+        elif op < 0.5 and added:
+            e = rng.choice(added)
+            acc.remove(e)
+            removed.append(e)
+        elif op < 0.6:
+            es = random_entries(rng, rng.randint(0, 3))
+            acc.add_many(es)
+            added += es
+        elif op < 0.7 and added:
+            es = rng.sample(added, min(len(added), 2))
+            acc.remove_many(es)
+            removed += es
+        elif op < 0.8:
+            es = tuple(random_entries(rng, rng.randint(1, 4)))
+            acc.defer((es,))
+            added += es
+        else:
+            copy = acc.copy()
+            assert copy.digest() == lthash16_oracle(added, removed), step
+            deltas = acc.close()
+            assert acc.digest() == lthash16_oracle(settled_added, settled_removed), step
+            for delta in deltas:
+                acc.settle(delta, lthash.vector(delta) if rng.random() < 0.5 else None)
+                settled_added += delta[0]
+                settled_removed += delta[1] if len(delta) > 1 else ()
+            assert acc.digest() == lthash16_oracle(settled_added, settled_removed), step
+            assert sorted(settled_added) == sorted(added) and sorted(settled_removed) == sorted(removed)
+    assert acc.digest() == lthash16_oracle(added, removed)
