@@ -3,14 +3,14 @@ JSON re-encode and txid of one 1000-output fan-out transaction; the decode
 and re-encode of a batch of 200 declared calls; the check of a header file
 of 1,000 receipts; the replay of a batch holding one 1000-output fan-out,
 along replay's path and in the whole-file stages that name a divergence;
-put_utxos of 10k outputs against put_utxo of each;
+put_utxos of 10k outputs at once against put_utxos of each alone;
 and the tracked objects and the memory that 10k UTXOs add to a ledger state.
 
 Each encode is timed on a fresh Transaction instance (a copy made before
 the clock starts), so a cached encoding is never what is measured. The
 fan-out is decoded from its canonical JSON, as replay and the benchmark's
 set-up decode it; its txid is timed on a freshly decoded instance. The
-10k outputs for put_utxo and for the memory figures are that fan-out's
+10k outputs written both ways and for the memory figures are that fan-out's
 outputs, decoded ten times. Their memory is what tracemalloc counts as
 still allocated once the state is built, so it does not depend on how much
 freed memory the allocator had to reuse, as a resident-set difference does.
@@ -299,7 +299,7 @@ def main() -> int:
         t0 = time.perf_counter()
         for tx_id, outs in items:
             for i, out in enumerate(outs):
-                state.put_utxo(Outpoint(tx_id, i), out)
+                state.put_utxos(tx_id, (out,), i)
         return time.perf_counter() - t0
 
     def put_together() -> float:
@@ -310,7 +310,7 @@ def main() -> int:
         return time.perf_counter() - t0
 
     print(f"{UTXOS} outputs written:")
-    for name, put in (("put_utxo per output", put_each), ("put_utxos per fan-out", put_together)):
+    for name, put in (("put_utxos per output", put_each), ("put_utxos per fan-out", put_together)):
         put_ms = 1e3 * median_of(reps, put)
         print(f"  {name:22s} {put_ms:7.2f} ms ({put_ms * 1e3 / UTXOS:.2f} µs each)")
 

@@ -16,8 +16,8 @@ inline, as on one CPU:
   holding 200 live balances, with the fold of both its entries (the
   removed balance is expanded again: no vector is kept per live entry)
 - us per state_digest after an account write, at 1k UTXOs, so only the
-  account accumulator has changed (a contract receipt's digest); it folds
-  the write's two entries
+  account accumulator has changed (as for the header of a batch of
+  contract calls alone); it folds the write's two entries
 - us per entry to fold n noted entries at a digest, for n of 1, 2 and 128
   (a pay transaction writes one or two outputs)
 
@@ -103,12 +103,12 @@ def build_batch(coins: list[Outpoint]) -> list[Transaction]:
 def build_state(n_utxos: int, coins: list[Outpoint]) -> ledger.LedgerState:
     state = ledger.LedgerState()
     for op in coins:
-        state.put_utxo(op, pay(ALICE, 100))
+        state.put_utxos(op.txid, (pay(ALICE, 100),), op.index)
     for i in range(DUE):
-        state.put_utxo(Outpoint(sha256(b"due" + bytes([i])), 0), pay(BOB, 5, expiry=EPOCH))
+        state.put_utxos(sha256(b"due" + bytes([i])), (pay(BOB, 5, expiry=EPOCH),))
     for i in range(n_utxos - len(coins) - DUE):
         expiry = EPOCH + 1 + i % 50 if i % 20 == 0 else None
-        state.put_utxo(Outpoint(sha256(b"filler" + i.to_bytes(4, "little")), 0), pay(BOB, 1, expiry))
+        state.put_utxos(sha256(b"filler" + i.to_bytes(4, "little")), (pay(BOB, 1, expiry),))
     state.accounts.set_balance(A_ADDR, 50)
     state.issued = state.utxo_total + state.account_total
     ledger.state_digest(state)  # folds the set-up's noted entries, as a batch would
@@ -217,7 +217,7 @@ def fanout(cfg) -> tuple[ledger.LedgerState, list[Transaction]]:
     coins = [Outpoint(sha256(b"fan" + bytes([i])), 0) for i in range(FANOUT_TXS)]
     state = ledger.LedgerState()
     for op in coins:
-        state.put_utxo(op, pay(ALICE, 10**9))
+        state.put_utxos(op.txid, (pay(ALICE, 10**9),), op.index)
     state.issued = state.utxo_total
     ledger.state_digest(state)
     return state, fanout_txs(coins)

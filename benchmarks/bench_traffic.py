@@ -11,12 +11,19 @@ ledger. For each workload and seed it prints:
 - the number of parallel waves the scheduler forked
 
 A second table is the census of both CPUs over the timed commits only:
-- commit s, the wall time of their apply_batch calls
+- batches, the number of apply_batch calls, and commit s, their wall time
 - the helper's time inside helper._run, checks and vector jobs (sums and
   LtHash deltas) apart, read from a counter in shared memory, and its busy
   share of commit s
 - the caller's time in LtHash expansions and lane arithmetic (lthash's
-  functions and LtHash's methods) and, apart, in ledger.state_digest
+  functions and LtHash's methods) and, apart, in ledger.state_digest and
+  in the receipts' writes digests
+- the calls of ledger.state_digest
+- the loose LtHash entries the state writes note (add, remove and their
+  _many forms), the loose entries the batches settle (the entries of the
+  settled deltas that are not sums kept whole: where a batch cancels adds
+  against removes of equal bytes, what survives), and the SHAKE-128
+  expansions (lthash._expand) by the caller and by the helper
 - the libsodium checks and the vector jobs (sums and deltas) by who
   computed them: the helper; the caller helping, that is computing a job
   from the back while the helper held the one it asked; the caller
@@ -120,17 +127,17 @@ ROWS = [
 ]
 
 # Shared with the helper, as doubles: whether a timed commit runs, then its
-# time in _run on checks and on vector jobs, and the jobs of each kind.
-TIMED, HELPER_CHECK_S, HELPER_VECTOR_S, HELPER_CHECKS, HELPER_VECTORS = range(5)
+# time in _run on checks and on vector jobs, the jobs of each kind, and its
+# expansions.
+TIMED, HELPER_CHECK_S, HELPER_VECTOR_S, HELPER_CHECKS, HELPER_VECTORS, HELPER_EXPANSIONS = range(6)
 CPU_ROWS = [
-    "commit s", "helper busy s", "helper busy share", "helper checks s", "helper vectors s",
-    "caller lthash s", "caller state_digest s",
+    "batches", "commit s", "helper busy s", "helper busy share", "helper checks s", "helper vectors s",
+    "caller lthash s", "caller state_digest s", "caller writes digests s", "state_digest calls",
+    "entries noted", "loose entries settled", "expansions by caller", "expansions by helper",
     "checks by helper", "checks by caller helping", "checks by caller own", "checks inline",
     "vectors by helper", "vectors by caller helping", "vectors by caller own", "vectors inline",
 ]
-LTHASH_METHODS = (
-    "add", "add_many", "add_lanes", "remove", "remove_many", "remove_lanes", "settle", "digest",
-)
+LTHASH_METHODS = ("add", "add_many", "remove", "remove_many", "settle", "digest")
 
 
 def stop_helper() -> None:
@@ -145,8 +152,9 @@ def stop_helper() -> None:
 @contextlib.contextmanager
 def second_cpu(counts: Counter):
     """The census of both CPUs over perfbench's timed commits, into counts.
-    Names missing from a tree (an older tree has no deltas) are skipped."""
-    shared = memoryview(mmap.mmap(-1, 8 * 5)).cast("d")
+    Names missing from a tree (an older tree has no deltas, or no writes
+    digests) are skipped."""
+    shared = memoryview(mmap.mmap(-1, 8 * 6)).cast("d")
     caller = os.getpid()
     depth = [0]  # the caller's calls into timed code, outermost first
     patched: list = []
@@ -199,9 +207,38 @@ def second_cpu(counts: Counter):
 
     def settle(real):
         def counted(self, delta, lanes=None):
-            if lanes is None and shared[TIMED]:
-                counts["vectors inline"] += 1
+            if shared[TIMED]:
+                counts["vectors inline"] += lanes is None
+                counts["loose entries settled"] += len(delta[0]) + len(delta[1]) if len(delta) > 1 else 0
             return real(self, delta, lanes)
+        return counted
+
+    def noted(one: bool):
+        def wrapper(real):
+            def counted(self, entries):
+                if one:
+                    counts["entries noted"] += bool(shared[TIMED])
+                elif shared[TIMED]:
+                    entries = list(entries)
+                    counts["entries noted"] += len(entries)
+                return real(self, entries)
+            return counted
+        return wrapper
+
+    def expand(real):
+        def counted(entry):
+            if shared[TIMED]:
+                if os.getpid() == caller:
+                    counts["expansions by caller"] += 1
+                else:
+                    shared[HELPER_EXPANSIONS] += 1
+            return real(entry)
+        return counted
+
+    def digests(real):
+        def counted(*args, **kwargs):
+            counts["state_digest calls"] += bool(shared[TIMED])
+            return real(*args, **kwargs)
         return counted
 
     def window(real):
@@ -221,17 +258,30 @@ def second_cpu(counts: Counter):
             finally:
                 if shared[TIMED]:
                     counts["commit s"] += time.perf_counter() - t0
+                    counts["batches"] += 1
         return timed
+
+    def kept_expansions() -> None:
+        """An older tree keeps recent expansions through a cache made
+        around lthash._expand: made again, it calls the name now bound."""
+        if hasattr(lthash, "keep"):
+            lthash.keep(lthash.RECENT)
 
     stop_helper()
     patch(perfbench, "commit_all", window)
     patch(ledger, "apply_batch", apply)
     patch(ledger, "state_digest", timed_as("caller state_digest s"))
-    for name in ("_lanes", "vector"):
+    patch(ledger, "state_digest", digests)
+    patch(ledger, "_writes_digests", timed_as("caller writes digests s"))
+    patch(lthash, "_expand", expand)
+    kept_expansions()
+    for name in ("vector", "net"):
         patch(lthash, name, timed_as("caller lthash s"))
     for name in LTHASH_METHODS:
         patch(lthash.LtHash, name, timed_as("caller lthash s"))
     patch(lthash.LtHash, "settle", settle)
+    for name, one in (("add", True), ("remove", True), ("add_many", False), ("remove_many", False)):
+        patch(lthash.LtHash, name, noted(one))
     patch(helper, "_run", run)
     patch(crypto, "_sodium_check", sodium)
     try:
@@ -240,12 +290,14 @@ def second_cpu(counts: Counter):
         stop_helper()
         for owner, name, real in reversed(patched):
             setattr(owner, name, real)
+        kept_expansions()
         counts["helper checks s"] = shared[HELPER_CHECK_S]
         counts["helper vectors s"] = shared[HELPER_VECTOR_S]
         counts["helper busy s"] = shared[HELPER_CHECK_S] + shared[HELPER_VECTOR_S]
         counts["helper busy share"] = counts["helper busy s"] / counts["commit s"] if counts["commit s"] else 0.0
         counts["checks by helper"] = int(shared[HELPER_CHECKS])
         counts["vectors by helper"] = int(shared[HELPER_VECTORS])
+        counts["expansions by helper"] = int(shared[HELPER_EXPANSIONS])
 
 
 def census(workload: str, seed: int, seconds: float) -> tuple[Counter, Counter]:

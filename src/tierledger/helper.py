@@ -2,7 +2,8 @@
 caller, which asks the same jobs in any order, and shares each result
 through one table in shared memory (`split`). The plan, made only while a
 helper runs, reaches it in parts as the batch is read, and the batch's
-LtHash deltas follow it as the batch closes them (`post`). A job is a
+LtHash deltas follow it, one per window of writes, as the batch runs
+(`post`). A job is a
 signature check, each of whose triples ends as a libsodium verdict byte,
 or a sum or delta of LtHash entries, which ends as its lane vector. A
 result is looked up by the exact triple or entries the caller would compute
@@ -33,14 +34,11 @@ from .lthash import DIGEST_BYTES
 # half of expanding an entry.
 CHUNK, PLANNED_SUM = 128, 8
 # The caller sends the parts it has read as one message once they hold a
-# sum job or PART_SLOTS new table slots, and the rest with the end of the
-# plan. Each message costs both processes a pickle and a wake-up, so a batch
-# of a few small transactions still goes as one.
+# sum job or PART_SLOTS new table slots, and the rest before the batch
+# runs. Each message costs both processes a pickle and a wake-up, so a batch
+# of a few small transactions still goes as one. A batch's window of LtHash
+# writes is PART_SLOTS intervals, too (ledger.apply_batch).
 PART_SLOTS = 32
-# Expansions the helper keeps (lthash.keep), more than a caller does: it
-# expands most of a batch's LtHash entries, so an entry a delta removes is
-# mostly one it added, and its memory is its own.
-HELPER_RECENT = 1024
 
 Check = tuple[Sequence[bytes], bytes, Sequence[bytes]]  # (pubkeys, msg, sigs)
 # A vector job is an LtHash delta: a sum holds its UTXO entries in a
@@ -69,7 +67,7 @@ _helper: Optional[tuple] = None
 _slots: Optional[dict] = None
 _jobs: list = []
 _planned = 0
-_more: Optional[Callable[[Sequence[lthash.Delta], bool], None]] = None
+_more: Optional[Callable[[Sequence[lthash.Delta]], None]] = None
 
 
 def sums(entries: Sequence[bytes]) -> list[lthash.Delta]:
@@ -160,7 +158,6 @@ def _serve(conn: multiprocessing.connection.Connection, table: mmap.mmap) -> Non
     has ended; then an acknowledgement, after which it writes nothing until
     it blocks on the next plan. EOF ends it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C stops the parent, and EOF this
-    lthash.keep(HELPER_RECENT)
     waiting = select.poll()  # a tenth of conn.poll()'s cost, paid between every two jobs
     waiting.register(conn.fileno(), select.POLLIN)
 
@@ -228,10 +225,11 @@ def split(items: Iterable, plan: Callable[..., Sequence[Job]]) -> Iterator[list]
     read. Only with libsodium and two CPUs is a helper used: then plan(item),
     the item's part of the batch's plan, is made as it is read, and the
     helper starts on each part as it is sent; otherwise nothing is planned.
-    A batch of PART_SLOTS items or more, where the host sees the helper's
-    stores in order, shares its LtHash deltas (`post`), and its plan stays
-    open for them until the block ends; a smaller one, whose deltas would
-    not fill a part, ends its plan as soon as it is read."""
+    A batch of PART_SLOTS items or more closes a window of LtHash writes
+    before its last, so where the host sees the helper's stores in order,
+    its plan stays open for the deltas it posts (`post`) until the block
+    ends; a smaller one, which posts nothing, ends its plan as soon as it
+    is read."""
     global _slots, _jobs, _planned, _more
     if crypto.CPUS < 2 or crypto._sodium_verify() is None:
         yield list(items)
@@ -245,7 +243,6 @@ def split(items: Iterable, plan: Callable[..., Sequence[Job]]) -> Iterator[list]
     message: list = []
     sent = 0  # slots the helper has been sent
     ended = False
-    posted: list = []  # deltas not yet added
 
     def send(end: bool) -> None:
         nonlocal message, sent, ended
@@ -264,27 +261,20 @@ def split(items: Iterable, plan: Callable[..., Sequence[Job]]) -> Iterator[list]
         if now or len(slots) - sent >= PART_SLOTS or any(len(job) == 1 for job in part):
             send(False)
 
-    def more(deltas: Sequence[lthash.Delta], end: bool) -> None:
-        """post: the deltas the plan does not hold, added and sent in parts
-        of PART_SLOTS, and the rest with the end of the plan; nothing once
-        the plan has ended."""
-        if ended:
-            return
-        posted.extend(deltas)
-        if end or len(posted) >= PART_SLOTS:
-            add([delta for delta in posted if delta not in slots], not end)
-            posted.clear()
-            if end:
-                send(True)
+    def more(deltas: Sequence[lthash.Delta]) -> None:
+        """post: deltas added and sent at once; nothing once the plan has
+        ended."""
+        if deltas and not ended:
+            add(deltas, True)
 
     try:
         for item in items:
             read.append(item)
             add(plan(item))
-        shares = ORDERED_STORES and len(read) >= PART_SLOTS
-        if message or not shares:
-            send(not shares)  # the plan's tail, for the helper to start on
-        _slots, _jobs, _planned, _more = slots, jobs, len(jobs), more if shares else None
+        posts = ORDERED_STORES and len(read) >= PART_SLOTS
+        if message or not posts:
+            send(not posts)  # the plan's tail, for the helper to start on
+        _slots, _jobs, _planned, _more = slots, jobs, len(jobs), more if posts else None
         yield read
     finally:
         _slots, _jobs, _more = None, [], None
@@ -294,15 +284,12 @@ def split(items: Iterable, plan: Callable[..., Sequence[Job]]) -> Iterator[list]
             table[:HEAD] = DONE.to_bytes(HEAD, "little")
 
 
-def post(deltas: Sequence[lthash.Delta], end: bool = False) -> bool:
-    """Whether the running batch shares its LtHash deltas (see `split`);
-    if so, add deltas to its plan, in parts of PART_SLOTS; until its part
-    is added, a delta is not in the plan. end adds the rest and ends the
-    plan."""
-    if _more is None:
-        return False
-    _more(deltas, end)
-    return True
+def post(deltas: Sequence[lthash.Delta]) -> None:
+    """Add deltas to the running batch's plan and send them, if its plan
+    is still open (see `split`); a delta not posted is not in the plan, and
+    `ask` leaves it to the caller."""
+    if _more is not None:
+        _more(deltas)
 
 
 def _forget_helper() -> None:

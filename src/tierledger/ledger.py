@@ -8,7 +8,6 @@ receipts). Replay consumes exactly these files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -19,7 +18,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from . import codes, crypto, helper, permission, rules, scheduler, utxo, vm
+from . import codes, crypto, helper, lthash, permission, rules, scheduler, utxo, vm
 from .lthash import LtHash
 from .model import (
     DERIVED,
@@ -68,6 +67,7 @@ ZERO_HASH = b"\x00" * 32
 _RECEIPT = struct.Struct("<I32sHQBI32s")
 _HEADER = struct.Struct("<QQI32sI32sI32sI32sI32s")
 _DIGEST_COUNTERS = struct.Struct("<5Q")
+_DIGEST_TAG, _WRITES_TAG = b"tierledger/state/lthash16/v1", b"tierledger/receipt/writes/v1"
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,11 @@ class Receipt:
     status: int
     gas_used: int
     level: Level
-    post_state_digest: bytes
+    writes_digest: bytes
 
     def hash(self) -> bytes:
         return sha256(_RECEIPT.pack(
-            32, self.tx_id, self.status, self.gas_used, self.level.value, 32, self.post_state_digest
+            32, self.tx_id, self.status, self.gas_used, self.level.value, 32, self.writes_digest
         ))
 
     @property
@@ -102,7 +102,7 @@ RECEIPT_JSON = JsonTable(
     JsonRow("status_name", STR, DERIVED),
     JsonRow("gas_used", U64),
     JsonRow("level", LEVEL),
-    JsonRow("post_state_digest", HEX),
+    JsonRow("writes_digest", HEX),
 )
 
 
@@ -170,7 +170,6 @@ class LedgerState:
         self.epoch = 0
         self.batch_number = 0
         self.prev_header_hash = ZERO_HASH
-        self._digest_prefix: tuple = (None, None)  # state_digest's (UTXO digest, sha256 of the tag and it)
 
     def put_utxos(self, tx_id: bytes, outputs: Sequence[Output], first_index: int = 0) -> None:
         """Create outputs as (tx_id, first_index), (tx_id, first_index + 1),
@@ -188,9 +187,6 @@ class LedgerState:
         else:
             self.utxo_lthash.add_many(entries)
         self.utxo_total += sum(out.amount for out in outputs)
-
-    def put_utxo(self, op: Outpoint, out: Output) -> None:
-        self.put_utxos(op.txid, (out,), op.index)
 
     def spend_utxos(self, ops: Sequence[Outpoint]) -> int:
         """Spend ops, whose entries are noted as leaving the UTXO LtHash;
@@ -233,30 +229,28 @@ class LedgerState:
         return other
 
 
-_DIGEST_TAG = b"tierledger/state/lthash16/v1"
-
-
-def _counters(state: LedgerState) -> bytes:
-    """The supply counters and the epoch, as state_digest hashes them."""
-    return _DIGEST_COUNTERS.pack(state.issued, state.expired, state.utxo_total, state.account_total, state.epoch)
-
-
-def state_digest(state: LedgerState, counters: Optional[bytes] = None) -> bytes:
+def state_digest(state: LedgerState) -> bytes:
     """Commitment to the economic state: sha256 over a tag, the LtHash of
     the UTXO entries, the LtHash of the account entries (nonzero balances,
     nonzero storage slots, contract code hashes), the supply counters and
-    the epoch (counters, from _counters, or else the state's own). The
-    accumulators are kept by the write API, so this costs the same whatever
-    the state's size. Nonces and the pending pool are not committed. The
-    hash of the tag and the UTXO LtHash is kept while that LtHash's digest
-    is the same object, so a run of contract receipts hashes only the rest."""
-    utxo = state.utxo_lthash.digest()
-    if state._digest_prefix[0] is not utxo:
-        state._digest_prefix = (utxo, hashlib.sha256(_DIGEST_TAG + utxo))
-    h = state._digest_prefix[1].copy()
-    h.update(state.accounts.lthash.digest())
-    h.update(_counters(state) if counters is None else counters)
-    return h.digest()
+    the epoch. The accumulators are kept by the write API, so this costs
+    the same whatever the state's size. Nonces and the pending pool are not
+    committed."""
+    return sha256(
+        _DIGEST_TAG + state.utxo_lthash.digest() + state.accounts.lthash.digest()
+        + _DIGEST_COUNTERS.pack(state.issued, state.expired, state.utxo_total, state.account_total, state.epoch)
+    )
+
+
+def writes_digest(delta: lthash.Delta) -> bytes:
+    """A receipt's commitment to its own net writes, delta (`lthash.net`):
+    sha256 over a tag, the entries removed, then those added, each list
+    sorted and led by its u32 count, each entry by its u32 length."""
+    parts = [_WRITES_TAG]
+    for entries in (delta[1], delta[0]):
+        parts.append(len(entries).to_bytes(4, "little"))
+        parts += [len(entry).to_bytes(4, "little") + entry for entry in sorted(entries)]
+    return sha256(b"".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +406,8 @@ def apply_batch(
     effect queued ahead of them. A buffered call's auth signature is checked
     only when the scheduler reaches the call, which gives the helper
     process the flush's conflict analysis and VM runs to verify it in; a refused
-    call never runs, and its BAD_AUTH receipt carries the state its
-    admission saw, as every rejection at the gates does. A call that fails
+    call never runs, and its BAD_AUTH receipt commits no writes, as every
+    rejection does. A call that fails
     the contract gate has its signature checked at once, so BAD_AUTH still
     takes precedence.
 
@@ -424,37 +418,44 @@ def apply_batch(
         raise BatchError(f"batch epoch {epoch} below ledger epoch {state.epoch}")
     # Matured pending transactions (never pooled again) run ahead of new
     # submissions. Their locks passed at admission.
-    pending = [(e.tx, e.tx_id, True) for e in state.pool.mature(epoch)]
+    mature = state.pool.mature(epoch)
+    pending = [(e.tx, e.tx_id, True) for e in mature]
     batch_spent: set[Outpoint] = set()
     contract_buffer: list[tuple[int, Transaction, bytes]] = []
-    # Each receipt, each flush's start and the header close an interval of
-    # state writes, whose digest is the interval's own. In a batch that
-    # shares its LtHash deltas with the helper, they go to it as they close,
-    # and the batch settles them in order at its end, also if a write
-    # raised, taking each digest with the counters kept at its close;
-    # otherwise each interval is settled as it closes.
+    # The expiry and coinbase writes, each receipt and each contract commit
+    # close an interval of state writes. Every PART_SLOTS intervals make a
+    # window, whose notes net (`lthash.net`) to one delta per accumulator:
+    # posted to the helper as the next window opens, but for the last,
+    # which the caller keeps. The batch folds every delta at its end, also
+    # if a write raised.
     accumulators = state.utxo_lthash, state.accounts.lthash
-    digests: list[bytes] = []  # per interval; b"" until settled
-    shared: list[tuple[int, list, list, bytes]] = []  # (interval, deltas of each accumulator, counters)
+    intervals: list[list[lthash.Notes]] = []
+    folds: list[tuple[LtHash, lthash.Delta]] = []
+    window = 0  # the open window's first interval
 
-    def close(end: bool = False) -> int:
+    def cut() -> list[lthash.Delta]:
+        """The open window's net delta per accumulator, queued to fold."""
+        deltas = []
+        for acc, notes in zip(accumulators, zip(*intervals[window:])):
+            folds.extend((acc, delta) for deferred, _, _ in notes for delta in deferred)
+            delta = lthash.net(chain.from_iterable(n[1] for n in notes), chain.from_iterable(n[2] for n in notes))
+            if delta[0] or delta[1]:
+                folds.append((acc, delta))
+                deltas.append(delta)
+        return deltas
+
+    def close() -> int:
         """The interval since the last close, closed: its index."""
-        deltas = [acc.close() for acc in accumulators]
-        if helper.post(deltas[0] + deltas[1], end):
-            shared.append((len(digests), *deltas, _counters(state)))
-            digests.append(b"")
-        else:
-            for acc, acc_deltas in zip(accumulators, deltas):
-                for delta in acc_deltas:
-                    acc.settle(delta, helper.ask(delta))  # a planned sum may be the helper's
-            digests.append(state_digest(state))
-        return len(digests) - 1
+        nonlocal window
+        if len(intervals) - window == helper.PART_SLOTS:
+            helper.post(cut())
+            window = len(intervals)
+        intervals.append([acc.close() for acc in accumulators])
+        return len(intervals) - 1
 
     def flush_contracts() -> None:
         if not contract_buffer:
             return
-
-        before = close()  # the state a refused call's admission saw
 
         def on_commit(idx: int, outcome: vm.ExecOutcome) -> None:
             i, _, tx_id = contract_buffer[idx]
@@ -464,7 +465,7 @@ def apply_batch(
             i, tx, tx_id = contract_buffer[idx]
             if _auth_signed(tx, tx_id):
                 return True
-            results[i] = (tx_id, codes.BAD_AUTH, 0, Level.L3, before)
+            results[i] = (tx_id, codes.BAD_AUTH, 0, Level.L3, None)  # no writes
             return False
 
         _, telemetry = scheduler.schedule_batch(
@@ -487,10 +488,11 @@ def apply_batch(
 
     batch = chain(pending, ((tx, compute_txid(tx), False) for tx in txs))
     with helper.split(batch, plan) as work:
-        # Per transaction: its receipt's fields but the digest, and its interval.
+        # Per transaction: its receipt's fields but the digest, and its
+        # interval (None for no writes).
         results: list[Optional[tuple]] = [None] * len(work)
         try:
-            state.pool.drain(epoch)
+            state.pool.drain(epoch, mature)
             state.epoch = epoch
             # 1. Expire the due outputs, before any validation.
             state.expired += state.spend_utxos(rules.apply_expiry(state.expiring, epoch, cfg))
@@ -501,6 +503,7 @@ def apply_batch(
                 cb = _coinbase_outpoint(state.batch_number)
                 state.put_utxos(cb.txid, (Output(sub, Lock.pay_to_pubkey(cfg.operator_pubkey)),))
                 state.issued += sub
+            close()  # no receipt's
             # 3. The transactions, in order.
             for i, (tx, tx_id, matured) in enumerate(work):
                 level = classify_level(tx, state.utxos)
@@ -523,15 +526,14 @@ def apply_batch(
                     status = _transfer(state, tx, tx_id, epoch, cfg, batch_spent, matured)
                 results[i] = (tx_id, status, 0, level, close())
             flush_contracts()
-            close(end=True)  # the header's
         finally:
-            for i, *deltas, counters in shared:
-                for acc, acc_deltas in zip(accumulators, deltas):
-                    for delta in acc_deltas:
-                        acc.settle(delta, helper.ask(delta))
-                digests[i] = state_digest(state, counters)
+            intervals.append([acc.close() for acc in accumulators])  # the header's: what no receipt wrote
+            cut()
+            for acc, delta in reversed(folds):  # the caller's own window first
+                acc.settle(delta, helper.ask(delta))
 
     assert None not in results
+    digests = _writes_digests(intervals, {result[4] for result in results})
     receipts = [Receipt(*result[:4], digests[result[4]]) for result in results]
     txs_hash = sha256(b"".join(sha256(full_serialize(tx)) for tx, _, _ in work[len(pending) :]))
     receipts_hash = sha256(b"".join(r.hash() for r in receipts))
@@ -541,12 +543,29 @@ def apply_batch(
         prev_hash=state.prev_header_hash,
         txs_hash=txs_hash,
         receipts_hash=receipts_hash,
-        post_state_digest=digests[-1],
+        post_state_digest=state_digest(state),
         config_hash=cfg.config_hash(),
     )
     state.prev_header_hash = header.hash()
     state.batch_number += 1
     return receipts, header
+
+
+def _writes_digests(intervals: Sequence[Sequence[lthash.Notes]], kept: AbstractSet[Optional[int]]) -> dict:
+    """The writes digest of each interval in kept, a receipt's, over its
+    notes and those of the intervals before it that no receipt keeps, back
+    to the last kept one: a declared flush's commits rolled back, whose
+    rollback the kept one holds, so the two cancel. The first interval, the
+    expiry and coinbase writes, is no receipt's; None, none's."""
+    digests, added, removed = {None: writes_digest(((), ()))}, [], []
+    for k in range(1, len(intervals)):
+        for deferred, loose_added, loose_removed in intervals[k]:
+            added += chain(*(delta[0] for delta in deferred), loose_added)  # deferred: sums of created outputs
+            removed += loose_removed
+        if k in kept:
+            digests[k] = writes_digest(lthash.net(added, removed))
+            added, removed = [], []
+    return digests
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ element costs one expansion whatever the multiset's size, and the result
 does not depend on the order of the updates.
 
 An accumulator records its updates and expands them later. add and remove
-note an element; close() hands out what was noted since the last close as
-deltas, each a tuple of the elements added and, unless it holds additions
-alone, of the elements removed, and settle() folds a delta back in, either
-from its vector (a `vector()` computed elsewhere, such as in the ledger's
-helper process) or by expanding it. digest() folds what is noted and not
-closed; a delta that was closed counts only once it is settled.
+note an element, and defer notes a delta kept whole; close() hands out what
+was noted since the last close, and settle() folds a delta, a tuple of the
+elements added and, unless it holds additions alone, of the elements
+removed, either from its vector (a `vector()` computed elsewhere, such as in
+the ledger's helper process) or by expanding it. digest() folds what is
+noted and not closed; a delta that was closed counts only once it is
+settled. The caller may cancel closed additions against removals of equal
+bytes before it settles them: each element cancelled is an expansion saved.
 
 The lanes are packed into one Python int, lane i at bits 16i, which is also
 the digest's byte order. Lane-wise arithmetic works on the whole int at
@@ -26,9 +28,9 @@ the top bits are then set by exclusive or.
 
 from __future__ import annotations
 
-import functools
 import hashlib
-from typing import Callable, Iterable, Optional
+from collections import Counter
+from typing import Iterable, Optional
 
 LANES = 1024
 DIGEST_BYTES = 2 * LANES
@@ -39,24 +41,13 @@ _LOW = int.from_bytes(b"\xff\x7f" * LANES, "little")
 
 # The elements added, then, unless the delta only adds, the elements removed.
 Delta = tuple[tuple[bytes, ...], ...]
+# What close() hands out: the deltas deferred whole, the single adds and removes.
+Notes = tuple[list[Delta], list[bytes], list[bytes]]
 
 
 def _expand(entry: bytes) -> int:
     """An element's SHAKE-128 expansion as one int, lane i at bits 16i."""
     return int.from_bytes(hashlib.shake_128(entry).digest(DIGEST_BYTES), "little")
-
-
-def keep(n: int) -> None:
-    """From now on, keep this process's last n expansions (RECENT at
-    first), which a delta's elements are expanded through: an element
-    removed soon after it was added, such as the operator's balance or a
-    contract's busy slot, is then not expanded again."""
-    global _lanes
-    _lanes = functools.lru_cache(maxsize=n)(_expand)
-
-
-RECENT = 64
-keep(RECENT)
 
 
 def _plus(a: int, b: int) -> int:
@@ -69,23 +60,29 @@ def _minus(a: int, b: int) -> int:
     return ((a | _TOP) - (b & _LOW)) ^ (((a ^ b) & _TOP) ^ _TOP)
 
 
-def _sum(entries: Iterable[bytes], expand: Callable[[bytes], int]) -> int:
+def _sum(entries: Iterable[bytes]) -> int:
     """The lane-wise sum of entries' expansions."""
     total = 0
     for entry in entries:
-        total = _plus(total, expand(entry)) if total else expand(entry)
+        total = _plus(total, _expand(entry)) if total else _expand(entry)
     return total
 
 
 def _delta(delta: Delta) -> int:
-    """delta's lanes: its additions' sum less its removals'. A delta of
-    additions alone, a sum kept whole (`defer`), expands past the kept
-    expansions (`keep`): its many elements would only push the recent ones
-    out."""
-    if len(delta) == 1:
-        return _sum(delta[0], _expand)
-    added = _sum(delta[0], _lanes)
-    return _minus(added, _sum(delta[1], _lanes)) if delta[1] else added
+    """delta's lanes: its additions' sum less its removals'."""
+    added = _sum(delta[0])
+    return _minus(added, _sum(delta[1])) if len(delta) > 1 and delta[1] else added
+
+
+def net(added: Iterable[bytes], removed: Iterable[bytes]) -> Delta:
+    """added less removed as one delta, each element in both cancelled: it
+    folds alike, with two expansions fewer per element cancelled."""
+    added, removed = tuple(added), tuple(removed)
+    if not added or not removed or set(added).isdisjoint(removed):
+        return added, removed
+    count = Counter(added)
+    count.subtract(removed)
+    return tuple((+count).elements()), tuple((-count).elements())
 
 
 def vector(delta: Delta) -> bytes:
@@ -124,29 +121,19 @@ class LtHash:
         delta can settle it."""
         self._deferred.append(delta)
 
-    def close(self) -> list[Delta]:
-        """The updates noted since the last close, as deltas: those deferred
-        whole, then one of the single adds and removes, if any. They leave
-        the accumulator, which holds each again once it is settled."""
-        deltas, self._deferred = self._deferred, []
-        if self._added or self._removed:
-            deltas.append((tuple(self._added), tuple(self._removed)))
-            self._added, self._removed = [], []
-        return deltas
+    def close(self) -> Notes:
+        """The updates noted since the last close: the deltas deferred
+        whole, the single adds and the single removes. They leave the
+        accumulator, which holds each again once it is settled."""
+        notes = self._deferred, self._added, self._removed
+        self._deferred, self._added, self._removed = [], [], []
+        return notes
 
     def settle(self, delta: Delta, lanes: Optional[bytes] = None) -> None:
-        """Fold delta, from close(): lanes, its `vector()`, if given, else
-        its own expansions."""
-        self.add_lanes(_delta(delta) if lanes is None else int.from_bytes(lanes, "little"))
-
-    def add_lanes(self, x: int) -> None:
-        """Add the element whose expansion is x (from _lanes)."""
+        """Fold delta: lanes, its `vector()`, if given, else its own
+        expansions."""
+        x = _delta(delta) if lanes is None else int.from_bytes(lanes, "little")
         self._packed = _plus(self._packed, x)
-        self._digest = None
-
-    def remove_lanes(self, x: int) -> None:
-        """Remove the element whose expansion is x (from _lanes)."""
-        self._packed = _minus(self._packed, x)
         self._digest = None
 
     def digest(self) -> bytes:
@@ -154,8 +141,10 @@ class LtHash:
         once what is noted and not closed is folded. The bytes are kept
         until the next fold."""
         if self._added or self._removed or self._deferred:
-            for delta in self.close():
+            deferred, added, removed = self.close()
+            for delta in deferred:
                 self.settle(delta)
+            self.settle(net(added, removed))
         if self._digest is None:
             self._digest = self._packed.to_bytes(DIGEST_BYTES, "little")
         return self._digest

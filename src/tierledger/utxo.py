@@ -208,9 +208,10 @@ class PendingPool:
         }
         return sorted(mature.values(), key=lambda e: (-e.fee, e.tx_id))
 
-    def drain(self, epoch: int) -> list[PoolEntry]:
-        """Remove and return the entries mature at epoch, as mature orders them."""
-        mature = self.mature(epoch)
+    def drain(self, epoch: int, mature: Optional[list[PoolEntry]] = None) -> list[PoolEntry]:
+        """Remove and return the entries mature at epoch, as mature orders
+        them: mature, if the caller has listed them already."""
+        mature = self.mature(epoch) if mature is None else mature
         for e in mature:
             for op in self._outpoints(e.tx):
                 self.by_outpoint.pop(op, None)

@@ -49,7 +49,7 @@ def seed_utxo(state: ledger.LedgerState, output: Output) -> Outpoint:
     global _seed_counter
     _seed_counter += 1
     op = Outpoint(sha256(b"test-seed" + _seed_counter.to_bytes(8, "little")), 0)
-    state.put_utxo(op, output)
+    state.put_utxos(op.txid, (output,), op.index)
     state.issued += output.amount
     return op
 

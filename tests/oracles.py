@@ -10,7 +10,8 @@ implementations, which share the value types (and, for the VM and the
 waves, the opcode table, gas table, state types and footprint derivation)
 with the code under test and differ only in how they encode or execute.
 The state digest is also rebuilt here from scratch with the package's own
-LtHash, as the oracle for its incremental bookkeeping.
+LtHash, as the oracle for its incremental bookkeeping, and a receipt's
+writes digest from the entries read off the state's mappings.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -567,29 +569,44 @@ def ref_state_digest(
     return hashlib.sha256(w.done()).digest()
 
 
+def state_entries(state: LedgerState) -> Counter:
+    """The committed entries of state, read from its mappings: each UTXO,
+    nonzero balance, nonzero storage slot and contract, as a multiset."""
+    accounts = state.accounts
+    entries = Counter(utxo_entry(op, out) for op, out in state.utxos.items())
+    entries.update(balance_entry(addr, bal) for addr, bal in accounts.balances.items() if bal)
+    entries.update(slot_entry(addr, key, val) for (addr, key), val in accounts.storage.items() if val)
+    entries.update(contract_entry(acct) for acct in accounts.contracts.values())
+    return entries
+
+
 def recompute_state_digest(state: LedgerState) -> bytes:
     """state_digest rebuilt from scratch: both accumulators are summed anew
     from the mappings, one add per entry, and both totals recomputed. The
     oracle for the state-write API's incremental bookkeeping."""
-    utxo_acc = LtHash()
-    for op, out in state.utxos.items():
-        utxo_acc.add(utxo_entry(op, out))
-    accounts = state.accounts
-    account_acc = LtHash()
-    for addr, bal in accounts.balances.items():
-        if bal:
-            account_acc.add(balance_entry(addr, bal))
-    for (addr, key), val in accounts.storage.items():
-        if val:
-            account_acc.add(slot_entry(addr, key, val))
-    for acct in accounts.contracts.values():
-        account_acc.add(contract_entry(acct))
+    utxo_acc, account_acc = LtHash(), LtHash()
+    for entry in state_entries(state).elements():
+        (utxo_acc if entry.startswith(b"U") else account_acc).add(entry)
     counters = struct.pack(
         "<5Q", state.issued, state.expired, sum(out.amount for out in state.utxos.values()),
-        sum(accounts.balances.values()), state.epoch,
+        sum(state.accounts.balances.values()), state.epoch,
     )
     tag = b"tierledger/state/lthash16/v1"
     return hashlib.sha256(tag + utxo_acc.digest() + account_acc.digest() + counters).digest()
+
+
+def ref_writes_digest(added, removed) -> bytes:
+    """The documented writes digest of a receipt whose transaction added
+    and removed these entries: sha256 over the tag, then the removed
+    entries, then the added ones, each list net of the other, sorted and
+    led by its u32 count, each entry by its u32 length."""
+    added, removed = Counter(added), Counter(removed)
+    w = Writer().raw(b"tierledger/receipt/writes/v1")
+    for entries in (removed - added, added - removed):
+        w.u32(sum(entries.values()))
+        for entry in sorted(entries.elements()):
+            w.bytes_(entry)
+    return hashlib.sha256(w.done()).digest()
 
 
 def read_lock(r: Reader) -> Lock:
@@ -789,7 +806,7 @@ def ref_tx_json(tx: Transaction) -> dict:
 def ref_receipt_json(r: Receipt) -> dict:
     return {
         "txid": r.tx_id.hex(), "status": r.status, "status_name": codes.name(r.status), "gas_used": r.gas_used,
-        "level": _LEVEL_LABELS[r.level.value], "post_state_digest": r.post_state_digest.hex(),
+        "level": _LEVEL_LABELS[r.level.value], "writes_digest": r.writes_digest.hex(),
     }
 
 

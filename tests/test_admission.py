@@ -29,6 +29,7 @@ from helpers import (
     seed_utxo,
     signed_spend,
 )
+from oracles import ref_writes_digest, state_entries
 from tierledger import codes, crypto, ledger, permission, rules, utxo, vm
 from tierledger.model import (
     U64_MAX,
@@ -149,11 +150,13 @@ def test_transfer_rejection_leaves_state_untouched(case):
     seed_balance(state, A_ADDR, 100)
     prefix, rejected = setup(state)
     control = state.copy()
-    receipts, _ = ledger.apply_batch(state, [*prefix, rejected], 2, cfg, workers=1)
-    ledger.apply_batch(control, prefix, 2, cfg, workers=1)
+    receipts, header = ledger.apply_batch(state, [*prefix, rejected], 2, cfg, workers=1)
+    control_receipts, control_header = ledger.apply_batch(control, prefix, 2, cfg, workers=1)
     assert [r.status for r in receipts] == [codes.OK] * len(prefix) + [expected]
     assert ledger.state_digest(state) == ledger.state_digest(control)
-    assert receipts[-1].post_state_digest == ledger.state_digest(control)
+    assert header.post_state_digest == control_header.post_state_digest
+    assert receipts[:-1] == control_receipts
+    assert receipts[-1].writes_digest == ref_writes_digest([], [])
     assert state.accounts.nonces == control.accounts.nonces
     assert state.pool.entries() == control.pool.entries() == []
     check_conservation(state)
@@ -172,7 +175,7 @@ def test_transfer_checks_run_after_the_contract_flush():
     receipts, _ = ledger.apply_batch(state, [dep], 1, cfg, workers=1)
     assert receipts[0].status == codes.OK
     coin = seed_utxo(state, p2pk(BOB, 50))
-    before = ledger.state_digest(state)
+    before = state_entries(state)
 
     call = make_call(ALICE, txid(dep), nonce=1, gas_limit=25, gas_price=1)
     unsigned = Transaction(make_call(ALICE, txid(dep), nonce=2, gas_price=1).kind, nonce=2)
@@ -185,10 +188,12 @@ def test_transfer_checks_run_after_the_contract_flush():
         rules.GAS_PRICE_TOO_LOW,
         utxo.OUTSIDE_VALIDITY_WINDOW,
     ]
-    after_call = receipts[0].post_state_digest
-    assert after_call != before
-    assert receipts[1].post_state_digest == receipts[2].post_state_digest == before
-    assert receipts[3].post_state_digest == after_call
+    # The call's receipt commits all of the batch's writes, and the
+    # rejections behind it none.
+    after = state_entries(state)
+    assert receipts[0].writes_digest == ref_writes_digest(after - before, before - after)
+    assert after != before
+    assert [r.writes_digest for r in receipts[1:]] == [ref_writes_digest([], [])] * 3
     check_conservation(state)
 
 
@@ -209,7 +214,8 @@ def test_contract_transactions_obey_their_validity_window():
         ledger.apply_batch(control, [], epoch, cfg, workers=1)
         assert (receipts[0].status, receipts[0].gas_used) == (utxo.OUTSIDE_VALIDITY_WINDOW, 0)
         # Nonce not advanced, no fee charged, nothing pooled.
-        assert receipts[0].post_state_digest == ledger.state_digest(control)
+        assert receipts[0].writes_digest == ref_writes_digest([], [])
+        assert ledger.state_digest(state) == ledger.state_digest(control)
         assert state.accounts.nonces == control.accounts.nonces == {A_ADDR: 1}
         assert state.pool.entries() == []
 
@@ -287,7 +293,7 @@ def test_overflowing_gas_prepay_is_rejected_not_raised(tmp_path, kind, mode):
 # ---------------------------------------------------------------------------
 # Buffered contract calls whose account-auth signature fails. Each batch's
 # receipts and header hash are pinned: a refused call must leave the other
-# calls' commit order, and with it every receipt's state digest, as if it had
+# calls' commit order, and with it every receipt's writes, as if it had
 # never been buffered.
 
 CALLERS = KEYS[3:9]
@@ -345,41 +351,43 @@ def refusal_batch(case: str, x: bytes, y: bytes, z: bytes) -> tuple[list[Transac
     return [call_of(1, y), forged(late, CALLERS[0]), windowed(call_of(2, y), CALLERS[2], not_after=1)], {}
 
 
-# (status, gas, digest prefix) per receipt, and the header hash, pinned
-# from the code that checked every call's signature at admission.
+# (status, gas, writes digest prefix) per receipt, and the header hash. The
+# statuses and gas are pinned from the code that checked every call's
+# signature at admission, the digests and header hashes from the first code
+# whose receipts commit to their own writes.
 REFUSAL_PINS = {
     "declared-abc": (
-        [(4, 0, "514cc03bb4559b4e"), (0, 20, "a8a1405dcfec926e"), (0, 20, "4001174c5a3bac9f")],
-        "03a55cd110bb4d0dfe7e87c570175abef8b0e3257851d18531506cfef0d80ff8",
+        [(4, 0, "602dc1833a04b8e4"), (0, 20, "82a638a5a324ccd4"), (0, 20, "28fe8c9591ea3207")],
+        "2038becefa1411721bfc39cf25e6d58bfa6468835974ee9bfb406240592d44e4",
     ),
     "declared-commit-first": (
-        [(0, 20, "13bf13127fec4b14"), (4, 0, "514cc03bb4559b4e"), (0, 20, "2799162aff5e594e"),
-         (0, 20, "e54859f2c115790f")],
-        "119faec319a285009bcc2e17ac1c60fbb8b95d020c2503e7ffafba48f6940467",
+        [(0, 20, "956dabe81a3642d7"), (4, 0, "602dc1833a04b8e4"), (0, 20, "edb59ed51a03f7f3"),
+         (0, 20, "7051e991cb722efa")],
+        "acbbc7b4bc24fe3972df898415ed73a8114d2ff23efbf163a6bed5c8e8c2de35",
     ),
     "dynamic-commit-first": (
-        [(0, 20, "13bf13127fec4b14"), (4, 0, "514cc03bb4559b4e"), (0, 20, "2799162aff5e594e"),
-         (0, 20, "e54859f2c115790f")],
-        "1a63ca3d15bfc7cf297f9761580a9b3e1e22ba2362af2fcc7aea00c7748996f5",
+        [(0, 20, "956dabe81a3642d7"), (4, 0, "602dc1833a04b8e4"), (0, 20, "edb59ed51a03f7f3"),
+         (0, 20, "7051e991cb722efa")],
+        "5ec96910b64db238560ee74760359aa0f9c54c8683dff7be0917f6d449d48206",
     ),
     "declared-deploy-barrier": (
-        [(0, 20, "b7d36093f17d8801"), (4, 0, "514cc03bb4559b4e"), (0, 20, "e7f454b06e73dc41"),
-         (0, 20, "b0c4bcec75d0d273")],
-        "1720d3c1e209f0c3c53ed93c9734bd59a83db9d6a13fb7f38c892d69c9e30326",
+        [(0, 20, "3b439387c1e6c9b7"), (4, 0, "602dc1833a04b8e4"), (0, 20, "1ab61228ae40dc79"),
+         (0, 20, "443b0be18d0956c2")],
+        "5e75cfceefa72bce78caa98f24172ddf62d520b5639fdb9f68e828f592dd915a",
     ),
     "declared-deploy-first": (
-        [(0, 20, "b7d36093f17d8801"), (0, 31, "dea68fdd3ebeb827"), (4, 0, "514cc03bb4559b4e"),
-         (0, 20, "1fc1367de3269827")],
-        "d47bbe3f01df3de707e813dc5d4345e71cae223b967c216d6dc0a00ab2efe163",
+        [(0, 20, "3b439387c1e6c9b7"), (0, 31, "30253bf58c0e5d51"), (4, 0, "602dc1833a04b8e4"),
+         (0, 20, "c471ff6adab66ebc")],
+        "0de11b3b3bc3f02dc60c5089cb08eb162ce9dd64443f8ad200d945774a96b6ba",
     ),
     "declared-parallel-wave": (
-        [(0, 20, "a8fd94e5fc6190aa"), (0, 20, "60df2cc5b84b3d30"), (4, 0, "514cc03bb4559b4e"),
-         (0, 20, "f958b858b10fdf90"), (0, 20, "fc560f69aa1bdca8")],
-        "6194af726b59b3b515ae8a1acc5b40cc938723ea4c46ab1c7902f316939786c8",
+        [(0, 20, "a1311eb4b5d2a8fe"), (0, 20, "d8cb83994eafd6e5"), (4, 0, "602dc1833a04b8e4"),
+         (0, 20, "f34be2bba4682805"), (0, 20, "5d553c3dd58d39f5")],
+        "3298f88060ca2d33d80067d5f5845bb1ce1b537be18123fd9f70709fddd37037",
     ),
     "declared-gate-and-signature": (
-        [(0, 20, "5b005215f460e0fa"), (4, 0, "514cc03bb4559b4e"), (103, 0, "514cc03bb4559b4e")],
-        "1d598b5eb681174e64979584d25c411c9d1cdd88d7bc4a12baaf6babc6289952",
+        [(0, 20, "7bd88a9692695763"), (4, 0, "602dc1833a04b8e4"), (103, 0, "602dc1833a04b8e4")],
+        "c523578cab9adf19edae1ac10e76a4ef57ba432a8019b24a3e0c7fbebf6974fe",
     ),
 }
 
@@ -388,12 +396,12 @@ REFUSAL_PINS = {
 def test_a_refused_contract_signature_leaves_the_others_as_if_unsubmitted(case):
     mode = rules.ACCESS_DYNAMIC if case.startswith("dynamic") else rules.ACCESS_DECLARED
     state, cfg, (x, y, z) = refusal_world(mode)
-    control, before = state.copy(), state.copy()
+    control = state.copy()
     txs, kw = refusal_batch(case, x, y, z)
     telemetry: list = []
     receipts, header = ledger.apply_batch(state, txs, 2, cfg, collect_telemetry=telemetry, **kw)
     assert [t.parallel_waves for t in telemetry] == [1 if "parallel" in case else 0]
-    got = ([(r.status, r.gas_used, r.post_state_digest.hex()[:16]) for r in receipts], header.hash().hex())
+    got = ([(r.status, r.gas_used, r.writes_digest.hex()[:16]) for r in receipts], header.hash().hex())
     assert got == REFUSAL_PINS[case]
     # The admitted calls alone commit the same receipts and the same state.
     kept = [i for i, r in enumerate(receipts) if r.status != codes.BAD_AUTH]
@@ -401,11 +409,10 @@ def test_a_refused_contract_signature_leaves_the_others_as_if_unsubmitted(case):
     assert [receipts[i] for i in kept] == alone
     assert ledger.state_digest(state) == ledger.state_digest(control)
     assert state.accounts.nonces == control.accounts.nonces
-    # A refused call's receipt carries the state its admission saw.
-    ledger.apply_batch(before, [], 2, cfg, workers=1)
+    # A refused call's receipt commits no writes.
     for r in receipts:
         if r.status == codes.BAD_AUTH:
-            assert r.post_state_digest == ledger.state_digest(before)
+            assert r.writes_digest == ref_writes_digest([], [])
     # Every later write finds the bookkeeping of the entries it replaces.
     more = [call_of(5, c, nonce=n) for n, c in enumerate((x, y, z))]
     assert [r.status for r in ledger.apply_batch(state, more, 3, cfg, workers=1)[0]] == [codes.OK] * 3

@@ -18,17 +18,17 @@ from tierledger import ledger, scenario
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 FIXTURE_HEADERS = {
-    "average_balance_contract": "c3548597e8af04b18d742d91e4478e8a02925e718776c60cccf19321b35c91d9",
-    "dex_order_matching": "549571c2dac69e415c54627d1e52a6a6595e3c1facfe28801aaa278a0da3adbe",
-    "escrow_script": "2c967075b14a7a3fbc0238d0e5d64d6c339eed5e5f4c81a12e3393be00dc2e03",
-    "timelocked_replaceable": "361b9e81d61e8866b755c1fff7144d8f17709ad079d47a0ff9e849400ee4eff1",
-    "two_party_multisig": "7f24d5aa92550780b4fd59595d96b9be0cde4fc7ecfea48bb861c383ed81dfd9",
+    "average_balance_contract": "45845c40035764ab047f90eb45c0da313d9a9d85fcd323823b8c24cbe78735ba",
+    "dex_order_matching": "69c5871b62244d8ae8c4ce91057b4b829949e0d682b0a91d2f46fc78209e661a",
+    "escrow_script": "64221c7fb04295a9c7f936370d6db26d25cfb4d926c335c3f5ce38aa156519fd",
+    "timelocked_replaceable": "7eed9cd6bb8b428f8c2ddf9e3bb1fb8b7fc020842f44e77109ccd8074a47fedf",
+    "two_party_multisig": "89aafb904fb6db9bd1a7d8a622004338b50dd6977dfcfa107e18b6ab4f43086e",
 }
 
 RANDOM_HEADERS = {
-    100: "42bf4ba3a411874fa125ae89d51c682c97ea7a5ef54ac19183be8c69c0876e25",
-    101: "bf60d8cf7b7bb55456c3b55db846a1b62b906a239b791f02e8d19fd86d3bca6d",
-    102: "ed9d00b89de7211253a86b12184d9e551388a21f8328c1e7accad131a21ba268",
+    100: "b95a3ec90b0ace93348ec7b82dc18a0242b1ba098b3f730661efc1486f207d5c",
+    101: "5389bedeb5b99b56f5960060c7b1c21dc954ed40f52dba81d76cc47be689539f",
+    102: "fe8ff90064b510e5724ae8121a53145667448ebb6304fbcaae881a35c172dbda",
 }
 
 

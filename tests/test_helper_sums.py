@@ -1,9 +1,9 @@
 """The helper process's vector jobs (`helper.split`, `helper.post`): the
 batch's plan sums large created-output lists ahead, and `apply_batch` posts
-every interval's LtHash deltas (the entries a receipt's state writes added
-and removed) to one forked helper, which writes each job's lane vector into
-shared memory; the batch folds them in order at its end and takes each
-receipt's digest as it goes. No receipt, header hash or replay may depend
+each window's net LtHash deltas (the entries its receipts' state writes
+added and removed, cancelled against each other) but the last's to one
+forked helper, which writes each job's lane vector into shared memory; the
+batch folds them at its end. No receipt, header hash or replay may depend
 on it: not on whether it runs, not on the table's room, not on its death
 mid-batch or mid-fold, and not on a plan that names the wrong entries.
 
@@ -275,30 +275,30 @@ def test_golden_hashes_where_stores_may_be_seen_out_of_order(monkeypatch, tmp_pa
     assert asked == [] and any(seen)
 
 
-def test_a_digest_read_as_lanes_adds_and_removes_its_multiset():
-    """Adding another LtHash's digest, read as lanes, equals adding its
-    entries one by one, and removing it equals removing them one by one;
-    add_many and remove_many agree with both."""
+def test_a_digest_settled_as_a_vector_adds_its_multiset():
+    """Settling another LtHash's digest as a vector equals adding its
+    entries one by one, and settling the vector of their removal equals
+    removing them one by one; add_many and remove_many agree with both."""
     entries = [bytes([i]) * (i % 7 + 1) for i in range(40)] + [b"twice"] * 2
     base = [b"base %d" % i for i in range(5)]
     other = lthash.LtHash()
     other.add_many(entries)
-    vector = int.from_bytes(other.digest(), "little")
-    by_lanes, by_entry, by_many = lthash.LtHash(), lthash.LtHash(), lthash.LtHash()
-    for acc in (by_lanes, by_entry, by_many):
+    by_vector, by_entry, by_many = lthash.LtHash(), lthash.LtHash(), lthash.LtHash()
+    for acc in (by_vector, by_entry, by_many):
         acc.add_many(base)
-    by_lanes.add_lanes(vector)
+    by_vector.settle((tuple(entries),), other.digest())
     for e in entries:
         by_entry.add(e)
     by_many.add_many(entries)
-    assert by_lanes.digest() == by_entry.digest() == by_many.digest()
-    by_lanes.remove_lanes(vector)
+    assert by_vector.digest() == by_entry.digest() == by_many.digest()
+    removal = ((), tuple(entries))
+    by_vector.settle(removal, lthash.vector(removal))
     for e in entries:
         by_entry.remove(e)
     by_many.remove_many(entries)
     only_base = lthash.LtHash()
     only_base.add_many(base)
-    assert by_lanes.digest() == by_entry.digest() == by_many.digest() == only_base.digest()
+    assert by_vector.digest() == by_entry.digest() == by_many.digest() == only_base.digest()
 
 
 @pytest.mark.parametrize(
@@ -306,9 +306,9 @@ def test_a_digest_read_as_lanes_adds_and_removes_its_multiset():
 )
 @pytest.mark.parametrize("case", GOLDEN_CASES)
 def test_golden_hashes_with_deltas_folded_at_the_batch_end(monkeypatch, tmp_path, fresh_helper, case, where):
-    """Every golden log, with every delta posted to the helper's table as
-    it closes (helper.PART_SLOTS = 1, so that every batch of a transaction
-    or more shares its deltas), on one CPU and without libsodium's verify,
+    """Every golden log, with a window's deltas posted to the helper's table
+    at every interval closed (helper.PART_SLOTS = 1, so that every batch of
+    a transaction or more posts them), on one CPU and without libsodium's verify,
     where no delta reaches the table, and with the table's vector room cut
     to one slot as well (helper.SUM_SLOTS = 1, in a helper forked after the
     patch), so that the deltas past it are folded inline. Which process
@@ -349,8 +349,9 @@ def test_golden_hashes_with_deltas_folded_at_the_batch_end(monkeypatch, tmp_path
 def test_a_refused_call_rolls_back_to_the_same_receipts_with_and_without_a_helper(monkeypatch, case):
     """A declared flush whose refused call rolls the commits before it back
     through `Accounts.undo` and runs the rest again: the intervals closed
-    before the rollback are folded too, and the receipts, the header and
-    the final digest are the pinned ones with the helper and without it."""
+    before the rollback are folded too, into the state and into the next
+    receipt's writes, and the receipts, the header and the final digest are
+    the pinned ones with the helper and without it."""
     runs = []
     for cpus in (1, 2):
         monkeypatch.setattr(crypto, "CPUS", cpus)
@@ -358,7 +359,7 @@ def test_a_refused_call_rolls_back_to_the_same_receipts_with_and_without_a_helpe
         txs, kw = refusal_batch(case, x, y, z)
         receipts, header = ledger.apply_batch(state, txs, 2, cfg, **kw)
         assert codes.BAD_AUTH in [r.status for r in receipts]
-        got = ([(r.status, r.gas_used, r.post_state_digest.hex()[:16]) for r in receipts], header.hash().hex())
+        got = ([(r.status, r.gas_used, r.writes_digest.hex()[:16]) for r in receipts], header.hash().hex())
         assert got == REFUSAL_PINS[case]
         runs.append((receipts, header, ledger.state_digest(state)))
     assert runs[0] == runs[1]

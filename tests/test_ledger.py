@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import replace
 from pathlib import Path
 from types import MappingProxyType
 
@@ -34,8 +35,13 @@ from oracles import (
     recompute_state_digest,
     ref_header_hash,
     ref_receipt_hash,
+    encode,
     ref_replay_verify,
     ref_state_digest,
+    ref_writes_digest,
+    state_entries,
+    write_outpoint,
+    write_output,
 )
 from tierledger import codes, crypto, ledger, model, rules, scenario, utxo, vm
 from tierledger.model import (
@@ -263,7 +269,7 @@ def test_state_digest_sensitivity():
 def test_digest_work_does_not_grow_with_state(monkeypatch):
     """One identical 6-transaction batch hashes as many accumulator
     elements on a 1k-UTXO state as on a 20k-UTXO state. Every expansion,
-    UTXO or account side, goes through lthash._lanes. On one CPU, so that
+    UTXO or account side, goes through lthash._expand. On one CPU, so that
     the helper process computes none of them out of this process's sight."""
     from tierledger import lthash
 
@@ -283,7 +289,7 @@ def test_digest_work_does_not_grow_with_state(monkeypatch):
     for n_utxos in (1_000, 20_000):
         state = ledger.LedgerState()
         for op in coins:
-            state.put_utxo(op, p2pk(ALICE, 100))
+            state.put_utxos(op.txid, (p2pk(ALICE, 100),), op.index)
             state.issued += 100
         for _ in range(n_utxos - len(coins)):
             seed_utxo(state, filler)
@@ -291,9 +297,9 @@ def test_digest_work_does_not_grow_with_state(monkeypatch):
         assert len(state.utxos) == n_utxos
         ledger.state_digest(state)  # folds the seeding, which the writes only noted
         expansions = []
-        lanes = lthash._lanes
+        expand = lthash._expand
         with monkeypatch.context() as patch:
-            patch.setattr(lthash, "_lanes", lambda e: (expansions.append(e), lanes(e))[1])
+            patch.setattr(lthash, "_expand", lambda e: (expansions.append(e), expand(e))[1])
             receipts, _ = ledger.apply_batch(state, txs, 1, cfg, workers=1)
         assert [r.status for r in receipts] == [codes.OK] * len(txs)
         counts.append(len(expansions))
@@ -393,10 +399,10 @@ def test_expiry_work_does_not_grow_with_state():
     for n_utxos in (1_000, 20_000):
         state = ledger.LedgerState()
         for op in coins:
-            state.put_utxo(op, p2pk(ALICE, 100))
+            state.put_utxos(op.txid, (p2pk(ALICE, 100),), op.index)
         for i, op in enumerate(due):
-            state.put_utxo(op, p2pk(BOB, 10 + i, expiry=1))
-        state.put_utxo(later, p2pk(BOB, 7, expiry=3))
+            state.put_utxos(op.txid, (p2pk(BOB, 10 + i, expiry=1),), op.index)
+        state.put_utxos(later.txid, (p2pk(BOB, 7, expiry=3),), later.index)
         state.issued += state.utxo_total
         for _ in range(n_utxos - len(coins) - len(due) - 1):
             seed_utxo(state, filler)
@@ -460,6 +466,67 @@ def test_expiry_in_a_copy_leaves_the_base_state_alone():
     check_conservation(base)
 
 
+def test_every_receipt_commits_its_own_net_writes():
+    """Criterion 1's random scenarios (seeds 0-9, to 200 transactions each,
+    in both access modes), run as one-transaction batches once bootstrapped,
+    with no subsidy and no expiry, so that a batch writes only what its
+    transactions do: each receipt's writes digest is the oracle's over the
+    net difference of the state's entries across its batch, read from the
+    mappings. At each new epoch an empty batch drains the matured pending
+    transactions, each of which is checked on a copy of the state that runs
+    it alone, and which must end with the same entries."""
+    from helpers import RandomLedger
+
+    statuses, matured = set(), 0
+    for seed in range(10):
+        rl = RandomLedger(seed=seed, access_mode=rules.ACCESS_DECLARED if seed % 2 else rules.ACCESS_DYNAMIC)
+        rl.bootstrap()
+        rl.cfg = replace(rl.cfg, initial_subsidy=0, expiry_enabled=False)
+        while rl.txs_applied < 200:
+            txs = rl.build_batch(20)
+            epoch = rl.state.epoch + 1
+            alone = rl.state.copy()
+            alone.pool = utxo.PendingPool()
+            mature = rl.state.pool.mature(epoch)
+            drained, _ = ledger.apply_batch(rl.state, [], epoch, rl.cfg, workers=1)
+            assert [r.tx_id for r in drained] == [e.tx_id for e in mature]
+            matured += len(drained)
+            for entry, receipt in zip(mature, drained):
+                before = state_entries(alone)
+                assert ledger.apply_batch(alone, [entry.tx], epoch, rl.cfg, workers=1)[0] == [receipt]
+                after = state_entries(alone)
+                assert receipt.writes_digest == ref_writes_digest((after - before).elements(), (before - after).elements())
+            assert state_entries(alone) == state_entries(rl.state)
+            for tx in txs:
+                before = state_entries(rl.state)
+                (receipt,), _ = ledger.apply_batch(rl.state, [tx], epoch, rl.cfg, workers=1)
+                after = state_entries(rl.state)
+                assert receipt.writes_digest == ref_writes_digest((after - before).elements(), (before - after).elements())
+                statuses.add(receipt.status)
+            rl.txs_applied += len(txs)
+        check_conservation(rl.state)
+    assert {codes.OK, utxo.LOCK_FAILED, utxo.PENDING_ACCEPTED} <= statuses and matured > 0
+
+
+def test_expiry_and_coinbase_writes_are_no_receipts():
+    """A batch's expiry and coinbase writes come before its first
+    transaction and belong to none: a first receipt that is a rejection
+    commits no writes, and the spend behind it commits its own alone."""
+    cfg = make_config(expiry_enabled=True, initial_subsidy=50)
+    state = ledger.LedgerState()
+    due = seed_utxo(state, p2pk(BOB, 7, expiry=1))
+    coin = seed_utxo(state, p2pk(ALICE, 30))
+    spend = signed_spend(ALICE, [coin], [p2pk(BOB, 30)])
+    forged = signed_spend(BOB, [coin], [p2pk(BOB, 30)])
+    receipts, _ = ledger.apply_batch(state, [forged, spend], 1, cfg, workers=1)
+    assert [r.status for r in receipts] == [utxo.LOCK_FAILED, codes.OK]
+    assert due not in state.utxos and state.expired == 7 and state.issued == 87
+    assert receipts[0].writes_digest == ref_writes_digest([], [])
+    created = b"U" + encode(write_outpoint, Outpoint(txid(spend), 0)) + encode(write_output, p2pk(BOB, 30))
+    spent = b"U" + encode(write_outpoint, coin) + encode(write_output, p2pk(ALICE, 30))
+    assert receipts[1].writes_digest == ref_writes_digest([created], [spent])
+
+
 def run_logged_ledger(tmp_path: Path, batches: int = 3):
     from helpers import RandomLedger
 
@@ -492,6 +559,19 @@ def test_replay_detects_header_field_edit(tmp_path):
     mutate(hpath, digest, flipped)
     report = ledger.replay_verify(logdir)
     assert not report.ok and report.batch == 2
+
+
+def test_replay_names_a_receipt_whose_writes_digest_was_edited(tmp_path):
+    logdir = run_logged_ledger(tmp_path)
+    hpath = logdir / "header_000002.json"
+    obj = json.loads(hpath.read_text())
+    j = len(obj["receipts"]) // 2
+    digest = obj["receipts"][j]["writes_digest"]
+    obj["receipts"][j]["writes_digest"] = ("0" if digest[0] != "0" else "1") + digest[1:]
+    hpath.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    report = ledger.replay_verify(logdir)
+    assert (report.ok, report.kind, report.batch, report.field) == (False, "divergence", 2, f"receipt[{j}]")
+    assert report == ref_replay_verify(logdir)
 
 
 def test_replay_detects_tx_edit_in_batch_file(tmp_path):
@@ -775,7 +855,7 @@ def test_state_digest_matches_reference(outputs, balances, epoch):
     state = ledger.LedgerState()
     for i, (amount, lock, expiry, spent) in enumerate(outputs):
         op = Outpoint(sha256(i.to_bytes(4, "little")), i)
-        state.put_utxo(op, Output(amount, lock, expiry))
+        state.put_utxos(op.txid, (Output(amount, lock, expiry),), op.index)
         state.issued += amount
         if spent:
             state.expired += state.spend_utxos((op,))
@@ -851,12 +931,12 @@ def test_put_utxos_matches_per_output_writes_and_the_oracle():
     tx_id = sha256(b"fan-out")
     together, each = ledger.LedgerState(), ledger.LedgerState()
     for state in (together, each):
-        state.put_utxo(Outpoint(sha256(b"earlier"), 2), p2pk(BOB, 11, expiry=3))
+        state.put_utxos(sha256(b"earlier"), (p2pk(BOB, 11, expiry=3),), 2)
     together.put_utxos(tx_id, outputs[:10])
     together.put_utxos(tx_id, outputs[10:], 10)
     together.put_utxos(tx_id, ())
     for j, out in enumerate(outputs):
-        each.put_utxo(Outpoint(tx_id, j), out)
+        each.put_utxos(tx_id, (out,), j)
     assert dict(together.utxos) == dict(each.utxos)
     assert together.utxo_total == each.utxo_total == 11 + sum(out.amount for out in outputs)
     assert {e: set(ops) for e, ops in together.expiring.items()} == {

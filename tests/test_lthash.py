@@ -1,7 +1,7 @@
 """LtHash16 accumulator: order independence, add/remove as inverses, the
 packed lanes against a lane-by-lane oracle, add_many against repeated add
-with every lane carrying, and deferred updates closed and settled in any
-mix of vectors and expansions."""
+with every lane carrying, deferred updates closed and settled in any mix of
+vectors and expansions, and additions cancelled against removals."""
 
 from __future__ import annotations
 
@@ -89,7 +89,7 @@ def test_add_many_is_exact_across_the_fold(monkeypatch):
     are already 0xFFFF: the worst case for a lane's carry, which must never
     reach its neighbour, over more than 2^17 entries."""
     every_lane_max = int.from_bytes(b"\xff" * DIGEST_BYTES, "little")
-    monkeypatch.setattr(lthash, "_lanes", lambda entry: every_lane_max)
+    monkeypatch.setattr(lthash, "_expand", lambda entry: every_lane_max)
     n = 2 * 65_536 + 3
     each, many = LtHash(), LtHash()
     each.add(b"")
@@ -103,12 +103,12 @@ def test_add_many_is_exact_across_the_fold(monkeypatch):
     assert many.digest() == want
 
 
-def test_lane_updates_match_entry_updates_and_the_kept_digest_follows():
-    """add_lanes/remove_lanes on a kept expansion equal add/remove of its
-    element, and the digest bytes kept between updates never go stale,
-    on the accumulator or on a copy."""
+def test_vector_updates_match_entry_updates_and_the_kept_digest_follows():
+    """Settling one element's addition or removal from its vector equals
+    adding or removing the element, and the digest bytes kept between
+    updates never go stale, on the accumulator or on a copy."""
     rng = random.Random(11)
-    by_entry, by_lanes = LtHash(), LtHash()
+    by_entry, by_vector = LtHash(), LtHash()
     added: list[bytes] = []
     removed: list[bytes] = []
     for step in range(30):
@@ -116,19 +116,20 @@ def test_lane_updates_match_entry_updates_and_the_kept_digest_follows():
         if added and rng.random() < 0.4:
             e = added[rng.randrange(len(added))]
             by_entry.remove(e)
-            by_lanes.remove_lanes(lthash._lanes(e))
+            delta = ((), (e,))
             removed.append(e)
         else:
             by_entry.add(e)
-            by_lanes.add_lanes(lthash._lanes(e))
+            delta = ((e,),)
             added.append(e)
+        by_vector.settle(delta, lthash.vector(delta))
         want = lthash16_oracle(added, removed)
-        assert by_lanes.digest() == by_entry.digest() == want, step
-        assert by_lanes.digest() is by_lanes.digest()
-        copy = by_lanes.copy()
+        assert by_vector.digest() == by_entry.digest() == want, step
+        assert by_vector.digest() is by_vector.digest()
+        copy = by_vector.copy()
         copy.add(b"only in the copy")
         assert copy.digest() == lthash16_oracle(added + [b"only in the copy"], removed)
-        assert by_lanes.digest() == want
+        assert by_vector.digest() == want
 
 
 def test_deferred_updates_fold_to_the_oracle():
@@ -168,12 +169,39 @@ def test_deferred_updates_fold_to_the_oracle():
         else:
             copy = acc.copy()
             assert copy.digest() == lthash16_oracle(added, removed), step
-            deltas = acc.close()
+            deferred, loose_added, loose_removed = acc.close()
             assert acc.digest() == lthash16_oracle(settled_added, settled_removed), step
-            for delta in deltas:
+            for delta in [*deferred, (tuple(loose_added), tuple(loose_removed))]:
                 acc.settle(delta, lthash.vector(delta) if rng.random() < 0.5 else None)
                 settled_added += delta[0]
                 settled_removed += delta[1] if len(delta) > 1 else ()
             assert acc.digest() == lthash16_oracle(settled_added, settled_removed), step
             assert sorted(settled_added) == sorted(added) and sorted(settled_removed) == sorted(removed)
     assert acc.digest() == lthash16_oracle(added, removed)
+
+
+def test_net_cancels_equal_bytes_and_folds_alike(monkeypatch):
+    """lthash.net cancels each element added and removed alike, as a
+    multiset: its delta holds what is left, folds to the same digest as both
+    lists settled whole, and expands only what is left."""
+    rng = random.Random(13)
+    pool = random_entries(rng, 12)
+    for step in range(40):
+        added = [rng.choice(pool) for _ in range(rng.randint(0, 10))]
+        removed = [rng.choice(pool) for _ in range(rng.randint(0, 10))]
+        delta = lthash.net(added, removed)
+        left_added, left_removed = list(added), list(removed)
+        for e in added:
+            if e in left_removed:
+                left_removed.remove(e)
+                left_added.remove(e)
+        assert sorted(delta[0]) == sorted(left_added) and sorted(delta[1]) == sorted(left_removed), step
+        whole, cancelled = LtHash(), LtHash()
+        whole.settle((tuple(added), tuple(removed)))
+        expanded = []
+        expand = lthash._expand
+        with monkeypatch.context() as patch:
+            patch.setattr(lthash, "_expand", lambda e: (expanded.append(e), expand(e))[1])
+            cancelled.settle(delta)
+        assert cancelled.digest() == whole.digest() == lthash16_oracle(added, removed), step
+        assert sorted(expanded) == sorted(left_added + left_removed), step

@@ -67,9 +67,9 @@ def test_allow_list_checks_every_output():
 
 def test_apply_expiry_inclusive_bound_and_disable():
     state = ledger.LedgerState()
-    state.put_utxo(Outpoint(sha256(b"a"), 0), p2pk(ALICE, 10, expiry=5))
-    state.put_utxo(Outpoint(sha256(b"b"), 0), p2pk(ALICE, 20, expiry=6))
-    state.put_utxo(Outpoint(sha256(b"c"), 0), p2pk(ALICE, 30))
+    state.put_utxos(sha256(b"a"), (p2pk(ALICE, 10, expiry=5),))
+    state.put_utxos(sha256(b"b"), (p2pk(ALICE, 20, expiry=6),))
+    state.put_utxos(sha256(b"c"), (p2pk(ALICE, 30),))
     utxos = state.utxos
     live = make_config(expiry_enabled=True)
     expired = rules.apply_expiry(state.expiring, 5, live)

@@ -35,7 +35,7 @@ def test_valid_spend_and_fee():
     assert status == utxo.OK
     assert fee == 10
     state = ledger.LedgerState()
-    state.put_utxo(op, utxos[op])
+    state.put_utxos(op.txid, (utxos[op],), op.index)
     receipts, _ = ledger.apply_batch(state, [tx], 1, make_config(initial_subsidy=0), workers=1)
     assert receipts[0].status == utxo.OK
     assert op not in state.utxos

@@ -551,9 +551,13 @@ def count_messages(monkeypatch) -> list:
 def test_a_small_batch_goes_to_the_helper_as_one_message(monkeypatch):
     """The mixed batch's 12 transactions hold fewer than PART_SLOTS triples
     and no sum: one message, which also ends the plan, since a batch of
-    fewer than PART_SLOTS transactions shares no LtHash deltas. A batch of
-    40 single-key spends goes in parts of PART_SLOTS triples as it is read,
-    and its deltas follow, the last message ending the plan."""
+    fewer than PART_SLOTS transactions posts no LtHash delta. A batch of 40
+    single-key spends goes in parts of PART_SLOTS triples as it is read.
+    Its first PART_SLOTS intervals (the writes before the batch and its
+    expiry and coinbase writes, then the first receipts') make a window,
+    whose net delta per accumulator is posted alone once the next interval
+    closes; the caller folds the last window's itself, and the end of the
+    plan follows alone."""
     monkeypatch.setattr(crypto, "CPUS", 2)
     state, cfg, txs, _ = mixed_batch()
     sent = count_messages(monkeypatch)
@@ -563,9 +567,11 @@ def test_a_small_batch_goes_to_the_helper_as_one_message(monkeypatch):
     spends = [signed_spend(KEYS[1], [seed_utxo(state, p2pk(KEYS[1], 5))], [p2pk(KEYS[2], 5)]) for _ in range(40)]
     receipts, _ = apply_copy(state, cfg, spends)
     assert {r.status for r in receipts} == {codes.OK}
-    assert [(len(jobs), ended) for jobs, ended in sent[:2]] == [(helper.PART_SLOTS, False), (40 - helper.PART_SLOTS, False)]
-    assert all(len(job) == 2 for jobs, _ in sent[2:] for job in jobs)
-    assert [ended for _, ended in sent[2:]] == [False] * (len(sent) - 3) + [True]
+    assert [(len(jobs), ended) for jobs, ended in sent] == [
+        (helper.PART_SLOTS, False), (40 - helper.PART_SLOTS, False), (2, False), (0, True),
+    ]
+    # The window's spends remove only coins seeded in it: they cancel.
+    assert [(len(job), len(job[1])) for job in sent[2][0]] == [(2, 0), (2, 0)]
 
 
 @needs_sodium

@@ -371,25 +371,25 @@ def test_account_digests_follow_the_live_entries():
 def test_account_writes_expand_nothing_until_the_digest(monkeypatch):
     """A write only notes the entries it removes and adds. The digest then
     expands each noted entry once, a replaced or deleted one included, as no
-    vector is kept per live entry."""
+    vector is kept per live entry; an entry both added and removed since the
+    last digest cancels and is not expanded at all."""
     acc = fresh_accounts()
     acc.set_slot(A_ADDR, 1, 5)
     acc.lthash.digest()
     calls = []
-    lanes = lthash._lanes
-    monkeypatch.setattr(lthash, "_lanes", lambda e: (calls.append(e), lanes(e))[1])
+    expand = lthash._expand
+    monkeypatch.setattr(lthash, "_expand", lambda e: (calls.append(e), expand(e))[1])
     acc.set_balance(A_ADDR, 3)
     acc.set_slot(A_ADDR, 1, 6)
     acc.set_slot(A_ADDR, 1, 0)
     acc.set_balance(B_ADDR, 0)
     assert calls == []
     assert acc.lthash.digest() == lthash16_oracle(live_entries(acc)) == lthash16_oracle([vm.balance_entry(A_ADDR, 3)])
-    noted = [
-        vm.balance_entry(A_ADDR, 3), vm.slot_entry(A_ADDR, 1, 6),  # added
-        vm.balance_entry(A_ADDR, 10_000), vm.slot_entry(A_ADDR, 1, 5), vm.slot_entry(A_ADDR, 1, 6),
-        vm.balance_entry(B_ADDR, 10_000),  # removed
+    expanded = [
+        vm.balance_entry(A_ADDR, 3),  # added; slot (1, 6) was added and removed
+        vm.balance_entry(A_ADDR, 10_000), vm.slot_entry(A_ADDR, 1, 5), vm.balance_entry(B_ADDR, 10_000),  # removed
     ]
-    assert calls == noted
+    assert calls == expanded
 
 
 def test_compile_once_per_code_and_decoded_gas_matches_table():
