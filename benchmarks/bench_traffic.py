@@ -6,8 +6,10 @@ ledger. For each workload and seed it prints:
 - the jobs batch plans hold, by kind: signature checks, and sum jobs that
   create a transaction's outputs (they sum the entries of the planned
   transaction's own outputs) or remove entries (any other sum)
-- the plans sent to the helper process, the messages that carried them,
-  and how many plans took more than one message
+- the plans sent to the helper process, and the messages that carried
+  them by kind: plan parts, sent while the batch is read; posted windows
+  of LtHash deltas, sent while it runs; and ends, of which those that
+  also carried jobs are counted apart; then messages per plan
 - the number of parallel waves the scheduler forked
 
 A second table is the census of both CPUs over the timed commits only:
@@ -71,7 +73,6 @@ def counting(counts: Counter):
         ledger.LedgerState.put_utxos, ledger.LedgerState.spend_utxos, ledger._plan, scheduler.schedule_batch,
     )
     send = multiprocessing.connection.Connection.send
-    messages = [0]  # of the plan being sent
 
     def size(n: int) -> str:
         return "large" if n >= helper.PLANNED_SUM else "small"
@@ -87,22 +88,24 @@ def counting(counts: Counter):
     def counted_plan(utxos, tx, tx_id):
         jobs = plan(utxos, tx, tx_id)
         creating = set()
-        if any(len(job) == 1 for job in jobs):
+        if any(len(job) < 3 for job in jobs):
             outputs = getattr(tx.kind, "outputs", ())
             ops = ledger.outpoint_range(tx_id, 0, len(outputs))
             creating.update(helper.sums([ledger.utxo_entry(op, out) for op, out in zip(ops, outputs)]))
         for job in jobs:
-            counts["check" if len(job) > 1 else "sum create" if job in creating else "sum remove"] += 1
+            counts["check" if len(job) == 3 else "sum create" if job in creating else "sum remove"] += 1
         return jobs
 
     def counted_send(conn, obj):
         # Only helper.split sends with Connection.send: (jobs, plan ended).
-        messages[0] += 1
+        # The running batch's table is indexed (helper._slots) only from
+        # after its plan is read to its end.
         if obj[1]:
             counts["plans sent"] += 1
-            counts["plan messages"] += messages[0]
-            counts["plans of 2+ messages"] += messages[0] > 1
-            messages[0] = 0
+            counts["ends"] += 1
+            counts["ends with jobs"] += bool(obj[0])
+        else:
+            counts["posted windows" if helper._slots is not None else "plan parts"] += 1
         return send(conn, obj)
 
     def counted_schedule(*args, **kwargs):
@@ -123,7 +126,8 @@ def counting(counts: Counter):
 
 ROWS = [
     "put_utxos small", "put_utxos large", "spend_utxos small", "spend_utxos large",
-    "check", "sum create", "sum remove", "plans sent", "plan messages", "plans of 2+ messages", "parallel waves",
+    "check", "sum create", "sum remove", "plans sent", "plan parts", "posted windows", "ends", "ends with jobs",
+    "messages per plan", "parallel waves",
 ]
 
 # Shared with the helper, as doubles: whether a timed commit runs, then its
@@ -157,6 +161,7 @@ def second_cpu(counts: Counter):
     shared = memoryview(mmap.mmap(-1, 8 * 6)).cast("d")
     caller = os.getpid()
     depth = [0]  # the caller's calls into timed code, outermost first
+    kept: dict = {}  # id -> each sum the state defers whole, until it is settled
     patched: list = []
 
     def patch(owner, name: str, wrapper) -> None:
@@ -205,11 +210,19 @@ def second_cpu(counts: Counter):
             return real(*key)
         return counted
 
+    def defer(real):
+        def counted(self, delta):
+            if shared[TIMED]:
+                kept[id(delta)] = delta
+            return real(self, delta)
+        return counted
+
     def settle(real):
         def counted(self, delta, lanes=None):
             if shared[TIMED]:
                 counts["vectors inline"] += lanes is None
-                counts["loose entries settled"] += len(delta[0]) + len(delta[1]) if len(delta) > 1 else 0
+                if kept.pop(id(delta), None) is None:
+                    counts["loose entries settled"] += len(delta[0]) + len(delta[1])
             return real(self, delta, lanes)
         return counted
 
@@ -280,6 +293,7 @@ def second_cpu(counts: Counter):
     for name in LTHASH_METHODS:
         patch(lthash.LtHash, name, timed_as("caller lthash s"))
     patch(lthash.LtHash, "settle", settle)
+    patch(lthash.LtHash, "defer", defer)
     for name, one in (("add", True), ("remove", True), ("add_many", False), ("remove_many", False)):
         patch(lthash.LtHash, name, noted(one))
     patch(helper, "_run", run)
@@ -315,6 +329,9 @@ def census(workload: str, seed: int, seconds: float) -> tuple[Counter, Counter]:
                     raise SystemExit(f"perfbench failed on {workload} seed {seed}")
     finally:
         sys.argv = argv
+    if counts["plans sent"]:
+        messages = counts["plan parts"] + counts["posted windows"] + counts["ends"]
+        counts["messages per plan"] = round(messages / counts["plans sent"], 3)
     return counts, cpus
 
 

@@ -1,16 +1,15 @@
 """One forked helper process that works through a batch's plan ahead of the
 caller, which asks the same jobs in any order, and shares each result
 through one table in shared memory (`split`). The plan, made only while a
-helper runs, reaches it in parts as the batch is read, and the batch's
-LtHash deltas follow it, one per window of writes, as the batch runs
-(`post`). A job is a
-signature check, each of whose triples ends as a libsodium verdict byte,
-or a sum or delta of LtHash entries, which ends as its lane vector. A
-result is looked up by the exact triple or entries the caller would compute
-it from, so a wrong or stale plan costs only wasted work. A job the plan
-missed, one past the table's room, and all work on one CPU or without
-libsodium run inline: no verdict, digest, receipt or log byte depends on
-the helper.
+helper runs, reaches it in parts as the batch is read, the batch's LtHash
+deltas follow it as the batch runs (`post`), and its end follows once the
+batch has ended. A job is a signature check, each of whose triples ends as
+a libsodium verdict byte, or an LtHash delta, which ends as its lane
+vector. A result is looked up by the exact triple or entries the caller
+would compute it from, so a wrong or stale plan costs only wasted work. A
+job the plan missed, one past the table's room, and all work on one CPU,
+without libsodium or without a helper that could start run inline: no
+verdict, digest, receipt or log byte depends on the helper.
 """
 
 from __future__ import annotations
@@ -34,16 +33,14 @@ from .lthash import DIGEST_BYTES
 # half of expanding an entry.
 CHUNK, PLANNED_SUM = 128, 8
 # The caller sends the parts it has read as one message once they hold a
-# sum job or PART_SLOTS new table slots, and the rest before the batch
-# runs. Each message costs both processes a pickle and a wake-up, so a batch
-# of a few small transactions still goes as one. A batch's window of LtHash
-# writes is PART_SLOTS intervals, too (ledger.apply_batch).
+# vector job or PART_SLOTS new table slots, and the rest before the batch
+# runs; each message costs both processes a pickle and a wake-up. A batch's
+# window of LtHash writes is PART_SLOTS intervals, too (ledger.apply_batch).
 PART_SLOTS = 32
 
 Check = tuple[Sequence[bytes], bytes, Sequence[bytes]]  # (pubkeys, msg, sigs)
-# A vector job is an LtHash delta: a sum holds its UTXO entries in a
-# 1-tuple, a delta its added and its removed entries in a 2-tuple, so that
-# neither equals a check's 3-tuple as a key, and both pickle plainly.
+# A vector job is an LtHash delta, (added, removed): a 2-tuple never equals
+# a check's 3-tuple as a key, and pickles plainly.
 Job = Union[Check, lthash.Delta]
 
 # The table in shared memory: a 4-byte cursor (the slot the caller asked
@@ -62,17 +59,18 @@ HEAD, TABLE_SLOTS, SUM_SLOTS, DONE = 4, 1 << 16, 1 << 12, 2**32 - 1  # planned w
 ORDERED_STORES = platform.machine() in ("x86_64", "AMD64")
 # The helper (process, the caller's end of its pipe, table); the running
 # batch's job -> offset (None outside `split`), offset - HEAD -> job, the
-# number of jobs planned before it ran, and the function behind `post`.
+# number of jobs planned before it ran, and the function that adds to its plan.
 _helper: Optional[tuple] = None
 _slots: Optional[dict] = None
 _jobs: list = []
 _planned = 0
-_more: Optional[Callable[[Sequence[lthash.Delta]], None]] = None
+_add: Optional[Callable[[Sequence[Job]], None]] = None
 
 
 def sums(entries: Sequence[bytes]) -> list[lthash.Delta]:
-    """entries as the sum jobs that plan and apply them alike."""
-    return [(tuple(entries[i : i + CHUNK]),) for i in range(0, len(entries), CHUNK)]
+    """entries as the deltas, each adding CHUNK of them, that plan and apply
+    them alike."""
+    return [(tuple(entries[i : i + CHUNK]), ()) for i in range(0, len(entries), CHUNK)]
 
 
 def _index(part: Sequence[Job], slots: dict) -> list:
@@ -179,13 +177,13 @@ def _serve(conn: multiprocessing.connection.Connection, table: mmap.mmap) -> Non
         while True:
             slots: dict = {}
             jobs: deque = deque()
-            ended = False
-            while jobs or not ended:
+            last = False
+            while jobs or not last:
                 # Read waiting parts between jobs, so that a caller blocked on
                 # a full pipe waits for one job at most; wait for a part only
                 # with no job left.
-                if not ended and (not jobs or waiting.poll(0)):
-                    part, ended = conn.recv()
+                if not last and (not jobs or waiting.poll(0)):
+                    part, last = conn.recv()
                     _index(part, slots)
                     jobs.extend(part)
                     continue
@@ -225,16 +223,17 @@ def split(items: Iterable, plan: Callable[..., Sequence[Job]]) -> Iterator[list]
     read. Only with libsodium and two CPUs is a helper used: then plan(item),
     the item's part of the batch's plan, is made as it is read, and the
     helper starts on each part as it is sent; otherwise nothing is planned.
-    A batch of PART_SLOTS items or more closes a window of LtHash writes
-    before its last, so where the host sees the helper's stores in order,
-    its plan stays open for the deltas it posts (`post`) until the block
-    ends; a smaller one, which posts nothing, ends its plan as soon as it
-    is read."""
-    global _slots, _jobs, _planned, _more
-    if crypto.CPUS < 2 or crypto._sodium_verify() is None:
+    The plan stays open for the deltas the block posts (`post`) and ends
+    once the block has ended. A helper that cannot start leaves the batch
+    to run inline, and the next batch tries again."""
+    global _slots, _jobs, _planned, _add
+    helper = None
+    if crypto.CPUS > 1 and crypto._sodium_verify() is not None:
+        with suppress(OSError):  # no room for the table, or no process to fork
+            helper = _ready_helper()
+    if helper is None:
         yield list(items)
         return
-    helper = _ready_helper()
     _, conn, table = helper
     table[:HEAD] = bytes(HEAD)
     read: list = []
@@ -242,63 +241,54 @@ def split(items: Iterable, plan: Callable[..., Sequence[Job]]) -> Iterator[list]
     jobs: list = []
     message: list = []
     sent = 0  # slots the helper has been sent
-    ended = False
 
-    def send(end: bool) -> None:
-        nonlocal message, sent, ended
+    def send(end: bool = False) -> None:
+        nonlocal message, sent
         with suppress(OSError):  # a helper that died since: its slots run inline, a new one next batch
             conn.send((message, end))
-        message, sent, ended = [], len(slots), end
+        message, sent = [], len(slots)
 
-    def add(part: Sequence[Job], now: bool = False) -> None:
+    def add(part: Sequence[Job]) -> None:
         """Index part, whose new slots start free, and send what has
-        gathered now or once it holds a sum job or PART_SLOTS new slots."""
+        gathered once it holds a vector job or PART_SLOTS new slots."""
         nonlocal message
         new = _index(part, slots)
         table[HEAD + len(jobs) : HEAD + len(slots)] = bytes(len(new))
         jobs.extend(new)
         message += part
-        if now or len(slots) - sent >= PART_SLOTS or any(len(job) == 1 for job in part):
-            send(False)
-
-    def more(deltas: Sequence[lthash.Delta]) -> None:
-        """post: deltas added and sent at once; nothing once the plan has
-        ended."""
-        if deltas and not ended:
-            add(deltas, True)
+        if len(slots) - sent >= PART_SLOTS or any(len(job) < 3 for job in part):
+            send()
 
     try:
         for item in items:
             read.append(item)
             add(plan(item))
-        posts = ORDERED_STORES and len(read) >= PART_SLOTS
-        if message or not posts:
-            send(not posts)  # the plan's tail, for the helper to start on
-        _slots, _jobs, _planned, _more = slots, jobs, len(jobs), more if posts else None
+        if message:
+            send()  # the plan's tail, for the helper to start on
+        _slots, _jobs, _planned, _add = slots, jobs, len(jobs), add
         yield read
     finally:
-        _slots, _jobs, _more = None, [], None
+        _slots, _jobs, _add = None, [], None
         if _helper is helper:  # not in a forked child
-            if not ended:
-                send(True)  # the end of the plan, also when reading it or the block raised
+            send(True)  # the end of the plan, also when reading it or the block raised
             table[:HEAD] = DONE.to_bytes(HEAD, "little")
 
 
 def post(deltas: Sequence[lthash.Delta]) -> None:
-    """Add deltas to the running batch's plan and send them, if its plan
-    is still open (see `split`); a delta not posted is not in the plan, and
-    `ask` leaves it to the caller."""
-    if _more is not None:
-        _more(deltas)
+    """Add deltas to the running batch's plan and send them, where the host
+    sees the helper's stores in order; a delta not posted is not in the
+    plan, and `ask` leaves it to the caller."""
+    if _add is not None and ORDERED_STORES:
+        _add(deltas)
 
 
 def _forget_helper() -> None:
     """In a forked child: work inline, never touching the parent's table or pipe."""
-    global _helper, _slots, _more
+    global _helper, _slots, _add
     if _helper is not None:
         _helper[1].close()
         multiprocessing.process._children.discard(_helper[0])  # the child's exit must not stop it
-    _helper = _slots = _more = None
+    _helper = _slots = _add = None
 
 
 if hasattr(os, "register_at_fork"):

@@ -11,13 +11,13 @@ does not depend on the order of the updates.
 
 An accumulator records its updates and expands them later. add and remove
 note an element, and defer notes a delta kept whole; close() hands out what
-was noted since the last close, and settle() folds a delta, a tuple of the
-elements added and, unless it holds additions alone, of the elements
-removed, either from its vector (a `vector()` computed elsewhere, such as in
-the ledger's helper process) or by expanding it. digest() folds what is
-noted and not closed; a delta that was closed counts only once it is
-settled. The caller may cancel closed additions against removals of equal
-bytes before it settles them: each element cancelled is an expansion saved.
+was noted since the last close, and settle() folds a delta, the pair of the
+elements added and the elements removed, either from its vector (a
+`vector()` computed elsewhere, such as in the ledger's helper process) or by
+expanding it. digest() folds what is noted and not closed; a delta that was
+closed counts only once it is settled. The caller may cancel closed
+additions against removals of equal bytes before it settles them: each
+element cancelled is an expansion saved.
 
 The lanes are packed into one Python int, lane i at bits 16i, which is also
 the digest's byte order. Lane-wise arithmetic works on the whole int at
@@ -39,8 +39,8 @@ DIGEST_BYTES = 2 * LANES
 _TOP = int.from_bytes(b"\x00\x80" * LANES, "little")
 _LOW = int.from_bytes(b"\xff\x7f" * LANES, "little")
 
-# The elements added, then, unless the delta only adds, the elements removed.
-Delta = tuple[tuple[bytes, ...], ...]
+# (the elements added, the elements removed).
+Delta = tuple[tuple[bytes, ...], tuple[bytes, ...]]
 # What close() hands out: the deltas deferred whole, the single adds and removes.
 Notes = tuple[list[Delta], list[bytes], list[bytes]]
 
@@ -70,8 +70,8 @@ def _sum(entries: Iterable[bytes]) -> int:
 
 def _delta(delta: Delta) -> int:
     """delta's lanes: its additions' sum less its removals'."""
-    added = _sum(delta[0])
-    return _minus(added, _sum(delta[1])) if len(delta) > 1 and delta[1] else added
+    added, removed = delta
+    return _minus(_sum(added), _sum(removed)) if removed else _sum(added)
 
 
 def net(added: Iterable[bytes], removed: Iterable[bytes]) -> Delta:
@@ -122,9 +122,9 @@ class LtHash:
         self._deferred.append(delta)
 
     def close(self) -> Notes:
-        """The updates noted since the last close: the deltas deferred
-        whole, the single adds and the single removes. They leave the
-        accumulator, which holds each again once it is settled."""
+        """The updates noted since the last close: the (added, removed)
+        deltas deferred whole, the single adds and the single removes. They
+        leave the accumulator, which holds each again once it is settled."""
         notes = self._deferred, self._added, self._removed
         self._deferred, self._added, self._removed = [], [], []
         return notes

@@ -16,6 +16,7 @@ import concurrent.futures
 import multiprocessing
 import os
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -223,11 +224,14 @@ def schedule_batch(
         """Commit wave after wave; False at a refusal in declared mode."""
         for wave in telemetry.waves:
             wave_items = [wrapped[j] for j in wave]
+            results = None
             if (len(wave_items) >= 2 and workers > 1
                     and sum(_payable_gas(accounts, it.tx) for it in wave_items) >= parallel_min_gas):
                 if not all(map(admitted, wave_items)):  # waves of two or more are declared
                     return False
-                results = _run_parallel(accounts, wave_items, epoch, operator, workers)
+                with suppress(concurrent.futures.BrokenExecutor, OSError):  # no worker wrote: run it inline
+                    results = _run_parallel(accounts, wave_items, epoch, operator, workers)
+            if results is not None:
                 telemetry.parallel_waves += 1
                 for idx, diff, pid, start, end in sorted(results):
                     item = wave_items[idx]

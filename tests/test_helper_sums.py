@@ -18,8 +18,8 @@ import time
 import pytest
 
 from helpers import KEYS, OPERATOR, make_config, p2pk, signed_spend
-from test_admission import REFUSAL_PINS, refusal_batch, refusal_world
-from test_verify_split import GOLDEN_CASES, fresh_helper, needs_sodium, run_golden  # noqa: F401
+from test_admission import CALLERS, REFUSAL_PINS, call_of, forged, refusal_batch, refusal_world
+from test_verify_split import GOLDEN_CASES, count_messages, fresh_helper, needs_sodium, run_golden  # noqa: F401
 from tierledger import codes, crypto, helper, ledger, lthash, rules
 from tierledger.model import Outpoint, txid
 
@@ -88,34 +88,28 @@ def log(tmp_path, monkeypatch):
     return cfg, state, txs, tmp_path, inline
 
 
-def count_vectors(monkeypatch) -> list:
-    """Each sum part the caller asks, by whether its vector came from the table."""
+def count_sums(monkeypatch) -> list:
+    """Each planned sum job the caller asks, by whether its vector came
+    from the table. A sum is a vector job as a posted delta is, so the sums
+    are told apart as the vector jobs that `ledger._plan` returned."""
     seen: list = []
-    real = helper.ask
+    planned: set = set()
+    real_ask, real_plan = helper.ask, ledger._plan
+
+    def plan(*args):
+        jobs = real_plan(*args)
+        planned.update(job for job in jobs if len(job) == 2)
+        return jobs
 
     def ask(job):
-        result = real(job)
-        if len(job) == 1:
+        result = real_ask(job)
+        if job in planned:
             seen.append(result is not None)
         return result
 
+    monkeypatch.setattr(ledger, "_plan", plan)
     monkeypatch.setattr(helper, "ask", ask)
     return seen
-
-
-def count_asked_sums(monkeypatch) -> list:
-    """The planned sum jobs whose vectors the caller reads from a batch's table."""
-    asked: list = []
-    real = helper.ask
-
-    def ask(job):
-        result = real(job)
-        if len(job) == 1 and result is not None:
-            asked.append(job)
-        return result
-
-    monkeypatch.setattr(helper, "ask", ask)
-    return asked
 
 
 def count_settled(monkeypatch) -> list:
@@ -135,7 +129,7 @@ def count_settled(monkeypatch) -> list:
 def test_the_helper_on_gives_the_inline_receipts_headers_and_replay(log, monkeypatch):
     cfg, state, txs, logdir, inline = log
     monkeypatch.setattr(crypto, "CPUS", 2)
-    seen = count_vectors(monkeypatch)
+    seen = count_sums(monkeypatch)
     assert apply_last(cfg, state, txs, logdir) == inline
     assert True in seen  # some sums came from the helper's table
     after = state.copy()
@@ -232,9 +226,9 @@ def test_golden_hashes_with_sums_on_and_off(monkeypatch, tmp_path, case, planned
     monkeypatch.setattr(crypto, "CPUS", 2)
     monkeypatch.setattr(helper, "ORDERED_STORES", True)
     monkeypatch.setattr(helper, "PLANNED_SUM", planned_sum)
-    asked = count_asked_sums(monkeypatch)
+    asked = count_sums(monkeypatch)
     run_golden(tmp_path, case)
-    assert bool(asked) == (planned_sum == 1)
+    assert any(asked) == (planned_sum == 1)
 
 
 def test_the_plan_sums_only_created_outputs(tmp_path, monkeypatch):
@@ -250,7 +244,7 @@ def test_the_plan_sums_only_created_outputs(tmp_path, monkeypatch):
     for ordered, fanouts in ((True, txs[:FANOUTS]), (False, [])):
         monkeypatch.setattr(helper, "ORDERED_STORES", ordered)
         jobs = [job for tx in txs for job in ledger._plan(state.utxos, tx, txid(tx))]
-        sums = [job for job in jobs if len(job) == 1]
+        sums = [job for job in jobs if len(job) == 2]
         assert sums == [job for tx in fanouts for job in helper.sums(made_entries(tx))]
         parts = [min(helper.CHUNK, FANOUT_OUTPUTS - i) for i in range(0, FANOUT_OUTPUTS, helper.CHUNK)]
         assert [len(job[0]) for job in sums] == parts * len(fanouts)
@@ -267,7 +261,7 @@ def test_golden_hashes_where_stores_may_be_seen_out_of_order(monkeypatch, tmp_pa
     monkeypatch.setattr(crypto, "CPUS", 2)
     monkeypatch.setattr(helper, "ORDERED_STORES", False)
     monkeypatch.setattr(helper, "PLANNED_SUM", 1)
-    asked = count_asked_sums(monkeypatch)
+    asked = count_sums(monkeypatch)
     seen = []
     real = crypto._sodium_accepts
     monkeypatch.setattr(crypto, "_sodium_accepts", lambda *key: seen.append(key in (helper._slots or ())) or real(*key))
@@ -286,7 +280,7 @@ def test_a_digest_settled_as_a_vector_adds_its_multiset():
     by_vector, by_entry, by_many = lthash.LtHash(), lthash.LtHash(), lthash.LtHash()
     for acc in (by_vector, by_entry, by_many):
         acc.add_many(base)
-    by_vector.settle((tuple(entries),), other.digest())
+    by_vector.settle((tuple(entries), ()), other.digest())
     for e in entries:
         by_entry.add(e)
     by_many.add_many(entries)
@@ -363,3 +357,28 @@ def test_a_refused_call_rolls_back_to_the_same_receipts_with_and_without_a_helpe
         assert got == REFUSAL_PINS[case]
         runs.append((receipts, header, ledger.state_digest(state)))
     assert runs[0] == runs[1]
+
+
+@needs_sodium
+def test_a_small_declared_batch_that_rolls_back_posts_its_full_window(monkeypatch):
+    """A declared batch of fewer than PART_SLOTS calls, the last refused:
+    the calls before it commit, roll back and commit again, so the batch
+    closes more than PART_SLOTS intervals. Its first window's net delta
+    reaches the helper as a message of its own, between the plan and its
+    end, and the receipts are those of the admitted calls alone."""
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    monkeypatch.setattr(helper, "ORDERED_STORES", True)
+    state, cfg, (x, _, _) = refusal_world(rules.ACCESS_DECLARED)
+    control = state.copy()
+    admitted = [call_of(i % 5, x, nonce=i // 5) for i in range(19)]  # one chain of waves on (X, 0)
+    txs = [*admitted, forged(call_of(5, x), CALLERS[5])]
+    assert len(txs) < helper.PART_SLOTS < 1 + 2 * len(admitted)  # the prologue's interval, then two runs
+    sent = count_messages(monkeypatch)
+    receipts, header = ledger.apply_batch(state, txs, 2, cfg)
+    assert [(len(jobs), ended) for jobs, ended in sent] == [(len(txs), False), (1, False), (0, True)]
+    ((added, removed),) = sent[1][0]  # the accounts' delta: no UTXO is written
+    assert added and removed
+    assert [r.status for r in receipts] == [codes.OK] * len(admitted) + [codes.BAD_AUTH]
+    alone, _ = ledger.apply_batch(control, admitted, 2, cfg)
+    assert receipts[:-1] == alone
+    assert ledger.state_digest(state) == ledger.state_digest(control)

@@ -120,7 +120,7 @@ def test_vector_updates_match_entry_updates_and_the_kept_digest_follows():
             removed.append(e)
         else:
             by_entry.add(e)
-            delta = ((e,),)
+            delta = ((e,), ())
             added.append(e)
         by_vector.settle(delta, lthash.vector(delta))
         want = lthash16_oracle(added, removed)
@@ -164,7 +164,7 @@ def test_deferred_updates_fold_to_the_oracle():
             removed += es
         elif op < 0.8:
             es = tuple(random_entries(rng, rng.randint(1, 4)))
-            acc.defer((es,))
+            acc.defer((es, ()))
             added += es
         else:
             copy = acc.copy()
@@ -174,7 +174,7 @@ def test_deferred_updates_fold_to_the_oracle():
             for delta in [*deferred, (tuple(loose_added), tuple(loose_removed))]:
                 acc.settle(delta, lthash.vector(delta) if rng.random() < 0.5 else None)
                 settled_added += delta[0]
-                settled_removed += delta[1] if len(delta) > 1 else ()
+                settled_removed += delta[1]
             assert acc.digest() == lthash16_oracle(settled_added, settled_removed), step
             assert sorted(settled_added) == sorted(added) and sorted(settled_removed) == sorted(removed)
     assert acc.digest() == lthash16_oracle(added, removed)

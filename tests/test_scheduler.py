@@ -20,9 +20,10 @@ from helpers import (
     make_call,
     make_config,
     make_deploy,
+    seed_balance,
 )
 from oracles import pairwise_waves
-from tierledger import scheduler, vm
+from tierledger import ledger, scheduler, vm
 from tierledger.model import AccessDecl, Call, Deploy, Transaction, address_of_pubkey, txid
 from tierledger.rules import ACCESS_DECLARED
 
@@ -234,6 +235,48 @@ def test_parallel_wave_raises_when_a_worker_dies_or_raises(monkeypatch):
     monkeypatch.setattr(scheduler, "_execute_one", boom)
     with pytest.raises(ValueError, match="boom in worker"):
         scheduler._run_parallel(acc, items, 1, DECL.operator_address, 2)
+
+
+def _dying_worker(index: int):
+    """A pool worker that dies before it runs its call."""
+    os._exit(9)
+
+
+def _raising_worker(index: int):
+    raise ValueError("boom in the execution code")
+
+
+def test_a_wave_whose_pool_breaks_runs_inline(monkeypatch):
+    """A forced parallel wave whose workers die runs inline, as on one
+    worker: every member was admitted before dispatch, and no worker wrote
+    anything. An exception raised by the execution code still propagates."""
+    cfg = make_config(initial_subsidy=0, access_mode=ACCESS_DECLARED)
+    state = ledger.LedgerState()
+    seed_balance(state, address_of_pubkey(KEYS[1].pubkey), 10_000)
+    deploys = [make_deploy(KEYS[1], counter_code(), nonce=n, gas_limit=31, gas_price=1) for n in range(3)]
+    assert [r.status for r in ledger.apply_batch(state, deploys, 1, cfg, workers=1)[0]] == [0] * 3
+    for kp in KEYS[2:5]:
+        seed_balance(state, address_of_pubkey(kp.pubkey), 10_000)
+    calls = [make_call(KEYS[2 + i], txid(d), nonce=0, gas_limit=25, access=counter_access(txid(d)))
+             for i, d in enumerate(deploys)]
+    serial = state.copy()
+    want, want_header = ledger.apply_batch(serial, calls, 2, cfg, workers=1)
+    pools = []
+    real = scheduler._run_parallel
+    monkeypatch.setattr(scheduler, "_run_parallel", lambda *args: pools.append(args[1]) or real(*args))
+    monkeypatch.setattr(scheduler, "_worker", _dying_worker)
+    telemetry: list = []
+    broken = state.copy()
+    receipts, header = ledger.apply_batch(broken, calls, 2, cfg, workers=2, parallel_min_gas=0,
+                                          collect_telemetry=telemetry)
+    assert len(pools) == 1 and len(pools[0]) == 3  # the one wave went to the pool
+    assert (receipts, header.hash()) == (want, want_header.hash())
+    assert [r.status for r in receipts] == [0] * 3
+    assert ledger.state_digest(broken) == ledger.state_digest(serial)
+    assert [t.parallel_waves for t in telemetry] == [0]
+    monkeypatch.setattr(scheduler, "_worker", _raising_worker)
+    with pytest.raises(ValueError, match="boom in the execution code"):
+        ledger.apply_batch(state.copy(), calls, 2, cfg, workers=2, parallel_min_gas=0)
 
 
 def test_pool_forks_only_on_gas_the_callers_can_prepay(monkeypatch):

@@ -11,6 +11,7 @@ stops the helper before the test and again before the patches are undone."""
 
 from __future__ import annotations
 
+import errno
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -21,6 +22,7 @@ import sys
 import textwrap
 import threading
 import time
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -90,6 +92,16 @@ def wait_for_the_helper() -> None:
     has finished its pass and writes nothing more until the next plan. The
     acknowledgement stays in the pipe for the next batch to read."""
     assert helper._helper[1].poll(30), "the helper never finished the plan"
+
+
+def wait_for_verdicts(keys) -> None:
+    """Wait until the running batch's table holds a verdict on each of keys.
+    Its plan stays open until the batch ends, so the helper acknowledges
+    nothing before; with no job left, it only waits for the next part."""
+    table, deadline = helper._helper[2], time.monotonic() + 30
+    while any(table[helper._slots[key]] < helper.ACCEPT for key in keys):
+        assert time.monotonic() < deadline, "the helper never finished its pass"
+        time.sleep(0.001)
 
 
 def cursor(table) -> int:
@@ -180,7 +192,7 @@ def test_a_finished_helper_answers_every_planned_check(monkeypatch):
     keys = helper_pass(planned)
     calls = count_libsodium(monkeypatch)
     with helper.split([planned], list):
-        wait_for_the_helper()
+        wait_for_verdicts(keys)
         table = helper._helper[2]
         # The helper computed exactly its pass, each verdict libsodium's.
         done = {key: table[slot] for key, slot in helper._slots.items() if table[slot] != helper.FREE}
@@ -328,7 +340,7 @@ def test_a_caller_asking_out_of_plan_order_leaves_the_helper_every_other_slot(mo
     calls = count_libsodium(monkeypatch)
     with helper.split([[((pk,), msg, (sig,)) for pk, msg, sig in keys]], list):
         assert crypto.verify(*keys[-1])
-        wait_for_the_helper()
+        wait_for_verdicts(keys)
         table = helper._helper[2]
         assert [table[helper._slots[key]] for key in keys] == [helper.ACCEPT] * len(keys)
         assert all(crypto.verify(*key) for key in keys[:-1])
@@ -346,7 +358,7 @@ def test_s_guard_holds_through_the_helper(monkeypatch, fresh_helper):
     bad = [test_crypto.with_s(sig, v) for v in (test_crypto.L, s + test_crypto.L, 2**256 - 1)]
     plan = [((pk, kp.pubkey), test_crypto.MSG, (b,)) for b in bad]
     with helper.split([plan], list):
-        wait_for_the_helper()
+        wait_for_verdicts(list(helper._slots))
         table = helper._helper[2]
         assert [table[slot] for slot in helper._slots.values()] == [helper.REJECT] * (2 * len(bad))
         assert crypto.verify(pk, test_crypto.MSG + b"x", sig)  # the stub is in effect
@@ -521,6 +533,39 @@ def test_golden_hashes_on_two_cpus(monkeypatch, tmp_path, case):
 
 
 @needs_sodium
+@pytest.mark.parametrize("failing", ["mmap", "fork"])
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_a_helper_that_cannot_start_leaves_the_batch_inline(monkeypatch, tmp_path, fresh_helper, case, failing):
+    """With no room for the helper's table, or no process to fork, every
+    batch runs inline and the golden hashes hold; once a helper can start,
+    the next batch starts one."""
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    tries: list = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def no_table(*args):
+        tries.append(failing)
+        raise OSError(errno.ENOMEM, "no room for the table")
+
+    def no_fork(process):
+        if process.name != HELPER:
+            return start(process)
+        tries.append(failing)
+        raise OSError(errno.EAGAIN, "no process to fork")
+
+    with monkeypatch.context() as patch:
+        if failing == "mmap":
+            patch.setattr(helper, "mmap", types.SimpleNamespace(mmap=no_table))
+        else:
+            patch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
+        run_golden(tmp_path, case)
+        assert tries and helper_processes() == []
+    state, cfg, txs, _ = mixed_batch()
+    apply_copy(state, cfg, txs)
+    assert helper._helper[0].is_alive() and helper_processes() == [helper._helper[0]]
+
+
+@needs_sodium
 @pytest.mark.parametrize("part_slots", [1, 10**9], ids=["a-message-per-part", "one-message"])
 @pytest.mark.parametrize("case", GOLDEN_CASES)
 def test_golden_hashes_however_the_plan_is_cut_into_parts(monkeypatch, tmp_path, case, part_slots):
@@ -548,21 +593,22 @@ def count_messages(monkeypatch) -> list:
 
 
 @needs_sodium
-def test_a_small_batch_goes_to_the_helper_as_one_message(monkeypatch):
+def test_a_small_batch_sends_its_plan_then_its_end(monkeypatch):
     """The mixed batch's 12 transactions hold fewer than PART_SLOTS triples
-    and no sum: one message, which also ends the plan, since a batch of
-    fewer than PART_SLOTS transactions posts no LtHash delta. A batch of 40
-    single-key spends goes in parts of PART_SLOTS triples as it is read.
-    Its first PART_SLOTS intervals (the writes before the batch and its
-    expiry and coinbase writes, then the first receipts') make a window,
-    whose net delta per accumulator is posted alone once the next interval
-    closes; the caller folds the last window's itself, and the end of the
-    plan follows alone."""
+    and no sum: one message of plan, then the plan's end alone once the
+    batch has ended, since the plan stays open for any LtHash delta the
+    batch posts. A batch of 40 single-key spends goes in parts of
+    PART_SLOTS triples as it is read. Its first PART_SLOTS intervals (the
+    writes before the batch and its expiry and coinbase writes, then the
+    first receipts') make a window, whose net delta per accumulator is
+    posted alone once the next interval closes; the caller folds the last
+    window's itself, and the end of the plan follows alone."""
     monkeypatch.setattr(crypto, "CPUS", 2)
     state, cfg, txs, _ = mixed_batch()
     sent = count_messages(monkeypatch)
     apply_copy(state, cfg, txs)
-    assert [ended for _, ended in sent] == [True]
+    assert [ended for _, ended in sent] == [False, True]
+    assert sent[1][0] == []
     sent.clear()
     spends = [signed_spend(KEYS[1], [seed_utxo(state, p2pk(KEYS[1], 5))], [p2pk(KEYS[2], 5)]) for _ in range(40)]
     receipts, _ = apply_copy(state, cfg, spends)
