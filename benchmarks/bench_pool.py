@@ -26,7 +26,6 @@ BURN_ASM = "ARG loop: DUP NOT JUMPI end PUSHI 1 SUB JUMP loop end: HALT"
 CALLS = 8
 WAVE_GAS = [768_000, 1_536_000, 3_072_000, 4_608_000, 6_144_000, 12_288_000]
 CFG = rules.SystemConfig(access_mode=rules.ACCESS_DECLARED)
-OPERATOR = CFG.operator_address
 DEPLOYER = b"\x01" * 32
 CALLERS = [bytes([0x40 + i]) * 32 for i in range(CALLS)]
 
@@ -39,9 +38,9 @@ def setup() -> tuple[vm.Accounts, list[bytes]]:
         # Trailing HALTs make each code distinct, as distinct contracts are.
         code = vm.assemble(BURN_ASM) + bytes([vm.OP_HALT]) * i
         tx = Transaction(Deploy(code, 0, DEPLOYER, 10_000, 0), nonce=i)
-        diff = vm.deploy(acc, tx, txid(tx), OPERATOR)
+        diff = vm.deploy(acc, tx, txid(tx))
         assert diff.outcome.committed, diff.outcome
-        diff.apply(acc, OPERATOR)
+        diff.apply(acc)
         contracts.append(txid(tx))
     for caller in CALLERS:
         acc.set_balance(caller, 10**9)

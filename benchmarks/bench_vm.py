@@ -53,7 +53,6 @@ BURN_ITERS = 800  # 6 gas per iteration, as in the contracts-declared workload
 SHORT_REPEAT = 25
 
 CALLER = b"\x01" * 32
-OPERATOR = b"\x02" * 32
 HOLDERS = [bytes([0x10 + i]) * 32 for i in range(4)]  # three balances and a payee
 SELLER = b"\x20" * 32
 ASK = 7
@@ -91,9 +90,9 @@ def deploy_tx(acc: vm.Accounts, code: bytes) -> Transaction:
 
 def deployed(acc: vm.Accounts, code: bytes) -> bytes:
     tx = deploy_tx(acc, code)
-    diff = vm.deploy(acc, tx, txid(tx), OPERATOR)
+    diff = vm.deploy(acc, tx, txid(tx))
     assert diff.outcome.committed, diff.outcome
-    diff.apply(acc, OPERATOR)
+    diff.apply(acc)
     return txid(tx)
 
 
@@ -126,7 +125,7 @@ def bench(acc: vm.Accounts, txs: dict[str, Transaction], windows: int) -> dict[t
             for declared in (False, True):
                 t0 = time.perf_counter()
                 for _ in range(calls):
-                    diff = vm.invoke(acc, tx, tx_id, 1, OPERATOR, declared)
+                    diff = vm.invoke(acc, tx, tx_id, 1, declared)
                 seconds = (time.perf_counter() - t0) / calls
                 assert diff.outcome.committed, diff.outcome
                 best[name, declared] = min(best.get((name, declared), (float("inf"), 0)), (seconds, diff.outcome.gas_used))
@@ -152,9 +151,9 @@ def print_cold(name: str, acc: vm.Accounts, call: Transaction) -> None:
     for _ in range(5):
         vm.compile_code.cache_clear()
         t0 = time.perf_counter()
-        assert vm.deploy(acc, deploy, txid(deploy), OPERATOR).outcome.committed
+        assert vm.deploy(acc, deploy, txid(deploy)).outcome.committed
         t1 = time.perf_counter()
-        vm.invoke(acc, call, txid(call), 1, OPERATOR, False)
+        vm.invoke(acc, call, txid(call), 1, False)
         t2 = time.perf_counter()
         best = [min(b, t) for b, t in zip(best, (t1 - t0, t2 - t1, t2 - t0))]
     print(f"{name:8s} cold     {len(code):6d} code bytes  deploy {best[0] * 1e6:8.0f} us  "
@@ -169,7 +168,7 @@ def print_nested(acc: vm.Accounts) -> None:
         best = float("inf")
         for _ in range(5):
             t0 = time.perf_counter()
-            diff = vm.invoke(acc, tx, txid(tx), 1, OPERATOR, False)
+            diff = vm.invoke(acc, tx, txid(tx), 1, False)
             best = min(best, time.perf_counter() - t0)
         assert diff.outcome.committed, diff.outcome
         print(f"nested   {passes:6d} passes {diff.outcome.gas_used:9d} gas  {best * 1e3:8.1f} ms  "
@@ -182,7 +181,7 @@ def print_cycling(acc: vm.Accounts) -> None:
     best, gas = float("inf"), 0
     for _ in range(5):
         t0 = time.perf_counter()
-        gas = sum(vm.invoke(acc, tx, txid(tx), 1, OPERATOR, False).outcome.gas_used for tx in txs)
+        gas = sum(vm.invoke(acc, tx, txid(tx), 1, False).outcome.gas_used for tx in txs)
         best = min(best, time.perf_counter() - t0)
     print(f"cycling  {CYCLE_CODES:6d} codes  gas_limit 100  {best * 1e6 / len(txs):8.0f} us/call  "
           f"{best * 1e6 / gas:8.0f} us/gas")
@@ -196,11 +195,11 @@ def resident_bytes() -> int:
 def print_sstore_commit(acc: vm.Accounts) -> None:
     contract = deployed(acc, vm.assemble(STORE_ASM))
     tx = Transaction(Call(contract, STORE_SLOTS, 0, CALLER, 2**24, 0), nonce=acc.nonces[CALLER])
-    diff = vm.invoke(acc, tx, txid(tx), 1, OPERATOR, False)
+    diff = vm.invoke(acc, tx, txid(tx), 1, False)
     assert diff.outcome.committed and len(diff.storage_new) == STORE_SLOTS, diff.outcome
     gc.collect()
     rss, t0 = resident_bytes(), time.perf_counter()
-    diff.apply(acc, OPERATOR)
+    diff.apply(acc)
     acc.lthash.digest()
     seconds = time.perf_counter() - t0
     gc.collect()
@@ -222,7 +221,7 @@ def print_per_op(acc: vm.Accounts, burn: bytes, iterations: int) -> None:
         best = float("inf")
         for _ in range(iterations):
             t0 = time.perf_counter()
-            diff = vm.invoke(acc, tx, tx_id, 1, OPERATOR, False)
+            diff = vm.invoke(acc, tx, tx_id, 1, False)
             best = min(best, time.perf_counter() - t0)
     finally:
         vm._MAX_LINES = saved

@@ -65,6 +65,9 @@ _slots: Optional[dict] = None
 _jobs: list = []
 _planned = 0
 _add: Optional[Callable[[Sequence[Job]], None]] = None
+# Consecutive helper starts that failed, and the batches to run without
+# trying again (`_ready_helper`).
+_failed_starts = _batches_to_skip = 0
 
 
 def sums(entries: Sequence[bytes]) -> list[lthash.Delta]:
@@ -196,24 +199,38 @@ def _serve(conn: multiprocessing.connection.Connection, table: mmap.mmap) -> Non
             conn.send_bytes(b"")
 
 
-def _ready_helper() -> tuple:
+def _ready_helper() -> Optional[tuple]:
     """The helper once it has acknowledged its last batch, after which it
     writes nothing until the next plan; a new helper if it died, also since
-    its acknowledgement."""
-    global _helper
+    its acknowledgement; None while a backoff runs. A fork that fails leaves
+    open the four descriptors multiprocessing opened for it, so after k
+    consecutive starts that failed the next 2^(k-1) - 1 batches run without
+    trying, and a start that succeeds resets k. A table that cannot be
+    mapped leaks nothing, and the next batch tries again."""
+    global _helper, _failed_starts, _batches_to_skip
     if _helper is not None:
         with suppress(EOFError, OSError):  # else it died; starting the next process reaps it
             _helper[1].recv_bytes()
             if _helper[0].is_alive():
                 return _helper
+    if _batches_to_skip:
+        _batches_to_skip -= 1
+        return None
     table, (conn, child_end) = mmap.mmap(-1, TABLE_SLOTS + (HEAD + SUM_SLOTS) * DIGEST_BYTES), multiprocessing.Pipe()
     fork = multiprocessing.get_context("fork")
     process = fork.Process(target=_serve, args=(child_end, table), name="tierledger-helper", daemon=True)
     _helper = (process, conn, table)
     try:
         process.start()  # the fork hook closes conn in the helper
+    except OSError:
+        conn.close()
+        _helper = None
+        _failed_starts += 1
+        _batches_to_skip = 2 ** (_failed_starts - 1) - 1
+        raise
     finally:
         child_end.close()
+    _failed_starts = 0
     return _helper
 
 
@@ -225,7 +242,7 @@ def split(items: Iterable, plan: Callable[..., Sequence[Job]]) -> Iterator[list]
     helper starts on each part as it is sent; otherwise nothing is planned.
     The plan stays open for the deltas the block posts (`post`) and ends
     once the block has ended. A helper that cannot start leaves the batch
-    to run inline, and the next batch tries again."""
+    to run inline, and a later batch tries again."""
     global _slots, _jobs, _planned, _add
     helper = None
     if crypto.CPUS > 1 and crypto._sodium_verify() is not None:

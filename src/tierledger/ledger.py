@@ -207,7 +207,13 @@ class LedgerState:
 
     @property
     def account_total(self) -> int:
-        return self.accounts.total
+        """The balances and the fee income the running batch still owes the operator."""
+        return self.accounts.total + self.accounts.fees
+
+    def credit_fees(self, operator: bytes) -> None:
+        """Credit the running batch's fee income to the operator, once, at its end."""
+        self.accounts.set_balance(operator, self.accounts.balance(operator) + self.accounts.fees)
+        self.accounts.fees = 0
 
     def conservation_holds(self) -> bool:
         """issued = utxo_total + account_total + expired, exactly."""
@@ -313,9 +319,10 @@ def _transfer(
 ) -> int:
     """The one routine for UtxoSpend, MoveToAccount and MoveToUtxo: pending-
     pool admission, the validity window, the kind's checks, then the state
-    writes and the operator fee. A matured pending transaction's input locks
-    passed at its admission and are not checked again. Returns the receipt
-    status; a rejection writes nothing."""
+    writes and the fee, held for the operator until the batch end. A
+    matured pending transaction's input locks passed at its admission and
+    are not checked again. Returns the receipt status; a rejection writes
+    nothing."""
     k = tx.kind
     accounts = state.accounts
     if isinstance(k, UtxoSpend) and tx.not_before is not None and tx.not_before > epoch:
@@ -349,9 +356,7 @@ def _transfer(
         accounts.set_balance(k.to, accounts.balance(k.to) + k.amount)
     else:
         state.put_utxos(tx_id, k.outputs)
-    if fee:
-        operator = cfg.operator_address
-        accounts.set_balance(operator, accounts.balance(operator) + fee)
+    accounts.fees += fee
     return codes.OK
 
 
@@ -409,7 +414,8 @@ def apply_batch(
     call never runs, and its BAD_AUTH receipt commits no writes, as every
     rejection does. A call that fails
     the contract gate has its signature checked at once, so BAD_AUTH still
-    takes precedence.
+    takes precedence. Every fee is held for the operator as it is paid and
+    credited once, after the last flush, in writes no receipt holds.
 
     txs may be any iterable. It is read once, whole, before the first state
     write, and while a helper process runs each transaction is planned for
@@ -526,6 +532,8 @@ def apply_batch(
                     status = _transfer(state, tx, tx_id, epoch, cfg, batch_spent, matured)
                 results[i] = (tx_id, status, 0, level, close())
             flush_contracts()
+            # 4. The batch's fee income, to the operator: no receipt's write.
+            state.credit_fees(cfg.operator_address)
         finally:
             intervals.append([acc.close() for acc in accumulators])  # the header's: what no receipt wrote
             cut()
@@ -533,8 +541,7 @@ def apply_batch(
                 acc.settle(delta, helper.ask(delta))
 
     assert None not in results
-    digests = _writes_digests(intervals, {result[4] for result in results})
-    receipts = [Receipt(*result[:4], digests[result[4]]) for result in results]
+    receipts = [Receipt(*result[:4], _writes_digest(intervals, result[4])) for result in results]
     txs_hash = sha256(b"".join(sha256(full_serialize(tx)) for tx, _, _ in work[len(pending) :]))
     receipts_hash = sha256(b"".join(r.hash() for r in receipts))
     header = BatchHeader(
@@ -551,21 +558,15 @@ def apply_batch(
     return receipts, header
 
 
-def _writes_digests(intervals: Sequence[Sequence[lthash.Notes]], kept: AbstractSet[Optional[int]]) -> dict:
-    """The writes digest of each interval in kept, a receipt's, over its
-    notes and those of the intervals before it that no receipt keeps, back
-    to the last kept one: a declared flush's commits rolled back, whose
-    rollback the kept one holds, so the two cancel. The first interval, the
-    expiry and coinbase writes, is no receipt's; None, none's."""
-    digests, added, removed = {None: writes_digest(((), ()))}, [], []
-    for k in range(1, len(intervals)):
-        for deferred, loose_added, loose_removed in intervals[k]:
-            added += chain(*(delta[0] for delta in deferred), loose_added)  # deferred: sums of created outputs
-            removed += loose_removed
-        if k in kept:
-            digests[k] = writes_digest(lthash.net(added, removed))
-            added, removed = [], []
-    return digests
+def _writes_digest(intervals: Sequence[Sequence[lthash.Notes]], k: Optional[int]) -> bytes:
+    """The writes digest of interval k, a receipt's, over its net notes;
+    None, for a receipt without writes, commits to none."""
+    added: list[bytes] = []
+    removed: list[bytes] = []
+    for deferred, loose_added, loose_removed in intervals[k] if k is not None else ():
+        added += chain(*(delta[0] for delta in deferred), loose_added)  # deferred: sums of created outputs
+        removed += loose_removed
+    return writes_digest(lthash.net(added, removed))
 
 
 # ---------------------------------------------------------------------------

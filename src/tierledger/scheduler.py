@@ -7,7 +7,9 @@ is one transaction's written set intersecting another's read-or-written
 set over balances and storage keys, with callee footprints folded in) and
 executes conflict-free waves on a process pool. The committed result is
 extensionally identical to serial execution in submission order because
-transactions within a wave touch disjoint state, and fee credits commute.
+transactions within a wave touch disjoint state, and fees commute: each is
+added to the batch's pending fee income, which no transaction reads, and
+the batch credits it to the operator at its end.
 """
 
 from __future__ import annotations
@@ -88,13 +90,12 @@ def _execute_one(
     accounts: vm.Accounts,
     item: _Item,
     epoch: int,
-    operator: bytes,
     declared: bool,
 ) -> vm.StateDiff:
     if isinstance(item.tx.kind, Deploy):
-        return vm.deploy(accounts, item.tx, item.tx_id, operator)
+        return vm.deploy(accounts, item.tx, item.tx_id)
     final = item.footprint if item.footprint_final else None
-    return vm.invoke(accounts, item.tx, item.tx_id, epoch, operator, declared, final)
+    return vm.invoke(accounts, item.tx, item.tx_id, epoch, declared, final)
 
 
 # Fork-inherited state for pool workers: set in the parent immediately
@@ -105,21 +106,18 @@ _FORK_STATE: dict = {}
 def _worker(index: int) -> tuple[int, vm.StateDiff, int, float, float]:
     st = _FORK_STATE
     start = time.monotonic()
-    diff = _execute_one(st["accounts"], st["items"][index], st["epoch"], st["operator"], True)
+    diff = _execute_one(st["accounts"], st["items"][index], st["epoch"], True)
     end = time.monotonic()
     return index, diff, os.getpid(), start, end
 
 
-def _footprint_sets(
-    item: _Item, operator: bytes
-) -> tuple[Optional[frozenset], Optional[frozenset], bool]:
+def _footprint_sets(item: _Item) -> tuple[Optional[frozenset], Optional[frozenset], bool]:
     """(reads, writes, barrier) for conflict analysis. Keys are balance
     addresses (bytes) and storage slots ((address, key) tuples), which never
     compare equal to each other. A barrier transaction conflicts with
-    everything: deploys; anything touching the operator, whose fee income
-    is otherwise exempt from conflict analysis; and calls that can reach a
-    contract missing before the batch, since a deploy earlier in the batch
-    can give it a footprint that execution checks but analysis did not see."""
+    everything: deploys, and calls that can reach a contract missing before
+    the batch, since a deploy earlier in the batch can give it a footprint
+    that execution checks but analysis did not see."""
     k = item.tx.kind
     if isinstance(k, Deploy):
         return None, None, True
@@ -132,18 +130,13 @@ def _footprint_sets(
     # and the callee's balances.
     reads = fp.balances_read | fp.storage_read
     writes = fp.balances_written | fp.storage_written
-    barrier = (
-        k.caller == operator
-        or not item.footprint_final
-        or operator in reads
-        or operator in writes
-    )
-    return reads, writes, barrier
+    return reads, writes, not item.footprint_final
 
 
-def _conflict_waves(items: Sequence[_Item], operator: bytes) -> list[list[int]]:
-    """Partition into waves: tx j lands one level past the deepest earlier
-    transaction it conflicts with, so each wave is pairwise conflict-free.
+def _conflict_waves(items: Sequence[_Item]) -> list[list[int]]:
+    """Partition into waves of item indices: an item lands one level past
+    the deepest earlier item it conflicts with, so each wave is pairwise
+    conflict-free.
 
     Two transactions conflict when either is a barrier or one writes a key
     the other reads or writes. One pass over the footprints keeps, per key,
@@ -154,8 +147,8 @@ def _conflict_waves(items: Sequence[_Item], operator: bytes) -> list[list[int]]:
     deepest_read: dict = {}
     deepest = deepest_barrier = -1
     waves: list[list[int]] = []
-    for j, item in enumerate(items):
-        reads, writes, barrier = _footprint_sets(item, operator)
+    for item in items:
+        reads, writes, barrier = _footprint_sets(item)
         if barrier:
             level = deepest_barrier = deepest + 1
         else:
@@ -171,7 +164,7 @@ def _conflict_waves(items: Sequence[_Item], operator: bytes) -> list[list[int]]:
         deepest = max(deepest, level)
         if level == len(waves):
             waves.append([])
-        waves[level].append(j)
+        waves[level].append(item.index)
     return waves
 
 
@@ -189,18 +182,20 @@ def schedule_batch(
 
     items are (transaction, txid) in submission order; on_commit fires right
     after each transaction's diff is applied, in a deterministic order
-    (submission order within each wave).
+    (submission order within each wave). The telemetry's waves hold the
+    transactions committed, wave by wave.
 
     admit(index), when given, is asked once about each transaction as late
     as possible: an inline one right before it executes, and every member
     of a parallel wave before the wave is dispatched. A refused transaction
     never runs. In dynamic mode it held a wave of its own, so the others run
     as if it were absent. In declared mode its footprint shaped the waves,
-    so every remaining transaction is asked at once, the commits made so far
-    are rolled back, and the admitted transactions run again alone. Either
-    way the result is that of scheduling the admitted transactions only.
+    so the pass stops at it, every transaction that has not run is asked at
+    once, and the admitted ones are put into waves again. None of them
+    conflicts with a committed transaction submitted after it, and no
+    receipt depends on the order of commits, so either way the result is
+    that of scheduling the admitted transactions only.
     """
-    operator = cfg.operator_address
     declared = cfg.access_mode == ACCESS_DECLARED
     wrapped = [_wrap(i, tx, tx_id, accounts, declared) for i, (tx, tx_id) in enumerate(items)]
     outcomes: list[Optional[vm.ExecOutcome]] = [None] * len(wrapped)
@@ -215,22 +210,24 @@ def schedule_batch(
         return verdicts[item.index]
 
     def commit(item: _Item, diff: vm.StateDiff) -> None:
-        diff.apply(accounts, operator)
+        diff.apply(accounts)
         outcomes[item.index] = diff.outcome
+        telemetry.waves[-1].append(item.index)
         if on_commit is not None:
             on_commit(item.index, diff.outcome)
 
-    def run_waves() -> bool:
-        """Commit wave after wave; False at a refusal in declared mode."""
-        for wave in telemetry.waves:
+    def run_waves(waves: list[list[int]]) -> None:
+        """Commit wave after wave, up to a refusal in declared mode."""
+        for wave in waves:
+            telemetry.waves.append([])
             wave_items = [wrapped[j] for j in wave]
             results = None
             if (len(wave_items) >= 2 and workers > 1
                     and sum(_payable_gas(accounts, it.tx) for it in wave_items) >= parallel_min_gas):
                 if not all(map(admitted, wave_items)):  # waves of two or more are declared
-                    return False
+                    return
                 with suppress(concurrent.futures.BrokenExecutor, OSError):  # no worker wrote: run it inline
-                    results = _run_parallel(accounts, wave_items, epoch, operator, workers)
+                    results = _run_parallel(accounts, wave_items, epoch, workers)
             if results is not None:
                 telemetry.parallel_waves += 1
                 for idx, diff, pid, start, end in sorted(results):
@@ -241,28 +238,16 @@ def schedule_batch(
             else:
                 for item in wave_items:
                     if admitted(item):
-                        commit(item, _execute_one(accounts, item, epoch, operator, declared))
+                        commit(item, _execute_one(accounts, item, epoch, declared))
                     elif declared:
-                        return False
-        return True
+                        return
 
-    if declared:
-        telemetry.waves = _conflict_waves(wrapped, operator)
-    else:
-        telemetry.waves = [[it.index] for it in wrapped]
-    undo = accounts.undo = [] if declared and admit is not None else None
-    try:
-        finished = run_waves()
-    finally:
-        accounts.undo = None
-    if finished:
-        return [o for o in outcomes if o is not None], telemetry
-    kept = [it.index for it in wrapped if admitted(it)]
-    accounts.rollback(undo)
-    return schedule_batch(
-        accounts, [items[j] for j in kept], epoch, cfg,
-        on_commit and (lambda j, outcome: on_commit(kept[j], outcome)), workers, parallel_min_gas,
-    )
+    pending = wrapped
+    while pending:
+        run_waves(_conflict_waves(pending) if declared else [[it.index] for it in pending])
+        pending = [it for it in pending if outcomes[it.index] is None and admitted(it)]
+    telemetry.waves = [wave for wave in telemetry.waves if wave]
+    return [o for o in outcomes if o is not None], telemetry
 
 
 def _payable_gas(accounts: vm.Accounts, tx: Transaction) -> int:
@@ -279,7 +264,6 @@ def _run_parallel(
     accounts: vm.Accounts,
     wave_items: list[_Item],
     epoch: int,
-    operator: bytes,
     workers: int,
 ) -> list[tuple[int, vm.StateDiff, int, float, float]]:
     global _FORK_STATE
@@ -290,7 +274,6 @@ def _run_parallel(
         "accounts": accounts,
         "items": wave_items,
         "epoch": epoch,
-        "operator": operator,
     }
     # Compile the wave's codes in the parent, so that the workers inherit
     # them instead of each compiling its own copy. A footprint's callees

@@ -164,8 +164,8 @@ class Accounts:
     only notes the entries it removes and adds; the accumulator expands
     them when they are settled, which a batch leaves to its end.
 
-    While undo is a list, each write appends the setter call that reverts
-    it, and rollback(undo) makes those calls newest first."""
+    fees is the fee income the running batch owes the operator: counted in
+    no balance, and credited to the operator's once, at the batch end."""
 
     def __init__(self) -> None:
         self._balances: dict[bytes, int] = {}
@@ -178,7 +178,7 @@ class Accounts:
         self.nonces: Mapping[bytes, int] = MappingProxyType(self._nonces)
         self.lthash = _lthash.LtHash()
         self.total = 0
-        self.undo: Optional[list[tuple]] = None
+        self.fees = 0
 
     def balance(self, addr: bytes) -> int:
         return self._balances.get(addr, 0)
@@ -190,8 +190,6 @@ class Accounts:
         old = self._balances.get(addr, 0)
         if bal == old:
             return
-        if self.undo is not None:
-            self.undo.append((self.set_balance, addr, old))
         if old:
             self.lthash.remove(balance_entry(addr, old))
         if bal:
@@ -205,8 +203,6 @@ class Accounts:
         old = self._storage.get((addr, key), 0)
         if val == old:
             return
-        if self.undo is not None:
-            self.undo.append((self.set_slot, addr, key, old))
         if old:
             self.lthash.remove(slot_entry(addr, key, old))
         if val:
@@ -216,28 +212,11 @@ class Accounts:
             del self._storage[(addr, key)]
 
     def add_contract(self, acct: ContractAccount) -> None:
-        if self.undo is not None:
-            self.undo.append((self._remove_contract, acct))
         self._contracts[acct.address] = acct
         self.lthash.add(contract_entry(acct))
 
-    def _remove_contract(self, acct: ContractAccount) -> None:
-        del self._contracts[acct.address]
-        self.lthash.remove(contract_entry(acct))
-
-    def set_nonce(self, addr: bytes, nonce: Optional[int]) -> None:
-        """None removes addr's nonce, as if it had never been set."""
-        if self.undo is not None:
-            self.undo.append((self.set_nonce, addr, self._nonces.get(addr)))
-        if nonce is None:
-            del self._nonces[addr]
-        else:
-            self._nonces[addr] = nonce
-
-    def rollback(self, undo: list[tuple]) -> None:
-        """Revert the writes recorded in undo, which recording has stopped adding to."""
-        for setter, *args in reversed(undo):
-            setter(*args)
+    def set_nonce(self, addr: bytes, nonce: int) -> None:
+        self._nonces[addr] = nonce
 
     def copy(self) -> "Accounts":
         other = Accounts()
@@ -247,6 +226,7 @@ class Accounts:
         other._nonces.update(self._nonces)
         other.lthash = self.lthash.copy()
         other.total = self.total
+        other.fees = self.fees
         return other
 
 
@@ -267,8 +247,9 @@ class ExecOutcome:
 class StateDiff:
     """Effects of one executed transaction relative to a fixed pre-state.
 
-    Balances of addresses inside the transaction's footprint are absolute;
-    the operator's fee income is a delta so that fee credits from
+    Balances of addresses inside the transaction's footprint are absolute.
+    The fee is the actor's payment to the operator: apply adds it to the
+    batch's pending fee income, which no transaction reads, so the diffs of
     non-conflicting transactions commute.
     """
 
@@ -277,9 +258,9 @@ class StateDiff:
     storage_new: dict[tuple[bytes, int], int] = field(default_factory=dict)
     new_contract: Optional[ContractAccount] = None
     nonce_new: Optional[tuple[bytes, int]] = None
-    operator_delta: int = 0
+    fee: int = 0
 
-    def apply(self, accounts: Accounts, operator: bytes) -> None:
+    def apply(self, accounts: Accounts) -> None:
         for addr, bal in self.balance_new.items():
             accounts.set_balance(addr, bal)
         for (addr, key), val in self.storage_new.items():
@@ -288,10 +269,7 @@ class StateDiff:
             accounts.add_contract(self.new_contract)
         if self.nonce_new is not None:
             accounts.set_nonce(*self.nonce_new)
-        if self.operator_delta:
-            accounts.set_balance(
-                operator, checked_add(accounts.balance(operator), self.operator_delta)
-            )
+        accounts.fees += self.fee
 
 
 # ---------------------------------------------------------------------------
@@ -1032,7 +1010,7 @@ class _Machine:
     """One transaction's execution: a journal of balance/storage writes over
     an immutable pre-state, a global gas counter, and nested call frames.
     Every journal write also appends (journal, key, old value or None) to
-    one undo list, so a call's rollback point is a pair of lengths, undo and
+    one trail, so a call's revert point is a pair of lengths, trail and
     events, and a reverted call pops its own writes back off."""
 
     def __init__(
@@ -1051,7 +1029,7 @@ class _Machine:
         self.balances: dict[bytes, int] = {}
         self.storage: dict[tuple[bytes, int], int] = {}
         self.events: list[tuple[bytes, int, int]] = []
-        self.undo: list[tuple[dict, object, Optional[int]]] = []
+        self.trail: list[tuple[dict, object, Optional[int]]] = []
 
     # journaled state access ------------------------------------------------
 
@@ -1075,12 +1053,12 @@ class _Machine:
         return self.base.storage_get(addr, key)
 
     def write(self, journal: dict, key, val: int) -> None:
-        self.undo.append((journal, key, journal.get(key)))
+        self.trail.append((journal, key, journal.get(key)))
         journal[key] = val
 
-    def rollback(self, snap: tuple[int, int]) -> None:
-        while len(self.undo) > snap[0]:
-            journal, key, old = self.undo.pop()
+    def revert(self, snap: tuple[int, int]) -> None:
+        while len(self.trail) > snap[0]:
+            journal, key, old = self.trail.pop()
             if old is None:
                 del journal[key]
             else:
@@ -1157,13 +1135,13 @@ class _Machine:
                             checker.call(callee)
                         ret, ok = None, 0
                         if depth + 1 <= MAX_CALL_DEPTH and callee in self.base.contracts:
-                            snap = len(self.undo), len(self.events)
+                            snap = len(self.trail), len(self.events)
                             self.gas = gas
                             try:
                                 ret = self.run_frame(callee, self_addr, call_arg, 0, depth + 1)
                                 ok = 1
                             except _Fault:
-                                self.rollback(snap)
+                                self.revert(snap)
                             finally:
                                 gas = self.gas
                         push(ret or 0)  # return value
@@ -1218,7 +1196,6 @@ def _prepay_covered(accounts: Accounts, payer: bytes, gas_limit: int, gas_price:
 def _finish(
     accounts: Accounts,
     actor: bytes,
-    operator: bytes,
     gas_price: int,
     outcome: ExecOutcome,
     balances: dict[bytes, int],
@@ -1226,21 +1203,14 @@ def _finish(
 ) -> StateDiff:
     """Settle an executed transaction: its balance and storage writes when
     it committed (the diff takes both dicts over), the nonce advance, and
-    the fee transfer actor -> operator."""
-    diff = StateDiff(outcome)
-    fee = outcome.gas_used * gas_price
+    the fee the actor pays."""
+    diff = StateDiff(outcome, fee=outcome.gas_used * gas_price)
     if outcome.committed:
         diff.balance_new, diff.storage_new = balances, storage
     diff.nonce_new = (actor, accounts.nonces.get(actor, 0) + 1)
-    if fee:
+    if diff.fee:
         actor_bal = diff.balance_new.get(actor, accounts.balance(actor))
-        diff.balance_new[actor] = checked_sub(actor_bal, fee)
-        diff.operator_delta = fee
-    # The operator's own balance never appears as an absolute write: fee
-    # income must commute across non-conflicting transactions.
-    if operator in diff.balance_new and operator != actor:
-        delta = diff.balance_new.pop(operator) - accounts.balance(operator)
-        diff.operator_delta += delta
+        diff.balance_new[actor] = checked_sub(actor_bal, diff.fee)
     return diff
 
 
@@ -1249,7 +1219,6 @@ def invoke(
     tx: Transaction,
     tx_id: bytes,
     epoch: int,
-    operator: bytes,
     declared_mode: bool,
     footprint: Optional[AccessDecl] = None,
 ) -> StateDiff:
@@ -1296,7 +1265,7 @@ def invoke(
     gas_used = k.gas_limit - max(machine.gas, 0)
     events = tuple(machine.events) if status == STATUS_COMMITTED else ()
     outcome = ExecOutcome(status, gas_used, ret, events, detail)
-    return _finish(accounts, caller, operator, k.gas_price, outcome, machine.balances, machine.storage)
+    return _finish(accounts, caller, k.gas_price, outcome, machine.balances, machine.storage)
 
 
 # Deploy gas: one unit per code byte (documented; there is no constructor
@@ -1309,7 +1278,6 @@ def deploy(
     accounts: Accounts,
     tx: Transaction,
     tx_id: bytes,
-    operator: bytes,
 ) -> StateDiff:
     """Create a contract account at the deploy transaction's id, with the
     same rejections and settlement as invoke."""
@@ -1327,11 +1295,11 @@ def deploy(
     gas_used = deploy_gas(k.code)
     if gas_used > k.gas_limit:
         outcome = ExecOutcome(STATUS_OUT_OF_GAS, gas_used=k.gas_limit)
-        return _finish(accounts, payer, operator, k.gas_price, outcome, {}, {})
+        return _finish(accounts, payer, k.gas_price, outcome, {}, {})
     balances = {payer: accounts.balance(payer) - k.endowment}
     if k.endowment:
         balances[tx_id] = checked_add(accounts.balance(tx_id), k.endowment)
-    diff = _finish(accounts, payer, operator, k.gas_price, ExecOutcome(STATUS_COMMITTED, gas_used), balances, {})
+    diff = _finish(accounts, payer, k.gas_price, ExecOutcome(STATUS_COMMITTED, gas_used), balances, {})
     footprint = k.access.substitute_self(tx_id) if k.access is not None else None
     diff.new_contract = ContractAccount(tx_id, k.code, footprint)
     return diff

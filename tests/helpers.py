@@ -5,9 +5,12 @@ generator used by the conservation and replay suites."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Optional, Sequence
 
-from oracles import recompute_state_digest
+import pytest
+
+from oracles import recompute_state_digest, state_entries
 from tierledger import crypto, ledger, rules, vm
 from tierledger.model import (
     AccessDecl,
@@ -475,6 +478,28 @@ def random_adversarial_program(rng: random.Random):
         code = bytes([0xAE]) + rng.randbytes(rng.randint(0, 30))  # multisig popper
     witness = tuple(rng.randbytes(rng.randint(0, 300)) for _ in range(rng.randint(0, 40)))
     return code, witness
+
+
+def apply_watching_the_fee_credit(
+    state: ledger.LedgerState, txs: Sequence[Transaction], epoch: int, cfg: rules.SystemConfig
+) -> tuple[list[ledger.Receipt], Counter, Counter]:
+    """apply_batch on one worker, with the state's entries before the batch
+    and just before its batch-end fee credit, which must come once and move
+    the operator's balance entry by the batch's fees alone."""
+    before, credits = state_entries(state), []
+    real = ledger.LedgerState.credit_fees
+
+    def credit(crediting: ledger.LedgerState, operator: bytes) -> None:
+        credits.append((state_entries(crediting), crediting.accounts.fees, crediting.accounts.balance(operator)))
+        real(crediting, operator)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ledger.LedgerState, "credit_fees", credit)
+        receipts, _ = ledger.apply_batch(state, txs, epoch, cfg, workers=1)
+    ((unsettled, fees, old),) = credits
+    entry = lambda bal: Counter([vm.balance_entry(cfg.operator_address, bal)] if bal else [])
+    assert state_entries(state) == unsettled - entry(old) + entry(old + fees)
+    return receipts, before, unsettled
 
 
 def check_conservation(state: ledger.LedgerState) -> None:

@@ -1081,7 +1081,6 @@ def tagged_invoke(
     tx: Transaction,
     tx_id: bytes,
     epoch: int,
-    operator: bytes,
     declared_mode: bool,
 ) -> StateDiff:
     """Execute a Call transaction against a fixed pre-state.
@@ -1121,20 +1120,20 @@ def tagged_invoke(
         ret = machine.run_frame(k.contract, caller, k.arg, k.attached, depth=0)
     except _OutOfGas:
         outcome = ExecOutcome(STATUS_OUT_OF_GAS, gas_used=k.gas_limit)
-        return _finish(accounts, caller, operator, k.gas_price, outcome, {}, {})
+        return _finish(accounts, caller, k.gas_price, outcome, {}, {})
     except AccessViolationError as exc:
         gas_used = k.gas_limit - max(machine.gas, 0)
         outcome = ExecOutcome(STATUS_ACCESS_VIOLATION, gas_used=gas_used, detail=exc.detail)
-        return _finish(accounts, caller, operator, k.gas_price, outcome, {}, {})
+        return _finish(accounts, caller, k.gas_price, outcome, {}, {})
     except _Fault as exc:
         gas_used = k.gas_limit - machine.gas
         outcome = ExecOutcome(STATUS_REVERTED, gas_used=gas_used, detail=exc.detail)
-        return _finish(accounts, caller, operator, k.gas_price, outcome, {}, {})
+        return _finish(accounts, caller, k.gas_price, outcome, {}, {})
     gas_used = k.gas_limit - machine.gas
     outcome = ExecOutcome(
         STATUS_COMMITTED, gas_used=gas_used, ret=ret, events=tuple(machine.events)
     )
-    return _finish(accounts, caller, operator, k.gas_price, outcome, machine.balances, machine.storage)
+    return _finish(accounts, caller, k.gas_price, outcome, machine.balances, machine.storage)
 
 
 # ---------------------------------------------------------------------------
@@ -1182,7 +1181,22 @@ def ref_decode(code: bytes) -> tuple[Optional[tuple], ...]:
 # ---------------------------------------------------------------------------
 # Conflict waves: the pairwise builder that preceded the key index in
 # tierledger.scheduler. Input is one (reads, writes, barrier) triple per
-# transaction, as scheduler._footprint_sets derives them.
+# transaction (pairwise_sets).
+
+
+def pairwise_sets(item, contracts) -> tuple:
+    """(reads, writes, barrier) of a declared-mode scheduler item wrapped
+    against contracts: a deploy, and a call that can reach a contract
+    missing from them, conflict with everything; a call without a
+    footprint, rejected unrun, with nothing. Operator accounts are keys
+    like any other."""
+    if isinstance(item.tx.kind, Deploy):
+        return None, None, True
+    fp = item.footprint
+    if fp is None:
+        return frozenset(), frozenset(), False
+    reads, writes = fp.balances_read | fp.storage_read, fp.balances_written | fp.storage_written
+    return reads, writes, not all(c in contracts for c in fp.callees)
 
 
 def pairwise_waves(sets: Sequence[tuple]) -> list[list[int]]:

@@ -16,6 +16,7 @@ import pytest
 from helpers import (
     KEYS,
     account_signed,
+    apply_watching_the_fee_credit,
     check_conservation,
     coinbase_to_account,
     counter_code,
@@ -29,7 +30,7 @@ from helpers import (
     seed_utxo,
     signed_spend,
 )
-from oracles import ref_writes_digest, state_entries
+from oracles import ref_writes_digest
 from tierledger import codes, crypto, ledger, permission, rules, utxo, vm
 from tierledger.model import (
     U64_MAX,
@@ -175,22 +176,20 @@ def test_transfer_checks_run_after_the_contract_flush():
     receipts, _ = ledger.apply_batch(state, [dep], 1, cfg, workers=1)
     assert receipts[0].status == codes.OK
     coin = seed_utxo(state, p2pk(BOB, 50))
-    before = state_entries(state)
 
     call = make_call(ALICE, txid(dep), nonce=1, gas_limit=25, gas_price=1)
     unsigned = Transaction(make_call(ALICE, txid(dep), nonce=2, gas_price=1).kind, nonce=2)
     cheap = make_call(ALICE, txid(dep), nonce=2, gas_price=0)
     late = windowed(make_move_to_account(BOB, [coin], 50), BOB, not_after=0)
-    receipts, _ = ledger.apply_batch(state, [call, unsigned, cheap, late], 1, cfg, workers=1)
+    receipts, before, after = apply_watching_the_fee_credit(state, [call, unsigned, cheap, late], 1, cfg)
     assert [r.status for r in receipts] == [
         codes.OK,
         codes.BAD_AUTH,
         rules.GAS_PRICE_TOO_LOW,
         utxo.OUTSIDE_VALIDITY_WINDOW,
     ]
-    # The call's receipt commits all of the batch's writes, and the
-    # rejections behind it none.
-    after = state_entries(state)
+    # The call's receipt commits all of the batch's writes but the
+    # batch-end fee credit, and the rejections behind it none.
     assert receipts[0].writes_digest == ref_writes_digest(after - before, before - after)
     assert after != before
     assert [r.writes_digest for r in receipts[1:]] == [ref_writes_digest([], [])] * 3
@@ -292,9 +291,8 @@ def test_overflowing_gas_prepay_is_rejected_not_raised(tmp_path, kind, mode):
 
 # ---------------------------------------------------------------------------
 # Buffered contract calls whose account-auth signature fails. Each batch's
-# receipts and header hash are pinned: a refused call must leave the other
-# calls' commit order, and with it every receipt's writes, as if it had
-# never been buffered.
+# receipts and header hash are pinned: a refused call must leave every other
+# call's receipt, writes included, as if it had never been buffered.
 
 CALLERS = KEYS[3:9]
 
@@ -336,7 +334,7 @@ def refusal_batch(case: str, x: bytes, y: bytes, z: bytes) -> tuple[list[Transac
         deploy = make_deploy(CALLERS[1], counter_code(), gas_limit=31, gas_price=1)
         return [call_of(0, x), forged(deploy, CALLERS[1]), call_of(2, x), call_of(3, y)], {}
     if case == "declared-deploy-first":
-        # A deploy commits, then the refused call behind it undoes it.
+        # A deploy commits before the refused call behind it stops the pass.
         deploy = make_deploy(CALLERS[4], counter_code(), gas_limit=31, gas_price=1)
         return [call_of(0, x), deploy, bad(1, y), call_of(2, x)], {}
     if case == "declared-parallel-wave":
@@ -354,40 +352,40 @@ def refusal_batch(case: str, x: bytes, y: bytes, z: bytes) -> tuple[list[Transac
 # (status, gas, writes digest prefix) per receipt, and the header hash. The
 # statuses and gas are pinned from the code that checked every call's
 # signature at admission, the digests and header hashes from the first code
-# whose receipts commit to their own writes.
+# that credits fees to the operator at the batch end.
 REFUSAL_PINS = {
     "declared-abc": (
-        [(4, 0, "602dc1833a04b8e4"), (0, 20, "82a638a5a324ccd4"), (0, 20, "28fe8c9591ea3207")],
-        "2038becefa1411721bfc39cf25e6d58bfa6468835974ee9bfb406240592d44e4",
+        [(4, 0, "602dc1833a04b8e4"), (0, 20, "b83a23a7d68e1f5f"), (0, 20, "3ae01c8cc9ec5caf")],
+        "7e2161f7585cf2637f138edc79c9e416a484ef5531779955d48d9fcb88f51acb",
     ),
     "declared-commit-first": (
-        [(0, 20, "956dabe81a3642d7"), (4, 0, "602dc1833a04b8e4"), (0, 20, "edb59ed51a03f7f3"),
-         (0, 20, "7051e991cb722efa")],
-        "acbbc7b4bc24fe3972df898415ed73a8114d2ff23efbf163a6bed5c8e8c2de35",
+        [(0, 20, "8a4804fa5381143b"), (4, 0, "602dc1833a04b8e4"), (0, 20, "b83a23a7d68e1f5f"),
+         (0, 20, "3ae01c8cc9ec5caf")],
+        "b8490a188e96268daa984998fc2fc69613dd37b1c59ae8c3e6936f643ec052a0",
     ),
     "dynamic-commit-first": (
-        [(0, 20, "956dabe81a3642d7"), (4, 0, "602dc1833a04b8e4"), (0, 20, "edb59ed51a03f7f3"),
-         (0, 20, "7051e991cb722efa")],
-        "5ec96910b64db238560ee74760359aa0f9c54c8683dff7be0917f6d449d48206",
+        [(0, 20, "8a4804fa5381143b"), (4, 0, "602dc1833a04b8e4"), (0, 20, "b83a23a7d68e1f5f"),
+         (0, 20, "3ae01c8cc9ec5caf")],
+        "a7790884d706f30cd99892f59d9b30909baf52e200c26155f1bea25454fa23ad",
     ),
     "declared-deploy-barrier": (
-        [(0, 20, "3b439387c1e6c9b7"), (4, 0, "602dc1833a04b8e4"), (0, 20, "1ab61228ae40dc79"),
-         (0, 20, "443b0be18d0956c2")],
-        "5e75cfceefa72bce78caa98f24172ddf62d520b5639fdb9f68e828f592dd915a",
+        [(0, 20, "86a100ddf2ed5727"), (4, 0, "602dc1833a04b8e4"), (0, 20, "23b6e355649dd292"),
+         (0, 20, "3a7ca80b29b6f2fd")],
+        "ae4f7242748db6bc0f607a6e6f620c72865aec47350055791b06408c66ee218b",
     ),
     "declared-deploy-first": (
-        [(0, 20, "3b439387c1e6c9b7"), (0, 31, "30253bf58c0e5d51"), (4, 0, "602dc1833a04b8e4"),
-         (0, 20, "c471ff6adab66ebc")],
-        "0de11b3b3bc3f02dc60c5089cb08eb162ce9dd64443f8ad200d945774a96b6ba",
+        [(0, 20, "86a100ddf2ed5727"), (0, 31, "a381792bcbfdac30"), (4, 0, "602dc1833a04b8e4"),
+         (0, 20, "23b6e355649dd292")],
+        "876d0ce1a60314ed3c067166ff1427d6a5f944b2f923934af811ca3fcc85e7b4",
     ),
     "declared-parallel-wave": (
-        [(0, 20, "a1311eb4b5d2a8fe"), (0, 20, "d8cb83994eafd6e5"), (4, 0, "602dc1833a04b8e4"),
-         (0, 20, "f34be2bba4682805"), (0, 20, "5d553c3dd58d39f5")],
-        "3298f88060ca2d33d80067d5f5845bb1ce1b537be18123fd9f70709fddd37037",
+        [(0, 20, "9ded8f67b96d98cd"), (0, 20, "d684eb14e356eb29"), (4, 0, "602dc1833a04b8e4"),
+         (0, 20, "702eeb3af4287723"), (0, 20, "be56469ef3e6957d")],
+        "8f3f87613e13645341790ada982250f2ff3264b4924f846edbc5709692d19166",
     ),
     "declared-gate-and-signature": (
-        [(0, 20, "7bd88a9692695763"), (4, 0, "602dc1833a04b8e4"), (103, 0, "602dc1833a04b8e4")],
-        "c523578cab9adf19edae1ac10e76a4ef57ba432a8019b24a3e0c7fbebf6974fe",
+        [(0, 20, "4a4a4b0bbacd4482"), (4, 0, "602dc1833a04b8e4"), (103, 0, "602dc1833a04b8e4")],
+        "102c609539172fd36eb3b0ab2e6314cddd2502bf3606cf0f0853aaf0b035fc27",
     ),
 }
 

@@ -21,14 +21,14 @@ FIXTURE_HEADERS = {
     "average_balance_contract": "45845c40035764ab047f90eb45c0da313d9a9d85fcd323823b8c24cbe78735ba",
     "dex_order_matching": "69c5871b62244d8ae8c4ce91057b4b829949e0d682b0a91d2f46fc78209e661a",
     "escrow_script": "64221c7fb04295a9c7f936370d6db26d25cfb4d926c335c3f5ce38aa156519fd",
-    "timelocked_replaceable": "7eed9cd6bb8b428f8c2ddf9e3bb1fb8b7fc020842f44e77109ccd8074a47fedf",
+    "timelocked_replaceable": "a51143e6587749703b930cd0b01212150b230cb757bec3537c9bad3e3e59cbf0",
     "two_party_multisig": "89aafb904fb6db9bd1a7d8a622004338b50dd6977dfcfa107e18b6ab4f43086e",
 }
 
 RANDOM_HEADERS = {
-    100: "b95a3ec90b0ace93348ec7b82dc18a0242b1ba098b3f730661efc1486f207d5c",
-    101: "5389bedeb5b99b56f5960060c7b1c21dc954ed40f52dba81d76cc47be689539f",
-    102: "fe8ff90064b510e5724ae8121a53145667448ebb6304fbcaae881a35c172dbda",
+    100: "1797c5698ca582e56955a6143c2e2f4dd888a74685df1654a6d7a6cc36367d45",
+    101: "fd337ef7de77c9484d3619c22f6bf74f4891e086e036c50536f9bab9799524cf",
+    102: "02eb4af8b53da63b35c4e2c133ae378e6ce0856e56ad37ce9f0e1311d7be5f02",
 }
 
 

@@ -18,8 +18,8 @@ import time
 import pytest
 
 from helpers import KEYS, OPERATOR, make_config, p2pk, signed_spend
-from test_admission import CALLERS, REFUSAL_PINS, call_of, forged, refusal_batch, refusal_world
-from test_verify_split import GOLDEN_CASES, count_messages, fresh_helper, needs_sodium, run_golden  # noqa: F401
+from test_admission import REFUSAL_PINS, refusal_batch, refusal_world
+from test_verify_split import GOLDEN_CASES, fresh_helper, needs_sodium, run_golden  # noqa: F401
 from tierledger import codes, crypto, helper, ledger, lthash, rules
 from tierledger.model import Outpoint, txid
 
@@ -340,12 +340,11 @@ def test_golden_hashes_with_deltas_folded_at_the_batch_end(monkeypatch, tmp_path
 
 
 @pytest.mark.parametrize("case", sorted(case for case in REFUSAL_PINS if case.startswith("declared")))
-def test_a_refused_call_rolls_back_to_the_same_receipts_with_and_without_a_helper(monkeypatch, case):
-    """A declared flush whose refused call rolls the commits before it back
-    through `Accounts.undo` and runs the rest again: the intervals closed
-    before the rollback are folded too, into the state and into the next
-    receipt's writes, and the receipts, the header and the final digest are
-    the pinned ones with the helper and without it."""
+def test_a_refused_call_gives_the_same_receipts_with_and_without_a_helper(monkeypatch, case):
+    """A declared flush whose refused call stops the pass, after which the
+    calls that have not run are put into waves again: the receipts, the
+    header and the final digest are the pinned ones with the helper and
+    without it."""
     runs = []
     for cpus in (1, 2):
         monkeypatch.setattr(crypto, "CPUS", cpus)
@@ -357,28 +356,3 @@ def test_a_refused_call_rolls_back_to_the_same_receipts_with_and_without_a_helpe
         assert got == REFUSAL_PINS[case]
         runs.append((receipts, header, ledger.state_digest(state)))
     assert runs[0] == runs[1]
-
-
-@needs_sodium
-def test_a_small_declared_batch_that_rolls_back_posts_its_full_window(monkeypatch):
-    """A declared batch of fewer than PART_SLOTS calls, the last refused:
-    the calls before it commit, roll back and commit again, so the batch
-    closes more than PART_SLOTS intervals. Its first window's net delta
-    reaches the helper as a message of its own, between the plan and its
-    end, and the receipts are those of the admitted calls alone."""
-    monkeypatch.setattr(crypto, "CPUS", 2)
-    monkeypatch.setattr(helper, "ORDERED_STORES", True)
-    state, cfg, (x, _, _) = refusal_world(rules.ACCESS_DECLARED)
-    control = state.copy()
-    admitted = [call_of(i % 5, x, nonce=i // 5) for i in range(19)]  # one chain of waves on (X, 0)
-    txs = [*admitted, forged(call_of(5, x), CALLERS[5])]
-    assert len(txs) < helper.PART_SLOTS < 1 + 2 * len(admitted)  # the prologue's interval, then two runs
-    sent = count_messages(monkeypatch)
-    receipts, header = ledger.apply_batch(state, txs, 2, cfg)
-    assert [(len(jobs), ended) for jobs, ended in sent] == [(len(txs), False), (1, False), (0, True)]
-    ((added, removed),) = sent[1][0]  # the accounts' delta: no UTXO is written
-    assert added and removed
-    assert [r.status for r in receipts] == [codes.OK] * len(admitted) + [codes.BAD_AUTH]
-    alone, _ = ledger.apply_batch(control, admitted, 2, cfg)
-    assert receipts[:-1] == alone
-    assert ledger.state_digest(state) == ledger.state_digest(control)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from helpers import (
     KEYS,
     OPERATOR,
+    apply_watching_the_fee_credit,
     check_conservation,
     coinbase_to_account,
     counter_code,
@@ -472,9 +473,10 @@ def test_every_receipt_commits_its_own_net_writes():
     with no subsidy and no expiry, so that a batch writes only what its
     transactions do: each receipt's writes digest is the oracle's over the
     net difference of the state's entries across its batch, read from the
-    mappings. At each new epoch an empty batch drains the matured pending
-    transactions, each of which is checked on a copy of the state that runs
-    it alone, and which must end with the same entries."""
+    mappings up to the batch-end fee credit, which no receipt holds. At
+    each new epoch an empty batch drains the matured pending transactions,
+    each of which is checked on a copy of the state that runs it alone, and
+    which must end with the same entries."""
     from helpers import RandomLedger
 
     statuses, matured = set(), 0
@@ -492,15 +494,12 @@ def test_every_receipt_commits_its_own_net_writes():
             assert [r.tx_id for r in drained] == [e.tx_id for e in mature]
             matured += len(drained)
             for entry, receipt in zip(mature, drained):
-                before = state_entries(alone)
-                assert ledger.apply_batch(alone, [entry.tx], epoch, rl.cfg, workers=1)[0] == [receipt]
-                after = state_entries(alone)
+                receipts, before, after = apply_watching_the_fee_credit(alone, [entry.tx], epoch, rl.cfg)
+                assert receipts == [receipt]
                 assert receipt.writes_digest == ref_writes_digest((after - before).elements(), (before - after).elements())
             assert state_entries(alone) == state_entries(rl.state)
             for tx in txs:
-                before = state_entries(rl.state)
-                (receipt,), _ = ledger.apply_batch(rl.state, [tx], epoch, rl.cfg, workers=1)
-                after = state_entries(rl.state)
+                (receipt,), before, after = apply_watching_the_fee_credit(rl.state, [tx], epoch, rl.cfg)
                 assert receipt.writes_digest == ref_writes_digest((after - before).elements(), (before - after).elements())
                 statuses.add(receipt.status)
             rl.txs_applied += len(txs)
@@ -761,18 +760,77 @@ def test_contract_fees_settle_into_operator_account(tmp_path):
     check_conservation(state)
 
 
+def test_fees_reach_the_operator_once_at_the_batch_end(monkeypatch):
+    """One batch earns fees from two calls of one flush, a spend and the
+    operator's own move. The fees are held apart, so conservation holds
+    between the two calls; the operator's move sees the balance from before
+    the batch, and an overdraft by one unit fails; no receipt's writes hold
+    a fee credit; and the batch end credits the fees' sum once."""
+    cfg = make_config(initial_subsidy=0)
+    state = ledger.LedgerState()
+    b_addr = address_of_pubkey(BOB.pubkey)
+    for addr in (A_ADDR, b_addr):
+        seed_balance(state, addr, 1000)
+    seed_balance(state, OP_ADDR, 500)
+    dep = make_deploy(ALICE, counter_code(), gas_limit=31)
+    assert ledger.apply_batch(state, [dep], 1, cfg, workers=1)[0][0].status == codes.OK
+    c = txid(dep)
+    coin = seed_utxo(state, p2pk(BOB, 100))
+    spend = signed_spend(BOB, [coin], [p2pk(ALICE, 90)])
+    move = make_move_to_utxo(OPERATOR, 500, [p2pk(OPERATOR, 497)])
+    txs = [
+        make_call(ALICE, c, nonce=1, gas_limit=25, gas_price=2),
+        make_call(BOB, c, gas_limit=25, gas_price=1),
+        spend,
+        make_move_to_utxo(OPERATOR, 501, [p2pk(OPERATOR, 500)]),
+        move,
+    ]
+    between, credits = [], []
+    apply, credit = vm.StateDiff.apply, ledger.LedgerState.credit_fees
+
+    def applying(diff: vm.StateDiff, accounts: vm.Accounts) -> None:
+        apply(diff, accounts)
+        between.append(state.conservation_holds())
+
+    def crediting(crediting_state: ledger.LedgerState, operator: bytes) -> None:
+        credits.append((operator, crediting_state.accounts.fees, crediting_state.accounts.balance(operator)))
+        credit(crediting_state, operator)
+
+    monkeypatch.setattr(vm.StateDiff, "apply", applying)
+    monkeypatch.setattr(ledger.LedgerState, "credit_fees", crediting)
+    receipts, header = ledger.apply_batch(state, txs, 2, cfg, workers=1)
+    assert [r.status for r in receipts] == [codes.OK] * 3 + [vm.STATUS_INSUFFICIENT_BALANCE, codes.OK]
+    assert between == [True, True]
+    fees = 2 * 20 + 20 + 10 + 3
+    assert credits == [(OP_ADDR, fees, 0)]
+    assert (state.accounts.balance(OP_ADDR), state.accounts.fees) == (fees, 0)
+    created = lambda tx, out: b"U" + encode(write_outpoint, Outpoint(txid(tx), 0)) + encode(write_output, out)
+    bal, slot = vm.balance_entry, lambda val: vm.slot_entry(c, 0, val)
+    spent = b"U" + encode(write_outpoint, coin) + encode(write_output, p2pk(BOB, 100))
+    assert [r.writes_digest for r in receipts] == [
+        ref_writes_digest([bal(A_ADDR, 960), slot(1)], [bal(A_ADDR, 1000)]),
+        ref_writes_digest([bal(b_addr, 980), slot(2)], [bal(b_addr, 1000), slot(1)]),
+        ref_writes_digest([created(spend, p2pk(ALICE, 90))], [spent]),
+        ref_writes_digest([], []),
+        ref_writes_digest([created(move, p2pk(OPERATOR, 497))], [bal(OP_ADDR, 500)]),
+    ]
+    assert header.post_state_digest == ledger.state_digest(state)
+    check_conservation(state)
+
+
 # Pays ARG from the contract's balance to address constant 0: 13 gas, or
 # 12 when the contract cannot cover ARG and TRANSFER reverts.
 PAY_ASM = "ARG PUSHA 0 TRANSFER HALT"
 
 
 def test_contract_payments_to_the_operator_settle_alike_in_both_modes(tmp_path):
-    """Calls that TRANSFER to the operator write its balance inside the VM;
-    settlement turns that write into a delta next to the fee, so the
-    operator gets fees and payments alike in dynamic mode and in declared
-    mode, where declaring the operator's balance written makes each such
-    call a barrier among fee-paying counter calls. The last payment is past
-    the contract's balance and reverts: only its fee reaches the operator."""
+    """Calls that TRANSFER to the operator write its balance inside the VM,
+    as they would any other, and their fees are credited with the others at
+    the batch end, so the operator gets fees and payments alike in dynamic
+    mode and in declared mode, where each such call declares the operator's
+    balance written and conflicts only with the others that do. The last
+    payment is past the contract's balance and reverts: only its fee
+    reaches the operator."""
     runs = {}
     for mode in (rules.ACCESS_DYNAMIC, rules.ACCESS_DECLARED):
         cfg = make_config(initial_subsidy=1000, access_mode=mode)

@@ -7,6 +7,7 @@ import os
 import random
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +23,8 @@ from helpers import (
     make_deploy,
     seed_balance,
 )
-from oracles import pairwise_waves
+from oracles import pairwise_sets, pairwise_waves
+from test_acceptance import _contract_fleet
 from tierledger import ledger, scheduler, vm
 from tierledger.model import AccessDecl, Call, Deploy, Transaction, address_of_pubkey, txid
 from tierledger.rules import ACCESS_DECLARED
@@ -47,9 +49,9 @@ def setup_contracts(n: int = 3, funded_keys=range(1, 9)):
     code = counter_code()
     for i in range(n):
         tx = make_deploy(KEYS[1], code + bytes([vm.OP_HALT]) * i, nonce=i)
-        diff = vm.deploy(acc, tx, txid(tx), DYN.operator_address)
+        diff = vm.deploy(acc, tx, txid(tx))
         assert diff.outcome.status == 0
-        diff.apply(acc, DYN.operator_address)
+        diff.apply(acc)
         contracts.append(txid(tx))
     return acc, contracts
 
@@ -112,24 +114,24 @@ def test_deploy_is_a_barrier():
     assert tel.waves == [[0], [1], [2]]
 
 
-def test_operator_touching_tx_is_a_barrier():
-    acc, contracts = setup_contracts(2)
-    acc.set_balance(address_of_pubkey(OPERATOR.pubkey), 100_000)
+def test_the_operator_balance_is_an_ordinary_footprint_key():
+    """Fees are held apart from every balance, so a call from the operator
+    shares a wave with a disjoint fee-paying call, and a call declaring the
+    operator's balance read conflicts only with the one writing it."""
+    operator = address_of_pubkey(OPERATOR.pubkey)
+    acc, contracts = setup_contracts(3)
+    acc.set_balance(operator, 100_000)
+    reads_operator = replace(counter_access(contracts[2]), balances_read=frozenset({operator}))
     txs = [
-        make_call(KEYS[2], contracts[0], nonce=0, gas_limit=25, access=counter_access(contracts[0])),
-        make_call(OPERATOR, contracts[1], nonce=0, gas_limit=25, access=counter_access(contracts[1])),
+        make_call(KEYS[2], contracts[0], nonce=0, gas_limit=25, gas_price=1, access=counter_access(contracts[0])),
+        make_call(OPERATOR, contracts[1], nonce=0, gas_limit=25, gas_price=1, access=counter_access(contracts[1])),
+        make_call(KEYS[3], contracts[2], nonce=0, gas_limit=25, gas_price=1, access=reads_operator),
     ]
-    _, tel = scheduler.schedule_batch(acc, items_for(txs), 1, DECL)
-    assert tel.waves == [[0], [1]]
-    # Declaring a read of the operator's balance is a barrier too.
-    acc, contracts = setup_contracts(2)
-    reads_operator = AccessDecl(balances_read=frozenset({address_of_pubkey(OPERATOR.pubkey)}))
-    txs = [
-        make_call(KEYS[2], contracts[0], nonce=0, gas_limit=25, access=counter_access(contracts[0])),
-        make_call(KEYS[3], contracts[1], nonce=0, gas_limit=25, access=reads_operator),
-    ]
-    _, tel = scheduler.schedule_batch(acc, items_for(txs), 1, DECL)
-    assert tel.waves == [[0], [1]]
+    outcomes, tel = scheduler.schedule_batch(acc, items_for(txs), 1, DECL)
+    assert tel.waves == [[0, 1], [2]]
+    assert [o.status for o in outcomes] == [0, 0, 0]
+    assert acc.balance(operator) == 100_000 - 20  # its own fee is held with the others
+    assert acc.fees == 3 * 20
 
 
 def test_missing_declaration_rejected_without_footprint():
@@ -191,8 +193,8 @@ def test_forced_parallel_wave_matches_inline_and_reports_telemetry():
     contracts = []
     for i in range(4):
         tx = make_deploy(KEYS[1], code + bytes([vm.OP_HALT]) * i, nonce=i)
-        diff = vm.deploy(acc_a, tx, txid(tx), DYN.operator_address)
-        diff.apply(acc_a, DYN.operator_address)
+        diff = vm.deploy(acc_a, tx, txid(tx))
+        diff.apply(acc_a)
         contracts.append(txid(tx))
     acc_b = acc_a.copy()
     # Long enough that the OS preempts mid-run and the wall-clock spans of
@@ -216,6 +218,38 @@ def test_forced_parallel_wave_matches_inline_and_reports_telemetry():
     assert tel.max_concurrency() >= 2
 
 
+def test_declared_and_dynamic_mode_commit_equal_receipts():
+    """Criterion 6's random counter batches (seed 66, gas price 0 or 2), in
+    declared mode, every third on the pool, and in dynamic mode: the
+    receipts are equal, writes digests included, since no receipt holds a
+    fee credit that depends on the order of commits."""
+    decl = make_config(access_mode=ACCESS_DECLARED, initial_subsidy=0)
+    dyn = make_config(initial_subsidy=0)
+    base, contracts = _contract_fleet(6, counter_code(), decl)
+    rng = random.Random(66)
+    reordered = 0
+    for trial in range(100):
+        nonces: dict[bytes, int] = {}
+        txs = []
+        for _ in range(rng.randint(6, 14)):
+            kp = KEYS[rng.randint(2, 9)]
+            addr = address_of_pubkey(kp.pubkey)
+            c = rng.choice(contracts)
+            n = nonces.get(addr, 0)
+            nonces[addr] = n + 1
+            txs.append(make_call(kp, c, nonce=n, gas_limit=rng.choice([25, 19]),
+                                 gas_price=rng.choice([0, 2]), access=counter_access(c)))
+        telemetry: list = []
+        min_gas = 0 if trial % 3 == 0 else scheduler.PARALLEL_MIN_GAS
+        ra, ha = ledger.apply_batch(base.copy(), txs, 2, decl, workers=2, parallel_min_gas=min_gas,
+                                    collect_telemetry=telemetry)
+        rb, hb = ledger.apply_batch(base.copy(), txs, 2, dyn, workers=1)
+        assert ra == rb, trial
+        assert (ha.receipts_hash, ha.post_state_digest) == (hb.receipts_hash, hb.post_state_digest), trial
+        reordered += [j for wave in telemetry[0].waves for j in wave] != list(range(len(txs)))
+    assert reordered > 50  # declared mode committed out of submission order
+
+
 def _counter_wave(n: int):
     acc, contracts = setup_contracts(n)
     txs = [make_call(KEYS[2 + i], c, nonce=0, gas_limit=25, access=counter_access(c))
@@ -227,14 +261,14 @@ def test_parallel_wave_raises_when_a_worker_dies_or_raises(monkeypatch):
     acc, items = _counter_wave(3)
     monkeypatch.setattr(scheduler, "_execute_one", lambda *args: os._exit(7))
     with pytest.raises(BrokenProcessPool):
-        scheduler._run_parallel(acc, items, 1, DECL.operator_address, 3)
+        scheduler._run_parallel(acc, items, 1, 3)
 
     def boom(*args):
         raise ValueError("boom in worker")
 
     monkeypatch.setattr(scheduler, "_execute_one", boom)
     with pytest.raises(ValueError, match="boom in worker"):
-        scheduler._run_parallel(acc, items, 1, DECL.operator_address, 2)
+        scheduler._run_parallel(acc, items, 1, 2)
 
 
 def _dying_worker(index: int):
@@ -315,7 +349,7 @@ def test_parallel_wave_workers_inherit_compiled_code(monkeypatch):
         return diff
 
     monkeypatch.setattr(scheduler, "_execute_one", execute)
-    results = scheduler._run_parallel(acc, items, 1, DECL.operator_address, 2)
+    results = scheduler._run_parallel(acc, items, 1, 2)
     assert [diff.outcome.status for _, diff, *_ in sorted(results)] == [0, 0, 0]
     assert vm.compile_code.cache_info().misses == 3
 
@@ -350,16 +384,16 @@ def footprint_world(rng: random.Random):
                 frozenset(rng.sample(contracts, min(len(contracts), rng.randint(0, 1)))),
             )
         tx = Transaction(Deploy(counter_code(), 0, payer, 10_000, 0, fp), nonce=nonce)
-        vm.deploy(acc, tx, txid(tx), DECL.operator_address).apply(acc, DECL.operator_address)
+        vm.deploy(acc, tx, txid(tx)).apply(acc)
         contracts.append(txid(tx))
     return acc, contracts
 
 
 def random_items(rng: random.Random, acc: vm.Accounts, contracts, n: int):
-    """Declared-mode items with barriers (deploys, operator callers, calls
-    declaring the operator's balance, calls to a contract missing before the
-    batch), empty footprints (no declaration),
-    and shared balances and slots over a small key space."""
+    """Declared-mode items with barriers (deploys, calls to a contract
+    missing before the batch), empty footprints (no declaration), operator
+    callers and calls declaring the operator's balance, which are not
+    barriers, and shared balances and slots over a small key space."""
     operator = DECL.operator_address
     users = [bytes([0x10 + i]) * 32 for i in range(40)]
     addrs = users + contracts[:3] + [operator]
@@ -392,8 +426,8 @@ def test_key_index_waves_equal_pairwise_oracle():
     for trial in range(150):
         acc, contracts = footprint_world(rng)
         items = random_items(rng, acc, contracts, rng.randint(0, 40))
-        sets = [scheduler._footprint_sets(it, DECL.operator_address) for it in items]
-        assert scheduler._conflict_waves(items, DECL.operator_address) == pairwise_waves(sets), trial
+        sets = [pairwise_sets(it, acc.contracts) for it in items]
+        assert scheduler._conflict_waves(items) == pairwise_waves(sets), trial
 
 
 def test_conflict_analysis_of_2000_calls_is_fast():
@@ -406,7 +440,7 @@ def test_conflict_analysis_of_2000_calls_is_fast():
     burners = []
     for i in range(10):
         tx = make_deploy(KEYS[2], burn_code(), nonce=i)
-        vm.deploy(acc, tx, txid(tx), operator).apply(acc, operator)
+        vm.deploy(acc, tx, txid(tx)).apply(acc)
         burners.append(txid(tx))
     items = []
     for i in range(2000):
@@ -421,7 +455,7 @@ def test_conflict_analysis_of_2000_calls_is_fast():
     best = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
-        waves = scheduler._conflict_waves(items, operator)
+        waves = scheduler._conflict_waves(items)
         best = min(best, time.perf_counter() - t0)
     assert sorted(j for wave in waves for j in wave) == list(range(2000))
     assert best < 0.05, f"conflict analysis of 2000 calls took {best * 1e3:.1f} ms"
@@ -441,7 +475,7 @@ def test_calls_into_a_contract_deployed_in_the_batch_are_serialized():
     for n in range(2):
         code = vm.assemble("PUSHI 0 PUSHA 0 CALL DROP DROP HALT" + " HALT" * n)
         tx = make_deploy(KEYS[1], code, nonce=n)
-        vm.deploy(acc, tx, txid(tx), op).apply(acc, op)
+        vm.deploy(acc, tx, txid(tx)).apply(acc)
         routers.append(txid(tx))
     own_slot = frozenset({(b"\x00" * 32, 0)})
     dep = make_deploy(KEYS[4], counter_code(), access=AccessDecl(storage_read=own_slot, storage_written=own_slot))

@@ -53,8 +53,10 @@ needs_sodium = pytest.mark.skipif(crypto._sodium_verify() is None, reason="the h
 
 
 def stop_helper() -> None:
-    """Close the helper's pipe, so that it exits, and forget it."""
+    """Close the helper's pipe, so that it exits, and forget it and any
+    failed starts."""
     running, helper._helper = helper._helper, None
+    helper._failed_starts = helper._batches_to_skip = 0
     if running is not None:
         running[1].close()
         running[0].join(10)
@@ -537,31 +539,104 @@ def test_golden_hashes_on_two_cpus(monkeypatch, tmp_path, case):
 @pytest.mark.parametrize("case", GOLDEN_CASES)
 def test_a_helper_that_cannot_start_leaves_the_batch_inline(monkeypatch, tmp_path, fresh_helper, case, failing):
     """With no room for the helper's table, or no process to fork, every
-    batch runs inline and the golden hashes hold; once a helper can start,
-    the next batch starts one."""
+    batch runs inline and the golden hashes hold. A table that cannot be
+    mapped is tried again on every batch; a fork that fails, on batches 1,
+    2, 4, 8, ... of the failing run. Once a helper can start, the next
+    batch that tries starts one."""
     monkeypatch.setattr(crypto, "CPUS", 2)
-    tries: list = []
-    start = multiprocessing.process.BaseProcess.start
+    tries: list = []  # the batch, counted from 1, of each try
+    batches: list = []
+    start, apply_batch = multiprocessing.process.BaseProcess.start, ledger.apply_batch
+
+    def counted(*args, **kwargs):
+        batches.append(args)
+        return apply_batch(*args, **kwargs)
 
     def no_table(*args):
-        tries.append(failing)
+        tries.append(len(batches))
         raise OSError(errno.ENOMEM, "no room for the table")
 
     def no_fork(process):
         if process.name != HELPER:
             return start(process)
-        tries.append(failing)
+        tries.append(len(batches))
         raise OSError(errno.EAGAIN, "no process to fork")
 
     with monkeypatch.context() as patch:
+        patch.setattr(ledger, "apply_batch", counted)
         if failing == "mmap":
             patch.setattr(helper, "mmap", types.SimpleNamespace(mmap=no_table))
         else:
             patch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
         run_golden(tmp_path, case)
         assert tries and helper_processes() == []
+    n = len(batches)
+    if failing == "mmap":
+        assert tries == list(range(1, n + 1))
+        waits = 0
+    else:
+        assert tries == [2**i for i in range(n.bit_length())]
+        waits = 2 ** n.bit_length() - 1 - n  # batches n + 1 to the next power of two, excluded
+    state, cfg = ledger.LedgerState(), make_config()
+    for epoch in range(1, waits + 1):
+        ledger.apply_batch(state, [], epoch, cfg)
+        assert helper_processes() == []
+    ledger.apply_batch(state, [], waits + 1, cfg)
+    assert helper._helper[0].is_alive() and helper_processes() == [helper._helper[0]]
     state, cfg, txs, _ = mixed_batch()
     apply_copy(state, cfg, txs)
+    assert helper._helper[0].is_alive() and helper_processes() == [helper._helper[0]]
+
+
+@needs_sodium
+def test_a_helper_that_cannot_fork_is_tried_ever_less_often(monkeypatch, fresh_helper):
+    """With every fork failing, 64 batches try to start the helper on
+    batches 1, 2, 4, ..., 64 alone, and each try leaves at most the four
+    pipe descriptors that multiprocessing opened for its fork."""
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    state, cfg = ledger.LedgerState(), make_config()
+    forks: list = []
+
+    def no_fork():
+        forks.append(epoch)
+        raise OSError(errno.EAGAIN, "no process to fork")
+
+    open_fds = lambda: len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+    before = open_fds()
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", no_fork)
+        for epoch in range(1, 65):
+            ledger.apply_batch(state, [], epoch, cfg, workers=1)
+    assert forks == [1, 2, 4, 8, 16, 32, 64]
+    assert helper_processes() == [] and helper._helper is None
+    assert open_fds() - before <= 4 * len(forks)
+
+
+@needs_sodium
+def test_a_start_that_succeeds_ends_the_backoff(monkeypatch, fresh_helper):
+    """A fork that fails once is tried again on the next batch, and the
+    helper it starts is used; after that start, the next failure is again
+    tried on the very next batch."""
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    state, cfg = ledger.LedgerState(), make_config()
+    fork, forks = os.fork, []
+
+    def every_other_fork_fails():
+        forks.append(epoch)
+        if len(forks) % 2:
+            raise OSError(errno.EAGAIN, "no process to fork")
+        return fork()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", every_other_fork_fails)
+        for epoch in range(1, 5):
+            ledger.apply_batch(state, [], epoch, cfg, workers=1)
+            assert (helper._helper is None) == (epoch % 2 == 1)
+            if epoch == 2:  # the helper exits; the next batch forks again
+                running = helper._helper
+                running[1].close()
+                running[0].join(10)
+    assert forks == [1, 2, 3, 4]
     assert helper._helper[0].is_alive() and helper_processes() == [helper._helper[0]]
 
 

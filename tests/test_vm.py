@@ -36,18 +36,18 @@ def deployed(acc: vm.Accounts, asm: str, kp=ALICE, access=None, endowment=0, non
     if nonce is None:
         nonce = acc.nonces.get(address_of_pubkey(kp.pubkey), 0)
     tx = make_deploy(kp, vm.assemble(asm), nonce=nonce, endowment=endowment, access=access)
-    diff = vm.deploy(acc, tx, txid(tx), OPERATOR)
+    diff = vm.deploy(acc, tx, txid(tx))
     assert diff.outcome.status == vm.STATUS_COMMITTED, diff.outcome
-    diff.apply(acc, OPERATOR)
+    diff.apply(acc)
     return txid(tx)
 
 
 def run_call(acc: vm.Accounts, contract: bytes, kp=ALICE, apply=True, declared=False, **kw) -> vm.StateDiff:
     nonce = kw.pop("nonce", acc.nonces.get(address_of_pubkey(kp.pubkey), 0))
     tx = make_call(kp, contract, nonce=nonce, **kw)
-    diff = vm.invoke(acc, tx, txid(tx), epoch=5, operator=OPERATOR, declared_mode=declared)
+    diff = vm.invoke(acc, tx, txid(tx), epoch=5, declared_mode=declared)
     if apply:
-        diff.apply(acc, OPERATOR)
+        diff.apply(acc)
     return diff
 
 
@@ -99,27 +99,27 @@ def test_deploy_gas_is_code_size_and_fee_flows():
     acc = fresh_accounts()
     code = counter_code()
     tx = make_deploy(ALICE, code, gas_limit=len(code), gas_price=3)
-    diff = vm.deploy(acc, tx, txid(tx), OPERATOR)
+    diff = vm.deploy(acc, tx, txid(tx))
     assert diff.outcome.status == vm.STATUS_COMMITTED
     assert diff.outcome.gas_used == len(code)
-    diff.apply(acc, OPERATOR)
+    diff.apply(acc)
     assert acc.balance(A_ADDR) == 10_000 - 3 * len(code)
-    assert acc.balance(OPERATOR) == 3 * len(code)
+    assert (acc.balance(OPERATOR), acc.fees) == (0, 3 * len(code))  # held for the batch end
     assert acc.contracts[txid(tx)].code == code
 
 
 def test_deploy_failures():
     acc = fresh_accounts()
     bad = make_deploy(ALICE, bytes([0xEE]))
-    assert vm.deploy(acc, bad, txid(bad), OPERATOR).outcome.status == vm.STATUS_MALFORMED_CODE
+    assert vm.deploy(acc, bad, txid(bad)).outcome.status == vm.STATUS_MALFORMED_CODE
     tight = make_deploy(ALICE, counter_code(), gas_limit=len(counter_code()) - 1, gas_price=1)
-    diff = vm.deploy(acc, tight, txid(tight), OPERATOR)
+    diff = vm.deploy(acc, tight, txid(tight))
     assert diff.outcome.status == vm.STATUS_OUT_OF_GAS
     assert diff.outcome.gas_used == tight.kind.gas_limit
     poor = make_deploy(ALICE, counter_code(), endowment=50_000)
-    assert vm.deploy(acc, poor, txid(poor), OPERATOR).outcome.status == vm.STATUS_INSUFFICIENT_BALANCE
+    assert vm.deploy(acc, poor, txid(poor)).outcome.status == vm.STATUS_INSUFFICIENT_BALANCE
     stale = make_deploy(ALICE, counter_code(), nonce=9)
-    assert vm.deploy(acc, stale, txid(stale), OPERATOR).outcome.status == vm.STATUS_BAD_NONCE
+    assert vm.deploy(acc, stale, txid(stale)).outcome.status == vm.STATUS_BAD_NONCE
 
 
 def test_deploy_settlement_is_the_whole_diff():
@@ -131,34 +131,34 @@ def test_deploy_settlement_is_the_whole_diff():
     acc = fresh_accounts()
     tx = make_deploy(ALICE, code, endowment=250, gas_limit=size, gas_price=3)
     c = txid(tx)
-    assert vm.deploy(acc, tx, c, OPERATOR) == vm.StateDiff(
+    assert vm.deploy(acc, tx, c) == vm.StateDiff(
         vm.ExecOutcome(vm.STATUS_COMMITTED, size),
         balance_new={A_ADDR: 10_000 - 250 - 3 * size, c: 250},
         new_contract=vm.ContractAccount(c, code),
         nonce_new=(A_ADDR, 1),
-        operator_delta=3 * size,
+        fee=3 * size,
     )
 
     acc.set_balance(OPERATOR, 10_000)
     tx = make_deploy(KEYS[0], code, endowment=100, gas_limit=size, gas_price=2)
     c = txid(tx)
-    diff = vm.deploy(acc, tx, c, OPERATOR)
+    diff = vm.deploy(acc, tx, c)
     assert diff == vm.StateDiff(
         vm.ExecOutcome(vm.STATUS_COMMITTED, size),
         balance_new={OPERATOR: 10_000 - 100 - 2 * size, c: 100},
         new_contract=vm.ContractAccount(c, code),
         nonce_new=(OPERATOR, 1),
-        operator_delta=2 * size,
+        fee=2 * size,
     )
-    diff.apply(acc, OPERATOR)
-    assert acc.balance(OPERATOR) == 10_000 - 100  # the fee went to itself
+    diff.apply(acc)
+    assert (acc.balance(OPERATOR), acc.fees) == (10_000 - 100 - 2 * size, 2 * size)  # its own, at the batch end
 
     tx = make_deploy(ALICE, code, endowment=50, gas_limit=size - 1, gas_price=2)
-    assert vm.deploy(acc, tx, txid(tx), OPERATOR) == vm.StateDiff(
+    assert vm.deploy(acc, tx, txid(tx)) == vm.StateDiff(
         vm.ExecOutcome(vm.STATUS_OUT_OF_GAS, size - 1),
         balance_new={A_ADDR: 10_000 - 2 * (size - 1)},
         nonce_new=(A_ADDR, 1),
-        operator_delta=2 * (size - 1),
+        fee=2 * (size - 1),
     )
 
 
@@ -201,7 +201,7 @@ def test_out_of_gas_rolls_back_but_charges_limit():
     assert diff.outcome.gas_used == COUNTER_GAS - 1
     assert acc.storage_get(c, 0) == 0  # effect rolled back
     assert acc.balance(A_ADDR) == 10_000 - 2 * (COUNTER_GAS - 1)
-    assert acc.balance(OPERATOR) == 2 * (COUNTER_GAS - 1)
+    assert acc.fees == 2 * (COUNTER_GAS - 1)
     assert acc.nonces[A_ADDR] == 2  # executed: nonce advances
 
 
@@ -291,8 +291,8 @@ def test_call_depth_limit_returns_failure_status():
     asm = "PUSHI 0 PUSHA 0 CALL PUSHI 0 SSTORE DROP HALT"
     tx = make_deploy(ALICE, vm.assemble(asm), nonce=0)
     c = txid(tx)
-    diff = vm.deploy(acc, tx, c, OPERATOR)
-    diff.apply(acc, OPERATOR)
+    diff = vm.deploy(acc, tx, c)
+    diff.apply(acc)
     out = run_call(acc, c, address_consts=[c], gas_limit=5_000)
     assert out.outcome.status == vm.STATUS_COMMITTED  # bottoms out, no fault
 
@@ -324,13 +324,18 @@ def test_effective_footprint_expands_callees_transitively():
     assert {mid, leaf} <= fp.callees
 
 
-def test_operator_fee_is_a_commuting_delta():
+def test_a_fee_is_held_for_the_batch_end():
+    """A fee writes no operator balance: apply adds it to the batch's
+    pending fee income, and the account total leaves it out."""
     acc = fresh_accounts()
     c = deployed(acc, COUNTER_ASM)
     tx = make_call(ALICE, c, nonce=1, gas_limit=COUNTER_GAS, gas_price=1)
-    diff = vm.invoke(acc, tx, txid(tx), 1, OPERATOR, False)
-    assert diff.operator_delta == COUNTER_GAS
+    diff = vm.invoke(acc, tx, txid(tx), 1, False)
+    assert diff.fee == COUNTER_GAS
     assert OPERATOR not in diff.balance_new
+    total = acc.total
+    diff.apply(acc)
+    assert (acc.balance(OPERATOR), acc.fees, acc.total) == (0, COUNTER_GAS, total - COUNTER_GAS)
 
 
 def live_entries(acc: vm.Accounts) -> list[bytes]:
@@ -418,7 +423,7 @@ def test_deploy_and_calls_decode_the_code_once(monkeypatch):
     monkeypatch.setattr(vm, "decode", lambda c: decoded.append(c) or real(c))
     acc = fresh_accounts()
     tx = make_deploy(ALICE, code)
-    vm.deploy(acc, tx, txid(tx), OPERATOR).apply(acc, OPERATOR)
+    vm.deploy(acc, tx, txid(tx)).apply(acc)
     for _ in range(3):
         assert run_call(acc, txid(tx), gas_limit=COUNTER_GAS).outcome.committed
     assert decoded == [code]
@@ -431,12 +436,12 @@ def test_malformed_deploy_is_free_and_never_cached():
     size = vm.compile_code.cache_info().currsize
     for code in (bytes([0xEE]), bytes([vm.OP_PUSHI, 1, 2]), bytes([vm.OP_JUMP, 2, 0, vm.OP_HALT]), b""):
         tx = make_deploy(ALICE, code, gas_price=1)
-        diff = vm.deploy(acc, tx, txid(tx), OPERATOR)
+        diff = vm.deploy(acc, tx, txid(tx))
         assert diff == vm.StateDiff(vm.ExecOutcome(vm.STATUS_MALFORMED_CODE, detail="code failed validation"))
-        diff.apply(acc, OPERATOR)
+        diff.apply(acc)
         with pytest.raises(ModelError):
             vm.compile_code(code)
-    assert (acc.nonces.get(A_ADDR, 0), acc.balance(A_ADDR), acc.balance(OPERATOR)) == (0, 10_000, 0)
+    assert (acc.nonces.get(A_ADDR, 0), acc.balance(A_ADDR), acc.fees) == (0, 10_000, 0)
     assert vm.compile_code.cache_info().currsize == size
 
 
@@ -468,7 +473,7 @@ def test_nested_call_work_is_in_proportion_to_gas():
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            diff = vm.invoke(acc, tx, txid(tx), 5, OPERATOR, False)
+            diff = vm.invoke(acc, tx, txid(tx), 5, False)
             best = min(best, time.perf_counter() - t0)
         assert diff.outcome.committed and len(diff.storage_new) == iterations
         return best * 1e9 / diff.outcome.gas_used
@@ -557,9 +562,9 @@ def vm_world(top: bytes, callee: bytes):
     addrs = []
     for nonce, code in enumerate((top, callee, vm.assemble(REVERTER_ASM))):
         tx = Transaction(Deploy(code, 500, A_ADDR, 10_000, 0), nonce=nonce)
-        diff = vm.deploy(acc, tx, txid(tx), OPERATOR)
+        diff = vm.deploy(acc, tx, txid(tx))
         assert diff.outcome.status == vm.STATUS_COMMITTED, diff.outcome
-        diff.apply(acc, OPERATOR)
+        diff.apply(acc)
         addrs.append(txid(tx))
     return acc, (A_ADDR, B_ADDR, *addrs, MISSING)
 
@@ -588,8 +593,8 @@ def assert_same_execution(acc, consts, gas_limit, declared, access, arg=0, attac
     tx = Transaction(Call(consts[2], arg, attached, A_ADDR, gas_limit, gas_price, access, consts),
                      nonce=acc.nonces[A_ADDR])
     tx_id = txid(tx)
-    new = vm.invoke(acc, tx, tx_id, 9, OPERATOR, declared)
-    old = tagged_invoke(acc, tx, tx_id, 9, OPERATOR, declared)
+    new = vm.invoke(acc, tx, tx_id, 9, declared)
+    old = tagged_invoke(acc, tx, tx_id, 9, declared)
     assert new.outcome == old.outcome
     assert new == old
     return new
