@@ -14,14 +14,15 @@ of each contract's generated source and the best of 20 compile times
 Then, each the best of five runs unless it says otherwise:
 - cold: with the compile cache cleared, µs for vm.deploy, for the first
   call to the deployed code, and for the two together, on the four
-  contracts and three 4 KiB codes: 455 PUSHIs (the most operand bytes per
-  instruction), 4,096 DUPs (the most instructions) and 1,021 two-op
-  blocks between two HALTs (the most blocks);
+  contracts and four 4 KiB codes: 455 PUSHIs (the most operand bytes per
+  instruction), 4,096 DUPs (the most instructions), 1,021 two-op blocks
+  between two HALTs (the most blocks) and 1,023 two-op self-loops after a
+  HALT (the most loops, and the slowest compile);
 - nested calls: ns per gas of a loop that stores a slot and calls a HALT
   contract each pass, at 1,000 and 16,000 passes;
 - cycling: operator µs per call, and per unit of gas used, of calls with
   gas_limit 100 that cycle through 65 distinct 4 KiB block codes, one more
-  than the compile cache holds;
+  than the compile cache holds, and through 65 distinct 4 KiB loop codes;
 - SSTORE commit, one run: µs and resident bytes per new slot for
   StateDiff.apply of one call that stores 100,000 slots (18 gas each) and
   the account digest that folds their LtHash entries, and ns per gas of
@@ -70,10 +71,18 @@ def short_blocks(tag: int) -> bytes:
     return vm.assemble(f"HALT PUSHI {tag} {blocks} b1021: HALT")
 
 
+def self_loops(tag: int) -> bytes:
+    """HALT, PUSHA tag, 1,023 self-loops `lN: DUP JUMPI lN`: 4,095 bytes,
+    and the slowest compile of the loop shapes tried."""
+    loops = " ".join(f"l{i}: DUP JUMPI l{i}" for i in range(1023))
+    return vm.assemble(f"HALT PUSHA {tag} {loops}")
+
+
 WORST_CODES = {
     "4k-pushi": (bytes([vm.OP_PUSHI]) + bytes(8)) * 455,
     "4k-dup": bytes([vm.OP_DUP]) * 4096,
     "4k-block": short_blocks(0),
+    "4k-loop": self_loops(0),
 }
 
 
@@ -175,15 +184,17 @@ def print_nested(acc: vm.Accounts) -> None:
               f"{best * 1e9 / diff.outcome.gas_used:6.0f} ns/gas")
 
 
-def print_cycling(acc: vm.Accounts) -> None:
-    contracts = [deployed(acc, short_blocks(tag)) for tag in range(1, CYCLE_CODES + 1)]
+def print_cycling(acc: vm.Accounts, name: str, shape) -> None:
+    """Calls that cycle through CYCLE_CODES codes shape(1), shape(2), ...:
+    each call misses the compile cache."""
+    contracts = [deployed(acc, shape(tag)) for tag in range(1, CYCLE_CODES + 1)]
     txs = [Transaction(Call(c, 0, 0, CALLER, 100, 0), nonce=acc.nonces[CALLER]) for c in contracts]
     best, gas = float("inf"), 0
     for _ in range(5):
         t0 = time.perf_counter()
         gas = sum(vm.invoke(acc, tx, txid(tx), 1, False).outcome.gas_used for tx in txs)
         best = min(best, time.perf_counter() - t0)
-    print(f"cycling  {CYCLE_CODES:6d} codes  gas_limit 100  {best * 1e6 / len(txs):8.0f} us/call  "
+    print(f"cycling  {name:8s} {CYCLE_CODES:4d} codes  gas_limit 100  {best * 1e6 / len(txs):8.0f} us/call  "
           f"{best * 1e6 / gas:8.0f} us/gas")
 
 
@@ -261,7 +272,8 @@ def main() -> int:
         contract = deployed(acc, code)
         print_cold(name, acc, Transaction(Call(contract, 0, 0, CALLER, 100, 0), nonce=acc.nonces[CALLER]))
     print_nested(acc)
-    print_cycling(acc)
+    print_cycling(acc, "blocks", short_blocks)
+    print_cycling(acc, "loops", self_loops)
     print_sstore_commit(acc)
     print_per_op(acc, addrs["burn"], iterations)
     return 0

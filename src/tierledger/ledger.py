@@ -585,11 +585,12 @@ def init_log(logdir: Union[str, Path], cfg: rules.SystemConfig) -> None:
 
 # The log's file names and encodings, shared by the writer and the replay
 # verifier, which requires every file to match them byte for byte.
-_LOG_FILE = re.compile(r"(batch|header)_(\d{6})\.json$")
+_LOG_FILE = re.compile(r"(batch|header)_(\d{6}|[1-9]\d{6,})\.json\Z")
 
 
 def _log_file(kind: str, number: int) -> str:
-    """batch_NNNNNN.json or header_NNNNNN.json; _LOG_FILE matches both."""
+    """batch_NNNNNN.json or header_NNNNNN.json, with more digits past
+    999,999; _LOG_FILE matches exactly these names."""
     return f"{kind}_{number:06d}.json"
 
 

@@ -485,19 +485,21 @@ _ARITH = frozenset({OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_MOD, OP_LT, OP_GT})
 # Compiled code: one generated Python function per distinct code
 #
 # The dispatch per opcode is what an interpreter written in Python pays most
-# for (Ertl & Gregg, "The Structure and Performance of Efficient
-# Interpreters", JILP 2003). compile_code removes it for the pure part of a
-# program: each basic block of stack, arithmetic and control-flow ops becomes
-# straight-line Python over locals, from templates per op with an exact
-# fallback (the stencil idea of Xu & Kjolstad, "Copy-and-Patch Compilation",
-# OOPSLA 2021, without their machine code). A block checks at entry that the
-# gas covers it and that the stack holds the depth and the Int or Addr tags
-# it consumes without passing MAX_FRAME_STACK; it writes the stack back only
-# at its end. A failed guard or an in-block fault (sub underflow, add/mul
-# overflow, division by zero) hands the block's entry (pc, stack, gas) to
-# the per-op loop in _Machine.run_frame, which charges op by op, so the
-# faulting op, its detail and gas_used stay exact. Every other op ends a
-# block and runs through the per-op loop.
+# for, and it dominates inside loops (Ertl & Gregg, "The Structure and
+# Performance of Efficient Interpreters", JILP 2003). compile_code removes it
+# from loops alone: a cycle of basic blocks of stack, arithmetic and
+# control-flow ops that keeps its stack shape from one pass to the next, such
+# as the burn loop, becomes a Python `while` over locals, from templates per
+# op with an exact fallback (the stencil idea of Xu & Kjolstad,
+# "Copy-and-Patch Compilation", OOPSLA 2021, without their machine code).
+# The loop checks at entry that the stack holds the depth and the Int or
+# Addr tags it consumes without passing MAX_FRAME_STACK, and each pass checks
+# that the gas covers it. A failed entry guard, a pass the gas does not
+# cover, and a pass that would fault (sub underflow, add/mul overflow,
+# division by zero) hand the pass's entry (pc, stack, gas) to the per-op
+# loop in _Machine.run_frame, which charges op by op, so the faulting op,
+# its detail and gas_used stay exact. Every other op, straight-line pure
+# code included, runs through the per-op loop.
 
 _PURE = frozenset({
     OP_PUSHI, OP_PUSHA, OP_DUP, OP_DROP, OP_SWAP, OP_NOT, OP_EQ, OP_JUMP, OP_JUMPI,
@@ -507,10 +509,11 @@ _PURE = frozenset({
 _ENV_TAGS = {OP_ARG: "I", OP_CALLER: "A", OP_SELF: "A", OP_VALUE: "I", OP_EPOCH: "I"}
 _NEGATED = {"<": ">=", ">": "<=", "==": "!="}
 # Bounds on the compiler's work for one code: the generated function holds
-# at most _MAX_LINES lines, and at most _MAX_TRACED ops are traced. Arms go
-# in by code offset until the next would pass a bound; the blocks left out
-# run through the per-op loop. The burn loop takes 40 lines. A loop is
-# looked for over at most _MAX_LOOP_BLOCKS blocks.
+# at most _MAX_LINES lines, and at most _MAX_TRACED ops are traced or blocks
+# visited in the search for loops. Loop arms go in by header offset until
+# the next would pass a bound; the loops left out run through the per-op
+# loop. The burn loop's source takes 25 lines. A loop is looked for over at
+# most _MAX_LOOP_BLOCKS blocks.
 _MAX_LINES = 1_000
 _MAX_TRACED = 4_096
 _MAX_LOOP_BLOCKS = 8
@@ -550,13 +553,11 @@ class _Trace:
         self.fault = fault
         self.limit = limit
         self.lines: list[tuple[int, str]] = []
-        self.slots: list[_Sym] = []
         self.guards: dict[int, str] = {}
         self.tags = tags or {}
         self.st: list[_Sym] = []
         self.depth = self.peak = self.gas = self.temps = 0
         self.max_const = -1
-        self.used: set[int] = set()
         self._need(slots)
 
     def _fits(self) -> None:
@@ -567,9 +568,7 @@ class _Trace:
     def _need(self, k: int) -> None:
         while len(self.st) < k:
             self.depth += 1
-            sym = _Sym(f"s{self.depth}", self.tags.get(self.depth), slot=self.depth)
-            self.slots.append(sym)
-            self.st.insert(0, sym)
+            self.st.insert(0, _Sym(f"s{self.depth}", self.tags.get(self.depth), slot=self.depth))
         self._fits()
 
     def _push(self, sym: _Sym) -> None:
@@ -597,8 +596,6 @@ class _Trace:
 
     def word(self, sym: _Sym) -> str:
         """Expression of the word, without emitting anything."""
-        if sym.slot:
-            self.used.add(sym.slot)
         return sym.expr if sym.expr is not None else f"(1 if {sym.cond} else 0)"
 
     def truth(self, sym: _Sym, nonzero: bool) -> str:
@@ -683,21 +680,14 @@ class _Trace:
             t = self._temp(f"{x} {'//' if op == OP_DIV else '%'} {y}")
         self._push(_Sym(t, "I"))
 
-    def writeback(self, fresh: bool) -> list[str]:
+    def writeback(self) -> list[str]:
         """Lines that put the symbolic words over the real stack's top
-        `depth` words. fresh: those still hold the entry words, so an
-        unchanged bottom run is left alone."""
-        keep = 0
-        if fresh:
-            while (keep < min(len(self.st), self.depth)
-                   and self.st[keep] is self.slots[self.depth - 1 - keep]):
-                keep += 1
-        m = self.depth - keep
-        words = [self.word(sym) for sym in self.st[keep:]]
-        if m == 1 and len(words) == 1:
+        `depth` words."""
+        words = [self.word(sym) for sym in self.st]
+        if self.depth == 1 and len(words) == 1:
             return [f"stack[-1] = {words[0]}"]
-        if m or words:
-            return [f"stack[len(stack) - {m}:] = ({''.join(w + ', ' for w in words)})"]
+        if self.depth or words:
+            return [f"stack[len(stack) - {self.depth}:] = ({''.join(w + ', ' for w in words)})"]
         return []
 
     def entry_ok(self) -> list[str]:
@@ -710,9 +700,6 @@ class _Trace:
             ok.append(f"len(consts) > {self.max_const}")
         return ok
 
-    def loads(self, slots) -> list[tuple[int, str]]:
-        return [(0, f"s{i} = stack[-{i}]") for i in sorted(slots)]
-
 
 class _Program:
     """Basic blocks of decoded code. A block is a run of pure ops that
@@ -720,10 +707,7 @@ class _Program:
     after an op the per-op loop runs) and ends at a jump, before a leader or
     before an op that is not pure.
 
-    armed holds the blocks meant to get an arm: those of two or more ops,
-    and the targets of backward jumps. runs[pc] is how many ops the per-op
-    loop runs from pc: up to the next armed block, the end of the code, or
-    a jump, whose target is known only at run time."""
+    armed holds the loop headers that got an arm; _source fills it."""
 
     def __init__(self, prog: tuple) -> None:
         self.prog = prog
@@ -751,14 +735,19 @@ class _Program:
                 pc = prog[pc][2]
             if block:
                 self.blocks[block[0]] = block
-        self.armed = {b for b, block in self.blocks.items() if len(block) > 1 or b in self.back_targets}
+        self.armed: set[int] = set()
+
+    def runs(self) -> tuple[int, ...]:
+        """runs[pc] is how many ops the per-op loop runs from pc: up to the
+        next armed header, the end of the code, or a jump, whose target is
+        known only at run time."""
         runs = [0] * (self.end + 1)
         for pc in range(self.end - 1, -1, -1):
-            if prog[pc] is not None:
-                op, _, nxt, _ = prog[pc]
+            if self.prog[pc] is not None:
+                op, _, nxt, _ = self.prog[pc]
                 stop = op in (OP_JUMP, OP_JUMPI) or nxt in self.armed
                 runs[pc] = 1 if stop else 1 + runs[nxt]
-        self.runs = tuple(runs)
+        return tuple(runs)
 
     def successors(self, block: list[int]) -> tuple[int, ...]:
         """(target,) for JUMP or falling through; (taken, not taken) for
@@ -768,31 +757,18 @@ class _Program:
             return (imm,)
         return (imm, nxt) if op == OP_JUMPI else (nxt,)
 
-    def goto(self, target: int) -> list[str]:
-        """Lines that continue at target: dispatch to its arm, or return
-        the run the per-op loop executes there (none at the end of the
-        code)."""
-        if target in self.armed:
-            return [f"pc = {target}"]
-        return [f"return {target}, gas, {self.runs[target]}"]
-
-    def trace(self, path: list[list[int]], stays: list, tr: _Trace, exit_lines) -> Optional[_Sym]:
-        """Trace a path of blocks into tr. stays[i] is where block i's path
-        goes on (None: nowhere, the path ends there); a JUMPI whose other
-        target leaves the path calls exit_lines(target, condition). Returns
-        the condition of a last JUMPI that ends the path."""
-        cond = None
+    def trace(self, path: list[list[int]], tr: _Trace, exit_lines) -> None:
+        """Trace a cycle of blocks into tr; a JUMPI whose other target leaves
+        the cycle calls exit_lines(target, condition)."""
         self.traced += sum(map(len, path))
-        for block, stay in zip(path, stays):
+        for block, stay in zip(path, [block[0] for block in path[1:]] + [path[0][0]]):
             for pc in block:
                 op, imm, _, cost = self.prog[pc]
                 cond = tr.op(op, imm, cost)
             succ = self.successors(block)
-            if stay is None or len(succ) == 1 or succ[0] == succ[1]:
-                continue
-            out = succ[1] if succ[0] == stay else succ[0]
-            exit_lines(out, tr.truth(cond, out == succ[0]))
-        return cond
+            if len(succ) == 2 and succ[0] != succ[1]:
+                out = succ[1] if succ[0] == stay else succ[0]
+                exit_lines(out, tr.truth(cond, out == succ[0]))
 
     def cycle(self, header: int) -> Optional[list[list[int]]]:
         """Shortest path of blocks from header back to it, found breadth
@@ -800,6 +776,7 @@ class _Program:
         parent: dict[int, Optional[int]] = {header: None}
         frontier = [header]
         for _ in range(_MAX_LOOP_BLOCKS):
+            self.traced += len(frontier)
             later = []
             for at in frontier:
                 for target in self.successors(self.blocks[at]):
@@ -814,44 +791,17 @@ class _Program:
             frontier = later
         return None
 
-    def block_arm(self, start: int, limit: int) -> list[tuple[int, str]]:
-        """Guards, body, write-back and the way on for one block."""
-        block = self.blocks[start]
-        fallback = f"return {start}, gas, {len(block)}"
-        tr = _Trace([fallback], limit)
-        cond = self.trace([block], [None], tr, None)
-        tail = [(0, line) for line in tr.writeback(fresh=True)] + [(0, f"gas -= {tr.gas}")]
-        succ = self.successors(block)
-        if len(succ) == 1 or succ[0] == succ[1]:
-            tail += [(0, line) for line in self.goto(succ[0])]
-            return self._guarded(tr, fallback) + tail
-        when = tr.truth(cond, True)
-        if succ[0] in self.armed and succ[1] in self.armed:
-            tail.append((0, f"pc = {succ[0]} if {when} else {succ[1]}"))
-        else:
-            tail += [(0, f"if {when}:")] + [(1, line) for line in self.goto(succ[0])]
-            tail += [(0, "else:")] + [(1, line) for line in self.goto(succ[1])]
-        return self._guarded(tr, fallback) + tail
-
-    @staticmethod
-    def _guarded(tr: _Trace, fallback: str) -> list[tuple[int, str]]:
-        guard = [(0, f"if not ({' and '.join([f'gas >= {tr.gas}'] + tr.entry_ok())}):"), (1, fallback)]
-        return guard + tr.loads(tr.used) + tr.lines
-
     def loop_arm(self, path: list[list[int]], limit: int) -> Optional[list[tuple[int, str]]]:
         """A `while` over a cycle of blocks whose words keep their depth and
         tags from one pass to the next: the entry words live in locals
         s1..sd, so each pass checks only its gas. An exit writes the words
-        back and leaves; a pass that could fault or that the gas does not
-        cover writes back the pass's entry words and leaves pc at the
-        header, whose own block then runs."""
+        back and dispatches on its target. A pass that could fault or that
+        the gas does not cover writes back the pass's entry words and
+        returns the header's run to the per-op loop, as a failed entry guard
+        does. Raises _Skip if the ops fault whatever the stack holds."""
         header = path[0][0]
-        stays = [block[0] for block in path[1:]] + [header]
         probe = _Trace([], limit)
-        try:
-            self.trace(path, stays, probe, lambda out, when: None)
-        except _Skip:
-            return None
+        self.trace(path, probe, lambda out, when: None)
         d = probe.depth
         if len(probe.st) != d or any(probe.st[-i].tag != tag for i, tag in probe.guards.items()):
             return None
@@ -860,27 +810,29 @@ class _Program:
         tr = _Trace(restore + ["break"], limit, d, probe.guards)
 
         def exit_lines(out: int, when: str) -> None:
-            leave = tr.writeback(fresh=False) + [f"gas -= {tr.gas}"] + self.goto(out)
-            if leave[-1].startswith("pc"):
-                leave.append("break")
             tr._emit(0, f"if {when}:")
-            for line in leave:
+            for line in tr.writeback() + [f"gas -= {tr.gas}", f"pc = {out}", "break"]:
                 tr._emit(1, line)
 
-        self.trace(path, stays, tr, exit_lines)
+        self.trace(path, tr, exit_lines)
         new = {i: tr.word(tr.st[-i]) for i in range(1, d + 1)}
         changed = [i for i in new if new[i] != f"s{i}"]
         body = list(tr.lines)
         if changed:
             body.append((0, f"{', '.join(f's{i}' for i in changed)} = {', '.join(new[i] for i in changed)}"))
-        body.append((0, f"gas -= {tr.gas}"))
-        loop = tr.loads(range(1, d + 1)) + [(0, f"while gas >= {tr.gas}:")] + [(k + 1, line) for k, line in body]
+        # The pass ends in `continue`, an unconditional jump back: CPython
+        # 3.11 counts a function's warm-up only at its calls and at such
+        # jumps, so a loop that ends at its condition stays unspecialized,
+        # about 1.5x slower a pass, until the function's eighth call.
+        body += [(0, f"gas -= {tr.gas}"), (0, "continue")]
+        loop = [(0, f"s{i} = stack[-{i}]") for i in range(1, d + 1)]
+        loop += [(0, f"while gas >= {tr.gas}:")] + [(k + 1, line) for k, line in body]
         if restore:
             loop += [(0, "else:"), (1, restore[0])]
         loop += [(0, f"if pc != {header}:"), (1, "continue")]
         if probe.entry_ok():
             loop = [(0, f"if {' and '.join(probe.entry_ok())}:")] + [(k + 1, line) for k, line in loop]
-        return loop
+        return loop + [(0, "return pc, gas, runs[pc]")]
 
 
 def _dispatch(arms: list[tuple[int, list[tuple[int, str]]]], indent: int, out: list[str]) -> None:
@@ -909,37 +861,36 @@ def generate_source(prog: tuple) -> str:
 
 def _source(p: _Program) -> str:
     """Python source of `run(stack, gas, pc, env, consts)` for a decoded
-    program. From pc it runs compiled blocks over `stack` until the per-op
+    program. From pc it runs compiled loops over `stack` until the per-op
     loop must take over, and returns (pc, gas, steps): the per-op loop runs
     `steps` ops from pc and calls it again; steps is 0 at the end of the
     code. The source holds only integers from the decoded program, never
     bytes of the code.
 
-    A block of two or more ops gets an arm. A block that heads a cycle of
-    blocks (the target of a backward jump) first tries the cycle as a
-    `while`, and gets an arm for that alone. Arms stop at the bounds above.
-    Any other offset returns its run from the global `runs`, which
-    compile_code sets to _Program.runs."""
+    A block that heads a cycle of blocks (the target of a backward jump)
+    gets an arm if the cycle compiles to a `while`, until the bounds above;
+    p.armed is set to those headers. Any other offset returns its run from
+    the global `runs`, which compile_code sets to p.runs()."""
     left = _MAX_LINES
     arms = []
-    for start in sorted(p.blocks):
+    for start in sorted(p.back_targets.intersection(p.blocks)):
         if p.traced >= _MAX_TRACED:
             break
-        path = p.cycle(start) if start in p.back_targets else None
+        path = p.cycle(start)
         try:
-            lines = (path and p.loop_arm(path, left)) or []
-            if lines or len(p.blocks[start]) > 1:
-                lines += p.block_arm(start, left - len(lines))
+            lines = path and p.loop_arm(path, left)
         except _Skip:
             continue
         except _Full:
             break
+        if not lines:
+            continue
         # Two lines for the arm's place in the dispatch tree.
         if len(lines) + 2 > left:
             break
-        if lines:
-            arms.append((start, lines))
-            left -= len(lines) + 2
+        arms.append((start, lines))
+        left -= len(lines) + 2
+    p.armed = {start for start, _ in arms}
     out = ["def run(stack, gas, pc, env, consts):", "    while True:"]
     _dispatch(arms, 2, out)
     return "\n".join(out) + "\n"
@@ -948,12 +899,12 @@ def _source(p: _Program) -> str:
 # Each entry holds the decoded program, the run table and the compiled
 # function. For a 4 KiB code that is at most about 600 KiB: the decoded
 # program up to about 440 KiB (4096 one-byte instructions), the run table
-# up to about 140 KiB, and the function, which _MAX_LINES holds near 45 KiB.
+# up to about 150 KiB, and the function, which _MAX_LINES holds near 30 KiB.
 # So 64 entries bound the cache near 38 MiB. On a shared 2-vCPU x86-64
-# host a miss costs 0.2-1.4 ms for the burn, counter, average and DEX
-# contracts, and up to about 40 ms (under 6 MiB peak) for the worst 4 KiB
-# codes tried: 1,000-line sources of many short blocks or loops. deploy
-# compiles, so a miss is paid there, or by the first call after an eviction.
+# host a miss costs 40-200 us for the burn, counter, average and DEX
+# contracts, and up to about 11 ms (under 4 MiB peak) for the worst 4 KiB
+# codes tried: 1,000-line sources of many loops. deploy compiles, so a miss
+# is paid there, or by the first call after an eviction.
 @functools.lru_cache(maxsize=64)
 def compile_code(code: bytes) -> tuple[tuple, Callable]:
     """(decoded program, compiled function) of well-formed code, built once
@@ -962,8 +913,9 @@ def compile_code(code: bytes) -> tuple[tuple, Callable]:
     if prog is None:
         raise ModelError("code failed validation")
     program = _Program(prog)
-    namespace = {"runs": program.runs}
-    exec(_source(program), namespace)
+    source = _source(program)
+    namespace = {"runs": program.runs()}
+    exec(source, namespace)
     return program.prog, namespace["run"]
 
 
@@ -1071,12 +1023,12 @@ class _Machine:
         """Execute a contract frame; returns its RETURN value (None for
         HALT). Raises _Fault to revert the frame.
 
-        The code's compiled function runs the pure blocks and returns where
-        the per-op loop takes over and for how many ops: the ops it does not
-        compile, and any block whose guard failed or that would fault. The
-        per-op loop keeps gas in a local and charges each op before it
-        executes it. self.gas is exact whenever the frame exits or calls
-        another frame. Words leave the stack through _pop and enter it
+        The code's compiled function runs its loops and returns where the
+        per-op loop takes over and for how many ops: every op outside a
+        compiled loop, and a loop pass whose guard failed or that would
+        fault. The per-op loop keeps gas in a local and charges each op
+        before it executes it. self.gas is exact whenever the frame exits or
+        calls another frame. Words leave the stack through _pop and enter it
         through _push, which checks MAX_FRAME_STACK; an op that pushes no
         more words than it has popped appends them directly."""
         self.move_value(caller, self_addr, value)

@@ -646,6 +646,28 @@ def test_replay_reports_gap_before_stray_batch(tmp_path):
     assert report.batch == n and report.field == f"batch_{n:06d}.json"
 
 
+def test_log_files_past_batch_999999_count(tmp_path):
+    """Past batch 999,999 a log file's number takes seven digits or more:
+    a stray batch_1000000.json after a one-batch log is a gap at batch 1,
+    and a directory that holds only header_1000000.json already holds a
+    log. Names that _log_file never writes are still ignored."""
+    cfg = make_config()
+    ledger.init_log(tmp_path, cfg)
+    receipts, header = ledger.apply_batch(ledger.LedgerState(), [], 1, cfg, workers=1)
+    ledger.write_batch_files(tmp_path, 0, 1, [], header, receipts)
+    for name in ("batch_0000001.json", "batch_12345.json", "header_000001.json.tmp"):
+        (tmp_path / name).write_text("")
+    assert ledger.replay_verify(tmp_path).ok
+    (tmp_path / "batch_1000000.json").write_text("")
+    report = ledger.replay_verify(tmp_path)
+    assert (report.ok, report.kind, report.batch, report.field) == (False, "unreadable", 1, "batch_000001.json")
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "header_1000000.json").write_text("")
+    with pytest.raises(FileExistsError):
+        ledger.init_log(other, cfg)
+
+
 MALFORMED_SHAPES = {
     "batch_txs_not_a_list": ("batch", lambda obj: {**obj, "txs": 5}),
     "batch_file_is_a_list": ("batch", lambda obj: [obj]),

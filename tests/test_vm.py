@@ -5,8 +5,10 @@ interpreter kept in oracles.py."""
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -791,14 +793,29 @@ def test_fixed_programs_match_at_every_gas_limit(asm, status):
 
 
 # ---------------------------------------------------------------------------
-# Fused groups: op groups that a compiled block fuses into one Python
+# Fused groups: op groups that a compiled loop fuses into one Python
 # expression (DUP NOT JUMPI into `if not s1`, PUSHI k SUB into one checked
-# subtraction), against oracles.tagged_invoke at every gas limit, from every
-# stack state that makes one of their ops fault.
+# subtraction), inside a loop body that a `while` runs, against
+# oracles.tagged_invoke at every gas limit, from every stack state that makes
+# one of their ops fault.
 
 GROUPS = {
     "PUSHI_SUB": (vm.OP_PUSHI, vm.OP_SUB),
     "DUP_NOT_JUMPI": (vm.OP_DUP, vm.OP_NOT, vm.OP_JUMPI),
+}
+# Loops that hold a group ({group}) and keep their stack shape: "then" has
+# more of the loop after the group, and "last" ends the loop with it (the
+# group's JUMPI is the jump back, or the group comes just before it). A
+# JUMPI group jumps to the label that follows the template.
+LOOPS = {
+    "PUSHI_SUB": {
+        "then": ("loop: {group} DUP JUMPI loop PUSHI 9 RETURN", "end"),
+        "last": ("loop: DUP JUMPI go PUSHI 9 RETURN go: {group} JUMP loop", "end"),
+    },
+    "DUP_NOT_JUMPI": {
+        "then": ("loop: {group} PUSHI 1 SUB JUMP loop end: PUSHI 8 RETURN", "end"),
+        "last": ("loop: {group}", "loop"),
+    },
 }
 
 
@@ -825,29 +842,24 @@ PRELUDES = {
 PUSHI_OPERANDS = (0, 1, 3, 2**33)
 
 
-def group_programs(ops):
-    """(name, assembly, whole) for one group in every shape: followed by
-    more code, ending the program, and entered by a jump to each of its
-    later ops. whole: one compiled block holds the whole group."""
-    tail = "PUSHI 9 RETURN end: PUSHI 8 RETURN"
+def group_programs(name: str):
+    """(name, assembly, whole) for one group in every shape: in each loop
+    of LOOPS, and in its "then" loop entered by a jump to each of the
+    group's later ops. whole: one block holds the whole group."""
+    ops = GROUPS[name]
     for pre_name, pre in PRELUDES.items():
         deep = pre_name.startswith("height")
         for k in PUSHI_OPERANDS[1:2] if deep or ops[0] != vm.OP_PUSHI else PUSHI_OPERANDS:
-            group = group_asm(ops, k, "end")
-            name = f"{pre_name}-{k}"
-            if ops[-1] == vm.OP_JUMPI:
-                yield f"{name}-then", f"{pre} {group} {tail}", True
-                yield f"{name}-last", f"JUMP start end: PUSHI 8 RETURN start: {pre} {group}", True
-            else:
-                yield f"{name}-then", f"{pre} {group} RETURN", True
-                yield f"{name}-last", f"{pre} {group}", True
+            for shape, (loop, label) in LOOPS[name].items():
+                yield f"{pre_name}-{k}-{shape}", f"{pre} {loop.format(group=group_asm(ops, k, label))}", True
+            loop, label = LOOPS[name]["then"]
             for i in range(1, len(ops)):
-                head, rest = group_asm(ops[:i], k, "end"), group_asm(ops[i:], k, "end")
-                yield f"{name}-into{i}", f"{pre} PUSHI 5 JUMP mid {head} mid: {rest} {tail}", False
+                split = f"{group_asm(ops[:i], k, label)} mid: {group_asm(ops[i:], k, label)}"
+                yield f"{pre_name}-{k}-into{i}", f"{pre} PUSHI 5 JUMP mid {loop.format(group=split)}", False
 
 
 def block_ops(code: bytes) -> list[tuple[int, ...]]:
-    """The opcodes of each compiled block."""
+    """The opcodes of each basic block."""
     program = vm._Program(vm.decode(code))
     return [tuple(code[pc] for pc in block) for block in program.blocks.values()]
 
@@ -857,27 +869,31 @@ def holds(block: tuple[int, ...], ops: tuple[int, ...]) -> bool:
 
 
 def gas_limits(full: int):
-    """Every limit up to full; past 64 gas (the 1023- and 1024-deep
-    preludes), the first few and the last 40, which hold the group."""
-    if full <= 64:
-        return range(full + 1)
-    return sorted(set(range(6)) | set(range(full - 40, full + 1)))
+    """Every limit up to full; past 100 gas (the 1023- and 1024-deep
+    preludes, and loops that run until the gas is gone), the first 100 and
+    the last 40, which hold the last passes."""
+    return sorted(set(range(min(full, 100) + 1)) | set(range(max(full - 40, 0), full + 1)))
 
 
-@pytest.mark.parametrize("ops", list(GROUPS.values()), ids=list(GROUPS))
-def test_fused_groups_match_tagged_interpreter(ops):
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_fused_groups_match_tagged_interpreter(name):
     statuses = set()
-    for name, asm, whole in group_programs(ops):
+    for shape, asm, whole in group_programs(name):
         code = vm.assemble(asm)
-        assert any(holds(block, ops) for block in block_ops(code)) == whole, name
+        assert any(holds(block, GROUPS[name]) for block in block_ops(code)) == whole, shape
+        assert "while gas >=" in vm.generate_source(vm.decode(code)), shape
         acc, consts = vm_world(code, vm.assemble(COUNTER_ASM))
-        full = assert_same_execution(acc, consts, 30_000, False, None)
-        statuses.add(full.outcome.detail or full.outcome.ret)
+        full = assert_same_execution(acc, consts, 2_000, False, None)
+        statuses.add(full.outcome.detail or full.outcome.ret or full.outcome.status)
         for gas_limit in gas_limits(full.outcome.gas_used + 1):
             assert_same_execution(acc, consts, gas_limit, False, None)
-    # The matrix reaches the faults it is built for.
-    assert {"stack underflow", "frame stack overflow", "type error: expected Int"} <= statuses
-    assert ops[-1] != vm.OP_SUB or "sub underflow" in statuses
+    # The matrix reaches the faults it is built for, loops that run until the
+    # gas is gone, and loops that end: by RETURN, or off the end of the code.
+    assert {"stack underflow", "frame stack overflow", "type error: expected Int", vm.STATUS_OUT_OF_GAS} <= statuses
+    if name == "PUSHI_SUB":
+        assert {"sub underflow", 9} <= statuses
+    else:
+        assert {8, vm.STATUS_COMMITTED} <= statuses
 
 
 @pytest.mark.parametrize("arg", [0, 1, 3])
@@ -893,6 +909,51 @@ def test_fused_loops_match_tagged_interpreter(arg):
         assert (full.outcome.detail == "sub underflow") == (asm == by_two and arg % 2 == 1)
         for gas_limit in range(full.outcome.gas_used + 2):
             assert_same_execution(acc, consts, gas_limit, False, None, arg=arg)
+
+
+def bench_vm_module():
+    """benchmarks/bench_vm.py, loaded from its path."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_vm.py"
+    spec = importlib.util.spec_from_file_location("bench_vm", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The generated function of code that gets no arm: every pc returns its run.
+NO_ARMS = "def run(stack, gas, pc, env, consts):\n    while True:\n        if True:\n            return pc, gas, runs[pc]\n"
+
+
+def test_code_without_a_backward_jump_gets_no_arm():
+    """Straight-line pure code runs through the per-op loop: the counter,
+    average and DEX contracts, and the 4 KiB code of 1,021 two-op blocks,
+    compile to a function that only returns the per-op loop's run."""
+    bench_vm = bench_vm_module()
+    codes = {
+        "counter": vm.assemble(COUNTER_ASM),
+        "average": vm.assemble(bench_vm.fixture_code("average_balance_contract")),
+        "dex": vm.assemble(bench_vm.fixture_code("dex_order_matching")),
+        "4k-block": bench_vm.WORST_CODES["4k-block"],
+    }
+    for name, code in codes.items():
+        assert not vm._Program(vm.decode(code)).back_targets, name
+        assert vm.generate_source(vm.decode(code)) == NO_ARMS, name
+
+
+def test_the_search_for_loops_counts_against_the_trace_bound():
+    """Blocks visited while looking for a loop count against _MAX_TRACED:
+    in 1,021 blocks that each jump back 9 blocks, no header closes a cycle
+    of at most _MAX_LOOP_BLOCKS blocks, and the search stops long before
+    the last of the 1,012 headers."""
+    code = vm.assemble("HALT PUSHI 0 " + " ".join(f"b{i}: DUP JUMPI b{max(i - 9, 0)}" for i in range(1021)) + " HALT")
+    program = vm._Program(vm.decode(code))
+    searched = []
+    cycle = program.cycle
+    program.cycle = lambda header: searched.append(header) or cycle(header)
+    vm._source(program)
+    assert len(program.back_targets) == 1012
+    assert len(searched) < 200
+    assert program.traced < vm._MAX_TRACED + 2 ** (vm._MAX_LOOP_BLOCKS + 1)
 
 
 # ---------------------------------------------------------------------------
