@@ -8,8 +8,9 @@ ledger. For each workload and seed it prints:
   transaction's own outputs) or remove entries (any other sum)
 - the plans sent to the helper process, and the messages that carried
   them by kind: plan parts, sent while the batch is read; posted windows
-  of LtHash deltas, sent while it runs; and ends, of which those that
-  also carried jobs are counted apart; then messages per plan
+  of LtHash deltas, sent while it runs and, the last, once it has run;
+  and ends, of which those that also carried jobs are counted apart; then
+  messages per plan
 - the number of parallel waves the scheduler forked
 
 A second table is the census of both CPUs over the timed commits only:
@@ -18,8 +19,10 @@ A second table is the census of both CPUs over the timed commits only:
   LtHash deltas) apart, read from a counter in shared memory, and its busy
   share of commit s
 - the caller's time in LtHash expansions and lane arithmetic (lthash's
-  functions and LtHash's methods) and, apart, in ledger.state_digest and
-  in the receipts' writes digests
+  functions and LtHash's methods), split into the settles of each batch's
+  last window (the chunks of the net deltas its last cut made, or those
+  deltas whole in a tree that folds them unchunked) and the rest, and,
+  apart, in ledger.state_digest and in the receipts' writes digests
 - the calls of ledger.state_digest
 - the loose LtHash entries the state writes note (add, remove and their
   _many forms), the loose entries the batches settle (the entries of the
@@ -32,6 +35,12 @@ A second table is the census of both CPUs over the timed commits only:
   computing the very job it asked through the table (the cursor's), which
   the helper had not reached; and, inline, a check the table does not
   hold or a delta the caller folds without a vector
+- the last window's chunks (or whole deltas) folded, by whether their lanes
+  came from the helper's table or the caller expanded them
+- the caller's sends down the helper's pipe: their number, wall time, CPU
+  time, and the involuntary context switches the caller took inside them
+  (getrusage's ru_nivcsw): a send that wakes a helper scheduled on the
+  caller's own CPU waits for it
 
 It runs perfbench/run.py's main in-process, with its own output dropped,
 and only wraps the ledger's functions and the pipe's send, so perfbench is
@@ -52,6 +61,7 @@ import io
 import mmap
 import multiprocessing.connection
 import os
+import resource
 import sys
 import time
 from collections import Counter
@@ -134,12 +144,16 @@ ROWS = [
 # time in _run on checks and on vector jobs, the jobs of each kind, and its
 # expansions.
 TIMED, HELPER_CHECK_S, HELPER_VECTOR_S, HELPER_CHECKS, HELPER_VECTORS, HELPER_EXPANSIONS = range(6)
+RUSAGE = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)  # the caller's own switches, where Linux counts them
 CPU_ROWS = [
     "batches", "commit s", "helper busy s", "helper busy share", "helper checks s", "helper vectors s",
-    "caller lthash s", "caller state_digest s", "caller writes digests s", "state_digest calls",
+    "caller lthash s", "caller lthash last window s", "caller lthash rest s",
+    "caller state_digest s", "caller writes digests s", "state_digest calls",
     "entries noted", "loose entries settled", "expansions by caller", "expansions by helper",
     "checks by helper", "checks by caller helping", "checks by caller own", "checks inline",
     "vectors by helper", "vectors by caller helping", "vectors by caller own", "vectors inline",
+    "last window chunks", "last window by helper", "last window by caller",
+    "sends", "send s", "send cpu s", "send involuntary switches",
 ]
 LTHASH_METHODS = ("add", "add_many", "remove", "remove_many", "settle", "digest")
 
@@ -162,6 +176,7 @@ def second_cpu(counts: Counter):
     caller = os.getpid()
     depth = [0]  # the caller's calls into timed code, outermost first
     kept: dict = {}  # id -> each sum the state defers whole, until it is settled
+    last_cut: list = [None, set()]  # the running batch's last cut (ledger.apply_batch's), ids of its nets' entries
     patched: list = []
 
     def patch(owner, name: str, wrapper) -> None:
@@ -219,12 +234,47 @@ def second_cpu(counts: Counter):
 
     def settle(real):
         def counted(self, delta, lanes=None):
-            if shared[TIMED]:
-                counts["vectors inline"] += lanes is None
-                if kept.pop(id(delta), None) is None:
-                    counts["loose entries settled"] += len(delta[0]) + len(delta[1])
-            return real(self, delta, lanes)
+            if not shared[TIMED]:
+                return real(self, delta, lanes)
+            counts["vectors inline"] += lanes is None
+            if kept.pop(id(delta), None) is not None:
+                return real(self, delta, lanes)
+            counts["loose entries settled"] += len(delta[0]) + len(delta[1])
+            if depth[0] or os.getpid() != caller or id(next(iter(delta[0] or delta[1]), None)) not in last_cut[1]:
+                return real(self, delta, lanes)
+            counts["last window chunks"] += 1
+            counts[f"last window by {'caller' if lanes is None else 'helper'}"] += 1
+            t0 = time.perf_counter()
+            try:
+                return real(self, delta, lanes)
+            finally:
+                counts["caller lthash last window s"] += time.perf_counter() - t0
         return counted
+
+    def cut_nets(real):
+        def recorded(added, removed):
+            result = real(added, removed)
+            cut = sys._getframe(1)
+            if shared[TIMED] and cut.f_code.co_name == "cut":
+                if cut is not last_cut[0]:  # a later cut: the batch's last so far
+                    last_cut[:] = cut, set()
+                last_cut[1].update(map(id, result[0] + result[1]))
+            return result
+        return recorded
+
+    def sends(real):
+        def timed(conn, obj):
+            if not shared[TIMED] or os.getpid() != caller:
+                return real(conn, obj)
+            t0, c0, s0 = time.perf_counter(), time.thread_time(), resource.getrusage(RUSAGE).ru_nivcsw
+            try:
+                return real(conn, obj)
+            finally:
+                counts["sends"] += 1
+                counts["send s"] += time.perf_counter() - t0
+                counts["send cpu s"] += time.thread_time() - c0
+                counts["send involuntary switches"] += resource.getrusage(RUSAGE).ru_nivcsw - s0
+        return timed
 
     def noted(one: bool):
         def wrapper(real):
@@ -294,6 +344,8 @@ def second_cpu(counts: Counter):
     for name in LTHASH_METHODS:
         patch(lthash.LtHash, name, timed_as("caller lthash s"))
     patch(lthash.LtHash, "settle", settle)
+    patch(lthash, "net", cut_nets)
+    patch(multiprocessing.connection.Connection, "send", sends)
     patch(lthash.LtHash, "defer", defer)
     for name, one in (("add", True), ("remove", True), ("add_many", False), ("remove_many", False)):
         patch(lthash.LtHash, name, noted(one))
@@ -309,6 +361,7 @@ def second_cpu(counts: Counter):
         counts["helper checks s"] = shared[HELPER_CHECK_S]
         counts["helper vectors s"] = shared[HELPER_VECTOR_S]
         counts["helper busy s"] = shared[HELPER_CHECK_S] + shared[HELPER_VECTOR_S]
+        counts["caller lthash rest s"] = counts["caller lthash s"] - counts["caller lthash last window s"]
         counts["helper busy share"] = counts["helper busy s"] / counts["commit s"] if counts["commit s"] else 0.0
         counts["checks by helper"] = int(shared[HELPER_CHECKS])
         counts["vectors by helper"] = int(shared[HELPER_VECTORS])
@@ -337,7 +390,7 @@ def census(workload: str, seed: int, seconds: float) -> tuple[Counter, Counter]:
 
 
 def cell(value) -> str:
-    return f"{value:>26.4f}" if isinstance(value, float) else f"{value:>26}"
+    return f"{value:>30.4f}" if isinstance(value, float) else f"{value:>30}"
 
 
 def main() -> None:
@@ -356,7 +409,7 @@ def main() -> None:
             cpus.append((workload, seed, cpu))
             print(f"{workload:<20}{seed:>6}" + "".join(f"{counts[row]:>22}" for row in ROWS), flush=True)
     print("\nboth CPUs over the timed commits (a run of its own, under the census's wrappers)")
-    print(f"{'workload':<20}{'seed':>6}" + "".join(f"{row:>26}" for row in CPU_ROWS))
+    print(f"{'workload':<20}{'seed':>6}" + "".join(f"{row:>30}" for row in CPU_ROWS))
     for workload, seed, cpu in cpus:
         print(f"{workload:<20}{seed:>6}" + "".join(cell(cpu[row]) for row in CPU_ROWS))
 

@@ -2,14 +2,15 @@
 caller, which asks the same jobs in any order, and shares each result
 through one table in shared memory (`split`). The plan, made only while a
 helper runs, reaches it in parts as the batch is read, the batch's LtHash
-deltas follow it as the batch runs (`post`), and its end follows once the
-batch has ended. A job is a signature check, each of whose triples ends as
-a libsodium verdict byte, or an LtHash delta, which ends as its lane
-vector. A result is looked up by the exact triple or entries the caller
-would compute it from, so a wrong or stale plan costs only wasted work. A
-job the plan missed, one past the table's room, and all work on one CPU,
-without libsodium or without a helper that could start run inline: no
-verdict, digest, receipt or log byte depends on the helper.
+deltas follow it as the batch runs and once it has run (`post`), and its
+end follows once the batch has ended. A job is a signature check, each of
+whose triples ends as a libsodium verdict byte, or an LtHash delta, which
+ends as its lane vector. A result is looked up by the exact triple or
+entries the caller would compute it from, so a wrong or stale plan costs
+only wasted work. A job the plan missed, one past the table's room, and
+all work on one CPU, without libsodium or without a helper that could
+start run inline: no verdict, digest, receipt or log byte depends on the
+helper.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 from . import crypto, lthash
 from .lthash import DIGEST_BYTES
 
-# Entries per sum job: a transaction's created outputs are cut into sums of
-# CHUNK, so that a fan-out's large transactions are shared out. Fewer than
+# Entries per vector job: a transaction's created outputs are cut into sums
+# of CHUNK, and a window's net delta into chunks of at most CHUNK, so that a
+# fan-out's large transactions and a large window are shared out. Fewer than
 # PLANNED_SUM outputs are not worth a job: reading a vector back costs about
 # half of expanding an entry.
 CHUNK, PLANNED_SUM = 128, 8
@@ -70,10 +72,21 @@ _add: Optional[Callable[[Sequence[Job]], None]] = None
 _failed_starts = _batches_to_skip = 0
 
 
+def chunks(delta: lthash.Delta) -> list[lthash.Delta]:
+    """delta as deltas of at most CHUNK entries each, its additions first,
+    that fold alike: jobs the caller and the helper can share."""
+    added, removed = delta
+    n = len(added)
+    return [
+        (added[i : i + CHUNK], removed[max(i - n, 0) : max(i + CHUNK - n, 0)])
+        for i in range(0, n + len(removed), CHUNK)
+    ]
+
+
 def sums(entries: Sequence[bytes]) -> list[lthash.Delta]:
     """entries as the deltas, each adding CHUNK of them, that plan and apply
     them alike."""
-    return [(tuple(entries[i : i + CHUNK]), ()) for i in range(0, len(entries), CHUNK)]
+    return chunks((tuple(entries), ()))
 
 
 def _index(part: Sequence[Job], slots: dict) -> list:
@@ -128,7 +141,9 @@ def ask(job: Job) -> Union[None, bool, bytes]:
     the helper works from the front; with none left it waits for a check, as
     long as the helper lives. A check helps only with the jobs planned before
     the batch ran: a delta takes longer than the check the caller waits for,
-    and the deltas are the helper's while the batch runs. A vector job that
+    and the deltas are the helper's while the batch runs. A vector job, asked
+    once the batch has run, helps only with the deltas posted: a planned
+    check still free by then is one the batch never asked. A vector job that
     the helper has not written is the caller's to compute, without its
     vector (None): claimed if free, and else computed alike, since its
     vector is the same whoever computes it."""
@@ -137,9 +152,9 @@ def ask(job: Job) -> Union[None, bool, bytes]:
         return None
     process, _, table = _helper
     table[:HEAD] = slot.to_bytes(HEAD, "little")
-    helped = HEAD + (len(_jobs) if len(job) < 3 else _planned)
+    helped = (HEAD + _planned, HEAD + len(_jobs)) if len(job) < 3 else (HEAD, HEAD + _planned)
     while (state := table[slot]) == HELPING:
-        if (free := table.rfind(b"\0", HEAD, helped)) > 0:
+        if (free := table.rfind(b"\0", *helped)) > 0:
             _run(table, free, _jobs[free - HEAD], CALLING)
         elif len(job) < 3 or not process.is_alive():
             break

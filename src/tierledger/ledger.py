@@ -430,9 +430,10 @@ def apply_batch(
     contract_buffer: list[tuple[int, Transaction, bytes]] = []
     # The expiry and coinbase writes, each receipt and each contract commit
     # close an interval of state writes. Every PART_SLOTS intervals make a
-    # window, whose notes net (`lthash.net`) to one delta per accumulator:
-    # posted to the helper as the next window opens, but for the last,
-    # which the caller keeps. The batch folds every delta at its end, also
+    # window, whose notes net (`lthash.net`) to one delta per accumulator,
+    # posted to the helper in chunks as the next window opens; the last
+    # window, the header's interval included, once the batch has run. The
+    # batch folds every chunk at its end, after hashing its receipts, also
     # if a write raised.
     accumulators = state.utxo_lthash, state.accounts.lthash
     intervals: list[list[lthash.Notes]] = []
@@ -440,14 +441,15 @@ def apply_batch(
     window = 0  # the open window's first interval
 
     def cut() -> list[lthash.Delta]:
-        """The open window's net delta per accumulator, queued to fold."""
+        """The open window's net delta per accumulator in chunks
+        (`helper.chunks`), queued to fold."""
         deltas = []
         for acc, notes in zip(accumulators, zip(*intervals[window:])):
             folds.extend((acc, delta) for deferred, _, _ in notes for delta in deferred)
             delta = lthash.net(chain.from_iterable(n[1] for n in notes), chain.from_iterable(n[2] for n in notes))
-            if delta[0] or delta[1]:
-                folds.append((acc, delta))
-                deltas.append(delta)
+            for chunk in helper.chunks(delta):
+                folds.append((acc, chunk))
+                deltas.append(chunk)
         return deltas
 
     def close() -> int:
@@ -498,52 +500,54 @@ def apply_batch(
         # interval (None for no writes).
         results: list[Optional[tuple]] = [None] * len(work)
         try:
-            state.pool.drain(epoch, mature)
-            state.epoch = epoch
-            # 1. Expire the due outputs, before any validation.
-            state.expired += state.spend_utxos(rules.apply_expiry(state.expiring, epoch, cfg))
-            # 2. Coinbase issuance to the operator. Capped so that issued, and
-            # with it every supply counter and balance, stays within u64.
-            sub = min(rules.subsidy(epoch, cfg), U64_MAX - state.issued)
-            if sub > 0:
-                cb = _coinbase_outpoint(state.batch_number)
-                state.put_utxos(cb.txid, (Output(sub, Lock.pay_to_pubkey(cfg.operator_pubkey)),))
-                state.issued += sub
-            close()  # no receipt's
-            # 3. The transactions, in order.
-            for i, (tx, tx_id, matured) in enumerate(work):
-                level = classify_level(tx, state.utxos)
-                actor = _actor(tx.kind)
-                if cfg.max_level < level:
-                    status = codes.LEVEL_EXCEEDS_CONFIG
-                elif actor is not None and not _auth_names(tx, actor):
-                    status = codes.BAD_AUTH
-                elif isinstance(tx.kind, (Deploy, Call)):
-                    status = _contract_gate(tx, tx_id, epoch, cfg)
-                    if status == codes.OK:
-                        contract_buffer.append((i, tx, tx_id))
-                        continue
-                    if not _auth_signed(tx, tx_id):
+            try:
+                state.pool.drain(epoch, mature)
+                state.epoch = epoch
+                # 1. Expire the due outputs, before any validation.
+                state.expired += state.spend_utxos(rules.apply_expiry(state.expiring, epoch, cfg))
+                # 2. Coinbase issuance to the operator. Capped so that issued, and
+                # with it every supply counter and balance, stays within u64.
+                sub = min(rules.subsidy(epoch, cfg), U64_MAX - state.issued)
+                if sub > 0:
+                    cb = _coinbase_outpoint(state.batch_number)
+                    state.put_utxos(cb.txid, (Output(sub, Lock.pay_to_pubkey(cfg.operator_pubkey)),))
+                    state.issued += sub
+                close()  # no receipt's
+                # 3. The transactions, in order.
+                for i, (tx, tx_id, matured) in enumerate(work):
+                    level = classify_level(tx, state.utxos)
+                    actor = _actor(tx.kind)
+                    if cfg.max_level < level:
+                        status = codes.LEVEL_EXCEEDS_CONFIG
+                    elif actor is not None and not _auth_names(tx, actor):
                         status = codes.BAD_AUTH
-                elif actor is not None and not _auth_signed(tx, tx_id):
-                    status = codes.BAD_AUTH
-                else:
-                    flush_contracts()
-                    status = _transfer(state, tx, tx_id, epoch, cfg, batch_spent, matured)
-                results[i] = (tx_id, status, 0, level, close())
-            flush_contracts()
-            # 4. The batch's fee income, to the operator: no receipt's write.
-            state.credit_fees(cfg.operator_address)
+                    elif isinstance(tx.kind, (Deploy, Call)):
+                        status = _contract_gate(tx, tx_id, epoch, cfg)
+                        if status == codes.OK:
+                            contract_buffer.append((i, tx, tx_id))
+                            continue
+                        if not _auth_signed(tx, tx_id):
+                            status = codes.BAD_AUTH
+                    elif actor is not None and not _auth_signed(tx, tx_id):
+                        status = codes.BAD_AUTH
+                    else:
+                        flush_contracts()
+                        status = _transfer(state, tx, tx_id, epoch, cfg, batch_spent, matured)
+                    results[i] = (tx_id, status, 0, level, close())
+                flush_contracts()
+                # 4. The batch's fee income, to the operator: no receipt's write.
+                state.credit_fees(cfg.operator_address)
+            finally:
+                intervals.append([acc.close() for acc in accumulators])  # the header's: what no receipt wrote
+                helper.post(cut())  # the last window, which the helper folds while the caller hashes
+            assert None not in results
+            receipts = [Receipt(*result[:4], _writes_digest(intervals, result[4])) for result in results]
+            txs_hash = sha256(b"".join(sha256(full_serialize(tx)) for tx, _, _ in work[len(pending) :]))
+            receipts_hash = sha256(b"".join(r.hash() for r in receipts))
         finally:
-            intervals.append([acc.close() for acc in accumulators])  # the header's: what no receipt wrote
-            cut()
-            for acc, delta in reversed(folds):  # the caller's own window first
+            for acc, delta in reversed(folds):  # from the back: the helper folds from the front
                 acc.settle(delta, helper.ask(delta))
 
-    assert None not in results
-    receipts = [Receipt(*result[:4], _writes_digest(intervals, result[4])) for result in results]
-    txs_hash = sha256(b"".join(sha256(full_serialize(tx)) for tx, _, _ in work[len(pending) :]))
-    receipts_hash = sha256(b"".join(r.hash() for r in receipts))
     header = BatchHeader(
         batch_number=state.batch_number,
         epoch=epoch,

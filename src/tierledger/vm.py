@@ -1030,7 +1030,10 @@ class _Machine:
         before it executes it. self.gas is exact whenever the frame exits or
         calls another frame. Words leave the stack through _pop and enter it
         through _push, which checks MAX_FRAME_STACK; an op that pushes no
-        more words than it has popped appends them directly."""
+        more words than it has popped appends them directly. The op chain
+        tests PUSHI, DUP, JUMPI and arithmetic first, then the state and
+        call ops, which a short contract such as the counter runs at each
+        call, then the other pure ops."""
         self.move_value(caller, self_addr, value)
         prog, compiled = compile_code(self.base.contracts[self_addr].code)
         n = len(prog)
@@ -1049,7 +1052,18 @@ class _Machine:
                     gas -= cost
                     if gas < 0:
                         raise _OutOfGas()
-                    if op == OP_HALT:
+                    if op == OP_PUSHI:
+                        _push(stack, imm)
+                    elif op == OP_DUP:
+                        v = _pop(stack)
+                        push(v)
+                        _push(stack, v)
+                    elif op == OP_JUMPI:
+                        if _pop(stack, True):
+                            pc = imm
+                    elif op in _ARITH:
+                        push(_arith(op, stack))
+                    elif op == OP_HALT:
                         return None
                     elif op == OP_SLOAD:
                         key = _pop(stack, True)
@@ -1100,21 +1114,10 @@ class _Machine:
                         push(ok)  # status
                     elif op == OP_REVERT:
                         raise _Fault("explicit revert")
-                    elif op == OP_PUSHI:
-                        _push(stack, imm)
-                    elif op == OP_DUP:
-                        v = _pop(stack)
-                        push(v)
-                        _push(stack, v)
-                    elif op == OP_JUMPI:
-                        if _pop(stack, True):
-                            pc = imm
                     elif op == OP_JUMP:
                         pc = imm
                     elif op == OP_NOT:
                         push(0 if _pop(stack, True) else 1)
-                    elif op in _ARITH:
-                        push(_arith(op, stack))
                     elif op in env:
                         _push(stack, env[op])
                     elif op == OP_PUSHA:

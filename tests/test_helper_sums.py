@@ -1,10 +1,11 @@
 """The helper process's vector jobs (`helper.split`, `helper.post`): the
 batch's plan sums large created-output lists ahead, and `apply_batch` posts
 each window's net LtHash deltas (the entries its receipts' state writes
-added and removed, cancelled against each other) but the last's to one
-forked helper, which writes each job's lane vector into shared memory; the
-batch folds them at its end. No receipt, header hash or replay may depend
-on it: not on whether it runs, not on the table's room, not on its death
+added and removed, cancelled against each other), the last's once the
+batch has run, in chunks to one forked helper, which writes each job's
+lane vector into shared memory; the batch folds them at its end, after
+hashing its receipts. No receipt, header hash or replay may depend on it:
+not on whether it runs, not on the table's room, not on its death
 mid-batch or mid-fold, and not on a plan that names the wrong entries.
 
 Tests switch the helper on and off through `crypto.CPUS` alone."""
@@ -18,9 +19,10 @@ import time
 import pytest
 
 from helpers import KEYS, OPERATOR, make_config, p2pk, signed_spend
+from oracles import state_entries
 from test_admission import REFUSAL_PINS, refusal_batch, refusal_world
-from test_verify_split import GOLDEN_CASES, fresh_helper, needs_sodium, run_golden  # noqa: F401
-from tierledger import codes, crypto, helper, ledger, lthash, rules
+from test_verify_split import GOLDEN_CASES, fresh_helper, mixed_batch, needs_sodium, run_golden  # noqa: F401
+from tierledger import codes, crypto, helper, ledger, lthash, rules, utxo
 from tierledger.model import Outpoint, txid
 
 FANOUTS, FANOUT_OUTPUTS, PLANNED_INPUTS, DUE = 3, 1_000, 12, 9
@@ -356,3 +358,150 @@ def test_a_refused_call_gives_the_same_receipts_with_and_without_a_helper(monkey
         assert got == REFUSAL_PINS[case]
         runs.append((receipts, header, ledger.state_digest(state)))
     assert runs[0] == runs[1]
+
+
+def accumulators(state) -> tuple[bytes, bytes]:
+    return state.utxo_lthash.digest(), state.accounts.lthash.digest()
+
+
+def recomputed(state) -> tuple[bytes, bytes]:
+    """Both accumulators' digests summed anew from state's mappings."""
+    utxo_acc, account_acc = lthash.LtHash(), lthash.LtHash()
+    for entry in state_entries(state).elements():
+        (utxo_acc if entry.startswith(b"U") else account_acc).add(entry)
+    return utxo_acc.digest(), account_acc.digest()
+
+
+@needs_sodium
+def test_the_last_windows_chunks_sum_to_its_net_delta(tmp_path, monkeypatch):
+    """With one window for the whole batch and no created-output list kept
+    whole, the batch posts once, after it has run: chunks of at most CHUNK
+    entries, in the running batch's table, whose vectors sum per
+    accumulator to the window's net delta, which is each accumulator's
+    change over the batch."""
+    monkeypatch.setattr(crypto, "CPUS", 2)
+    monkeypatch.setattr(helper, "ORDERED_STORES", True)
+    monkeypatch.setattr(helper, "PART_SLOTS", 10**9)
+    monkeypatch.setattr(helper, "PLANNED_SUM", 10**9)
+    cfg, state, txs = sum_log(tmp_path)
+    posts: list = []
+    real_post = helper.post
+
+    def post(deltas):
+        real_post(deltas)
+        posts.append([(delta, delta in (helper._slots or ())) for delta in deltas])
+
+    monkeypatch.setattr(helper, "post", post)
+    after = state.copy()
+    receipts, _ = ledger.apply_batch(after, txs, EPOCH, cfg)
+    assert [r.status for r in receipts] == [0] * len(txs)
+    (chunks,) = posts
+    assert len(chunks) > FANOUTS * FANOUT_OUTPUTS // helper.CHUNK
+    assert all(0 < len(added) + len(removed) <= helper.CHUNK and held for (added, removed), held in chunks)
+    for acc, before_digest, after_digest in zip("UA", accumulators(state), accumulators(after)):
+        mine = [delta for delta, _ in chunks if (delta[0] or delta[1])[0].startswith(b"U") == (acc == "U")]
+        whole = (sum((added for added, _ in mine), ()), sum((removed for _, removed in mine), ()))
+        summed = lthash.LtHash()
+        for delta in mine:
+            summed.settle(delta, lthash.vector(delta))
+        assert summed.digest() == lthash.vector(whole)
+        summed.settle(((), ()), before_digest)
+        assert summed.digest() == after_digest
+
+
+@needs_sodium
+@pytest.mark.parametrize("world", ["sums", "mixed"])
+def test_the_fold_agrees_with_a_helper_one_cpu_and_a_helper_killed_after_the_plan(
+    tmp_path, monkeypatch, fresh_helper, world
+):
+    """Receipts, header hashes and state digests with the helper, on one
+    CPU, and with the helper killed right after the plan is sent, so that
+    every window, the last included, is posted to a dead helper."""
+    monkeypatch.setattr(helper, "ORDERED_STORES", True)
+    if world == "sums":
+        cfg, state, txs = sum_log(tmp_path)
+    else:
+        state, cfg, txs, _ = mixed_batch()
+        monkeypatch.setattr(helper, "PART_SLOTS", 2)  # several windows, each posted
+    real_drain = utxo.PendingPool.drain
+    killed: list = []
+
+    def kill_then_drain(*args):
+        running = helper._helper and helper._helper[0]
+        if running and running.is_alive():
+            os.kill(running.pid, signal.SIGKILL)
+            running.join(10)
+            killed.append(running)
+        return real_drain(*args)
+
+    def run(cpus: int, kill: bool):
+        monkeypatch.setattr(crypto, "CPUS", cpus)
+        if kill:
+            monkeypatch.setattr(utxo.PendingPool, "drain", kill_then_drain)
+        after = state.copy()
+        receipts, header = ledger.apply_batch(after, txs, after.epoch + 1, cfg)
+        monkeypatch.setattr(utxo.PendingPool, "drain", real_drain)
+        return receipts, header.hash(), ledger.state_digest(after), accumulators(after) == recomputed(after)
+
+    one_cpu = run(1, False)
+    assert one_cpu[-1]
+    assert run(2, False) == one_cpu
+    assert run(2, True) == one_cpu
+    assert len(killed) == 1 and killed[0].exitcode == -signal.SIGKILL
+
+
+@pytest.mark.parametrize("cpus", [pytest.param(2, marks=needs_sodium), 1])
+def test_a_batch_that_raises_folds_every_window_and_hashes_no_receipt(monkeypatch, cpus):
+    """A transfer that raises once contract calls and transfers have
+    written to both accumulators, with windows posted before it: the batch
+    raises, no receipt's writes digest is computed, and both accumulators
+    equal their recomputation from the state the batch left."""
+    monkeypatch.setattr(crypto, "CPUS", cpus)
+    monkeypatch.setattr(helper, "ORDERED_STORES", True)
+    monkeypatch.setattr(helper, "PART_SLOTS", 2)
+    state, cfg, txs, _ = mixed_batch()
+    before = accumulators(state)
+    real_transfer, real_digest = ledger._transfer, ledger._writes_digest
+    transfers: list = []
+    digests: list = []
+
+    def transfer(*args):
+        transfers.append(args[2])
+        if len(transfers) == 5:  # the move, after the call's flush
+            raise RuntimeError("transfer failed")
+        return real_transfer(*args)
+
+    monkeypatch.setattr(ledger, "_transfer", transfer)
+    monkeypatch.setattr(ledger, "_writes_digest", lambda *args: digests.append(args) or real_digest(*args))
+    with pytest.raises(RuntimeError, match="transfer failed"):
+        ledger.apply_batch(state, txs, state.epoch + 1, cfg)
+    assert digests == []
+    assert helper._slots is None
+    after = accumulators(state)
+    assert after[0] != before[0] and after[1] != before[1]
+    assert after == recomputed(state)
+
+
+def test_a_fold_that_meets_a_held_delta_helps_only_with_posted_deltas(monkeypatch):
+    """At the fold the caller asks a posted delta the helper holds: it
+    computes the free posted delta behind it, and not the planned check
+    still free, which the batch never asked, and then computes its own
+    delta without a vector."""
+    class Alive:
+        def is_alive(self) -> bool:
+            return True
+
+    msg = b"never asked"
+    check = (KEYS[1].pubkey, msg, KEYS[1].sign(msg))
+    held, behind = ((b"held",), ()), ((b"behind",), (b"gone",))
+    jobs = [check, held, behind]
+    table = bytearray(helper.TABLE_SLOTS + (helper.HEAD + helper.SUM_SLOTS) * helper.DIGEST_BYTES)
+    table[helper.HEAD + 1] = helper.HELPING
+    monkeypatch.setattr(helper, "_helper", (Alive(), None, table))
+    monkeypatch.setattr(helper, "_slots", {job: helper.HEAD + i for i, job in enumerate(jobs)})
+    monkeypatch.setattr(helper, "_jobs", jobs)
+    monkeypatch.setattr(helper, "_planned", 1)
+    assert helper.ask(held) is None
+    assert table[helper.HEAD] == helper.FREE
+    assert table[helper.HEAD + 2] == helper.ACCEPT
+    assert bytes(table[helper._vector(helper.HEAD + 2)]) == lthash.vector(behind)

@@ -670,29 +670,33 @@ def count_messages(monkeypatch) -> list:
 @needs_sodium
 def test_a_small_batch_sends_its_plan_then_its_end(monkeypatch):
     """The mixed batch's 12 transactions hold fewer than PART_SLOTS triples
-    and no sum: one message of plan, then the plan's end alone once the
-    batch has ended, since the plan stays open for any LtHash delta the
-    batch posts. A batch of 40 single-key spends goes in parts of
-    PART_SLOTS triples as it is read. Its first PART_SLOTS intervals (the
-    writes before the batch and its expiry and coinbase writes, then the
-    first receipts') make a window, whose net delta per accumulator is
-    posted alone once the next interval closes; the caller folds the last
-    window's itself, and the end of the plan follows alone."""
+    and no sum: one message of plan, then its one window's net deltas once
+    the batch has run, then the plan's end alone once the batch has ended.
+    A batch of 40 single-key spends goes in parts of PART_SLOTS triples as
+    it is read. Its first PART_SLOTS intervals (the writes before the batch
+    and its expiry and coinbase writes, then the first receipts') make a
+    window, whose net delta per accumulator is posted alone once the next
+    interval closes; the last window's follows once the batch has run, and
+    the end of the plan follows alone."""
     monkeypatch.setattr(crypto, "CPUS", 2)
     state, cfg, txs, _ = mixed_batch()
     sent = count_messages(monkeypatch)
     apply_copy(state, cfg, txs)
-    assert [ended for _, ended in sent] == [False, True]
-    assert sent[1][0] == []
+    assert [ended for _, ended in sent] == [False, False, True]
+    assert sent[1][0] and all(len(job) == 2 for job in sent[1][0])
+    assert sent[2][0] == []
     sent.clear()
     spends = [signed_spend(KEYS[1], [seed_utxo(state, p2pk(KEYS[1], 5))], [p2pk(KEYS[2], 5)]) for _ in range(40)]
     receipts, _ = apply_copy(state, cfg, spends)
     assert {r.status for r in receipts} == {codes.OK}
     assert [(len(jobs), ended) for jobs, ended in sent] == [
-        (helper.PART_SLOTS, False), (40 - helper.PART_SLOTS, False), (2, False), (0, True),
+        (helper.PART_SLOTS, False), (40 - helper.PART_SLOTS, False), (2, False), (1, False), (0, True),
     ]
     # The window's spends remove only coins seeded in it: they cancel.
     assert [(len(job), len(job[1])) for job in sent[2][0]] == [(2, 0), (2, 0)]
+    # The last window's 9 spends remove coins seeded in the first: the UTXO
+    # accumulator's one delta, and none of the accounts'.
+    assert [(len(added), len(removed)) for added, removed in sent[3][0]] == [(9, 9)]
 
 
 @needs_sodium
@@ -786,5 +790,5 @@ def test_a_move_to_account_plans_no_script_check(monkeypatch):
     receipts, _ = apply_copy(state, cfg, [tx])
     assert receipts[0].status == utxo.LOCK_FAILED
     p2pk_check = ((owner.pubkey,), crypto.utxo_signing_message(tx_id, 0), tx.witnesses[0])
-    assert [job for jobs, _ in sent for job in jobs] == [p2pk_check]
+    assert [job for jobs, _ in sent for job in jobs if len(job) == 3] == [p2pk_check]
     assert ledger._plan(state.utxos, tx, tx_id) == [p2pk_check]
