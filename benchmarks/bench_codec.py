@@ -1,15 +1,18 @@
 """Codec cost: µs per canonical encode by transaction kind; the decode,
 JSON re-encode and txid of one 1000-output fan-out transaction; the decode
-and re-encode of a batch of 200 declared calls; the check of a header file
-of 1,000 receipts; the replay of a batch holding one 1000-output fan-out,
-along replay's path and in the whole-file stages that name a divergence;
+and re-encode of a batch of 200 declared calls; µs per transaction to read
+a batch file's transactions the earlier way and with read_tx; the check of
+a header file of 1,000 receipts; the replay of a batch holding one
+1000-output fan-out, along replay's path and in the whole-file stages that
+name a divergence;
 put_utxos of 10k outputs at once against put_utxos of each alone;
 and the tracked objects and the memory that 10k UTXOs add to a ledger state.
 
 Each encode is timed on a fresh Transaction instance (a copy made before
 the clock starts), so a cached encoding is never what is measured. The
-fan-out is decoded from its canonical JSON, as replay and the benchmark's
-set-up decode it; its txid is timed on a freshly decoded instance. The
+fan-out is decoded from its canonical JSON by tx_from_json_str, as the
+benchmark's set-up decodes it; its txid is timed on a freshly decoded
+instance. The
 10k outputs written both ways and for the memory figures are that fan-out's
 outputs, decoded ten times. Their memory is what tracemalloc counts as
 still allocated once the state is built, so it does not depend on how much
@@ -19,8 +22,16 @@ The call batch is what contracts-declared replays: each call has an
 access list of two storage slots and two balances, an auth and an address
 constant, and its caller, contract and argument vary. Its decode and
 re-encode are the whole-file ones (_decode_txs and _encode_batch), per
-transaction; replay_verify runs the same per-transaction work as it
-streams a batch file, and the whole-file code only to name a divergence.
+transaction, which replay_verify runs only to name a divergence.
+
+A batch file's transactions are read two ways, in µs per transaction:
+the earlier way, as replay read each transaction before read_tx (parse
+one JSON value at its place in the text, decode it through the batch's
+codec, re-encode it and compare the text), and by _batch_txs, which reads
+each with read_tx, its kind's canonical-text parser. Both read the call
+batch, a batch holding the fan-out, and a batch holding one transaction
+of each kind in sample_kinds; each read starts from a fresh intern
+table.
 
 The header file check is timed two ways, in µs per receipt. The decode
 check is what replay_verify ran on every batch before it checked bytes
@@ -34,8 +45,8 @@ The replayed batch holds one fan-out with the output mix of perfbench's
 pay-10k set-up: 900 outputs to 100 keys and 100 to 2-of-3 multisig locks,
 all of one amount, shuffled; 200 distinct locks, five outputs per lock on
 average. Replay's path is what replay_verify runs on each batch file:
-_batch_head, then apply_batch over _batch_txs, which reads, decodes,
-re-encodes and compares each transaction as apply_batch reads it. The
+_batch_head, then apply_batch over _batch_txs, which reads each
+transaction from its canonical text as apply_batch asks for it. The
 whole-file stages are what replay_verify runs only to name a divergence
 (and ran on every batch before it streamed the file): read_json of the
 batch file's bytes, decoding its transactions through one JSON codec,
@@ -54,6 +65,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import json
 import random
 import statistics
 import sys
@@ -67,6 +79,7 @@ from tierledger.model import (
     Level,
     Call,
     Deploy,
+    JsonCodec,
     Lock,
     MoveToAccount,
     MoveToUtxo,
@@ -78,6 +91,7 @@ from tierledger.model import (
     canonical_serialize,
     read_json,
     sha256,
+    tx_from_json,
     tx_from_json_str,
     tx_to_json_str,
     txid,
@@ -142,9 +156,8 @@ def timed(fn: Callable[[], object]) -> float:
     return time.perf_counter() - t0
 
 
-def call_batch_us(reps: int) -> tuple[float, float]:
-    """Median µs per transaction to decode, and to re-encode, a batch file of
-    CALLS declared calls."""
+def call_batch() -> list[Transaction]:
+    """CALLS declared calls, as contracts-declared replays them."""
     rng = random.Random(7)
     contracts = [sha256(b"contract" + bytes([i])) for i in range(4)]
     txs = []
@@ -158,11 +171,49 @@ def call_batch_us(reps: int) -> tuple[float, float]:
         )
         call = Call(contract, rng.randrange(1000), 0, caller, 5_000, 1, access, (ADDRS[i % 3],))
         txs.append(Transaction(call, nonce=i % 5).with_auth(KEYS[i % 3].pubkey, sha256(bytes([i])) * 2))
+    return txs
+
+
+def call_batch_us(reps: int) -> tuple[float, float]:
+    """Median µs per transaction to decode, and to re-encode, a batch file of
+    CALLS declared calls."""
+    txs = call_batch()
     raw = ledger._encode_batch(1, 2, txs)
     txs_json = read_json(raw)["txs"]
     decode_s = median_of(reps, lambda: timed(lambda: ledger._decode_txs(txs_json)))
     reencode_s = median_of(reps, lambda: timed(lambda: ledger._encode_batch(1, 2, txs)))
     return 1e6 * decode_s / CALLS, 1e6 * reencode_s / CALLS
+
+
+def earlier_read(text: str, at: int) -> list[Transaction]:
+    """The transactions of a batch file's text from the end of its head at
+    at, read as replay read them before read_tx."""
+    codec, decoder, txs = JsonCodec(), json.JSONDecoder(), []
+    end = len(text) - 2
+    while at < end:
+        obj, stop = decoder.raw_decode(text, at)
+        tx = tx_from_json(obj, codec)
+        if text[at:stop] != tx_to_json_str(tx, codec):
+            raise ValueError("not canonical")
+        txs.append(tx)
+        at = stop + 1
+    return txs
+
+
+def read_us(txs: list[Transaction], reps: int) -> tuple[float, float]:
+    """Median µs per transaction to read the batch file of txs the earlier
+    way and by _batch_txs, over enough reads of it to hold 2,000
+    transactions."""
+    raw = ledger._encode_batch(1, 2, txs).encode()
+    at = ledger._batch_head(raw, 1)[1]
+    text = raw.decode("latin-1")
+    rounds = max(1, 2_000 // len(txs))
+    assert earlier_read(text, at) == list(ledger._batch_txs(raw, at)) == txs
+
+    def per_tx(read: Callable[[], object]) -> float:
+        return 1e6 * median_of(reps, lambda: timed(lambda: [read() for _ in range(rounds)])) / (rounds * len(txs))
+
+    return per_tx(lambda: earlier_read(text, at)), per_tx(lambda: list(ledger._batch_txs(raw, at)))
 
 
 def header_check_us(reps: int) -> tuple[float, float]:
@@ -278,6 +329,13 @@ def main() -> int:
     call_decode_us, call_reencode_us = call_batch_us(reps)
     print(f"batch of {CALLS} declared calls with access lists, auth and address constants:")
     print(f"  decode {call_decode_us:7.2f} µs/tx   re-encode {call_reencode_us:7.2f} µs/tx")
+
+    print("a batch file's transactions read the earlier way (parse, decode, re-encode, compare) and by read_tx:")
+    batches = {f"{CALLS} declared calls": call_batch(), f"{FANOUT}-output fan-out": [decoded]}
+    batches.update({name: [tx] for name, tx in sample_kinds().items()})
+    for name, txs in batches.items():
+        earlier, parser = read_us(txs, reps)
+        print(f"  {name:22s} earlier {earlier:9.2f} µs/tx   read_tx {parser:9.2f} µs/tx   ({parser / earlier:.2f}x)")
 
     decode_check_us, byte_check_us = header_check_us(reps)
     print(f"header file of {RECEIPTS} receipts:")

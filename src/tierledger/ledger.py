@@ -51,7 +51,7 @@ from .model import (
     json_value,
     outpoint_range,
     read_json,
-    read_json_at,
+    read_tx,
     require_u64,
     sha256,
     tx_from_json,
@@ -683,14 +683,14 @@ def replay_verify(logdir: Union[str, Path]) -> ReplayReport:
     that verifies.
 
     A batch verifies when its batch file is, byte for byte, the canonical
-    head of batch i then the canonical text of each transaction it decodes
-    to, and its header file's bytes are the encoding of the recomputed
-    header and receipts. The batch file is read as one stream: each
-    transaction is decoded, re-encoded and compared with its own text as
-    apply_batch reads it, so the helper process starts on the plan while the
-    rest of the file is still being read. Bytes equal to a canonical
-    encoding decode to exactly the encoded values, so a file is parsed
-    whole only to name a mismatch, by _divergence."""
+    head of batch i then the canonical text of each transaction it holds,
+    and its header file's bytes are the encoding of the recomputed header
+    and receipts. The batch file is read as one stream: read_tx reads each
+    transaction as apply_batch asks for it, in one pass that also proves its
+    text canonical, so the helper process starts on the plan while the rest
+    of the file is still being read. read_tx takes only the canonical text
+    of the values it returns, so a file is parsed whole only to name a
+    mismatch, by _divergence."""
     path = Path(logdir)
     try:
         raw_genesis = (path / "genesis.json").read_bytes()
@@ -746,22 +746,19 @@ def _batch_head(raw_batch: bytes, i: int) -> tuple[int, int]:
 
 def _batch_txs(raw_batch: bytes, at: int) -> Iterator[Transaction]:
     """The transactions of a batch file, from the end of its head at at,
-    through one codec: each is read as one JSON value, decoded, and yielded
-    only if it re-encodes to its own text; they must be joined by single
-    commas, and the file must end with "]}" right after the last one. Any
-    other text raises ModelError."""
+    each read by read_tx as apply_batch asks for it, with one intern table
+    for the batch. Each must be its canonical text, they must be joined by
+    single commas, and the file must end with "]}" right after the last
+    one. Any other text raises ModelError."""
     text = raw_batch.decode("latin-1")  # canonical text is ASCII: a byte above 0x7f never matches it
-    codec = JsonCodec()
+    interned: dict = {}
     end = len(text) - 2
     more = at < end
     while more:
-        obj, stop = read_json_at(text, at)
-        tx = tx_from_json(obj, codec)
-        if text[at:stop] != tx_to_json(tx, codec):
-            raise ModelError("a transaction's text is not its canonical encoding")
+        tx, at = read_tx(text, at, interned)
         yield tx
-        more = text.startswith(",", stop)
-        at = stop + more
+        more = text.startswith(",", at)
+        at += more
     if at != end or not text.endswith("]}"):
         raise ModelError("the batch file does not end right after its last transaction")
 

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial, total_ordering
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 U32_MAX = 2**32 - 1
@@ -558,7 +560,9 @@ def classify_level(tx: Transaction, utxos: Optional[Mapping[Outpoint, Output]] =
 # The one input boundary. Every JSON file the CLI and replay read is parsed
 # by read_json, and every value in it is taken by json_field, json_value or
 # a log record's table, so malformed input of any shape is a ModelError and
-# nothing else.
+# nothing else. The transactions of a batch file that replay streams are
+# read by read_tx, which raises ModelError on any text but their canonical
+# text.
 
 _JSON_TYPE_NAMES = {
     dict: "an object", list: "an array", str: "a string", int: "an integer",
@@ -573,18 +577,6 @@ def read_json(data: Union[str, bytes]) -> object:
     ModelError."""
     try:
         return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except (ValueError, RecursionError) as exc:
-        raise ModelError(f"invalid JSON: {exc}") from exc
-
-
-_DECODER = json.JSONDecoder()
-
-
-def read_json_at(text: str, at: int) -> tuple[object, int]:
-    """The JSON value that starts exactly at text[at], and the index just
-    past it. Failures are ModelErrors, as read_json's."""
-    try:
-        return _DECODER.raw_decode(text, at)
     except (ValueError, RecursionError) as exc:
         raise ModelError(f"invalid JSON: {exc}") from exc
 
@@ -634,20 +626,24 @@ def json_field(obj: dict, key: str, kind: object, default: object = _REQUIRED, o
 # the policy's and registry entry's in permission.py, are the one place where
 # a key, its JSON type and its omission rule are defined. JsonTable.decode
 # is the one decode loop; _compile_encode builds each table's encode from its
-# rows. Log text is canonical JSON: what json.dumps writes with sort_keys and
-# separators (",", ":"), strings ASCII-escaped.
+# rows, and _compile_parse a table's canonical-text parser. Log text is
+# canonical JSON: what json.dumps writes with sort_keys and separators
+# (",", ":"), strings ASCII-escaped.
 
 
 class JsonKind(NamedTuple):
     """A value's JSON type (dict, list, str, int or bool; a bool is not an
     int), its decode (None keeps the value) and its encode to canonical JSON
     text (None: an int, formatted). A decode raises ValueError or TypeError
-    for a value it cannot read. With codec, both are passed the codec too."""
+    for a value it cannot read. With codec, both are passed the codec too.
+    table is the table of an object, or of each object of an array, for
+    the canonical-text parser."""
 
     json_type: type
     decode: Optional[Callable] = None
     encode: Optional[Callable] = None
     codec: bool = False
+    table: Union["JsonTable", "JsonTagged", None] = None
 
 
 DERIVED = object()
@@ -768,12 +764,12 @@ def _compile_encode(rows: tuple[JsonRow, ...], tag: Optional[tuple[str, str]]) -
 
 
 def json_object(table: Union[JsonTable, JsonTagged]) -> JsonKind:
-    return JsonKind(dict, table.decode, table.encode)
+    return JsonKind(dict, table.decode, table.encode, table=table)
 
 
 def json_list(table: JsonTable) -> JsonKind:
     """An array of objects, each read and written by table."""
-    return JsonKind(list, _items(dict, table.decode), lambda recs: _array(map(table.encode, recs)))
+    return JsonKind(list, _items(dict, table.decode), lambda recs: _array(map(table.encode, recs)), table=table)
 
 
 def _u64(value: int) -> int:
@@ -831,7 +827,8 @@ OUTPUT_JSON = JsonTable(
 )
 # A transaction's outputs go through its codec: interned as decoded, each object encoded once.
 OUTPUTS = JsonKind(
-    list, lambda v, codec: tuple(map(codec.output, v)), lambda outs, codec: _array(map(codec.output_text, outs)), True
+    list, lambda v, codec: tuple(map(codec.output, v)), lambda outs, codec: _array(map(codec.output_text, outs)), True,
+    OUTPUT_JSON,
 )
 ACCESS_JSON = JsonTable(
     AccessDecl,
@@ -954,6 +951,228 @@ class JsonCodec:
         return text
 
 
+# ---------------------------------------------------------------------------
+# Canonical-text parsers. Log text has one layout per record: keys sorted,
+# omitted defaults absent, ints with no leading zero, hex lowercase and of
+# even length, set items in increasing order. So a table's parser is one
+# regex of that layout, with a group per value, and a builder that passes
+# what the groups hold to the record's constructors, both generated once
+# from the rows _compile_encode builds the table's encode from. The parser
+# accepts exactly the text that encode writes for a record the constructors
+# take: one match and one build read a record and prove its text canonical.
+# A nested record is inlined in its parent's regex. An array of records is
+# one group too, whose items are cut apart at "},{"; the item table's own
+# parser reads each item that is not interned yet. Canonical text and
+# value correspond one to one, so interned records are keyed by their text.
+
+# Every repeat and optional piece gives nothing back: what may follow one
+# can never start inside what it took, since keys are distinct and a digit,
+# hex digit or item never continues with what ends its run. Python 3.11's
+# possessive forms keep no state to backtrack to; a greedy repeat over a
+# 10,000-output array holds about 27 MB of it while it matches.
+_ONCE = "+" if sys.version_info >= (3, 11) else ""
+_INT_TEXT = f"(?:0|-?[1-9][0-9]*{_ONCE})"
+_HEX_TEXT = f"[0-9a-f]*{_ONCE}"  # bytes.fromhex refuses an odd length
+
+
+def _array_text(item: str) -> str:
+    """The regex of an array's items, between its brackets."""
+    return f"(?:{item}(?:,{item})*{_ONCE})?{_ONCE}"
+
+
+def _increasing(items: list) -> list:
+    """items, each greater than the one before, as a set's are written."""
+    if len(items) > 1 and not all(map(lt, items, items[1:])):
+        raise ModelError("a set's items must be written in increasing order, once each")
+    return items
+
+
+def _hex_set(text: str) -> frozenset:
+    # Lowercase hex of even length orders as its bytes do.
+    return frozenset(map(bytes.fromhex, _increasing(text[1:-1].split('","')))) if text else frozenset()
+
+
+_HEX_ITEMS = _array_text(f'"{_HEX_TEXT}"')
+_slot_items = re.compile(f'"({_HEX_TEXT})",({_INT_TEXT})').findall
+
+
+def _slot_set(text: str) -> frozenset:
+    return frozenset(_increasing([(bytes.fromhex(a), int(k)) for a, k in _slot_items(text)])) if text else frozenset()
+
+
+def _hex_tuple(text: str) -> tuple:
+    return tuple(map(bytes.fromhex, text[1:-1].split('","'))) if text else ()
+
+
+# Each leaf kind's text: the regex its group holds, the text around the
+# group, and what reads the value from the group's text.
+_LEAF_TEXTS = {
+    INT: ("", _INT_TEXT, "", int),
+    HEX: ('"', _HEX_TEXT, '"', bytes.fromhex),
+    HEX_LIST: (r"\[", _HEX_ITEMS, r"\]", _hex_tuple),
+    HEX_SET: (r"\[", _HEX_ITEMS, r"\]", _hex_set),
+    SLOT_SET: (r"\[", _array_text(f'\\["{_HEX_TEXT}",{_INT_TEXT}\\]'), r"\]", _slot_set),
+    WITNESSES: (
+        r"\[", _array_text(rf"\[{_HEX_ITEMS}\]"), r"\]",
+        lambda text: tuple(map(_hex_tuple, text[1:-1].split("],["))) if text else (),
+    ),
+}
+
+
+def _written(value: object, default: object) -> object:
+    """value, read from the text of a row that is left out at its default."""
+    if type(value) is type(default) and value == default:
+        raise ModelError(f"a default ({value!r}) is written out")
+    return value
+
+
+def _holds_record_arrays(table: Union[JsonTable, JsonTagged]) -> bool:
+    tables = table.variants.values() if isinstance(table, JsonTagged) else (table,)
+    return any(
+        row.kind.table is not None and (row.kind.json_type is list or _holds_record_arrays(row.kind.table))
+        for t in tables for row in t.rows
+    )
+
+
+def _record_items(text: str) -> list:
+    """The texts inside the braces of an array's records, between its
+    brackets. Only an array of records writes "},{", so a record that holds
+    none is cut from the next one there."""
+    return text[1:-1].split("},{") if text else []
+
+
+class _ParserSource:
+    """A parser's regex and builder as they are generated. The builder reads
+    g, the match's groups; capture is false for the copy of an item table's
+    regex inlined in its array's, which has no groups. interned holds the
+    tables whose records the builder keeps in the dict t, by their text (a
+    record is never false, so "t.get(k) or" finds any)."""
+
+    def __init__(self, interned: tuple, capture: bool = True) -> None:
+        self.interned, self.capture, self.groups = interned, capture, 0
+        self.env: dict = {"_written": _written}
+
+    def open(self) -> tuple[str, int]:
+        """The next group's opening, and its number."""
+        if not self.capture:
+            return "(?:", 0
+        self.groups += 1
+        return "(", self.groups
+
+    def bind(self, value: object) -> str:
+        name = f"b{len(self.env)}"
+        self.env[name] = value
+        return name
+
+    def value(self, kind: JsonKind) -> tuple[str, str]:
+        """The regex of a value of kind, and the builder's expression of it."""
+        leaf = _LEAF_TEXTS.get(kind)
+        if leaf is not None:
+            before, inner, after, read = leaf
+            o, n = self.open()
+            return f"{before}{o}{inner}){after}", f"{self.bind(read)}(g[{n - 1}])"
+        if kind.table is None or kind.json_type is list and _holds_record_arrays(kind.table):
+            raise TypeError(f"no canonical-text parser for a {kind.json_type.__name__} of this kind")
+        if kind.json_type is dict:
+            return self.record(kind.table)
+        # An array of records: its regex checks every item, and its builder
+        # matches an item's text x again, its braces put back, only to build
+        # a record not interned.
+        o, n = self.open()
+        items = _ParserSource(self.interned, capture=False).record(kind.table)[0]
+        regex, build = _compile_parse(kind.table, tuple(t for t in self.interned if t is not kind.table))
+        item = f"{self.bind(build)}({self.bind(regex.match)}('{{' + x + '}}'), t)"
+        if kind.table in self.interned:
+            item = f"(t.get(x) or t.setdefault(x, {item}))"
+        return rf"\[{o}{_array_text(items)})\]", f"tuple([{item} for x in {self.bind(_record_items)}(g[{n - 1}])])"
+
+    def record(self, table: Union[JsonTable, JsonTagged]) -> tuple[str, str]:
+        """The regex of a record's text, and the builder's expression of
+        the record. A tagged record's variants are alternatives, each in a
+        group that tells whether it matched."""
+        o, n = self.open() if table in self.interned else ("(?:", 0)
+        if isinstance(table, JsonTagged):
+            alternatives, built = [], []
+            for variant in table.variants.values():
+                vo, vn = self.open()
+                regex, expr = self.table(variant)
+                alternatives.append(f"{vo}{regex})")
+                built.append((vn, expr))
+            regex, expr = "|".join(alternatives), built[-1][1]
+            for vn, e in reversed(built[:-1]):
+                expr = f"({e} if g[{vn - 1}] is not None else {expr})"
+        else:
+            regex, expr = self.table(table)
+        if n:
+            expr = f"(t.get(k{n} := g[{n - 1}]) or t.setdefault(k{n}, {expr}))"
+        return f"{o}{regex})", expr
+
+    def table(self, table: JsonTable) -> tuple[str, str]:
+        """One table's layout, keys and commas placed as _compile_encode
+        places them. A row left out at its default is an optional group,
+        which never holds the default."""
+        key = lambda k: re.escape(encode_basestring_ascii(k))
+        items = sorted([(row.key, i, row) for i, row in enumerate(table.rows)] + ([(table.tag[0], -1, None)] if table.tag else []))
+        first = next(n for n, (_, _, row) in enumerate(items) if row is None or not row.omit)
+        regex, args = r"\{", {}
+        for n, (k, i, row) in enumerate(items):
+            omit = row is not None and row.omit
+            if omit:
+                o, on = self.open()
+            value, expr = (key(table.tag[1]), "") if row is None else self.value(row.kind)
+            piece = f"{key(k)}:{value}"
+            piece = piece + "," if n < first else "," + piece if n > first else piece
+            if omit:
+                piece = f"{o}{piece})?{_ONCE}"
+                d = self.bind(row.default)
+                if row.default is not None:  # a value read from text is never None
+                    expr = f"_written({expr}, {d})"
+                expr = f"({d} if g[{on - 1}] is None else {expr})"
+            regex += piece
+            if row is not None:
+                args[i] = expr
+        return regex + r"\}", f"{self.bind(table.make)}({', '.join(args[i] for i in sorted(args))})"
+
+
+def _compile_parse(table: Union[JsonTable, JsonTagged], interned: tuple) -> tuple[re.Pattern, Callable]:
+    """A table's canonical-text regex, and build(m, t): the record in a match
+    m of it, with the records of the interned tables kept in the dict t by
+    their text."""
+    source = _ParserSource(interned)
+    regex, expr = source.record(table)
+    exec(f"def build(m, t):\n    g = m.groups()\n    return {expr}", source.env)
+    return re.compile(regex), source.env["build"]
+
+
+# One parser per kind of transaction, picked by the first "kind" key in the
+# text. In a transaction's canonical text that key is its own: the keys that
+# sort before it hold hex, ints and records with no "kind" key. A batch
+# builds each distinct lock, output and access list once.
+_TX_KIND = f'"{TX_JSON.key}":"'
+_TX_PARSERS = {
+    variant.tag[1]: _compile_parse(variant, (LOCK_JSON, OUTPUT_JSON, ACCESS_JSON))
+    for variant in TX_JSON.variants.values()
+}
+
+
+def read_tx(text: str, at: int, interned: dict) -> tuple[Transaction, int]:
+    """The transaction whose canonical text starts at text[at], and the
+    index just past it. Its locks, outputs and access list are kept in
+    interned by their text, and taken from it when they are there already.
+    Any other text is a ModelError."""
+    kind = text.find(_TX_KIND, at) + len(_TX_KIND)
+    parser = _TX_PARSERS.get(text[kind:text.find('"', kind)]) if kind >= len(_TX_KIND) else None
+    m = None if parser is None else parser[0].match(text, at)
+    if m is None:
+        raise ModelError("a transaction's text is not its canonical encoding")
+    try:
+        return parser[1](m, interned), m.end()
+    except ModelError:
+        raise
+    except ValueError as exc:  # odd-length hex, or an int with more digits than int() reads
+        raise ModelError(f"unreadable transaction: {exc}") from None
+
+
 def tx_from_json(obj: dict, codec: Optional[JsonCodec] = None) -> Transaction:
     """Decode a transaction; its outputs are interned in codec, which is fresh when none is given."""
     return TX_JSON.decode(json_value(obj, dict, "transaction"), JsonCodec() if codec is None else codec)
@@ -964,4 +1183,12 @@ def tx_to_json_str(tx: Transaction, codec: Optional[JsonCodec] = None) -> str:
 
 
 def tx_from_json_str(s: str) -> Transaction:
+    """The transaction in s: read by read_tx when s is its canonical text,
+    else by read_json and tx_from_json, whose errors are the ones raised."""
+    try:
+        tx, end = read_tx(s, 0, {})
+        if end == len(s):
+            return tx
+    except ModelError:
+        pass
     return tx_from_json(read_json(s))
