@@ -26,11 +26,12 @@ transaction, which replay_verify runs only to name a divergence.
 
 A batch file's transactions are read two ways, in µs per transaction:
 the earlier way, as replay read each transaction before read_tx (parse
-one JSON value at its place in the text, decode it through the batch's
-codec, re-encode it and compare the text), and by _batch_txs, which reads
-each with read_tx, its kind's canonical-text parser. Both read the call
-batch, a batch holding the fan-out, and a batch holding one transaction
-of each kind in sample_kinds; each read starts from a fresh intern
+one JSON value at its place in the text, decode it, re-encode it and
+compare the text; the decode builds each output afresh, where replay then
+kept a batch's repeated outputs once), and by _batch_txs, which reads each
+with read_tx, its kind's canonical-text parser. Both read the call batch,
+a batch holding the fan-out, and a batch holding one transaction of each
+kind in sample_kinds; each read by read_tx starts from a fresh intern
 table.
 
 The header file check is timed two ways, in µs per receipt. The decode
@@ -49,7 +50,7 @@ _batch_head, then apply_batch over _batch_txs, which reads each
 transaction from its canonical text as apply_batch asks for it. The
 whole-file stages are what replay_verify runs only to name a divergence
 (and ran on every batch before it streamed the file): read_json of the
-batch file's bytes, decoding its transactions through one JSON codec,
+batch file's bytes, decoding its transactions from the parsed JSON,
 re-encoding them for the byte-identity check, and apply_batch on the
 decoded list. Each run starts from a copy of the state before the batch.
 Both ways of writing the 10k outputs build
@@ -79,7 +80,6 @@ from tierledger.model import (
     Level,
     Call,
     Deploy,
-    JsonCodec,
     Lock,
     MoveToAccount,
     MoveToUtxo,
@@ -188,12 +188,12 @@ def call_batch_us(reps: int) -> tuple[float, float]:
 def earlier_read(text: str, at: int) -> list[Transaction]:
     """The transactions of a batch file's text from the end of its head at
     at, read as replay read them before read_tx."""
-    codec, decoder, txs = JsonCodec(), json.JSONDecoder(), []
+    decoder, txs = json.JSONDecoder(), []
     end = len(text) - 2
     while at < end:
         obj, stop = decoder.raw_decode(text, at)
-        tx = tx_from_json(obj, codec)
-        if text[at:stop] != tx_to_json_str(tx, codec):
+        tx = tx_from_json(obj)
+        if text[at:stop] != tx_to_json_str(tx):
             raise ValueError("not canonical")
         txs.append(tx)
         at = stop + 1

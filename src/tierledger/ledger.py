@@ -30,7 +30,6 @@ from .model import (
     U64,
     Call,
     Deploy,
-    JsonCodec,
     JsonRow,
     JsonTable,
     Level,
@@ -599,17 +598,13 @@ def _log_file(kind: str, number: int) -> str:
 
 
 def _encode_batch(batch_number: int, epoch: int, txs: Sequence[Transaction]) -> str:
-    """The batch file's text, through one codec that lives for this encode
-    only: each distinct output object is encoded once."""
-    codec = JsonCodec()
-    return f'{{"batch":{batch_number},"epoch":{epoch},"txs":[{",".join([tx_to_json(tx, codec) for tx in txs])}]}}'
+    """The batch file's text."""
+    return f'{{"batch":{batch_number},"epoch":{epoch},"txs":[{",".join([tx_to_json(tx) for tx in txs])}]}}'
 
 
 def _decode_txs(txs_json: list) -> list[Transaction]:
-    """A batch file's transactions, through one codec that lives for this
-    decode only: each distinct lock and output is decoded once."""
-    codec = JsonCodec()
-    return [tx_from_json(t, codec) for t in txs_json]
+    """A batch file's transactions, decoded from its parsed JSON."""
+    return [tx_from_json(t) for t in txs_json]
 
 
 def _encode_header(header: BatchHeader, receipts: Sequence[Receipt]) -> str:

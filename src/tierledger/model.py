@@ -635,14 +635,12 @@ class JsonKind(NamedTuple):
     """A value's JSON type (dict, list, str, int or bool; a bool is not an
     int), its decode (None keeps the value) and its encode to canonical JSON
     text (None: an int, formatted). A decode raises ValueError or TypeError
-    for a value it cannot read. With codec, both are passed the codec too.
-    table is the table of an object, or of each object of an array, for
-    the canonical-text parser."""
+    for a value it cannot read. table is the table of an object, or of each
+    object of an array, for the canonical-text parser."""
 
     json_type: type
     decode: Optional[Callable] = None
     encode: Optional[Callable] = None
-    codec: bool = False
     table: Union["JsonTable", "JsonTagged", None] = None
 
 
@@ -672,14 +670,14 @@ class JsonTable:
         self.make, self.rows, self.tag = make, rows, tag
         read = [row for row in rows if row.default is not DERIVED]
         self._read = {
-            row.key: (i, row.kind.json_type, row.kind.decode, row.kind.codec, row.default is None, row.default is _REQUIRED)
+            row.key: (i, row.kind.json_type, row.kind.decode, row.default is None, row.default is _REQUIRED)
             for i, row in enumerate(read)
         }
         self._defaults = [row.default for row in read]
         self._required = sum(row.default is _REQUIRED for row in read)
         self.encode = _compile_encode(rows, tag)
 
-    def decode(self, obj: dict, codec: Optional["JsonCodec"] = None):
+    def decode(self, obj: dict):
         """The record in obj, visiting only the keys obj holds. A key that no
         row names is skipped: the log's byte-identity check refuses it."""
         vals = self._defaults.copy()
@@ -689,7 +687,7 @@ class JsonTable:
             row = read.get(key)
             if row is None:
                 continue
-            i, json_type, decode, with_codec, nullable, required = row
+            i, json_type, decode, nullable, required = row
             missing -= required
             if type(value) is not json_type:
                 if value is None and nullable:
@@ -697,7 +695,7 @@ class JsonTable:
                 raise ModelError(f"{key} must be {_JSON_TYPE_NAMES[json_type]}")
             if decode is not None:
                 try:
-                    value = decode(value, codec) if with_codec else decode(value)
+                    value = decode(value)
                 except ModelError:
                     raise
                 except (ValueError, TypeError) as exc:
@@ -718,14 +716,14 @@ class JsonTagged:
         self.key = next(iter(variants.values())).tag[0]
         self._tables = {table.tag[1]: table for table in variants.values()}
         encoders = {value: table.encode for value, table in variants.items()}
-        self.encode = lambda rec, codec=None: encoders[select(rec)](rec, codec)
+        self.encode = lambda rec: encoders[select(rec)](rec)
 
-    def decode(self, obj: dict, codec: Optional["JsonCodec"] = None):
+    def decode(self, obj: dict):
         tag = obj.get(self.key)
         table = self._tables.get(tag) if type(tag) is str else None
         if table is None:
             raise ModelError(f"unknown {self.what} {self.key} {json_field(obj, self.key, str)!r}")
-        return table.decode(obj, codec)
+        return table.decode(obj)
 
 
 def _compile_encode(rows: tuple[JsonRow, ...], tag: Optional[tuple[str, str]]) -> Callable:
@@ -744,7 +742,7 @@ def _compile_encode(rows: tuple[JsonRow, ...], tag: Optional[tuple[str, str]]) -
         if row.kind is HEX:
             return f'"{{{v}.hex()}}"'
         env[f"e{i}"] = row.kind.encode
-        return f"{{e{i}({v}, codec)}}" if row.kind.codec else f"{{e{i}({v})}}"
+        return f"{{e{i}({v})}}"
 
     text = lambda s: encode_basestring_ascii(s).replace("{", "{{").replace("}", "}}")
     items = sorted([(row.key, i, row) for i, row in enumerate(rows)] + ([(tag[0], -1, None)] if tag else []))
@@ -759,7 +757,7 @@ def _compile_encode(rows: tuple[JsonRow, ...], tag: Optional[tuple[str, str]]) -
             lines += [f"    v = rec.{row.attr or row.key}", f"    o{i} = f{piece!r} if {kept} else ''"]
             piece = f"{{o{i}}}"
         out += piece
-    exec("\n".join(["def encode(rec, codec=None):", *lines, f"    return f{out + '}}'!r}"]), env)
+    exec("\n".join(["def encode(rec):", *lines, f"    return f{out + '}}'!r}"]), env)
     return env["encode"]
 
 
@@ -825,11 +823,7 @@ LOCK_JSON = JsonTagged("lock", attrgetter("kind"), {
 OUTPUT_JSON = JsonTable(
     Output, JsonRow("amount", INT), JsonRow("lock", json_object(LOCK_JSON)), JsonRow("expiry", INT, None, True)
 )
-# A transaction's outputs go through its codec: interned as decoded, each object encoded once.
-OUTPUTS = JsonKind(
-    list, lambda v, codec: tuple(map(codec.output, v)), lambda outs, codec: _array(map(codec.output_text, outs)), True,
-    OUTPUT_JSON,
-)
+OUTPUTS = json_list(OUTPUT_JSON)
 ACCESS_JSON = JsonTable(
     AccessDecl,
     JsonRow("balances_read", HEX_SET, frozenset()),
@@ -890,65 +884,6 @@ TX_JSON = JsonTagged("transaction", attrgetter("kind.__class__"), {
         "move_to_utxo", MoveToUtxo, JsonRow("source", HEX), JsonRow("amount", INT), JsonRow("outputs", OUTPUTS)
     ),
 })
-
-
-def _lock_key(obj) -> Optional[tuple]:
-    """A lock JSON's intern key: the fields the decoder reads, when each has
-    the one JSON type the decoder accepts; None for any other shape."""
-    if type(obj) is not dict:
-        return None
-    kind = obj.get("kind")
-    if kind == "pubkey" or kind == "script":
-        value = obj.get(kind)
-        return (kind, value) if type(value) is str else None
-    if kind == "multisig":
-        m, pks = obj.get("m"), obj.get("pubkeys")
-        if type(m) is int and type(pks) is list and all(type(pk) is str for pk in pks):
-            return (kind, m, *pks)
-    return None
-
-
-class JsonCodec:
-    """Intern tables for the JSON of one batch, or of one transaction when
-    tx_from_json or tx_to_json_str is called without a codec.
-
-    Decoding turns each distinct lock JSON into one Lock and each distinct
-    output JSON into one Output. A key holds only fields of the one JSON
-    type the decoder accepts. Python hashes 1, 1.0 and true equal, so an
-    amount of 1.0 or an m of true misses the table and reaches the
-    constructor that rejects it. Keys the decoder does not read are left out
-    of the key, as the decoder ignores them; the log's byte-identity check
-    is what refuses them."""
-
-    __slots__ = ("_locks", "_outputs", "_texts")
-
-    def __init__(self) -> None:
-        self._locks: dict[tuple, Lock] = {}
-        self._outputs: dict[tuple, Output] = {}
-        self._texts: dict[int, str] = {}
-
-    def output(self, obj: dict) -> Output:
-        if type(obj) is dict:
-            amount, expiry = obj.get("amount"), obj.get("expiry")
-            lock_key = _lock_key(obj.get("lock"))
-            if lock_key is not None and type(amount) is int and (expiry is None or type(expiry) is int):
-                key = (amount, expiry, lock_key)
-                out = self._outputs.get(key)
-                if out is None:
-                    lock = self._locks.get(lock_key)
-                    if lock is None:
-                        lock = self._locks[lock_key] = LOCK_JSON.decode(obj["lock"])
-                    out = self._outputs[key] = Output(amount, lock, expiry)
-                return out
-        return OUTPUT_JSON.decode(json_value(obj, dict, "output"))
-
-    def output_text(self, out: Output) -> str:
-        """out's JSON text, encoded once per Output object. The batch or
-        transaction being encoded keeps each object, and so its id, alive."""
-        text = self._texts.get(id(out))
-        if text is None:
-            text = self._texts[id(out)] = OUTPUT_JSON.encode(out)
-        return text
 
 
 # ---------------------------------------------------------------------------
@@ -1173,13 +1108,12 @@ def read_tx(text: str, at: int, interned: dict) -> tuple[Transaction, int]:
         raise ModelError(f"unreadable transaction: {exc}") from None
 
 
-def tx_from_json(obj: dict, codec: Optional[JsonCodec] = None) -> Transaction:
-    """Decode a transaction; its outputs are interned in codec, which is fresh when none is given."""
-    return TX_JSON.decode(json_value(obj, dict, "transaction"), JsonCodec() if codec is None else codec)
+def tx_from_json(obj: dict) -> Transaction:
+    return TX_JSON.decode(json_value(obj, dict, "transaction"))
 
 
-def tx_to_json_str(tx: Transaction, codec: Optional[JsonCodec] = None) -> str:
-    return TX_JSON.encode(tx, JsonCodec() if codec is None else codec)
+def tx_to_json_str(tx: Transaction) -> str:
+    return TX_JSON.encode(tx)
 
 
 def tx_from_json_str(s: str) -> Transaction:

@@ -55,7 +55,6 @@ from tierledger.model import (
     AccessDecl,
     Call,
     Deploy,
-    JsonCodec,
     Lock,
     ModelError,
     MoveToAccount,
@@ -689,11 +688,10 @@ def canonical_deserialize(data: bytes) -> Transaction:
 
 
 # ---------------------------------------------------------------------------
-# JSON codec: the per-output decoder and encoder from before the codec
-# interned values. Swapped in for JsonCodec, it decodes every output and
-# lock afresh, so a differential test sees whether interning changes a
-# decoded value or a rejection; canonical_json of its output_json is
-# compared with model.OUTPUT_JSON's encode.
+# JSON codec: the per-output decoder and encoder from before the log's
+# JSON tables. model.OUTPUT_JSON's decode must read what ref_output_from_json
+# reads and refuse what it refuses, and its encode must write canonical_json
+# of ref_output_json.
 
 
 # The canonical JSON text the log's compiled encoders must write: sorted
@@ -729,19 +727,15 @@ def ref_lock_to_json(lock: Lock) -> dict:
     return {"kind": "script", "script": lock.script.hex()}
 
 
-class PlainJsonCodec(JsonCodec):
-    """JsonCodec without its tables."""
+def ref_output_from_json(obj: dict) -> Output:
+    return Output(obj["amount"], ref_lock_from_json(obj["lock"]), obj.get("expiry"))
 
-    __slots__ = ()
 
-    def output(self, obj: dict) -> Output:
-        return Output(obj["amount"], ref_lock_from_json(obj["lock"]), obj.get("expiry"))
-
-    def output_json(self, out: Output) -> dict:
-        obj: dict = {"amount": out.amount, "lock": ref_lock_to_json(out.lock)}
-        if out.expiry is not None:
-            obj["expiry"] = out.expiry
-        return obj
+def ref_output_json(out: Output) -> dict:
+    obj: dict = {"amount": out.amount, "lock": ref_lock_to_json(out.lock)}
+    if out.expiry is not None:
+        obj["expiry"] = out.expiry
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +759,7 @@ def _ref_access_json(a: AccessDecl) -> dict:
 def ref_tx_json(tx: Transaction) -> dict:
     k = tx.kind
     inputs = [{"txid": op.txid.hex(), "index": op.index} for op in getattr(k, "inputs", ())]
-    outputs = [PlainJsonCodec().output_json(out) for out in getattr(k, "outputs", ())]
+    outputs = [ref_output_json(out) for out in getattr(k, "outputs", ())]
     if isinstance(k, UtxoSpend):
         obj: dict = {"kind": "utxo_spend", "inputs": inputs, "outputs": outputs}
     elif isinstance(k, Deploy):

@@ -136,6 +136,10 @@ HOSTILE = {
     "nonce of 2**64 - 1": (SPEND.replace('"nonce":3', f'"nonce":{U64_MAX}'), True),
     "an int of 5,000 digits": (SPEND.replace('"nonce":3', '"nonce":' + "9" * 5000), False),
     "true for an int": (SPEND.replace('"amount":7,', '"amount":true,'), False),
+    "a float amount": (SPEND.replace('"amount":7,', '"amount":1.0,'), False),
+    "true for m": (SPEND.replace('"m":1,', '"m":true,'), False),
+    "a float m": (SPEND.replace('"m":1,', '"m":1.0,'), False),
+    "a float expiry": (SPEND.replace('"expiry":0', '"expiry":9.0'), False),
     "an exponent": (SPEND.replace('"amount":7,', '"amount":7e0,'), False),
     "odd-length hex": (SPEND.replace('"09090909"', '"0909090"'), False),
     "upper-case hex": (_first_a(CALL, "intermediary_pubkey", "A"), False),

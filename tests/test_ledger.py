@@ -31,7 +31,6 @@ from helpers import (
     signed_spend,
 )
 from oracles import (
-    PlainJsonCodec,
     canonical_json,
     recompute_state_digest,
     ref_header_hash,
@@ -1074,29 +1073,32 @@ INTERN_EDITS = {
 
 @pytest.mark.parametrize("case", sorted(INTERN_EDITS))
 def test_interning_decoder_reports_as_the_plain_decoder(tmp_path, monkeypatch, case):
-    """One occurrence of a repeated output or lock is perturbed; the
-    interning codec and the plain per-output codec it replaced must give
-    replay the same report."""
+    """One occurrence of a repeated output or lock is perturbed. Replay,
+    which keeps each distinct lock and output of a batch once, by its
+    text, must give the report of the earlier verifier, which decodes
+    every output afresh: with the helper on, and on one CPU."""
     logdir = _fanout_log(tmp_path)
     index, edit, kind = INTERN_EDITS[case]
     path = logdir / "batch_000001.json"
     batch = json.loads(path.read_text())
     edit(batch["txs"][0]["outputs"][index])
     path.write_text(json.dumps(batch, sort_keys=True, separators=(",", ":")))
-    report = ledger.replay_verify(logdir)
-    monkeypatch.setattr(ledger, "JsonCodec", PlainJsonCodec)
-    assert ledger.replay_verify(logdir) == report
-    assert (report.kind, report.batch) == (kind, 1), report
+    want = ref_replay_verify(logdir)
+    assert (want.kind, want.batch) == (kind, 1), want
     if kind == "divergence":
-        assert report.field == "encoding"
+        assert want.field == "encoding"
+    for cpus in (2, 1):
+        monkeypatch.setattr(crypto, "CPUS", cpus)
+        assert ledger.replay_verify(logdir) == want
 
 
 def test_interning_decoder_replays_a_repeating_fanout_as_the_plain_decoder(tmp_path, monkeypatch):
     logdir = _fanout_log(tmp_path)
-    report = ledger.replay_verify(logdir)
-    assert report.ok and report.batches == 2
-    monkeypatch.setattr(ledger, "JsonCodec", PlainJsonCodec)
-    assert ledger.replay_verify(logdir) == report
+    want = ref_replay_verify(logdir)
+    assert want.ok and want.batches == 2
+    for cpus in (2, 1):
+        monkeypatch.setattr(crypto, "CPUS", cpus)
+        assert ledger.replay_verify(logdir) == want
 
 
 # ---------------------------------------------------------------------------
@@ -1328,9 +1330,9 @@ def test_honest_replay_decodes_no_header_file(tmp_path, monkeypatch):
     decoded: list[model.JsonTable] = []
     decode = model.JsonTable.decode
 
-    def counted(table, obj, codec=None):
+    def counted(table, obj):
         decoded.append(table)
-        return decode(table, obj, codec)
+        return decode(table, obj)
 
     monkeypatch.setattr(model.JsonTable, "decode", counted)
     assert ledger.replay_verify(logdir).ok
@@ -1339,18 +1341,3 @@ def test_honest_replay_decodes_no_header_file(tmp_path, monkeypatch):
     REPLAY_EDITS["receipt_gas_used"](logdir)
     assert ledger.replay_verify(logdir).field == "receipt[1]"
     assert sum(t is ledger.RECEIPT_JSON for t in decoded) == 4
-
-
-def test_batch_encode_writes_each_output_object_once(tmp_path, monkeypatch):
-    """The fan-out repeats two outputs twelve times: 30 outputs, 8 distinct.
-    Commit writes the transaction's own objects, each encoded once; replay
-    reads the text and encodes none."""
-    encoded: list[Output] = []
-    encode = model.OUTPUT_JSON.encode
-    monkeypatch.setattr(model.OUTPUT_JSON, "encode", lambda out: encoded.append(out) or encode(out))
-    logdir = _fanout_log(tmp_path)
-    outputs = json.loads((logdir / "batch_000001.json").read_text())["txs"][0]["outputs"]
-    assert len(outputs) == 30 and len(encoded) == len({canonical_json(out) for out in outputs}) == 8
-    encoded.clear()
-    assert ledger.replay_verify(logdir).ok
-    assert not encoded

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from helpers import KEYS, p2pk
 from oracles import (
-    PlainJsonCodec,
     Reader,
     Writer,
     canonical_deserialize,
@@ -27,6 +26,8 @@ from oracles import (
     ref_full_serialize,
     ref_genesis_json,
     ref_header_json,
+    ref_output_from_json,
+    ref_output_json,
     ref_receipt_json,
     ref_tx_json,
     ref_txid,
@@ -41,7 +42,6 @@ from tierledger.model import (
     Call,
     Deploy,
     EndorsementData,
-    JsonCodec,
     Level,
     Lock,
     ModelError,
@@ -247,6 +247,11 @@ def test_json_rejects_bad_hex_and_kind():
         tx_from_json_str('{"kind":"utxo_spend","inputs":[' + op + '],"outputs":[{"amount":1,"lock":[]}]}')
     with pytest.raises(ModelError):
         tx_from_json_str(tx_to_json_str(sample_txs()[3])[:-1] + ',"access":"x"}')
+    # An output that is not an object is reported as an input is.
+    with pytest.raises(ModelError, match="^bad inputs: each item must be an object$"):
+        tx_from_json_str('{"kind":"utxo_spend","inputs":[1],"outputs":[]}')
+    with pytest.raises(ModelError, match="^bad outputs: each item must be an object$"):
+        tx_from_json_str('{"kind":"utxo_spend","inputs":[' + op + '],"outputs":[1]}')
 
 
 def test_per_transaction_endorsement_carries_no_user_fields():
@@ -260,10 +265,10 @@ def test_per_transaction_endorsement_carries_no_user_fields():
         EndorsementData("per_user", A.pubkey, b"\x02" * 64, **user)
 
 
-def test_codec_interns_repeats_and_keeps_json_types_apart():
-    """Equal output JSON decodes to one Output; a field
-    that hashes equal but has another JSON type (1.0 or true for 1) misses
-    the table and is rejected as the plain decoder rejects it."""
+def test_output_decode_keeps_json_types_apart():
+    """The output table reads what the reference decoder reads, and refuses
+    what it refuses: a field that Python hashes equal to the one it holds
+    but of another JSON type (1.0 or true for 1)."""
     pk = {"kind": "pubkey", "pubkey": "11" * 32}
     msig = {"kind": "multisig", "m": 1, "pubkeys": ["11" * 32, "22" * 32]}
     good = [
@@ -281,15 +286,11 @@ def test_codec_interns_repeats_and_keeps_json_types_apart():
         {"amount": 1, "lock": {**msig, "m": 1.0}},
         {"amount": 1, "lock": {**pk, "pubkey": 1}},
     ]
-    codec, plain = JsonCodec(), PlainJsonCodec()
-    outs = [codec.output(obj) for obj in good]
-    assert outs == [plain.output(obj) for obj in good]
-    assert outs[0] is outs[1] and outs[3].lock is outs[0].lock and outs[2].lock.m == 1
-    assert outs[4].expiry == 1 and outs[4].lock is outs[0].lock
+    assert [model.OUTPUT_JSON.decode(obj) for obj in good] == [ref_output_from_json(obj) for obj in good]
     for obj in bad:
-        for decoder in (codec, plain):
+        for decode in (model.OUTPUT_JSON.decode, ref_output_from_json):
             with pytest.raises(ModelError):
-                decoder.output(obj)
+                decode(obj)
 
 
 def test_values_the_encoder_packs_are_range_checked_at_construction():
@@ -428,7 +429,7 @@ def test_encoder_matches_reference_encoder(tx):
 def test_output_table_encodes_as_the_reference_encoder(out):
     """Every lock kind, with and without expiry: the output table writes
     what the per-output encoder it replaced wrote."""
-    assert model.OUTPUT_JSON.encode(out) == canonical_json(PlainJsonCodec().output_json(out))
+    assert model.OUTPUT_JSON.encode(out) == canonical_json(ref_output_json(out))
 
 
 @given(random_txs())
@@ -450,8 +451,8 @@ def test_transaction_text_is_canonical_json_of_the_reference_object(tx):
 @given(st.lists(random_txs(), max_size=4), st.lists(st.integers(0, 3), max_size=6), _u64, _u64)
 @settings(max_examples=100, deadline=None)
 def test_batch_text_is_canonical_json_with_repeated_transactions_and_outputs(txs, repeats, number, epoch):
-    """A transaction listed twice shares its output objects, which the
-    batch's codec then writes from its text table."""
+    """A transaction listed twice, and so its output objects, is written
+    again in full each time."""
     txs += [txs[i] for i in repeats if i < len(txs)]
     want = {"batch": number, "epoch": epoch, "txs": [ref_tx_json(tx) for tx in txs]}
     assert ledger._encode_batch(number, epoch, txs) == canonical_json(want)
