@@ -12,7 +12,8 @@ Each encode is timed on a fresh Transaction instance (a copy made before
 the clock starts), so a cached encoding is never what is measured. The
 fan-out is decoded from its canonical JSON by tx_from_json_str, as the
 benchmark's set-up decodes it; its txid is timed on a freshly decoded
-instance. The
+instance, and its re-encode is TX_JSON.encode's, since tx_to_json_str
+returns the text the decoded fan-out keeps. The
 10k outputs written both ways and for the memory figures are that fan-out's
 outputs, decoded ten times. Their memory is what tracemalloc counts as
 still allocated once the state is built, so it does not depend on how much
@@ -22,7 +23,10 @@ The call batch is what contracts-declared replays: each call has an
 access list of two storage slots and two balances, an auth and an address
 constant, and its caller, contract and argument vary. Its decode and
 re-encode are the whole-file ones (_decode_txs and _encode_batch), per
-transaction, which replay_verify runs only to name a divergence.
+transaction, which replay_verify runs only to name a divergence. Its text
+is also built by _encode_batch from the calls as an operator receives
+them, each read whole from its canonical text by tx_from_json_str, which
+keeps that text: the writer joins it instead of re-encoding the call.
 
 A batch file's transactions are read two ways, in µs per transaction:
 the earlier way, as replay read each transaction before read_tx (parse
@@ -76,6 +80,7 @@ from typing import Callable, Optional
 
 from tierledger import codes, crypto, ledger, rules
 from tierledger.model import (
+    TX_JSON,
     AccessDecl,
     Level,
     Call,
@@ -174,15 +179,19 @@ def call_batch() -> list[Transaction]:
     return txs
 
 
-def call_batch_us(reps: int) -> tuple[float, float]:
+def call_batch_us(reps: int) -> tuple[float, float, float]:
     """Median µs per transaction to decode, and to re-encode, a batch file of
-    CALLS declared calls."""
+    CALLS declared calls, and to build its text from the calls as the
+    operator receives them, each read whole from its canonical text."""
     txs = call_batch()
     raw = ledger._encode_batch(1, 2, txs)
     txs_json = read_json(raw)["txs"]
+    received = [tx_from_json_str(tx_to_json_str(tx)) for tx in txs]
+    assert ledger._encode_batch(1, 2, received) == raw
     decode_s = median_of(reps, lambda: timed(lambda: ledger._decode_txs(txs_json)))
     reencode_s = median_of(reps, lambda: timed(lambda: ledger._encode_batch(1, 2, txs)))
-    return 1e6 * decode_s / CALLS, 1e6 * reencode_s / CALLS
+    received_s = median_of(reps, lambda: timed(lambda: ledger._encode_batch(1, 2, received)))
+    return 1e6 * decode_s / CALLS, 1e6 * reencode_s / CALLS, 1e6 * received_s / CALLS
 
 
 def earlier_read(text: str, at: int) -> list[Transaction]:
@@ -316,7 +325,7 @@ def main() -> int:
     text = tx_to_json_str(fanout)
     decode_ms = 1e3 * median_of(reps, lambda: timed(lambda: tx_from_json_str(text)))
     decoded = tx_from_json_str(text)
-    reencode_ms = 1e3 * median_of(reps, lambda: timed(lambda: tx_to_json_str(decoded)))
+    reencode_ms = 1e3 * median_of(reps, lambda: timed(lambda: TX_JSON.encode(decoded)))
 
     def txid_once() -> float:
         fresh = tx_from_json_str(text)
@@ -326,9 +335,10 @@ def main() -> int:
     print(f"fan-out of {FANOUT} outputs ({len(text)} B of JSON):")
     print(f"  decode {decode_ms:7.2f} ms   re-encode {reencode_ms:7.2f} ms   txid {txid_ms:7.2f} ms")
 
-    call_decode_us, call_reencode_us = call_batch_us(reps)
+    call_decode_us, call_reencode_us, call_received_us = call_batch_us(reps)
     print(f"batch of {CALLS} declared calls with access lists, auth and address constants:")
     print(f"  decode {call_decode_us:7.2f} µs/tx   re-encode {call_reencode_us:7.2f} µs/tx")
+    print(f"  batch text from the received calls {call_received_us:7.2f} µs/tx   re-encoded {call_reencode_us:7.2f} µs/tx")
 
     print("a batch file's transactions read the earlier way (parse, decode, re-encode, compare) and by read_tx:")
     batches = {f"{CALLS} declared calls": call_batch(), f"{FANOUT}-output fan-out": [decoded]}

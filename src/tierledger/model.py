@@ -484,8 +484,9 @@ def _encode_body(tx: Transaction) -> bytes:
     return b"".join(parts)
 
 
-# Both are cached in the transaction's instance __dict__ on first use. The
-# fields they cover are frozen, and every changed copy is a new instance.
+# Both are cached in the transaction's instance __dict__ on first use, as
+# is the canonical text a transaction was read whole from (tx_from_json_str).
+# The fields they cover are frozen, and every changed copy is a new instance.
 
 
 def canonical_serialize(tx: Transaction) -> bytes:
@@ -1082,12 +1083,16 @@ def _compile_parse(table: Union[JsonTable, JsonTagged], interned: tuple) -> tupl
 # One parser per kind of transaction, picked by the first "kind" key in the
 # text. In a transaction's canonical text that key is its own: the keys that
 # sort before it hold hex, ints and records with no "kind" key. A batch
-# builds each distinct lock, output and access list once.
+# builds each distinct lock, output and access list once. The parsers are
+# compiled when read_tx first needs them, not by every process that imports.
 _TX_KIND = f'"{TX_JSON.key}":"'
-_TX_PARSERS = {
-    variant.tag[1]: _compile_parse(variant, (LOCK_JSON, OUTPUT_JSON, ACCESS_JSON))
-    for variant in TX_JSON.variants.values()
-}
+_TX_PARSERS: dict = {}
+
+
+def _compile_tx_parsers() -> dict:
+    interned = (LOCK_JSON, OUTPUT_JSON, ACCESS_JSON)
+    _TX_PARSERS.update((v.tag[1], _compile_parse(v, interned)) for v in TX_JSON.variants.values())
+    return _TX_PARSERS
 
 
 def read_tx(text: str, at: int, interned: dict) -> tuple[Transaction, int]:
@@ -1096,7 +1101,8 @@ def read_tx(text: str, at: int, interned: dict) -> tuple[Transaction, int]:
     interned by their text, and taken from it when they are there already.
     Any other text is a ModelError."""
     kind = text.find(_TX_KIND, at) + len(_TX_KIND)
-    parser = _TX_PARSERS.get(text[kind:text.find('"', kind)]) if kind >= len(_TX_KIND) else None
+    parsers = _TX_PARSERS or _compile_tx_parsers()
+    parser = parsers.get(text[kind:text.find('"', kind)]) if kind >= len(_TX_KIND) else None
     m = None if parser is None else parser[0].match(text, at)
     if m is None:
         raise ModelError("a transaction's text is not its canonical encoding")
@@ -1113,15 +1119,18 @@ def tx_from_json(obj: dict) -> Transaction:
 
 
 def tx_to_json_str(tx: Transaction) -> str:
-    return TX_JSON.encode(tx)
+    """tx's canonical text: the text it was read whole from, if any."""
+    return tx.__dict__.get("_text") or TX_JSON.encode(tx)
 
 
 def tx_from_json_str(s: str) -> Transaction:
     """The transaction in s: read by read_tx when s is its canonical text,
-    else by read_json and tx_from_json, whose errors are the ones raised."""
+    which the transaction keeps, else by read_json and tx_from_json, whose
+    errors are the ones raised."""
     try:
         tx, end = read_tx(s, 0, {})
         if end == len(s):
+            tx.__dict__["_text"] = s
             return tx
     except ModelError:
         pass

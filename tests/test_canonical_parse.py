@@ -5,7 +5,10 @@ which tries it first, must return and raise what the decoder does."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -243,3 +246,116 @@ def test_tx_from_json_str_reads_canonical_and_other_text_as_the_decoder(i):
             continue
         assert tx_from_json_str(s) == want
     assert tx_from_json_str(spaced) == tx_from_json_str(text) == sample_txs()[i]
+
+
+# A transaction read whole from its canonical text keeps that text, and the
+# batch file joins it. These hold the kept text to the encoder.
+
+
+def kept(tx: Transaction):
+    return tx.__dict__.get("_text")
+
+
+def test_every_kind_keeps_the_text_it_was_read_from():
+    assert {type(tx.kind) for tx in sample_txs()} == set(TX_JSON.variants)
+    for tx in sample_txs():
+        text = TX_JSON.encode(tx)
+        got = tx_from_json_str(text)
+        assert kept(got) is text and tx_to_json_str(got) is text
+
+
+@given(random_txs())
+@settings(max_examples=200, deadline=None)
+def test_a_transaction_read_whole_from_its_text_keeps_it(tx):
+    text = TX_JSON.encode(tx)
+    got = tx_from_json_str(text)
+    assert kept(got) is text and tx_to_json_str(got) is text
+    assert kept(tx) is None and tx_to_json_str(tx) == text
+
+
+@st.composite
+def edited_texts(draw) -> str:
+    """A transaction's canonical text with one byte flipped, inserted or
+    deleted, drawn as test_edited_text_is_read_exactly_when_the_decoder_takes_it
+    draws it."""
+    text = tx_to_json_str(draw(random_txs()))
+    at = draw(st.integers(0, len(text) - 1))
+    char = draw(st.sampled_from(EDIT_CHARS))
+    edit = draw(st.sampled_from(["flip", "insert", "delete"]))
+    return {
+        "flip": text[:at] + char + text[at + 1:],
+        "insert": text[:at] + char + text[at:],
+        "delete": text[:at] + text[at + 1:],
+    }[edit]
+
+
+@given(edited_texts())
+@settings(max_examples=400, deadline=None)
+def test_kept_text_is_what_the_encoder_writes_for_the_decoded_transaction(edited):
+    """The parser decides what the log holds: whatever it reads, it keeps,
+    and that must be the encoding of the decoder's transaction."""
+    try:
+        want = TX_JSON.encode(tx_from_json(read_json(edited)))
+    except ModelError:
+        want = None
+    if parser_reads(edited) is None:
+        if want is not None:
+            assert kept(tx_from_json_str(edited)) is None
+        return
+    got = tx_from_json_str(edited)
+    assert kept(got) is edited
+    assert tx_to_json_str(got) == want
+
+
+def _reordered(text: str) -> str:
+    """text with every record's keys written in reverse order."""
+    return json.dumps(json.loads(text, object_pairs_hook=lambda pairs: dict(reversed(pairs))), separators=(",", ":"))
+
+
+@pytest.mark.parametrize("i", range(len(sample_txs())))
+def test_text_only_the_decoder_reads_keeps_nothing(i):
+    text = tx_to_json_str(sample_txs()[i])
+    spaced = json.dumps(json.loads(text), indent=1)
+    upper = text.upper().replace('"KIND"', '"kind"')
+    decoded = 0
+    for s in (spaced, upper, _reordered(text)):
+        assert s != text
+        try:
+            want = tx_from_json(read_json(s))
+        except ModelError:
+            continue
+        got = tx_from_json_str(s)
+        decoded += 1
+        assert kept(got) is None
+        assert tx_to_json_str(got) == TX_JSON.encode(want) == text != s
+    assert decoded >= 2
+
+
+@pytest.mark.parametrize("i", range(len(sample_txs())))
+def test_a_changed_copy_encodes_its_own_fields(i):
+    read = tx_from_json_str(tx_to_json_str(sample_txs()[i]))
+    copies = [
+        read.with_witnesses([(b"\x0a" * 3,), ()]),
+        read.with_auth(A, b"\x0b" * 64),
+        dataclasses.replace(read, nonce=read.nonce + 1),
+    ]
+    for copy in copies:
+        assert kept(copy) is None
+        assert tx_to_json_str(copy) == TX_JSON.encode(dataclasses.replace(copy)) != kept(read)
+
+
+@given(st.lists(random_txs(), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_a_batch_of_transactions_read_from_text_is_written_byte_for_byte(txs):
+    """write_batch_files joins the kept texts: the file is the one written
+    from the same transactions built in memory."""
+    read = [tx_from_json_str(TX_JSON.encode(tx)) for tx in txs]
+    assert all(kept(tx) is not None for tx in read)
+    header = ledger.BatchHeader(3, 4, *(bytes([i]) * 32 for i in range(5)))
+    files = []
+    with tempfile.TemporaryDirectory() as built, tempfile.TemporaryDirectory() as received:
+        for logdir, batch in ((built, txs), (received, read)):
+            ledger.write_batch_files(logdir, 3, 4, batch, header, [])
+            files.append([(Path(logdir) / name).read_bytes() for name in ("batch_000003.json", "header_000003.json")])
+    assert files[0] == files[1]
+    assert files[0][0] == ledger._encode_batch(3, 4, [dataclasses.replace(tx) for tx in txs]).encode()
