@@ -30,7 +30,15 @@ Then, each the best of five runs unless it says otherwise:
 - per-op: ns per gas of the burn loop with no compiled arms, so that every
   op runs through the per-op loop in vm._Machine.run_frame; the best of
   [iterations] single calls (about 2 ms each), since a short window is the
-  least likely to take in a burst of load from elsewhere on the host.
+  least likely to take in a burst of load from elsewhere on the host;
+- declared set-up: µs per call of a declared call's three set-up steps, as
+  the scheduler runs them, over SETUP_CALLS counter calls from
+  SETUP_CALLERS callers to SETUP_COUNTERS counters, each call declaring its
+  counter's slot and each counter deployed with its own slot, as
+  contracts-declared's calls and counters are: scheduler._wrap (the
+  footprint), scheduler._conflict_waves and vm.invoke with the wrapped
+  footprint (the access checks; diffs not applied). Each step's best of
+  SETUP_ROUNDS rounds, which time the three steps in turn.
 
 Usage: python benchmarks/bench_vm.py [iterations]
 """
@@ -40,11 +48,12 @@ from __future__ import annotations
 import gc
 import json
 import os
+import random
 import sys
 import time
 from pathlib import Path
 
-from tierledger import vm
+from tierledger import scheduler, vm
 from tierledger.model import AccessDecl, Call, Deploy, Transaction, txid
 
 # Same programs as the test suite and the ledger benchmark.
@@ -62,6 +71,10 @@ NESTED_ASM = ("ARG loop: DUP NOT JUMPI end DUP DUP SSTORE PUSHI 0 PUSHA 0 CALL D
 STORE_ASM = "ARG loop: DUP NOT JUMPI end DUP DUP SSTORE PUSHI 1 SUB JUMP loop end: HALT"
 STORE_SLOTS = 100_000
 CYCLE_CODES = 65
+SETUP_CALLS = 2_000
+SETUP_CALLERS = 200
+SETUP_COUNTERS = 8
+SETUP_ROUNDS = 20
 
 
 def short_blocks(tag: int) -> bytes:
@@ -241,6 +254,43 @@ def print_per_op(acc: vm.Accounts, burn: bytes, iterations: int) -> None:
     print(f"per-op   burn {diff.outcome.gas_used:6d} gas/call  {best * 1e9 / diff.outcome.gas_used:6.0f} ns/gas")
 
 
+def print_declared_setup() -> None:
+    acc = vm.Accounts()
+    callers = [i.to_bytes(2, "big") * 16 for i in range(1, SETUP_CALLERS + 1)]
+    for caller in callers:
+        acc.set_balance(caller, 10**12)
+    own_slot = frozenset({(b"\x00" * 32, 0)})
+    counters = []
+    for nonce in range(SETUP_COUNTERS):
+        tx = Transaction(Deploy(vm.assemble(COUNTER_ASM), 0, callers[0], 10_000, 0,
+                                AccessDecl(storage_read=own_slot, storage_written=own_slot)), nonce=nonce)
+        vm.deploy(acc, tx, txid(tx)).apply(acc)
+        counters.append(txid(tx))
+    rng = random.Random(41)
+    txs = []
+    for i in range(SETUP_CALLS):
+        contract = rng.choice(counters)
+        slot = frozenset({(contract, 0)})
+        call = Call(contract, 0, 0, callers[i % SETUP_CALLERS], 20, 1, AccessDecl(storage_read=slot, storage_written=slot))
+        tx = Transaction(call, nonce=acc.nonces.get(call.caller, 0))
+        txs.append((tx, txid(tx)))
+    best = [float("inf")] * 3
+    for _ in range(SETUP_ROUNDS):
+        t0 = time.perf_counter()
+        items = [scheduler._wrap(i, tx, tx_id, acc, True) for i, (tx, tx_id) in enumerate(txs)]
+        t1 = time.perf_counter()
+        scheduler._conflict_waves(items)
+        t2 = time.perf_counter()
+        for item in items:
+            diff = vm.invoke(acc, item.tx, item.tx_id, 1, True, item.footprint)
+        t3 = time.perf_counter()
+        assert diff.outcome.committed, diff.outcome
+        best = [min(b, t) for b, t in zip(best, (t1 - t0, t2 - t1, t3 - t2))]
+    wrap, waves, invoke = (b * 1e6 / SETUP_CALLS for b in best)
+    print(f"declared set-up  {SETUP_CALLS} calls on {SETUP_COUNTERS} counters  _wrap {wrap:5.2f} us/call  "
+          f"_conflict_waves {waves:5.2f} us/call  invoke {invoke:5.2f} us/call")
+
+
 def main() -> int:
     iterations = int(sys.argv[1]) if len(sys.argv) > 1 else 200
     acc, addrs = setup()
@@ -276,6 +326,7 @@ def main() -> int:
     print_cycling(acc, "loops", self_loops)
     print_sstore_commit(acc)
     print_per_op(acc, addrs["burn"], iterations)
+    print_declared_setup()
     return 0
 
 

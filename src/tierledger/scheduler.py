@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import crypto, vm
-from .model import AccessDecl, Call, Deploy, Transaction
+from .model import Call, Deploy, Transaction
 from .rules import ACCESS_DECLARED, SystemConfig
 
 # Waves cheaper than this many gas units run inline; below it, starting
@@ -70,8 +70,9 @@ class _Item:
     index: int
     tx: Transaction
     tx_id: bytes
-    # vm.call_footprint of a declared call, against the pre-batch contracts.
-    footprint: Optional[AccessDecl] = None
+    # vm.call_footprint of a declared call, against the pre-batch contracts:
+    # the keys it reads, the keys it writes and the contracts it can reach.
+    footprint: Optional[vm.Footprint] = None
     # Every reachable callee existed before the batch, so no deploy in the
     # batch can extend the footprint that execution checks against.
     footprint_final: bool = False
@@ -126,11 +127,7 @@ def _footprint_sets(item: _Item) -> tuple[Optional[frozenset], Optional[frozense
     if fp is None:
         # Rejected before execution in declared mode: no footprint at all.
         return frozenset(), frozenset(), False
-    # vm.call_footprint already holds the implicit writes of the caller's
-    # and the callee's balances.
-    reads = fp.balances_read | fp.storage_read
-    writes = fp.balances_written | fp.storage_written
-    return reads, writes, not item.footprint_final
+    return fp.reads, fp.writes, not item.footprint_final
 
 
 def _conflict_waves(items: Sequence[_Item]) -> list[list[int]]:

@@ -13,7 +13,7 @@ import functools
 import struct
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from . import lthash as _lthash
 from .model import (
@@ -388,44 +388,34 @@ def disassemble(code: bytes) -> str:
 # Footprints
 
 
-def effective_footprint(
-    access: AccessDecl, top_callee: bytes, contracts: Mapping[bytes, ContractAccount]
-) -> AccessDecl:
-    """Transaction declaration expanded by the declared footprints of every
-    reachable callee (fixed at deploy time), plus the top-level callee."""
-    br, bw = access.balances_read, access.balances_written
-    sr, sw = access.storage_read, access.storage_written
-    callees = access.callees | {top_callee}
-    seen: set[bytes] = set()
+class Footprint(NamedTuple):
+    """A declared call's footprint, which conflict analysis and the VM's
+    access checks both read. Keys are balance addresses and storage slots
+    (address, key); the two never compare equal, so one set holds both."""
+
+    reads: frozenset  # what the call and the contracts it can reach declare they read
+    writes: frozenset  # what they may write, and so read; the caller's and callee's balances too
+    callees: frozenset  # every contract it can reach, the called one included
+
+
+def call_footprint(k: Call, contracts: Mapping[bytes, ContractAccount]) -> Footprint:
+    """The footprint of a declared call: its declaration folded with the
+    deploy-time declarations of every contract it can reach, which never
+    change once deployed. Each reachable contract is folded once."""
+    a = k.access
+    reads = a.balances_read | a.storage_read
+    writes = a.balances_written | a.storage_written | {k.caller, k.contract}
+    callees = a.callees | {k.contract}
     frontier = list(callees)
     while frontier:
-        c = frontier.pop()
-        if c in seen:
-            continue
-        seen.add(c)
-        acct = contracts.get(c)
-        fp = acct.footprint if acct is not None else None
-        if fp is None:
-            continue
-        # Rebinding unions (not in-place updates): the declaration's own
-        # sets are shared, never modified.
-        br = br | fp.balances_read
-        bw = bw | fp.balances_written
-        sr = sr | fp.storage_read
-        sw = sw | fp.storage_written
-        callees = callees | fp.callees
-        frontier.extend(fp.callees)
-    return AccessDecl(br, bw, sr, sw, callees)
-
-
-def call_footprint(k: Call, contracts: Mapping[bytes, ContractAccount]) -> AccessDecl:
-    """Effective footprint of a declared call, plus the balances every call
-    writes implicitly: the caller's (attached value and fees) and the
-    callee's (attached value)."""
-    assert k.access is not None
-    fp = effective_footprint(k.access, k.contract, contracts)
-    written = fp.balances_written | {k.caller, k.contract}
-    return AccessDecl(fp.balances_read, written, fp.storage_read, fp.storage_written, fp.callees)
+        acct = contracts.get(frontier.pop())
+        d = acct.footprint if acct is not None else None
+        if d is not None:
+            reads = reads | d.balances_read | d.storage_read
+            writes = writes | d.balances_written | d.storage_written
+            frontier += d.callees - callees
+            callees = callees | d.callees
+    return Footprint(reads, writes, callees)
 
 
 class AccessViolationError(Exception):
@@ -445,36 +435,6 @@ class _Fault(Exception):
     def __init__(self, detail: str) -> None:
         super().__init__(detail)
         self.detail = detail
-
-
-class _Checker:
-    """Runtime access checking against an effective footprint (declared
-    mode); a None checker means dynamic mode (everything allowed)."""
-
-    def __init__(self, fp: AccessDecl) -> None:
-        self.fp = fp
-        self.readable = fp.balances_read | fp.balances_written
-        self.slot_readable = fp.storage_read | fp.storage_written
-
-    def balance_read(self, addr: bytes) -> None:
-        if addr not in self.readable:
-            raise AccessViolationError(f"undeclared balance read of {addr.hex()[:16]}")
-
-    def balance_write(self, addr: bytes) -> None:
-        if addr not in self.fp.balances_written:
-            raise AccessViolationError(f"undeclared balance write of {addr.hex()[:16]}")
-
-    def storage_read(self, addr: bytes, key: int) -> None:
-        if (addr, key) not in self.slot_readable:
-            raise AccessViolationError(f"undeclared storage read {addr.hex()[:16]}:{key}")
-
-    def storage_write(self, addr: bytes, key: int) -> None:
-        if (addr, key) not in self.fp.storage_written:
-            raise AccessViolationError(f"undeclared storage write {addr.hex()[:16]}:{key}")
-
-    def call(self, addr: bytes) -> None:
-        if addr not in self.fp.callees:
-            raise AccessViolationError(f"undeclared call to {addr.hex()[:16]}")
 
 
 # Stack words are plain values: an int is an Int, bytes are an Addr.
@@ -963,7 +923,9 @@ class _Machine:
     an immutable pre-state, a global gas counter, and nested call frames.
     Every journal write also appends (journal, key, old value or None) to
     one trail, so a call's revert point is a pair of lengths, trail and
-    events, and a reverted call pops its own writes back off."""
+    events, and a reverted call pops its own writes back off. footprint is
+    the declared call's, which run_frame checks each state op and call
+    against; None in dynamic mode."""
 
     def __init__(
         self,
@@ -971,13 +933,13 @@ class _Machine:
         epoch: int,
         consts: tuple[bytes, ...],
         gas_limit: int,
-        checker: Optional[_Checker],
+        footprint: Optional[Footprint],
     ) -> None:
         self.base = accounts
         self.epoch = epoch
         self.consts = consts
         self.gas = gas_limit
-        self.checker = checker
+        self.footprint = footprint
         self.balances: dict[bytes, int] = {}
         self.storage: dict[tuple[bytes, int], int] = {}
         self.events: list[tuple[bytes, int, int]] = []
@@ -1037,7 +999,7 @@ class _Machine:
         self.move_value(caller, self_addr, value)
         prog, compiled = compile_code(self.base.contracts[self_addr].code)
         n = len(prog)
-        checker = self.checker
+        fp = self.footprint
         consts = self.consts
         env = {OP_ARG: arg, OP_CALLER: caller, OP_SELF: self_addr, OP_VALUE: value, OP_EPOCH: self.epoch}
         stack: list = []
@@ -1067,26 +1029,27 @@ class _Machine:
                         return None
                     elif op == OP_SLOAD:
                         key = _pop(stack, True)
-                        if checker is not None:
-                            checker.storage_read(self_addr, key)
+                        if fp is not None and (self_addr, key) not in fp.reads and (self_addr, key) not in fp.writes:
+                            raise AccessViolationError(f"undeclared storage read {self_addr.hex()[:16]}:{key}")
                         push(self.sload(self_addr, key))
                     elif op == OP_SSTORE:
                         val = _pop(stack, True)
                         key = _pop(stack, True)
-                        if checker is not None:
-                            checker.storage_write(self_addr, key)
+                        if fp is not None and (self_addr, key) not in fp.writes:
+                            raise AccessViolationError(f"undeclared storage write {self_addr.hex()[:16]}:{key}")
                         self.write(self.storage, (self_addr, key), val)
                     elif op == OP_BALANCE:
                         addr = _pop(stack, False)
-                        if checker is not None:
-                            checker.balance_read(addr)
+                        if fp is not None and addr not in fp.reads and addr not in fp.writes:
+                            raise AccessViolationError(f"undeclared balance read of {addr.hex()[:16]}")
                         push(self.balance(addr))
                     elif op == OP_TRANSFER:
                         dst = _pop(stack, False)
                         amount = _pop(stack, True)
-                        if checker is not None:
-                            checker.balance_write(self_addr)
-                            checker.balance_write(dst)
+                        if fp is not None:
+                            for addr in (self_addr, dst):
+                                if addr not in fp.writes:
+                                    raise AccessViolationError(f"undeclared balance write of {addr.hex()[:16]}")
                         self.move_value(self_addr, dst, amount)
                     elif op == OP_RETURN:
                         return _pop(stack, True)
@@ -1097,8 +1060,8 @@ class _Machine:
                     elif op == OP_CALL:
                         callee = _pop(stack, False)
                         call_arg = _pop(stack, True)
-                        if checker is not None:
-                            checker.call(callee)
+                        if fp is not None and callee not in fp.callees:
+                            raise AccessViolationError(f"undeclared call to {callee.hex()[:16]}")
                         ret, ok = None, 0
                         if depth + 1 <= MAX_CALL_DEPTH and callee in self.base.contracts:
                             snap = len(self.trail), len(self.events)
@@ -1175,7 +1138,7 @@ def invoke(
     tx_id: bytes,
     epoch: int,
     declared_mode: bool,
-    footprint: Optional[AccessDecl] = None,
+    footprint: Optional[Footprint] = None,
 ) -> StateDiff:
     """Execute a Call transaction against a fixed pre-state.
 
@@ -1183,9 +1146,12 @@ def invoke(
     Rejections (bad structure, missing callee, insufficient prepay) produce
     a diff with no effects at all; executed transactions always advance the
     nonce and pay the gas fee, whatever their status. In declared mode,
-    `footprint` is the call's `call_footprint` when the caller already has
-    it and no contract it can reach was deployed since; otherwise it is
-    computed here.
+    every balance read and write, storage read and write, and call is
+    checked against the call's `Footprint`: the keys it may read, the keys
+    it may write (and read), and the contracts it may call. `footprint` is
+    the call's `call_footprint` when the caller already has it and no
+    contract it can reach was deployed since; otherwise it is computed here.
+    Dynamic mode ignores it and checks nothing.
     """
     k = tx.kind
     assert isinstance(k, Call)
@@ -1199,13 +1165,12 @@ def invoke(
     if not _prepay_covered(accounts, caller, k.gas_limit, k.gas_price, k.attached):
         return StateDiff(ExecOutcome(STATUS_INSUFFICIENT_BALANCE, detail="cannot cover attached value plus gas prepay"))
 
-    checker = None
-    if declared_mode:
-        if footprint is None:
-            footprint = call_footprint(k, accounts.contracts)
-        checker = _Checker(footprint)
+    if not declared_mode:
+        footprint = None
+    elif footprint is None:
+        footprint = call_footprint(k, accounts.contracts)
 
-    machine = _Machine(accounts, epoch, k.address_consts, k.gas_limit, checker)
+    machine = _Machine(accounts, epoch, k.address_consts, k.gas_limit, footprint)
     ret, detail = None, ""
     try:
         ret = machine.run_frame(k.contract, caller, k.arg, k.attached, depth=0)

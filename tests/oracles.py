@@ -6,9 +6,10 @@ literals, signature verification goes straight to the cryptography
 library, and multisig matching is brute force instead of greedy. The
 exceptions are the canonical codec, the JSON codec, the contract VM and
 the conflict-wave builder: their oracles are the package's earlier, simpler
-implementations, which share the value types (and, for the VM and the
-waves, the opcode table, gas table, state types and footprint derivation)
-with the code under test and differ only in how they encode or execute.
+implementations, which share the value types (and, for the VM, the
+opcode table, gas table and state types) with the code under test and
+differ only in how they encode or execute. Declared access, the footprint
+the VM checks and the waves are built from, is restated here apart.
 The state digest is also rebuilt here from scratch with the package's own
 LtHash, as the oracle for its incremental bookkeeping, and a receipt's
 writes digest from the entries read off the state's mappings.
@@ -20,7 +21,6 @@ import hashlib
 import json
 import struct
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -115,18 +115,15 @@ from tierledger.vm import (
     STATUS_REVERTED,
     _GAS_TABLE,
     _OPERAND_WIDTH,
-    AccessViolationError,
     Accounts,
     ExecOutcome,
     StateDiff,
     balance_entry,
     contract_entry,
     slot_entry,
-    _Checker,
     _Fault,
     _finish,
     _OutOfGas,
-    effective_footprint,
 )
 
 
@@ -835,12 +832,78 @@ def ref_genesis_json(cfg: rules.SystemConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Declared access, restated from the rule with its own expansion and checks,
+# so that the VM and conflict-wave differentials compare the package's
+# footprints and access checks with code they share nothing with. A declared
+# call's declaration is folded with the deploy-time declaration of the called
+# contract and of every contract reachable from it through declared callees.
+# The call may read what any of them declares read or written, write what
+# any declares written, and call any of those contracts. It also writes its
+# caller's balance (attached value and fees) and the called contract's
+# (attached value).
+
+
+class RefAccessViolation(Exception):
+    def __init__(self, detail: str) -> None:
+        super().__init__(detail)
+        self.detail = detail
+
+
+def ref_declarations(k: Call, contracts) -> tuple[set, list]:
+    """(contracts the call can reach, the declarations in force): grows the
+    reachable set to a fixed point, re-reading every deploy declaration of
+    the set at each round."""
+    reach = {k.contract, *k.access.callees}
+    while True:
+        decls = [k.access] + [
+            contracts[c].footprint for c in sorted(reach) if c in contracts and contracts[c].footprint is not None
+        ]
+        wider = reach.union(*(d.callees for d in decls))
+        if wider == reach:
+            return reach, decls
+        reach = wider
+
+
+class RefAccess:
+    """A declared call's access, kept apart by kind as declarations state
+    it; each check raises RefAccessViolation with the VM's detail."""
+
+    def __init__(self, k: Call, contracts) -> None:
+        self.callees, decls = ref_declarations(k, contracts)
+        self.balances_read = set().union(*(d.balances_read for d in decls))
+        self.balances_written = {k.caller, k.contract}.union(*(d.balances_written for d in decls))
+        self.storage_read = set().union(*(d.storage_read for d in decls))
+        self.storage_written = set().union(*(d.storage_written for d in decls))
+
+    def read_balance(self, addr: bytes) -> None:
+        if addr not in self.balances_read and addr not in self.balances_written:
+            raise RefAccessViolation(f"undeclared balance read of {addr.hex()[:16]}")
+
+    def write_balance(self, addr: bytes) -> None:
+        if addr not in self.balances_written:
+            raise RefAccessViolation(f"undeclared balance write of {addr.hex()[:16]}")
+
+    def read_slot(self, addr: bytes, key: int) -> None:
+        if (addr, key) not in self.storage_read and (addr, key) not in self.storage_written:
+            raise RefAccessViolation(f"undeclared storage read {addr.hex()[:16]}:{key}")
+
+    def write_slot(self, addr: bytes, key: int) -> None:
+        if (addr, key) not in self.storage_written:
+            raise RefAccessViolation(f"undeclared storage write {addr.hex()[:16]}:{key}")
+
+    def call(self, addr: bytes) -> None:
+        if addr not in self.callees:
+            raise RefAccessViolation(f"undeclared call to {addr.hex()[:16]}")
+
+
+# ---------------------------------------------------------------------------
 # Contract VM: the tagged-tuple interpreter that preceded the pre-decoded
-# dispatch loop in tierledger.vm, kept unchanged apart from its names. Every
-# word is a (tag, value) tuple, every step re-decodes its operand and charges
-# gas through a method call. The differential tests require the package's
-# vm.invoke to match tagged_invoke exactly: outcome (status, gas, return
-# value, events, detail) and the committed StateDiff.
+# dispatch loop in tierledger.vm, kept unchanged apart from its names and its
+# access checks, which are RefAccess's. Every word is a (tag, value) tuple,
+# every step re-decodes its operand and charges gas through a method call.
+# The differential tests require the package's vm.invoke to match
+# tagged_invoke exactly: outcome (status, gas, return value, events, detail)
+# and the committed StateDiff.
 
 TAG_INT = 0
 TAG_ADDR = 1
@@ -856,7 +919,7 @@ class TaggedMachine:
         epoch: int,
         consts: tuple[bytes, ...],
         gas_limit: int,
-        checker: Optional[_Checker],
+        checker: Optional[RefAccess],
     ) -> None:
         self.base = accounts
         self.epoch = epoch
@@ -1018,25 +1081,25 @@ class TaggedMachine:
             elif op == OP_BALANCE:
                 addr = pop_addr()
                 if self.checker is not None:
-                    self.checker.balance_read(addr)
+                    self.checker.read_balance(addr)
                 push(TAG_INT, self.balance(addr))
             elif op == OP_SLOAD:
                 key = pop_int()
                 if self.checker is not None:
-                    self.checker.storage_read(self_addr, key)
+                    self.checker.read_slot(self_addr, key)
                 push(TAG_INT, self.sload(self_addr, key))
             elif op == OP_SSTORE:
                 val = pop_int()
                 key = pop_int()
                 if self.checker is not None:
-                    self.checker.storage_write(self_addr, key)
+                    self.checker.write_slot(self_addr, key)
                 self.storage[(self_addr, key)] = val
             elif op == OP_TRANSFER:
                 dst = pop_addr()
                 amount = pop_int()
                 if self.checker is not None:
-                    self.checker.balance_write(self_addr)
-                    self.checker.balance_write(dst)
+                    self.checker.write_balance(self_addr)
+                    self.checker.write_balance(dst)
                 self.move_value(self_addr, dst, amount)
             elif op == OP_EVENT:
                 val = pop_int()
@@ -1097,17 +1160,7 @@ def tagged_invoke(
     if accounts.balance(caller) < checked_add(prepay, k.attached):
         return StateDiff(ExecOutcome(STATUS_INSUFFICIENT_BALANCE, detail="cannot cover attached value plus gas prepay"))
 
-    checker = None
-    if declared_mode:
-        assert k.access is not None
-        fp = effective_footprint(k.access, k.contract, accounts.contracts)
-        # The caller's balance is implicitly written by every transaction
-        # (attached value and fees), so it is always in the footprint.
-        fp = replace(
-            fp,
-            balances_written=fp.balances_written | {caller, k.contract},
-        )
-        checker = _Checker(fp)
+    checker = RefAccess(k, accounts.contracts) if declared_mode else None
 
     machine = TaggedMachine(accounts, epoch, k.address_consts, k.gas_limit, checker)
     try:
@@ -1115,7 +1168,7 @@ def tagged_invoke(
     except _OutOfGas:
         outcome = ExecOutcome(STATUS_OUT_OF_GAS, gas_used=k.gas_limit)
         return _finish(accounts, caller, k.gas_price, outcome, {}, {})
-    except AccessViolationError as exc:
+    except RefAccessViolation as exc:
         gas_used = k.gas_limit - max(machine.gas, 0)
         outcome = ExecOutcome(STATUS_ACCESS_VIOLATION, gas_used=gas_used, detail=exc.detail)
         return _finish(accounts, caller, k.gas_price, outcome, {}, {})
@@ -1179,18 +1232,19 @@ def ref_decode(code: bytes) -> tuple[Optional[tuple], ...]:
 
 
 def pairwise_sets(item, contracts) -> tuple:
-    """(reads, writes, barrier) of a declared-mode scheduler item wrapped
-    against contracts: a deploy, and a call that can reach a contract
-    missing from them, conflict with everything; a call without a
-    footprint, rejected unrun, with nothing. Operator accounts are keys
-    like any other."""
-    if isinstance(item.tx.kind, Deploy):
+    """(reads, writes, barrier) of a declared-mode scheduler item, from its
+    transaction's declaration and the deploy declarations in contracts: a
+    deploy, and a call that can reach a contract missing from them,
+    conflict with everything; a call without a declaration, rejected unrun,
+    with nothing. Operator accounts are keys like any other."""
+    k = item.tx.kind
+    if isinstance(k, Deploy):
         return None, None, True
-    fp = item.footprint
-    if fp is None:
+    if k.access is None:
         return frozenset(), frozenset(), False
-    reads, writes = fp.balances_read | fp.storage_read, fp.balances_written | fp.storage_written
-    return reads, writes, not all(c in contracts for c in fp.callees)
+    ref = RefAccess(k, contracts)
+    reads, writes = ref.balances_read | ref.storage_read, ref.balances_written | ref.storage_written
+    return reads, writes, not all(c in contracts for c in ref.callees)
 
 
 def pairwise_waves(sets: Sequence[tuple]) -> list[list[int]]:

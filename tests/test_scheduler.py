@@ -503,8 +503,8 @@ def test_footprint_is_expanded_once_per_call_whose_callees_predate_the_batch(mon
     dep = make_deploy(KEYS[1], counter_code() + bytes([vm.OP_HALT]) * 3, nonce=3)
     late = make_call(KEYS[6], txid(dep), access=counter_access(txid(dep)))
     expanded = []
-    real = vm.effective_footprint
-    monkeypatch.setattr(vm, "effective_footprint", lambda *a: expanded.append(a[1]) or real(*a))
+    real = vm.call_footprint
+    monkeypatch.setattr(vm, "call_footprint", lambda k, contracts: expanded.append(k.contract) or real(k, contracts))
     outs, _ = scheduler.schedule_batch(acc, items_for(calls + [dep, late]), 1, DECL, workers=1)
     assert [o.status for o in outs] == [0] * 5
     assert sorted(expanded) == sorted(contracts + [txid(dep)] * 2)

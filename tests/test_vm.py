@@ -4,6 +4,7 @@ interpreter kept in oracles.py."""
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib.util
 import random
@@ -314,16 +315,19 @@ def test_declared_mode_requires_and_enforces_footprint():
     assert diff.outcome.status == vm.STATUS_COMMITTED
 
 
-def test_effective_footprint_expands_callees_transitively():
+def test_call_footprint_expands_callees_transitively():
     acc = fresh_accounts()
     leaf_fp = AccessDecl(storage_written=frozenset({(b"\x00" * 32, 3)}))
     leaf = deployed(acc, "HALT", access=leaf_fp)
     mid_fp = AccessDecl(callees=frozenset({leaf}), balances_read=frozenset({B_ADDR}))
     mid = deployed(acc, "HALT", access=mid_fp, nonce=1)
-    fp = vm.effective_footprint(AccessDecl(callees=frozenset({mid})), mid, acc.contracts)
-    assert (leaf, 3) in fp.storage_written  # placeholder replaced at deploy
-    assert B_ADDR in fp.balances_read
-    assert {mid, leaf} <= fp.callees
+    call = Call(mid, 0, 0, A_ADDR, 100, 0, AccessDecl(callees=frozenset({mid})))
+    fp = vm.call_footprint(call, acc.contracts)
+    assert fp.reads == {B_ADDR}
+    # The leaf's placeholder slot is its own, replaced at deploy; the
+    # caller's and the callee's balances are written by every call.
+    assert fp.writes == {(leaf, 3), A_ADDR, mid}
+    assert fp.callees == {mid, leaf}
 
 
 def test_a_fee_is_held_for_the_batch_end():
@@ -602,6 +606,17 @@ def assert_same_execution(acc, consts, gas_limit, declared, access, arg=0, attac
     return new
 
 
+def test_access_oracle_shares_nothing_with_the_package():
+    """oracles.py restates declared access with its own expansion and
+    checks, so the tagged_invoke and pairwise_waves differentials do not
+    compare the package's footprints, conflict sets or waves with
+    themselves."""
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    names = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not names & {"call_footprint", "Footprint", "_footprint_sets", "_conflict_waves"}
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.data(),
@@ -778,6 +793,8 @@ def test_undeclared_balance_read_is_an_access_violation():
         # A jump inside a run of per-op ops, past ops the run would
         # otherwise count, to code that ends two ops later.
         ("PUSHI 0 SLOAD JUMP end SLOAD SLOAD SLOAD SLOAD end: PUSHI 7", vm.STATUS_COMMITTED),
+        # Balance reads of the caller, whose balance every call writes, and of BOB.
+        ("CALLER BALANCE PUSHA 1 BALANCE ADD RETURN", vm.STATUS_COMMITTED),
     ],
 )
 def test_fixed_programs_match_at_every_gas_limit(asm, status):
@@ -788,8 +805,11 @@ def test_fixed_programs_match_at_every_gas_limit(asm, status):
     for gas_limit in range(0, out.outcome.gas_used + 1, max(1, out.outcome.gas_used // 300)):
         assert_same_execution(acc, consts, gas_limit, False, None)
     # Declared mode with nothing declared: the first state access or call
-    # is a violation in both interpreters.
+    # is a violation in both interpreters. With every key declared written
+    # and none declared read, each key may be read too.
     assert_same_execution(acc, consts, 30_000, True, AccessDecl())
+    addrs, slots, callees = (frozenset(p) for p in declaration_pools(consts))
+    assert_same_execution(acc, consts, 30_000, True, AccessDecl(frozenset(), addrs, frozenset(), slots, callees))
 
 
 # ---------------------------------------------------------------------------
